@@ -224,9 +224,6 @@ class Machine:
         self.threads[t.id] = t
         return t
 
-    def _ctx(self, thread: _Thread, line: int, description: str) -> AccessContext:
-        return AccessContext(line=line, description=description, actor=thread.dialect.value)
-
     # ---- running -------------------------------------------------------------
 
     def run(self) -> Outcome:
@@ -381,6 +378,9 @@ class Machine:
         label: str,
         ctx: AccessContext,
     ) -> int:
+        # A reference's pointee must be live and in bounds when it is made,
+        # as Miri requires it to be dereferenceable at retag.
+        self.memory.check_bounds(ptr, size, f"{kind} retag")
         parent = ptr.provenance
         if parent is WILDCARD:
             # A borrow through an exposed address hangs off the allocation root.
@@ -408,7 +408,7 @@ class Machine:
 
     def _exit_host_frame(self, thread: _Thread, line: int) -> None:
         frame = thread.frames[-1]
-        ctx = self._ctx(thread, line, "frame exit")
+        ctx = AccessContext(line)
         for slot in reversed(frame.slot_order):
             if slot.owning and not slot.moved and frame.slots.get(slot.name) is slot:
                 box, _ = self.memory.read_pointer(slot.pointer, ctx=ctx)
@@ -423,7 +423,7 @@ class Machine:
 
     def _exit_foreign_frame(self, thread: _Thread, line: int) -> None:
         frame = thread.frames[-1]
-        ctx = self._ctx(thread, line, "frame exit")
+        ctx = AccessContext(line)
         for alloc_id in reversed(frame.stack_allocs):
             self.memory.release_stack(alloc_id, ctx)
         thread.frames.pop()
@@ -583,7 +583,7 @@ class Machine:
 
     def _exec_host(self, thread: _Thread, stmt: Stmt) -> None:
         frame = thread.frames[-1]
-        ctx = self._ctx(thread, stmt.line, render_stmt(stmt, Dialect.HOST))
+        ctx = AccessContext(stmt.line)
         if isinstance(stmt, LetStmt):
             self._host_let(thread, stmt, ctx)
         elif isinstance(stmt, WriteStmt):
@@ -839,7 +839,7 @@ class Machine:
                 caller.pending_dest = None
                 if pending is not None and pending[0] is not None:
                     dest, dest_type = pending
-                    ctx = self._ctx(thread, line, "call return")
+                    ctx = AccessContext(line)
                     slot = self._new_slot(caller, dest, dest_type, ctx)
                     self._typed_write_value(slot.pointer, dest_type, value, ctx)
             else:
@@ -987,7 +987,7 @@ class Machine:
         dest: Optional[str],
         dest_type: Optional[TypeDesc],
     ) -> None:
-        ctx = self._ctx(thread, self._current_line(thread), "call return")
+        ctx = AccessContext(self._current_line(thread))
         if thread.dialect is Dialect.HOST:
             reg = callee_thread.result_reg or Reg(0, tainted=True)
             value = self._inbound(plan, reg, dest_type, ctx)
@@ -1053,7 +1053,7 @@ class Machine:
 
     def _exec_foreign(self, thread: _Thread, stmt: Stmt) -> None:
         frame = thread.frames[-1]
-        ctx = self._ctx(thread, stmt.line, render_stmt(stmt, Dialect.FOREIGN))
+        ctx = AccessContext(stmt.line)
         if isinstance(stmt, LetStmt):
             frame.regs[stmt.name] = self._foreign_let(thread, stmt, ctx)
         elif isinstance(stmt, StoreStmt):

@@ -102,8 +102,6 @@ class AccessContext:
     """Where an access comes from, for tracker history and error messages."""
 
     line: int = 0
-    description: str = ""
-    actor: str = "host"  # "host" or "foreign"
 
 
 @dataclass
@@ -126,6 +124,13 @@ class Allocation:
 
 def _ub(kind: DiagnosticKind, message: str, **kw) -> UbError:
     return UbError(kind, message, **kw)
+
+
+def _drop_fragments(alloc: Allocation, lo: int, hi: int) -> None:
+    """Forget the provenance fragments of bytes [lo, hi), which were just overwritten."""
+    if alloc.fragments:
+        for off in range(lo, hi):
+            alloc.fragments.pop(off, None)
 
 
 class Memory:
@@ -229,6 +234,28 @@ class Memory:
             )
         return self.allocations[ptr.alloc_id]
 
+    def check_bounds(self, ptr: PointerValue, size: int, what: str) -> Allocation:
+        """Liveness, then bounds, of `size` bytes at `ptr`; the tracker is not consulted.
+
+        `what` names the operation in the message ("read", "write", or a retag
+        kind such as "mutable-ref retag").
+        """
+        alloc = self._require_allocation(ptr, None)
+        if not alloc.live:
+            raise _ub(
+                DiagnosticKind.USE_AFTER_FREE,
+                f"{what} of {size} bytes in alloc#{alloc.id} ({alloc.label}) after it was freed",
+                address=ptr.address,
+            )
+        if ptr.offset < 0 or ptr.offset + size > alloc.size:
+            raise _ub(
+                DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
+                f"{what} of {size} bytes at alloc#{alloc.id}+{ptr.offset} overruns the "
+                f"{alloc.size}-byte allocation",
+                address=ptr.address,
+            )
+        return alloc
+
     def check_access(
         self,
         ptr: PointerValue,
@@ -239,20 +266,7 @@ class Memory:
     ) -> Allocation:
         """Liveness, bounds, alignment, then the borrow tracker, in that order."""
         ctx = ctx or AccessContext()
-        alloc = self._require_allocation(ptr, ctx)
-        if not alloc.live:
-            raise _ub(
-                DiagnosticKind.USE_AFTER_FREE,
-                f"{kind} of {size} bytes in alloc#{alloc.id} ({alloc.label}) after it was freed",
-                address=ptr.address,
-            )
-        if ptr.offset < 0 or ptr.offset + size > alloc.size:
-            raise _ub(
-                DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
-                f"{kind} of {size} bytes at alloc#{alloc.id}+{ptr.offset} overruns the "
-                f"{alloc.size}-byte allocation",
-                address=ptr.address,
-            )
+        alloc = self.check_bounds(ptr, size, kind)
         if align > 1:
             if self.symbolic_alignment:
                 misaligned = ptr.offset % align != 0 or alloc.align < align
@@ -315,10 +329,8 @@ class Memory:
     ) -> None:
         alloc = self.check_access(ptr, size, align if align is not None else size, "write", ctx)
         raw = value.to_bytes(size, "little", signed=value < 0)
-        for i in range(size):
-            off = ptr.offset + i
-            alloc.values[off] = raw[i]
-            alloc.fragments.pop(off, None)
+        alloc.values[ptr.offset : ptr.offset + size] = raw
+        _drop_fragments(alloc, ptr.offset, ptr.offset + size)
 
     def _fragment_key(self, value: PointerValue) -> tuple:
         prov = value.provenance
@@ -387,7 +399,9 @@ class Memory:
     ) -> tuple[list[Optional[int]], dict[int, tuple[tuple, int]]]:
         """Untyped copy-out: values (None where uninit) plus fragments. No init check."""
         alloc = self.check_access(ptr, size, 1, "read", ctx)
-        values = [alloc.values[ptr.offset + i] for i in range(size)]
+        values = alloc.values[ptr.offset : ptr.offset + size]
+        if not alloc.fragments:
+            return values, {}
         frags = {
             i: alloc.fragments[ptr.offset + i]
             for i in range(size)
@@ -404,13 +418,10 @@ class Memory:
     ) -> None:
         """Untyped copy-in: preserves the uninit mask and provenance fragments."""
         alloc = self.check_access(ptr, len(values), 1, "write", ctx)
-        for i, v in enumerate(values):
-            off = ptr.offset + i
-            alloc.values[off] = v
-            if i in frags:
-                alloc.fragments[off] = frags[i]
-            else:
-                alloc.fragments.pop(off, None)
+        alloc.values[ptr.offset : ptr.offset + len(values)] = values
+        _drop_fragments(alloc, ptr.offset, ptr.offset + len(values))
+        for i, frag in frags.items():
+            alloc.fragments[ptr.offset + i] = frag
 
     def assume_init(self, ptr: PointerValue, size: int, ctx: Optional[AccessContext] = None) -> None:
         """Assert that a range is initialized: missing bytes become zero.
@@ -439,10 +450,8 @@ class Memory:
 
     def memset(self, ptr: PointerValue, byte: int, size: int, ctx: Optional[AccessContext] = None) -> None:
         alloc = self.check_access(ptr, size, 1, "write", ctx)
-        for i in range(size):
-            off = ptr.offset + i
-            alloc.values[off] = byte & 0xFF
-            alloc.fragments.pop(off, None)
+        alloc.values[ptr.offset : ptr.offset + size] = [byte & 0xFF] * size
+        _drop_fragments(alloc, ptr.offset, ptr.offset + size)
 
     def memcpy(self, dest: PointerValue, src: PointerValue, size: int, ctx: Optional[AccessContext] = None) -> None:
         values, frags = self.read_blob(src, size, ctx)

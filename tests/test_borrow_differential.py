@@ -1,0 +1,123 @@
+"""Differential suite: range-coalesced trackers against the per-byte oracles.
+
+Random retag, access, protector_end and dealloc_check sequences, with cell
+ranges, protectors and wildcard provenance, run on a `seamcheck` tracker and
+on its per-byte reference in lockstep. After every operation both must have
+raised the same error (kind, message, snapshot, history) or none, and agree
+on `history()`, `render()`, `render(off)` and every byte's state. A sequence
+goes on after an error, so the state an error leaves behind is compared too.
+"""
+
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+
+from perbyte_stacked_borrows import StackedBorrowTracker as ByteStacks
+from perbyte_tree_borrows import TreeBorrowTracker as ByteTree
+from seamcheck.memory import WILDCARD, AccessContext, UbError
+from seamcheck.stacked_borrows import StackedBorrowTracker
+from seamcheck.tree_borrows import TreeBorrowTracker
+
+_RETAG_KINDS = ("mutable-ref", "shared-ref", "raw-mut", "raw-const", "cell")
+_sel = st.integers(0, 63)
+
+# One operation: what to do (retag, access, protector_end, dealloc_check),
+# a tag selector, a range, a retag or access kind, a protect or wildcard
+# flag, and up to two cell ranges. A retag counts its parent from the newest
+# tag and an access its actor from the root, so small selectors build
+# reborrow chains and then act below them, which is where pops and protector
+# errors happen.
+_op = st.tuples(
+    st.integers(0, 7), _sel, _sel, _sel, st.integers(0, 4), st.integers(0, 3),
+    st.lists(st.tuples(_sel, _sel), max_size=2),
+)
+_case = st.tuples(st.integers(1, 12), st.lists(_op, min_size=1, max_size=14))
+
+
+# A protected borrow with a plain one above it, then a read and a write from
+# below: the error strikes after some pops, which must land on one byte only.
+_PARTIAL_POPS = [
+    (4, [(0, 0, 0, 4, 0, 0, []), (0, 0, 0, 4, 0, 1, []), (3, 0, 0, 4, kind, 1, [])])
+    for kind in (0, 1)
+]
+
+
+def _range(size, a, b):
+    lo = a % (size + 1)
+    return lo, lo + b % (size - lo + 1)
+
+
+def _apply(tracker, op, size, tags, line):
+    what, who, a, b, kind, flag, cells = op
+    ctx = AccessContext(line)
+    if what < 3:
+        return tracker.retag(
+            tags[-1 - who % len(tags)], _range(size, a, b), _RETAG_KINDS[kind],
+            tuple(_range(size, x, y) for x, y in cells), flag == 0, f"t{len(tags)}", ctx,
+        )
+    if what < 6:
+        prov = WILDCARD if flag == 0 else tags[who % len(tags)]
+        return tracker.access(prov, _range(size, a, b), "write" if kind % 2 else "read", ctx)
+    if what == 6:
+        return tracker.protector_end(tags[who % len(tags)])
+    return tracker.dealloc_check(ctx)
+
+
+def _outcome(tracker, op, size, tags, line):
+    try:
+        return ("ok", _apply(tracker, op, size, tags, line))
+    except UbError as e:
+        return ("error", e.kind, e.message, e.snapshot, e.history)
+
+
+def _lockstep(new, old, size, ops, view):
+    tags = [new.root_tag]
+    for line, op in enumerate(ops, 1):
+        got = _outcome(new, op, size, tags, line)
+        assert got == _outcome(old, op, size, tags, line)
+        if got[0] == "ok" and isinstance(got[1], int) and got[1] not in tags:
+            tags.append(got[1])
+        assert new.history() == old.history()
+        assert new.render() == old.render()
+        for off in range(size):
+            assert new.render(off) == old.render(off)
+            assert view(new, tags, off) == view(old, tags, off)
+
+
+def _counter():
+    n = iter(range(1, 10_000))
+    return lambda: next(n)
+
+
+def _tree_view(tracker, tags, off):
+    if isinstance(tracker, TreeBorrowTracker):
+        return [tracker.peek_at(tag, off) for tag in tags]
+    return [tracker.nodes[tag].peek_at(off) for tag in tags]
+
+
+def _stack_view(tracker, tags, off):
+    stack = tracker.stack_at(off) if isinstance(tracker, StackedBorrowTracker) else tracker.stacks[off]
+    return [(item.tag, item.grant, item.protected) for item in stack]
+
+
+@seed(20240417)
+@settings(max_examples=1000, deadline=None)
+@given(case=_case)
+@example(case=_PARTIAL_POPS[0])
+@example(case=_PARTIAL_POPS[1])
+def test_tree_tracker_matches_per_byte_oracle(case):
+    size, ops = case
+    new = TreeBorrowTracker(1, size, _counter(), "root")
+    old = ByteTree(1, size, _counter(), "root")
+    _lockstep(new, old, size, ops, _tree_view)
+
+
+@seed(20240417)
+@settings(max_examples=1000, deadline=None)
+@given(case=_case)
+@example(case=_PARTIAL_POPS[0])
+@example(case=_PARTIAL_POPS[1])
+def test_stack_tracker_matches_per_byte_oracle(case):
+    size, ops = case
+    new = StackedBorrowTracker(1, size, _counter(), "root")
+    old = ByteStacks(1, size, _counter(), "root")
+    _lockstep(new, old, size, ops, _stack_view)

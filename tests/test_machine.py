@@ -507,3 +507,45 @@ def test_machine_records_step_count():
 def test_invalid_model_rejected():
     with pytest.raises(ValueError):
         MachineConfig(model="nope")
+
+
+_RETAG_FREED = """
+bind make = c_make() -> *mut i32
+
+foreign fn c_make() -> ptr
+  let q = malloc 4
+  store i32 q 1
+  free q
+  return q
+end
+
+host fn main()
+  let raw: *mut i32 = call make()
+  let r: &mut i32 = &mut *raw
+end
+"""
+
+_RETAG_PAST_END = """
+host fn main()
+  let a: [i32; 2] = zeroed
+  let p: *mut [i32; 2] = &raw mut a
+  let q: *mut [i32; 2] = p.offset(1)
+  let r: &mut [i32; 2] = &mut *q
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize(
+    "text, kind, message",
+    [
+        (_RETAG_FREED, DiagnosticKind.USE_AFTER_FREE,
+         "mutable-ref retag of 4 bytes in alloc#1 (q) after it was freed"),
+        (_RETAG_PAST_END, DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
+         "mutable-ref retag of 8 bytes at alloc#1+8 overruns the 8-byte allocation"),
+    ],
+    ids=["freed", "past-end"],
+)
+def test_retag_requires_a_live_in_bounds_pointee(model, text, kind, message):
+    outcome = _expect_bug(text, kind, model=model)
+    assert outcome.diagnostics[0].message == message

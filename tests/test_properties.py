@@ -108,24 +108,23 @@ def test_suite_tree_disabled_absorbing_and_no_foreign_active(ops):
         except UbError:
             break
         # Root stays Active at every location.
-        root = tracker.nodes[tracker.root_tag]
         for off in range(_SIZE):
-            assert root.peek_at(off)[0] is Permission.ACTIVE
+            assert tracker.peek_at(tracker.root_tag, off)[0] is Permission.ACTIVE
         # Disabled never comes back.
         for tag, off in disabled:
-            assert tracker.nodes[tag].peek_at(off)[0] is Permission.DISABLED
+            assert tracker.peek_at(tag, off)[0] is Permission.DISABLED
         for tag in tracker.nodes:
             for off in range(_SIZE):
-                if tracker.nodes[tag].peek_at(off)[0] is Permission.DISABLED:
+                if tracker.peek_at(tag, off)[0] is Permission.DISABLED:
                     disabled.add((tag, off))
         # After an access, no tag foreign to it is still Active there.
         if op == 1:
             child_side = _ancestors(tracker, actor)
-            for tag, node in tracker.nodes.items():
+            for tag in tracker.nodes:
                 if tag in child_side:
                     continue
                 for off in range(*rng):
-                    assert node.peek_at(off)[0] is not Permission.ACTIVE
+                    assert tracker.peek_at(tag, off)[0] is not Permission.ACTIVE
 
 
 def _is_subsequence(needle, haystack):
@@ -156,12 +155,12 @@ def test_suite_stack_mutation_only_above_granting_item(ops):
         actor = WILDCARD if wildcard else tags[actor_sel % len(tags)]
         kind = "read" if kind_sel % 2 == 0 else "write"
         before = {
-            off: [(i.tag, i.grant, i.protected) for i in tracker.stacks[off]]
+            off: [(i.tag, i.grant, i.protected) for i in tracker.stack_at(off)]
             for off in range(*rng)
         }
         grant_idx = {}
         for off in range(*rng):
-            stack = tracker.stacks[off]
+            stack = tracker.stack_at(off)
             idx = None
             for i in range(len(stack) - 1, -1, -1):
                 if wildcard:
@@ -178,7 +177,7 @@ def test_suite_stack_mutation_only_above_granting_item(ops):
             break
         for off in range(*rng):
             old = before[off]
-            new = [(i.tag, i.grant, i.protected) for i in tracker.stacks[off]]
+            new = [(i.tag, i.grant, i.protected) for i in tracker.stack_at(off)]
             idx = grant_idx[off]
             assert idx is not None  # the access succeeded, so something granted it
             # Everything below and including the granting item is untouched.

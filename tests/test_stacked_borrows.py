@@ -1,4 +1,4 @@
-"""Per-byte borrow stacks: retag kinds, pop discipline, wildcard resolution."""
+"""Borrow stacks: retag kinds, pop discipline, wildcard resolution."""
 
 import itertools
 
@@ -14,12 +14,12 @@ def _tracker(size=4):
     return StackedBorrowTracker(1, size, lambda: next(counter), "root")
 
 
-def _ctx(line=1, description="test access"):
-    return AccessContext(line=line, description=description)
+def _ctx(line=1):
+    return AccessContext(line=line)
 
 
 def _stack(t, off=0):
-    return [(item.tag, item.grant) for item in t.stacks[off]]
+    return [(item.tag, item.grant) for item in t.stack_at(off)]
 
 
 def test_root_item_is_unique():
@@ -61,10 +61,10 @@ def test_shared_retag_pushes_read_only_and_removes_writers_above():
 def test_shared_retag_grants_writes_on_cell_bytes():
     t = _tracker()
     reader = t.retag(t.root_tag, (0, 4), "shared-ref", ((1, 3),), False, "reader", _ctx())
-    assert t.stacks[0][-1].grant is Grant.SHARED_RO
-    assert t.stacks[1][-1].grant is Grant.SHARED_RW
-    assert t.stacks[2][-1].grant is Grant.SHARED_RW
-    assert t.stacks[3][-1].grant is Grant.SHARED_RO
+    assert t.stack_at(0)[-1].grant is Grant.SHARED_RO
+    assert t.stack_at(1)[-1].grant is Grant.SHARED_RW
+    assert t.stack_at(2)[-1].grant is Grant.SHARED_RW
+    assert t.stack_at(3)[-1].grant is Grant.SHARED_RO
 
 
 def test_raw_mut_retag_inserts_above_granting_item():
@@ -190,8 +190,8 @@ def test_dealloc_check_passes_after_protector_end():
 def test_retag_of_partial_range_only_touches_those_bytes():
     t = _tracker(size=4)
     child = t.retag(t.root_tag, (0, 2), "mutable-ref", (), False, "child", _ctx())
-    assert len(t.stacks[0]) == 2
-    assert len(t.stacks[2]) == 1
+    assert len(t.stack_at(0)) == 2
+    assert len(t.stack_at(2)) == 1
 
 
 def test_retag_with_popped_parent_is_out_of_bounds():

@@ -20,12 +20,12 @@ def _tracker(size=4):
     return TreeBorrowTracker(1, size, lambda: next(counter), "root")
 
 
-def _ctx(line=1, description="test access"):
-    return AccessContext(line=line, description=description)
+def _ctx(line=1):
+    return AccessContext(line=line)
 
 
 def _perm(tracker, tag, off=0):
-    return tracker.nodes[tag].peek_at(off)[0]
+    return tracker.peek_at(tag, off)[0]
 
 
 def test_root_is_active_everywhere():
@@ -138,11 +138,9 @@ def test_ancestors_count_as_child_side():
 def test_lazy_locations_materialize_on_first_touch():
     t = _tracker()
     child = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "child", _ctx())
-    node = t.nodes[child]
-    assert node.states == {}
-    assert node.peek_at(2) == (R, False)
+    assert [t.peek_at(child, off) for off in range(4)] == [(R, False)] * 4
     t.access(child, (2, 3), "read", _ctx())
-    assert node.states[2].initialized
+    assert [t.peek_at(child, off) for off in range(4)] == [(R, False), (R, False), (R, True), (R, False)]
 
 
 def test_transitions_apply_to_lazy_locations():
@@ -156,7 +154,7 @@ def test_protected_retag_reads_immediately():
     t = _tracker()
     t.access(t.root_tag, (0, 4), "write", _ctx())
     guard = t.retag(t.root_tag, (0, 4), "mutable-ref", (), True, "guard", _ctx())
-    assert t.nodes[guard].states[0].initialized
+    assert t.peek_at(guard, 0)[1]
 
 
 def test_disabling_protected_initialized_tag_is_an_error():

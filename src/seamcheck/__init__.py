@@ -23,7 +23,6 @@ from .diagnostics import (
     outcome_from_dict,
     outcome_key,
     outcome_to_dict,
-    render,
     render_diagnostic,
 )
 from .ir import Dialect, Expectation, OutcomeTag, ScenarioProgram
@@ -37,7 +36,6 @@ from .runner import (
     outcome_tag,
     run_corpus,
     run_differential,
-    run_single,
 )
 from .stacked_borrows import StackedBorrowTracker
 from .tree_borrows import TreeBorrowTracker
@@ -81,13 +79,11 @@ __all__ = [
     "outcome_to_dict",
     "parse_file",
     "parse_text",
-    "render",
     "render_diagnostic",
     "render_program",
     "run_corpus",
     "run_differential",
     "run_program",
-    "run_single",
     "size_of",
     "__version__",
 ]

@@ -31,8 +31,9 @@ from .runner import (
     outcome_tag,
     run_corpus,
     run_differential,
-    run_single,
+    run_program,
     single_report,
+    worst_exit_code,
 )
 
 USAGE_EXIT = 64
@@ -135,14 +136,6 @@ def _parse_scenario(path: str):
         raise SystemExit(USAGE_EXIT)
 
 
-# Violations dominate, then unsupported, timeout, leaks, clean.
-_SEVERITY = {0: 0, 4: 1, 3: 2, 2: 3, 1: 4}
-
-
-def _combine(codes: list[int]) -> int:
-    return max(codes, key=lambda c: _SEVERITY.get(c, 4)) if codes else 0
-
-
 def _outcome_text(outcome: Outcome, model: str) -> list[str]:
     lines = [f"[{model}] {outcome_tag(outcome).value}"]
     if outcome.classification is Classification.BUG:
@@ -187,14 +180,14 @@ def _run_scenarios(args: argparse.Namespace, fmt: str, differential: bool, model
                 lines.extend(_diff_text(program.path, result))
         else:
             config = _config(args, model)
-            outcome = run_single(program, config)
+            outcome = run_program(program, config)
             codes.append(exit_code(outcome))
             if fmt == "json":
                 reports.append(single_report(program, config, outcome))
             else:
                 lines.append(program.path)
                 lines.extend(_outcome_text(outcome, model))
-    code = _combine(codes)
+    code = worst_exit_code(codes)
     if fmt == "json":
         payload = reports[0] if len(reports) == 1 else {"runs": reports, "exit_code": code}
         _emit(json_dumps(payload), args.out)
@@ -208,9 +201,8 @@ def _run_corpus(args: argparse.Namespace, fmt: str, model: str) -> int:
     if not paths:
         print(f"error: no .sc files in {args.corpus}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
-    for path in paths:
-        _parse_scenario(path)  # surface parse errors before any run
-    result = run_corpus(paths, _config(args, model))
+    programs = [_parse_scenario(p) for p in paths]  # parse errors surface before any run
+    result = run_corpus(programs, _config(args, model))
     if fmt == "json":
         _emit(json_dumps(corpus_report(result)), args.out)
     else:

@@ -288,19 +288,6 @@ def render_diagnostic(d: Diagnostic) -> str:
     return "\n".join(lines)
 
 
-def render(d: Diagnostic, format: str = "text"):
-    """One diagnostic in the requested format: text block or structured dict.
-
-    The structured form is lossless: diagnostic_from_dict(render(d, "json"))
-    compares equal to the original.
-    """
-    if format == "text":
-        return render_diagnostic(d)
-    if format == "json":
-        return diagnostic_to_dict(d)
-    raise ValueError(f"unknown format: {format}")
-
-
 def json_dumps(payload: dict) -> str:
     """Stable serialization used everywhere a report is compared byte-wise."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -6,10 +6,11 @@ retagged from. Foreign locals are plain registers holding integers,
 pointers, or opaque byte blobs, with a taint flag that marks values read
 out of uninitialized memory in permissive mode.
 
-Calls across the boundary run the callee on its own thread; the caller
-blocks until it finishes and the return value is translated on the way
-back. Same-dialect host calls push a frame on the current thread. The
-scheduler picks among ready threads with a seeded generator, so a run is a
+Every call pushes a frame on the caller's thread, whichever dialect the
+callee is written in; a frame runs in its function's dialect. A call across
+the boundary translates the arguments on the way in and the return value
+when the callee's frame pops. Only `spawn` creates a thread. The scheduler
+picks among ready threads with a seeded generator, so a run is a
 deterministic function of (program, config).
 
 Host frames tear down in a fixed order at exit: owned heap values drop in
@@ -21,6 +22,7 @@ protectors from the same frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from typing import Optional, Union
 
 from .diagnostics import Classification, Diagnostic, DiagnosticKind, Outcome, TraceFrame
@@ -168,21 +170,18 @@ class _Frame:
     handles: dict[str, int] = field(default_factory=dict)
     protected: list[tuple[int, int]] = field(default_factory=list)  # (alloc id, tag)
     stack_allocs: list[int] = field(default_factory=list)
-    pending_dest: Optional[tuple[Optional[str], Optional[TypeDesc]]] = None
+    # Where the result of the call this frame is making goes:
+    # (boundary return plan or None, dest, dest type).
+    recv: Optional[tuple[Optional[ArgPlan], Optional[str], Optional[TypeDesc]]] = None
 
 
 @dataclass
 class _Thread:
     id: int
-    dialect: Dialect
     frames: list[_Frame]
     parent: Optional[int] = None
-    status: str = "ready"  # ready | blocked-join | blocked-call | done
+    status: str = "ready"  # ready | blocked-join (on waiting_on) | done
     waiting_on: Optional[int] = None
-    # What to do with the callee's result once it finishes.
-    recv: Optional[tuple[Optional[ArgPlan], Optional[str], Optional[TypeDesc]]] = None
-    result: Optional[tuple[object, TypeDesc]] = None  # host threads
-    result_reg: Optional[Reg] = None                  # foreign threads
 
 
 class Machine:
@@ -197,9 +196,7 @@ class Machine:
         )
         self.rng = Xoshiro256(self.config.seed)
         self._tags = 0
-        self.threads: dict[int, _Thread] = {}
-        self._next_thread = 0
-        self._delivering: Optional[_Thread] = None
+        self.threads: dict[int, _Thread] = {}  # by id, in spawn order
         self.steps = 0
 
     # ---- plumbing ------------------------------------------------------------
@@ -218,9 +215,8 @@ class Machine:
         alloc.tracker = self._tracker_class()(alloc.id, size, self._next_tag, label, ctx)
         return alloc, self.memory.base_pointer(alloc, alloc.tracker.root_tag)
 
-    def _spawn_thread(self, dialect: Dialect, frame: _Frame, parent: Optional[int]) -> _Thread:
-        t = _Thread(id=self._next_thread, dialect=dialect, frames=[frame], parent=parent)
-        self._next_thread += 1
+    def _spawn_thread(self, frame: _Frame, parent: Optional[int]) -> _Thread:
+        t = _Thread(id=len(self.threads), frames=[frame], parent=parent)
         self.threads[t.id] = t
         return t
 
@@ -231,20 +227,10 @@ class Machine:
             entry_frame = self._make_host_frame(self.program.entry, [], AccessContext())
         except UbError as e:
             return self._bug(e, None)
-        main = self._spawn_thread(Dialect.HOST, entry_frame, parent=None)
-        while True:
-            if main.status == "done":
-                break
-            try:
-                self._deliver()
-            except UbError as e:
-                return self._bug(e, self._delivering)
-            except ScenarioUnsupported as e:
-                return Outcome(Classification.UNSUPPORTED, note=str(e))
-            ready = [t for t in sorted(self.threads) if self.threads[t].status == "ready"]
+        main = self._spawn_thread(entry_frame, parent=None)
+        while main.status != "done":
+            ready = [t for t in self.threads.values() if t.status == "ready"]
             if not ready:
-                if main.status == "done":
-                    break
                 return Outcome(
                     Classification.TIMEOUT,
                     note="deadlock: every thread is blocked",
@@ -255,7 +241,7 @@ class Machine:
                     note=f"step budget of {self.config.step_budget} exhausted",
                 )
             self.steps += 1
-            thread = self.threads[ready[self.rng.below(len(ready))]]
+            thread = ready[self.rng.below(len(ready))]
             try:
                 self._step(thread)
             except UbError as e:
@@ -302,41 +288,33 @@ class Machine:
     def _traces(self, thread: _Thread) -> tuple[tuple[TraceFrame, ...], tuple[TraceFrame, ...]]:
         host: list[TraceFrame] = []
         foreign: list[TraceFrame] = []
-        cur: Optional[_Thread] = thread
-        while cur is not None:
-            for frame in reversed(cur.frames):
-                if not frame.fn.body:
+        frames = thread.frames
+        while True:
+            for frame in reversed(frames):
+                stmt = self._current_stmt(frame)
+                if stmt is None:
                     continue
-                idx = min(max(frame.pc - 1, 0), len(frame.fn.body) - 1)
-                stmt = frame.fn.body[idx]
+                dialect = frame.fn.dialect
                 tf = TraceFrame(
-                    dialect=cur.dialect.value,
+                    dialect=dialect.value,
                     function=frame.fn.name,
                     line=stmt.line,
-                    statement=render_stmt(stmt, cur.dialect),
+                    statement=render_stmt(stmt, dialect),
                 )
-                (host if cur.dialect is Dialect.HOST else foreign).append(tf)
-            cur = self.threads.get(cur.parent) if cur.parent is not None else None
-        return tuple(host), tuple(foreign)
+                (host if dialect is Dialect.HOST else foreign).append(tf)
+            if thread.parent is None:
+                return tuple(host), tuple(foreign)
+            thread = self.threads[thread.parent]
+            # The spawner's frames below any boundary call it is making now:
+            # that call is none of the spawned thread's history.
+            frames = list(takewhile(lambda f: f.fn.dialect is Dialect.HOST, thread.frames))
 
-    def _deliver(self) -> None:
-        """Unblock joiners and hand call results back to blocked callers."""
-        for t in self.threads.values():
-            if t.status == "blocked-join":
-                target = self.threads[t.waiting_on]
-                if target.status == "done":
-                    t.status = "ready"
-                    t.waiting_on = None
-            elif t.status == "blocked-call":
-                target = self.threads[t.waiting_on]
-                if target.status == "done":
-                    plan, dest, dest_type = t.recv
-                    t.status = "ready"
-                    t.waiting_on = None
-                    t.recv = None
-                    self._delivering = t
-                    self._receive(t, target, plan, dest, dest_type)
-                    self._delivering = None
+    @staticmethod
+    def _current_stmt(frame: _Frame) -> Optional[Stmt]:
+        """The statement the frame is executing, or None for an empty body."""
+        if not frame.fn.body:
+            return None
+        return frame.fn.body[min(max(frame.pc - 1, 0), len(frame.fn.body) - 1)]
 
     # ---- frame setup and teardown --------------------------------------------
 
@@ -406,7 +384,7 @@ class Machine:
         frame.stack_allocs.append(alloc.id)
         return slot
 
-    def _exit_host_frame(self, thread: _Thread, line: int) -> None:
+    def _exit_frame(self, thread: _Thread, line: int) -> _Frame:
         frame = thread.frames[-1]
         ctx = AccessContext(line)
         for slot in reversed(frame.slot_order):
@@ -419,14 +397,7 @@ class Machine:
                 tracker.protector_end(tag)
         for alloc_id in reversed(frame.stack_allocs):
             self.memory.release_stack(alloc_id, ctx)
-        thread.frames.pop()
-
-    def _exit_foreign_frame(self, thread: _Thread, line: int) -> None:
-        frame = thread.frames[-1]
-        ctx = AccessContext(line)
-        for alloc_id in reversed(frame.stack_allocs):
-            self.memory.release_stack(alloc_id, ctx)
-        thread.frames.pop()
+        return thread.frames.pop()
 
     # ---- typed data movement -------------------------------------------------
 
@@ -574,7 +545,7 @@ class Machine:
             return
         stmt = frame.fn.body[frame.pc]
         frame.pc += 1
-        if thread.dialect is Dialect.HOST:
+        if frame.fn.dialect is Dialect.HOST:
             self._exec_host(thread, stmt)
         else:
             self._exec_foreign(thread, stmt)
@@ -598,9 +569,7 @@ class Machine:
         elif isinstance(stmt, SpawnStmt):
             callee = self.program.function(stmt.callee)
             args = [self._eval_operand(thread, a, ctx)[0] for a in stmt.args]
-            child = self._spawn_thread(
-                Dialect.HOST, self._make_host_frame(callee, args, ctx), parent=thread.id
-            )
+            child = self._spawn_thread(self._make_host_frame(callee, args, ctx), parent=thread.id)
             frame.handles[stmt.handle] = child.id
         elif isinstance(stmt, JoinStmt):
             tid = frame.handles.get(stmt.handle)
@@ -828,26 +797,31 @@ class Machine:
             return f"<{len(v.values)}-byte value>"
         return str(v)
 
-    def _do_return(self, thread: _Thread, value: HostValue, line: int) -> None:
-        frame = thread.frames[-1]
-        ret_type = frame.fn.ret
-        if thread.dialect is Dialect.HOST:
-            self._exit_host_frame(thread, line)
-            if thread.frames:
-                caller = thread.frames[-1]
-                pending = caller.pending_dest
-                caller.pending_dest = None
-                if pending is not None and pending[0] is not None:
-                    dest, dest_type = pending
-                    ctx = AccessContext(line)
-                    slot = self._new_slot(caller, dest, dest_type, ctx)
-                    self._typed_write_value(slot.pointer, dest_type, value, ctx)
-            else:
-                thread.result = (value, ret_type)
-                thread.status = "done"
-        else:
-            self._exit_foreign_frame(thread, line)
+    def _do_return(self, thread: _Thread, value: Union[HostValue, Reg], line: int) -> None:
+        """Pop the frame and hand `value` (a `Reg` from foreign code) to its caller."""
+        callee = self._exit_frame(thread, line)
+        if not thread.frames:
             thread.status = "done"
+            for t in self.threads.values():
+                if t.waiting_on == thread.id:
+                    t.status = "ready"
+                    t.waiting_on = None
+            return
+        caller = thread.frames[-1]
+        plan, dest, dest_type = caller.recv
+        if caller.fn.dialect is Dialect.FOREIGN:
+            if dest is not None:
+                caller.regs[dest] = self._host_value_to_reg(value)
+            return
+        if callee.fn.dialect is Dialect.FOREIGN:
+            # The result lands at the call, not at the foreign return.
+            ctx = AccessContext(self._current_stmt(caller).line)
+            value = self._inbound(plan, value or Reg(0, tainted=True), ctx)
+        else:
+            ctx = AccessContext(line)
+        if dest is not None:
+            slot = self._new_slot(caller, dest, dest_type, ctx)
+            self._typed_write_value(slot.pointer, dest_type, value, ctx)
 
     # ---- calls ---------------------------------------------------------------
 
@@ -864,9 +838,9 @@ class Machine:
                     f"call to '{callee.name}' passes {len(stmt.args)} arguments, "
                     f"it takes {len(callee.params)}"
                 )
-            frame = thread.frames[-1]
-            frame.pending_dest = (stmt.dest, stmt.dest_type)
-            thread.frames.append(self._make_host_frame(callee, args, ctx))
+            callee_frame = self._make_host_frame(callee, args, ctx)
+            thread.frames[-1].recv = (None, stmt.dest, stmt.dest_type)
+            thread.frames.append(callee_frame)
             return
         self._call_foreign(thread, stmt, binding, ctx)
 
@@ -906,10 +880,8 @@ class Machine:
         # Extras land as vararg0, vararg1, ... in caller order.
         for i, reg in enumerate(regs[len(callee.params):]):
             frame.regs[f"vararg{i}"] = reg
-        child = self._spawn_thread(Dialect.FOREIGN, frame, parent=thread.id)
-        thread.status = "blocked-call"
-        thread.waiting_on = child.id
-        thread.recv = (plan.ret, stmt.dest, stmt.dest_type)
+        thread.frames[-1].recv = (plan.ret, stmt.dest, stmt.dest_type)
+        thread.frames.append(frame)
 
     def _outbound(self, plan: ArgPlan, value: HostValue, ctx: AccessContext) -> list[Reg]:
         mode = plan.mode
@@ -979,44 +951,12 @@ class Machine:
             value = reinterpret(value, target)
         return Reg(value, tainted)
 
-    def _receive(
-        self,
-        thread: _Thread,
-        callee_thread: _Thread,
-        plan: Optional[ArgPlan],
-        dest: Optional[str],
-        dest_type: Optional[TypeDesc],
-    ) -> None:
-        ctx = AccessContext(self._current_line(thread))
-        if thread.dialect is Dialect.HOST:
-            reg = callee_thread.result_reg or Reg(0, tainted=True)
-            value = self._inbound(plan, reg, dest_type, ctx)
-            if dest is not None:
-                frame = thread.frames[-1]
-                slot = self._new_slot(frame, dest, dest_type, ctx)
-                self._typed_write_value(slot.pointer, dest_type, value, ctx)
-        else:
-            result = callee_thread.result or (None, UnitType())
-            value, _ = result
-            if dest is not None:
-                reg = self._host_value_to_reg(value)
-                thread.frames[-1].regs[dest] = reg
-
     def _host_value_to_reg(self, value: HostValue) -> Reg:
         if isinstance(value, (int, PointerValue, Blob)):
             return Reg(value)
         return Reg(0)
 
-    def _current_line(self, thread: _Thread) -> int:
-        frame = thread.frames[-1]
-        if not frame.fn.body:
-            return frame.fn.line
-        idx = min(max(frame.pc - 1, 0), len(frame.fn.body) - 1)
-        return frame.fn.body[idx].line
-
-    def _inbound(
-        self, plan: Optional[ArgPlan], reg: Reg, dest_type: Optional[TypeDesc], ctx: AccessContext
-    ) -> HostValue:
+    def _inbound(self, plan: Optional[ArgPlan], reg: Reg, ctx: AccessContext) -> HostValue:
         if plan is None or plan.mode in (ArgMode.UNIT, ArgMode.DISCARD):
             return None
         if reg.tainted:
@@ -1063,11 +1003,7 @@ class Machine:
             if reg.tainted:
                 # A value derived from uninitialized memory stays
                 # uninitialized when written back.
-                alloc = self.memory.check_access(ptr, size, size, "write", ctx)
-                for i in range(size):
-                    off = ptr.offset + i
-                    alloc.values[off] = None
-                    alloc.fragments.pop(off, None)
+                self.memory.write_uninit(ptr, size, ctx)
             elif isinstance(reg.value, PointerValue) and size == 8:
                 self.memory.write_pointer(ptr, reg.value, ctx)
             else:
@@ -1088,9 +1024,8 @@ class Machine:
         elif isinstance(stmt, CallStmt):
             self._foreign_call(thread, stmt, ctx)
         elif isinstance(stmt, ReturnStmt):
-            if stmt.value is not None:
-                thread.result_reg = self._foreign_operand(thread, stmt.value)
-            self._do_return(thread, None, stmt.line)
+            reg = None if stmt.value is None else self._foreign_operand(thread, stmt.value)
+            self._do_return(thread, reg, stmt.line)
         else:
             raise ScenarioUnsupported(f"statement not executable in foreign code: {stmt!r}")
 
@@ -1142,12 +1077,9 @@ class Machine:
         for op, param in zip(stmt.args, callee.params):
             reg = self._foreign_operand(thread, op)
             args.append(self._reg_to_host(reg, param.type, ctx))
-        child = self._spawn_thread(
-            Dialect.HOST, self._make_host_frame(callee, args, ctx), parent=thread.id
-        )
-        thread.status = "blocked-call"
-        thread.waiting_on = child.id
-        thread.recv = (None, stmt.dest, None)
+        callee_frame = self._make_host_frame(callee, args, ctx)
+        thread.frames[-1].recv = (None, stmt.dest, None)
+        thread.frames.append(callee_frame)
 
     def _reg_to_host(self, reg: Reg, want: TypeDesc, ctx: AccessContext) -> HostValue:
         if reg.tainted:

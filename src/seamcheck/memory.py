@@ -332,6 +332,12 @@ class Memory:
         alloc.values[ptr.offset : ptr.offset + size] = raw
         _drop_fragments(alloc, ptr.offset, ptr.offset + size)
 
+    def write_uninit(self, ptr: PointerValue, size: int, ctx: Optional[AccessContext] = None) -> None:
+        """A size-aligned write whose bytes end up uninitialized, with no provenance."""
+        alloc = self.check_access(ptr, size, size, "write", ctx)
+        alloc.values[ptr.offset : ptr.offset + size] = [None] * size
+        _drop_fragments(alloc, ptr.offset, ptr.offset + size)
+
     def _fragment_key(self, value: PointerValue) -> tuple:
         prov = value.provenance
         prov_key = ("tag", prov) if isinstance(prov, int) else ("wildcard",) if prov is WILDCARD else ("none",)

@@ -10,6 +10,7 @@ annotated scenarios and verifies each outcome against its annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .diagnostics import (
     Classification,
@@ -22,7 +23,6 @@ from .diagnostics import (
 )
 from .ir import OutcomeTag, ScenarioProgram
 from .machine import MachineConfig, run_program
-from .parser import parse_file
 
 
 def outcome_tag(outcome: Outcome) -> OutcomeTag:
@@ -53,6 +53,15 @@ def exit_code(outcome: Outcome) -> int:
     return 0
 
 
+# Exit code -> rank: violations dominate, then unsupported, timeout, leaks, clean.
+_SEVERITY = {0: 0, 4: 1, 3: 2, 2: 3, 1: 4}
+
+
+def worst_exit_code(codes: Iterable[int]) -> int:
+    """The exit code that stands for several runs; 0 when there are none."""
+    return max(codes, key=lambda c: _SEVERITY.get(c, 4), default=0)
+
+
 def config_to_dict(config: MachineConfig) -> dict:
     """Config as it appears in structured reports; field names are frozen."""
     return {
@@ -65,10 +74,6 @@ def config_to_dict(config: MachineConfig) -> dict:
         "zero_init_foreign": config.zero_init_foreign,
         "unique_as_mutable": config.unique_as_mutable,
     }
-
-
-def run_single(program: ScenarioProgram, config: MachineConfig) -> Outcome:
-    return run_program(program, config)
 
 
 def single_report(program: ScenarioProgram, config: MachineConfig, outcome: Outcome) -> dict:
@@ -97,12 +102,7 @@ class DifferentialResult:
 
     @property
     def exit_code(self) -> int:
-        return max(exit_code(self.tb), exit_code(self.sb), key=_severity)
-
-
-def _severity(code: int) -> int:
-    # Violations dominate, then unsupported, timeout, leaks, clean.
-    return {0: 0, 4: 1, 3: 2, 2: 3, 1: 4}.get(code, 4)
+        return worst_exit_code((exit_code(self.tb), exit_code(self.sb)))
 
 
 def run_differential(program: ScenarioProgram, config: MachineConfig) -> DifferentialResult:
@@ -174,7 +174,7 @@ class CorpusResult:
         return 1 if self.failures else 0
 
 
-def run_corpus(paths: list[str], config: MachineConfig) -> CorpusResult:
+def run_corpus(programs: list[ScenarioProgram], config: MachineConfig) -> CorpusResult:
     """Check every scenario against its annotations.
 
     A scenario is checked under each model it declares an expectation for.
@@ -193,8 +193,8 @@ def run_corpus(paths: list[str], config: MachineConfig) -> CorpusResult:
             memo[key] = run_program(program, replace(config, model=model))
         return memo[key]
 
-    for path in sorted(paths):
-        program = parse_file(path)
+    for program in sorted(programs, key=lambda p: p.path):
+        path = program.path
         for model in ("tb", "sb"):
             expected = program.expectation_for(model)
             if expected is None:

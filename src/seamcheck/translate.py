@@ -28,7 +28,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagnostics import DiagnosticKind
 from .ir import BindingSignature, FnDef
 from .types import (
     ArrayType,
@@ -50,10 +49,6 @@ class TranslationError(Exception):
         super().__init__(message)
         self.message = message
         self.unsupported = unsupported
-
-    @property
-    def kind(self) -> Optional[DiagnosticKind]:
-        return None if self.unsupported else DiagnosticKind.INVALID_BINDING
 
 
 class ArgMode(enum.Enum):

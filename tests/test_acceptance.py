@@ -10,14 +10,14 @@ import time
 from seamcheck.diagnostics import Classification, DiagnosticKind
 from seamcheck.machine import Machine, MachineConfig
 from seamcheck.parser import parse_file
-from seamcheck.runner import run_differential, run_single
+from seamcheck.runner import run_differential, run_program
 
 from conftest import corpus_files, corpus_path
 
 
 def _run(name, model="tb", **kw):
     program = parse_file(corpus_path(name))
-    return run_single(program, MachineConfig(model=model, **kw))
+    return run_program(program, MachineConfig(model=model, **kw))
 
 
 def _primary(outcome):
@@ -176,7 +176,7 @@ def test_criterion_11_corpus_wide_model_agreement_and_speed():
         outcomes = {}
         for model in ("tb", "sb"):
             start = time.perf_counter()
-            outcomes[model] = run_single(program, MachineConfig(model=model))
+            outcomes[model] = run_program(program, MachineConfig(model=model))
             assert time.perf_counter() - start < 1.0, path
         if "offset-beyond-borrow" in program.tags:
             tagged += 1

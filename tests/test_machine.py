@@ -168,6 +168,75 @@ end
     assert outcome.classification is Classification.PASS
 
 
+def test_boundary_round_trip_runs_on_one_thread():
+    program = parse_text(
+        """
+bind drive = c_drive(*mut u32) -> u32
+
+foreign fn c_drive(p: ptr) -> u32
+  let r = call bump(p)
+  return r
+end
+
+host fn bump(q: *mut u32) -> u32
+  *q = 5
+  return 6
+end
+
+host fn main()
+  let x: u32 = 0
+  let xp: *mut u32 = &raw mut x
+  let got: u32 = call drive(xp)
+  assert_eq x 5
+  assert_eq got 6
+end
+"""
+    )
+    machine = Machine(program, MachineConfig())
+    assert machine.run().classification is Classification.PASS
+    assert len(machine.threads) == 1
+
+
+def test_boundary_calls_interleave_with_other_threads():
+    # Two workers and main each load and store through p; main then writes
+    # to x, which invalidates p. Under sb a load through p after that write
+    # fails, so a failing store needs the write to land between a worker's
+    # load and its store, inside the foreign call.
+    program = parse_text(
+        """
+bind bump = c_bump(*mut i32)
+
+foreign fn c_bump(p: ptr)
+  let v = load i32 p
+  store i32 p v
+end
+
+host fn worker(p: *mut i32)
+  call bump(p)
+end
+
+host fn main()
+  let x: i32 = 0
+  let r: &mut i32 = &mut x
+  let p: *mut i32 = r as *mut i32
+  spawn a = worker(p)
+  spawn b = worker(p)
+  call bump(p)
+  x = 1
+  join a
+  join b
+end
+"""
+    )
+    tb = [run_program(program, MachineConfig(seed=s)) for s in range(64)]
+    assert {o.classification for o in tb} == {Classification.PASS, Classification.BUG}
+    sb = [run_program(program, MachineConfig(model="sb", seed=s)) for s in range(64)]
+    assert any(
+        o.diagnostics and o.diagnostics[0].foreign_trace[0].statement == "store i32 p v"
+        for o in sb
+    )
+
+
 def test_argument_count_mismatch_is_invalid_binding():
     _expect_bug(
         """
@@ -201,6 +270,33 @@ end
 """
     )
     assert outcome.classification is Classification.PASS
+
+
+def test_spawned_thread_trace_leaves_out_the_spawners_boundary_call():
+    program = parse_text(
+        """
+bind spin = c_spin()
+
+foreign fn c_spin()
+  let a = 1
+  let b = 2
+end
+
+host fn worker()
+  assert_eq 1 2
+end
+
+host fn main()
+  spawn h = worker()
+  call spin()
+  join h
+end
+"""
+    )
+    for seed in range(16):
+        diag = run_program(program, MachineConfig(seed=seed)).diagnostics[0]
+        assert [f.function for f in diag.host_trace] == ["worker", "main"]
+        assert diag.foreign_trace == ()
 
 
 def test_heap_new_and_rewrap_has_no_leak():
@@ -311,6 +407,35 @@ end
     assert eager.diagnostics[0].kind is DiagnosticKind.UNINITIALIZED_READ
     assert eager.diagnostics[0].foreign_trace
     assert "load u32" in eager.diagnostics[0].foreign_trace[0].statement
+
+
+_TAINTED_STORE = """
+bind smear = c_smear(*mut u32, *mut u32)
+
+foreign fn c_smear(src: ptr, dst: ptr)
+  let v = load u32 src
+  let q = gep dst OFFSET
+  store u32 q v
+end
+
+host fn main()
+  let junk: u32 = uninit
+  let xs: [u32; 2] = zeroed
+  let jp: *mut u32 = &raw mut junk
+  let base: *mut [u32; 2] = &raw mut xs
+  let xp: *mut u32 = base as *mut u32
+  call smear(jp, xp)
+  let y: u32 = xs[1]
+end
+"""
+
+
+def test_tainted_store_writes_uninitialized_bytes():
+    # The store keeps the taint: the host's later read of the bytes fails.
+    outcome = _expect_bug(_TAINTED_STORE.replace("OFFSET", "4"), DiagnosticKind.UNINITIALIZED_READ)
+    assert outcome.diagnostics[0].host_trace[0].statement == "let y: u32 = xs[1]"
+    # It is still a 4-byte write, so it must be 4-byte aligned.
+    _expect_bug(_TAINTED_STORE.replace("OFFSET", "2"), DiagnosticKind.MISALIGNED_ACCESS)
 
 
 def test_zero_init_foreign_makes_foreign_memory_defined():

@@ -37,7 +37,7 @@ from seamcheck.memory import (
     UbError,
 )
 from seamcheck.parser import parse_file
-from seamcheck.runner import run_single, single_report
+from seamcheck.runner import run_program, single_report
 from seamcheck.stacked_borrows import StackedBorrowTracker
 from seamcheck.translate import TranslationError, field_count, plan_call, reinterpret
 from seamcheck.tree_borrows import Permission, TreeBorrowTracker
@@ -398,6 +398,6 @@ _POOL = [
 def test_suite_full_run_determinism(index, model, seed):
     program = _POOL[index]
     config = MachineConfig(model=model, seed=seed)
-    first = json_dumps(single_report(program, config, run_single(program, config)))
-    second = json_dumps(single_report(program, config, run_single(program, config)))
+    first = json_dumps(single_report(program, config, run_program(program, config)))
+    second = json_dumps(single_report(program, config, run_program(program, config)))
     assert first == second

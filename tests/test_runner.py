@@ -2,7 +2,7 @@
 
 from seamcheck.diagnostics import Classification, Diagnostic, DiagnosticKind, Outcome
 from seamcheck.machine import MachineConfig
-from seamcheck.parser import parse_text
+from seamcheck.parser import parse_file, parse_text
 from seamcheck.runner import (
     DifferentialResult,
     config_to_dict,
@@ -12,7 +12,7 @@ from seamcheck.runner import (
     outcome_tag,
     run_corpus,
     run_differential,
-    run_single,
+    run_program,
     single_report,
 )
 
@@ -29,6 +29,10 @@ _BUG = Outcome(
 )
 _UNSUPPORTED = Outcome(Classification.UNSUPPORTED, note="join of unknown handle")
 _TIMEOUT = Outcome(Classification.TIMEOUT, note="deadlock: every thread is blocked")
+
+
+def _parsed(*paths):
+    return [parse_file(str(p)) for p in paths]
 
 
 def test_exit_codes_per_classification():
@@ -64,7 +68,7 @@ def test_config_dict_field_names_are_frozen():
 def test_single_report_shape():
     program = parse_text("host fn main()\nend\n", path="small.sc")
     config = MachineConfig()
-    outcome = run_single(program, config)
+    outcome = run_program(program, config)
     report = single_report(program, config, outcome)
     assert report["scenario"] == "small.sc"
     assert report["model"] == "tb"
@@ -116,7 +120,7 @@ def test_corpus_run_checks_annotations(tmp_path):
     bad.write_text(
         "expect double-free\n\nhost fn main()\nend\n"
     )
-    result = run_corpus([str(good), str(bad)], MachineConfig())
+    result = run_corpus(_parsed(good, bad), MachineConfig())
     assert len(result.entries) == 4  # two scenarios, checked under both models
     assert len(result.failures) == 2  # bad.sc misses under both models
     assert {e.path for e in result.failures} == {str(bad)}
@@ -126,7 +130,7 @@ def test_corpus_run_checks_annotations(tmp_path):
 def test_corpus_unannotated_scenario_must_pass(tmp_path):
     quiet = tmp_path / "quiet.sc"
     quiet.write_text("host fn main()\n  let x: i32 = uninit\n  let y: i32 = x\nend\n")
-    result = run_corpus([str(quiet)], MachineConfig())
+    result = run_corpus(_parsed(quiet), MachineConfig())
     assert len(result.failures) == 2
     assert result.failures[0].expected == "pass"
     assert result.failures[0].actual == "uninitialized-read"
@@ -138,7 +142,7 @@ def test_corpus_model_specific_annotations_run_per_model(tmp_path):
         "expect tb: pass\nexpect sb: access-out-of-bounds\n\n"
         + open(corpus_path("offset_beyond_borrow.sc")).read().split("\n", 4)[-1]
     )
-    result = run_corpus([str(split)], MachineConfig())
+    result = run_corpus(_parsed(split), MachineConfig())
     assert result.failures == ()
 
 
@@ -148,8 +152,7 @@ def test_corpus_counts_sum_to_scenario_count(tmp_path):
         ("b.sc", "expect assertion-failed\n\nhost fn main()\n  let x: i32 = 1\n  assert_eq x 2\nend\n"),
     ):
         (tmp_path / name).write_text(text)
-    paths = [str(tmp_path / "a.sc"), str(tmp_path / "b.sc")]
-    result = run_corpus(paths, MachineConfig())
+    result = run_corpus(_parsed(tmp_path / "a.sc", tmp_path / "b.sc"), MachineConfig())
     counts = result.counts
     assert sum(counts.values()) == len(result.outcomes) == 2
     assert counts["pass"] == 1
@@ -159,7 +162,7 @@ def test_corpus_counts_sum_to_scenario_count(tmp_path):
 
 def test_corpus_report_shape(tmp_path):
     (tmp_path / "one.sc").write_text("expect pass\n\nhost fn main()\nend\n")
-    result = run_corpus([str(tmp_path / "one.sc")], MachineConfig())
+    result = run_corpus(_parsed(tmp_path / "one.sc"), MachineConfig())
     report = corpus_report(result)
     assert report["total"] == 2
     assert report["mismatches"] == 0
@@ -174,6 +177,6 @@ def test_corpus_report_shape(tmp_path):
 def test_bundled_corpus_has_no_expectation_mismatches():
     from conftest import corpus_files
 
-    result = run_corpus(corpus_files(), MachineConfig())
+    result = run_corpus(_parsed(*corpus_files()), MachineConfig())
     assert result.failures == ()
     assert sum(result.counts.values()) == len(corpus_files())

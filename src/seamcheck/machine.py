@@ -22,7 +22,6 @@ protectors from the same frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import takewhile
 from typing import Optional, Union
 
 from .diagnostics import Classification, Diagnostic, DiagnosticKind, Outcome, TraceFrame
@@ -64,7 +63,6 @@ from .ir import (
 )
 from .memory import (
     WILDCARD,
-    AccessContext,
     Allocation,
     AllocOrigin,
     Memory,
@@ -77,7 +75,6 @@ from .stacked_borrows import StackedBorrowTracker
 from .translate import (
     ArgMode,
     ArgPlan,
-    CallPlan,
     TranslationError,
     assignable,
     plan_call,
@@ -143,6 +140,9 @@ class Blob:
 
 HostValue = Union[int, PointerValue, Blob, None]
 
+# (host frames, foreign frames), innermost first.
+Trace = tuple[tuple[TraceFrame, ...], tuple[TraceFrame, ...]]
+
 
 @dataclass
 class Reg:
@@ -179,7 +179,7 @@ class _Frame:
 class _Thread:
     id: int
     frames: list[_Frame]
-    parent: Optional[int] = None
+    spawn_trace: Trace = ((), ())  # the spawner's, taken when `spawn` ran
     status: str = "ready"  # ready | blocked-join (on waiting_on) | done
     waiting_on: Optional[int] = None
 
@@ -209,14 +209,14 @@ class Machine:
         return TreeBorrowTracker if self.config.model == "tb" else StackedBorrowTracker
 
     def _alloc(
-        self, size: int, align: int, origin: AllocOrigin, label: str, ctx: AccessContext
+        self, size: int, align: int, origin: AllocOrigin, label: str, line: int
     ) -> tuple[Allocation, PointerValue]:
         alloc = self.memory.allocate(size, align, origin, label)
-        alloc.tracker = self._tracker_class()(alloc.id, size, self._next_tag, label, ctx)
+        alloc.tracker = self._tracker_class()(alloc.id, size, self._next_tag, label, line)
         return alloc, self.memory.base_pointer(alloc, alloc.tracker.root_tag)
 
-    def _spawn_thread(self, frame: _Frame, parent: Optional[int]) -> _Thread:
-        t = _Thread(id=len(self.threads), frames=[frame], parent=parent)
+    def _spawn_thread(self, frame: _Frame, spawn_trace: Trace = ((), ())) -> _Thread:
+        t = _Thread(id=len(self.threads), frames=[frame], spawn_trace=spawn_trace)
         self.threads[t.id] = t
         return t
 
@@ -224,10 +224,10 @@ class Machine:
 
     def run(self) -> Outcome:
         try:
-            entry_frame = self._make_host_frame(self.program.entry, [], AccessContext())
+            entry_frame = self._make_host_frame(self.program.entry, [], 0)
         except UbError as e:
             return self._bug(e, None)
-        main = self._spawn_thread(entry_frame, parent=None)
+        main = self._spawn_thread(entry_frame)
         while main.status != "done":
             ready = [t for t in self.threads.values() if t.status == "ready"]
             if not ready:
@@ -285,29 +285,24 @@ class Machine:
         )
         return Outcome(Classification.BUG, diagnostics=(diag,))
 
-    def _traces(self, thread: _Thread) -> tuple[tuple[TraceFrame, ...], tuple[TraceFrame, ...]]:
+    def _traces(self, thread: _Thread) -> Trace:
+        """Innermost frame first, then the spawner's trace where it spawned `thread`."""
         host: list[TraceFrame] = []
         foreign: list[TraceFrame] = []
-        frames = thread.frames
-        while True:
-            for frame in reversed(frames):
-                stmt = self._current_stmt(frame)
-                if stmt is None:
-                    continue
-                dialect = frame.fn.dialect
-                tf = TraceFrame(
-                    dialect=dialect.value,
-                    function=frame.fn.name,
-                    line=stmt.line,
-                    statement=render_stmt(stmt, dialect),
-                )
-                (host if dialect is Dialect.HOST else foreign).append(tf)
-            if thread.parent is None:
-                return tuple(host), tuple(foreign)
-            thread = self.threads[thread.parent]
-            # The spawner's frames below any boundary call it is making now:
-            # that call is none of the spawned thread's history.
-            frames = list(takewhile(lambda f: f.fn.dialect is Dialect.HOST, thread.frames))
+        for frame in reversed(thread.frames):
+            stmt = self._current_stmt(frame)
+            if stmt is None:
+                continue
+            dialect = frame.fn.dialect
+            tf = TraceFrame(
+                dialect=dialect.value,
+                function=frame.fn.name,
+                line=stmt.line,
+                statement=render_stmt(stmt, dialect),
+            )
+            (host if dialect is Dialect.HOST else foreign).append(tf)
+        spawn_host, spawn_foreign = thread.spawn_trace
+        return tuple(host) + spawn_host, tuple(foreign) + spawn_foreign
 
     @staticmethod
     def _current_stmt(frame: _Frame) -> Optional[Stmt]:
@@ -318,17 +313,17 @@ class Machine:
 
     # ---- frame setup and teardown --------------------------------------------
 
-    def _make_host_frame(self, fn: FnDef, args: list[HostValue], ctx: AccessContext) -> _Frame:
+    def _make_host_frame(self, fn: FnDef, args: list[HostValue], line: int) -> _Frame:
         frame = _Frame(fn=fn)
         for param, value in zip(fn.params, args):
-            slot = self._new_slot(frame, param.name, param.type, ctx)
+            slot = self._new_slot(frame, param.name, param.type, line)
             if is_reference(param.type) and isinstance(value, PointerValue):
-                value = self._protected_retag(frame, param.type, value, param.name, ctx)
-            self._typed_write_value(slot.pointer, param.type, value, ctx)
+                value = self._protected_retag(frame, param.type, value, param.name, line)
+            self._typed_write_value(slot.pointer, param.type, value, line)
         return frame
 
     def _protected_retag(
-        self, frame: _Frame, ty: PtrType, ptr: PointerValue, label: str, ctx: AccessContext
+        self, frame: _Frame, ty: PtrType, ptr: PointerValue, label: str, line: int
     ) -> PointerValue:
         if ptr.alloc_id is None:
             raise UbError(
@@ -337,28 +332,26 @@ class Machine:
                 f"into no live allocation",
                 address=ptr.address,
             )
-        alloc = self.memory.allocations[ptr.alloc_id]
         pointee = self._pointee(ty, ptr)
         size = size_of(pointee)
         kind = "mutable-ref" if ty.kind is PtrKind.MUT_REF else "shared-ref"
-        tag = self._retag_through(alloc, ptr, size, pointee, kind, protect=True, label=label, ctx=ctx)
-        frame.protected.append((alloc.id, tag))
+        tag = self._retag_through(ptr, size, pointee, kind, protect=True, label=label, line=line)
+        frame.protected.append((ptr.alloc_id, tag))
         return replace(ptr, provenance=tag)
 
     def _retag_through(
         self,
-        alloc: Allocation,
         ptr: PointerValue,
         size: int,
         pointee: TypeDesc,
         kind: str,
         protect: bool,
         label: str,
-        ctx: AccessContext,
+        line: int,
     ) -> int:
         # A reference's pointee must be live and in bounds when it is made,
         # as Miri requires it to be dereferenceable at retag.
-        self.memory.check_bounds(ptr, size, f"{kind} retag")
+        alloc = self.memory.check_bounds(ptr, size, f"{kind} retag")
         parent = ptr.provenance
         if parent is WILDCARD:
             # A borrow through an exposed address hangs off the allocation root.
@@ -373,11 +366,11 @@ class Machine:
             (a + ptr.offset, b + ptr.offset) for a, b in layout_of(pointee).cell_ranges
         )
         rng = (ptr.offset, ptr.offset + size)
-        return alloc.tracker.retag(parent, rng, kind, cells, protect, label, ctx)
+        return alloc.tracker.retag(parent, rng, kind, cells, protect, label, line)
 
-    def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc, ctx: AccessContext) -> _Slot:
+    def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc, line: int) -> _Slot:
         layout = layout_of(ty)
-        alloc, ptr = self._alloc(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name, ctx)
+        alloc, ptr = self._alloc(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name, line)
         slot = _Slot(name=name, type=ty, alloc=alloc, pointer=ptr)
         frame.slots[name] = slot
         frame.slot_order.append(slot)
@@ -386,17 +379,16 @@ class Machine:
 
     def _exit_frame(self, thread: _Thread, line: int) -> _Frame:
         frame = thread.frames[-1]
-        ctx = AccessContext(line)
         for slot in reversed(frame.slot_order):
             if slot.owning and not slot.moved and frame.slots.get(slot.name) is slot:
-                box, _ = self.memory.read_pointer(slot.pointer, ctx=ctx)
-                self.memory.deallocate(box, "host", ctx)
+                box, _ = self.memory.read_pointer(slot.pointer, line=line)
+                self.memory.deallocate(box, "host")
         for alloc_id, tag in frame.protected:
             tracker = self.memory.allocations[alloc_id].tracker
             if tracker is not None:
                 tracker.protector_end(tag)
         for alloc_id in reversed(frame.stack_allocs):
-            self.memory.release_stack(alloc_id, ctx)
+            self.memory.release_stack(alloc_id)
         return thread.frames.pop()
 
     # ---- typed data movement -------------------------------------------------
@@ -415,23 +407,23 @@ class Machine:
                 return IntType(alloc.size * 8, False)
         return U8
 
-    def _typed_read(self, ptr: PointerValue, ty: TypeDesc, ctx: AccessContext) -> HostValue:
+    def _typed_read(self, ptr: PointerValue, ty: TypeDesc, line: int) -> HostValue:
         if isinstance(ty, CellType):
             ty = ty.inner
         if isinstance(ty, UnitType):
-            self.memory.check_access(ptr, 0, 1, "read", ctx)
+            self.memory.check_access(ptr, 0, 1, "read", line)
             return None
         if isinstance(ty, IntType):
-            value, _ = self.memory.read_int(ptr, ty.size, ty.signed, ctx=ctx)
+            value, _ = self.memory.read_int(ptr, ty.size, ty.signed, line=line)
             return value
         if isinstance(ty, PtrType):
-            value, _ = self.memory.read_pointer(ptr, ctx=ctx)
+            value, _ = self.memory.read_pointer(ptr, line=line)
             return value
-        values, frags = self.memory.read_blob(ptr, size_of(ty), ctx)
+        values, frags = self.memory.read_blob(ptr, size_of(ty), line)
         return Blob.from_memory(values, frags)
 
     def _typed_write_value(
-        self, ptr: PointerValue, ty: TypeDesc, value: HostValue, ctx: AccessContext
+        self, ptr: PointerValue, ty: TypeDesc, value: HostValue, line: int
     ) -> None:
         if isinstance(ty, CellType):
             ty = ty.inner
@@ -446,15 +438,15 @@ class Machine:
                 )
             if isinstance(value, Blob):
                 raise ScenarioUnsupported(f"aggregate value written into {ty} slot")
-            self.memory.write_int(ptr, ty.size, reinterpret(value, ty), ctx=ctx)
+            self.memory.write_int(ptr, ty.size, reinterpret(value, ty), line=line)
             return
         if isinstance(ty, PtrType):
             if isinstance(value, int):
-                self.memory.write_int(ptr, 8, value % (1 << 64), align=8, ctx=ctx)
+                self.memory.write_int(ptr, 8, value % (1 << 64), align=8, line=line)
                 return
             if isinstance(value, Blob):
                 raise ScenarioUnsupported("aggregate value written into pointer slot")
-            self.memory.write_pointer(ptr, value, ctx)
+            self.memory.write_pointer(ptr, value, line)
             return
         if isinstance(value, Blob):
             values, frags = value.to_memory()
@@ -462,7 +454,7 @@ class Machine:
                 raise ScenarioUnsupported(
                     f"aggregate of {len(values)} bytes written into {size_of(ty)}-byte slot"
                 )
-            self.memory.write_blob(ptr, values, frags, ctx)
+            self.memory.write_blob(ptr, values, frags, line)
             return
         if isinstance(value, int):
             raise ScenarioUnsupported(f"integer written into aggregate slot of type {ty}")
@@ -471,7 +463,7 @@ class Machine:
     # ---- places and operands -------------------------------------------------
 
     def _resolve_place(
-        self, thread: _Thread, place: Place, ctx: AccessContext
+        self, thread: _Thread, place: Place, line: int
     ) -> tuple[PointerValue, TypeDesc]:
         frame = thread.frames[-1]
         slot = frame.slots.get(place.base)
@@ -482,7 +474,7 @@ class Machine:
         if place.deref:
             if not isinstance(ty, PtrType):
                 raise ScenarioUnsupported(f"cannot dereference non-pointer local '{place.base}'")
-            target, _ = self.memory.read_pointer(ptr, ctx=ctx)
+            target, _ = self.memory.read_pointer(ptr, line=line)
             pointee = self._pointee(ty, target)
             ptr, ty = target, pointee
         for step in place.steps:
@@ -507,11 +499,11 @@ class Machine:
                 ty = ty.elem
         return ptr, ty
 
-    def _eval_operand(self, thread: _Thread, op: Operand, ctx: AccessContext) -> tuple[HostValue, TypeDesc]:
+    def _eval_operand(self, thread: _Thread, op: Operand, line: int) -> tuple[HostValue, TypeDesc]:
         if isinstance(op, int):
             return op, IntType(64, op < 0)
-        ptr, ty = self._resolve_place(thread, Place(op), ctx)
-        return self._typed_read(ptr, ty, ctx), ty
+        ptr, ty = self._resolve_place(thread, Place(op), line)
+        return self._typed_read(ptr, ty, line), ty
 
     def _foreign_operand(self, thread: _Thread, op: Operand) -> Reg:
         if isinstance(op, int):
@@ -521,12 +513,12 @@ class Machine:
             raise ScenarioUnsupported(f"unknown register '{op}'")
         return Reg(reg.value, reg.tainted)
 
-    def _reg_pointer(self, reg: Reg, ctx: AccessContext) -> PointerValue:
+    def _reg_pointer(self, reg: Reg) -> PointerValue:
         """A register used as a pointer; integers behave like casts from exposed."""
         if isinstance(reg.value, PointerValue):
             return reg.value
         if isinstance(reg.value, int):
-            return self.memory.from_exposed(reg.value % (1 << 64), ctx)
+            return self.memory.from_exposed(reg.value % (1 << 64))
         raise ScenarioUnsupported("aggregate register used as a pointer")
 
     def _reg_int(self, reg: Reg) -> int:
@@ -554,22 +546,22 @@ class Machine:
 
     def _exec_host(self, thread: _Thread, stmt: Stmt) -> None:
         frame = thread.frames[-1]
-        ctx = AccessContext(stmt.line)
+        line = stmt.line
         if isinstance(stmt, LetStmt):
-            self._host_let(thread, stmt, ctx)
+            self._host_let(thread, stmt)
         elif isinstance(stmt, WriteStmt):
-            ptr, ty = self._resolve_place(thread, stmt.place, ctx)
-            value, vty = self._eval_operand(thread, stmt.value, ctx)
-            self._typed_write_value(ptr, ty, value, ctx)
+            ptr, ty = self._resolve_place(thread, stmt.place, line)
+            value, vty = self._eval_operand(thread, stmt.value, line)
+            self._typed_write_value(ptr, ty, value, line)
         elif isinstance(stmt, AssumeInitStmt):
-            ptr, ty = self._resolve_place(thread, stmt.place, ctx)
-            self.memory.assume_init(ptr, size_of(ty), ctx)
+            ptr, ty = self._resolve_place(thread, stmt.place, line)
+            self.memory.assume_init(ptr, size_of(ty))
         elif isinstance(stmt, AssertEqStmt):
-            self._assert_eq(thread, stmt, ctx)
+            self._assert_eq(thread, stmt)
         elif isinstance(stmt, SpawnStmt):
             callee = self.program.function(stmt.callee)
-            args = [self._eval_operand(thread, a, ctx)[0] for a in stmt.args]
-            child = self._spawn_thread(self._make_host_frame(callee, args, ctx), parent=thread.id)
+            args = [self._eval_operand(thread, a, line)[0] for a in stmt.args]
+            child = self._spawn_thread(self._make_host_frame(callee, args, line), self._traces(thread))
             frame.handles[stmt.handle] = child.id
         elif isinstance(stmt, JoinStmt):
             tid = frame.handles.get(stmt.handle)
@@ -580,31 +572,32 @@ class Machine:
                 thread.waiting_on = tid
                 frame.pc -= 1  # re-run the join once the target finishes
         elif isinstance(stmt, CallStmt):
-            self._host_call(thread, stmt, ctx)
+            self._host_call(thread, stmt)
         elif isinstance(stmt, ReturnStmt):
             value = None
             if stmt.value is not None:
-                value, _ = self._eval_operand(thread, stmt.value, ctx)
+                value, _ = self._eval_operand(thread, stmt.value, line)
             self._do_return(thread, value, stmt.line)
         else:
             raise ScenarioUnsupported(f"statement not executable in host code: {stmt!r}")
 
-    def _host_let(self, thread: _Thread, stmt: LetStmt, ctx: AccessContext) -> None:
+    def _host_let(self, thread: _Thread, stmt: LetStmt) -> None:
         frame = thread.frames[-1]
+        line = stmt.line
         rhs = stmt.rhs
         if isinstance(rhs, UninitRhs):
-            self._new_slot(frame, stmt.name, stmt.type, ctx)
+            self._new_slot(frame, stmt.name, stmt.type, line)
             return
         if isinstance(rhs, ZeroedRhs):
-            slot = self._new_slot(frame, stmt.name, stmt.type, ctx)
-            self.memory.memset(slot.pointer, 0, size_of(stmt.type), ctx)
+            slot = self._new_slot(frame, stmt.name, stmt.type, line)
+            self.memory.memset(slot.pointer, 0, size_of(stmt.type), line)
             return
         if isinstance(rhs, LiteralRhs):
-            slot = self._new_slot(frame, stmt.name, stmt.type, ctx)
-            self._typed_write_value(slot.pointer, stmt.type, rhs.value, ctx)
+            slot = self._new_slot(frame, stmt.name, stmt.type, line)
+            self._typed_write_value(slot.pointer, stmt.type, rhs.value, line)
             return
         if isinstance(rhs, PlaceRhs):
-            src_ptr, src_ty = self._resolve_place(thread, rhs.place, ctx)
+            src_ptr, src_ty = self._resolve_place(thread, rhs.place, line)
             base = frame.slots.get(rhs.place.base)
             if (
                 rhs.place.deref
@@ -619,51 +612,50 @@ class Machine:
                     f"{size_of(src_ty)} bytes, destination '{stmt.name}' holds "
                     f"{size_of(stmt.type)}",
                 )
-            value = self._typed_read(src_ptr, src_ty, ctx)
-            slot = self._new_slot(frame, stmt.name, stmt.type, ctx)
-            self._typed_write_value(slot.pointer, stmt.type, value, ctx)
+            value = self._typed_read(src_ptr, src_ty, line)
+            slot = self._new_slot(frame, stmt.name, stmt.type, line)
+            self._typed_write_value(slot.pointer, stmt.type, value, line)
             return
         if isinstance(rhs, BorrowRhs):
-            value = self._borrow(thread, rhs, stmt.name, ctx)
-            slot = self._new_slot(frame, stmt.name, stmt.type, ctx)
-            self._typed_write_value(slot.pointer, stmt.type, value, ctx)
+            value = self._borrow(thread, rhs, stmt.name, line)
+            slot = self._new_slot(frame, stmt.name, stmt.type, line)
+            self._typed_write_value(slot.pointer, stmt.type, value, line)
             return
         if isinstance(rhs, CastRhs):
-            value = self._cast(thread, rhs.source, stmt.type, stmt.name, ctx)
-            slot = self._new_slot(frame, stmt.name, stmt.type, ctx)
-            self._typed_write_value(slot.pointer, stmt.type, value, ctx)
+            value = self._cast(thread, rhs.source, stmt.type, stmt.name, line)
+            slot = self._new_slot(frame, stmt.name, stmt.type, line)
+            self._typed_write_value(slot.pointer, stmt.type, value, line)
             return
         if isinstance(rhs, OffsetRhs):
-            value = self._offset(thread, rhs, ctx)
-            slot = self._new_slot(frame, stmt.name, stmt.type, ctx)
-            self._typed_write_value(slot.pointer, stmt.type, value, ctx)
+            value = self._offset(thread, rhs, line)
+            slot = self._new_slot(frame, stmt.name, stmt.type, line)
+            self._typed_write_value(slot.pointer, stmt.type, value, line)
             return
         if isinstance(rhs, CellGetRhs):
-            src_ptr, src_ty = self._resolve_place(thread, rhs.place, ctx)
+            src_ptr, src_ty = self._resolve_place(thread, rhs.place, line)
             if not isinstance(src_ty, CellType):
                 raise ScenarioUnsupported(".get() on a place that is not interior-mutable")
-            alloc = self.memory.allocations[src_ptr.alloc_id]
             tag = self._retag_through(
-                alloc, src_ptr, size_of(src_ty.inner), src_ty.inner, "cell",
-                protect=False, label=stmt.name, ctx=ctx,
+                src_ptr, size_of(src_ty.inner), src_ty.inner, "cell",
+                protect=False, label=stmt.name, line=line,
             )
-            slot = self._new_slot(frame, stmt.name, stmt.type, ctx)
-            self._typed_write_value(slot.pointer, stmt.type, replace(src_ptr, provenance=tag), ctx)
+            slot = self._new_slot(frame, stmt.name, stmt.type, line)
+            self._typed_write_value(slot.pointer, stmt.type, replace(src_ptr, provenance=tag), line)
             return
         if isinstance(rhs, HeapNewRhs):
-            self._heap_new(thread, stmt, rhs, ctx)
+            self._heap_new(thread, stmt, rhs)
             return
         if isinstance(rhs, HeapIntoRawRhs):
             src = frame.slots.get(rhs.source)
             if src is None or not src.owning:
                 raise ScenarioUnsupported(f"'{rhs.source}' is not an owned heap value")
-            box, _ = self.memory.read_pointer(src.pointer, ctx=ctx)
+            box, _ = self.memory.read_pointer(src.pointer, line=line)
             src.moved = True
-            slot = self._new_slot(frame, stmt.name, stmt.type, ctx)
-            self._typed_write_value(slot.pointer, stmt.type, box, ctx)
+            slot = self._new_slot(frame, stmt.name, stmt.type, line)
+            self._typed_write_value(slot.pointer, stmt.type, box, line)
             return
         if isinstance(rhs, HeapFromRawRhs):
-            value, vty = self._eval_operand(thread, rhs.source, ctx)
+            value, vty = self._eval_operand(thread, rhs.source, line)
             if not isinstance(value, PointerValue):
                 raise ScenarioUnsupported("heap_from_raw needs a pointer value")
             if value.alloc_id is None:
@@ -677,69 +669,68 @@ class Machine:
             size = size_of(pointee) if pointee is not None else alloc.size
             if self.config.unique_as_mutable:
                 tag = self._retag_through(
-                    alloc, value, size, pointee if pointee is not None else U8,
-                    "mutable-ref", protect=False, label=stmt.name, ctx=ctx,
+                    value, size, pointee if pointee is not None else U8,
+                    "mutable-ref", protect=False, label=stmt.name, line=line,
                 )
                 value = replace(value, provenance=tag)
-            slot = self._new_slot(frame, stmt.name, stmt.type, ctx)
+            slot = self._new_slot(frame, stmt.name, stmt.type, line)
             slot.owning = True
-            self._typed_write_value(slot.pointer, stmt.type, value, ctx)
+            self._typed_write_value(slot.pointer, stmt.type, value, line)
             return
         raise ScenarioUnsupported(f"host let cannot evaluate {type(rhs).__name__}")
 
-    def _heap_new(self, thread: _Thread, stmt: LetStmt, rhs: HeapNewRhs, ctx: AccessContext) -> None:
+    def _heap_new(self, thread: _Thread, stmt: LetStmt, rhs: HeapNewRhs) -> None:
         frame = thread.frames[-1]
+        line = stmt.line
         layout = layout_of(rhs.type)
-        alloc, base = self._alloc(
-            layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{stmt.name} (alloc)", ctx
+        _, base = self._alloc(
+            layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{stmt.name} (alloc)", line
         )
         if rhs.init == "zeroed":
-            self.memory.memset(base, 0, layout.size, ctx)
+            self.memory.memset(base, 0, layout.size, line)
         elif isinstance(rhs.init, int):
-            self._typed_write_value(base, rhs.type, rhs.init, ctx)
+            self._typed_write_value(base, rhs.type, rhs.init, line)
         if self.config.unique_as_mutable:
             tag = self._retag_through(
-                alloc, base, layout.size, rhs.type, "mutable-ref", protect=False,
-                label=stmt.name, ctx=ctx,
+                base, layout.size, rhs.type, "mutable-ref", protect=False,
+                label=stmt.name, line=line,
             )
             base = replace(base, provenance=tag)
-        slot = self._new_slot(frame, stmt.name, stmt.type, ctx)
+        slot = self._new_slot(frame, stmt.name, stmt.type, line)
         slot.owning = True
-        self._typed_write_value(slot.pointer, stmt.type, base, ctx)
+        self._typed_write_value(slot.pointer, stmt.type, base, line)
 
-    def _borrow(self, thread: _Thread, rhs: BorrowRhs, label: str, ctx: AccessContext) -> PointerValue:
-        ptr, ty = self._resolve_place(thread, rhs.place, ctx)
+    def _borrow(self, thread: _Thread, rhs: BorrowRhs, label: str, line: int) -> PointerValue:
+        ptr, ty = self._resolve_place(thread, rhs.place, line)
         if ptr.alloc_id is None:
             raise UbError(
                 DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                 f"borrow of a place at 0x{ptr.address:x} outside any live allocation",
                 address=ptr.address,
             )
-        alloc = self.memory.allocations[ptr.alloc_id]
         kind = {
             BorrowKind.MUT: "mutable-ref",
             BorrowKind.SHARED: "shared-ref",
             BorrowKind.RAW_MUT: "raw-mut",
             BorrowKind.RAW_CONST: "raw-const",
         }[rhs.kind]
-        tag = self._retag_through(alloc, ptr, size_of(ty), ty, kind, protect=False, label=label, ctx=ctx)
+        tag = self._retag_through(ptr, size_of(ty), ty, kind, protect=False, label=label, line=line)
         return replace(ptr, provenance=tag)
 
     def _cast(
-        self, thread: _Thread, source: str, target: TypeDesc, label: str, ctx: AccessContext
+        self, thread: _Thread, source: str, target: TypeDesc, label: str, line: int
     ) -> HostValue:
-        value, src_ty = self._eval_operand(thread, source, ctx)
+        value, src_ty = self._eval_operand(thread, source, line)
         if isinstance(src_ty, PtrType) and isinstance(target, PtrType):
             if not isinstance(value, PointerValue):
                 return value  # plain integer address stored in a pointer slot
             if is_reference(src_ty) and target.kind in (PtrKind.RAW_MUT, PtrKind.RAW_CONST):
                 if value.alloc_id is None:
                     return value
-                alloc = self.memory.allocations[value.alloc_id]
                 pointee = self._pointee(src_ty, value)
                 kind = "raw-mut" if target.kind is PtrKind.RAW_MUT else "raw-const"
                 tag = self._retag_through(
-                    alloc, value, size_of(pointee), pointee, kind, protect=False, label=label, ctx=ctx
+                    value, size_of(pointee), pointee, kind, protect=False, label=label, line=line
                 )
                 return replace(value, provenance=tag)
             if is_reference(target):
@@ -755,14 +746,14 @@ class Machine:
             if src_ty.size != 8:
                 raise ScenarioUnsupported("pointer addresses only fit 8-byte integers")
             addr = value if isinstance(value, int) else 0
-            return self.memory.from_exposed(addr % (1 << 64), ctx)
+            return self.memory.from_exposed(addr % (1 << 64))
         if isinstance(src_ty, IntType) and isinstance(target, IntType):
             return reinterpret(value, target)
         raise ScenarioUnsupported(f"no cast from {src_ty} to {target}")
 
-    def _offset(self, thread: _Thread, rhs: OffsetRhs, ctx: AccessContext) -> PointerValue:
-        value, src_ty = self._eval_operand(thread, rhs.source, ctx)
-        count, _ = self._eval_operand(thread, rhs.count, ctx)
+    def _offset(self, thread: _Thread, rhs: OffsetRhs, line: int) -> PointerValue:
+        value, src_ty = self._eval_operand(thread, rhs.source, line)
+        count, _ = self._eval_operand(thread, rhs.count, line)
         if not isinstance(value, PointerValue) or not isinstance(src_ty, PtrType):
             raise ScenarioUnsupported("offset() applies to pointer values")
         if not isinstance(count, int):
@@ -770,9 +761,9 @@ class Machine:
         elem = self._pointee(src_ty, value)
         return value.with_byte_offset(count * max(size_of(elem), 1))
 
-    def _assert_eq(self, thread: _Thread, stmt: AssertEqStmt, ctx: AccessContext) -> None:
-        left, _ = self._eval_operand(thread, stmt.left, ctx)
-        right, _ = self._eval_operand(thread, stmt.right, ctx)
+    def _assert_eq(self, thread: _Thread, stmt: AssertEqStmt) -> None:
+        left, _ = self._eval_operand(thread, stmt.left, stmt.line)
+        right, _ = self._eval_operand(thread, stmt.right, stmt.line)
         if self._plain(left) != self._plain(right):
             raise UbError(
                 DiagnosticKind.ASSERTION_FAILED,
@@ -815,48 +806,45 @@ class Machine:
             return
         if callee.fn.dialect is Dialect.FOREIGN:
             # The result lands at the call, not at the foreign return.
-            ctx = AccessContext(self._current_stmt(caller).line)
-            value = self._inbound(plan, value or Reg(0, tainted=True), ctx)
-        else:
-            ctx = AccessContext(line)
+            line = self._current_stmt(caller).line
+            value = self._inbound(plan, value or Reg(0, tainted=True))
         if dest is not None:
-            slot = self._new_slot(caller, dest, dest_type, ctx)
-            self._typed_write_value(slot.pointer, dest_type, value, ctx)
+            slot = self._new_slot(caller, dest, dest_type, line)
+            self._typed_write_value(slot.pointer, dest_type, value, line)
 
     # ---- calls ---------------------------------------------------------------
 
-    def _host_call(self, thread: _Thread, stmt: CallStmt, ctx: AccessContext) -> None:
+    def _host_call(self, thread: _Thread, stmt: CallStmt) -> None:
+        line = stmt.line
         try:
             binding = self.program.binding(stmt.callee)
         except KeyError:
             binding = None
         if binding is None:
             callee = self.program.function(stmt.callee)
-            args = [self._check_host_arg(thread, a, p.type, ctx) for a, p in zip(stmt.args, callee.params)]
+            args = [self._check_host_arg(thread, a, p.type, line) for a, p in zip(stmt.args, callee.params)]
             if len(stmt.args) != len(callee.params):
                 raise ScenarioUnsupported(
                     f"call to '{callee.name}' passes {len(stmt.args)} arguments, "
                     f"it takes {len(callee.params)}"
                 )
-            callee_frame = self._make_host_frame(callee, args, ctx)
+            callee_frame = self._make_host_frame(callee, args, line)
             thread.frames[-1].recv = (None, stmt.dest, stmt.dest_type)
             thread.frames.append(callee_frame)
             return
-        self._call_foreign(thread, stmt, binding, ctx)
+        self._call_foreign(thread, stmt, binding)
 
     def _check_host_arg(
-        self, thread: _Thread, op: Operand, want: TypeDesc, ctx: AccessContext
+        self, thread: _Thread, op: Operand, want: TypeDesc, line: int
     ) -> HostValue:
-        value, ty = self._eval_operand(thread, op, ctx)
+        value, ty = self._eval_operand(thread, op, line)
         if isinstance(op, int):
             return value
         if not assignable(ty, want):
             raise ScenarioUnsupported(f"argument of type {ty} where {want} is expected")
         return value
 
-    def _call_foreign(
-        self, thread: _Thread, stmt: CallStmt, binding, ctx: AccessContext
-    ) -> None:
+    def _call_foreign(self, thread: _Thread, stmt: CallStmt, binding) -> None:
         callee = self.program.function(binding.target)
         if len(stmt.args) < len(binding.params) or (
             len(stmt.args) > len(binding.params) and not binding.variadic
@@ -869,11 +857,11 @@ class Machine:
         plan = plan_call(binding, callee)
         regs: list[Reg] = []
         for arg_plan, op in zip(plan.args, stmt.args):
-            value = self._check_host_arg(thread, op, arg_plan.source, ctx)
-            regs.extend(self._outbound(arg_plan, value, ctx))
+            value = self._check_host_arg(thread, op, arg_plan.source, stmt.line)
+            regs.extend(self._outbound(arg_plan, value))
         for op in stmt.args[len(binding.params):]:
-            value, ty = self._eval_operand(thread, op, ctx)
-            regs.extend(self._outbound(plan_variadic_arg(ty), value, ctx))
+            value, ty = self._eval_operand(thread, op, stmt.line)
+            regs.extend(self._outbound(plan_variadic_arg(ty), value))
         frame = _Frame(fn=callee)
         for param, reg in zip(callee.params, regs):
             frame.regs[param.name] = reg
@@ -883,7 +871,7 @@ class Machine:
         thread.frames[-1].recv = (plan.ret, stmt.dest, stmt.dest_type)
         thread.frames.append(frame)
 
-    def _outbound(self, plan: ArgPlan, value: HostValue, ctx: AccessContext) -> list[Reg]:
+    def _outbound(self, plan: ArgPlan, value: HostValue) -> list[Reg]:
         mode = plan.mode
         if mode is ArgMode.UNIT:
             return [Reg(0)]
@@ -902,7 +890,7 @@ class Machine:
             return [Reg(value if isinstance(value, int) else 0)]
         if mode is ArgMode.REHYDRATE:
             addr = value if isinstance(value, int) else 0
-            return [Reg(self.memory.from_exposed(addr % (1 << 64), ctx))]
+            return [Reg(self.memory.from_exposed(addr % (1 << 64)))]
         if mode is ArgMode.BLOB:
             if isinstance(value, Blob):
                 return [self._blob_to_int_reg(value, plan.targets[0])]
@@ -956,7 +944,7 @@ class Machine:
             return Reg(value)
         return Reg(0)
 
-    def _inbound(self, plan: Optional[ArgPlan], reg: Reg, ctx: AccessContext) -> HostValue:
+    def _inbound(self, plan: Optional[ArgPlan], reg: Reg) -> HostValue:
         if plan is None or plan.mode in (ArgMode.UNIT, ArgMode.DISCARD):
             return None
         if reg.tainted:
@@ -970,11 +958,11 @@ class Machine:
             value = self._reg_int(reg)
             return reinterpret(value, target if isinstance(target, IntType) else IntType(64, False))
         if mode is ArgMode.POINTER:
-            return self._reg_pointer(reg, ctx)
+            return self._reg_pointer(reg)
         if mode is ArgMode.EXPOSE:
             return self._reg_int(reg) % (1 << 64)
         if mode is ArgMode.REHYDRATE:
-            return self._reg_pointer(reg, ctx)
+            return self._reg_pointer(reg)
         if mode is ArgMode.BLOB:
             if isinstance(target, IntType):
                 if isinstance(reg.value, Blob):
@@ -993,79 +981,79 @@ class Machine:
 
     def _exec_foreign(self, thread: _Thread, stmt: Stmt) -> None:
         frame = thread.frames[-1]
-        ctx = AccessContext(stmt.line)
+        line = stmt.line
         if isinstance(stmt, LetStmt):
-            frame.regs[stmt.name] = self._foreign_let(thread, stmt, ctx)
+            frame.regs[stmt.name] = self._foreign_let(thread, stmt)
         elif isinstance(stmt, StoreStmt):
-            ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer), ctx)
+            ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer))
             reg = self._foreign_operand(thread, stmt.value)
             size = size_of(stmt.type)
             if reg.tainted:
                 # A value derived from uninitialized memory stays
                 # uninitialized when written back.
-                self.memory.write_uninit(ptr, size, ctx)
+                self.memory.write_uninit(ptr, size, line)
             elif isinstance(reg.value, PointerValue) and size == 8:
-                self.memory.write_pointer(ptr, reg.value, ctx)
+                self.memory.write_pointer(ptr, reg.value, line)
             else:
-                self.memory.write_int(ptr, size, reinterpret(self._reg_int(reg), IntType(8 * size, False)), ctx=ctx)
+                self.memory.write_int(ptr, size, reinterpret(self._reg_int(reg), IntType(8 * size, False)), line=line)
         elif isinstance(stmt, FreeStmt):
-            ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer), ctx)
-            self.memory.deallocate(ptr, "foreign", ctx)
+            ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer))
+            self.memory.deallocate(ptr, "foreign")
         elif isinstance(stmt, MemsetStmt):
-            ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer), ctx)
+            ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer))
             value = self._reg_int(self._foreign_operand(thread, stmt.value))
             size = self._reg_int(self._foreign_operand(thread, stmt.size))
-            self.memory.memset(ptr, value, size, ctx)
+            self.memory.memset(ptr, value, size, line)
         elif isinstance(stmt, MemcpyStmt):
-            dest = self._reg_pointer(self._foreign_operand(thread, stmt.dest), ctx)
-            src = self._reg_pointer(self._foreign_operand(thread, stmt.src), ctx)
+            dest = self._reg_pointer(self._foreign_operand(thread, stmt.dest))
+            src = self._reg_pointer(self._foreign_operand(thread, stmt.src))
             size = self._reg_int(self._foreign_operand(thread, stmt.size))
-            self.memory.memcpy(dest, src, size, ctx)
+            self.memory.memcpy(dest, src, size, line)
         elif isinstance(stmt, CallStmt):
-            self._foreign_call(thread, stmt, ctx)
+            self._foreign_call(thread, stmt)
         elif isinstance(stmt, ReturnStmt):
             reg = None if stmt.value is None else self._foreign_operand(thread, stmt.value)
-            self._do_return(thread, reg, stmt.line)
+            self._do_return(thread, reg, line)
         else:
             raise ScenarioUnsupported(f"statement not executable in foreign code: {stmt!r}")
 
-    def _foreign_let(self, thread: _Thread, stmt: LetStmt, ctx: AccessContext) -> Reg:
-        rhs = stmt.rhs
+    def _foreign_let(self, thread: _Thread, stmt: LetStmt) -> Reg:
+        rhs, line = stmt.rhs, stmt.line
         if isinstance(rhs, LiteralRhs):
             return Reg(rhs.value)
         if isinstance(rhs, PlaceRhs):
             return self._foreign_operand(thread, rhs.place.base)
         if isinstance(rhs, LoadRhs):
-            ptr = self._reg_pointer(self._foreign_operand(thread, rhs.pointer), ctx)
+            ptr = self._reg_pointer(self._foreign_operand(thread, rhs.pointer))
             ty = rhs.type
             if isinstance(ty, PtrType):
                 value, tainted = self.memory.read_pointer(
-                    ptr, ctx=ctx, permissive=self.config.permissive_foreign
+                    ptr, line=line, permissive=self.config.permissive_foreign
                 )
                 return Reg(value, tainted)
             if isinstance(ty, IntType):
                 value, tainted = self.memory.read_int(
-                    ptr, ty.size, ty.signed, ctx=ctx, permissive=self.config.permissive_foreign
+                    ptr, ty.size, ty.signed, line=line, permissive=self.config.permissive_foreign
                 )
                 return Reg(value, tainted)
             raise ScenarioUnsupported(f"foreign load of type {ty}")
         if isinstance(rhs, MallocRhs):
             size = self._reg_int(self._foreign_operand(thread, rhs.size))
-            alloc, base = self._alloc(size, 16, AllocOrigin.FOREIGN_HEAP, stmt.name, ctx)
+            alloc, base = self._alloc(size, 16, AllocOrigin.FOREIGN_HEAP, stmt.name, line)
             return Reg(base)
         if isinstance(rhs, AllocaRhs):
             size = self._reg_int(self._foreign_operand(thread, rhs.size))
-            alloc, base = self._alloc(size, 16, AllocOrigin.FOREIGN_STACK, stmt.name, ctx)
+            alloc, base = self._alloc(size, 16, AllocOrigin.FOREIGN_STACK, stmt.name, line)
             thread.frames[-1].stack_allocs.append(alloc.id)
             return Reg(base)
         if isinstance(rhs, GepRhs):
             reg = self._foreign_operand(thread, rhs.pointer)
             off = self._reg_int(self._foreign_operand(thread, rhs.offset))
-            ptr = self._reg_pointer(reg, ctx)
+            ptr = self._reg_pointer(reg)
             return Reg(ptr.with_byte_offset(off), reg.tainted)
         raise ScenarioUnsupported(f"foreign let cannot evaluate {type(rhs).__name__}")
 
-    def _foreign_call(self, thread: _Thread, stmt: CallStmt, ctx: AccessContext) -> None:
+    def _foreign_call(self, thread: _Thread, stmt: CallStmt) -> None:
         callee = self.program.function(stmt.callee)
         if len(stmt.args) != len(callee.params):
             raise UbError(
@@ -1076,12 +1064,12 @@ class Machine:
         args: list[HostValue] = []
         for op, param in zip(stmt.args, callee.params):
             reg = self._foreign_operand(thread, op)
-            args.append(self._reg_to_host(reg, param.type, ctx))
-        callee_frame = self._make_host_frame(callee, args, ctx)
+            args.append(self._reg_to_host(reg, param.type))
+        callee_frame = self._make_host_frame(callee, args, stmt.line)
         thread.frames[-1].recv = (None, stmt.dest, None)
         thread.frames.append(callee_frame)
 
-    def _reg_to_host(self, reg: Reg, want: TypeDesc, ctx: AccessContext) -> HostValue:
+    def _reg_to_host(self, reg: Reg, want: TypeDesc) -> HostValue:
         if reg.tainted:
             raise UbError(
                 DiagnosticKind.UNINITIALIZED_READ,
@@ -1099,7 +1087,7 @@ class Machine:
                 return self.memory.expose(reg.value)
             return reinterpret(self._reg_int(reg), want)
         if isinstance(want, PtrType):
-            return self._reg_pointer(reg, ctx)
+            return self._reg_pointer(reg)
         if isinstance(want, (StructType, ArrayType)):
             if isinstance(reg.value, Blob):
                 return reg.value

@@ -1,16 +1,23 @@
-"""Shared memory model: allocations, abstract bytes, provenance.
+"""Shared memory model: allocations, abstract bytes, provenance, tag records.
 
 Both dialects execute over one memory. Every byte is either uninitialized or
-holds a value plus an optional provenance fragment; a stored pointer spreads
-one fragment across its eight bytes, and a pointer-typed read reconstructs
-provenance only when all eight bytes still carry that fragment in order.
-Anything else degrades to a plain integer value.
+holds a value plus an optional provenance fragment: a stored pointer spreads
+one `((alloc id, provenance), index)` fragment across its eight bytes, and a
+pointer-typed read reconstructs provenance only when all eight bytes still
+carry that fragment in order. Anything else degrades to a plain integer
+value. `read_int` and `read_pointer` share one uninit-checking byte read.
 
 Access checks run in a fixed order: liveness, bounds, alignment, borrow
 tracker, then byte movement. The alignment check is symbolic by default
 (offset modulo the type's alignment, plus a requirement that the allocation
 itself is at least that aligned) so that a run never passes just because the
-simulated base address happened to line up.
+simulated base address happened to line up. An access that reaches a
+tracker carries the source line it came from, which is all a tag event
+records besides its description.
+
+`BorrowTracker` is the base of both borrow models: it owns an allocation's
+tags and one history record per tag (created, last use, first
+invalidation), and renders those histories into errors.
 
 Addresses come from a bump allocator with guard gaps between allocations.
 The starting base is perturbed by the seed; no semantic result may depend on
@@ -21,13 +28,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .diagnostics import DiagnosticKind, TagHistory
+from .diagnostics import DiagnosticKind, TagEvent, TagHistory
 from .rng import _splitmix64
 
 GUARD_GAP = 16
 BASE_ADDRESS = 0x10000
+
+Range = tuple[int, int]
 
 
 class _WildcardType:
@@ -98,10 +107,93 @@ class UbError(Exception):
 
 
 @dataclass
-class AccessContext:
-    """Where an access comes from, for tracker history and error messages."""
+class TagRecord:
+    """One tag's history: where it was created, last used and first invalidated."""
 
-    line: int = 0
+    label: str
+    created: TagEvent
+    last_use: Optional[TagEvent] = None
+    invalidated: Optional[TagEvent] = None
+
+
+class BorrowTracker:
+    """The tags of one allocation under a borrow model, with their histories.
+
+    `tags` holds a record for every tag the tracker made, in creation order,
+    starting with the root tag that owns the allocation. Each model keeps its
+    per-location state in a subclass and implements the operations below.
+    """
+
+    def __init__(self, alloc_id: int, tag_source: Callable[[], int], root_label: str, line: int) -> None:
+        self.alloc_id = alloc_id
+        self._tag_source = tag_source
+        self.root_tag = tag_source()
+        self.tags: dict[int, TagRecord] = {
+            self.root_tag: TagRecord(root_label, TagEvent(line, f"allocation of alloc#{alloc_id}"))
+        }
+
+    def _new_tag(self, parent: int, rng: Range, kind: str, label: str, line: int) -> int:
+        tag = self._tag_source()
+        self.tags[tag] = TagRecord(
+            label, TagEvent(line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}")
+        )
+        return tag
+
+    def _invalidate(self, tag: int, line: int, cause: str) -> None:
+        """Record the tag's invalidation; the first one recorded stands."""
+        record = self.tags[tag]
+        if record.invalidated is None:
+            record.invalidated = TagEvent(line, cause)
+
+    def _invalidation_note(self, tag: int) -> str:
+        record = self.tags.get(tag)
+        if record is None or record.invalidated is None:
+            return ""
+        return f" (invalidated at line {record.invalidated.line}: {record.invalidated.description})"
+
+    def _error(self, kind: DiagnosticKind, message: str, off: Optional[int]) -> UbError:
+        return UbError(
+            kind,
+            message,
+            history=self.history(),
+            snapshot=self.render(off) if off is not None else self.render(),
+        )
+
+    def history(self) -> tuple[TagHistory, ...]:
+        return tuple(
+            TagHistory(
+                tag=tag,
+                label=record.label,
+                created=record.created,
+                last_valid_use=record.last_use,
+                invalidated=record.invalidated,
+            )
+            for tag, record in self.tags.items()
+        )
+
+    # ---- implemented by each model -------------------------------------------
+
+    def retag(
+        self, parent: int, rng: Range, kind: str, cell_ranges: tuple[Range, ...], protect: bool,
+        label: str, line: int = 0,
+    ) -> int:
+        raise NotImplementedError
+
+    def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
+        raise NotImplementedError
+
+    def protector_end(self, tag: int) -> None:
+        raise NotImplementedError
+
+    def dealloc_check(self) -> None:
+        raise NotImplementedError
+
+    def render(self, off: Optional[int] = None) -> str:
+        raise NotImplementedError
+
+
+# A pointer byte's provenance: ((alloc id, provenance), index within the pointer).
+Fragment = tuple[tuple[Optional[int], Provenance], int]
 
 
 @dataclass
@@ -114,16 +206,11 @@ class Allocation:
     label: str
     live: bool = True
     values: list[Optional[int]] = field(default_factory=list)
-    fragments: dict[int, tuple[tuple, int]] = field(default_factory=dict)
-    exposed: set = field(default_factory=set)
-    tracker: object = None  # set by the machine; duck-typed borrow tracker
+    fragments: dict[int, Fragment] = field(default_factory=dict)
+    tracker: Optional[BorrowTracker] = None  # set by the machine
 
     def init_mask(self) -> tuple[bool, ...]:
         return tuple(v is not None for v in self.values)
-
-
-def _ub(kind: DiagnosticKind, message: str, **kw) -> UbError:
-    return UbError(kind, message, **kw)
 
 
 def _drop_fragments(alloc: Allocation, lo: int, hi: int) -> None:
@@ -131,6 +218,25 @@ def _drop_fragments(alloc: Allocation, lo: int, hi: int) -> None:
     if alloc.fragments:
         for off in range(lo, hi):
             alloc.fragments.pop(off, None)
+
+
+def _init_bytes(alloc: Allocation, ptr: PointerValue, size: int, permissive: bool) -> tuple[bytes, bool]:
+    """The `size` bytes at `ptr` and whether any was uninitialized.
+
+    An uninitialized byte is an error unless `permissive` (the foreign load
+    mode), in which case it reads as zero and taints the result.
+    """
+    raw = alloc.values[ptr.offset : ptr.offset + size]
+    if None not in raw:
+        return bytes(raw), False
+    if not permissive:
+        i = raw.index(None)
+        raise UbError(
+            DiagnosticKind.UNINITIALIZED_READ,
+            f"read of uninitialized byte at alloc#{alloc.id}+{ptr.offset + i}",
+            address=ptr.address + i,
+        )
+    return bytes(0 if v is None else v for v in raw), True
 
 
 class Memory:
@@ -176,29 +282,29 @@ class Memory:
     def base_pointer(self, alloc: Allocation, tag: Provenance) -> PointerValue:
         return PointerValue(alloc.base, alloc.id, 0, tag)
 
-    def deallocate(self, ptr: PointerValue, via: str, ctx: Optional[AccessContext] = None) -> Allocation:
+    def deallocate(self, ptr: PointerValue, via: str) -> Allocation:
         """Free a heap allocation through `ptr`. `via` is "host" or "foreign"."""
-        alloc = self._require_allocation(ptr, ctx)
+        alloc = self._require_allocation(ptr)
         if not alloc.live:
-            raise _ub(
+            raise UbError(
                 DiagnosticKind.DOUBLE_FREE,
                 f"dealloc of alloc#{alloc.id} ({alloc.label}) which was already freed",
             )
         if ptr.offset != 0:
-            raise _ub(
+            raise UbError(
                 DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                 f"dealloc of alloc#{alloc.id} at interior offset {ptr.offset}, not the allocation base",
             )
         if alloc.origin not in (AllocOrigin.HOST_HEAP, AllocOrigin.FOREIGN_HEAP):
-            raise _ub(
+            raise UbError(
                 DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                 f"dealloc of non-heap alloc#{alloc.id} ({alloc.origin.value})",
             )
         if alloc.tracker is not None:
-            alloc.tracker.dealloc_check(ctx or AccessContext())
+            alloc.tracker.dealloc_check()
         expected = AllocOrigin.HOST_HEAP if via == "host" else AllocOrigin.FOREIGN_HEAP
         if alloc.origin is not expected:
-            raise _ub(
+            raise UbError(
                 DiagnosticKind.CROSS_LANGUAGE_DEALLOC,
                 f"alloc#{alloc.id} ({alloc.label}) was allocated by the {alloc.origin.value} allocator "
                 f"but freed by {via} code",
@@ -207,13 +313,13 @@ class Memory:
         alloc.live = False
         return alloc
 
-    def release_stack(self, alloc_id: int, ctx: Optional[AccessContext] = None) -> None:
+    def release_stack(self, alloc_id: int) -> None:
         """Tear down one stack slot at frame exit. Protector checks still apply."""
         alloc = self.allocations[alloc_id]
         if not alloc.live:
             return
         if alloc.tracker is not None:
-            alloc.tracker.dealloc_check(ctx or AccessContext())
+            alloc.tracker.dealloc_check()
         alloc.live = False
 
     def leak_report(self) -> list[Allocation]:
@@ -225,9 +331,9 @@ class Memory:
 
     # ---- access checks -------------------------------------------------------
 
-    def _require_allocation(self, ptr: PointerValue, ctx: Optional[AccessContext]) -> Allocation:
+    def _require_allocation(self, ptr: PointerValue) -> Allocation:
         if ptr.alloc_id is None:
-            raise _ub(
+            raise UbError(
                 DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                 f"pointer 0x{ptr.address:x} has no provenance and points into no allocation",
                 address=ptr.address,
@@ -240,15 +346,15 @@ class Memory:
         `what` names the operation in the message ("read", "write", or a retag
         kind such as "mutable-ref retag").
         """
-        alloc = self._require_allocation(ptr, None)
+        alloc = self._require_allocation(ptr)
         if not alloc.live:
-            raise _ub(
+            raise UbError(
                 DiagnosticKind.USE_AFTER_FREE,
                 f"{what} of {size} bytes in alloc#{alloc.id} ({alloc.label}) after it was freed",
                 address=ptr.address,
             )
         if ptr.offset < 0 or ptr.offset + size > alloc.size:
-            raise _ub(
+            raise UbError(
                 DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                 f"{what} of {size} bytes at alloc#{alloc.id}+{ptr.offset} overruns the "
                 f"{alloc.size}-byte allocation",
@@ -262,10 +368,9 @@ class Memory:
         size: int,
         align: int,
         kind: str,  # "read" or "write"
-        ctx: Optional[AccessContext] = None,
+        line: int = 0,
     ) -> Allocation:
         """Liveness, bounds, alignment, then the borrow tracker, in that order."""
-        ctx = ctx or AccessContext()
         alloc = self.check_bounds(ptr, size, kind)
         if align > 1:
             if self.symbolic_alignment:
@@ -273,14 +378,14 @@ class Memory:
             else:
                 misaligned = ptr.address % align != 0
             if misaligned:
-                raise _ub(
+                raise UbError(
                     DiagnosticKind.MISALIGNED_ACCESS,
                     f"{kind} requiring {align}-byte alignment at alloc#{alloc.id}+{ptr.offset} "
                     f"(allocation aligned to {alloc.align})",
                     address=ptr.address,
                 )
         if alloc.tracker is not None and size > 0:
-            alloc.tracker.access(ptr.provenance, (ptr.offset, ptr.offset + size), kind, ctx)
+            alloc.tracker.access(ptr.provenance, (ptr.offset, ptr.offset + size), kind, line)
         return alloc
 
     # ---- typed and raw data movement ----------------------------------------
@@ -292,31 +397,13 @@ class Memory:
         signed: bool,
         *,
         align: Optional[int] = None,
-        ctx: Optional[AccessContext] = None,
+        line: int = 0,
         permissive: bool = False,
     ) -> tuple[int, bool]:
-        """Read one integer. Returns (value, tainted).
-
-        Uninitialized bytes are an error unless `permissive` (the foreign
-        load mode), in which case they read as zero and taint the result.
-        """
-        alloc = self.check_access(ptr, size, align if align is not None else size, "read", ctx)
-        raw = []
-        tainted = False
-        for i in range(size):
-            v = alloc.values[ptr.offset + i]
-            if v is None:
-                if not permissive:
-                    raise _ub(
-                        DiagnosticKind.UNINITIALIZED_READ,
-                        f"read of uninitialized byte at alloc#{alloc.id}+{ptr.offset + i}",
-                        address=ptr.address + i,
-                    )
-                tainted = True
-                v = 0
-            raw.append(v)
-        value = int.from_bytes(bytes(raw), "little", signed=signed)
-        return value, tainted
+        """Read one integer. Returns (value, tainted); see `_init_bytes`."""
+        alloc = self.check_access(ptr, size, align if align is not None else size, "read", line)
+        raw, tainted = _init_bytes(alloc, ptr, size, permissive)
+        return int.from_bytes(raw, "little", signed=signed), tainted
 
     def write_int(
         self,
@@ -325,86 +412,59 @@ class Memory:
         value: int,
         *,
         align: Optional[int] = None,
-        ctx: Optional[AccessContext] = None,
+        line: int = 0,
     ) -> None:
-        alloc = self.check_access(ptr, size, align if align is not None else size, "write", ctx)
+        alloc = self.check_access(ptr, size, align if align is not None else size, "write", line)
         raw = value.to_bytes(size, "little", signed=value < 0)
         alloc.values[ptr.offset : ptr.offset + size] = raw
         _drop_fragments(alloc, ptr.offset, ptr.offset + size)
 
-    def write_uninit(self, ptr: PointerValue, size: int, ctx: Optional[AccessContext] = None) -> None:
+    def write_uninit(self, ptr: PointerValue, size: int, line: int = 0) -> None:
         """A size-aligned write whose bytes end up uninitialized, with no provenance."""
-        alloc = self.check_access(ptr, size, size, "write", ctx)
+        alloc = self.check_access(ptr, size, size, "write", line)
         alloc.values[ptr.offset : ptr.offset + size] = [None] * size
         _drop_fragments(alloc, ptr.offset, ptr.offset + size)
 
-    def _fragment_key(self, value: PointerValue) -> tuple:
-        prov = value.provenance
-        prov_key = ("tag", prov) if isinstance(prov, int) else ("wildcard",) if prov is WILDCARD else ("none",)
-        return (value.alloc_id, prov_key)
-
-    def write_pointer(self, ptr: PointerValue, value: PointerValue, ctx: Optional[AccessContext] = None) -> None:
-        alloc = self.check_access(ptr, 8, 8, "write", ctx)
-        raw = (value.address % (1 << 64)).to_bytes(8, "little")
-        key = self._fragment_key(value)
-        carry_fragment = value.provenance is not None or value.alloc_id is not None
-        for i in range(8):
-            off = ptr.offset + i
-            alloc.values[off] = raw[i]
-            if carry_fragment:
-                alloc.fragments[off] = (key, i)
-            else:
-                alloc.fragments.pop(off, None)
+    def write_pointer(self, ptr: PointerValue, value: PointerValue, line: int = 0) -> None:
+        alloc = self.check_access(ptr, 8, 8, "write", line)
+        alloc.values[ptr.offset : ptr.offset + 8] = (value.address % (1 << 64)).to_bytes(8, "little")
+        if value.provenance is not None or value.alloc_id is not None:
+            key = (value.alloc_id, value.provenance)
+            for i in range(8):
+                alloc.fragments[ptr.offset + i] = (key, i)
+        else:
+            _drop_fragments(alloc, ptr.offset, ptr.offset + 8)
 
     def read_pointer(
         self,
         ptr: PointerValue,
         *,
-        ctx: Optional[AccessContext] = None,
+        line: int = 0,
         permissive: bool = False,
     ) -> tuple[PointerValue, bool]:
         """Read 8 bytes as a pointer, reconstructing provenance if intact."""
-        alloc = self.check_access(ptr, 8, 8, "read", ctx)
-        raw = []
-        tainted = False
-        for i in range(8):
-            v = alloc.values[ptr.offset + i]
-            if v is None:
-                if not permissive:
-                    raise _ub(
-                        DiagnosticKind.UNINITIALIZED_READ,
-                        f"read of uninitialized byte at alloc#{alloc.id}+{ptr.offset + i}",
-                        address=ptr.address + i,
-                    )
-                tainted = True
-                v = 0
-            raw.append(v)
-        address = int.from_bytes(bytes(raw), "little")
-        if not tainted:
-            frags = [alloc.fragments.get(ptr.offset + i) for i in range(8)]
-            if all(f is not None for f in frags):
-                key = frags[0][0]
-                if all(f == (key, i) for i, f in enumerate(frags)):
-                    target_alloc, prov_key = key
-                    prov: Provenance
-                    if prov_key[0] == "tag":
-                        prov = prov_key[1]
-                    elif prov_key[0] == "wildcard":
-                        prov = WILDCARD
-                    else:
-                        prov = None
-                    if target_alloc is not None:
-                        base = self.allocations[target_alloc].base
-                        return PointerValue(address, target_alloc, address - base, prov), False
-                    return PointerValue(address, None, address, prov), False
+        alloc = self.check_access(ptr, 8, 8, "read", line)
+        raw, tainted = _init_bytes(alloc, ptr, 8, permissive)
+        address = int.from_bytes(raw, "little")
+        frags = alloc.fragments
+        if frags and not tainted:
+            first = frags.get(ptr.offset)
+            if first is not None and all(
+                frags.get(ptr.offset + i) == (first[0], i) for i in range(8)
+            ):
+                target_alloc, prov = first[0]
+                if target_alloc is not None:
+                    base = self.allocations[target_alloc].base
+                    return PointerValue(address, target_alloc, address - base, prov), False
+                return PointerValue(address, None, address, prov), False
         # Broken or absent fragments: the value is just an integer.
         return PointerValue(address, None, address, None), tainted
 
     def read_blob(
-        self, ptr: PointerValue, size: int, ctx: Optional[AccessContext] = None
-    ) -> tuple[list[Optional[int]], dict[int, tuple[tuple, int]]]:
+        self, ptr: PointerValue, size: int, line: int = 0
+    ) -> tuple[list[Optional[int]], dict[int, Fragment]]:
         """Untyped copy-out: values (None where uninit) plus fragments. No init check."""
-        alloc = self.check_access(ptr, size, 1, "read", ctx)
+        alloc = self.check_access(ptr, size, 1, "read", line)
         values = alloc.values[ptr.offset : ptr.offset + size]
         if not alloc.fragments:
             return values, {}
@@ -419,31 +479,31 @@ class Memory:
         self,
         ptr: PointerValue,
         values: list[Optional[int]],
-        frags: dict[int, tuple[tuple, int]],
-        ctx: Optional[AccessContext] = None,
+        frags: dict[int, Fragment],
+        line: int = 0,
     ) -> None:
         """Untyped copy-in: preserves the uninit mask and provenance fragments."""
-        alloc = self.check_access(ptr, len(values), 1, "write", ctx)
+        alloc = self.check_access(ptr, len(values), 1, "write", line)
         alloc.values[ptr.offset : ptr.offset + len(values)] = values
         _drop_fragments(alloc, ptr.offset, ptr.offset + len(values))
         for i, frag in frags.items():
             alloc.fragments[ptr.offset + i] = frag
 
-    def assume_init(self, ptr: PointerValue, size: int, ctx: Optional[AccessContext] = None) -> None:
+    def assume_init(self, ptr: PointerValue, size: int) -> None:
         """Assert that a range is initialized: missing bytes become zero.
 
         Performs no access (it models a claim, not a use), so the borrow
         tracker is not consulted; liveness and bounds still are.
         """
-        alloc = self._require_allocation(ptr, ctx)
+        alloc = self._require_allocation(ptr)
         if not alloc.live:
-            raise _ub(
+            raise UbError(
                 DiagnosticKind.USE_AFTER_FREE,
                 f"init claim over alloc#{alloc.id} ({alloc.label}) after it was freed",
                 address=ptr.address,
             )
         if ptr.offset < 0 or ptr.offset + size > alloc.size:
-            raise _ub(
+            raise UbError(
                 DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                 f"init claim of {size} bytes at alloc#{alloc.id}+{ptr.offset} overruns the "
                 f"{alloc.size}-byte allocation",
@@ -454,24 +514,25 @@ class Memory:
             if alloc.values[off] is None:
                 alloc.values[off] = 0
 
-    def memset(self, ptr: PointerValue, byte: int, size: int, ctx: Optional[AccessContext] = None) -> None:
-        alloc = self.check_access(ptr, size, 1, "write", ctx)
+    def memset(self, ptr: PointerValue, byte: int, size: int, line: int = 0) -> None:
+        alloc = self.check_access(ptr, size, 1, "write", line)
         alloc.values[ptr.offset : ptr.offset + size] = [byte & 0xFF] * size
         _drop_fragments(alloc, ptr.offset, ptr.offset + size)
 
-    def memcpy(self, dest: PointerValue, src: PointerValue, size: int, ctx: Optional[AccessContext] = None) -> None:
-        values, frags = self.read_blob(src, size, ctx)
-        self.write_blob(dest, values, frags, ctx)
+    def memcpy(self, dest: PointerValue, src: PointerValue, size: int, line: int = 0) -> None:
+        values, frags = self.read_blob(src, size, line)
+        self.write_blob(dest, values, frags, line)
 
     # ---- provenance boundary -------------------------------------------------
 
     def expose(self, ptr: PointerValue) -> int:
-        """Expose a pointer's tag and return its address as an integer."""
-        if ptr.alloc_id is not None and isinstance(ptr.provenance, int):
-            self.allocations[ptr.alloc_id].exposed.add(ptr.provenance)
+        """A pointer's address as an integer (a pointer-to-integer cast).
+
+        Exposure is not recorded: a wildcard access checks no exposed set.
+        """
         return ptr.address % (1 << 64)
 
-    def from_exposed(self, address: int, ctx: Optional[AccessContext] = None) -> PointerValue:
+    def from_exposed(self, address: int) -> PointerValue:
         """Rebuild a pointer from an integer address.
 
         Inside a live allocation the result carries wildcard provenance;
@@ -479,7 +540,7 @@ class Memory:
         provenance this operation is itself an error.
         """
         if self.strict_provenance:
-            raise _ub(
+            raise UbError(
                 DiagnosticKind.STRICT_PROVENANCE_VIOLATION,
                 f"integer-to-pointer conversion of 0x{address:x} under strict provenance",
                 address=address,

@@ -11,7 +11,7 @@ The ground rule is byte-size equality per position. On top of that:
 * pointers cross as pointers, carrying provenance
 * a pointer crossing into an integer slot must be 8 bytes wide and is
   exposed; an 8-byte integer crossing into a pointer slot is rehydrated
-  from the exposed set
+  with wildcard provenance
 * aggregates cross by value when size and field count both match, as raw
   bytes when the other side declares one same-size integer, or spread over
   several scalar parameters when the aggregate is homogeneous and padding

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from seamcheck.diagnostics import DiagnosticKind, TagEvent, TagHistory
-from seamcheck.memory import WILDCARD, AccessContext, Provenance, UbError
+from seamcheck.memory import WILDCARD, Provenance, UbError
 from seamcheck.stacked_borrows import Grant
 
 Range = tuple[int, int]
@@ -68,18 +68,17 @@ class StackedBorrowTracker:
         size: int,
         tag_source: Callable[[], int],
         root_label: str,
-        ctx: Optional[AccessContext] = None,
+        line: int = 0,
     ) -> None:
         self.alloc_id = alloc_id
         self.size = size
         self._tag_source = tag_source
-        ctx = ctx or AccessContext()
         self.root_tag = tag_source()
         self.stacks: dict[int, list[_Item]] = {
             off: [_Item(self.root_tag, Grant.UNIQUE)] for off in range(size)
         }
         self.tags: dict[int, _TagInfo] = {
-            self.root_tag: _TagInfo(root_label, TagEvent(ctx.line, f"allocation of alloc#{alloc_id}"))
+            self.root_tag: _TagInfo(root_label, TagEvent(line, f"allocation of alloc#{alloc_id}"))
         }
         self._order: list[int] = [self.root_tag]
 
@@ -91,12 +90,12 @@ class StackedBorrowTracker:
                 return i
         return None
 
-    def _record_pop(self, item: _Item, cause: str, ctx: AccessContext) -> None:
+    def _record_pop(self, item: _Item, cause: str, line: int) -> None:
         info = self.tags[item.tag]
         if info.invalidated is None:
-            info.invalidated = TagEvent(ctx.line, cause)
+            info.invalidated = TagEvent(line, cause)
 
-    def _pop_above(self, stack: list[_Item], index: int, cause: str, ctx: AccessContext, off: int) -> None:
+    def _pop_above(self, stack: list[_Item], index: int, cause: str, line: int, off: int) -> None:
         """Write semantics: remove everything above the granting item."""
         while len(stack) > index + 1:
             item = stack[-1]
@@ -108,10 +107,10 @@ class StackedBorrowTracker:
                     off,
                 )
             stack.pop()
-            self._record_pop(item, cause, ctx)
+            self._record_pop(item, cause, line)
 
     def _disable_writers_above(
-        self, stack: list[_Item], index: int, cause: str, ctx: AccessContext, off: int
+        self, stack: list[_Item], index: int, cause: str, line: int, off: int
     ) -> None:
         """Read semantics: remove only write-granting items above the granting one."""
         i = len(stack) - 1
@@ -126,7 +125,7 @@ class StackedBorrowTracker:
                         off,
                     )
                 stack.pop(i)
-                self._record_pop(item, cause, ctx)
+                self._record_pop(item, cause, line)
             i -= 1
 
     # ---- operations ----------------------------------------------------------
@@ -139,12 +138,11 @@ class StackedBorrowTracker:
         cell_ranges: tuple[Range, ...],
         protect: bool,
         label: str,
-        ctx: Optional[AccessContext] = None,
+        line: int = 0,
     ) -> int:
-        ctx = ctx or AccessContext()
         tag = self._tag_source()
         self.tags[tag] = _TagInfo(
-            label, TagEvent(ctx.line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}")
+            label, TagEvent(line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}")
         )
         self._order.append(tag)
         cause = f"{kind} retag for tag#{tag} ('{label}')"
@@ -168,10 +166,10 @@ class StackedBorrowTracker:
                         f"tag#{parent} ('{self.tags[parent].label}')",
                         off,
                     )
-                self._pop_above(stack, idx, cause, ctx, off)
+                self._pop_above(stack, idx, cause, line, off)
                 stack.append(_Item(tag, Grant.UNIQUE, protect))
             elif kind == "shared-ref":
-                self._disable_writers_above(stack, idx, cause, ctx, off)
+                self._disable_writers_above(stack, idx, cause, line, off)
                 grant = Grant.SHARED_RW if _in_ranges(off, cell_ranges) else Grant.SHARED_RO
                 stack.append(_Item(tag, grant, protect))
             elif kind in ("raw-mut", "cell"):
@@ -183,8 +181,7 @@ class StackedBorrowTracker:
                 raise ValueError(f"unknown retag kind: {kind}")
         return tag
 
-    def access(self, prov: Provenance, rng: Range, kind: str, ctx: Optional[AccessContext] = None) -> None:
-        ctx = ctx or AccessContext()
+    def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
         for off in range(rng[0], rng[1]):
             stack = self.stacks[off]
             if prov is WILDCARD:
@@ -226,12 +223,12 @@ class StackedBorrowTracker:
                 cause = f"{kind} via tag#{prov} ('{label}')"
                 tag_for_history = prov
             if kind == "write":
-                self._pop_above(stack, idx, cause, ctx, off)
+                self._pop_above(stack, idx, cause, line, off)
             else:
-                self._disable_writers_above(stack, idx, cause, ctx, off)
+                self._disable_writers_above(stack, idx, cause, line, off)
             info = self.tags.get(tag_for_history)
             if info is not None:
-                info.last_use = TagEvent(ctx.line, f"{kind} of [{rng[0]}..{rng[1]})")
+                info.last_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
 
     def protector_end(self, tag: int) -> None:
         for stack in self.stacks.values():
@@ -239,7 +236,7 @@ class StackedBorrowTracker:
                 if item.tag == tag:
                     item.protected = False
 
-    def dealloc_check(self, ctx: Optional[AccessContext] = None) -> None:
+    def dealloc_check(self) -> None:
         for off in sorted(self.stacks):
             for item in self.stacks[off]:
                 if item.protected:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from seamcheck.diagnostics import DiagnosticKind, TagEvent, TagHistory
-from seamcheck.memory import WILDCARD, AccessContext, Provenance, UbError
+from seamcheck.memory import WILDCARD, Provenance, UbError
 from seamcheck.tree_borrows import Permission
 
 Range = tuple[int, int]
@@ -121,19 +121,18 @@ class TreeBorrowTracker:
         size: int,
         tag_source: Callable[[], int],
         root_label: str,
-        ctx: Optional[AccessContext] = None,
+        line: int = 0,
     ) -> None:
         self.alloc_id = alloc_id
         self.size = size
         self._tag_source = tag_source
-        ctx = ctx or AccessContext()
         root = _Node(
             tag=tag_source(),
             label=root_label,
             parent=None,
             default_perm=Permission.ACTIVE,
             cell_ranges=(),
-            created=TagEvent(ctx.line, f"allocation of alloc#{alloc_id}"),
+            created=TagEvent(line, f"allocation of alloc#{alloc_id}"),
         )
         self.root_tag = root.tag
         self.nodes: dict[int, _Node] = {root.tag: root}
@@ -162,10 +161,9 @@ class TreeBorrowTracker:
         cell_ranges: tuple[Range, ...],
         protect: bool,
         label: str,
-        ctx: Optional[AccessContext] = None,
+        line: int = 0,
     ) -> int:
         """New child tag under `parent`. Raw retags return the parent unchanged."""
-        ctx = ctx or AccessContext()
         if parent not in self.nodes:
             raise ValueError(f"retag from unknown tag#{parent} in alloc#{self.alloc_id}")
         if kind in ("raw-mut", "raw-const", "cell"):
@@ -178,17 +176,16 @@ class TreeBorrowTracker:
             default_perm=default,
             cell_ranges=cell_ranges,
             protected=protect,
-            created=TagEvent(ctx.line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}"),
+            created=TagEvent(line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}"),
         )
         self.nodes[node.tag] = node
         self._order.append(node.tag)
         if protect:
             # Function-entry protection asserts the borrow right away.
-            self.access(node.tag, rng, "read", ctx)
+            self.access(node.tag, rng, "read", line)
         return node.tag
 
-    def access(self, prov: Provenance, rng: Range, kind: str, ctx: Optional[AccessContext] = None) -> None:
-        ctx = ctx or AccessContext()
+    def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
         if prov is WILDCARD:
             return  # exposed-address accesses are unchecked and change nothing
         if not isinstance(prov, int):
@@ -241,19 +238,19 @@ class TreeBorrowTracker:
                     ):
                         if node.invalidated is None:
                             node.invalidated = TagEvent(
-                                ctx.line,
+                                line,
                                 f"{kind} via tag#{prov} ('{acting.label}'): "
                                 f"{state.perm.value} -> {new_perm.value}",
                             )
                     state.perm = new_perm
             acting_state = acting.states[off]  # materialized by the scan above
             acting_state.initialized = True
-        acting.last_use = TagEvent(ctx.line, f"{kind} of [{rng[0]}..{rng[1]})")
+        acting.last_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
 
     def protector_end(self, tag: int) -> None:
         self.nodes[tag].protected = False
 
-    def dealloc_check(self, ctx: Optional[AccessContext] = None) -> None:
+    def dealloc_check(self) -> None:
         """Deallocation while any used, still-protected borrow exists is an error."""
         for tag in self._order:
             node = self.nodes[tag]

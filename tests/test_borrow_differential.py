@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from perbyte_stacked_borrows import StackedBorrowTracker as ByteStacks
 from perbyte_tree_borrows import TreeBorrowTracker as ByteTree
-from seamcheck.memory import WILDCARD, AccessContext, UbError
+from seamcheck.memory import WILDCARD, UbError
 from seamcheck.stacked_borrows import StackedBorrowTracker
 from seamcheck.tree_borrows import TreeBorrowTracker
 
@@ -48,18 +48,17 @@ def _range(size, a, b):
 
 def _apply(tracker, op, size, tags, line):
     what, who, a, b, kind, flag, cells = op
-    ctx = AccessContext(line)
     if what < 3:
         return tracker.retag(
             tags[-1 - who % len(tags)], _range(size, a, b), _RETAG_KINDS[kind],
-            tuple(_range(size, x, y) for x, y in cells), flag == 0, f"t{len(tags)}", ctx,
+            tuple(_range(size, x, y) for x, y in cells), flag == 0, f"t{len(tags)}", line,
         )
     if what < 6:
         prov = WILDCARD if flag == 0 else tags[who % len(tags)]
-        return tracker.access(prov, _range(size, a, b), "write" if kind % 2 else "read", ctx)
+        return tracker.access(prov, _range(size, a, b), "write" if kind % 2 else "read", line)
     if what == 6:
         return tracker.protector_end(tags[who % len(tags)])
-    return tracker.dealloc_check(ctx)
+    return tracker.dealloc_check()
 
 
 def _outcome(tracker, op, size, tags, line):

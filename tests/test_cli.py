@@ -1,12 +1,13 @@
 """Command-line behavior: modes, flags, formats, exit codes."""
 
+import difflib
 import json
 
 import pytest
 
 from seamcheck.cli import main
 
-from conftest import CORPUS_DIR, corpus_path
+from conftest import CORPUS_DIR, REPO_ROOT, corpus_path
 
 _PASS = "host fn main()\nend\n"
 _BUG = "host fn main()\n  let x: i32 = 1\n  assert_eq x 2\nend\n"
@@ -248,3 +249,18 @@ def test_reruns_are_byte_identical(scenario, capsys):
     main([path, "--format", "json", "--seed", "3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_corpus_json_report_matches_the_golden(tmp_path, monkeypatch):
+    # The byte-identity proof for changes that must not move a verdict or a
+    # diagnostic: the whole corpus report, run from the repo root as documented.
+    monkeypatch.chdir(REPO_ROOT)
+    out = tmp_path / "corpus.json"
+    main(["--corpus", "corpus", "--format", "json", "--out", str(out)])
+    got = out.read_bytes()
+    want = (REPO_ROOT / "tests" / "golden" / "corpus.json").read_bytes()
+    if got != want:
+        diff = difflib.unified_diff(
+            want.decode().splitlines(), got.decode().splitlines(), "golden", "now", lineterm=""
+        )
+        pytest.fail("corpus report differs from tests/golden/corpus.json:\n" + "\n".join(diff))

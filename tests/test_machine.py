@@ -299,6 +299,64 @@ end
         assert diag.foreign_trace == ()
 
 
+def test_spawned_thread_trace_shows_the_spawner_where_it_spawned():
+    # `main` has moved on to `call spin()` or further by the time `worker`
+    # fails on most seeds; the trace must still name the `spawn` line.
+    program = parse_text(
+        """
+bind spin = c_spin()
+
+foreign fn c_spin()
+  let a = 1
+  let b = 2
+end
+
+host fn worker()
+  assert_eq 1 2
+end
+
+host fn main()
+  spawn h = worker()
+  call spin()
+  join h
+end
+"""
+    )
+    for seed in range(32):
+        diag = run_program(program, MachineConfig(seed=seed)).diagnostics[0]
+        assert [(f.function, f.line) for f in diag.host_trace] == [("worker", 10), ("main", 14)]
+        assert diag.host_trace[1].statement == "spawn h = worker()"
+
+
+def test_spawn_inside_a_callback_keeps_the_foreign_caller_in_the_trace():
+    outcome = _run(
+        """
+bind run = c_run()
+
+foreign fn c_run()
+  call cb()
+  let a = 1
+end
+
+host fn worker()
+  assert_eq 1 2
+end
+
+host fn cb()
+  spawn h = worker()
+  join h
+end
+
+host fn main()
+  call run()
+end
+"""
+    )
+    diag = outcome.diagnostics[0]
+    assert [(f.function, f.line) for f in diag.host_trace] == [("worker", 10), ("cb", 14), ("main", 19)]
+    assert [(f.function, f.line) for f in diag.foreign_trace] == [("c_run", 5)]
+
+
 def test_heap_new_and_rewrap_has_no_leak():
     outcome = _run(
         """
@@ -674,3 +732,21 @@ end
 def test_retag_requires_a_live_in_bounds_pointee(model, text, kind, message):
     outcome = _expect_bug(text, kind, model=model)
     assert outcome.diagnostics[0].message == message
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_cell_get_through_a_dangling_pointer_is_out_of_bounds(model):
+    outcome = _expect_bug(
+        """
+host fn main()
+  let a: u64 = 4096
+  let p: *mut cell(i32) = a as *mut cell(i32)
+  let r: *mut i32 = *p.get()
+end
+""",
+        DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
+        model=model,
+    )
+    assert outcome.diagnostics[0].message == (
+        "pointer 0x1000 has no provenance and points into no allocation"
+    )

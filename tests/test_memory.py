@@ -5,7 +5,6 @@ import pytest
 from seamcheck.diagnostics import DiagnosticKind
 from seamcheck.memory import (
     WILDCARD,
-    AccessContext,
     AllocOrigin,
     Memory,
     PointerValue,
@@ -215,7 +214,6 @@ def test_expose_and_from_exposed_round_trip():
     alloc = mem.allocate(8, 8, AllocOrigin.HOST_STACK)
     addr = mem.expose(_ptr(alloc, 4, provenance=2))
     assert addr == alloc.base + 4
-    assert 2 in alloc.exposed
     back = mem.from_exposed(addr)
     assert back.alloc_id == alloc.id
     assert back.offset == 4
@@ -262,5 +260,5 @@ def test_pointer_with_no_provenance_cannot_access():
     mem = _mem()
     bare = PointerValue(0x9999, None, 0x9999, None)
     with pytest.raises(UbError) as e:
-        mem.check_access(bare, 1, 1, "read", AccessContext())
+        mem.check_access(bare, 1, 1, "read", 0)
     assert e.value.kind is DiagnosticKind.ACCESS_OUT_OF_BOUNDS

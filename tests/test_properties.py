@@ -30,7 +30,6 @@ from seamcheck.diagnostics import (
 from seamcheck.machine import MachineConfig
 from seamcheck.memory import (
     WILDCARD,
-    AccessContext,
     AllocOrigin,
     Memory,
     PointerValue,
@@ -100,11 +99,11 @@ def test_suite_tree_disabled_absorbing_and_no_foreign_active(ops):
                 kind = _RETAG_KINDS[kind_sel % len(_RETAG_KINDS)]
                 protect = extra_sel % 7 == 0
                 tags.append(
-                    tracker.retag(actor, rng, kind, (), protect, f"t{len(tags)}", AccessContext())
+                    tracker.retag(actor, rng, kind, (), protect, f"t{len(tags)}", 0)
                 )
             else:
                 kind = "read" if kind_sel % 2 == 0 else "write"
-                tracker.access(actor, rng, kind, AccessContext())
+                tracker.access(actor, rng, kind, 0)
         except UbError:
             break
         # Root stays Active at every location.
@@ -146,7 +145,7 @@ def test_suite_stack_mutation_only_above_granting_item(ops):
             kind = _RETAG_KINDS[kind_sel % len(_RETAG_KINDS)]
             try:
                 tags.append(
-                    tracker.retag(actor, rng, kind, (), False, f"t{len(tags)}", AccessContext())
+                    tracker.retag(actor, rng, kind, (), False, f"t{len(tags)}", 0)
                 )
             except UbError:
                 break
@@ -172,7 +171,7 @@ def test_suite_stack_mutation_only_above_granting_item(ops):
                     break
             grant_idx[off] = idx
         try:
-            tracker.access(actor, rng, kind, AccessContext())
+            tracker.access(actor, rng, kind, 0)
         except UbError:
             break
         for off in range(*rng):

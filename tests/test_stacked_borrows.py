@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from seamcheck.diagnostics import DiagnosticKind
-from seamcheck.memory import WILDCARD, AccessContext, UbError
+from seamcheck.memory import WILDCARD, UbError
 from seamcheck.stacked_borrows import Grant, StackedBorrowTracker
 
 
@@ -15,7 +15,7 @@ def _tracker(size=4):
 
 
 def _ctx(line=1):
-    return AccessContext(line=line)
+    return line
 
 
 def _stack(t, off=0):
@@ -176,7 +176,7 @@ def test_dealloc_check_errors_on_protected_items():
     t = _tracker()
     t.retag(t.root_tag, (0, 4), "mutable-ref", (), True, "guard", _ctx())
     with pytest.raises(UbError) as e:
-        t.dealloc_check(_ctx())
+        t.dealloc_check()
     assert e.value.kind is DiagnosticKind.PROTECTED_PERMISSION
 
 
@@ -184,7 +184,7 @@ def test_dealloc_check_passes_after_protector_end():
     t = _tracker()
     guard = t.retag(t.root_tag, (0, 4), "mutable-ref", (), True, "guard", _ctx())
     t.protector_end(guard)
-    t.dealloc_check(_ctx())
+    t.dealloc_check()
 
 
 def test_retag_of_partial_range_only_touches_those_bytes():

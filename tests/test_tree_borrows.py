@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from seamcheck.diagnostics import DiagnosticKind
-from seamcheck.memory import WILDCARD, AccessContext, UbError
+from seamcheck.memory import WILDCARD, UbError
 from seamcheck.tree_borrows import Permission, TreeBorrowTracker
 
 R = Permission.RESERVED
@@ -21,7 +21,7 @@ def _tracker(size=4):
 
 
 def _ctx(line=1):
-    return AccessContext(line=line)
+    return line
 
 
 def _perm(tracker, tag, off=0):
@@ -178,7 +178,7 @@ def test_dealloc_check_errors_on_live_protector():
     t = _tracker()
     t.retag(t.root_tag, (0, 4), "mutable-ref", (), True, "guard", _ctx())
     with pytest.raises(UbError) as e:
-        t.dealloc_check(_ctx())
+        t.dealloc_check()
     assert e.value.kind is DiagnosticKind.PROTECTED_PERMISSION
     assert "deallocation" in str(e.value)
 
@@ -187,7 +187,7 @@ def test_dealloc_check_ignores_released_and_unused_protectors():
     t = _tracker()
     guard = t.retag(t.root_tag, (0, 4), "mutable-ref", (), True, "guard", _ctx())
     t.protector_end(guard)
-    t.dealloc_check(_ctx())  # no error
+    t.dealloc_check()  # no error
 
 
 def test_wildcard_access_changes_nothing():

@@ -8,8 +8,10 @@ summary with dedup groups.
 
 Exit codes: 0 clean, 1 violation found (or corpus mismatch), 2 scenario
 unsupported, 3 budget or deadlock timeout, 4 clean except leaks, 64 bad
-usage or unparseable scenario. Over several scenarios the worst code wins,
-with violations ranked above unsupported, timeouts, and leaks.
+usage or unparseable scenario, 70 internal error (a fault in seamcheck
+itself: its traceback goes to stderr and nothing to stdout). Over several
+scenarios the worst code wins, with violations ranked above unsupported,
+timeouts, and leaks.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import glob
 import os
 import sys
+import traceback
 from typing import Optional
 
 from .diagnostics import Classification, Outcome, json_dumps, render_diagnostic
@@ -37,6 +40,7 @@ from .runner import (
 )
 
 USAGE_EXIT = 64
+INTERNAL_EXIT = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,9 +163,13 @@ def _diff_text(path: str, result: DifferentialResult) -> list[str]:
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        print(f"error: cannot write {out_path}: {e.strerror or e}", file=sys.stderr)
+        raise SystemExit(USAGE_EXIT)
 
 
 def _run_scenarios(args: argparse.Namespace, fmt: str, differential: bool, model: str) -> int:
@@ -232,9 +240,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     fmt = args.format if args.format is not None else ("json" if args.out else "text")
     differential = args.diff or args.model == "both"
     model = args.model if args.model in ("tb", "sb") else "tb"
-    if args.corpus is not None:
-        return _run_corpus(args, fmt, model)
-    return _run_scenarios(args, fmt, differential, model)
+    try:
+        if args.corpus is not None:
+            return _run_corpus(args, fmt, model)
+        return _run_scenarios(args, fmt, differential, model)
+    except Exception as e:
+        print(f"seamcheck: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

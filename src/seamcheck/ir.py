@@ -3,7 +3,7 @@
 Two dialects share this IR. Host statements may borrow, retag, and own heap
 values; foreign statements see raw memory only (loads, stores, malloc/free,
 byte offsets). Which forms are legal in which dialect is enforced by the
-parser's validation pass, not here.
+parser's grammar, not here.
 
 Equality is structural and ignores source positions so that a parsed program
 compares equal to the parse of its own rendering.
@@ -43,10 +43,6 @@ class Place:
 
 
 Operand = Union[int, str]  # integer literal or local name
-
-
-def operand_str(op: Operand) -> str:
-    return str(op)
 
 
 # ---- right-hand sides for `let` ----------------------------------------------
@@ -169,7 +165,7 @@ class Stmt:
 @dataclass(frozen=True)
 class LetStmt(Stmt):
     name: str
-    type: TypeDesc
+    type: Optional[TypeDesc]  # None in foreign code, whose locals are untyped registers
     rhs: Rhs
 
 

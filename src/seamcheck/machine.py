@@ -298,7 +298,7 @@ class Machine:
                 dialect=dialect.value,
                 function=frame.fn.name,
                 line=stmt.line,
-                statement=render_stmt(stmt, dialect),
+                statement=render_stmt(stmt),
             )
             (host if dialect is Dialect.HOST else foreign).append(tf)
         spawn_host, spawn_foreign = thread.spawn_trace
@@ -427,7 +427,7 @@ class Machine:
     ) -> None:
         if isinstance(ty, CellType):
             ty = ty.inner
-        if isinstance(ty, UnitType) or value is None and isinstance(ty, UnitType):
+        if isinstance(ty, UnitType):
             return
         if value is None:
             return  # uninitialized: storage stays untouched
@@ -483,6 +483,8 @@ class Machine:
             if isinstance(step, str):
                 if not isinstance(ty, StructType):
                     raise ScenarioUnsupported(f"field access '.{step}' on non-struct {ty}")
+                if all(f.name != step for f in ty.fields):
+                    raise ScenarioUnsupported(f"struct {ty} has no field '{step}'")
                 off, fty = struct_field_range(ty, step)
                 ptr = ptr.with_byte_offset(off)
                 ty = fty
@@ -584,18 +586,26 @@ class Machine:
     def _host_let(self, thread: _Thread, stmt: LetStmt) -> None:
         frame = thread.frames[-1]
         line = stmt.line
-        rhs = stmt.rhs
-        if isinstance(rhs, UninitRhs):
-            self._new_slot(frame, stmt.name, stmt.type, line)
-            return
-        if isinstance(rhs, ZeroedRhs):
+        if isinstance(stmt.rhs, ZeroedRhs):
             slot = self._new_slot(frame, stmt.name, stmt.type, line)
             self.memory.memset(slot.pointer, 0, size_of(stmt.type), line)
             return
+        # Evaluate first, so the slot's root tag is numbered after any tag
+        # the right-hand side creates.
+        value = self._host_rhs(thread, stmt)
+        slot = self._new_slot(frame, stmt.name, stmt.type, line)
+        slot.owning = isinstance(stmt.rhs, (HeapNewRhs, HeapFromRawRhs))
+        self._typed_write_value(slot.pointer, stmt.type, value, line)
+
+    def _host_rhs(self, thread: _Thread, stmt: LetStmt) -> HostValue:
+        """The value a host `let` binds; None leaves the new slot uninitialized."""
+        frame = thread.frames[-1]
+        line = stmt.line
+        rhs = stmt.rhs
+        if isinstance(rhs, UninitRhs):
+            return None
         if isinstance(rhs, LiteralRhs):
-            slot = self._new_slot(frame, stmt.name, stmt.type, line)
-            self._typed_write_value(slot.pointer, stmt.type, rhs.value, line)
-            return
+            return rhs.value
         if isinstance(rhs, PlaceRhs):
             src_ptr, src_ty = self._resolve_place(thread, rhs.place, line)
             base = frame.slots.get(rhs.place.base)
@@ -612,25 +622,13 @@ class Machine:
                     f"{size_of(src_ty)} bytes, destination '{stmt.name}' holds "
                     f"{size_of(stmt.type)}",
                 )
-            value = self._typed_read(src_ptr, src_ty, line)
-            slot = self._new_slot(frame, stmt.name, stmt.type, line)
-            self._typed_write_value(slot.pointer, stmt.type, value, line)
-            return
+            return self._typed_read(src_ptr, src_ty, line)
         if isinstance(rhs, BorrowRhs):
-            value = self._borrow(thread, rhs, stmt.name, line)
-            slot = self._new_slot(frame, stmt.name, stmt.type, line)
-            self._typed_write_value(slot.pointer, stmt.type, value, line)
-            return
+            return self._borrow(thread, rhs, stmt.name, line)
         if isinstance(rhs, CastRhs):
-            value = self._cast(thread, rhs.source, stmt.type, stmt.name, line)
-            slot = self._new_slot(frame, stmt.name, stmt.type, line)
-            self._typed_write_value(slot.pointer, stmt.type, value, line)
-            return
+            return self._cast(thread, rhs.source, stmt.type, stmt.name, line)
         if isinstance(rhs, OffsetRhs):
-            value = self._offset(thread, rhs, line)
-            slot = self._new_slot(frame, stmt.name, stmt.type, line)
-            self._typed_write_value(slot.pointer, stmt.type, value, line)
-            return
+            return self._offset(thread, rhs, line)
         if isinstance(rhs, CellGetRhs):
             src_ptr, src_ty = self._resolve_place(thread, rhs.place, line)
             if not isinstance(src_ty, CellType):
@@ -639,21 +637,16 @@ class Machine:
                 src_ptr, size_of(src_ty.inner), src_ty.inner, "cell",
                 protect=False, label=stmt.name, line=line,
             )
-            slot = self._new_slot(frame, stmt.name, stmt.type, line)
-            self._typed_write_value(slot.pointer, stmt.type, replace(src_ptr, provenance=tag), line)
-            return
+            return replace(src_ptr, provenance=tag)
         if isinstance(rhs, HeapNewRhs):
-            self._heap_new(thread, stmt, rhs)
-            return
+            return self._heap_new(stmt.name, rhs, line)
         if isinstance(rhs, HeapIntoRawRhs):
             src = frame.slots.get(rhs.source)
             if src is None or not src.owning:
                 raise ScenarioUnsupported(f"'{rhs.source}' is not an owned heap value")
             box, _ = self.memory.read_pointer(src.pointer, line=line)
             src.moved = True
-            slot = self._new_slot(frame, stmt.name, stmt.type, line)
-            self._typed_write_value(slot.pointer, stmt.type, box, line)
-            return
+            return box
         if isinstance(rhs, HeapFromRawRhs):
             value, vty = self._eval_operand(thread, rhs.source, line)
             if not isinstance(value, PointerValue):
@@ -673,18 +666,13 @@ class Machine:
                     "mutable-ref", protect=False, label=stmt.name, line=line,
                 )
                 value = replace(value, provenance=tag)
-            slot = self._new_slot(frame, stmt.name, stmt.type, line)
-            slot.owning = True
-            self._typed_write_value(slot.pointer, stmt.type, value, line)
-            return
+            return value
         raise ScenarioUnsupported(f"host let cannot evaluate {type(rhs).__name__}")
 
-    def _heap_new(self, thread: _Thread, stmt: LetStmt, rhs: HeapNewRhs) -> None:
-        frame = thread.frames[-1]
-        line = stmt.line
+    def _heap_new(self, name: str, rhs: HeapNewRhs, line: int) -> PointerValue:
         layout = layout_of(rhs.type)
         _, base = self._alloc(
-            layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{stmt.name} (alloc)", line
+            layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{name} (alloc)", line
         )
         if rhs.init == "zeroed":
             self.memory.memset(base, 0, layout.size, line)
@@ -693,12 +681,10 @@ class Machine:
         if self.config.unique_as_mutable:
             tag = self._retag_through(
                 base, layout.size, rhs.type, "mutable-ref", protect=False,
-                label=stmt.name, line=line,
+                label=name, line=line,
             )
             base = replace(base, provenance=tag)
-        slot = self._new_slot(frame, stmt.name, stmt.type, line)
-        slot.owning = True
-        self._typed_write_value(slot.pointer, stmt.type, base, line)
+        return base
 
     def _borrow(self, thread: _Thread, rhs: BorrowRhs, label: str, line: int) -> PointerValue:
         ptr, ty = self._resolve_place(thread, rhs.place, line)
@@ -985,9 +971,11 @@ class Machine:
         if isinstance(stmt, LetStmt):
             frame.regs[stmt.name] = self._foreign_let(thread, stmt)
         elif isinstance(stmt, StoreStmt):
+            size = size_of(stmt.type)
+            if size not in (1, 2, 4, 8):
+                raise ScenarioUnsupported(f"foreign store of {size}-byte type {stmt.type}")
             ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer))
             reg = self._foreign_operand(thread, stmt.value)
-            size = size_of(stmt.type)
             if reg.tainted:
                 # A value derived from uninitialized memory stays
                 # uninitialized when written back.

@@ -76,9 +76,6 @@ class PointerValue:
         return PointerValue(self.address + delta, self.alloc_id, self.offset + delta, self.provenance)
 
 
-NULL = PointerValue(0, None, 0, None)
-
-
 class UbError(Exception):
     """An undefined-behavior finding, raised mid-execution.
 

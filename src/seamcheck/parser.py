@@ -5,18 +5,21 @@ A scenario file contains, in any order: `type` blocks, `host fn` and
 labels. Comments run from `#` to end of line. Statements are one per line;
 blocks close with `end`.
 
-The parser resolves struct names as it goes (declare before use), tracks
-host local types so that `p.field` on a pointer local parses as a deref
-place, and finishes with a validation pass that enforces dialect rules:
-borrows, heap ownership, and threads belong to the host dialect; loads,
-stores, and manual allocation to the foreign one.
+The grammar enforces the dialect rules: `let`, `call` and `return` share
+one rule across both dialects, and every other statement and right-hand
+side belongs to one dialect's rules only, so borrows, heap ownership and
+threads parse only in host code and loads, stores and manual allocation
+only in foreign code. The parser resolves struct names as it goes (declare
+before use) and tracks host local types so that `p.field` on a pointer
+local parses as a deref place. A validation pass then checks names: one
+definition per function and binding, a host `main` without parameters,
+and call and spawn targets of the right dialect.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .ir import (
     AllocaRhs,
@@ -92,6 +95,7 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[()\[\]{}:,.*&=@;-])
   | (?P<ws>\s+)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -111,74 +115,98 @@ _SCALARS: dict[str, TypeDesc] = {
     "unit": UNIT,
 }
 
-
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    col: int
+# A token is (kind, text, column). Every line ends in `_EOL`, whose column 0
+# makes an error at the end of a line carry no column.
+Token = tuple[str, str, int]
+_EOL: Token = ("eol", "end of line", 0)
 
 
-def _tokenize(text: str, line: int) -> list[_Tok]:
-    out: list[_Tok] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
-        if m.lastgroup != "ws":
-            out.append(_Tok(m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
+def _tokenize(text: str, line: int) -> list[Token]:
+    out: list[Token] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() + 1)
+        out.append((kind, m.group(), m.start() + 1))
+    out.append(_EOL)
     return out
 
 
 class _Line:
     """Token cursor over one logical line."""
 
-    def __init__(self, toks: list[_Tok], line: int) -> None:
+    def __init__(self, toks: list[Token], line: int) -> None:
         self.toks = toks
         self.line = line
         self.i = 0
 
-    def peek(self) -> Optional[_Tok]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t is not None and t.text == text
+        return self.toks[self.i][1] == text
 
-    def take(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of line", self.line)
+    def at_pair(self, first: str, second: str) -> bool:
+        # A token that matches `first` is not `_EOL`, so another follows it.
+        return self.toks[self.i][1] == first and self.toks[self.i + 1][1] == second
+
+    def at_end(self) -> bool:
+        return self.toks[self.i] is _EOL
+
+    def accept(self, text: str) -> bool:
+        """Take the next token if it reads `text`."""
+        if self.toks[self.i][1] == text:
+            self.i += 1
+            return True
+        return False
+
+    def take(self) -> Token:
+        t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t is None or t.text != text:
-            got = t.text if t else "end of line"
-            raise ParseError(f"expected {text!r}, found {got!r}", self.line, t.col if t else 0)
+    def need(self, missing: str) -> Token:
+        """The next token; at the end of the line, a ParseError saying `missing`."""
+        t = self.toks[self.i]
+        if t is _EOL:
+            raise ParseError(missing, self.line)
+        return t
+
+    def expected(self, what: str) -> ParseError:
+        _, text, col = self.toks[self.i]
+        return ParseError(f"expected {what}, found {text!r}", self.line, col)
+
+    def expect(self, text: str) -> Token:
+        if self.toks[self.i][1] != text:
+            raise self.expected(repr(text))
         return self.take()
 
     def ident(self, what: str = "name") -> str:
-        t = self.peek()
-        if t is None or t.kind != "ident":
-            got = t.text if t else "end of line"
-            raise ParseError(f"expected {what}, found {got!r}", self.line, t.col if t else 0)
-        return self.take().text
+        kind, text, _ = self.toks[self.i]
+        if kind != "ident":
+            raise self.expected(what)
+        self.i += 1
+        return text
 
     def integer(self) -> int:
-        t = self.peek()
-        if t is None or t.kind != "int":
-            got = t.text if t else "end of line"
-            raise ParseError(f"expected integer, found {got!r}", self.line, t.col if t else 0)
-        return int(self.take().text, 0)
+        kind, text, _ = self.toks[self.i]
+        if kind != "int":
+            raise self.expected("integer")
+        self.i += 1
+        return int(text, 0)
+
+    def rest(self) -> str:
+        """The tokens left on the line, joined without spaces."""
+        words = "".join(t[1] for t in self.toks[self.i : -1])
+        self.i = len(self.toks) - 1
+        return words
 
     def done(self) -> None:
-        t = self.peek()
-        if t is not None:
-            raise ParseError(f"trailing input starting at {t.text!r}", self.line, t.col)
+        t = self.toks[self.i]
+        if t is not _EOL:
+            raise ParseError(f"trailing input starting at {t[1]!r}", self.line, t[2])
 
 
 class _Parser:
@@ -204,49 +232,52 @@ class _Parser:
         self.pos += 1
         return _Line(_tokenize(body, n), n)
 
+    def _block(self, head: _Line, what: str) -> Iterator[_Line]:
+        """The lines of the block opened by `head`, up to its `end`."""
+        while True:
+            ln = self._next_line()
+            if ln is None:
+                raise ParseError(f"{what} never closed with 'end'", head.line)
+            if ln.accept("end"):
+                ln.done()
+                return
+            yield ln
+
     # ---- types ---------------------------------------------------------------
 
     def parse_type(self, ln: _Line) -> TypeDesc:
-        t = ln.peek()
-        if t is None:
-            raise ParseError("expected a type", ln.line)
-        if t.text == "&":
-            ln.take()
-            if ln.at("mut"):
-                ln.take()
+        kind, text, col = ln.need("expected a type")
+        if ln.accept("&"):
+            if ln.accept("mut"):
                 return PtrType(PtrKind.MUT_REF, self.parse_type(ln))
             return PtrType(PtrKind.SHARED_REF, self.parse_type(ln))
-        if t.text == "*":
-            ln.take()
-            if ln.at("mut"):
-                ln.take()
+        if ln.accept("*"):
+            if ln.accept("mut"):
                 return PtrType(PtrKind.RAW_MUT, self.parse_type(ln))
-            if ln.at("const"):
-                ln.take()
+            if ln.accept("const"):
                 return PtrType(PtrKind.RAW_CONST, self.parse_type(ln))
-            raise ParseError("raw pointer needs 'mut' or 'const'", ln.line, t.col)
-        if t.text == "[":
-            ln.take()
+            raise ParseError("raw pointer needs 'mut' or 'const'", ln.line, col)
+        if ln.accept("["):
             elem = self.parse_type(ln)
             ln.expect(";")
             count = ln.integer()
             ln.expect("]")
             return ArrayType(elem, count)
-        if t.kind == "ident":
-            name = ln.take().text
-            if name == "ptr":
+        if kind == "ident":
+            ln.take()
+            if text == "ptr":
                 return PtrType(PtrKind.OPAQUE, None)
-            if name in ("cell", "phantom"):
+            if text in ("cell", "phantom"):
                 ln.expect("(")
                 inner = self.parse_type(ln)
                 ln.expect(")")
-                return CellType(inner) if name == "cell" else PhantomType(inner)
-            if name in _SCALARS:
-                return _SCALARS[name]
-            if name in self.structs:
-                return self.structs[name]
-            raise ParseError(f"unknown type '{name}'", ln.line, t.col)
-        raise ParseError(f"expected a type, found {t.text!r}", ln.line, t.col)
+                return CellType(inner) if text == "cell" else PhantomType(inner)
+            if text in _SCALARS:
+                return _SCALARS[text]
+            if text in self.structs:
+                return self.structs[text]
+            raise ParseError(f"unknown type '{text}'", ln.line, col)
+        raise ln.expected("a type")
 
     def _parse_type_block(self, ln: _Line) -> None:
         name = ln.ident("type name")
@@ -254,20 +285,12 @@ class _Parser:
         if name in self.structs or name in _SCALARS:
             raise ParseError(f"type '{name}' already defined", ln.line)
         fields: list[FieldDef] = []
-        while True:
-            fl = self._next_line()
-            if fl is None:
-                raise ParseError(f"type '{name}' never closed with 'end'", ln.line)
-            if fl.at("end"):
-                fl.take()
-                fl.done()
-                break
+        for fl in self._block(ln, f"type '{name}'"):
             fname = fl.ident("field name")
             fl.expect(":")
             ftype = self.parse_type(fl)
             offset = None
-            if fl.at("@"):
-                fl.take()
+            if fl.accept("@"):
                 offset = fl.integer()
             fl.done()
             fields.append(FieldDef(fname, ftype, offset))
@@ -282,28 +305,18 @@ class _Parser:
     # ---- places and operands -------------------------------------------------
 
     def parse_place(self, ln: _Line, locals_env: dict[str, TypeDesc]) -> Place:
-        deref = False
-        if ln.at("*"):
-            ln.take()
-            deref = True
+        deref = ln.accept("*")
         base = ln.ident("place")
         steps: list[Union[str, int]] = []
         while True:
             if ln.at("."):
-                saved = ln.i
-                ln.take()
-                nxt = ln.peek()
-                if nxt is None or nxt.kind != "ident":
-                    ln.i = saved
-                    break
+                kind, text, _ = ln.toks[ln.i + 1]
                 # `.get(` and `.offset(` are method forms, not field steps.
-                after = ln.toks[ln.i + 1].text if ln.i + 1 < len(ln.toks) else ""
-                if nxt.text in ("get", "offset") and after == "(":
-                    ln.i = saved
+                if kind != "ident" or text in ("get", "offset") and ln.toks[ln.i + 2][1] == "(":
                     break
-                steps.append(ln.take().text)
-            elif ln.at("["):
-                ln.take()
+                ln.i += 2
+                steps.append(text)
+            elif ln.accept("["):
                 steps.append(ln.integer())
                 ln.expect("]")
             else:
@@ -313,10 +326,7 @@ class _Parser:
         return Place(base, deref, tuple(steps))
 
     def parse_operand(self, ln: _Line) -> Operand:
-        t = ln.peek()
-        if t is None:
-            raise ParseError("expected a value", ln.line)
-        if t.kind == "int":
+        if ln.need("expected a value")[0] == "int":
             return ln.integer()
         return ln.ident("value")
 
@@ -326,80 +336,100 @@ class _Parser:
         if not ln.at(")"):
             while True:
                 args.append(self.parse_operand(ln))
-                if ln.at(","):
-                    ln.take()
-                    continue
-                break
+                if not ln.accept(","):
+                    break
         ln.expect(")")
         return tuple(args)
 
     # ---- statements ----------------------------------------------------------
 
-    def _parse_host_rhs(self, ln: _Line, env: dict[str, TypeDesc]) -> Rhs:
-        t = ln.peek()
-        if t is None:
-            raise ParseError("missing right-hand side", ln.line)
-        if t.kind == "int":
+    def _parse_stmt(self, ln: _Line, env: dict[str, Optional[TypeDesc]], host: bool) -> Stmt:
+        if ln.accept("let"):
+            stmt = self._parse_let(ln, env, host)
+        elif ln.accept("call"):
+            stmt = self._parse_call(ln)
+        elif ln.accept("return"):
+            stmt = ReturnStmt(None if ln.at_end() else self.parse_operand(ln), line=ln.line)
+        elif host:
+            stmt = self._parse_host_stmt(ln, env)
+        else:
+            stmt = self._parse_foreign_stmt(ln)
+        ln.done()
+        return stmt
+
+    def _parse_call(
+        self, ln: _Line, dest: Optional[str] = None, dest_type: Optional[TypeDesc] = None
+    ) -> CallStmt:
+        callee = ln.ident("function name")
+        args = self._parse_args(ln)
+        return CallStmt(callee, args, dest=dest, dest_type=dest_type, line=ln.line)
+
+    def _parse_let(self, ln: _Line, env: dict[str, Optional[TypeDesc]], host: bool) -> Stmt:
+        """`let NAME: TYPE = RHS` in host code, `let NAME = RHS` in foreign code."""
+        name = ln.ident()
+        ty = None
+        if host:
+            ln.expect(":")
+            ty = self.parse_type(ln)
+        ln.expect("=")
+        if ln.accept("call"):
+            stmt: Stmt = self._parse_call(ln, name, ty)
+        elif host:
+            stmt = LetStmt(name, ty, self._parse_host_rhs(ln, env, ty), line=ln.line)
+        else:
+            stmt = LetStmt(name, None, self._parse_foreign_rhs(ln), line=ln.line)
+        env[name] = ty
+        return stmt
+
+    def _parse_host_rhs(self, ln: _Line, env: dict[str, TypeDesc], ty: TypeDesc) -> Rhs:
+        kind, text, _ = ln.need("missing right-hand side")
+        if kind == "int":
             return LiteralRhs(ln.integer())
-        if t.text == "&":
-            ln.take()
-            if ln.at("raw"):
-                ln.take()
-                if ln.at("mut"):
-                    ln.take()
+        if ln.accept("&"):
+            if ln.accept("raw"):
+                if ln.accept("mut"):
                     return BorrowRhs(BorrowKind.RAW_MUT, self.parse_place(ln, env))
                 ln.expect("const")
                 return BorrowRhs(BorrowKind.RAW_CONST, self.parse_place(ln, env))
-            if ln.at("mut"):
-                ln.take()
+            if ln.accept("mut"):
                 return BorrowRhs(BorrowKind.MUT, self.parse_place(ln, env))
             return BorrowRhs(BorrowKind.SHARED, self.parse_place(ln, env))
-        if t.text == "uninit":
-            ln.take()
+        if ln.accept("uninit"):
             return UninitRhs()
-        if t.text == "zeroed":
-            ln.take()
+        if ln.accept("zeroed"):
             return ZeroedRhs()
-        if t.text == "heap_new":
-            ln.take()
-            ty = self.parse_type(ln)
-            if ln.at("zeroed"):
-                ln.take()
-                return HeapNewRhs(ty, "zeroed")
-            nxt = ln.peek()
-            if nxt is not None and nxt.kind == "int":
-                return HeapNewRhs(ty, ln.integer())
-            return HeapNewRhs(ty, None)
-        if t.text == "heap_into_raw":
-            ln.take()
+        if ln.accept("heap_new"):
+            heap_ty = self.parse_type(ln)
+            if ln.accept("zeroed"):
+                return HeapNewRhs(heap_ty, "zeroed")
+            if ln.peek()[0] == "int":
+                return HeapNewRhs(heap_ty, ln.integer())
+            return HeapNewRhs(heap_ty, None)
+        if ln.accept("heap_into_raw"):
             return HeapIntoRawRhs(ln.ident())
-        if t.text == "heap_from_raw":
-            ln.take()
+        if ln.accept("heap_from_raw"):
             return HeapFromRawRhs(ln.ident())
-        if t.text == "call":
-            ln.take()
-            name = ln.ident("function name")
-            args = self._parse_args(ln)
-            return CallStmt(name, args, line=ln.line)  # repackaged by caller
         # Remaining forms start with an identifier: cast, offset, get, or place.
-        saved = ln.i
-        if t.kind == "ident":
-            name = ln.take().text
-            if ln.at("as"):
-                ln.take()
-                return _TypedCast(name, self.parse_type(ln))
-            if ln.at(".") and len(ln.toks) > ln.i + 1 and ln.toks[ln.i + 1].text == "offset":
-                ln.take()
-                ln.take()
+        if kind == "ident":
+            ln.take()
+            if ln.accept("as"):
+                target = self.parse_type(ln)
+                ln.done()
+                if target != ty:
+                    raise ParseError(
+                        f"cast target {target} disagrees with declared type {ty}", ln.line
+                    )
+                return CastRhs(text)
+            if ln.at_pair(".", "offset"):
+                ln.i += 2
                 ln.expect("(")
                 count = self.parse_operand(ln)
                 ln.expect(")")
-                return OffsetRhs(name, count)
-            ln.i = saved
+                return OffsetRhs(text, count)
+            ln.i -= 1
         place = self.parse_place(ln, env)
-        if ln.at(".") and len(ln.toks) > ln.i + 1 and ln.toks[ln.i + 1].text == "get":
-            ln.take()
-            ln.take()
+        if ln.at_pair(".", "get"):
+            ln.i += 2
             ln.expect("(")
             ln.expect(")")
             return CellGetRhs(place)
@@ -407,232 +437,111 @@ class _Parser:
 
     def _parse_host_stmt(self, ln: _Line, env: dict[str, TypeDesc]) -> Stmt:
         n = ln.line
-        if ln.at("let"):
-            ln.take()
-            name = ln.ident()
-            ln.expect(":")
-            ty = self.parse_type(ln)
-            ln.expect("=")
-            rhs = self._parse_host_rhs(ln, env)
-            ln.done()
-            env[name] = ty
-            if isinstance(rhs, CallStmt):
-                return CallStmt(rhs.callee, rhs.args, dest=name, dest_type=ty, line=n)
-            if isinstance(rhs, _TypedCast):
-                if rhs.target != ty:
-                    raise ParseError(
-                        f"cast target {rhs.target} disagrees with declared type {ty}", n
-                    )
-                return LetStmt(name, ty, CastRhs(rhs.source), line=n)
-            return LetStmt(name, ty, rhs, line=n)
-        if ln.at("assume_init"):
-            ln.take()
-            place = self.parse_place(ln, env)
-            ln.done()
-            return AssumeInitStmt(place, line=n)
-        if ln.at("assert_eq"):
-            ln.take()
+        if ln.accept("assume_init"):
+            return AssumeInitStmt(self.parse_place(ln, env), line=n)
+        if ln.accept("assert_eq"):
             left = self.parse_operand(ln)
-            right = self.parse_operand(ln)
-            ln.done()
-            return AssertEqStmt(left, right, line=n)
-        if ln.at("spawn"):
-            ln.take()
+            return AssertEqStmt(left, self.parse_operand(ln), line=n)
+        if ln.accept("spawn"):
             handle = ln.ident("handle")
             ln.expect("=")
             callee = ln.ident("function name")
-            args = self._parse_args(ln)
-            ln.done()
-            return SpawnStmt(handle, callee, args, line=n)
-        if ln.at("join"):
-            ln.take()
-            handle = ln.ident("handle")
-            ln.done()
-            return JoinStmt(handle, line=n)
-        if ln.at("call"):
-            ln.take()
-            name = ln.ident("function name")
-            args = self._parse_args(ln)
-            ln.done()
-            return CallStmt(name, args, line=n)
-        if ln.at("return"):
-            ln.take()
-            value = None if ln.peek() is None else self.parse_operand(ln)
-            ln.done()
-            return ReturnStmt(value, line=n)
+            return SpawnStmt(handle, callee, self._parse_args(ln), line=n)
+        if ln.accept("join"):
+            return JoinStmt(ln.ident("handle"), line=n)
         place = self.parse_place(ln, env)
         ln.expect("=")
-        value = self.parse_operand(ln)
-        ln.done()
-        return WriteStmt(place, value, line=n)
+        return WriteStmt(place, self.parse_operand(ln), line=n)
 
     def _parse_foreign_rhs(self, ln: _Line) -> Rhs:
-        t = ln.peek()
-        if t is None:
-            raise ParseError("missing right-hand side", ln.line)
-        if t.kind == "int":
+        if ln.need("missing right-hand side")[0] == "int":
             return LiteralRhs(ln.integer())
-        if t.text == "load":
-            ln.take()
+        if ln.accept("load"):
             ty = self.parse_type(ln)
             return LoadRhs(ty, ln.ident("pointer"))
-        if t.text == "malloc":
-            ln.take()
+        if ln.accept("malloc"):
             return MallocRhs(self.parse_operand(ln))
-        if t.text == "alloca":
-            ln.take()
+        if ln.accept("alloca"):
             return AllocaRhs(self.parse_operand(ln))
-        if t.text == "gep":
-            ln.take()
+        if ln.accept("gep"):
             ptr = ln.ident("pointer")
             return GepRhs(ptr, self.parse_operand(ln))
-        if t.text == "call":
-            ln.take()
-            name = ln.ident("function name")
-            args = self._parse_args(ln)
-            return CallStmt(name, args, line=ln.line)
-        name = ln.ident("value")
-        return PlaceRhs(Place(name))
+        return PlaceRhs(Place(ln.ident("value")))
 
     def _parse_foreign_stmt(self, ln: _Line) -> Stmt:
         n = ln.line
-        if ln.at("let"):
-            ln.take()
-            name = ln.ident()
-            ln.expect("=")
-            rhs = self._parse_foreign_rhs(ln)
-            ln.done()
-            if isinstance(rhs, CallStmt):
-                return CallStmt(rhs.callee, rhs.args, dest=name, line=n)
-            return LetStmt(name, UNIT, rhs, line=n)
-        if ln.at("store"):
-            ln.take()
+        if ln.accept("store"):
             ty = self.parse_type(ln)
             ptr = ln.ident("pointer")
-            value = self.parse_operand(ln)
-            ln.done()
-            return StoreStmt(ty, ptr, value, line=n)
-        if ln.at("free"):
-            ln.take()
-            ptr = ln.ident("pointer")
-            ln.done()
-            return FreeStmt(ptr, line=n)
-        if ln.at("memset"):
-            ln.take()
+            return StoreStmt(ty, ptr, self.parse_operand(ln), line=n)
+        if ln.accept("free"):
+            return FreeStmt(ln.ident("pointer"), line=n)
+        if ln.accept("memset"):
             ptr = ln.ident("pointer")
             value = self.parse_operand(ln)
-            size = self.parse_operand(ln)
-            ln.done()
-            return MemsetStmt(ptr, value, size, line=n)
-        if ln.at("memcpy"):
-            ln.take()
+            return MemsetStmt(ptr, value, self.parse_operand(ln), line=n)
+        if ln.accept("memcpy"):
             dest = ln.ident("pointer")
             src = ln.ident("pointer")
-            size = self.parse_operand(ln)
-            ln.done()
-            return MemcpyStmt(dest, src, size, line=n)
-        if ln.at("call"):
-            ln.take()
-            name = ln.ident("function name")
-            args = self._parse_args(ln)
-            ln.done()
-            return CallStmt(name, args, line=n)
-        if ln.at("return"):
-            ln.take()
-            value = None if ln.peek() is None else self.parse_operand(ln)
-            ln.done()
-            return ReturnStmt(value, line=n)
-        t = ln.peek()
-        raise ParseError(f"unknown foreign statement starting with {t.text!r}", n, t.col)
+            return MemcpyStmt(dest, src, self.parse_operand(ln), line=n)
+        _, text, col = ln.peek()
+        raise ParseError(f"unknown foreign statement starting with {text!r}", n, col)
 
     # ---- blocks --------------------------------------------------------------
+
+    def _parse_signature(
+        self, ln: _Line, param: Callable[[_Line], object]
+    ) -> tuple[tuple, bool, TypeDesc]:
+        """`(PARAM, ... [, ...]) [-> TYPE]` to the end of the line: params, variadic, return."""
+        ln.expect("(")
+        params = []
+        variadic = False
+        if not ln.at(")"):
+            while True:
+                if ln.accept("..."):
+                    variadic = True
+                    break
+                params.append(param(ln))
+                if not ln.accept(","):
+                    break
+        ln.expect(")")
+        ret: TypeDesc = UNIT
+        if ln.accept("->"):
+            ret = self.parse_type(ln)
+        ln.done()
+        return tuple(params), variadic, ret
+
+    def _parse_param(self, ln: _Line) -> Param:
+        name = ln.ident("parameter name")
+        ln.expect(":")
+        return Param(name, self.parse_type(ln))
 
     def _parse_fn(self, ln: _Line, dialect: Dialect) -> None:
         ln.expect("fn")
         name = ln.ident("function name")
-        ln.expect("(")
-        params: list[Param] = []
-        variadic = False
-        if not ln.at(")"):
-            while True:
-                if ln.at("..."):
-                    ln.take()
-                    variadic = True
-                    break
-                pname = ln.ident("parameter name")
-                ln.expect(":")
-                ptype = self.parse_type(ln)
-                params.append(Param(pname, ptype))
-                if ln.at(","):
-                    ln.take()
-                    continue
-                break
-        ln.expect(")")
-        ret: TypeDesc = UNIT
-        if ln.at("->"):
-            ln.take()
-            ret = self.parse_type(ln)
-        ln.done()
-        env: dict[str, TypeDesc] = {p.name: p.type for p in params}
-        body: list[Stmt] = []
-        while True:
-            sl = self._next_line()
-            if sl is None:
-                raise ParseError(f"function '{name}' never closed with 'end'", ln.line)
-            if sl.at("end"):
-                sl.take()
-                sl.done()
-                break
-            if dialect is Dialect.HOST:
-                body.append(self._parse_host_stmt(sl, env))
-            else:
-                body.append(self._parse_foreign_stmt(sl))
-        self.functions.append(
-            FnDef(name, dialect, tuple(params), ret, tuple(body), variadic, line=ln.line)
+        params, variadic, ret = self._parse_signature(ln, self._parse_param)
+        env: dict[str, Optional[TypeDesc]] = {p.name: p.type for p in params}
+        host = dialect is Dialect.HOST
+        body = tuple(
+            self._parse_stmt(sl, env, host) for sl in self._block(ln, f"function '{name}'")
         )
+        self.functions.append(FnDef(name, dialect, params, ret, body, variadic, line=ln.line))
 
     def _parse_bind(self, ln: _Line) -> None:
-        first = ln.ident("function name")
-        alias = first
-        target = first
-        if ln.at("="):
-            ln.take()
+        alias = target = ln.ident("function name")
+        if ln.accept("="):
             target = ln.ident("function name")
-        ln.expect("(")
-        params: list[TypeDesc] = []
-        variadic = False
-        if not ln.at(")"):
-            while True:
-                if ln.at("..."):
-                    ln.take()
-                    variadic = True
-                    break
-                params.append(self.parse_type(ln))
-                if ln.at(","):
-                    ln.take()
-                    continue
-                break
-        ln.expect(")")
-        ret: TypeDesc = UNIT
-        if ln.at("->"):
-            ln.take()
-            ret = self.parse_type(ln)
-        ln.done()
+        params, variadic, ret = self._parse_signature(ln, self.parse_type)
         self.bindings.append(
-            BindingSignature(alias, target, tuple(params), ret, variadic, line=ln.line)
+            BindingSignature(alias, target, params, ret, variadic, line=ln.line)
         )
 
     def _parse_expect(self, ln: _Line) -> None:
         model = None
-        t = ln.peek()
-        if t is not None and t.text in ("tb", "sb") and len(ln.toks) > ln.i + 1 and ln.toks[ln.i + 1].text == ":":
-            model = ln.take().text
+        if ln.at_pair("tb", ":") or ln.at_pair("sb", ":"):
+            model = ln.take()[1]
             ln.take()
-        words = []
-        while ln.peek() is not None:
-            tok = ln.take()
-            words.append(tok.text)
-        tag_text = "".join(words)
+        tag_text = ln.rest()
         try:
             outcome = OutcomeTag(tag_text)
         except ValueError:
@@ -640,36 +549,25 @@ class _Parser:
         self.expectations.append(Expectation(outcome, model))
 
     def parse(self) -> ScenarioProgram:
-        while True:
-            ln = self._next_line()
-            if ln is None:
-                break
-            if ln.at("type"):
-                ln.take()
+        while (ln := self._next_line()) is not None:
+            if ln.accept("type"):
                 self._parse_type_block(ln)
-            elif ln.at("host"):
-                ln.take()
+            elif ln.accept("host"):
                 self._parse_fn(ln, Dialect.HOST)
-            elif ln.at("foreign"):
-                ln.take()
+            elif ln.accept("foreign"):
                 self._parse_fn(ln, Dialect.FOREIGN)
-            elif ln.at("bind"):
-                ln.take()
+            elif ln.accept("bind"):
                 self._parse_bind(ln)
-            elif ln.at("expect"):
-                ln.take()
+            elif ln.accept("expect"):
                 self._parse_expect(ln)
-            elif ln.at("tag"):
-                ln.take()
-                words = []
-                while ln.peek() is not None:
-                    words.append(ln.take().text)
-                if not words:
+            elif ln.accept("tag"):
+                label = ln.rest()
+                if not label:
                     raise ParseError("tag needs a label", ln.line)
-                self.tags.append("".join(words))
+                self.tags.append(label)
             else:
-                t = ln.peek()
-                raise ParseError(f"unexpected top-level input {t.text!r}", ln.line, t.col)
+                _, text, col = ln.peek()
+                raise ParseError(f"unexpected top-level input {text!r}", ln.line, col)
         program = ScenarioProgram(
             path=self.path,
             types=tuple(self.struct_order),
@@ -682,14 +580,6 @@ class _Parser:
         return program
 
 
-@dataclass(frozen=True)
-class _TypedCast:
-    """Parser-internal: cast with its spelled target, folded into LetStmt."""
-
-    source: str
-    target: TypeDesc
-
-
 def parse_text(text: str, path: str = "<string>") -> ScenarioProgram:
     return _Parser(text, path).parse()
 
@@ -700,10 +590,6 @@ def parse_file(path: str) -> ScenarioProgram:
 
 
 # ---- validation --------------------------------------------------------------
-
-
-_HOST_ONLY_RHS = (BorrowRhs, CastRhs, OffsetRhs, CellGetRhs, HeapNewRhs, HeapIntoRawRhs, HeapFromRawRhs, UninitRhs, ZeroedRhs)
-_FOREIGN_ONLY_RHS = (LoadRhs, MallocRhs, AllocaRhs, GepRhs)
 
 
 def _validate(program: ScenarioProgram) -> None:
@@ -728,69 +614,47 @@ def _validate(program: ScenarioProgram) -> None:
 
     for f in program.functions:
         for s in f.body:
-            _validate_stmt(program, f, s, names, binding_names)
+            _validate_stmt(f, s, names, binding_names)
 
 
 def _validate_stmt(
-    program: ScenarioProgram,
-    f: FnDef,
-    s: Stmt,
-    names: dict[str, FnDef],
-    bindings: dict[str, BindingSignature],
+    f: FnDef, s: Stmt, names: dict[str, FnDef], bindings: dict[str, BindingSignature]
 ) -> None:
-    host = f.dialect is Dialect.HOST
-    if isinstance(s, LetStmt):
-        bad = not host and isinstance(s.rhs, _HOST_ONLY_RHS)
-        bad = bad or (host and isinstance(s.rhs, _FOREIGN_ONLY_RHS))
-        if bad:
-            raise ParseError(
-                f"'{type(s.rhs).__name__}' is not available in the {f.dialect.value} dialect",
-                s.line,
-            )
-    elif isinstance(s, (WriteStmt, AssumeInitStmt, AssertEqStmt, SpawnStmt, JoinStmt)):
-        if not host:
-            raise ParseError("host-only statement in a foreign function", s.line)
-    elif isinstance(s, (StoreStmt, FreeStmt, MemsetStmt, MemcpyStmt)):
-        if host:
-            raise ParseError("foreign-only statement in a host function", s.line)
     if isinstance(s, SpawnStmt):
         callee = names.get(s.callee)
         if callee is None or callee.dialect is not Dialect.HOST:
             raise ParseError(f"spawn target '{s.callee}' is not a host function", s.line)
-    if isinstance(s, CallStmt):
-        if host:
-            if s.callee in bindings:
-                target = bindings[s.callee].target
-                if target not in names or names[target].dialect is not Dialect.FOREIGN:
-                    raise ParseError(
-                        f"binding '{s.callee}' names '{target}', which is not a foreign function",
-                        s.line,
-                    )
-            elif s.callee in names:
-                if names[s.callee].dialect is not Dialect.HOST:
-                    raise ParseError(
-                        f"calls into foreign code go through a binding; none declares '{s.callee}'",
-                        s.line,
-                    )
-            else:
-                raise ParseError(f"unknown function '{s.callee}'", s.line)
-        else:
-            callee = names.get(s.callee)
-            if callee is None:
-                raise ParseError(f"unknown function '{s.callee}'", s.line)
-            if callee.dialect is not Dialect.HOST:
+    if not isinstance(s, CallStmt):
+        return
+    if f.dialect is Dialect.HOST:
+        if s.callee in bindings:
+            target = bindings[s.callee].target
+            if target not in names or names[target].dialect is not Dialect.FOREIGN:
                 raise ParseError(
-                    "foreign-to-foreign calls are out of scope; only host functions "
-                    "may be called back",
+                    f"binding '{s.callee}' names '{target}', which is not a foreign function",
                     s.line,
                 )
+        elif s.callee in names:
+            if names[s.callee].dialect is not Dialect.HOST:
+                raise ParseError(
+                    f"calls into foreign code go through a binding; none declares '{s.callee}'",
+                    s.line,
+                )
+        else:
+            raise ParseError(f"unknown function '{s.callee}'", s.line)
+    else:
+        callee = names.get(s.callee)
+        if callee is None:
+            raise ParseError(f"unknown function '{s.callee}'", s.line)
+        if callee.dialect is not Dialect.HOST:
+            raise ParseError(
+                "foreign-to-foreign calls are out of scope; only host functions "
+                "may be called back",
+                s.line,
+            )
 
 
 # ---- rendering ---------------------------------------------------------------
-
-
-def _render_operand(op: Operand) -> str:
-    return str(op)
 
 
 def _render_rhs(rhs: Rhs) -> str:
@@ -811,7 +675,7 @@ def _render_rhs(rhs: Rhs) -> str:
         }[rhs.kind]
         return f"{prefix}{rhs.place}"
     if isinstance(rhs, OffsetRhs):
-        return f"{rhs.source}.offset({_render_operand(rhs.count)})"
+        return f"{rhs.source}.offset({rhs.count})"
     if isinstance(rhs, CellGetRhs):
         return f"{rhs.place}.get()"
     if isinstance(rhs, HeapNewRhs):
@@ -827,60 +691,53 @@ def _render_rhs(rhs: Rhs) -> str:
     if isinstance(rhs, LoadRhs):
         return f"load {rhs.type} {rhs.pointer}"
     if isinstance(rhs, MallocRhs):
-        return f"malloc {_render_operand(rhs.size)}"
+        return f"malloc {rhs.size}"
     if isinstance(rhs, AllocaRhs):
-        return f"alloca {_render_operand(rhs.size)}"
+        return f"alloca {rhs.size}"
     if isinstance(rhs, GepRhs):
-        return f"gep {rhs.pointer} {_render_operand(rhs.offset)}"
+        return f"gep {rhs.pointer} {rhs.offset}"
     raise TypeError(f"unrenderable rhs: {rhs!r}")
 
 
-def _render_stmt(s: Stmt) -> str:
+def _render_let(name: str, ty: Optional[TypeDesc]) -> str:
+    return f"let {name}" if ty is None else f"let {name}: {ty}"
+
+
+def render_stmt(s: Stmt) -> str:
+    """One statement as source text, used for trace display."""
     if isinstance(s, LetStmt):
-        if isinstance(s.rhs, CastRhs):
-            return f"let {s.name}: {s.type} = {s.rhs.source} as {s.type}"
-        return f"let {s.name}: {s.type} = {_render_rhs(s.rhs)}"
+        rhs = f"{s.rhs.source} as {s.type}" if isinstance(s.rhs, CastRhs) else _render_rhs(s.rhs)
+        return f"{_render_let(s.name, s.type)} = {rhs}"
     if isinstance(s, WriteStmt):
-        return f"{s.place} = {_render_operand(s.value)}"
+        return f"{s.place} = {s.value}"
     if isinstance(s, StoreStmt):
-        return f"store {s.type} {s.pointer} {_render_operand(s.value)}"
+        return f"store {s.type} {s.pointer} {s.value}"
     if isinstance(s, CallStmt):
-        args = ", ".join(_render_operand(a) for a in s.args)
-        call = f"call {s.callee}({args})"
-        if s.dest is None:
-            return call
-        if s.dest_type is None:
-            return f"let {s.dest} = {call}"
-        return f"let {s.dest}: {s.dest_type} = {call}"
+        call = f"call {s.callee}({', '.join(map(str, s.args))})"
+        return call if s.dest is None else f"{_render_let(s.dest, s.dest_type)} = {call}"
     if isinstance(s, SpawnStmt):
-        args = ", ".join(_render_operand(a) for a in s.args)
-        return f"spawn {s.handle} = {s.callee}({args})"
+        return f"spawn {s.handle} = {s.callee}({', '.join(map(str, s.args))})"
     if isinstance(s, JoinStmt):
         return f"join {s.handle}"
     if isinstance(s, ReturnStmt):
-        return "return" if s.value is None else f"return {_render_operand(s.value)}"
+        return "return" if s.value is None else f"return {s.value}"
     if isinstance(s, AssertEqStmt):
-        return f"assert_eq {_render_operand(s.left)} {_render_operand(s.right)}"
+        return f"assert_eq {s.left} {s.right}"
     if isinstance(s, AssumeInitStmt):
         return f"assume_init {s.place}"
     if isinstance(s, FreeStmt):
         return f"free {s.pointer}"
     if isinstance(s, MemsetStmt):
-        return f"memset {s.pointer} {_render_operand(s.value)} {_render_operand(s.size)}"
+        return f"memset {s.pointer} {s.value} {s.size}"
     if isinstance(s, MemcpyStmt):
-        return f"memcpy {s.dest} {s.src} {_render_operand(s.size)}"
+        return f"memcpy {s.dest} {s.src} {s.size}"
     raise TypeError(f"unrenderable statement: {s!r}")
 
 
-def _render_foreign_let(s: LetStmt) -> str:
-    return f"let {s.name} = {_render_rhs(s.rhs)}"
-
-
-def render_stmt(s: Stmt, dialect: Dialect) -> str:
-    """One statement as source text, used for trace display."""
-    if dialect is Dialect.FOREIGN and isinstance(s, LetStmt):
-        return _render_foreign_let(s)
-    return _render_stmt(s)
+def _render_signature(params: list[str], variadic: bool, ret: TypeDesc) -> str:
+    items = [*params, "..."] if variadic else params
+    arrow = "" if ret == UNIT else f" -> {ret}"
+    return f"({', '.join(items)}){arrow}"
 
 
 def render_program(program: ScenarioProgram) -> str:
@@ -895,23 +752,13 @@ def render_program(program: ScenarioProgram) -> str:
             out.append(f"  {f.name}: {f.type}{suffix}")
         out.append("end")
     for b in program.bindings:
-        params = ", ".join(str(p) for p in b.params)
-        if b.variadic:
-            params = f"{params}, ..." if params else "..."
         head = b.name if b.name == b.target else f"{b.name} = {b.target}"
-        ret = "" if b.ret == UNIT else f" -> {b.ret}"
-        out.append(f"bind {head}({params}){ret}")
+        signature = _render_signature([str(p) for p in b.params], b.variadic, b.ret)
+        out.append(f"bind {head}{signature}")
     for f in program.functions:
-        params = ", ".join(f"{p.name}: {p.type}" for p in f.params)
-        if f.variadic:
-            params = f"{params}, ..." if params else "..."
-        ret = "" if f.ret == UNIT else f" -> {f.ret}"
-        out.append(f"{f.dialect.value} fn {f.name}({params}){ret}")
-        for s in f.body:
-            if f.dialect is Dialect.FOREIGN and isinstance(s, LetStmt):
-                out.append(f"  {_render_foreign_let(s)}")
-            else:
-                out.append(f"  {_render_stmt(s)}")
+        params = [f"{p.name}: {p.type}" for p in f.params]
+        out.append(f"{f.dialect.value} fn {f.name}{_render_signature(params, f.variadic, f.ret)}")
+        out.extend(f"  {render_stmt(s)}" for s in f.body)
         out.append("end")
     for e in program.expectations:
         prefix = f"{e.model}: " if e.model else ""

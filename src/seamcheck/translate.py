@@ -69,10 +69,6 @@ class ArgPlan:
     source: TypeDesc
     targets: tuple[TypeDesc, ...]  # several only for FLATTEN
 
-    @property
-    def consumed(self) -> int:
-        return len(self.targets)
-
 
 @dataclass(frozen=True)
 class CallPlan:

@@ -291,10 +291,6 @@ def is_pointer(t: TypeDesc) -> bool:
     return isinstance(t, PtrType)
 
 
-def is_integer(t: TypeDesc) -> bool:
-    return isinstance(t, IntType)
-
-
 def size_of(t: TypeDesc) -> int:
     return layout_of(t).size
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import seamcheck.cli
 from seamcheck.cli import main
 
 from conftest import CORPUS_DIR, REPO_ROOT, corpus_path
@@ -74,6 +75,13 @@ def test_missing_file_exits_sixty_four(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main([str(tmp_path / "absent.sc")])
     assert e.value.code == 64
+
+
+def test_unwritable_out_path_exits_sixty_four(scenario, tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([scenario(_PASS), "--out", str(tmp_path / "absent" / "report.json")])
+    assert e.value.code == 64
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -264,3 +272,16 @@ def test_corpus_json_report_matches_the_golden(tmp_path, monkeypatch):
             want.decode().splitlines(), got.decode().splitlines(), "golden", "now", lineterm=""
         )
         pytest.fail("corpus report differs from tests/golden/corpus.json:\n" + "\n".join(diff))
+
+
+def test_internal_error_exits_70_with_traceback_on_stderr(scenario, capsys, monkeypatch):
+    def broken(program, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(seamcheck.cli, "run_program", broken)
+    code = main([scenario(_PASS)])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert "seamcheck: internal error: RuntimeError: boom" in captured.err
+    assert "Traceback (most recent call last)" in captured.err

@@ -750,3 +750,45 @@ end
     assert outcome.diagnostics[0].message == (
         "pointer 0x1000 has no provenance and points into no allocation"
     )
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_unknown_struct_field_is_unsupported(model):
+    outcome = _run(
+        """
+type P
+  a: i32
+end
+
+host fn main()
+  let s: P = zeroed
+  let v: i32 = s.b
+end
+""",
+        model=model,
+    )
+    assert outcome.classification is Classification.UNSUPPORTED
+    assert outcome.note == "struct P has no field 'b'"
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("stored", ["[i32; 3]", "unit"])
+def test_foreign_store_of_a_non_scalar_width_is_unsupported(model, stored):
+    outcome = _run(
+        f"""
+bind put = c_put()
+
+foreign fn c_put()
+  let p = malloc 12
+  store {stored} p 1
+  free p
+end
+
+host fn main()
+  call put()
+end
+""",
+        model=model,
+    )
+    assert outcome.classification is Classification.UNSUPPORTED
+    assert outcome.note.startswith("foreign store of ")

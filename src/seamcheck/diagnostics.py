@@ -5,7 +5,8 @@ aliasing errors, the permission history of the tags involved and a rendered
 tracker snapshot. Deduplication keys are built from the error class, an
 address-stripped message, and a trace fingerprint; they never contain
 absolute addresses or allocation ids, so runs that differ only in address
-assignment collapse to the same key.
+assignment collapse to the same key. `OutcomeTag`, the vocabulary of
+`expect` annotations, is built here from the diagnostic kinds.
 """
 
 from __future__ import annotations
@@ -33,6 +34,16 @@ class DiagnosticKind(enum.Enum):
     ASSERTION_FAILED = "assertion-failed"
 
 
+# Vocabulary for `expect` annotations (corpus mode): the three results that
+# are not violations, then every diagnostic kind under its own name.
+OutcomeTag = enum.Enum(
+    "OutcomeTag",
+    [("PASS", "pass"), ("TIMEOUT", "timeout"), ("UNSUPPORTED", "unsupported")]
+    + [(kind.name, kind.value) for kind in DiagnosticKind],
+    module=__name__,
+)
+
+
 @dataclass(frozen=True)
 class TraceFrame:
     dialect: str  # "host" or "foreign"
@@ -47,9 +58,13 @@ class TagEvent:
     description: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class TagHistory:
-    """Creation, last valid use, and invalidation record for one tag."""
+    """Creation, last valid use, and first invalidation of one tag.
+
+    A borrow tracker holds the live record and updates it in place; a
+    diagnostic holds copies taken when the error was raised.
+    """
 
     tag: int
     label: str
@@ -118,17 +133,17 @@ def _frame_key(f: TraceFrame) -> str:
     return f"{f.dialect}:{f.function}:{f.line}"
 
 
-def normalize(diag: Diagnostic, *, include_boundary_frame: bool = True) -> DedupKey:
+def normalize(diag: Diagnostic) -> DedupKey:
     """Dedup key for one diagnostic.
 
-    Foreign-located errors keep the foreign frames plus, by default, the first
-    host frame at the boundary; errors located in host code keep only the
-    innermost host frame. Addresses, allocation ids, and tag numbers are
-    replaced by placeholders in the log half of the key.
+    Foreign-located errors keep the foreign frames plus the first host frame
+    at the boundary; errors located in host code keep only the innermost
+    host frame. Addresses, allocation ids, and tag numbers are replaced by
+    placeholders in the log half of the key.
     """
     if diag.foreign_trace:
         frames = [_frame_key(f) for f in diag.foreign_trace]
-        if include_boundary_frame and diag.host_trace:
+        if diag.host_trace:
             frames.append(_frame_key(diag.host_trace[0]))
     elif diag.host_trace:
         frames = [_frame_key(diag.host_trace[0])]
@@ -141,19 +156,16 @@ def normalize(diag: Diagnostic, *, include_boundary_frame: bool = True) -> Dedup
     )
 
 
-def outcome_key(outcome: Outcome, *, include_boundary_frame: bool = True) -> DedupKey:
+def outcome_key(outcome: Outcome) -> DedupKey:
     """Dedup key for a whole run outcome.
 
     Bug outcomes key on their primary diagnostic; leak-only passes key on the
     first leak record; everything else keys on the bare classification.
     """
     if outcome.classification is Classification.BUG and outcome.diagnostics:
-        return normalize(outcome.diagnostics[0], include_boundary_frame=include_boundary_frame)
+        return normalize(outcome.diagnostics[0])
     if outcome.classification is Classification.PASS and outcome.leaks:
-        return normalize(outcome.leaks[0], include_boundary_frame=include_boundary_frame)
-    if outcome.diagnostics:
-        d = outcome.diagnostics[0]
-        return DedupKey(outcome.classification.value, _strip_identifiers(d.message), ())
+        return normalize(outcome.leaks[0])
     return DedupKey(outcome.classification.value, _strip_identifiers(outcome.note), ())
 
 
@@ -178,16 +190,8 @@ def _frame_to_dict(f: TraceFrame) -> dict:
     return {"dialect": f.dialect, "function": f.function, "line": f.line, "statement": f.statement}
 
 
-def _frame_from_dict(d: dict) -> TraceFrame:
-    return TraceFrame(d["dialect"], d["function"], d["line"], d["statement"])
-
-
 def _event_to_dict(e: Optional[TagEvent]) -> Optional[dict]:
     return None if e is None else {"line": e.line, "description": e.description}
-
-
-def _event_from_dict(d: Optional[dict]) -> Optional[TagEvent]:
-    return None if d is None else TagEvent(d["line"], d["description"])
 
 
 def _history_to_dict(h: TagHistory) -> dict:
@@ -198,16 +202,6 @@ def _history_to_dict(h: TagHistory) -> dict:
         "last_valid_use": _event_to_dict(h.last_valid_use),
         "invalidated": _event_to_dict(h.invalidated),
     }
-
-
-def _history_from_dict(d: dict) -> TagHistory:
-    return TagHistory(
-        tag=d["tag"],
-        label=d["label"],
-        created=_event_from_dict(d["created"]),
-        last_valid_use=_event_from_dict(d["last_valid_use"]),
-        invalidated=_event_from_dict(d["invalidated"]),
-    )
 
 
 def diagnostic_to_dict(d: Diagnostic) -> dict:
@@ -223,19 +217,6 @@ def diagnostic_to_dict(d: Diagnostic) -> dict:
     }
 
 
-def diagnostic_from_dict(d: dict) -> Diagnostic:
-    return Diagnostic(
-        kind=DiagnosticKind(d["kind"]),
-        message=d["message"],
-        host_trace=tuple(_frame_from_dict(f) for f in d["host_trace"]),
-        foreign_trace=tuple(_frame_from_dict(f) for f in d["foreign_trace"]),
-        permission_history=tuple(_history_from_dict(h) for h in d["permission_history"]),
-        tracker_snapshot=d["tracker_snapshot"],
-        allocation_origin=d["allocation_origin"],
-        address=d["address"],
-    )
-
-
 def outcome_to_dict(o: Outcome) -> dict:
     return {
         "classification": o.classification.value,
@@ -244,15 +225,6 @@ def outcome_to_dict(o: Outcome) -> dict:
         "leaks": [diagnostic_to_dict(d) for d in o.leaks],
         "note": o.note,
     }
-
-
-def outcome_from_dict(d: dict) -> Outcome:
-    return Outcome(
-        classification=Classification(d["classification"]),
-        diagnostics=tuple(diagnostic_from_dict(x) for x in d["diagnostics"]),
-        leaks=tuple(diagnostic_from_dict(x) for x in d["leaks"]),
-        note=d.get("note", ""),
-    )
 
 
 def dedup_key_to_dict(k: DedupKey) -> dict:

@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .diagnostics import OutcomeTag
 from .types import StructType, TypeDesc
 
 
@@ -275,27 +276,6 @@ class BindingSignature:
     ret: TypeDesc
     variadic: bool = False
     line: int = field(compare=False, kw_only=True, default=0)
-
-
-class OutcomeTag(enum.Enum):
-    """Vocabulary for `expect` annotations (corpus mode)."""
-
-    PASS = "pass"
-    TIMEOUT = "timeout"
-    UNSUPPORTED = "unsupported"
-    EXPIRED_PERMISSION = "expired-permission"
-    INSUFFICIENT_PERMISSION = "insufficient-permission"
-    PROTECTED_PERMISSION = "protected-permission"
-    ACCESS_OUT_OF_BOUNDS = "access-out-of-bounds"
-    USE_AFTER_FREE = "use-after-free"
-    DOUBLE_FREE = "double-free"
-    UNINITIALIZED_READ = "uninitialized-read"
-    MISALIGNED_ACCESS = "misaligned-access"
-    INVALID_BINDING = "invalid-binding"
-    CROSS_LANGUAGE_DEALLOC = "cross-language-dealloc"
-    STRICT_PROVENANCE_VIOLATION = "strict-provenance-violation"
-    MEMORY_LEAK = "memory-leak"
-    ASSERTION_FAILED = "assertion-failed"
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,7 @@ from .memory import (
     WILDCARD,
     Allocation,
     AllocOrigin,
+    Blob,
     Memory,
     PointerValue,
     UbError,
@@ -121,21 +122,6 @@ class MachineConfig:
             # Zeroed memory has no uninitialized reads to be permissive about;
             # the two modes are exclusive.
             self.permissive_foreign = False
-
-
-@dataclass(frozen=True)
-class Blob:
-    """By-value aggregate crossing the boundary: raw bytes plus fragments."""
-
-    values: tuple[Optional[int], ...]
-    frags: tuple[tuple[int, tuple], ...]  # sorted (index, fragment) pairs
-
-    @staticmethod
-    def from_memory(values: list[Optional[int]], frags: dict[int, tuple]) -> "Blob":
-        return Blob(tuple(values), tuple(sorted(frags.items())))
-
-    def to_memory(self) -> tuple[list[Optional[int]], dict[int, tuple]]:
-        return list(self.values), dict(self.frags)
 
 
 HostValue = Union[int, PointerValue, Blob, None]
@@ -419,8 +405,7 @@ class Machine:
         if isinstance(ty, PtrType):
             value, _ = self.memory.read_pointer(ptr, line=line)
             return value
-        values, frags = self.memory.read_blob(ptr, size_of(ty), line)
-        return Blob.from_memory(values, frags)
+        return self.memory.read_blob(ptr, size_of(ty), line)
 
     def _typed_write_value(
         self, ptr: PointerValue, ty: TypeDesc, value: HostValue, line: int
@@ -449,12 +434,11 @@ class Machine:
             self.memory.write_pointer(ptr, value, line)
             return
         if isinstance(value, Blob):
-            values, frags = value.to_memory()
-            if len(values) != size_of(ty):
+            if len(value.values) != size_of(ty):
                 raise ScenarioUnsupported(
-                    f"aggregate of {len(values)} bytes written into {size_of(ty)}-byte slot"
+                    f"aggregate of {len(value.values)} bytes written into {size_of(ty)}-byte slot"
                 )
-            self.memory.write_blob(ptr, values, frags, line)
+            self.memory.write_blob(ptr, value, line)
             return
         if isinstance(value, int):
             raise ScenarioUnsupported(f"integer written into aggregate slot of type {ty}")
@@ -883,7 +867,7 @@ class Machine:
             # Integer crossing into a by-value aggregate: raw bytes, fully set.
             size = size_of(plan.targets[0])
             raw = (value % (1 << (8 * size))).to_bytes(size, "little") if isinstance(value, int) else b""
-            return [Reg(Blob(tuple(raw), ()))]
+            return [Reg(Blob(list(raw)))]
         if mode is ArgMode.AGGREGATE:
             if not isinstance(value, Blob):
                 raise ScenarioUnsupported("aggregate argument did not evaluate to bytes")
@@ -902,7 +886,7 @@ class Machine:
                 widths = [size_of(src.elem)] * src.count
                 offsets = [i * widths[0] for i in range(src.count)]
             for off, width, target in zip(offsets, widths, plan.targets):
-                piece = Blob(value.values[off : off + width], ())
+                piece = Blob(value.values[off : off + width])
                 regs.append(self._blob_to_int_reg(piece, target))
             return regs
         raise ScenarioUnsupported(f"no outbound conversion for {mode}")
@@ -956,7 +940,7 @@ class Machine:
                 return reinterpret(self._reg_int(reg), target)
             size = size_of(target)
             raw = (self._reg_int(reg) % (1 << (8 * size))).to_bytes(size, "little")
-            return Blob(tuple(raw), ())
+            return Blob(list(raw))
         if mode is ArgMode.AGGREGATE:
             if not isinstance(reg.value, Blob):
                 raise ScenarioUnsupported("aggregate return did not arrive as bytes")

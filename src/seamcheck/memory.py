@@ -1,4 +1,4 @@
-"""Shared memory model: allocations, abstract bytes, provenance, tag records.
+"""Shared memory model: allocations, abstract bytes, provenance, tag histories.
 
 Both dialects execute over one memory. Every byte is either uninitialized or
 holds a value plus an optional provenance fragment: a stored pointer spreads
@@ -6,6 +6,9 @@ one `((alloc id, provenance), index)` fragment across its eight bytes, and a
 pointer-typed read reconstructs provenance only when all eight bytes still
 carry that fragment in order. Anything else degrades to a plain integer
 value. `read_int` and `read_pointer` share one uninit-checking byte read.
+An untyped copy is a `Blob`, memory's by-value format: `read_blob` returns
+the bytes it copies out with their uninit mask and fragments, `write_blob`
+stores one back, and by-value aggregates cross the boundary as one.
 
 Access checks run in a fixed order: liveness, bounds, alignment, borrow
 tracker, then byte movement. The alignment check is symbolic by default
@@ -16,8 +19,9 @@ tracker carries the source line it came from, which is all a tag event
 records besides its description.
 
 `BorrowTracker` is the base of both borrow models: it owns an allocation's
-tags and one history record per tag (created, last use, first
-invalidation), and renders those histories into errors.
+tags and one `TagHistory` per tag (created, last valid use, first
+invalidation), which both models update in place, and hands copies of
+those records to the errors it raises.
 
 Addresses come from a bump allocator with guard gaps between allocations.
 The starting base is perturbed by the seed; no semantic result may depend on
@@ -27,7 +31,7 @@ it, which the deduplication tests rely on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from .diagnostics import DiagnosticKind, TagEvent, TagHistory
@@ -103,36 +107,29 @@ class UbError(Exception):
         self.address = address
 
 
-@dataclass
-class TagRecord:
-    """One tag's history: where it was created, last used and first invalidated."""
-
-    label: str
-    created: TagEvent
-    last_use: Optional[TagEvent] = None
-    invalidated: Optional[TagEvent] = None
-
-
 class BorrowTracker:
     """The tags of one allocation under a borrow model, with their histories.
 
-    `tags` holds a record for every tag the tracker made, in creation order,
-    starting with the root tag that owns the allocation. Each model keeps its
-    per-location state in a subclass and implements the operations below.
+    `tags` holds the live `TagHistory` of every tag the tracker made, in
+    creation order, starting with the root tag that owns the allocation. Each
+    model keeps its per-location state in a subclass and implements the
+    operations below.
     """
 
     def __init__(self, alloc_id: int, tag_source: Callable[[], int], root_label: str, line: int) -> None:
         self.alloc_id = alloc_id
         self._tag_source = tag_source
         self.root_tag = tag_source()
-        self.tags: dict[int, TagRecord] = {
-            self.root_tag: TagRecord(root_label, TagEvent(line, f"allocation of alloc#{alloc_id}"))
+        self.tags: dict[int, TagHistory] = {
+            self.root_tag: TagHistory(
+                self.root_tag, root_label, TagEvent(line, f"allocation of alloc#{alloc_id}")
+            )
         }
 
     def _new_tag(self, parent: int, rng: Range, kind: str, label: str, line: int) -> int:
         tag = self._tag_source()
-        self.tags[tag] = TagRecord(
-            label, TagEvent(line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}")
+        self.tags[tag] = TagHistory(
+            tag, label, TagEvent(line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}")
         )
         return tag
 
@@ -157,16 +154,8 @@ class BorrowTracker:
         )
 
     def history(self) -> tuple[TagHistory, ...]:
-        return tuple(
-            TagHistory(
-                tag=tag,
-                label=record.label,
-                created=record.created,
-                last_valid_use=record.last_use,
-                invalidated=record.invalidated,
-            )
-            for tag, record in self.tags.items()
-        )
+        """Copies of every tag's record, which later accesses leave unchanged."""
+        return tuple(replace(record) for record in self.tags.values())
 
     # ---- implemented by each model -------------------------------------------
 
@@ -206,8 +195,13 @@ class Allocation:
     fragments: dict[int, Fragment] = field(default_factory=dict)
     tracker: Optional[BorrowTracker] = None  # set by the machine
 
-    def init_mask(self) -> tuple[bool, ...]:
-        return tuple(v is not None for v in self.values)
+
+@dataclass
+class Blob:
+    """By-value bytes: each value (None where uninitialized) plus fragments by index."""
+
+    values: list[Optional[int]]
+    frags: dict[int, Fragment] = field(default_factory=dict)
 
 
 def _drop_fragments(alloc: Allocation, lo: int, hi: int) -> None:
@@ -457,33 +451,26 @@ class Memory:
         # Broken or absent fragments: the value is just an integer.
         return PointerValue(address, None, address, None), tainted
 
-    def read_blob(
-        self, ptr: PointerValue, size: int, line: int = 0
-    ) -> tuple[list[Optional[int]], dict[int, Fragment]]:
-        """Untyped copy-out: values (None where uninit) plus fragments. No init check."""
+    def read_blob(self, ptr: PointerValue, size: int, line: int = 0) -> Blob:
+        """Untyped copy-out of the uninit mask and provenance fragments. No init check."""
         alloc = self.check_access(ptr, size, 1, "read", line)
         values = alloc.values[ptr.offset : ptr.offset + size]
         if not alloc.fragments:
-            return values, {}
+            return Blob(values)
         frags = {
             i: alloc.fragments[ptr.offset + i]
             for i in range(size)
             if ptr.offset + i in alloc.fragments
         }
-        return values, frags
+        return Blob(values, frags)
 
-    def write_blob(
-        self,
-        ptr: PointerValue,
-        values: list[Optional[int]],
-        frags: dict[int, Fragment],
-        line: int = 0,
-    ) -> None:
+    def write_blob(self, ptr: PointerValue, blob: Blob, line: int = 0) -> None:
         """Untyped copy-in: preserves the uninit mask and provenance fragments."""
-        alloc = self.check_access(ptr, len(values), 1, "write", line)
-        alloc.values[ptr.offset : ptr.offset + len(values)] = values
-        _drop_fragments(alloc, ptr.offset, ptr.offset + len(values))
-        for i, frag in frags.items():
+        size = len(blob.values)
+        alloc = self.check_access(ptr, size, 1, "write", line)
+        alloc.values[ptr.offset : ptr.offset + size] = blob.values
+        _drop_fragments(alloc, ptr.offset, ptr.offset + size)
+        for i, frag in blob.frags.items():
             alloc.fragments[ptr.offset + i] = frag
 
     def assume_init(self, ptr: PointerValue, size: int) -> None:
@@ -517,8 +504,7 @@ class Memory:
         _drop_fragments(alloc, ptr.offset, ptr.offset + size)
 
     def memcpy(self, dest: PointerValue, src: PointerValue, size: int, line: int = 0) -> None:
-        values, frags = self.read_blob(src, size, line)
-        self.write_blob(dest, values, frags, line)
+        self.write_blob(dest, self.read_blob(src, size, line), line)
 
     # ---- provenance boundary -------------------------------------------------
 

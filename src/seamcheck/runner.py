@@ -16,12 +16,13 @@ from .diagnostics import (
     Classification,
     DedupKey,
     Outcome,
+    OutcomeTag,
     dedup,
     dedup_key_to_dict,
     outcome_key,
     outcome_to_dict,
 )
-from .ir import OutcomeTag, ScenarioProgram
+from .ir import ScenarioProgram
 from .machine import MachineConfig, run_program
 
 
@@ -40,26 +41,21 @@ def outcome_tag(outcome: Outcome) -> OutcomeTag:
     return OutcomeTag.PASS
 
 
+# Exit code per result class, least severe first: when runs combine, the
+# code of the most severe class present wins (violations, then unsupported,
+# timeouts, leaks, clean).
+_EXIT_CODES = {"pass": 0, "leaks": 4, "timeout": 3, "unsupported": 2, "bug": 1}
+_RANK = {code: rank for rank, code in enumerate(_EXIT_CODES.values())}
+
+
 def exit_code(outcome: Outcome) -> int:
     c = outcome.classification
-    if c is Classification.BUG:
-        return 1
-    if c is Classification.UNSUPPORTED:
-        return 2
-    if c is Classification.TIMEOUT:
-        return 3
-    if outcome.leaks:
-        return 4
-    return 0
-
-
-# Exit code -> rank: violations dominate, then unsupported, timeout, leaks, clean.
-_SEVERITY = {0: 0, 4: 1, 3: 2, 2: 3, 1: 4}
+    return _EXIT_CODES["leaks" if c is Classification.PASS and outcome.leaks else c.value]
 
 
 def worst_exit_code(codes: Iterable[int]) -> int:
     """The exit code that stands for several runs; 0 when there are none."""
-    return max(codes, key=lambda c: _SEVERITY.get(c, 4), default=0)
+    return max(codes, key=_RANK.__getitem__, default=0)
 
 
 def config_to_dict(config: MachineConfig) -> dict:

@@ -22,9 +22,10 @@ reports the access as out of bounds of what the pointer was ever granted.
 Wildcard provenance resolves eagerly to the topmost item that grants the
 access, then behaves as if that item had been named.
 
-Each tag's history (created, last use, first invalidation) is a record in
-the `BorrowTracker` base, shared with the tb model: the last use is recorded
-per segment as an access passes, and an item's first pop invalidates its tag.
+Each tag's `TagHistory` (created, last valid use, first invalidation) lives
+in the `BorrowTracker` base, shared with the tb model: the last use is
+recorded per segment as an access passes, and an item's first pop
+invalidates its tag.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ class StackedBorrowTracker(BorrowTracker):
                 self._disable_writers_above(stack, idx, cause, line, off)
             info = self.tags.get(tag_for_history)
             if info is not None:
-                info.last_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
+                info.last_valid_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
         stacks.merge(span)
 
     def protector_end(self, tag: int) -> None:

@@ -72,8 +72,6 @@ class ArgPlan:
 
 @dataclass(frozen=True)
 class CallPlan:
-    binding: BindingSignature
-    callee: FnDef
     args: tuple[ArgPlan, ...]
     ret: ArgPlan
 
@@ -204,7 +202,7 @@ def plan_call(binding: BindingSignature, callee: FnDef) -> CallPlan:
             f"'{callee.name}' declares {len(dparams)} parameters, binding "
             f"'{binding.name}' supplies values for {j}"
         )
-    return CallPlan(binding=binding, callee=callee, args=tuple(plans), ret=plan_return(binding, callee))
+    return CallPlan(args=tuple(plans), ret=plan_return(binding, callee))
 
 
 def _compatible(src: TypeDesc, dst: TypeDesc) -> bool:

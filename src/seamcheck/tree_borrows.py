@@ -29,9 +29,9 @@ are always initialized there). Wildcard accesses touch nothing.
 Transitions apply to lazy locations too; laziness only means no assertion at
 retag time and no protector error before the first genuine use.
 
-Each tag's history (created, last use, first invalidation) is a record in
-the `BorrowTracker` base, shared with the sb model; a `_Node` holds only the
-tag's place in the tree. Every access records the source line it came from.
+Each tag's `TagHistory` (created, last valid use, first invalidation) lives
+in the `BorrowTracker` base, shared with the sb model; a `_Node` holds only
+the tag's place in the tree. Every access records its source line.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ class TreeBorrowTracker(BorrowTracker):
             if not initialized:
                 states[acting_index] = (initial, perm, True)
         perms.merge(span)
-        acting.last_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
+        acting.last_valid_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
 
     def protector_end(self, tag: int) -> None:
         self.nodes[tag].protected = False

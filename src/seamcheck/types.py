@@ -43,12 +43,6 @@ class IntType:
     def size(self) -> int:
         return self.bits // 8
 
-    def min_value(self) -> int:
-        return -(1 << (self.bits - 1)) if self.signed else 0
-
-    def max_value(self) -> int:
-        return (1 << (self.bits - 1)) - 1 if self.signed else (1 << self.bits) - 1
-
     def __str__(self) -> str:
         return f"{'i' if self.signed else 'u'}{self.bits}"
 

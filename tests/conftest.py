@@ -1,8 +1,10 @@
-"""Shared fixtures and path helpers for the test suite."""
+"""Shared fixtures, path helpers and memory helpers for the test suite."""
 
 from pathlib import Path
 
 import pytest
+
+from seamcheck.memory import Allocation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -19,6 +21,11 @@ def corpus_path(name: str) -> str:
 def corpus_files() -> list[str]:
     """All bundled scenario files, sorted for stable iteration order."""
     return sorted(str(p) for p in CORPUS_DIR.glob("*.sc"))
+
+
+def init_mask(alloc: Allocation) -> tuple[bool, ...]:
+    """Which bytes of the allocation are initialized."""
+    return tuple(v is not None for v in alloc.values)
 
 
 @pytest.fixture()

@@ -12,15 +12,15 @@ from seamcheck.diagnostics import (
     TagHistory,
     TraceFrame,
     dedup,
-    diagnostic_from_dict,
     diagnostic_to_dict,
     json_dumps,
     normalize,
-    outcome_from_dict,
     outcome_key,
     outcome_to_dict,
     render_diagnostic,
 )
+
+from report_dicts import diagnostic_from_dict, outcome_from_dict
 
 _HOST = (
     TraceFrame("host", "main", 12, "call put(yp)"),
@@ -59,11 +59,6 @@ def test_normalize_strips_addresses_allocs_and_tags():
 def test_normalize_keeps_foreign_frames_plus_boundary():
     key = normalize(_diag())
     assert key.trace_fingerprint == ("foreign:c_put:3", "host:main:12")
-
-
-def test_normalize_can_drop_the_boundary_frame():
-    key = normalize(_diag(), include_boundary_frame=False)
-    assert key.trace_fingerprint == ("foreign:c_put:3",)
 
 
 def test_normalize_host_only_error_keeps_innermost_host_frame():

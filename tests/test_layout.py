@@ -44,12 +44,6 @@ def test_unsupported_integer_width_rejected():
         IntType(24, False)
 
 
-def test_integer_value_ranges():
-    assert I8.min_value() == -128 and I8.max_value() == 127
-    assert U8.min_value() == 0 and U8.max_value() == 255
-    assert U64.max_value() == (1 << 64) - 1
-
-
 def test_unit_is_zero_sized():
     assert size_of(UnitType()) == 0
     assert align_of(UnitType()) == 1

@@ -11,6 +11,8 @@ from seamcheck.memory import (
     UbError,
 )
 
+from conftest import init_mask
+
 
 def _mem(**kw):
     return Memory(**kw)
@@ -38,7 +40,7 @@ def test_seed_perturbs_addresses_not_ids():
 def test_fresh_memory_starts_uninitialized():
     mem = _mem()
     alloc = mem.allocate(4, 4, AllocOrigin.HOST_STACK)
-    assert alloc.init_mask() == (False, False, False, False)
+    assert init_mask(alloc) == (False, False, False, False)
     with pytest.raises(UbError) as e:
         mem.read_int(_ptr(alloc), 4, False)
     assert e.value.kind is DiagnosticKind.UNINITIALIZED_READ
@@ -48,8 +50,8 @@ def test_zero_init_foreign_mode_prefills_foreign_allocations():
     mem = _mem(zero_init_foreign=True)
     foreign = mem.allocate(4, 4, AllocOrigin.FOREIGN_HEAP)
     host = mem.allocate(4, 4, AllocOrigin.HOST_STACK)
-    assert foreign.init_mask() == (True,) * 4
-    assert host.init_mask() == (False,) * 4
+    assert init_mask(foreign) == (True,) * 4
+    assert init_mask(host) == (False,) * 4
 
 
 def test_write_then_read_round_trip():
@@ -184,8 +186,8 @@ def test_memcpy_preserves_uninit_and_fragments():
     mem.write_pointer(_ptr(src), _ptr(target, 0, provenance=9))
     # Bytes 8..16 of src stay uninitialized.
     mem.memcpy(_ptr(dst), _ptr(src), 16)
-    assert dst.init_mask()[:8] == (True,) * 8
-    assert dst.init_mask()[8:] == (False,) * 8
+    assert init_mask(dst)[:8] == (True,) * 8
+    assert init_mask(dst)[8:] == (False,) * 8
     got, _ = mem.read_pointer(_ptr(dst))
     assert got.alloc_id == target.id and got.provenance == 9
 
@@ -196,7 +198,7 @@ def test_memset_initializes_and_clears_fragments():
     target = mem.allocate(4, 4, AllocOrigin.HOST_STACK)
     mem.write_pointer(_ptr(alloc), _ptr(target, 0, provenance=3))
     mem.memset(_ptr(alloc), 0xCC, 8)
-    assert alloc.init_mask() == (True,) * 8
+    assert init_mask(alloc) == (True,) * 8
     got, _ = mem.read_pointer(_ptr(alloc))
     assert got.alloc_id is None
 

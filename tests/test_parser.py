@@ -1,7 +1,10 @@
 """Scenario language parsing: grammar, validation, rendering round-trips."""
 
+import re
+
 import pytest
 
+from seamcheck.diagnostics import DiagnosticKind
 from seamcheck.ir import (
     AssertEqStmt,
     BorrowKind,
@@ -20,7 +23,7 @@ from seamcheck.ir import (
 from seamcheck.parser import ParseError, parse_file, parse_text, render_program
 from seamcheck.types import ArrayType, CellType, IntType, PtrKind, PtrType, UnitType
 
-from conftest import corpus_files
+from conftest import REPO_ROOT, corpus_files
 
 _MINIMAL = """
 host fn main()
@@ -233,6 +236,25 @@ end
     assert Expectation(OutcomeTag.PASS, None) in program.expectations
     assert program.expectation_for("tb") is OutcomeTag.EXPIRED_PERMISSION
     assert program.expectation_for("sb") is OutcomeTag.ACCESS_OUT_OF_BOUNDS
+
+
+@pytest.mark.parametrize("outcome", list(OutcomeTag), ids=lambda o: o.value)
+def test_every_outcome_tag_is_an_expect_value(outcome):
+    program = _parse(f"expect {outcome.value}\nhost fn main()\nend\n")
+    assert program.expectations == (Expectation(outcome, None),)
+
+
+def test_outcome_tags_are_the_non_bug_results_then_every_diagnostic_kind():
+    assert [o.value for o in OutcomeTag] == ["pass", "timeout", "unsupported"] + [
+        k.value for k in DiagnosticKind
+    ]
+
+
+def test_scenario_language_doc_lists_the_outcome_vocabulary():
+    doc = (REPO_ROOT / "docs" / "scenario-language.md").read_text(encoding="utf-8")
+    section = doc.split("## Outcome vocabulary for `expect`")[1].split("\n## ")[0]
+    listed = re.findall(r"`([a-z-]+)`", section.split("\n\n")[1])
+    assert listed == [o.value for o in OutcomeTag]
 
 
 def test_unknown_expect_outcome_rejected():

@@ -53,7 +53,7 @@ from seamcheck.types import (
     size_of,
 )
 
-from conftest import corpus_path
+from conftest import corpus_path, init_mask
 
 _SIZE = 4
 _RETAG_KINDS = ("mutable-ref", "shared-ref", "raw-mut", "raw-const", "cell")
@@ -276,7 +276,7 @@ def test_suite_init_mask_only_grows(ops, seed):
     mem = Memory(seed=seed)
     alloc = mem.allocate(32, 8, AllocOrigin.FOREIGN_HEAP, "buf")
     ptr = PointerValue(alloc.base, alloc.id, 0, None)
-    mask = alloc.init_mask()
+    mask = init_mask(alloc)
     for op, off_sel, value, size_sel in ops:
         if op == 0:
             size = (1, 2, 4, 8)[size_sel % 4]
@@ -299,7 +299,7 @@ def test_suite_init_mask_only_grows(ops, seed):
             off = off_sel % 32
             size = size_sel % (32 - off + 1)
             mem.assume_init(ptr.with_byte_offset(off), size)
-        new_mask = alloc.init_mask()
+        new_mask = init_mask(alloc)
         assert all(not was or now for was, now in zip(mask, new_mask))
         mask = new_mask
 

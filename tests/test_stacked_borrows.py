@@ -235,6 +235,19 @@ def test_history_records_pop_causes():
     assert "write via" in record.invalidated.description
 
 
+def test_history_copies_stay_as_they_were_taken():
+    t = _tracker()
+    a = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "a", _ctx(line=2))
+    before = {h.tag: h for h in t.history()}
+    t.access(a, (0, 4), "write", _ctx(line=3))
+    t.access(t.root_tag, (0, 4), "write", _ctx(line=5))
+    assert before[a].last_valid_use is None and before[a].invalidated is None
+    assert before[t.root_tag].last_valid_use is None
+    after = {h.tag: h for h in t.history()}
+    assert after[a].last_valid_use.line == 3 and after[a].invalidated.line == 5
+    assert after[t.root_tag].last_valid_use.line == 5
+
+
 def test_errors_carry_history_and_snapshot():
     t = _tracker()
     a = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "a", _ctx())

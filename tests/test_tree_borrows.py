@@ -252,6 +252,19 @@ def test_history_records_creation_use_and_invalidation():
     assert record.invalidated.line == 4
 
 
+def test_history_copies_stay_as_they_were_taken():
+    t = _tracker()
+    child = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "child", _ctx(line=2))
+    before = {h.tag: h for h in t.history()}
+    t.access(child, (0, 4), "write", _ctx(line=3))
+    t.access(t.root_tag, (0, 4), "write", _ctx(line=4))
+    assert before[child].last_valid_use is None and before[child].invalidated is None
+    assert before[t.root_tag].last_valid_use is None
+    after = {h.tag: h for h in t.history()}
+    assert after[child].last_valid_use.line == 3 and after[child].invalidated.line == 4
+    assert after[t.root_tag].last_valid_use.line == 4
+
+
 def test_errors_carry_history_and_snapshot():
     t = _tracker()
     child = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "child", _ctx())

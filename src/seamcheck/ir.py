@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .diagnostics import OutcomeTag
-from .types import StructType, TypeDesc
+from .types import PtrKind, StructType, TypeDesc
 
 
 class Dialect(enum.Enum):
@@ -69,16 +69,9 @@ class PlaceRhs:
     place: Place
 
 
-class BorrowKind(enum.Enum):
-    MUT = "mut"            # &mut PLACE, a mutable reborrow
-    SHARED = "shared"      # &PLACE
-    RAW_MUT = "raw-mut"    # &raw mut PLACE, address-of without retag
-    RAW_CONST = "raw-const"
-
-
 @dataclass(frozen=True)
 class BorrowRhs:
-    kind: BorrowKind
+    kind: PtrKind  # of the pointer the borrow makes; never OPAQUE
     place: Place
 
 

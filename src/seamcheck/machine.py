@@ -8,8 +8,11 @@ out of uninitialized memory in permissive mode.
 
 Every call pushes a frame on the caller's thread, whichever dialect the
 callee is written in; a frame runs in its function's dialect. A call across
-the boundary translates the arguments on the way in and the return value
-when the callee's frame pops. Only `spawn` creates a thread. The scheduler
+the boundary converts the arguments on the way in and the return value
+when the callee's frame pops. Bound arguments and returns, callback
+arguments and integer/pointer casts all convert through `_convert`, which
+applies the pairings `translate` checks and carries taint; a tainted value
+landing in host code is an uninitialized read. Only `spawn` creates a thread. The scheduler
 picks among ready threads with a seeded generator, so a run is a
 deterministic function of (program, config).
 
@@ -29,7 +32,6 @@ from .ir import (
     AllocaRhs,
     AssertEqStmt,
     AssumeInitStmt,
-    BorrowKind,
     BorrowRhs,
     CallStmt,
     CastRhs,
@@ -74,7 +76,6 @@ from .parser import render_stmt
 from .rng import Xoshiro256
 from .stacked_borrows import StackedBorrowTracker
 from .translate import (
-    ArgMode,
     ArgPlan,
     TranslationError,
     assignable,
@@ -130,7 +131,7 @@ HostValue = Union[int, PointerValue, Blob, None]
 Trace = tuple[tuple[TraceFrame, ...], tuple[TraceFrame, ...]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Reg:
     value: Union[int, PointerValue, Blob]
     tainted: bool = False
@@ -156,9 +157,9 @@ class _Frame:
     handles: dict[str, int] = field(default_factory=dict)
     protected: list[tuple[int, int]] = field(default_factory=list)  # (alloc id, tag)
     stack_allocs: list[int] = field(default_factory=list)
-    # Where the result of the call this frame is making goes:
-    # (boundary return plan or None, dest, dest type).
-    recv: Optional[tuple[Optional[ArgPlan], Optional[str], Optional[TypeDesc]]] = None
+    # Where the result of the call this frame is making goes: (the binding's
+    # return type for a bound call, else None; dest; dest type).
+    recv: Optional[tuple[Optional[TypeDesc], Optional[str], Optional[TypeDesc]]] = None
 
 
 @dataclass
@@ -320,8 +321,7 @@ class Machine:
             )
         pointee = self._pointee(ty, ptr)
         size = size_of(pointee)
-        kind = "mutable-ref" if ty.kind is PtrKind.MUT_REF else "shared-ref"
-        tag = self._retag_through(ptr, size, pointee, kind, protect=True, label=label, line=line)
+        tag = self._retag_through(ptr, size, pointee, ty.kind.value, protect=True, label=label, line=line)
         frame.protected.append((ptr.alloc_id, tag))
         return replace(ptr, provenance=tag)
 
@@ -497,7 +497,7 @@ class Machine:
         reg = thread.frames[-1].regs.get(op)
         if reg is None:
             raise ScenarioUnsupported(f"unknown register '{op}'")
-        return Reg(reg.value, reg.tainted)
+        return reg
 
     def _reg_pointer(self, reg: Reg) -> PointerValue:
         """A register used as a pointer; integers behave like casts from exposed."""
@@ -678,48 +678,28 @@ class Machine:
                 f"borrow of a place at 0x{ptr.address:x} outside any live allocation",
                 address=ptr.address,
             )
-        kind = {
-            BorrowKind.MUT: "mutable-ref",
-            BorrowKind.SHARED: "shared-ref",
-            BorrowKind.RAW_MUT: "raw-mut",
-            BorrowKind.RAW_CONST: "raw-const",
-        }[rhs.kind]
-        tag = self._retag_through(ptr, size_of(ty), ty, kind, protect=False, label=label, line=line)
+        tag = self._retag_through(ptr, size_of(ty), ty, rhs.kind.value, protect=False, label=label, line=line)
         return replace(ptr, provenance=tag)
 
     def _cast(
         self, thread: _Thread, source: str, target: TypeDesc, label: str, line: int
     ) -> HostValue:
         value, src_ty = self._eval_operand(thread, source, line)
+        if not isinstance(src_ty, (IntType, PtrType)) or not isinstance(target, (IntType, PtrType)):
+            raise ScenarioUnsupported(f"no cast from {src_ty} to {target}")
         if isinstance(src_ty, PtrType) and isinstance(target, PtrType):
-            if not isinstance(value, PointerValue):
-                return value  # plain integer address stored in a pointer slot
-            if is_reference(src_ty) and target.kind in (PtrKind.RAW_MUT, PtrKind.RAW_CONST):
-                if value.alloc_id is None:
-                    return value
+            raw = target.kind in (PtrKind.RAW_MUT, PtrKind.RAW_CONST)
+            if is_reference(src_ty) and raw and value.alloc_id is not None:
                 pointee = self._pointee(src_ty, value)
-                kind = "raw-mut" if target.kind is PtrKind.RAW_MUT else "raw-const"
                 tag = self._retag_through(
-                    value, size_of(pointee), pointee, kind, protect=False, label=label, line=line
+                    value, size_of(pointee), pointee, target.kind.value, protect=False, label=label, line=line
                 )
                 return replace(value, provenance=tag)
             if is_reference(target):
                 raise ScenarioUnsupported("casts cannot create references")
-            return value
-        if isinstance(src_ty, PtrType) and isinstance(target, IntType):
-            if target.size != 8:
-                raise ScenarioUnsupported("pointer addresses only fit 8-byte integers")
-            if isinstance(value, PointerValue):
-                return self.memory.expose(value)
-            return value
-        if isinstance(src_ty, IntType) and isinstance(target, PtrType):
-            if src_ty.size != 8:
-                raise ScenarioUnsupported("pointer addresses only fit 8-byte integers")
-            addr = value if isinstance(value, int) else 0
-            return self.memory.from_exposed(addr % (1 << 64))
-        if isinstance(src_ty, IntType) and isinstance(target, IntType):
-            return reinterpret(value, target)
-        raise ScenarioUnsupported(f"no cast from {src_ty} to {target}")
+        elif (isinstance(src_ty, PtrType) or isinstance(target, PtrType)) and size_of(src_ty) != size_of(target):
+            raise ScenarioUnsupported("pointer addresses only fit 8-byte integers")
+        return self._convert(Reg(value), target).value
 
     def _offset(self, thread: _Thread, rhs: OffsetRhs, line: int) -> PointerValue:
         value, src_ty = self._eval_operand(thread, rhs.source, line)
@@ -769,15 +749,21 @@ class Machine:
                     t.waiting_on = None
             return
         caller = thread.frames[-1]
-        plan, dest, dest_type = caller.recv
+        ret, dest, dest_type = caller.recv
         if caller.fn.dialect is Dialect.FOREIGN:
             if dest is not None:
-                caller.regs[dest] = self._host_value_to_reg(value)
+                caller.regs[dest] = Reg(0 if value is None else value)
             return
         if callee.fn.dialect is Dialect.FOREIGN:
             # The result lands at the call, not at the foreign return.
             line = self._current_stmt(caller).line
-            value = self._inbound(plan, value or Reg(0, tainted=True))
+            if isinstance(ret, UnitType):
+                value = None  # the binding declares no result
+            else:
+                value = self._to_host(
+                    value or Reg(0, tainted=True), ret,
+                    "foreign call returned a value derived from uninitialized memory",
+                )
         if dest is not None:
             slot = self._new_slot(caller, dest, dest_type, line)
             self._typed_write_value(slot.pointer, dest_type, value, line)
@@ -842,110 +828,84 @@ class Machine:
         thread.frames.append(frame)
 
     def _outbound(self, plan: ArgPlan, value: HostValue) -> list[Reg]:
-        mode = plan.mode
-        if mode is ArgMode.UNIT:
-            return [Reg(0)]
-        if mode is ArgMode.SCALAR:
-            target = plan.targets[0]
-            if isinstance(value, PointerValue):
-                value = self.memory.expose(value)
-            return [Reg(reinterpret(value, target if isinstance(target, IntType) else IntType(64, False)))]
-        if mode is ArgMode.POINTER:
-            if isinstance(value, int):
-                value = PointerValue(value % (1 << 64), None, value % (1 << 64), None)
-            return [Reg(value)]
-        if mode is ArgMode.EXPOSE:
-            if isinstance(value, PointerValue):
-                return [Reg(self.memory.expose(value))]
-            return [Reg(value if isinstance(value, int) else 0)]
-        if mode is ArgMode.REHYDRATE:
-            addr = value if isinstance(value, int) else 0
-            return [Reg(self.memory.from_exposed(addr % (1 << 64)))]
-        if mode is ArgMode.BLOB:
-            if isinstance(value, Blob):
-                return [self._blob_to_int_reg(value, plan.targets[0])]
-            # Integer crossing into a by-value aggregate: raw bytes, fully set.
-            size = size_of(plan.targets[0])
-            raw = (value % (1 << (8 * size))).to_bytes(size, "little") if isinstance(value, int) else b""
-            return [Reg(Blob(list(raw)))]
-        if mode is ArgMode.AGGREGATE:
-            if not isinstance(value, Blob):
-                raise ScenarioUnsupported("aggregate argument did not evaluate to bytes")
-            return [Reg(value)]
-        if mode is ArgMode.FLATTEN:
-            if not isinstance(value, Blob):
-                raise ScenarioUnsupported("aggregate argument did not evaluate to bytes")
-            src = plan.source
-            layout = layout_of(src)
-            regs = []
-            offsets: list[int]
-            if isinstance(src, StructType):
-                offsets = list(layout.field_offsets)
-                widths = [size_of(f.type) for f in src.fields]
-            else:
-                widths = [size_of(src.elem)] * src.count
-                offsets = [i * widths[0] for i in range(src.count)]
-            for off, width, target in zip(offsets, widths, plan.targets):
-                piece = Blob(value.values[off : off + width])
-                regs.append(self._blob_to_int_reg(piece, target))
-            return regs
-        raise ScenarioUnsupported(f"no outbound conversion for {mode}")
+        """The registers one host argument fills on the foreign side."""
+        if len(plan.targets) > 1:
+            # Only a homogeneous aggregate without padding flattens, so its
+            # fields sit at a fixed stride.
+            values = self._convert(Reg(value), plan.source).value.values
+            width = len(values) // len(plan.targets)
+            return [
+                self._convert(Reg(Blob(values[i * width : (i + 1) * width])), target)
+                for i, target in enumerate(plan.targets)
+            ]
+        if isinstance(value, int) and isinstance(plan.source, PtrType):
+            # A literal where the binding declares a pointer is an address
+            # without provenance, not an integer to rehydrate.
+            value = PointerValue(value % (1 << 64), None, value % (1 << 64), None)
+        return [self._convert(Reg(value), plan.targets[0])]
 
-    def _blob_to_int_reg(self, blob: Blob, target: TypeDesc) -> Reg:
-        tainted = False
-        raw = []
-        for i, v in enumerate(blob.values):
-            if v is None:
-                if not self.config.permissive_foreign:
-                    raise UbError(
-                        DiagnosticKind.UNINITIALIZED_READ,
-                        f"by-value crossing reads uninitialized byte {i} of an aggregate",
-                    )
-                tainted = True
-                v = 0
-            raw.append(v)
-        value = int.from_bytes(bytes(raw), "little")
+    def _convert(self, reg: Reg, target: TypeDesc) -> Reg:
+        """`reg` as a value of type `target` on the other side of a crossing.
+
+        Every crossing converts here: bound arguments and returns, callback
+        arguments and integer/pointer casts. The result is tainted when `reg`
+        is, or when it reads uninitialized bytes of a by-value aggregate.
+        """
+        value = reg.value
         if isinstance(target, IntType):
-            value = reinterpret(value, target)
-        return Reg(value, tainted)
-
-    def _host_value_to_reg(self, value: HostValue) -> Reg:
-        if isinstance(value, (int, PointerValue, Blob)):
-            return Reg(value)
-        return Reg(0)
-
-    def _inbound(self, plan: Optional[ArgPlan], reg: Reg) -> HostValue:
-        if plan is None or plan.mode in (ArgMode.UNIT, ArgMode.DISCARD):
-            return None
-        if reg.tainted:
-            raise UbError(
-                DiagnosticKind.UNINITIALIZED_READ,
-                "foreign call returned a value derived from uninitialized memory",
-            )
-        mode = plan.mode
-        target = plan.targets[0]
-        if mode is ArgMode.SCALAR:
-            value = self._reg_int(reg)
-            return reinterpret(value, target if isinstance(target, IntType) else IntType(64, False))
-        if mode is ArgMode.POINTER:
-            return self._reg_pointer(reg)
-        if mode is ArgMode.EXPOSE:
-            return self._reg_int(reg) % (1 << 64)
-        if mode is ArgMode.REHYDRATE:
-            return self._reg_pointer(reg)
-        if mode is ArgMode.BLOB:
-            if isinstance(target, IntType):
-                if isinstance(reg.value, Blob):
-                    return self._blob_to_int_reg(reg.value, target).value
-                return reinterpret(self._reg_int(reg), target)
+            if isinstance(value, PointerValue):
+                if target.size != 8:
+                    raise UbError(
+                        DiagnosticKind.INVALID_BINDING,
+                        f"pointer crosses into {target.size}-byte integer {target}: "
+                        f"only 8-byte integers carry addresses",
+                    )
+                return Reg(self.memory.expose(value), reg.tainted)
+            if not isinstance(value, Blob):
+                return Reg(reinterpret(value, target), reg.tainted)
+            if len(value.values) != target.size:
+                raise UbError(
+                    DiagnosticKind.INVALID_BINDING,
+                    f"{len(value.values)}-byte aggregate crosses into {target.size}-byte {target}",
+                )
+            uninit = None in value.values
+            if uninit and not self.config.permissive_foreign:
+                raise UbError(
+                    DiagnosticKind.UNINITIALIZED_READ,
+                    f"by-value crossing reads uninitialized byte "
+                    f"{value.values.index(None)} of an aggregate",
+                )
+            raw = bytes([0 if v is None else v for v in value.values])
+            return Reg(reinterpret(int.from_bytes(raw, "little"), target), reg.tainted or uninit)
+        if isinstance(target, PtrType):
+            if isinstance(value, PointerValue):
+                return reg
+            return Reg(self._reg_pointer(reg), reg.tainted)
+        if isinstance(target, CellType):
+            return self._convert(reg, target.inner)
+        if isinstance(target, (StructType, ArrayType)):
             size = size_of(target)
-            raw = (self._reg_int(reg) % (1 << (8 * size))).to_bytes(size, "little")
-            return Blob(list(raw))
-        if mode is ArgMode.AGGREGATE:
-            if not isinstance(reg.value, Blob):
-                raise ScenarioUnsupported("aggregate return did not arrive as bytes")
-            return reg.value
-        raise ScenarioUnsupported(f"no inbound conversion for {mode}")
+            if isinstance(value, int):
+                return Reg(Blob(list((value % (1 << (8 * size))).to_bytes(size, "little"))), reg.tainted)
+            if not isinstance(value, Blob):
+                raise ScenarioUnsupported(f"a pointer cannot cross into aggregate {target}")
+            if len(value.values) != size:
+                raise UbError(
+                    DiagnosticKind.INVALID_BINDING,
+                    f"{len(value.values)}-byte aggregate crosses into {size}-byte {target}",
+                )
+            return reg
+        if isinstance(target, UnitType):
+            return Reg(0, reg.tainted)
+        raise ScenarioUnsupported(f"no conversion into {target}")
+
+    def _to_host(self, reg: Reg, target: TypeDesc, tainted_message: str) -> HostValue:
+        """A foreign value landing in host code as a `target`; tainted ones are errors."""
+        if not reg.tainted:
+            reg = self._convert(reg, target)
+        if reg.tainted:
+            raise UbError(DiagnosticKind.UNINITIALIZED_READ, tainted_message)
+        return reg.value
 
     # ---- foreign execution ---------------------------------------------------
 
@@ -1009,14 +969,15 @@ class Machine:
                 )
                 return Reg(value, tainted)
             raise ScenarioUnsupported(f"foreign load of type {ty}")
-        if isinstance(rhs, MallocRhs):
+        if isinstance(rhs, (MallocRhs, AllocaRhs)):
             size = self._reg_int(self._foreign_operand(thread, rhs.size))
-            alloc, base = self._alloc(size, 16, AllocOrigin.FOREIGN_HEAP, stmt.name, line)
-            return Reg(base)
-        if isinstance(rhs, AllocaRhs):
-            size = self._reg_int(self._foreign_operand(thread, rhs.size))
-            alloc, base = self._alloc(size, 16, AllocOrigin.FOREIGN_STACK, stmt.name, line)
-            thread.frames[-1].stack_allocs.append(alloc.id)
+            heap = isinstance(rhs, MallocRhs)
+            if size < 0:
+                raise ScenarioUnsupported(f"{'malloc' if heap else 'alloca'} of {size} bytes")
+            origin = AllocOrigin.FOREIGN_HEAP if heap else AllocOrigin.FOREIGN_STACK
+            alloc, base = self._alloc(size, 16, origin, stmt.name, line)
+            if not heap:
+                thread.frames[-1].stack_allocs.append(alloc.id)
             return Reg(base)
         if isinstance(rhs, GepRhs):
             reg = self._foreign_operand(thread, rhs.pointer)
@@ -1033,42 +994,16 @@ class Machine:
                 f"callback '{callee.name}' takes {len(callee.params)} parameters, "
                 f"call passes {len(stmt.args)}",
             )
-        args: list[HostValue] = []
-        for op, param in zip(stmt.args, callee.params):
-            reg = self._foreign_operand(thread, op)
-            args.append(self._reg_to_host(reg, param.type))
+        args = [
+            self._to_host(
+                self._foreign_operand(thread, op), param.type,
+                "value derived from uninitialized memory passed into host code",
+            )
+            for op, param in zip(stmt.args, callee.params)
+        ]
         callee_frame = self._make_host_frame(callee, args, stmt.line)
         thread.frames[-1].recv = (None, stmt.dest, None)
         thread.frames.append(callee_frame)
-
-    def _reg_to_host(self, reg: Reg, want: TypeDesc) -> HostValue:
-        if reg.tainted:
-            raise UbError(
-                DiagnosticKind.UNINITIALIZED_READ,
-                "value derived from uninitialized memory passed into host code",
-            )
-        if isinstance(want, CellType):
-            want = want.inner
-        if isinstance(want, IntType):
-            if isinstance(reg.value, PointerValue):
-                if want.size != 8:
-                    raise UbError(
-                        DiagnosticKind.INVALID_BINDING,
-                        f"pointer passed for {want.size}-byte integer parameter",
-                    )
-                return self.memory.expose(reg.value)
-            return reinterpret(self._reg_int(reg), want)
-        if isinstance(want, PtrType):
-            return self._reg_pointer(reg)
-        if isinstance(want, (StructType, ArrayType)):
-            if isinstance(reg.value, Blob):
-                return reg.value
-            raise ScenarioUnsupported(
-                f"aggregate parameter of type {want} needs a by-value aggregate argument"
-            )
-        if isinstance(want, UnitType):
-            return None
-        raise ScenarioUnsupported(f"cannot pass a value for parameter type {want}")
 
 
 def run_program(program: ScenarioProgram, config: Optional[MachineConfig] = None) -> Outcome:

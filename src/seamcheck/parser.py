@@ -26,7 +26,6 @@ from .ir import (
     AssertEqStmt,
     AssumeInitStmt,
     BindingSignature,
-    BorrowKind,
     BorrowRhs,
     CallStmt,
     CastRhs,
@@ -388,12 +387,12 @@ class _Parser:
         if ln.accept("&"):
             if ln.accept("raw"):
                 if ln.accept("mut"):
-                    return BorrowRhs(BorrowKind.RAW_MUT, self.parse_place(ln, env))
+                    return BorrowRhs(PtrKind.RAW_MUT, self.parse_place(ln, env))
                 ln.expect("const")
-                return BorrowRhs(BorrowKind.RAW_CONST, self.parse_place(ln, env))
+                return BorrowRhs(PtrKind.RAW_CONST, self.parse_place(ln, env))
             if ln.accept("mut"):
-                return BorrowRhs(BorrowKind.MUT, self.parse_place(ln, env))
-            return BorrowRhs(BorrowKind.SHARED, self.parse_place(ln, env))
+                return BorrowRhs(PtrKind.MUT_REF, self.parse_place(ln, env))
+            return BorrowRhs(PtrKind.SHARED_REF, self.parse_place(ln, env))
         if ln.accept("uninit"):
             return UninitRhs()
         if ln.accept("zeroed"):
@@ -668,10 +667,10 @@ def _render_rhs(rhs: Rhs) -> str:
         return str(rhs.place)
     if isinstance(rhs, BorrowRhs):
         prefix = {
-            BorrowKind.MUT: "&mut ",
-            BorrowKind.SHARED: "&",
-            BorrowKind.RAW_MUT: "&raw mut ",
-            BorrowKind.RAW_CONST: "&raw const ",
+            PtrKind.MUT_REF: "&mut ",
+            PtrKind.SHARED_REF: "&",
+            PtrKind.RAW_MUT: "&raw mut ",
+            PtrKind.RAW_CONST: "&raw const ",
         }[rhs.kind]
         return f"{prefix}{rhs.place}"
     if isinstance(rhs, OffsetRhs):

@@ -1,30 +1,29 @@
-"""Boundary signature checking and value conversion plans.
+"""Boundary signature checking and conversion plans.
 
 A binding is the caller's declared view of a function on the other side.
 Nothing forces it to agree with the definition, so every call is planned
 against both signatures and mismatches surface as invalid-binding findings
 at the call site.
 
-The ground rule is byte-size equality per position. On top of that:
+A plan pairs each value's source type with the type it lands in; the
+pairings a value may cross are:
 
-* integers cross when widths match; signedness is reinterpreted
-* pointers cross as pointers, carrying provenance
-* a pointer crossing into an integer slot must be 8 bytes wide and is
-  exposed; an 8-byte integer crossing into a pointer slot is rehydrated
-  with wildcard provenance
-* aggregates cross by value when size and field count both match, as raw
-  bytes when the other side declares one same-size integer, or spread over
-  several scalar parameters when the aggregate is homogeneous and padding
-  free and the definition has enough parameters left to absorb the fields
-* an aggregate in a variadic tail is out of scope rather than wrong
+* integer to integer of the same width; signedness is reinterpreted
+* pointer to pointer, carrying provenance
+* pointer to an 8-byte integer (exposed), 8-byte integer to pointer
+  (rehydrated with wildcard provenance)
+* aggregate to aggregate of the same size and field count, by value
+* aggregate to or from one integer of the same size, as raw bytes
+* a homogeneous, padding-free aggregate spread over several integer
+  parameters of the definition (flattening), when enough are left
+* in a variadic tail, an integer promoted to 8 bytes or a pointer as is;
+  an aggregate there is out of scope rather than wrong
 
-Plans are computed from types alone; applying them to values is the
-machine's job.
+Plans come from types alone; `Machine._convert` applies them to values.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,33 +50,23 @@ class TranslationError(Exception):
         self.unsupported = unsupported
 
 
-class ArgMode(enum.Enum):
-    SCALAR = "scalar"          # integer, width preserved, sign reinterpreted
-    POINTER = "pointer"        # pointer to pointer, provenance intact
-    EXPOSE = "expose"          # pointer leaves as an 8-byte integer
-    REHYDRATE = "rehydrate"    # 8-byte integer arrives as a wildcard pointer
-    BLOB = "blob"              # aggregate bytes reinterpreted as one integer
-    AGGREGATE = "aggregate"    # by-value bytes, structure preserved
-    FLATTEN = "flatten"        # homogeneous aggregate spread over scalars
-    UNIT = "unit"
-    DISCARD = "discard"        # return value the caller never declared
-
-
 @dataclass(frozen=True)
 class ArgPlan:
-    mode: ArgMode
     source: TypeDesc
-    targets: tuple[TypeDesc, ...]  # several only for FLATTEN
+    targets: tuple[TypeDesc, ...]  # several only for a flattened aggregate
 
 
 @dataclass(frozen=True)
 class CallPlan:
     args: tuple[ArgPlan, ...]
-    ret: ArgPlan
+    ret: TypeDesc  # the binding's; unit discards the returned value
+
+
+_AGGREGATES = (StructType, ArrayType, CellType)
 
 
 def _is_aggregate(t: TypeDesc) -> bool:
-    return isinstance(t, (StructType, ArrayType, CellType))
+    return isinstance(t, _AGGREGATES)
 
 
 def field_count(t: TypeDesc) -> int:
@@ -115,55 +104,37 @@ def flatten_fields(t: TypeDesc) -> Optional[tuple[IntType, ...]]:
     return (elem,) * count
 
 
-def _pair_mode(src: TypeDesc, dst: TypeDesc) -> ArgMode:
-    """Conversion mode for one value moving src -> dst, or raise."""
+def _check_pair(src: TypeDesc, dst: TypeDesc) -> None:
+    """Raise unless a value of type src may cross into dst."""
+    if isinstance(src, PtrType) and isinstance(dst, PtrType):
+        return
     if isinstance(src, UnitType) and isinstance(dst, UnitType):
-        return ArgMode.UNIT
+        return
     ssize, dsize = size_of(src), size_of(dst)
     if isinstance(src, IntType) and isinstance(dst, IntType):
         if ssize != dsize:
             raise TranslationError(
                 f"integer width mismatch: {ssize}-byte {src} against {dsize}-byte {dst}"
             )
-        return ArgMode.SCALAR
-    if isinstance(src, PtrType) and isinstance(dst, PtrType):
-        return ArgMode.POINTER
-    if isinstance(src, PtrType) and isinstance(dst, IntType):
-        if dsize != ssize:
-            raise TranslationError(
-                f"pointer against {dsize}-byte integer {dst}: only 8-byte integers carry addresses"
-            )
-        return ArgMode.EXPOSE
-    if isinstance(src, IntType) and isinstance(dst, PtrType):
+    elif isinstance(src, (IntType, PtrType)) and isinstance(dst, (IntType, PtrType)):
         if ssize != dsize:
+            number = src if isinstance(dst, PtrType) else dst
             raise TranslationError(
-                f"{ssize}-byte integer {src} against pointer: only 8-byte integers carry addresses"
+                f"pointer against {size_of(number)}-byte integer {number}: "
+                f"only 8-byte integers carry addresses"
             )
-        return ArgMode.REHYDRATE
-    if _is_aggregate(src) and isinstance(dst, IntType):
+    elif isinstance(src, (IntType, *_AGGREGATES)) and isinstance(dst, (IntType, *_AGGREGATES)):
         if ssize != dsize:
             raise TranslationError(
                 f"size mismatch: {ssize}-byte {src} against {dsize}-byte {dst}"
             )
-        return ArgMode.BLOB
-    if isinstance(src, IntType) and _is_aggregate(dst):
-        if ssize != dsize:
-            raise TranslationError(
-                f"size mismatch: {ssize}-byte {src} against {dsize}-byte {dst}"
-            )
-        return ArgMode.BLOB
-    if _is_aggregate(src) and _is_aggregate(dst):
-        if ssize != dsize:
-            raise TranslationError(
-                f"size mismatch: {ssize}-byte {src} against {dsize}-byte {dst}"
-            )
-        if field_count(src) != field_count(dst):
+        if _is_aggregate(src) and _is_aggregate(dst) and field_count(src) != field_count(dst):
             raise TranslationError(
                 f"shape mismatch: {src} has {field_count(src)} fields, "
                 f"{dst} has {field_count(dst)}"
             )
-        return ArgMode.AGGREGATE
-    raise TranslationError(f"no conversion between {src} and {dst}")
+    else:
+        raise TranslationError(f"no conversion between {src} and {dst}")
 
 
 def plan_call(binding: BindingSignature, callee: FnDef) -> CallPlan:
@@ -191,11 +162,11 @@ def plan_call(binding: BindingSignature, callee: FnDef) -> CallPlan:
             )
             # A same-size single integer prefers the blob path over flattening.
             if widths_fit and not _compatible(bt, targets[0]):
-                plans.append(ArgPlan(ArgMode.FLATTEN, bt, targets))
+                plans.append(ArgPlan(bt, targets))
                 j += len(flat)
                 continue
-        mode = _pair_mode(bt, dparams[j].type)
-        plans.append(ArgPlan(mode, bt, (dparams[j].type,)))
+        _check_pair(bt, dparams[j].type)
+        plans.append(ArgPlan(bt, (dparams[j].type,)))
         j += 1
     if j < len(dparams):
         raise TranslationError(
@@ -207,37 +178,37 @@ def plan_call(binding: BindingSignature, callee: FnDef) -> CallPlan:
 
 def _compatible(src: TypeDesc, dst: TypeDesc) -> bool:
     try:
-        _pair_mode(src, dst)
+        _check_pair(src, dst)
         return True
     except TranslationError:
         return False
 
 
-def plan_return(binding: BindingSignature, callee: FnDef) -> ArgPlan:
-    """Return value flows definition -> binding."""
+def plan_return(binding: BindingSignature, callee: FnDef) -> TypeDesc:
+    """The type a returned value lands in, flowing definition -> binding."""
     src, dst = callee.ret, binding.ret
     if isinstance(dst, UnitType):
-        mode = ArgMode.UNIT if isinstance(src, UnitType) else ArgMode.DISCARD
-        return ArgPlan(mode, src, (dst,))
+        return dst
     if isinstance(src, UnitType):
         raise TranslationError(
             f"binding '{binding.name}' declares a {dst} return, "
             f"'{callee.name}' returns nothing"
         )
-    return ArgPlan(_pair_mode(src, dst), src, (dst,))
+    _check_pair(src, dst)
+    return dst
 
 
 def plan_variadic_arg(host_type: TypeDesc) -> ArgPlan:
-    """Mode for an argument in the variadic tail, typed by the caller alone."""
+    """Plan for an argument in the variadic tail, typed by the caller alone."""
     if _is_aggregate(host_type):
         raise TranslationError(
             f"aggregate {host_type} passed through a variadic boundary",
             unsupported=True,
         )
     if isinstance(host_type, PtrType):
-        return ArgPlan(ArgMode.POINTER, host_type, (host_type,))
+        return ArgPlan(host_type, (host_type,))
     if isinstance(host_type, IntType):
-        return ArgPlan(ArgMode.SCALAR, host_type, (IntType(64, host_type.signed),))
+        return ArgPlan(host_type, (IntType(64, host_type.signed),))
     raise TranslationError(f"cannot pass {host_type} variadically")
 
 

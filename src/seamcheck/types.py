@@ -15,7 +15,7 @@ alignment as `T` and contributes its whole extent as a cell range; a
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 POINTER_SIZE = 8

@@ -1,0 +1,258 @@
+"""Values crossing the boundary: one conversion for arguments, returns and callbacks."""
+
+import pytest
+
+from seamcheck.cli import main
+from seamcheck.diagnostics import Classification, DiagnosticKind
+from seamcheck.machine import MachineConfig, run_program
+from seamcheck.parser import parse_text
+
+_PT = """
+type Pt
+  x: u32
+  y: u32
+end
+"""
+
+
+def _run(text, **config_kw):
+    return run_program(parse_text(text), MachineConfig(**config_kw))
+
+
+def _expect_bug(text, kind, **config_kw):
+    outcome = _run(text, **config_kw)
+    assert outcome.classification is Classification.BUG
+    assert outcome.diagnostics[0].kind is kind
+    return outcome.diagnostics[0]
+
+
+_HALF_INIT_RETURN = _PT + """
+bind pass = c_pass(Pt) -> i64
+
+foreign fn c_pass(p: Pt) -> Pt
+  return p
+end
+
+host fn main()
+  let pt: Pt = uninit
+  pt.x = 1
+  let bits: i64 = call pass(pt)
+end
+"""
+
+
+def test_by_value_return_with_uninitialized_bytes_into_an_integer_is_an_uninitialized_read():
+    diag = _expect_bug(_HALF_INIT_RETURN, DiagnosticKind.UNINITIALIZED_READ)
+    assert diag.message == "foreign call returned a value derived from uninitialized memory"
+
+
+def test_by_value_return_with_uninitialized_bytes_fails_at_the_crossing_without_permissive_loads():
+    diag = _expect_bug(
+        _HALF_INIT_RETURN, DiagnosticKind.UNINITIALIZED_READ, permissive_foreign=False
+    )
+    assert "uninitialized byte 4" in diag.message
+
+
+def test_pointer_register_returned_into_a_narrow_integer_binding_is_invalid_binding():
+    diag = _expect_bug(
+        """
+bind give = c_give(*mut i32) -> i32
+
+foreign fn c_give(p: ptr) -> i32
+  return p
+end
+
+host fn main()
+  let x: i32 = 1
+  let raw: *mut i32 = &raw mut x
+  let got: i32 = call give(raw)
+end
+""",
+        DiagnosticKind.INVALID_BINDING,
+    )
+    assert "4-byte integer" in diag.message
+
+
+def _callback_with_struct_argument(param_type, check=""):
+    return _PT + f"""
+bind drive = c_drive(Pt)
+
+foreign fn c_drive(p: Pt)
+  call take(p)
+end
+
+host fn take(v: {param_type})
+{check}
+end
+
+host fn main()
+  let pt: Pt = zeroed
+  pt.x = 1
+  pt.y = 2
+  call drive(pt)
+end
+"""
+
+
+def test_callback_aggregate_argument_into_same_size_integer_reinterprets_its_bytes():
+    outcome = _run(_callback_with_struct_argument("i64", "  assert_eq v 8589934593"))
+    assert outcome.classification is Classification.PASS
+
+
+def test_callback_aggregate_argument_into_other_size_integer_is_invalid_binding():
+    diag = _expect_bug(_callback_with_struct_argument("i32"), DiagnosticKind.INVALID_BINDING)
+    assert "8-byte aggregate" in diag.message
+
+
+def test_callback_aggregate_argument_into_other_size_aggregate_is_invalid_binding():
+    diag = _expect_bug(_callback_with_struct_argument("[u32; 3]"), DiagnosticKind.INVALID_BINDING)
+    assert "8-byte aggregate" in diag.message
+
+
+def test_callback_integer_argument_into_an_aggregate_parameter_becomes_its_bytes():
+    outcome = _run(
+        _PT
+        + """
+bind drive = c_drive()
+
+foreign fn c_drive()
+  call take(8589934593)
+end
+
+host fn take(v: Pt)
+  let y: u32 = v.y
+  assert_eq y 2
+end
+
+host fn main()
+  call drive()
+end
+"""
+    )
+    assert outcome.classification is Classification.PASS
+
+
+def test_literal_into_a_pointer_binding_is_an_address_even_under_strict_provenance():
+    outcome = _run(
+        """
+bind take = c_take(*mut i32)
+
+foreign fn c_take(p: ptr)
+end
+
+host fn main()
+  call take(0)
+end
+""",
+        strict_provenance=True,
+    )
+    assert outcome.classification is Classification.PASS
+
+
+_EXPOSE = """
+bind addr = c_addr(*mut u32) -> u64
+
+foreign fn c_addr(a: u64) -> u64
+  return a
+end
+
+host fn main()
+  let x: u32 = 7
+  let raw: *mut u32 = &raw mut x
+  let got: u64 = call addr(raw)
+  let want: u64 = raw as u64
+  assert_eq got want
+end
+"""
+
+
+def test_bound_pointer_into_an_integer_parameter_is_exposed():
+    assert _run(_EXPOSE).classification is Classification.PASS
+
+
+_REHYDRATE = """
+bind put = c_put(u64)
+
+foreign fn c_put(p: ptr)
+  store u32 p 9
+end
+
+host fn main()
+  let x: u32 = 7
+  let raw: *mut u32 = &raw mut x
+  let a: u64 = raw as u64
+  call put(a)
+  let v: u32 = x
+  assert_eq v 9
+end
+"""
+
+
+def test_bound_integer_into_a_pointer_parameter_is_rehydrated():
+    assert _run(_REHYDRATE).classification is Classification.PASS
+    _expect_bug(
+        _REHYDRATE.replace("  let a: u64 = raw as u64\n", "  let a: u64 = 4096\n"),
+        DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
+    )
+
+
+def test_undeclared_return_value_is_discarded_unread():
+    outcome = _run(
+        """
+bind ask = c_ask()
+
+foreign fn c_ask() -> i64
+  let s = alloca 8
+  let v = load i64 s
+  return v
+end
+
+host fn main()
+  call ask()
+end
+"""
+    )
+    assert outcome.classification is Classification.PASS
+
+
+def test_variadic_pointer_keeps_its_provenance():
+    outcome = _run(
+        """
+bind first = c_first(i64, ...) -> i64
+
+foreign fn c_first(n: i64, ...) -> i64
+  let p = vararg0
+  let v = load i64 p
+  return v
+end
+
+host fn main()
+  let x: i64 = 42
+  let raw: *mut i64 = &raw mut x
+  let got: i64 = call first(1, raw)
+  assert_eq got 42
+end
+"""
+    )
+    assert outcome.classification is Classification.PASS
+
+
+@pytest.mark.parametrize("rhs", ["malloc -1", "alloca -8"])
+def test_negative_allocation_size_is_unsupported(rhs, tmp_path, capsys):
+    text = f"""
+bind grab = c_grab()
+
+foreign fn c_grab()
+  let q = {rhs}
+end
+
+host fn main()
+  call grab()
+end
+"""
+    outcome = _run(text)
+    assert outcome.classification is Classification.UNSUPPORTED
+    assert f"{rhs.split()[1]} bytes" in outcome.note
+    path = tmp_path / "negative.sc"
+    path.write_text(text)
+    assert main([str(path)]) == 2

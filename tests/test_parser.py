@@ -7,13 +7,10 @@ import pytest
 from seamcheck.diagnostics import DiagnosticKind
 from seamcheck.ir import (
     AssertEqStmt,
-    BorrowKind,
-    BorrowRhs,
     CallStmt,
     CastRhs,
     Dialect,
     Expectation,
-    LetStmt,
     LiteralRhs,
     OutcomeTag,
     Place,
@@ -172,10 +169,10 @@ end
     )
     kinds = [s.rhs.kind for s in body[1:]]
     assert kinds == [
-        BorrowKind.MUT,
-        BorrowKind.SHARED,
-        BorrowKind.RAW_MUT,
-        BorrowKind.RAW_CONST,
+        PtrKind.MUT_REF,
+        PtrKind.SHARED_REF,
+        PtrKind.RAW_MUT,
+        PtrKind.RAW_CONST,
     ]
 
 

@@ -1,10 +1,9 @@
-"""Boundary planning: pair modes, flattening, variadic rules, reinterpretation."""
+"""Boundary planning: accepted pairings, flattening, variadic rules, reinterpretation."""
 
 import pytest
 
 from seamcheck.ir import BindingSignature, Dialect, FnDef, Param
 from seamcheck.translate import (
-    ArgMode,
     TranslationError,
     assignable,
     field_count,
@@ -42,58 +41,58 @@ def _callee(param_types, ret=UnitType(), variadic=False):
     return FnDef("c_f", Dialect.FOREIGN, params, ret, (), variadic)
 
 
-def _modes(binding_params, callee_params):
+def _targets(binding_params, callee_params):
     plan = plan_call(_binding(binding_params), _callee(callee_params))
-    return [p.mode for p in plan.args]
+    return [p.targets for p in plan.args]
 
 
 def test_matching_integers_cross_as_scalars():
-    assert _modes([I32], [U32]) == [ArgMode.SCALAR]
+    assert _targets([I32], [U32]) == [(U32,)]
 
 
 def test_integer_width_mismatch_is_invalid_binding():
     with pytest.raises(TranslationError) as e:
-        _modes([I32], [I64])
+        _targets([I32], [I64])
     assert not e.value.unsupported
 
 
 def test_pointers_cross_as_pointers():
-    assert _modes([PtrType(PtrKind.RAW_MUT, I32)], [OPAQUE]) == [ArgMode.POINTER]
+    assert _targets([PtrType(PtrKind.RAW_MUT, I32)], [OPAQUE]) == [(OPAQUE,)]
 
 
 def test_pointer_into_integer_slot_is_exposed():
-    assert _modes([PtrType(PtrKind.RAW_CONST, I32)], [U64]) == [ArgMode.EXPOSE]
+    assert _targets([PtrType(PtrKind.RAW_CONST, I32)], [U64]) == [(U64,)]
 
 
 def test_pointer_into_narrow_integer_rejected():
     with pytest.raises(TranslationError):
-        _modes([PtrType(PtrKind.RAW_CONST, I32)], [U32])
+        _targets([PtrType(PtrKind.RAW_CONST, I32)], [U32])
 
 
 def test_integer_into_pointer_slot_is_rehydrated():
-    assert _modes([U64], [OPAQUE]) == [ArgMode.REHYDRATE]
+    assert _targets([U64], [OPAQUE]) == [(OPAQUE,)]
 
 
 def test_narrow_integer_into_pointer_rejected():
     with pytest.raises(TranslationError):
-        _modes([U32], [OPAQUE])
+        _targets([U32], [OPAQUE])
 
 
 def test_same_size_aggregate_as_integer_uses_blob():
     pair = StructType("Pair", (FieldDef("a", U32, None), FieldDef("b", U32, None)))
-    assert _modes([pair], [U64]) == [ArgMode.BLOB]
+    assert _targets([pair], [U64]) == [(U64,)]
 
 
 def test_aggregate_to_aggregate_by_value():
     src = StructType("S", (FieldDef("a", U32, None), FieldDef("b", U32, None)))
     dst = ArrayType(U32, 2)
-    assert _modes([src], [dst]) == [ArgMode.AGGREGATE]
+    assert _targets([src], [dst]) == [(dst,)]
 
 
 def test_aggregate_size_mismatch_rejected():
     src = ArrayType(U32, 2)
     with pytest.raises(TranslationError) as e:
-        _modes([src], [ArrayType(U32, 3)])
+        _targets([src], [ArrayType(U32, 3)])
     assert "size mismatch" in str(e.value)
 
 
@@ -101,20 +100,19 @@ def test_aggregate_field_count_mismatch_rejected():
     src = ArrayType(U32, 2)
     dst = ArrayType(IntType(16, False), 4)  # same 8 bytes, different shape
     with pytest.raises(TranslationError) as e:
-        _modes([src], [dst])
+        _targets([src], [dst])
     assert "shape mismatch" in str(e.value)
 
 
 def test_homogeneous_aggregate_flattens_over_scalars():
     pair = ArrayType(U32, 2)
     plan = plan_call(_binding([pair]), _callee([U32, U32]))
-    assert [p.mode for p in plan.args] == [ArgMode.FLATTEN]
-    assert plan.args[0].targets == (U32, U32)
+    assert [p.targets for p in plan.args] == [(U32, U32)]
 
 
 def test_flatten_requires_enough_definition_parameters():
     pair = ArrayType(U32, 2)
-    # Only one slot left: flattening cannot apply and the pair mode fails.
+    # Only one slot left: flattening cannot apply and the pair check fails.
     with pytest.raises(TranslationError):
         plan_call(_binding([pair]), _callee([U32]))
 
@@ -122,13 +120,13 @@ def test_flatten_requires_enough_definition_parameters():
 def test_flatten_leaves_room_for_later_binding_parameters():
     pair = ArrayType(U32, 2)
     plan = plan_call(_binding([pair, I32]), _callee([U32, U32, I32]))
-    assert [p.mode for p in plan.args] == [ArgMode.FLATTEN, ArgMode.SCALAR]
+    assert [p.targets for p in plan.args] == [(U32, U32), (I32,)]
 
 
 def test_single_integer_prefers_blob_over_flatten():
     wrapped = StructType("W", (FieldDef("v", U64, None),))
     plan = plan_call(_binding([wrapped]), _callee([U64]))
-    assert [p.mode for p in plan.args] == [ArgMode.BLOB]
+    assert [p.targets for p in plan.args] == [(U64,)]
 
 
 def test_flatten_needs_matching_scalar_widths():
@@ -155,13 +153,11 @@ def test_parameter_count_mismatches_rejected_both_ways():
 
 
 def test_return_plan_unit_both_sides():
-    plan = plan_return(_binding([], ret=UnitType()), _callee([], ret=UnitType()))
-    assert plan.mode is ArgMode.UNIT
+    assert plan_return(_binding([], ret=UnitType()), _callee([], ret=UnitType())) == UnitType()
 
 
 def test_return_plan_discards_undeclared_value():
-    plan = plan_return(_binding([], ret=UnitType()), _callee([], ret=I64))
-    assert plan.mode is ArgMode.DISCARD
+    assert plan_return(_binding([], ret=UnitType()), _callee([], ret=I64)) == UnitType()
 
 
 def test_return_plan_missing_value_rejected():
@@ -171,20 +167,17 @@ def test_return_plan_missing_value_rejected():
 
 
 def test_return_plan_scalar():
-    plan = plan_return(_binding([], ret=I64), _callee([], ret=U64))
-    assert plan.mode is ArgMode.SCALAR
+    assert plan_return(_binding([], ret=I64), _callee([], ret=U64)) == I64
 
 
 def test_variadic_integer_promotes_to_eight_bytes():
-    plan = plan_variadic_arg(I32)
-    assert plan.mode is ArgMode.SCALAR
-    assert plan.targets == (IntType(64, True),)
+    assert plan_variadic_arg(I32).targets == (IntType(64, True),)
     assert plan_variadic_arg(U32).targets == (IntType(64, False),)
 
 
 def test_variadic_pointer_passes_through():
-    plan = plan_variadic_arg(PtrType(PtrKind.RAW_CONST, I32))
-    assert plan.mode is ArgMode.POINTER
+    ptr = PtrType(PtrKind.RAW_CONST, I32)
+    assert plan_variadic_arg(ptr).targets == (ptr,)
 
 
 def test_variadic_aggregate_is_unsupported_not_a_bug():

@@ -16,10 +16,14 @@ landing in host code is an uninitialized read. Only `spawn` creates a thread. Th
 picks among ready threads with a seeded generator, so a run is a
 deterministic function of (program, config).
 
-Host frames tear down in a fixed order at exit: owned heap values drop in
-reverse declaration order, then protectors end, then local storage dies.
-That ordering is load-bearing: a dropped allocation still sees active
-protectors from the same frame.
+Every borrow, cell pointer, reference-to-raw cast, owned heap value and
+reference parameter gets its tag from one retag path, `_retag`; reference
+parameters are retagged with a protector that lasts until their frame exits.
+
+Host frames tear down in a fixed order at exit: owned heap values that were
+not moved out drop in reverse declaration order, shadowed ones too, then
+protectors end, then local storage dies. That ordering is load-bearing: a
+dropped allocation still sees active protectors from the same frame.
 """
 
 from __future__ import annotations
@@ -141,7 +145,6 @@ class Reg:
 class _Slot:
     name: str
     type: TypeDesc
-    alloc: Allocation
     pointer: PointerValue  # base, root tag
     owning: bool = False   # heap value dropped at frame exit
     moved: bool = False
@@ -303,61 +306,39 @@ class Machine:
     def _make_host_frame(self, fn: FnDef, args: list[HostValue], line: int) -> _Frame:
         frame = _Frame(fn=fn)
         for param, value in zip(fn.params, args):
-            slot = self._new_slot(frame, param.name, param.type, line)
-            if is_reference(param.type) and isinstance(value, PointerValue):
-                value = self._protected_retag(frame, param.type, value, param.name, line)
-            self._typed_write_value(slot.pointer, param.type, value, line)
+            ty = param.type
+            slot = self._new_slot(frame, param.name, ty, line)
+            if is_reference(ty) and isinstance(value, PointerValue):
+                value = self._retag(value, ty.pointee, ty.kind.value, param.name, line, protect=True)
+                frame.protected.append((value.alloc_id, value.provenance))
+            self._typed_write_value(slot.pointer, ty, value, line)
         return frame
 
-    def _protected_retag(
-        self, frame: _Frame, ty: PtrType, ptr: PointerValue, label: str, line: int
+    def _retag(
+        self, ptr: PointerValue, pointee: TypeDesc, kind: str, label: str, line: int,
+        protect: bool = False,
     ) -> PointerValue:
-        if ptr.alloc_id is None:
-            raise UbError(
-                DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
-                f"reference parameter '{label}' holds 0x{ptr.address:x}, which points "
-                f"into no live allocation",
-                address=ptr.address,
-            )
-        pointee = self._pointee(ty, ptr)
-        size = size_of(pointee)
-        tag = self._retag_through(ptr, size, pointee, ty.kind.value, protect=True, label=label, line=line)
-        frame.protected.append((ptr.alloc_id, tag))
-        return replace(ptr, provenance=tag)
+        """`ptr` with a fresh `kind` tag over its `pointee`, derived from the tag it carries.
 
-    def _retag_through(
-        self,
-        ptr: PointerValue,
-        size: int,
-        pointee: TypeDesc,
-        kind: str,
-        protect: bool,
-        label: str,
-        line: int,
-    ) -> int:
-        # A reference's pointee must be live and in bounds when it is made,
-        # as Miri requires it to be dereferenceable at retag.
+        The pointee must be live and in bounds when the borrow is made, as
+        Miri requires it to be dereferenceable at retag; `check_bounds` also
+        rejects a pointer into no allocation. A borrow through an exposed
+        address hangs off the allocation's root tag.
+        """
+        size = size_of(pointee)
         alloc = self.memory.check_bounds(ptr, size, f"{kind} retag")
-        parent = ptr.provenance
-        if parent is WILDCARD:
-            # A borrow through an exposed address hangs off the allocation root.
-            parent = alloc.tracker.root_tag
-        if not isinstance(parent, int):
-            raise UbError(
-                DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
-                f"retag of '{label}' through a pointer without provenance",
-                address=ptr.address,
-            )
+        parent = alloc.tracker.root_tag if ptr.provenance is WILDCARD else ptr.provenance
         cells = tuple(
             (a + ptr.offset, b + ptr.offset) for a, b in layout_of(pointee).cell_ranges
         )
         rng = (ptr.offset, ptr.offset + size)
-        return alloc.tracker.retag(parent, rng, kind, cells, protect, label, line)
+        tag = alloc.tracker.retag(parent, rng, kind, cells, protect, label, line)
+        return replace(ptr, provenance=tag)
 
     def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc, line: int) -> _Slot:
         layout = layout_of(ty)
         alloc, ptr = self._alloc(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name, line)
-        slot = _Slot(name=name, type=ty, alloc=alloc, pointer=ptr)
+        slot = _Slot(name=name, type=ty, pointer=ptr)
         frame.slots[name] = slot
         frame.slot_order.append(slot)
         frame.stack_allocs.append(alloc.id)
@@ -366,7 +347,7 @@ class Machine:
     def _exit_frame(self, thread: _Thread, line: int) -> _Frame:
         frame = thread.frames[-1]
         for slot in reversed(frame.slot_order):
-            if slot.owning and not slot.moved and frame.slots.get(slot.name) is slot:
+            if slot.owning and not slot.moved:
                 box, _ = self.memory.read_pointer(slot.pointer, line=line)
                 self.memory.deallocate(box, "host")
         for alloc_id, tag in frame.protected:
@@ -508,6 +489,12 @@ class Machine:
         raise ScenarioUnsupported("aggregate register used as a pointer")
 
     def _reg_int(self, reg: Reg) -> int:
+        """A register used as an integer operand; a tainted one is an uninitialized read."""
+        if reg.tainted:
+            raise UbError(
+                DiagnosticKind.UNINITIALIZED_READ,
+                "foreign code used a value derived from uninitialized memory as an integer operand",
+            )
         if isinstance(reg.value, int):
             return reg.value
         if isinstance(reg.value, PointerValue):
@@ -537,7 +524,7 @@ class Machine:
             self._host_let(thread, stmt)
         elif isinstance(stmt, WriteStmt):
             ptr, ty = self._resolve_place(thread, stmt.place, line)
-            value, vty = self._eval_operand(thread, stmt.value, line)
+            value, _ = self._eval_operand(thread, stmt.value, line)
             self._typed_write_value(ptr, ty, value, line)
         elif isinstance(stmt, AssumeInitStmt):
             ptr, ty = self._resolve_place(thread, stmt.place, line)
@@ -608,7 +595,8 @@ class Machine:
                 )
             return self._typed_read(src_ptr, src_ty, line)
         if isinstance(rhs, BorrowRhs):
-            return self._borrow(thread, rhs, stmt.name, line)
+            ptr, ty = self._resolve_place(thread, rhs.place, line)
+            return self._retag(ptr, ty, rhs.kind.value, stmt.name, line)
         if isinstance(rhs, CastRhs):
             return self._cast(thread, rhs.source, stmt.type, stmt.name, line)
         if isinstance(rhs, OffsetRhs):
@@ -617,11 +605,7 @@ class Machine:
             src_ptr, src_ty = self._resolve_place(thread, rhs.place, line)
             if not isinstance(src_ty, CellType):
                 raise ScenarioUnsupported(".get() on a place that is not interior-mutable")
-            tag = self._retag_through(
-                src_ptr, size_of(src_ty.inner), src_ty.inner, "cell",
-                protect=False, label=stmt.name, line=line,
-            )
-            return replace(src_ptr, provenance=tag)
+            return self._retag(src_ptr, src_ty.inner, "cell", stmt.name, line)
         if isinstance(rhs, HeapNewRhs):
             return self._heap_new(stmt.name, rhs, line)
         if isinstance(rhs, HeapIntoRawRhs):
@@ -632,7 +616,7 @@ class Machine:
             src.moved = True
             return box
         if isinstance(rhs, HeapFromRawRhs):
-            value, vty = self._eval_operand(thread, rhs.source, line)
+            value, _ = self._eval_operand(thread, rhs.source, line)
             if not isinstance(value, PointerValue):
                 raise ScenarioUnsupported("heap_from_raw needs a pointer value")
             if value.alloc_id is None:
@@ -641,16 +625,13 @@ class Machine:
                     f"heap_from_raw of 0x{value.address:x}, which points into no live allocation",
                     address=value.address,
                 )
-            alloc = self.memory.allocations[value.alloc_id]
+            if not self.config.unique_as_mutable:
+                return value
             pointee = stmt.type.pointee if isinstance(stmt.type, PtrType) else None
-            size = size_of(pointee) if pointee is not None else alloc.size
-            if self.config.unique_as_mutable:
-                tag = self._retag_through(
-                    value, size, pointee if pointee is not None else U8,
-                    "mutable-ref", protect=False, label=stmt.name, line=line,
-                )
-                value = replace(value, provenance=tag)
-            return value
+            if pointee is None:
+                # An untyped pointer reclaims the whole allocation.
+                pointee = ArrayType(U8, self.memory.allocations[value.alloc_id].size)
+            return self._retag(value, pointee, "mutable-ref", stmt.name, line)
         raise ScenarioUnsupported(f"host let cannot evaluate {type(rhs).__name__}")
 
     def _heap_new(self, name: str, rhs: HeapNewRhs, line: int) -> PointerValue:
@@ -663,23 +644,8 @@ class Machine:
         elif isinstance(rhs.init, int):
             self._typed_write_value(base, rhs.type, rhs.init, line)
         if self.config.unique_as_mutable:
-            tag = self._retag_through(
-                base, layout.size, rhs.type, "mutable-ref", protect=False,
-                label=name, line=line,
-            )
-            base = replace(base, provenance=tag)
+            base = self._retag(base, rhs.type, "mutable-ref", name, line)
         return base
-
-    def _borrow(self, thread: _Thread, rhs: BorrowRhs, label: str, line: int) -> PointerValue:
-        ptr, ty = self._resolve_place(thread, rhs.place, line)
-        if ptr.alloc_id is None:
-            raise UbError(
-                DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
-                f"borrow of a place at 0x{ptr.address:x} outside any live allocation",
-                address=ptr.address,
-            )
-        tag = self._retag_through(ptr, size_of(ty), ty, rhs.kind.value, protect=False, label=label, line=line)
-        return replace(ptr, provenance=tag)
 
     def _cast(
         self, thread: _Thread, source: str, target: TypeDesc, label: str, line: int
@@ -690,11 +656,7 @@ class Machine:
         if isinstance(src_ty, PtrType) and isinstance(target, PtrType):
             raw = target.kind in (PtrKind.RAW_MUT, PtrKind.RAW_CONST)
             if is_reference(src_ty) and raw and value.alloc_id is not None:
-                pointee = self._pointee(src_ty, value)
-                tag = self._retag_through(
-                    value, size_of(pointee), pointee, target.kind.value, protect=False, label=label, line=line
-                )
-                return replace(value, provenance=tag)
+                return self._retag(value, src_ty.pointee, target.kind.value, label, line)
             if is_reference(target):
                 raise ScenarioUnsupported("casts cannot create references")
         elif (isinstance(src_ty, PtrType) or isinstance(target, PtrType)) and size_of(src_ty) != size_of(target):

@@ -21,7 +21,9 @@ records besides its description.
 `BorrowTracker` is the base of both borrow models: it owns an allocation's
 tags and one `TagHistory` per tag (created, last valid use, first
 invalidation), which both models update in place, and hands copies of
-those records to the errors it raises.
+those records to the errors it raises. It also holds protection, one
+per-tag set that both models read: a protecting retag adds its tag when it
+creates it, and `protector_end` removes it at function exit.
 
 Addresses come from a bump allocator with guard gaps between allocations.
 The starting base is perturbed by the seed; no semantic result may depend on
@@ -111,7 +113,8 @@ class BorrowTracker:
     """The tags of one allocation under a borrow model, with their histories.
 
     `tags` holds the live `TagHistory` of every tag the tracker made, in
-    creation order, starting with the root tag that owns the allocation. Each
+    creation order, starting with the root tag that owns the allocation, and
+    `protected` the tags whose function-entry protector is still active. Each
     model keeps its per-location state in a subclass and implements the
     operations below.
     """
@@ -125,12 +128,15 @@ class BorrowTracker:
                 self.root_tag, root_label, TagEvent(line, f"allocation of alloc#{alloc_id}")
             )
         }
+        self.protected: set[int] = set()
 
-    def _new_tag(self, parent: int, rng: Range, kind: str, label: str, line: int) -> int:
+    def _new_tag(self, parent: int, rng: Range, kind: str, label: str, line: int, protect: bool) -> int:
         tag = self._tag_source()
         self.tags[tag] = TagHistory(
             tag, label, TagEvent(line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}")
         )
+        if protect:
+            self.protected.add(tag)
         return tag
 
     def _invalidate(self, tag: int, line: int, cause: str) -> None:
@@ -157,6 +163,10 @@ class BorrowTracker:
         """Copies of every tag's record, which later accesses leave unchanged."""
         return tuple(replace(record) for record in self.tags.values())
 
+    def protector_end(self, tag: int) -> None:
+        """The frame that protected `tag` has exited."""
+        self.protected.discard(tag)
+
     # ---- implemented by each model -------------------------------------------
 
     def retag(
@@ -166,9 +176,6 @@ class BorrowTracker:
         raise NotImplementedError
 
     def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
-        raise NotImplementedError
-
-    def protector_end(self, tag: int) -> None:
         raise NotImplementedError
 
     def dealloc_check(self) -> None:
@@ -334,8 +341,8 @@ class Memory:
     def check_bounds(self, ptr: PointerValue, size: int, what: str) -> Allocation:
         """Liveness, then bounds, of `size` bytes at `ptr`; the tracker is not consulted.
 
-        `what` names the operation in the message ("read", "write", or a retag
-        kind such as "mutable-ref retag").
+        `what` names the operation in the message ("read", "write", "init
+        claim", or a retag kind such as "mutable-ref retag").
         """
         alloc = self._require_allocation(ptr)
         if not alloc.live:
@@ -479,20 +486,7 @@ class Memory:
         Performs no access (it models a claim, not a use), so the borrow
         tracker is not consulted; liveness and bounds still are.
         """
-        alloc = self._require_allocation(ptr)
-        if not alloc.live:
-            raise UbError(
-                DiagnosticKind.USE_AFTER_FREE,
-                f"init claim over alloc#{alloc.id} ({alloc.label}) after it was freed",
-                address=ptr.address,
-            )
-        if ptr.offset < 0 or ptr.offset + size > alloc.size:
-            raise UbError(
-                DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
-                f"init claim of {size} bytes at alloc#{alloc.id}+{ptr.offset} overruns the "
-                f"{alloc.size}-byte allocation",
-                address=ptr.address,
-            )
+        alloc = self.check_bounds(ptr, size, "init claim")
         for i in range(size):
             off = ptr.offset + i
             if alloc.values[off] is None:

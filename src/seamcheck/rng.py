@@ -61,6 +61,3 @@ class Xoshiro256:
             v = self.next_u64()
             if v <= limit:
                 return v % n
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

@@ -15,9 +15,11 @@ SharedReadWrite wherever a shared form would get SharedReadOnly.
 
 Accesses find the topmost item carrying the accessing tag. Writes pop every
 item above it; reads remove only the write-granting items above it. Popping
-a protected item is an error, as is deallocating while any protected item
-remains. A tag with no item left in the stack is gone for good: using it
-reports the access as out of bounds of what the pointer was ever granted.
+an item whose tag is protected is an error, as is deallocating while any
+item of a protected tag remains. Protection is not stored in the items: it
+is the one per-tag set the `BorrowTracker` base keeps for both models. A
+tag with no item left in the stack is gone for good: using it reports the
+access as out of bounds of what the pointer was ever granted.
 
 Wildcard provenance resolves eagerly to the topmost item that grants the
 access, then behaves as if that item had been named.
@@ -51,7 +53,6 @@ class Grant(enum.Enum):
 class _Item(NamedTuple):
     tag: int
     grant: Grant
-    protected: bool = False
 
 
 class StackedBorrowTracker(BorrowTracker):
@@ -80,44 +81,34 @@ class StackedBorrowTracker(BorrowTracker):
                 return i
         return None
 
-    def _pop_above(self, stack: list[_Item], index: int, cause: str, line: int, off: int) -> None:
-        """Write semantics: remove everything above the granting item."""
-        if any(item.protected for item in stack[index + 1 :]):
+    def _remove_above(
+        self, stack: list[_Item], index: int, kind: str, cause: str, line: int, off: int
+    ) -> None:
+        """Pop items above the granting one at `index`, top-down, invalidating their tags.
+
+        A write pops all of them, a read only the write-granting ones.
+        Popping an item whose tag is protected is an error.
+        """
+        doomed = [
+            i for i in range(len(stack) - 1, index, -1)
+            if kind == "write" or stack[i].grant.allows_write
+        ]
+        blocked = next((i for i in doomed if stack[i].tag in self.protected), None)
+        if blocked is not None:
             # Cut the segment after `off`: the pops made before the error must
             # reach byte `off` alone, since later bytes are never visited.
             self._stacks.split(off + 1)
-        while len(stack) > index + 1:
-            item = stack[-1]
-            if item.protected:
+        for i in doomed:
+            tag = stack[i].tag
+            if i == blocked:
                 raise self._error(
                     DiagnosticKind.PROTECTED_PERMISSION,
                     f"{cause} at alloc#{self.alloc_id}+{off} would pop protected "
-                    f"tag#{item.tag} ('{self.tags[item.tag].label}')",
+                    f"tag#{tag} ('{self.tags[tag].label}')",
                     off,
                 )
-            stack.pop()
-            self._invalidate(item.tag, line, cause)
-
-    def _disable_writers_above(
-        self, stack: list[_Item], index: int, cause: str, line: int, off: int
-    ) -> None:
-        """Read semantics: remove only write-granting items above the granting one."""
-        if any(item.protected and item.grant.allows_write for item in stack[index + 1 :]):
-            self._stacks.split(off + 1)  # as in `_pop_above`
-        i = len(stack) - 1
-        while i > index:
-            item = stack[i]
-            if item.grant.allows_write:
-                if item.protected:
-                    raise self._error(
-                        DiagnosticKind.PROTECTED_PERMISSION,
-                        f"{cause} at alloc#{self.alloc_id}+{off} would pop protected "
-                        f"tag#{item.tag} ('{self.tags[item.tag].label}')",
-                        off,
-                    )
-                stack.pop(i)
-                self._invalidate(item.tag, line, cause)
-            i -= 1
+            del stack[i]
+            self._invalidate(tag, line, cause)
 
     # ---- operations ----------------------------------------------------------
 
@@ -131,7 +122,7 @@ class StackedBorrowTracker(BorrowTracker):
         label: str,
         line: int = 0,
     ) -> int:
-        tag = self._new_tag(parent, rng, kind, label, line)
+        tag = self._new_tag(parent, rng, kind, label, line, protect)
         cause = f"{kind} retag for tag#{tag} ('{label}')"
         stacks = self._stacks
         for a, b in cell_ranges:
@@ -158,17 +149,17 @@ class StackedBorrowTracker(BorrowTracker):
                         f"tag#{parent} ('{self.tags[parent].label}')",
                         off,
                     )
-                self._pop_above(stack, idx, cause, line, off)
-                stack.append(_Item(tag, Grant.UNIQUE, protect))
+                self._remove_above(stack, idx, "write", cause, line, off)
+                stack.append(_Item(tag, Grant.UNIQUE))
             elif kind == "shared-ref":
-                self._disable_writers_above(stack, idx, cause, line, off)
+                self._remove_above(stack, idx, "read", cause, line, off)
                 grant = Grant.SHARED_RW if in_ranges(off, cell_ranges) else Grant.SHARED_RO
-                stack.append(_Item(tag, grant, protect))
+                stack.append(_Item(tag, grant))
             elif kind in ("raw-mut", "cell"):
-                stack.insert(idx + 1, _Item(tag, Grant.SHARED_RW, protect))
+                stack.insert(idx + 1, _Item(tag, Grant.SHARED_RW))
             elif kind == "raw-const":
                 grant = Grant.SHARED_RW if in_ranges(off, cell_ranges) else Grant.SHARED_RO
-                stack.append(_Item(tag, grant, protect))
+                stack.append(_Item(tag, grant))
             else:
                 raise ValueError(f"unknown retag kind: {kind}")
         stacks.merge(span)
@@ -217,27 +208,16 @@ class StackedBorrowTracker(BorrowTracker):
                     )
                 cause = f"{kind} via tag#{prov} ('{label}')"
                 tag_for_history = prov
-            if kind == "write":
-                self._pop_above(stack, idx, cause, line, off)
-            else:
-                self._disable_writers_above(stack, idx, cause, line, off)
+            self._remove_above(stack, idx, kind, cause, line, off)
             info = self.tags.get(tag_for_history)
             if info is not None:
                 info.last_valid_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
         stacks.merge(span)
 
-    def protector_end(self, tag: int) -> None:
-        stacks = self._stacks
-        for stack in stacks.values:
-            for i, item in enumerate(stack):
-                if item.tag == tag and item.protected:
-                    stack[i] = _Item(tag, item.grant)
-        stacks.merge(range(len(stacks.values)))
-
     def dealloc_check(self) -> None:
         for off, stack in zip(self._stacks.starts, self._stacks.values):
             for item in stack:
-                if item.protected:
+                if item.tag in self.protected:
                     raise self._error(
                         DiagnosticKind.PROTECTED_PERMISSION,
                         f"deallocation of alloc#{self.alloc_id} while tag#{item.tag} "
@@ -251,7 +231,7 @@ class StackedBorrowTracker(BorrowTracker):
         parts = []
         for item in stack:
             text = f"{self.tags[item.tag].label}: {item.grant.value}"
-            if item.protected:
+            if item.tag in self.protected:
                 text += " (protected)"
             parts.append(text)
         return "[" + ", ".join(parts) + "]"
@@ -265,7 +245,9 @@ class StackedBorrowTracker(BorrowTracker):
 
     def serialize(self) -> str:
         """Stable full-state dump, equal runs coalesced."""
+        protected = self.protected
         return "\n".join(
-            f"[{a}..{b})|" + ";".join(f"{i.tag}:{i.grant.value}:{int(i.protected)}" for i in stack)
+            f"[{a}..{b})|"
+            + ";".join(f"{i.tag}:{i.grant.value}:{int(i.tag in protected)}" for i in stack)
             for a, b, stack in self._stacks.runs(tuple)
         )

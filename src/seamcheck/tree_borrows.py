@@ -30,8 +30,9 @@ Transitions apply to lazy locations too; laziness only means no assertion at
 retag time and no protector error before the first genuine use.
 
 Each tag's `TagHistory` (created, last valid use, first invalidation) lives
-in the `BorrowTracker` base, shared with the sb model; a `_Node` holds only
-the tag's place in the tree. Every access records its source line.
+in the `BorrowTracker` base, shared with the sb model, and so does
+protection, one per-tag set that both models read; a `_Node` holds only the
+tag's place in the tree. Every access records its source line.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class _Node:
     parent: Optional[int]
     index: int  # position in creation order, and in every segment's state list
     default_perm: Permission
-    protected: bool = False
     children: list[int] = field(default_factory=list)
 
 
@@ -139,8 +139,8 @@ class TreeBorrowTracker(BorrowTracker):
         if kind in ("raw-mut", "raw-const", "cell"):
             return parent
         default = {"mutable-ref": Permission.RESERVED, "shared-ref": Permission.FROZEN}[kind]
-        tag = self._new_tag(parent, rng, kind, label, line)
-        self.nodes[tag] = _Node(parent, len(self.nodes), default, protect)
+        tag = self._new_tag(parent, rng, kind, label, line, protect)
+        self.nodes[tag] = _Node(parent, len(self.nodes), default)
         self.nodes[parent].children.append(tag)
         perms = self._perms
         for a, b in cell_ranges:
@@ -164,7 +164,7 @@ class TreeBorrowTracker(BorrowTracker):
         child_side = self._ancestors_and_self(prov)
         acting = self.tags[prov]
         acting_index = self.nodes[prov].index
-        nodes, tags = self.nodes, self.tags
+        nodes, tags, protected = self.nodes, self.tags, self.protected
         order = list(nodes)  # the tag at each node index
         child, foreign = _TRANSITIONS[(kind, "child")], _TRANSITIONS[(kind, "foreign")]
         tables = [child if tag in child_side else foreign for tag in order]
@@ -197,7 +197,7 @@ class TreeBorrowTracker(BorrowTracker):
                         + self._invalidation_note(tag),
                         off,
                     )
-                if nodes[tag].protected and initialized and result is Permission.DISABLED:
+                if tag in protected and initialized and result is Permission.DISABLED:
                     raise self._error(
                         DiagnosticKind.PROTECTED_PERMISSION,
                         f"{kind} through tag#{prov} ('{acting.label}') at alloc#{self.alloc_id}+{off} "
@@ -222,13 +222,10 @@ class TreeBorrowTracker(BorrowTracker):
         perms.merge(span)
         acting.last_valid_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
 
-    def protector_end(self, tag: int) -> None:
-        self.nodes[tag].protected = False
-
     def dealloc_check(self) -> None:
         """Deallocation while any used, still-protected borrow exists is an error."""
         for tag, node in self.nodes.items():
-            if node.protected and any(states[node.index][2] for states in self._perms.values):
+            if tag in self.protected and any(states[node.index][2] for states in self._perms.values):
                 raise self._error(
                     DiagnosticKind.PROTECTED_PERMISSION,
                     f"deallocation of alloc#{self.alloc_id} while tag#{tag} "
@@ -277,5 +274,5 @@ class TreeBorrowTracker(BorrowTracker):
                 f"[{a}..{b}):{initial.value}:{perm.value}:{int(initialized)}"
                 for a, b, (initial, perm, initialized) in self._perms.runs(itemgetter(n.index))
             )
-            parts.append(f"{tag}|{self.tags[tag].label}|{n.parent}|{int(n.protected)}|{states}")
+            parts.append(f"{tag}|{self.tags[tag].label}|{n.parent}|{int(tag in self.protected)}|{states}")
         return "\n".join(parts)

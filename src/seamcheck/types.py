@@ -206,7 +206,10 @@ def _layout_of(t: TypeDesc, stack: tuple[str, ...]) -> Layout:
         elem = _layout_of(t.elem, stack)
         cells: list[Range] = []
         padding: list[Range] = []
-        for i in range(t.count):
+        # Elements without cells or padding add no ranges, so a large plain
+        # array, such as an untyped `heap_from_raw`'s whole allocation, lays
+        # out in O(1).
+        for i in range(t.count if elem.cell_ranges or elem.padding_ranges else 0):
             cells.extend(_shift(elem.cell_ranges, i * elem.size))
             padding.extend(_shift(elem.padding_ranges, i * elem.size))
         out = Layout(

@@ -94,8 +94,9 @@ def _tree_view(tracker, tags, off):
 
 
 def _stack_view(tracker, tags, off):
-    stack = tracker.stack_at(off) if isinstance(tracker, StackedBorrowTracker) else tracker.stacks[off]
-    return [(item.tag, item.grant, item.protected) for item in stack]
+    if isinstance(tracker, StackedBorrowTracker):
+        return [(item.tag, item.grant, item.tag in tracker.protected) for item in tracker.stack_at(off)]
+    return [(item.tag, item.grant, item.protected) for item in tracker.stacks[off]]
 
 
 @seed(20240417)

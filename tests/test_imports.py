@@ -1,4 +1,4 @@
-"""Every import in the package and its tests is used."""
+"""Every import in the package and its tests is used, and every local the package assigns is read."""
 
 import ast
 
@@ -27,3 +27,28 @@ def test_no_unused_imports():
         if (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _unread_locals(path):
+    tree = ast.parse(path.read_text(), str(path))
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+        read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+        unread.extend(
+            f"{fn.name}: {node.id} (line {node.lineno})"
+            for node in names
+            if isinstance(node.ctx, ast.Store) and not node.id.startswith("_") and node.id not in read
+        )
+    return unread
+
+
+def test_no_locals_assigned_but_never_read():
+    unread = {
+        str(path.relative_to(REPO_ROOT)): names
+        for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py"))
+        if (names := _unread_locals(path))
+    }
+    assert unread == {}

@@ -792,3 +792,120 @@ end
     )
     assert outcome.classification is Classification.UNSUPPORTED
     assert outcome.note.startswith("foreign store of ")
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_shadowed_owned_heap_values_drop_at_frame_exit(model):
+    outcome = _run(
+        """
+host fn main()
+  let b: &mut i32 = heap_new i32 1
+  let b: &mut i32 = heap_new i32 2
+end
+""",
+        model=model,
+    )
+    assert outcome.classification is Classification.PASS
+    assert outcome.leaks == ()
+
+
+_TAINTED_OPERAND = """
+bind f = c_f()
+
+foreign fn c_f()
+  let s = alloca 8
+  let n = load u64 s
+  USE
+end
+
+host fn main()
+  call f()
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("use", ["let q = malloc n", "memset s 1 n", "let q = gep s n"])
+def test_tainted_integer_operand_is_an_uninitialized_read(model, use):
+    outcome = _expect_bug(
+        _TAINTED_OPERAND.replace("USE", use), DiagnosticKind.UNINITIALIZED_READ, model=model
+    )
+    assert outcome.diagnostics[0].foreign_trace[0].statement == use
+
+
+def _retag_record(text, model, alloc_id, label):
+    """Run `text`, which must pass, and return the creation of tag `label` in `alloc_id`."""
+    machine = Machine(parse_text(text), MachineConfig(model=model))
+    outcome = machine.run()
+    assert outcome.classification is Classification.PASS
+    assert outcome.leaks == ()
+    tracker = machine.memory.allocations[alloc_id].tracker
+    record = next(r for r in tracker.tags.values() if r.label == label)
+    return record.created.description, tracker.root_tag
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_borrow_through_an_exposed_address_derives_from_the_root_tag(model):
+    created, root = _retag_record(
+        """
+host fn main()
+  let x: i32 = 1
+  let xp: *mut i32 = &raw mut x
+  let a: u64 = xp as u64
+  let q: *mut i32 = a as *mut i32
+  let m: &mut i32 = &mut *q
+  *m = 2
+  let v: i32 = x
+  assert_eq v 2
+end
+""",
+        model, 1, "m",
+    )
+    assert created == f"mutable-ref retag of [0..4) from tag#{root}"
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_heap_from_raw_into_an_untyped_pointer_reclaims_the_whole_allocation(model):
+    created, _ = _retag_record(
+        """
+host fn main()
+  let b: *mut i64 = heap_new i64 7
+  let raw: *mut i64 = heap_into_raw b
+  let back: ptr = heap_from_raw raw
+end
+""",
+        model, 1, "back",
+    )
+    assert created.startswith("mutable-ref retag of [0..8) from tag#")
+
+
+_DANGLING_BORROW = """
+host fn main()
+  let p: *mut i32 = 4096
+  let r: &mut i32 = &mut *p
+end
+"""
+
+_DANGLING_PARAM = """
+bind run = c_run()
+
+foreign fn c_run()
+  call cb(4096)
+end
+
+host fn cb(r: &mut i32)
+end
+
+host fn main()
+  call run()
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("text", [_DANGLING_BORROW, _DANGLING_PARAM], ids=["borrow", "parameter"])
+def test_retag_of_an_address_outside_every_allocation_is_out_of_bounds(model, text):
+    outcome = _expect_bug(text, DiagnosticKind.ACCESS_OUT_OF_BOUNDS, model=model)
+    assert outcome.diagnostics[0].message == (
+        "pointer 0x1000 has no provenance and points into no allocation"
+    )

@@ -211,6 +211,25 @@ def test_assume_init_fills_missing_bytes_with_zero():
     assert mem.read_int(_ptr(alloc), 4, False) == (7, False)
 
 
+def test_assume_init_past_the_end_overruns():
+    mem = _mem()
+    alloc = mem.allocate(4, 4, AllocOrigin.HOST_STACK, "buf")
+    with pytest.raises(UbError) as e:
+        mem.assume_init(_ptr(alloc, 2), 4)
+    assert e.value.kind is DiagnosticKind.ACCESS_OUT_OF_BOUNDS
+    assert e.value.message == "init claim of 4 bytes at alloc#1+2 overruns the 4-byte allocation"
+
+
+def test_assume_init_after_free_is_use_after_free():
+    mem = _mem()
+    alloc = mem.allocate(4, 4, AllocOrigin.HOST_HEAP, "buf")
+    mem.deallocate(_ptr(alloc), "host")
+    with pytest.raises(UbError) as e:
+        mem.assume_init(_ptr(alloc), 4)
+    assert e.value.kind is DiagnosticKind.USE_AFTER_FREE
+    assert e.value.message == "init claim of 4 bytes in alloc#1 (buf) after it was freed"
+
+
 def test_expose_and_from_exposed_round_trip():
     mem = _mem()
     alloc = mem.allocate(8, 8, AllocOrigin.HOST_STACK)

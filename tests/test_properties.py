@@ -154,7 +154,7 @@ def test_suite_stack_mutation_only_above_granting_item(ops):
         actor = WILDCARD if wildcard else tags[actor_sel % len(tags)]
         kind = "read" if kind_sel % 2 == 0 else "write"
         before = {
-            off: [(i.tag, i.grant, i.protected) for i in tracker.stack_at(off)]
+            off: [(i.tag, i.grant, i.tag in tracker.protected) for i in tracker.stack_at(off)]
             for off in range(*rng)
         }
         grant_idx = {}
@@ -176,7 +176,7 @@ def test_suite_stack_mutation_only_above_granting_item(ops):
             break
         for off in range(*rng):
             old = before[off]
-            new = [(i.tag, i.grant, i.protected) for i in tracker.stack_at(off)]
+            new = [(i.tag, i.grant, i.tag in tracker.protected) for i in tracker.stack_at(off)]
             idx = grant_idx[off]
             assert idx is not None  # the access succeeded, so something granted it
             # Everything below and including the granting item is untouched.

@@ -15,6 +15,7 @@ import enum
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Optional
 
 
@@ -261,5 +262,51 @@ def render_diagnostic(d: Diagnostic) -> str:
 
 
 def json_dumps(payload: dict) -> str:
-    """Stable serialization used everywhere a report is compared byte-wise."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Stable serialization used everywhere a report is compared byte-wise.
+
+    The bytes of `json.dumps(payload, indent=2, sort_keys=True)` plus a
+    newline, made in one pass: given `indent`, `json.dumps` leaves its C
+    encoder for a pure-Python one.
+    """
+    out: list[str] = []
+    _encode(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value: object, newline: str, out: list[str]) -> None:
+    """Append the JSON text of `value`; `newline` starts a line at its depth."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _quote(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _encode(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))  # floats, and the TypeError of anything else

@@ -576,7 +576,7 @@ class Machine:
         if isinstance(rhs, UninitRhs):
             return None
         if isinstance(rhs, LiteralRhs):
-            return rhs.value
+            return self._bind_reference(rhs.value, stmt)
         if isinstance(rhs, PlaceRhs):
             src_ptr, src_ty = self._resolve_place(thread, rhs.place, line)
             base = frame.slots.get(rhs.place.base)
@@ -593,7 +593,7 @@ class Machine:
                     f"{size_of(src_ty)} bytes, destination '{stmt.name}' holds "
                     f"{size_of(stmt.type)}",
                 )
-            return self._typed_read(src_ptr, src_ty, line)
+            return self._bind_reference(self._typed_read(src_ptr, src_ty, line), stmt)
         if isinstance(rhs, BorrowRhs):
             ptr, ty = self._resolve_place(thread, rhs.place, line)
             return self._retag(ptr, ty, rhs.kind.value, stmt.name, line)
@@ -633,6 +633,21 @@ class Machine:
                 pointee = ArrayType(U8, self.memory.allocations[value.alloc_id].size)
             return self._retag(value, pointee, "mutable-ref", stmt.name, line)
         raise ScenarioUnsupported(f"host let cannot evaluate {type(rhs).__name__}")
+
+    def _bind_reference(self, value: HostValue, stmt: LetStmt) -> HostValue:
+        """`value` retagged if `stmt` binds a reference, as SB retags every reference assignment.
+
+        An integer reads as a pointer with no provenance, as it would from a
+        raw pointer slot, so the retag rejects it.
+        """
+        if not is_reference(stmt.type) or value is None:
+            return value
+        if isinstance(value, int):
+            value %= 1 << 64
+            value = PointerValue(value, None, value, None)
+        if not isinstance(value, PointerValue):
+            raise ScenarioUnsupported(f"{type(value).__name__} bound to reference '{stmt.name}'")
+        return self._retag(value, stmt.type.pointee, stmt.type.kind.value, stmt.name, stmt.line)
 
     def _heap_new(self, name: str, rhs: HeapNewRhs, line: int) -> PointerValue:
         layout = layout_of(rhs.type)
@@ -932,8 +947,11 @@ class Machine:
                 return Reg(value, tainted)
             raise ScenarioUnsupported(f"foreign load of type {ty}")
         if isinstance(rhs, (MallocRhs, AllocaRhs)):
-            size = self._reg_int(self._foreign_operand(thread, rhs.size))
+            reg = self._foreign_operand(thread, rhs.size)
+            size = self._reg_int(reg)
             heap = isinstance(rhs, MallocRhs)
+            if isinstance(reg.value, PointerValue):
+                raise ScenarioUnsupported(f"{'malloc' if heap else 'alloca'} sized by a pointer register")
             if size < 0:
                 raise ScenarioUnsupported(f"{'malloc' if heap else 'alloca'} of {size} bytes")
             origin = AllocOrigin.FOREIGN_HEAP if heap else AllocOrigin.FOREIGN_STACK

@@ -23,7 +23,9 @@ tags and one `TagHistory` per tag (created, last valid use, first
 invalidation), which both models update in place, and hands copies of
 those records to the errors it raises. It also holds protection, one
 per-tag set that both models read: a protecting retag adds its tag when it
-creates it, and `protector_end` removes it at function exit.
+creates it, and `protector_end` removes it at function exit. Its no-op
+memo lets either model answer a repeated access in O(1); see
+`BorrowTracker`.
 
 Addresses come from a bump allocator with guard gaps between allocations.
 The starting base is perturbed by the seed; no semantic result may depend on
@@ -117,6 +119,15 @@ class BorrowTracker:
     `protected` the tags whose function-entry protector is still active. Each
     model keeps its per-location state in a subclass and implements the
     operations below.
+
+    `_noops` is the no-op memo, after Miri's `skip_if_known_noop`: the
+    `(tag, kind)` pairs whose last access, over the whole allocation,
+    changed no state anywhere and raised nothing. Such an access changes
+    nothing over any range until the state changes, so a model answers a
+    pair found here by recording the tag's last use alone. A root access on
+    a root-only tracker is a no-op under both models, so the root's `read`
+    and `write` seed it. `_new_tag` clears it, and so must every access that
+    changes state; ending a protector only removes errors, so it keeps it.
     """
 
     def __init__(self, alloc_id: int, tag_source: Callable[[], int], root_label: str, line: int) -> None:
@@ -129,8 +140,10 @@ class BorrowTracker:
             )
         }
         self.protected: set[int] = set()
+        self._noops: set[tuple[int, str]] = {(self.root_tag, "read"), (self.root_tag, "write")}
 
     def _new_tag(self, parent: int, rng: Range, kind: str, label: str, line: int, protect: bool) -> int:
+        self._noops.clear()
         tag = self._tag_source()
         self.tags[tag] = TagHistory(
             tag, label, TagEvent(line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}")

@@ -2,12 +2,15 @@
 
 Both borrow trackers keep their per-location state in a `RangeMap`, after
 Miri's `range_map.rs`. The map covers the offsets [0, size) with sorted
-segments; every byte of a segment shares one value, a list that the tracker
-changes in place. Splitting a segment copies its list (shallowly, so the
-elements must be immutable), which keeps a change to one part from showing
-through the other. A tracker splits at the edges of the range it is about
-to touch, walks the segments in offset order, and merges equal neighbours
-afterwards, so an operation costs the segments it covers, not their bytes.
+segments; every byte of a segment shares one value, which the tracker
+changes in place. A value is anything with `.copy()` and `==`: a list of
+immutable elements, or a tracker's segment class, whose `.copy()` must
+copy whatever the tracker changes in place and whose `==` compares the
+states a tracker reports, not its indexes. Splitting a segment copies its
+value, which keeps a change to one part from showing through the other. A
+tracker splits at the edges of the range it is about to touch, walks the
+segments in offset order, and merges equal neighbours afterwards, so an
+operation costs the segments it covers, not their bytes.
 
 Offsets must lie in [0, size]; the memory model checks bounds before any
 tracker call.
@@ -16,7 +19,7 @@ tracker call.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable
+from typing import Any, Callable
 
 
 def in_ranges(off: int, ranges: tuple[tuple[int, int], ...]) -> bool:
@@ -25,14 +28,14 @@ def in_ranges(off: int, ranges: tuple[tuple[int, int], ...]) -> bool:
 
 
 class RangeMap:
-    """Sorted segment starts and one list value per segment."""
+    """Sorted segment starts and one value per segment."""
 
     __slots__ = ("size", "starts", "values")
 
-    def __init__(self, size: int, value: list) -> None:
+    def __init__(self, size: int, value: Any) -> None:
         self.size = size
         self.starts: list[int] = [0] if size else []
-        self.values: list[list] = [value] if size else []
+        self.values: list[Any] = [value] if size else []
 
     def split(self, off: int) -> int:
         """Make `off` a segment boundary; return the index of the segment starting there."""
@@ -43,7 +46,7 @@ class RangeMap:
         if starts[i] != off:
             i += 1
             starts.insert(i, off)
-            self.values.insert(i, self.values[i - 1][:])
+            self.values.insert(i, self.values[i - 1].copy())
         return i
 
     def span(self, lo: int, hi: int) -> range:
@@ -51,7 +54,7 @@ class RangeMap:
         first = self.split(lo)
         return range(first, self.split(hi))
 
-    def at(self, off: int) -> list:
+    def at(self, off: int) -> Any:
         """The value of the segment holding byte `off`."""
         return self.values[bisect_right(self.starts, off) - 1]
 
@@ -62,7 +65,7 @@ class RangeMap:
             if values[i] == values[i - 1]:
                 del starts[i], values[i]
 
-    def runs(self, key: Callable[[list], object]) -> list[tuple[int, int, object]]:
+    def runs(self, key: Callable[[Any], object]) -> list[tuple[int, int, object]]:
         """`(start, end, key)` over the maximal runs of segments with equal `key(value)`."""
         runs: list[tuple[int, int, object]] = []
         for start, value in zip(self.starts, self.values):

@@ -45,6 +45,8 @@ class Grant(enum.Enum):
     SHARED_RW = "SharedReadWrite"
     SHARED_RO = "SharedReadOnly"
 
+    __hash__ = object.__hash__  # identity: `Enum.__hash__` runs in Python
+
     @property
     def allows_write(self) -> bool:
         return self is not Grant.SHARED_RO
@@ -53,6 +55,61 @@ class Grant(enum.Enum):
 class _Item(NamedTuple):
     tag: int
     grant: Grant
+
+
+class _Stack:
+    """One segment's borrow stack, bottom to top, with two indexes over it.
+
+    `top` is the index of the topmost write-granting item, or -1 if there is
+    none, after Miri's `Stack::unique_range`: a read through an item at or
+    above it pops nothing. `pos` maps each tag to the index of its item; a
+    tag has at most one item per stack, since every retag makes a new tag.
+    """
+
+    __slots__ = ("items", "top", "pos")
+
+    def __init__(self, items: list[_Item], top: int, pos: dict[int, int]) -> None:
+        self.items = items
+        self.top = top
+        self.pos = pos
+
+    def copy(self) -> "_Stack":
+        return _Stack(self.items[:], self.top, self.pos.copy())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Stack) and self.items == other.items
+
+    def push(self, item: _Item) -> None:
+        self.insert(len(self.items), item)
+
+    def insert(self, i: int, item: _Item) -> None:
+        items, pos = self.items, self.pos
+        items.insert(i, item)
+        for j in range(i, len(items)):
+            pos[items[j].tag] = j
+        if self.top >= i:
+            self.top += 1
+        elif item.grant is not Grant.SHARED_RO:
+            self.top = i
+
+    def delete(self, doomed: list[int]) -> None:
+        """Remove the items at `doomed`, a descending list of indices."""
+        items, pos = self.items, self.pos
+        for i in doomed:
+            del pos[items[i].tag]
+        lo = doomed[-1]
+        if len(doomed) == len(items) - lo:
+            del items[lo:]
+        else:
+            for i in doomed:
+                del items[i]
+            for j in range(lo, len(items)):
+                pos[items[j].tag] = j
+        # Nothing above the old top granted writes, so the new top is at or below it.
+        top = min(self.top, len(items) - 1)
+        while top >= 0 and items[top].grant is Grant.SHARED_RO:
+            top -= 1
+        self.top = top
 
 
 class StackedBorrowTracker(BorrowTracker):
@@ -67,48 +124,52 @@ class StackedBorrowTracker(BorrowTracker):
         line: int = 0,
     ) -> None:
         super().__init__(alloc_id, tag_source, root_label, line)
-        self._stacks = RangeMap(size, [_Item(self.root_tag, Grant.UNIQUE)])
+        self._stacks = RangeMap(size, _Stack([_Item(self.root_tag, Grant.UNIQUE)], 0, {self.root_tag: 0}))
 
     # ---- helpers -------------------------------------------------------------
 
     def stack_at(self, off: int) -> tuple[_Item, ...]:
         """The borrow stack of byte `off`, bottom to top."""
-        return tuple(self._stacks.at(off))
-
-    def _find(self, stack: list[_Item], tag: int) -> Optional[int]:
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i].tag == tag:
-                return i
-        return None
+        return tuple(self._stacks.at(off).items)
 
     def _remove_above(
-        self, stack: list[_Item], index: int, kind: str, cause: str, line: int, off: int
-    ) -> None:
+        self, stack: _Stack, index: int, kind: str, cause: str, line: int, off: int
+    ) -> bool:
         """Pop items above the granting one at `index`, top-down, invalidating their tags.
 
-        A write pops all of them, a read only the write-granting ones.
-        Popping an item whose tag is protected is an error.
+        A write pops all of them, a read only the write-granting ones, of
+        which there are none above `top`. Popping an item whose tag is
+        protected is an error. Returns whether anything was popped.
         """
-        doomed = [
-            i for i in range(len(stack) - 1, index, -1)
-            if kind == "write" or stack[i].grant.allows_write
-        ]
-        blocked = next((i for i in doomed if stack[i].tag in self.protected), None)
+        items = stack.items
+        if kind == "write":
+            doomed = list(range(len(items) - 1, index, -1))
+        else:
+            doomed = [i for i in range(stack.top, index, -1) if items[i].grant is not Grant.SHARED_RO]
+        if not doomed:
+            return False
+        self._noops.clear()
+        protected = self.protected
+        blocked = next((n for n, i in enumerate(doomed) if items[i].tag in protected), None)
         if blocked is not None:
             # Cut the segment after `off`: the pops made before the error must
             # reach byte `off` alone, since later bytes are never visited.
             self._stacks.split(off + 1)
-        for i in doomed:
-            tag = stack[i].tag
-            if i == blocked:
-                raise self._error(
-                    DiagnosticKind.PROTECTED_PERMISSION,
-                    f"{cause} at alloc#{self.alloc_id}+{off} would pop protected "
-                    f"tag#{tag} ('{self.tags[tag].label}')",
-                    off,
-                )
-            del stack[i]
-            self._invalidate(tag, line, cause)
+            guard = items[doomed[blocked]].tag
+            doomed = doomed[:blocked]
+        if doomed:
+            popped = [items[i].tag for i in doomed]
+            stack.delete(doomed)
+            for tag in popped:
+                self._invalidate(tag, line, cause)
+        if blocked is not None:
+            raise self._error(
+                DiagnosticKind.PROTECTED_PERMISSION,
+                f"{cause} at alloc#{self.alloc_id}+{off} would pop protected "
+                f"tag#{guard} ('{self.tags[guard].label}')",
+                off,
+            )
+        return True
 
     # ---- operations ----------------------------------------------------------
 
@@ -131,7 +192,7 @@ class StackedBorrowTracker(BorrowTracker):
         span = stacks.span(*rng)
         for i in span:
             off, stack = stacks.starts[i], stacks.values[i]
-            idx = self._find(stack, parent)
+            idx = stack.pos.get(parent)
             if idx is None:
                 raise self._error(
                     DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
@@ -140,9 +201,8 @@ class StackedBorrowTracker(BorrowTracker):
                     + self._invalidation_note(parent),
                     off,
                 )
-            parent_item = stack[idx]
             if kind == "mutable-ref":
-                if not parent_item.grant.allows_write:
+                if stack.items[idx].grant is Grant.SHARED_RO:
                     raise self._error(
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
                         f"mutable retag at alloc#{self.alloc_id}+{off} through read-only "
@@ -150,33 +210,40 @@ class StackedBorrowTracker(BorrowTracker):
                         off,
                     )
                 self._remove_above(stack, idx, "write", cause, line, off)
-                stack.append(_Item(tag, Grant.UNIQUE))
+                stack.push(_Item(tag, Grant.UNIQUE))
             elif kind == "shared-ref":
                 self._remove_above(stack, idx, "read", cause, line, off)
                 grant = Grant.SHARED_RW if in_ranges(off, cell_ranges) else Grant.SHARED_RO
-                stack.append(_Item(tag, grant))
+                stack.push(_Item(tag, grant))
             elif kind in ("raw-mut", "cell"):
                 stack.insert(idx + 1, _Item(tag, Grant.SHARED_RW))
             elif kind == "raw-const":
                 grant = Grant.SHARED_RW if in_ranges(off, cell_ranges) else Grant.SHARED_RO
-                stack.append(_Item(tag, grant))
+                stack.push(_Item(tag, grant))
             else:
                 raise ValueError(f"unknown retag kind: {kind}")
         stacks.merge(span)
         return tag
 
     def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
+        """Apply one access to every segment of `rng`, offset-major.
+
+        Each segment finds the granting item (the tag's own, or for a
+        wildcard the topmost that grants the access) and pops above it.
+        """
+        use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
+        if (prov, kind) in self._noops:
+            if rng[0] < rng[1]:
+                self.tags[prov].last_valid_use = use
+            return
         stacks = self._stacks
         span = stacks.span(*rng)
+        changed = False
         for i in span:
             off, stack = stacks.starts[i], stacks.values[i]
             if prov is WILDCARD:
-                idx = None
-                for j in range(len(stack) - 1, -1, -1):
-                    if kind == "read" or stack[j].grant.allows_write:
-                        idx = j
-                        break
-                if idx is None:
+                idx = len(stack.items) - 1 if kind == "read" else stack.top
+                if idx < 0:
                     raise self._error(
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
                         f"{kind} via exposed address at alloc#{self.alloc_id}+{off}: "
@@ -184,13 +251,13 @@ class StackedBorrowTracker(BorrowTracker):
                         off,
                     )
                 cause = f"{kind} via exposed address"
-                tag_for_history = stack[idx].tag
+                tag_for_history = stack.items[idx].tag
             else:
                 if not isinstance(prov, int):
                     raise ValueError(
                         f"access with no provenance reached the tracker in alloc#{self.alloc_id}"
                     )
-                idx = self._find(stack, prov)
+                idx = stack.pos.get(prov)
                 label = self.tags[prov].label if prov in self.tags else "?"
                 if idx is None:
                     raise self._error(
@@ -199,7 +266,7 @@ class StackedBorrowTracker(BorrowTracker):
                         f"('{label}') in the borrow stack" + self._invalidation_note(prov),
                         off,
                     )
-                if kind == "write" and not stack[idx].grant.allows_write:
+                if kind == "write" and stack.items[idx].grant is Grant.SHARED_RO:
                     raise self._error(
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
                         f"write at alloc#{self.alloc_id}+{off} through tag#{prov} ('{label}'), "
@@ -208,15 +275,18 @@ class StackedBorrowTracker(BorrowTracker):
                     )
                 cause = f"{kind} via tag#{prov} ('{label}')"
                 tag_for_history = prov
-            self._remove_above(stack, idx, kind, cause, line, off)
+            if self._remove_above(stack, idx, kind, cause, line, off):
+                changed = True
             info = self.tags.get(tag_for_history)
             if info is not None:
-                info.last_valid_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
+                info.last_valid_use = use
         stacks.merge(span)
+        if not changed and prov is not WILDCARD and rng == (0, stacks.size):
+            self._noops.add((prov, kind))
 
     def dealloc_check(self) -> None:
         for off, stack in zip(self._stacks.starts, self._stacks.values):
-            for item in stack:
+            for item in stack.items:
                 if item.tag in self.protected:
                     raise self._error(
                         DiagnosticKind.PROTECTED_PERMISSION,
@@ -227,9 +297,9 @@ class StackedBorrowTracker(BorrowTracker):
 
     # ---- rendering -----------------------------------------------------------
 
-    def _stack_text(self, stack: list[_Item]) -> str:
+    def _stack_text(self, stack: _Stack) -> str:
         parts = []
-        for item in stack:
+        for item in stack.items:
             text = f"{self.tags[item.tag].label}: {item.grant.value}"
             if item.tag in self.protected:
                 text += " (protected)"
@@ -249,5 +319,5 @@ class StackedBorrowTracker(BorrowTracker):
         return "\n".join(
             f"[{a}..{b})|"
             + ";".join(f"{i.tag}:{i.grant.value}:{int(i.tag in protected)}" for i in stack)
-            for a, b, stack in self._stacks.runs(tuple)
+            for a, b, stack in self._stacks.runs(lambda stack: tuple(stack.items))
         )

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .diagnostics import DiagnosticKind, TagEvent
-from .memory import WILDCARD, BorrowTracker, Provenance, Range
+from .memory import WILDCARD, BorrowTracker, Provenance, Range, UbError
 from .rangemap import RangeMap, in_ranges
 
 
@@ -54,6 +53,10 @@ class Permission(enum.Enum):
     FROZEN = "Frozen"
     DISABLED = "Disabled"
 
+    # Members key every segment's index; identity hashing keeps the lookups
+    # in C, where `Enum.__hash__` hashes the member's name in Python.
+    __hash__ = object.__hash__
+
 
 _R = Permission.RESERVED
 _RIM = Permission.RESERVED_IM
@@ -61,16 +64,8 @@ _A = Permission.ACTIVE
 _F = Permission.FROZEN
 _D = Permission.DISABLED
 
-_EXPIRED = "expired"
-_INSUFFICIENT = "insufficient"
-
-# (access kind, relation) -> {old permission: new permission or error marker}
-_TRANSITIONS: dict[tuple[str, str], dict[Permission, object]] = {
-    ("read", "child"): {_R: _R, _RIM: _RIM, _A: _A, _F: _F, _D: _EXPIRED},
-    ("write", "child"): {_R: _A, _RIM: _A, _A: _A, _F: _INSUFFICIENT, _D: _EXPIRED},
-    ("read", "foreign"): {_R: _R, _RIM: _RIM, _A: _F, _F: _F, _D: _D},
-    ("write", "foreign"): {_R: _D, _RIM: _RIM, _A: _F, _F: _D, _D: _D},
-}
+# Access kind -> the foreign transitions that change a permission.
+_FOREIGN = {"read": ((_A, _F),), "write": ((_R, _D), (_A, _F), (_F, _D))}
 
 
 @dataclass
@@ -81,6 +76,40 @@ class _Node:
     index: int  # position in creation order, and in every segment's state list
     default_perm: Permission
     children: list[int] = field(default_factory=list)
+
+
+class _Segment:
+    """One segment's permissions: every node's state, and the nodes holding each one.
+
+    `states` lists `(initial, current, initialized)` per node in creation
+    order; the initial permission rides along so that a segment never spans
+    the edge of a node's interior-mutable range. `index` maps a current
+    permission to the indices of the nodes that hold it. A set is made when
+    its permission first appears, so a one-node segment holds one set.
+    """
+
+    __slots__ = ("states", "index")
+
+    def __init__(self, states: list[tuple[Permission, Permission, bool]], index: dict[Permission, set[int]]) -> None:
+        self.states = states
+        self.index = index
+
+    def copy(self) -> "_Segment":
+        return _Segment(self.states[:], {perm: set(nodes) for perm, nodes in self.index.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Segment) and self.states == other.states
+
+    def append(self, state: tuple[Permission, Permission, bool]) -> None:
+        self.index.setdefault(state[1], set()).add(len(self.states))
+        self.states.append(state)
+
+    def move(self, n: int, perm: Permission, new: Permission) -> None:
+        """Node `n` goes from `perm` to `new`."""
+        initial, _, initialized = self.states[n]
+        self.states[n] = (initial, new, initialized)
+        self.index[perm].discard(n)
+        self.index.setdefault(new, set()).add(n)
 
 
 def _perm_text(initial: Permission, current: Permission) -> str:
@@ -99,26 +128,17 @@ class TreeBorrowTracker(BorrowTracker):
         line: int = 0,
     ) -> None:
         super().__init__(alloc_id, tag_source, root_label, line)
-        # By tag, in creation order: a node's index is its position here.
+        # By tag, in creation order: a node's index is its position here, and
+        # `_order` lists the tags by index.
         self.nodes: dict[int, _Node] = {self.root_tag: _Node(None, 0, Permission.ACTIVE)}
-        # Each segment lists (initial, current, initialized) per node in
-        # creation order. The initial permission rides along so that a segment
-        # never spans the edge of a node's interior-mutable range.
-        self._perms = RangeMap(size, [(_A, _A, True)])
+        self._order: list[int] = [self.root_tag]
+        self._perms = RangeMap(size, _Segment([(_A, _A, True)], {_A: {0}}))
 
     # ---- structure helpers ---------------------------------------------------
 
-    def _ancestors_and_self(self, tag: int) -> set[int]:
-        out = set()
-        cur: Optional[int] = tag
-        while cur is not None:
-            out.add(cur)
-            cur = self.nodes[cur].parent
-        return out
-
     def peek_at(self, tag: int, off: int) -> tuple[Permission, bool]:
         """Permission and initialized flag of `tag` at byte `off`."""
-        _, perm, initialized = self._perms.at(off)[self.nodes[tag].index]
+        _, perm, initialized = self._perms.at(off).states[self.nodes[tag].index]
         return perm, initialized
 
     # ---- operations ----------------------------------------------------------
@@ -142,90 +162,130 @@ class TreeBorrowTracker(BorrowTracker):
         tag = self._new_tag(parent, rng, kind, label, line, protect)
         self.nodes[tag] = _Node(parent, len(self.nodes), default)
         self.nodes[parent].children.append(tag)
+        self._order.append(tag)
         perms = self._perms
         for a, b in cell_ranges:
             perms.split(a)
             perms.split(b)
-        for start, states in zip(perms.starts, perms.values):
+        for start, segment in zip(perms.starts, perms.values):
             initial = Permission.RESERVED_IM if in_ranges(start, cell_ranges) else default
-            states.append((initial, initial, False))
+            segment.append((initial, initial, False))
         if protect:
             # Function-entry protection asserts the borrow right away.
             self.access(tag, rng, "read", line)
         return tag
 
     def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
+        """Apply one access to every segment of `rng`, offset-major.
+
+        The child side is the acting node's ancestor path: a read fails on a
+        Disabled node there, a write also on a Frozen one, and a write makes
+        its Reserved nodes Active. Off the path, only the nodes whose
+        permission the foreign table changes are visited, through the
+        segment's index. A foreign write that would disable an initialized
+        node fails if the node is protected. Every byte of a segment behaves
+        alike, so an error is reported at the first byte that fails, at the
+        first failing node in node order, after every earlier byte has been
+        updated.
+        """
         if prov is WILDCARD:
             return  # exposed-address accesses are unchecked and change nothing
+        use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
+        if (prov, kind) in self._noops:
+            self.tags[prov].last_valid_use = use
+            return
         if not isinstance(prov, int):
             raise ValueError(f"access with no provenance reached the tracker in alloc#{self.alloc_id}")
         if prov not in self.nodes:
             raise ValueError(f"access via unknown tag#{prov} in alloc#{self.alloc_id}")
-        child_side = self._ancestors_and_self(prov)
-        acting = self.tags[prov]
-        acting_index = self.nodes[prov].index
-        nodes, tags, protected = self.nodes, self.tags, self.protected
-        order = list(nodes)  # the tag at each node index
-        child, foreign = _TRANSITIONS[(kind, "child")], _TRANSITIONS[(kind, "foreign")]
-        tables = [child if tag in child_side else foreign for tag in order]
+        nodes, order = self.nodes, self._order
+        path: list[int] = []  # node indices, from the acting node up to the root
+        tag: Optional[int] = prov
+        while tag is not None:
+            node = nodes[tag]
+            path.append(node.index)
+            tag = node.parent
+        on_path = set(path)
+        acting_index = path[0]
+        write = kind == "write"
+        # Protected nodes that a foreign write may disable, in node order.
+        guarded = sorted(
+            i for i in (nodes[t].index for t in self.protected) if i not in on_path
+        ) if write else ()
+        foreign = _FOREIGN[kind]
         perms = self._perms
         span = perms.span(*rng)
-        # Offset-major, then node order. Every byte of a segment behaves alike,
-        # so an error is reported at the first byte that fails, after every
-        # earlier byte has been updated.
+        changed = False
         for i in span:
-            off, states = perms.starts[i], perms.values[i]
-            staged: list[tuple[int, Permission]] = []
-            for n, (_, perm, initialized) in enumerate(states):
-                result = tables[n][perm]
-                if result is perm:
-                    continue
-                tag = order[n]
-                if result is _EXPIRED:
-                    raise self._error(
-                        DiagnosticKind.EXPIRED_PERMISSION,
-                        f"{kind} through tag#{prov} ('{acting.label}') at alloc#{self.alloc_id}+{off}: "
-                        f"permission of tag#{tag} ('{tags[tag].label}') is Disabled"
-                        + self._invalidation_note(tag),
-                        off,
-                    )
-                if result is _INSUFFICIENT:
-                    raise self._error(
-                        DiagnosticKind.INSUFFICIENT_PERMISSION,
-                        f"{kind} through tag#{prov} ('{acting.label}') at alloc#{self.alloc_id}+{off}: "
-                        f"permission of tag#{tag} ('{tags[tag].label}') is Frozen, which forbids writes"
-                        + self._invalidation_note(tag),
-                        off,
-                    )
-                if tag in protected and initialized and result is Permission.DISABLED:
-                    raise self._error(
-                        DiagnosticKind.PROTECTED_PERMISSION,
-                        f"{kind} through tag#{prov} ('{acting.label}') at alloc#{self.alloc_id}+{off} "
-                        f"would disable protected tag#{tag} ('{tags[tag].label}')",
-                        off,
-                    )
-                staged.append((n, result))
-            for n, new_perm in staged:
-                initial, perm, initialized = states[n]
-                tag = order[n]
-                if new_perm is Permission.DISABLED or (
-                    new_perm is Permission.FROZEN and tag not in child_side
-                ):
-                    self._invalidate(
-                        tag, line,
-                        f"{kind} via tag#{prov} ('{acting.label}'): {perm.value} -> {new_perm.value}",
-                    )
-                states[n] = (initial, new_perm, initialized)
+            segment = perms.values[i]
+            states, index = segment.states, segment.index
+            failing = None
+            for n in path:
+                perm = states[n][1]
+                if (perm is _D or (write and perm is _F)) and (failing is None or n < failing):
+                    failing = n
+            for n in guarded:
+                _, perm, initialized = states[n]
+                if initialized and (perm is _R or perm is _F):
+                    if failing is None or n < failing:
+                        failing = n
+                    break
+            if failing is not None:
+                raise self._access_error(prov, kind, perms.starts[i], order[failing], states[failing][1], failing in on_path)
+            # Collect every move before making any, so that a node moves once.
+            moves = [(n, perm, new) for perm, new in foreign for n in index.get(perm, ()) if n not in on_path]
+            if write:
+                for n in path:
+                    perm = states[n][1]
+                    if perm is _R or perm is _RIM:
+                        moves.append((n, perm, _A))
+            if moves:
+                for n, perm, new in moves:
+                    segment.move(n, perm, new)
+                    if new is not _A:
+                        self._invalidate(
+                            order[n], line,
+                            f"{kind} via tag#{prov} ('{self.tags[prov].label}'): {perm.value} -> {new.value}",
+                        )
             initial, perm, initialized = states[acting_index]
             if not initialized:
                 states[acting_index] = (initial, perm, True)
+            if moves or not initialized:
+                if not changed:
+                    self._noops.clear()
+                changed = True
         perms.merge(span)
-        acting.last_valid_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
+        self.tags[prov].last_valid_use = use
+        if not changed and rng == (0, perms.size):
+            self._noops.add((prov, kind))
+
+    def _access_error(self, prov: int, kind: str, off: int, tag: int, perm: Permission, child: bool) -> UbError:
+        """The error of a `kind` access through `prov` that fails at node `tag`."""
+        head = f"{kind} through tag#{prov} ('{self.tags[prov].label}') at alloc#{self.alloc_id}+{off}"
+        label = self.tags[tag].label
+        if not child:
+            return self._error(
+                DiagnosticKind.PROTECTED_PERMISSION,
+                f"{head} would disable protected tag#{tag} ('{label}')",
+                off,
+            )
+        if perm is _D:
+            return self._error(
+                DiagnosticKind.EXPIRED_PERMISSION,
+                f"{head}: permission of tag#{tag} ('{label}') is Disabled" + self._invalidation_note(tag),
+                off,
+            )
+        return self._error(
+            DiagnosticKind.INSUFFICIENT_PERMISSION,
+            f"{head}: permission of tag#{tag} ('{label}') is Frozen, which forbids writes"
+            + self._invalidation_note(tag),
+            off,
+        )
 
     def dealloc_check(self) -> None:
         """Deallocation while any used, still-protected borrow exists is an error."""
         for tag, node in self.nodes.items():
-            if tag in self.protected and any(states[node.index][2] for states in self._perms.values):
+            if tag in self.protected and any(seg.states[node.index][2] for seg in self._perms.values):
                 raise self._error(
                     DiagnosticKind.PROTECTED_PERMISSION,
                     f"deallocation of alloc#{self.alloc_id} while tag#{tag} "
@@ -237,7 +297,7 @@ class TreeBorrowTracker(BorrowTracker):
 
     def _whole_perm_text(self, node: _Node) -> str:
         """Permissions over the whole allocation, equal runs coalesced."""
-        runs = self._perms.runs(lambda states: _perm_text(*states[node.index][:2]))
+        runs = self._perms.runs(lambda seg: _perm_text(*seg.states[node.index][:2]))
         if not runs:
             return node.default_perm.value
         if len(runs) == 1:
@@ -250,7 +310,7 @@ class TreeBorrowTracker(BorrowTracker):
         With `off` the permissions are those of a single byte; otherwise equal
         runs are coalesced into per-range entries.
         """
-        at = self._perms.at(off) if off is not None else None
+        at = self._perms.at(off).states if off is not None else None
         lines: list[str] = []
 
         def walk(tag: int, indent: str, is_last: bool) -> None:
@@ -272,7 +332,7 @@ class TreeBorrowTracker(BorrowTracker):
         for tag, n in self.nodes.items():
             states = ";".join(
                 f"[{a}..{b}):{initial.value}:{perm.value}:{int(initialized)}"
-                for a, b, (initial, perm, initialized) in self._perms.runs(itemgetter(n.index))
+                for a, b, (initial, perm, initialized) in self._perms.runs(lambda seg: seg.states[n.index])
             )
             parts.append(f"{tag}|{self.tags[tag].label}|{n.parent}|{int(tag in self.protected)}|{states}")
         return "\n".join(parts)

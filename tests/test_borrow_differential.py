@@ -6,6 +6,9 @@ on its per-byte reference in lockstep. After every operation both must have
 raised the same error (kind, message, snapshot, history) or none, and agree
 on `history()`, `render()`, `render(off)` and every byte's state. A sequence
 goes on after an error, so the state an error leaves behind is compared too.
+The indexes a tracker keeps beside its states (tb: nodes by permission; sb:
+the topmost write-granting item and each tag's position) are recomputed from
+those states after every operation and must match.
 """
 
 from hypothesis import example, given, seed, settings
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from perbyte_stacked_borrows import StackedBorrowTracker as ByteStacks
 from perbyte_tree_borrows import TreeBorrowTracker as ByteTree
 from seamcheck.memory import WILDCARD, UbError
-from seamcheck.stacked_borrows import StackedBorrowTracker
+from seamcheck.stacked_borrows import Grant, StackedBorrowTracker
 from seamcheck.tree_borrows import TreeBorrowTracker
 
 _RETAG_KINDS = ("mutable-ref", "shared-ref", "raw-mut", "raw-const", "cell")
@@ -38,6 +41,21 @@ _case = st.tuples(st.integers(1, 12), st.lists(_op, min_size=1, max_size=14))
 _PARTIAL_POPS = [
     (4, [(0, 0, 0, 4, 0, 0, []), (0, 0, 0, 4, 0, 1, []), (3, 0, 0, 4, kind, 1, [])])
     for kind in (0, 1)
+]
+
+# Cases that a stale no-op memo or a stale index would get wrong:
+# 1. a root access, a retag, then a root write, which the retag made no
+#    longer a no-op, then a read through the new tag;
+# 2. an access over [0..0) on a fresh tracker, which sb records no use for;
+# 3. a protected-pop error partway through a segment's pops, then a read and
+#    a write on that segment, which must see the stack the pops left.
+_STALE = [
+    (4, [(3, 0, 0, 4, 0, 1, []), (0, 0, 0, 4, 0, 1, []), (3, 0, 0, 4, 1, 1, []), (3, 1, 0, 4, 0, 1, [])]),
+    (4, [(3, 0, 0, 0, 0, 1, []), (3, 0, 0, 4, 1, 1, [])]),
+    (4, [
+        (0, 0, 0, 4, 0, 0, []), (0, 0, 0, 4, 0, 1, []), (3, 0, 0, 4, 1, 1, []),
+        (3, 1, 0, 4, 0, 1, []), (3, 2, 0, 4, 1, 1, []),
+    ]),
 ]
 
 
@@ -80,6 +98,23 @@ def _lockstep(new, old, size, ops, view):
         for off in range(size):
             assert new.render(off) == old.render(off)
             assert view(new, tags, off) == view(old, tags, off)
+        _check_indexes(new)
+
+
+def _check_indexes(tracker):
+    """Every segment's indexes, against the same indexes rebuilt from its states."""
+    if isinstance(tracker, TreeBorrowTracker):
+        for segment in tracker._perms.values:
+            index = {}
+            for n, (_, perm, _) in enumerate(segment.states):
+                index.setdefault(perm, set()).add(n)
+            assert {perm: nodes for perm, nodes in segment.index.items() if nodes} == index
+        return
+    for stack in tracker._stacks.values:
+        items = stack.items
+        assert stack.pos == {item.tag: i for i, item in enumerate(items)}
+        writers = [i for i, item in enumerate(items) if item.grant is not Grant.SHARED_RO]
+        assert stack.top == (writers[-1] if writers else -1)
 
 
 def _counter():
@@ -104,6 +139,9 @@ def _stack_view(tracker, tags, off):
 @given(case=_case)
 @example(case=_PARTIAL_POPS[0])
 @example(case=_PARTIAL_POPS[1])
+@example(case=_STALE[0])
+@example(case=_STALE[1])
+@example(case=_STALE[2])
 def test_tree_tracker_matches_per_byte_oracle(case):
     size, ops = case
     new = TreeBorrowTracker(1, size, _counter(), "root")
@@ -116,6 +154,9 @@ def test_tree_tracker_matches_per_byte_oracle(case):
 @given(case=_case)
 @example(case=_PARTIAL_POPS[0])
 @example(case=_PARTIAL_POPS[1])
+@example(case=_STALE[0])
+@example(case=_STALE[1])
+@example(case=_STALE[2])
 def test_stack_tracker_matches_per_byte_oracle(case):
     size, ops = case
     new = StackedBorrowTracker(1, size, _counter(), "root")

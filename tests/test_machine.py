@@ -909,3 +909,77 @@ def test_retag_of_an_address_outside_every_allocation_is_out_of_bounds(model, te
     assert outcome.diagnostics[0].message == (
         "pointer 0x1000 has no provenance and points into no allocation"
     )
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("alloc", ["malloc", "alloca"])
+def test_pointer_register_as_an_allocation_size_is_unsupported(model, alloc):
+    outcome = _run(
+        f"""
+bind f = c_f()
+
+foreign fn c_f()
+  let s = alloca 8
+  let q = {alloc} s
+end
+
+host fn main()
+  call f()
+end
+""",
+        model=model,
+    )
+    assert outcome.classification is Classification.UNSUPPORTED
+    assert outcome.note == f"{alloc} sized by a pointer register"
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_reference_let_from_a_literal_fails_at_the_let(model):
+    outcome = _expect_bug(
+        """
+host fn main()
+  let r: &mut i32 = 4096
+  let v: i32 = 1
+end
+""",
+        DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
+        model=model,
+    )
+    assert outcome.diagnostics[0].message == (
+        "pointer 0x1000 has no provenance and points into no allocation"
+    )
+    assert outcome.diagnostics[0].host_trace[0].statement == "let r: &mut i32 = 4096"
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_reference_let_from_a_raw_pointer_retags(model):
+    created, root = _retag_record(
+        """
+host fn main()
+  let x: i32 = 1
+  let q: *mut i32 = &raw mut x
+  let r: &mut i32 = q
+  *r = 2
+  let v: i32 = x
+  assert_eq v 2
+end
+""",
+        model,
+        1,
+        "r",
+    )
+    assert created.startswith("mutable-ref retag of [0..4) from tag#")
+    # The new tag is one a write through the raw pointer invalidates.
+    _expect_bug(
+        """
+host fn main()
+  let x: i32 = 1
+  let q: *mut i32 = &raw mut x
+  let r: &mut i32 = q
+  *q = 3
+  let v: i32 = *r
+end
+""",
+        DiagnosticKind.EXPIRED_PERMISSION if model == "tb" else DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
+        model=model,
+    )

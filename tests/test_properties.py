@@ -1,6 +1,6 @@
 """Randomized property suites for the model and pipeline invariants.
 
-Six suites, each driven by at least a thousand generated cases:
+Seven suites, each driven by at least a thousand generated cases:
 
 1. tree model: Disabled is absorbing and no foreign tag stays Active
 2. stack model: accesses only ever mutate the stack above the granting item
@@ -9,8 +9,11 @@ Six suites, each driven by at least a thousand generated cases:
 4. memory: the initialization mask only ever grows
 5. dedup keys: identifier-invariant and idempotent partitioning
 6. whole runs: byte-identical structured reports under a fixed seed
+7. report encoder: `json_dumps` gives the bytes of `json.dumps` with
+   `indent=2, sort_keys=True` and a newline
 """
 
+import json
 import re
 
 from hypothesis import given, settings
@@ -400,3 +403,19 @@ def test_suite_full_run_determinism(index, model, seed):
     first = json_dumps(single_report(program, config, run_program(program, config)))
     second = json_dumps(single_report(program, config, run_program(program, config)))
     assert first == second
+
+
+# Nested str-keyed payloads; text draws from all of Unicode, control
+# characters included, and containers may be empty.
+_json_text = st.text(max_size=6)
+_json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _json_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_json_text, inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(payload=st.dictionaries(_json_text, _json_payloads, max_size=3))
+def test_suite_report_encoder_matches_json_dumps(payload):
+    assert json_dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"

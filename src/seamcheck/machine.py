@@ -640,13 +640,11 @@ class Machine:
         An integer reads as a pointer with no provenance, as it would from a
         raw pointer slot, so the retag rejects it.
         """
-        if not is_reference(stmt.type) or value is None:
+        if not is_reference(stmt.type) or not isinstance(value, (int, PointerValue)):
             return value
         if isinstance(value, int):
             value %= 1 << 64
             value = PointerValue(value, None, value, None)
-        if not isinstance(value, PointerValue):
-            raise ScenarioUnsupported(f"{type(value).__name__} bound to reference '{stmt.name}'")
         return self._retag(value, stmt.type.pointee, stmt.type.kind.value, stmt.name, stmt.line)
 
     def _heap_new(self, name: str, rhs: HeapNewRhs, line: int) -> PointerValue:

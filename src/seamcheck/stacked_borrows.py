@@ -24,6 +24,13 @@ access as out of bounds of what the pointer was ever granted.
 Wildcard provenance resolves eagerly to the topmost item that grants the
 access, then behaves as if that item had been named.
 
+Each stack keeps two indexes beside its items: the index of its topmost
+write-granting item, after Miri's `Stack::unique_range`, and each tag's
+index, which does the job of Miri's `StackCache`. Finding an item is O(1),
+a read at or above the topmost write-granting item pops nothing and returns
+at once, and a write pops exactly the items above its own. An access the
+`BorrowTracker` memo knows to be a no-op costs O(1).
+
 Each tag's `TagHistory` (created, last valid use, first invalidation) lives
 in the `BorrowTracker` base, shared with the tb model: the last use is
 recorded per segment as an access passes, and an item's first pop
@@ -45,7 +52,7 @@ class Grant(enum.Enum):
     SHARED_RW = "SharedReadWrite"
     SHARED_RO = "SharedReadOnly"
 
-    __hash__ = object.__hash__  # identity: `Enum.__hash__` runs in Python
+    __hash__ = object.__hash__  # identity, in C; `Enum.__hash__` runs in Python
 
     @property
     def allows_write(self) -> bool:

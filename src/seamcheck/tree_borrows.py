@@ -29,6 +29,17 @@ are always initialized there). Wildcard accesses touch nothing.
 Transitions apply to lazy locations too; laziness only means no assertion at
 retag time and no protector error before the first genuine use.
 
+Transitions only move one way (Reserved -> Active -> Frozen -> Disabled), so
+an access need not visit every node. Each segment indexes its nodes by
+current permission. An access walks the acting node's ancestor path, checks
+and applies the child table there, and visits off the path only the nodes
+whose permission the foreign table changes: Active for a read; Reserved,
+Active and Frozen for a write. Protected nodes are looked up in the
+protected set. So an access costs the path it checks plus the states it
+changes, and the error raised is still the one at the first failing node in
+node order. An access the `BorrowTracker` memo knows to be a no-op costs
+O(1).
+
 Each tag's `TagHistory` (created, last valid use, first invalidation) lives
 in the `BorrowTracker` base, shared with the sb model, and so does
 protection, one per-tag set that both models read; a `_Node` holds only the
@@ -53,8 +64,8 @@ class Permission(enum.Enum):
     FROZEN = "Frozen"
     DISABLED = "Disabled"
 
-    # Members key every segment's index; identity hashing keeps the lookups
-    # in C, where `Enum.__hash__` hashes the member's name in Python.
+    # Members key every segment's index. Identity hashing keeps those
+    # lookups in C; `Enum.__hash__` hashes the member's name in Python.
     __hash__ = object.__hash__
 
 
@@ -90,7 +101,9 @@ class _Segment:
 
     __slots__ = ("states", "index")
 
-    def __init__(self, states: list[tuple[Permission, Permission, bool]], index: dict[Permission, set[int]]) -> None:
+    def __init__(
+        self, states: list[tuple[Permission, Permission, bool]], index: dict[Permission, set[int]]
+    ) -> None:
         self.states = states
         self.index = index
 
@@ -178,15 +191,9 @@ class TreeBorrowTracker(BorrowTracker):
     def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
         """Apply one access to every segment of `rng`, offset-major.
 
-        The child side is the acting node's ancestor path: a read fails on a
-        Disabled node there, a write also on a Frozen one, and a write makes
-        its Reserved nodes Active. Off the path, only the nodes whose
-        permission the foreign table changes are visited, through the
-        segment's index. A foreign write that would disable an initialized
-        node fails if the node is protected. Every byte of a segment behaves
-        alike, so an error is reported at the first byte that fails, at the
-        first failing node in node order, after every earlier byte has been
-        updated.
+        Every byte of a segment behaves alike, so an error is reported at the
+        first byte that fails, at the first failing node in node order, after
+        every earlier byte has been updated.
         """
         if prov is WILDCARD:
             return  # exposed-address accesses are unchecked and change nothing
@@ -231,7 +238,9 @@ class TreeBorrowTracker(BorrowTracker):
                         failing = n
                     break
             if failing is not None:
-                raise self._access_error(prov, kind, perms.starts[i], order[failing], states[failing][1], failing in on_path)
+                raise self._access_error(
+                    prov, kind, perms.starts[i], order[failing], states[failing][1], failing in on_path
+                )
             # Collect every move before making any, so that a node moves once.
             moves = [(n, perm, new) for perm, new in foreign for n in index.get(perm, ()) if n not in on_path]
             if write:
@@ -239,20 +248,18 @@ class TreeBorrowTracker(BorrowTracker):
                     perm = states[n][1]
                     if perm is _R or perm is _RIM:
                         moves.append((n, perm, _A))
-            if moves:
-                for n, perm, new in moves:
-                    segment.move(n, perm, new)
-                    if new is not _A:
-                        self._invalidate(
-                            order[n], line,
-                            f"{kind} via tag#{prov} ('{self.tags[prov].label}'): {perm.value} -> {new.value}",
-                        )
+            for n, perm, new in moves:
+                segment.move(n, perm, new)
+                if new is not _A:
+                    self._invalidate(
+                        order[n], line,
+                        f"{kind} via tag#{prov} ('{self.tags[prov].label}'): {perm.value} -> {new.value}",
+                    )
             initial, perm, initialized = states[acting_index]
             if not initialized:
                 states[acting_index] = (initial, perm, True)
             if moves or not initialized:
-                if not changed:
-                    self._noops.clear()
+                self._noops.clear()
                 changed = True
         perms.merge(span)
         self.tags[prov].last_valid_use = use

@@ -4,7 +4,9 @@ One command, three modes. Positional scenario paths run individually under
 the selected model; `--model both` or `--diff` runs each under both models
 and reports the differential verdict; `--corpus DIR` checks every scenario
 in a directory against its `expect` annotations and prints a classification
-summary with dedup groups.
+summary with dedup groups. `main` decides once whether a run is
+differential, and corpus mode, which checks each model's annotations on its
+own, refuses either spelling of it.
 
 Exit codes: 0 clean, 1 violation found (or corpus mismatch), 2 scenario
 unsupported, 3 budget or deadlock timeout, 4 clean except leaks, 64 bad
@@ -233,12 +235,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--diff runs both models; it contradicts --model " + args.model)
     if args.corpus is not None and args.scenarios:
         parser.error("--corpus takes a directory; scenario paths cannot be mixed in")
-    if args.corpus is not None and args.diff:
-        parser.error("--diff applies to individual scenarios, not --corpus")
+    differential = args.diff or args.model == "both"
+    if args.corpus is not None and differential:
+        parser.error("--diff and --model both apply to individual scenarios, not --corpus")
     if args.corpus is None and not args.scenarios:
         parser.error("nothing to do: give scenario paths or --corpus DIR")
     fmt = args.format if args.format is not None else ("json" if args.out else "text")
-    differential = args.diff or args.model == "both"
     model = args.model if args.model in ("tb", "sb") else "tb"
     try:
         if args.corpus is not None:

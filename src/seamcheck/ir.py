@@ -28,8 +28,9 @@ class Dialect(enum.Enum):
 class Place:
     """A path to a memory location: optional deref, then field/index steps.
 
-    `deref` covers both the explicit `*p` form and the implicit deref when the
-    base local is a pointer and suffix steps follow.
+    `deref` records that `*` was written. Steps after a pointer-typed base
+    also read through it; the machine decides that from the local's type at
+    run time, so `p.f` and `*p.f` reach the same location.
     """
 
     base: str
@@ -37,7 +38,7 @@ class Place:
     steps: tuple[Union[str, int], ...] = ()
 
     def __str__(self) -> str:
-        text = f"*{self.base}" if self.deref and not self.steps else self.base
+        text = f"*{self.base}" if self.deref else self.base
         for s in self.steps:
             text += f"[{s}]" if isinstance(s, int) else f".{s}"
         return text

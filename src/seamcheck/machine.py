@@ -7,18 +7,23 @@ pointers, or opaque byte blobs, with a taint flag that marks values read
 out of uninitialized memory in permissive mode.
 
 Every call pushes a frame on the caller's thread, whichever dialect the
-callee is written in; a frame runs in its function's dialect. A call across
-the boundary converts the arguments on the way in and the return value
-when the callee's frame pops. Bound arguments and returns, callback
-arguments and integer/pointer casts all convert through `_convert`, which
-applies the pairings `translate` checks and carries taint; a tainted value
-landing in host code is an uninitialized read. Only `spawn` creates a thread. The scheduler
-picks among ready threads with a seeded generator, so a run is a
-deterministic function of (program, config).
+callee is written in; a frame runs in its function's dialect. A host `call`
+or `spawn` of a host function checks its arguments in one place,
+`_host_args`. When the callee's frame pops, the caller's `call` statement
+says where the result lands. A call across the boundary converts the
+arguments on the way in and the return value when the callee's frame pops.
+Bound arguments and returns, callback arguments and integer/pointer casts
+all convert through `_convert`, which applies the pairings `translate`
+checks and carries taint; a tainted value landing in host code is an
+uninitialized read. Only `spawn` creates a thread. The scheduler picks
+among ready threads with a seeded generator, so a run is a deterministic
+function of (program, config).
 
-Every borrow, cell pointer, reference-to-raw cast, owned heap value and
-reference parameter gets its tag from one retag path, `_retag`; reference
-parameters are retagged with a protector that lasts until their frame exits.
+Every borrow, cell pointer, reference-to-raw cast, owned heap value,
+reference parameter and reference-typed `let` or call result gets its tag
+from one retag path, `_retag`; reference parameters are retagged with a
+protector that lasts until their frame exits. A place's steps after a
+pointer local read through it whether or not `*` was written.
 
 Host frames tear down in a fixed order at exit: owned heap values that were
 not moved out drop in reverse declaration order, shadowed ones too, then
@@ -74,14 +79,15 @@ from .memory import (
     Blob,
     Memory,
     PointerValue,
+    ScenarioUnsupported,
     UbError,
+    no_provenance,
 )
 from .parser import render_stmt
 from .rng import Xoshiro256
 from .stacked_borrows import StackedBorrowTracker
 from .translate import (
     ArgPlan,
-    TranslationError,
     assignable,
     plan_call,
     plan_variadic_arg,
@@ -103,10 +109,6 @@ from .types import (
     size_of,
     struct_field_range,
 )
-
-
-class ScenarioUnsupported(Exception):
-    """The scenario steps outside what the engine models; not a finding."""
 
 
 @dataclass
@@ -143,7 +145,6 @@ class Reg:
 
 @dataclass
 class _Slot:
-    name: str
     type: TypeDesc
     pointer: PointerValue  # base, root tag
     owning: bool = False   # heap value dropped at frame exit
@@ -160,9 +161,6 @@ class _Frame:
     handles: dict[str, int] = field(default_factory=dict)
     protected: list[tuple[int, int]] = field(default_factory=list)  # (alloc id, tag)
     stack_allocs: list[int] = field(default_factory=list)
-    # Where the result of the call this frame is making goes: (the binding's
-    # return type for a bound call, else None; dest; dest type).
-    recv: Optional[tuple[Optional[TypeDesc], Optional[str], Optional[TypeDesc]]] = None
 
 
 @dataclass
@@ -195,14 +193,12 @@ class Machine:
         self._tags += 1
         return self._tags
 
-    def _tracker_class(self):
-        return TreeBorrowTracker if self.config.model == "tb" else StackedBorrowTracker
-
     def _alloc(
         self, size: int, align: int, origin: AllocOrigin, label: str, line: int
     ) -> tuple[Allocation, PointerValue]:
         alloc = self.memory.allocate(size, align, origin, label)
-        alloc.tracker = self._tracker_class()(alloc.id, size, self._next_tag, label, line)
+        tracker = TreeBorrowTracker if self.config.model == "tb" else StackedBorrowTracker
+        alloc.tracker = tracker(alloc.id, size, self._next_tag, label, line)
         return alloc, self.memory.base_pointer(alloc, alloc.tracker.root_tag)
 
     def _spawn_thread(self, frame: _Frame, spawn_trace: Trace = ((), ())) -> _Thread:
@@ -236,12 +232,6 @@ class Machine:
                 self._step(thread)
             except UbError as e:
                 return self._bug(e, thread)
-            except TranslationError as e:
-                if e.unsupported:
-                    return Outcome(Classification.UNSUPPORTED, note=e.message)
-                return self._bug(
-                    UbError(DiagnosticKind.INVALID_BINDING, e.message), thread
-                )
             except ScenarioUnsupported as e:
                 return Outcome(Classification.UNSUPPORTED, note=str(e))
         leaks = tuple(self._leak_diagnostic(a) for a in self.memory.leak_report())
@@ -338,7 +328,7 @@ class Machine:
     def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc, line: int) -> _Slot:
         layout = layout_of(ty)
         alloc, ptr = self._alloc(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name, line)
-        slot = _Slot(name=name, type=ty, pointer=ptr)
+        slot = _Slot(type=ty, pointer=ptr)
         frame.slots[name] = slot
         frame.slot_order.append(slot)
         frame.stack_allocs.append(alloc.id)
@@ -374,19 +364,20 @@ class Machine:
                 return IntType(alloc.size * 8, False)
         return U8
 
-    def _typed_read(self, ptr: PointerValue, ty: TypeDesc, line: int) -> HostValue:
+    def _typed_read(
+        self, ptr: PointerValue, ty: TypeDesc, line: int, permissive: bool = False
+    ) -> tuple[HostValue, bool]:
+        """The `ty` value at `ptr` and whether it is tainted, which only a `permissive` read can be."""
         if isinstance(ty, CellType):
             ty = ty.inner
         if isinstance(ty, UnitType):
             self.memory.check_access(ptr, 0, 1, "read", line)
-            return None
+            return None, False
         if isinstance(ty, IntType):
-            value, _ = self.memory.read_int(ptr, ty.size, ty.signed, line=line)
-            return value
+            return self.memory.read_int(ptr, ty.size, ty.signed, line=line, permissive=permissive)
         if isinstance(ty, PtrType):
-            value, _ = self.memory.read_pointer(ptr, line=line)
-            return value
-        return self.memory.read_blob(ptr, size_of(ty), line)
+            return self.memory.read_pointer(ptr, line=line, permissive=permissive)
+        return self.memory.read_blob(ptr, size_of(ty), line), False
 
     def _typed_write_value(
         self, ptr: PointerValue, ty: TypeDesc, value: HostValue, line: int
@@ -436,7 +427,8 @@ class Machine:
             raise ScenarioUnsupported(f"unknown local '{place.base}'")
         ptr: PointerValue = slot.pointer
         ty: TypeDesc = slot.type
-        if place.deref:
+        # Steps after a pointer local read through it, as if `*` were written.
+        if place.deref or (place.steps and isinstance(ty, PtrType)):
             if not isinstance(ty, PtrType):
                 raise ScenarioUnsupported(f"cannot dereference non-pointer local '{place.base}'")
             target, _ = self.memory.read_pointer(ptr, line=line)
@@ -470,7 +462,7 @@ class Machine:
         if isinstance(op, int):
             return op, IntType(64, op < 0)
         ptr, ty = self._resolve_place(thread, Place(op), line)
-        return self._typed_read(ptr, ty, line), ty
+        return self._typed_read(ptr, ty, line)[0], ty
 
     def _foreign_operand(self, thread: _Thread, op: Operand) -> Reg:
         if isinstance(op, int):
@@ -485,7 +477,7 @@ class Machine:
         if isinstance(reg.value, PointerValue):
             return reg.value
         if isinstance(reg.value, int):
-            return self.memory.from_exposed(reg.value % (1 << 64))
+            return self.memory.from_exposed(reg.value)
         raise ScenarioUnsupported("aggregate register used as a pointer")
 
     def _reg_int(self, reg: Reg) -> int:
@@ -533,7 +525,7 @@ class Machine:
             self._assert_eq(thread, stmt)
         elif isinstance(stmt, SpawnStmt):
             callee = self.program.function(stmt.callee)
-            args = [self._eval_operand(thread, a, line)[0] for a in stmt.args]
+            args = self._host_args(thread, stmt, callee)
             child = self._spawn_thread(self._make_host_frame(callee, args, line), self._traces(thread))
             frame.handles[stmt.handle] = child.id
         elif isinstance(stmt, JoinStmt):
@@ -576,7 +568,7 @@ class Machine:
         if isinstance(rhs, UninitRhs):
             return None
         if isinstance(rhs, LiteralRhs):
-            return self._bind_reference(rhs.value, stmt)
+            return self._bind_reference(rhs.value, stmt.type, stmt.name, line)
         if isinstance(rhs, PlaceRhs):
             src_ptr, src_ty = self._resolve_place(thread, rhs.place, line)
             base = frame.slots.get(rhs.place.base)
@@ -593,7 +585,8 @@ class Machine:
                     f"{size_of(src_ty)} bytes, destination '{stmt.name}' holds "
                     f"{size_of(stmt.type)}",
                 )
-            return self._bind_reference(self._typed_read(src_ptr, src_ty, line), stmt)
+            value, _ = self._typed_read(src_ptr, src_ty, line)
+            return self._bind_reference(value, stmt.type, stmt.name, line)
         if isinstance(rhs, BorrowRhs):
             ptr, ty = self._resolve_place(thread, rhs.place, line)
             return self._retag(ptr, ty, rhs.kind.value, stmt.name, line)
@@ -634,18 +627,18 @@ class Machine:
             return self._retag(value, pointee, "mutable-ref", stmt.name, line)
         raise ScenarioUnsupported(f"host let cannot evaluate {type(rhs).__name__}")
 
-    def _bind_reference(self, value: HostValue, stmt: LetStmt) -> HostValue:
-        """`value` retagged if `stmt` binds a reference, as SB retags every reference assignment.
+    def _bind_reference(self, value: HostValue, ty: TypeDesc, name: str, line: int) -> HostValue:
+        """`value` retagged if local `name` of type `ty` is a reference.
 
-        An integer reads as a pointer with no provenance, as it would from a
-        raw pointer slot, so the retag rejects it.
+        SB retags every reference assignment, a call's result included. An
+        integer reads as a pointer with no provenance, as it would from a raw
+        pointer slot, so the retag rejects it.
         """
-        if not is_reference(stmt.type) or not isinstance(value, (int, PointerValue)):
+        if not is_reference(ty) or not isinstance(value, (int, PointerValue)):
             return value
         if isinstance(value, int):
-            value %= 1 << 64
-            value = PointerValue(value, None, value, None)
-        return self._retag(value, stmt.type.pointee, stmt.type.kind.value, stmt.name, stmt.line)
+            value = no_provenance(value)
+        return self._retag(value, ty.pointee, ty.kind.value, name, line)
 
     def _heap_new(self, name: str, rhs: HeapNewRhs, line: int) -> PointerValue:
         layout = layout_of(rhs.type)
@@ -724,14 +717,15 @@ class Machine:
                     t.waiting_on = None
             return
         caller = thread.frames[-1]
-        ret, dest, dest_type = caller.recv
+        call: CallStmt = caller.fn.body[caller.pc - 1]  # the call that pushed `callee`
         if caller.fn.dialect is Dialect.FOREIGN:
-            if dest is not None:
-                caller.regs[dest] = Reg(0 if value is None else value)
+            if call.dest is not None:
+                caller.regs[call.dest] = Reg(0 if value is None else value)
             return
         if callee.fn.dialect is Dialect.FOREIGN:
             # The result lands at the call, not at the foreign return.
-            line = self._current_stmt(caller).line
+            line = call.line
+            ret = self.program.binding(call.callee).ret
             if isinstance(ret, UnitType):
                 value = None  # the binding declares no result
             else:
@@ -739,9 +733,11 @@ class Machine:
                     value or Reg(0, tainted=True), ret,
                     "foreign call returned a value derived from uninitialized memory",
                 )
-        if dest is not None:
-            slot = self._new_slot(caller, dest, dest_type, line)
-            self._typed_write_value(slot.pointer, dest_type, value, line)
+        if call.dest is not None:
+            # Retag before the slot exists, so its root tag is numbered after the result's.
+            value = self._bind_reference(value, call.dest_type, call.dest, call.line)
+            slot = self._new_slot(caller, call.dest, call.dest_type, line)
+            self._typed_write_value(slot.pointer, call.dest_type, value, line)
 
     # ---- calls ---------------------------------------------------------------
 
@@ -753,17 +749,22 @@ class Machine:
             binding = None
         if binding is None:
             callee = self.program.function(stmt.callee)
-            args = [self._check_host_arg(thread, a, p.type, line) for a, p in zip(stmt.args, callee.params)]
-            if len(stmt.args) != len(callee.params):
-                raise ScenarioUnsupported(
-                    f"call to '{callee.name}' passes {len(stmt.args)} arguments, "
-                    f"it takes {len(callee.params)}"
-                )
-            callee_frame = self._make_host_frame(callee, args, line)
-            thread.frames[-1].recv = (None, stmt.dest, stmt.dest_type)
-            thread.frames.append(callee_frame)
+            args = self._host_args(thread, stmt, callee)
+            thread.frames.append(self._make_host_frame(callee, args, line))
             return
         self._call_foreign(thread, stmt, binding)
+
+    def _host_args(
+        self, thread: _Thread, stmt: Union[CallStmt, SpawnStmt], callee: FnDef
+    ) -> list[HostValue]:
+        """The arguments `stmt` passes to host function `callee`, checked against its parameters."""
+        args = [self._check_host_arg(thread, a, p.type, stmt.line) for a, p in zip(stmt.args, callee.params)]
+        if len(stmt.args) != len(callee.params):
+            raise ScenarioUnsupported(
+                f"call to '{callee.name}' passes {len(stmt.args)} arguments, "
+                f"it takes {len(callee.params)}"
+            )
+        return args
 
     def _check_host_arg(
         self, thread: _Thread, op: Operand, want: TypeDesc, line: int
@@ -799,7 +800,6 @@ class Machine:
         # Extras land as vararg0, vararg1, ... in caller order.
         for i, reg in enumerate(regs[len(callee.params):]):
             frame.regs[f"vararg{i}"] = reg
-        thread.frames[-1].recv = (plan.ret, stmt.dest, stmt.dest_type)
         thread.frames.append(frame)
 
     def _outbound(self, plan: ArgPlan, value: HostValue) -> list[Reg]:
@@ -816,7 +816,7 @@ class Machine:
         if isinstance(value, int) and isinstance(plan.source, PtrType):
             # A literal where the binding declares a pointer is an address
             # without provenance, not an integer to rehydrate.
-            value = PointerValue(value % (1 << 64), None, value % (1 << 64), None)
+            value = no_provenance(value)
         return [self._convert(Reg(value), plan.targets[0])]
 
     def _convert(self, reg: Reg, target: TypeDesc) -> Reg:
@@ -932,18 +932,9 @@ class Machine:
             return self._foreign_operand(thread, rhs.place.base)
         if isinstance(rhs, LoadRhs):
             ptr = self._reg_pointer(self._foreign_operand(thread, rhs.pointer))
-            ty = rhs.type
-            if isinstance(ty, PtrType):
-                value, tainted = self.memory.read_pointer(
-                    ptr, line=line, permissive=self.config.permissive_foreign
-                )
-                return Reg(value, tainted)
-            if isinstance(ty, IntType):
-                value, tainted = self.memory.read_int(
-                    ptr, ty.size, ty.signed, line=line, permissive=self.config.permissive_foreign
-                )
-                return Reg(value, tainted)
-            raise ScenarioUnsupported(f"foreign load of type {ty}")
+            if not isinstance(rhs.type, (IntType, PtrType)):
+                raise ScenarioUnsupported(f"foreign load of type {rhs.type}")
+            return Reg(*self._typed_read(ptr, rhs.type, line, self.config.permissive_foreign))
         if isinstance(rhs, (MallocRhs, AllocaRhs)):
             reg = self._foreign_operand(thread, rhs.size)
             size = self._reg_int(reg)
@@ -979,9 +970,7 @@ class Machine:
             )
             for op, param in zip(stmt.args, callee.params)
         ]
-        callee_frame = self._make_host_frame(callee, args, stmt.line)
-        thread.frames[-1].recv = (None, stmt.dest, None)
-        thread.frames.append(callee_frame)
+        thread.frames.append(self._make_host_frame(callee, args, stmt.line))
 
 
 def run_program(program: ScenarioProgram, config: Optional[MachineConfig] = None) -> Outcome:

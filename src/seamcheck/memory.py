@@ -35,6 +35,7 @@ it, which the deduplication tests rely on.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -84,6 +85,12 @@ class PointerValue:
         return PointerValue(self.address + delta, self.alloc_id, self.offset + delta, self.provenance)
 
 
+def no_provenance(address: int) -> PointerValue:
+    """A bare address, wrapped to 64 bits: no provenance, no allocation, so every access fails."""
+    address %= 1 << 64
+    return PointerValue(address, None, address, None)
+
+
 class UbError(Exception):
     """An undefined-behavior finding, raised mid-execution.
 
@@ -109,6 +116,10 @@ class UbError(Exception):
         self.snapshot = snapshot
         self.origin = origin
         self.address = address
+
+
+class ScenarioUnsupported(Exception):
+    """The scenario steps outside what the engine models; not a finding."""
 
 
 class BorrowTracker:
@@ -263,6 +274,7 @@ class Memory:
         self.strict_provenance = strict_provenance
         self.zero_init_foreign = zero_init_foreign
         self.allocations: dict[int, Allocation] = {}
+        self._bases: list[int] = []  # of every allocation, in id order, so increasing
         self._next_id = 1
         # Base perturbation only moves addresses, never semantics.
         _, word = _splitmix64(seed)
@@ -288,6 +300,7 @@ class Memory:
             alloc.values = [0] * size
         self._next_id += 1
         self.allocations[alloc.id] = alloc
+        self._bases.append(base)
         return alloc
 
     def base_pointer(self, alloc: Allocation, tag: Provenance) -> PointerValue:
@@ -469,7 +482,7 @@ class Memory:
                     return PointerValue(address, target_alloc, address - base, prov), False
                 return PointerValue(address, None, address, prov), False
         # Broken or absent fragments: the value is just an integer.
-        return PointerValue(address, None, address, None), tainted
+        return no_provenance(address), tainted
 
     def read_blob(self, ptr: PointerValue, size: int, line: int = 0) -> Blob:
         """Untyped copy-out of the uninit mask and provenance fragments. No init check."""
@@ -523,19 +536,24 @@ class Memory:
         return ptr.address % (1 << 64)
 
     def from_exposed(self, address: int) -> PointerValue:
-        """Rebuild a pointer from an integer address.
+        """Rebuild a pointer from an integer address, wrapped to 64 bits.
 
         Inside a live allocation the result carries wildcard provenance;
         otherwise it has none and every later access fails. Under strict
-        provenance this operation is itself an error.
+        provenance this operation is itself an error. Allocations are
+        disjoint and their bases increase with their ids, so the only one
+        that can hold `address` is the last one based at or below it.
         """
+        address %= 1 << 64
         if self.strict_provenance:
             raise UbError(
                 DiagnosticKind.STRICT_PROVENANCE_VIOLATION,
                 f"integer-to-pointer conversion of 0x{address:x} under strict provenance",
                 address=address,
             )
-        for alloc in self.allocations.values():
-            if alloc.live and alloc.base <= address < alloc.base + alloc.size:
+        i = bisect_right(self._bases, address)
+        if i:
+            alloc = self.allocations[i]  # ids count from 1
+            if alloc.live and address < alloc.base + alloc.size:
                 return PointerValue(address, alloc.id, address - alloc.base, WILDCARD)
-        return PointerValue(address, None, address, None)
+        return no_provenance(address)

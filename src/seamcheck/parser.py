@@ -10,10 +10,11 @@ one rule across both dialects, and every other statement and right-hand
 side belongs to one dialect's rules only, so borrows, heap ownership and
 threads parse only in host code and loads, stores and manual allocation
 only in foreign code. The parser resolves struct names as it goes (declare
-before use) and tracks host local types so that `p.field` on a pointer
-local parses as a deref place. A validation pass then checks names: one
-definition per function and binding, a host `main` without parameters,
-and call and spawn targets of the right dialect.
+before use) but knows no local's type: a place records only the `*` that
+was written, and the machine decides at run time whether steps read through
+a pointer local. A validation pass then checks names: one definition per
+function and binding, a host `main` without parameters, and call and spawn
+targets of the right dialect.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from .types import (
     PtrType,
     StructType,
     TypeDesc,
-    is_pointer,
     layout_of,
 )
 
@@ -303,7 +303,7 @@ class _Parser:
 
     # ---- places and operands -------------------------------------------------
 
-    def parse_place(self, ln: _Line, locals_env: dict[str, TypeDesc]) -> Place:
+    def parse_place(self, ln: _Line) -> Place:
         deref = ln.accept("*")
         base = ln.ident("place")
         steps: list[Union[str, int]] = []
@@ -320,8 +320,6 @@ class _Parser:
                 ln.expect("]")
             else:
                 break
-        if not deref and steps and is_pointer(locals_env.get(base, UNIT)):
-            deref = True
         return Place(base, deref, tuple(steps))
 
     def parse_operand(self, ln: _Line) -> Operand:
@@ -342,15 +340,15 @@ class _Parser:
 
     # ---- statements ----------------------------------------------------------
 
-    def _parse_stmt(self, ln: _Line, env: dict[str, Optional[TypeDesc]], host: bool) -> Stmt:
+    def _parse_stmt(self, ln: _Line, host: bool) -> Stmt:
         if ln.accept("let"):
-            stmt = self._parse_let(ln, env, host)
+            stmt = self._parse_let(ln, host)
         elif ln.accept("call"):
             stmt = self._parse_call(ln)
         elif ln.accept("return"):
             stmt = ReturnStmt(None if ln.at_end() else self.parse_operand(ln), line=ln.line)
         elif host:
-            stmt = self._parse_host_stmt(ln, env)
+            stmt = self._parse_host_stmt(ln)
         else:
             stmt = self._parse_foreign_stmt(ln)
         ln.done()
@@ -363,7 +361,7 @@ class _Parser:
         args = self._parse_args(ln)
         return CallStmt(callee, args, dest=dest, dest_type=dest_type, line=ln.line)
 
-    def _parse_let(self, ln: _Line, env: dict[str, Optional[TypeDesc]], host: bool) -> Stmt:
+    def _parse_let(self, ln: _Line, host: bool) -> Stmt:
         """`let NAME: TYPE = RHS` in host code, `let NAME = RHS` in foreign code."""
         name = ln.ident()
         ty = None
@@ -372,27 +370,24 @@ class _Parser:
             ty = self.parse_type(ln)
         ln.expect("=")
         if ln.accept("call"):
-            stmt: Stmt = self._parse_call(ln, name, ty)
-        elif host:
-            stmt = LetStmt(name, ty, self._parse_host_rhs(ln, env, ty), line=ln.line)
-        else:
-            stmt = LetStmt(name, None, self._parse_foreign_rhs(ln), line=ln.line)
-        env[name] = ty
-        return stmt
+            return self._parse_call(ln, name, ty)
+        if host:
+            return LetStmt(name, ty, self._parse_host_rhs(ln, ty), line=ln.line)
+        return LetStmt(name, None, self._parse_foreign_rhs(ln), line=ln.line)
 
-    def _parse_host_rhs(self, ln: _Line, env: dict[str, TypeDesc], ty: TypeDesc) -> Rhs:
+    def _parse_host_rhs(self, ln: _Line, ty: TypeDesc) -> Rhs:
         kind, text, _ = ln.need("missing right-hand side")
         if kind == "int":
             return LiteralRhs(ln.integer())
         if ln.accept("&"):
             if ln.accept("raw"):
                 if ln.accept("mut"):
-                    return BorrowRhs(PtrKind.RAW_MUT, self.parse_place(ln, env))
+                    return BorrowRhs(PtrKind.RAW_MUT, self.parse_place(ln))
                 ln.expect("const")
-                return BorrowRhs(PtrKind.RAW_CONST, self.parse_place(ln, env))
+                return BorrowRhs(PtrKind.RAW_CONST, self.parse_place(ln))
             if ln.accept("mut"):
-                return BorrowRhs(PtrKind.MUT_REF, self.parse_place(ln, env))
-            return BorrowRhs(PtrKind.SHARED_REF, self.parse_place(ln, env))
+                return BorrowRhs(PtrKind.MUT_REF, self.parse_place(ln))
+            return BorrowRhs(PtrKind.SHARED_REF, self.parse_place(ln))
         if ln.accept("uninit"):
             return UninitRhs()
         if ln.accept("zeroed"):
@@ -426,7 +421,7 @@ class _Parser:
                 ln.expect(")")
                 return OffsetRhs(text, count)
             ln.i -= 1
-        place = self.parse_place(ln, env)
+        place = self.parse_place(ln)
         if ln.at_pair(".", "get"):
             ln.i += 2
             ln.expect("(")
@@ -434,10 +429,10 @@ class _Parser:
             return CellGetRhs(place)
         return PlaceRhs(place)
 
-    def _parse_host_stmt(self, ln: _Line, env: dict[str, TypeDesc]) -> Stmt:
+    def _parse_host_stmt(self, ln: _Line) -> Stmt:
         n = ln.line
         if ln.accept("assume_init"):
-            return AssumeInitStmt(self.parse_place(ln, env), line=n)
+            return AssumeInitStmt(self.parse_place(ln), line=n)
         if ln.accept("assert_eq"):
             left = self.parse_operand(ln)
             return AssertEqStmt(left, self.parse_operand(ln), line=n)
@@ -448,7 +443,7 @@ class _Parser:
             return SpawnStmt(handle, callee, self._parse_args(ln), line=n)
         if ln.accept("join"):
             return JoinStmt(ln.ident("handle"), line=n)
-        place = self.parse_place(ln, env)
+        place = self.parse_place(ln)
         ln.expect("=")
         return WriteStmt(place, self.parse_operand(ln), line=n)
 
@@ -519,11 +514,8 @@ class _Parser:
         ln.expect("fn")
         name = ln.ident("function name")
         params, variadic, ret = self._parse_signature(ln, self._parse_param)
-        env: dict[str, Optional[TypeDesc]] = {p.name: p.type for p in params}
         host = dialect is Dialect.HOST
-        body = tuple(
-            self._parse_stmt(sl, env, host) for sl in self._block(ln, f"function '{name}'")
-        )
+        body = tuple(self._parse_stmt(sl, host) for sl in self._block(ln, f"function '{name}'"))
         self.functions.append(FnDef(name, dialect, params, ret, body, variadic, line=ln.line))
 
     def _parse_bind(self, ln: _Line) -> None:

@@ -3,7 +3,9 @@
 A binding is the caller's declared view of a function on the other side.
 Nothing forces it to agree with the definition, so every call is planned
 against both signatures and mismatches surface as invalid-binding findings
-at the call site.
+at the call site: `TranslationError` is the `UbError` of that kind, which
+the machine reports like any other finding. A crossing the engine does not
+model raises `ScenarioUnsupported` instead.
 
 A plan pairs each value's source type with the type it lands in; the
 pairings a value may cross are:
@@ -27,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .diagnostics import DiagnosticKind
 from .ir import BindingSignature, FnDef
+from .memory import ScenarioUnsupported, UbError
 from .types import (
     ArrayType,
     CellType,
@@ -43,11 +47,9 @@ from .types import (
 )
 
 
-class TranslationError(Exception):
-    def __init__(self, message: str, *, unsupported: bool = False) -> None:
-        super().__init__(message)
-        self.message = message
-        self.unsupported = unsupported
+class TranslationError(UbError):
+    def __init__(self, message: str) -> None:
+        super().__init__(DiagnosticKind.INVALID_BINDING, message)
 
 
 @dataclass(frozen=True)
@@ -201,10 +203,7 @@ def plan_return(binding: BindingSignature, callee: FnDef) -> TypeDesc:
 def plan_variadic_arg(host_type: TypeDesc) -> ArgPlan:
     """Plan for an argument in the variadic tail, typed by the caller alone."""
     if _is_aggregate(host_type):
-        raise TranslationError(
-            f"aggregate {host_type} passed through a variadic boundary",
-            unsupported=True,
-        )
+        raise ScenarioUnsupported(f"aggregate {host_type} passed through a variadic boundary")
     if isinstance(host_type, PtrType):
         return ArgPlan(host_type, (host_type,))
     if isinstance(host_type, IntType):

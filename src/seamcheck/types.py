@@ -284,10 +284,6 @@ def is_reference(t: TypeDesc) -> bool:
     return isinstance(t, PtrType) and t.kind in (PtrKind.SHARED_REF, PtrKind.MUT_REF)
 
 
-def is_pointer(t: TypeDesc) -> bool:
-    return isinstance(t, PtrType)
-
-
 def size_of(t: TypeDesc) -> int:
     return layout_of(t).size
 

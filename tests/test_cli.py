@@ -109,6 +109,15 @@ def test_corpus_with_diff_is_a_usage_error(capsys):
     assert e.value.code == 64
 
 
+def test_corpus_with_model_both_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--corpus", str(CORPUS_DIR), "--model", "both"])
+    assert e.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--model both" in captured.err
+
+
 def test_empty_corpus_dir_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["--corpus", str(tmp_path)])
@@ -272,6 +281,22 @@ def test_corpus_json_report_matches_the_golden(tmp_path, monkeypatch):
             want.decode().splitlines(), got.decode().splitlines(), "golden", "now", lineterm=""
         )
         pytest.fail("corpus report differs from tests/golden/corpus.json:\n" + "\n".join(diff))
+
+
+def test_corpus_diff_json_report_matches_the_golden(tmp_path, monkeypatch):
+    # Every diagnostic of every corpus scenario under both models: snapshots,
+    # tag histories, traces and addresses, which the corpus report omits.
+    monkeypatch.chdir(REPO_ROOT)
+    out = tmp_path / "corpus_diff.json"
+    paths = sorted(f"corpus/{p.name}" for p in CORPUS_DIR.glob("*.sc"))
+    main(["--diff", "--format", "json", *paths, "--out", str(out)])
+    got = out.read_bytes()
+    want = (REPO_ROOT / "tests" / "golden" / "corpus_diff.json").read_bytes()
+    if got != want:
+        diff = difflib.unified_diff(
+            want.decode().splitlines(), got.decode().splitlines(), "golden", "now", lineterm=""
+        )
+        pytest.fail("--diff report differs from tests/golden/corpus_diff.json:\n" + "\n".join(diff))
 
 
 def test_internal_error_exits_70_with_traceback_on_stderr(scenario, capsys, monkeypatch):

@@ -1,10 +1,13 @@
 """Whole-scenario execution: calls, threads, heap ownership, config flags."""
 
+import re
+
 import pytest
 
 from seamcheck.diagnostics import Classification, DiagnosticKind
 from seamcheck.machine import Machine, MachineConfig, run_program
 from seamcheck.parser import parse_text
+from seamcheck.runner import exit_code
 
 
 def _run(text, **config_kw):
@@ -983,3 +986,60 @@ end
         DiagnosticKind.EXPIRED_PERMISSION if model == "tb" else DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
         model=model,
     )
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize(
+    "args, note",
+    [
+        pytest.param("", "call to 'worker' passes 0 arguments, it takes 1", id="too-few"),
+        pytest.param("q, q", "call to 'worker' passes 2 arguments, it takes 1", id="too-many"),
+        pytest.param("x", "argument of type i64 where &mut i32 is expected", id="not-assignable"),
+    ],
+)
+def test_spawn_checks_its_arguments_like_call(model, args, note):
+    outcome = _run(
+        f"""
+host fn worker(p: &mut i32)
+  *p = 1
+end
+
+host fn main()
+  let x: i64 = 5
+  let y: i32 = 0
+  let q: &mut i32 = &mut y
+  spawn h = worker({args})
+  join h
+end
+""",
+        model=model,
+    )
+    assert outcome.classification is Classification.UNSUPPORTED
+    assert outcome.note == note
+    assert exit_code(outcome) == 2
+
+
+_CALL_RESULT_REFERENCE = """
+host fn id(p: *mut i32) -> *mut i32
+  return p
+end
+
+host fn main()
+  let x: i32 = 0
+  let q: *mut i32 = &raw mut x
+  let r: &mut i32 = call id(q)
+  let s: &mut i32 = &mut x
+  *s = 1
+  *r = 2
+end
+"""
+
+
+def test_reference_bound_from_a_call_result_is_retagged():
+    # As `let r: &mut i32 = q` is: `r` gets its own tag, which the write
+    # through the sibling `s` invalidates.
+    tb = _expect_bug(_CALL_RESULT_REFERENCE, DiagnosticKind.EXPIRED_PERMISSION, model="tb")
+    assert re.match(r"write through tag#\d+ \('r'\) at alloc#1\+0:", tb.diagnostics[0].message)
+    sb = _expect_bug(_CALL_RESULT_REFERENCE, DiagnosticKind.ACCESS_OUT_OF_BOUNDS, model="sb")
+    assert "('r') in the borrow stack" in sb.diagnostics[0].message
+    assert "('q')" not in sb.diagnostics[0].message

@@ -250,6 +250,22 @@ def test_from_exposed_outside_live_memory_has_no_provenance():
     assert e.value.kind is DiagnosticKind.ACCESS_OUT_OF_BOUNDS
 
 
+def test_from_exposed_finds_the_one_allocation_holding_the_address():
+    mem = _mem()
+    allocs = [mem.allocate(8, 8, AllocOrigin.HOST_STACK, f"a{i}") for i in range(5)]
+    empty = mem.allocate(0, 1, AllocOrigin.HOST_STACK, "empty")
+    last = mem.allocate(8, 8, AllocOrigin.HOST_HEAP, "last")
+    freed = allocs[3]
+    mem.release_stack(freed.id)
+    for alloc, off in ((allocs[0], 0), (allocs[2], 5), (last, 7)):
+        back = mem.from_exposed(alloc.base + off)
+        assert (back.alloc_id, back.offset, back.provenance) == (alloc.id, off, WILDCARD)
+    gap = allocs[1].base + allocs[1].size  # the guard gap after a live allocation
+    for address in (freed.base, empty.base, gap, last.base + last.size, allocs[0].base - 1):
+        back = mem.from_exposed(address)
+        assert (back.address, back.alloc_id, back.provenance) == (address, None, None)
+
+
 def test_strict_provenance_forbids_integer_to_pointer():
     mem = _mem(strict_provenance=True)
     alloc = mem.allocate(8, 8, AllocOrigin.HOST_STACK)

@@ -1,10 +1,13 @@
 """Scenario language parsing: grammar, validation, rendering round-trips."""
 
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from seamcheck.diagnostics import DiagnosticKind
+from seamcheck.diagnostics import Classification, DiagnosticKind
 from seamcheck.ir import (
     AssertEqStmt,
     CallStmt,
@@ -17,7 +20,8 @@ from seamcheck.ir import (
     StoreStmt,
     WriteStmt,
 )
-from seamcheck.parser import ParseError, parse_file, parse_text, render_program
+from seamcheck.machine import MachineConfig, run_program
+from seamcheck.parser import ParseError, parse_text, render_program
 from seamcheck.types import ArrayType, CellType, IntType, PtrKind, PtrType, UnitType
 
 from conftest import REPO_ROOT, corpus_files
@@ -139,6 +143,40 @@ end
     assert write.place == Place(base="p", steps=("xs", 1), deref=False)
     deref_write = body[3]
     assert deref_write.place == Place(base="r", steps=(), deref=True)
+
+
+_POINTER_FIELD = """
+type Pair
+  a: u32
+  b: u32
+end
+
+host fn main()
+  let p: Pair = zeroed
+  let r: *mut Pair = &raw mut p
+  {write} = 7
+  let v: u32 = p.b
+  assert_eq v 7
+end
+"""
+
+
+def test_explicit_deref_with_steps_is_kept_as_written():
+    program = _parse(_POINTER_FIELD.format(write="*r.b"))
+    write = program.function("main").body[2]
+    assert write.place == Place(base="r", deref=True, steps=("b",))
+    assert str(write.place) == "*r.b"
+    assert parse_text(render_program(program)) == program
+    assert run_program(program, MachineConfig()).classification is Classification.PASS
+
+
+def test_steps_on_a_pointer_local_read_through_it_without_a_written_deref():
+    program = _parse(_POINTER_FIELD.format(write="r.b"))
+    write = program.function("main").body[2]
+    assert write.place == Place(base="r", deref=False, steps=("b",))
+    assert str(write.place) == "r.b"
+    for model in ("tb", "sb"):
+        assert run_program(program, MachineConfig(model=model)).classification is Classification.PASS
 
 
 def test_cell_get_and_offset_calls():
@@ -416,8 +454,25 @@ def test_statement_lines_recorded():
     assert [s.line for s in body] == [2, 3]
 
 
-@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.rsplit("/", 1)[-1])
-def test_render_round_trip_over_corpus(path):
-    program = parse_file(path)
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO_ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every bundled scenario by file name, then every scenario the benchmark
+# generates at seed 1 by workload and case name: (path, text).
+_ROUND_TRIP = {p.rsplit("/", 1)[-1]: (p, Path(p).read_text()) for p in corpus_files()}
+for _workload in ("tags", "buffers", "crossings"):
+    for _case in _load_workloads().build(_workload, 1, str(REPO_ROOT / "corpus")):
+        _ROUND_TRIP[f"{_workload}/{_case.name}"] = (f"<{_workload}/{_case.name}>", _case.text)
+
+
+@pytest.mark.parametrize("name", _ROUND_TRIP)
+def test_render_round_trip_over_corpus(name):
+    path, text = _ROUND_TRIP[name]
+    program = parse_text(text, path)
     rendered = render_program(program)
     assert parse_text(rendered, path=program.path) == program

@@ -2,7 +2,9 @@
 
 import pytest
 
+from seamcheck.diagnostics import DiagnosticKind
 from seamcheck.ir import BindingSignature, Dialect, FnDef, Param
+from seamcheck.memory import ScenarioUnsupported
 from seamcheck.translate import (
     TranslationError,
     assignable,
@@ -53,7 +55,7 @@ def test_matching_integers_cross_as_scalars():
 def test_integer_width_mismatch_is_invalid_binding():
     with pytest.raises(TranslationError) as e:
         _targets([I32], [I64])
-    assert not e.value.unsupported
+    assert e.value.kind is DiagnosticKind.INVALID_BINDING
 
 
 def test_pointers_cross_as_pointers():
@@ -181,9 +183,8 @@ def test_variadic_pointer_passes_through():
 
 
 def test_variadic_aggregate_is_unsupported_not_a_bug():
-    with pytest.raises(TranslationError) as e:
+    with pytest.raises(ScenarioUnsupported):
         plan_variadic_arg(ArrayType(U32, 2))
-    assert e.value.unsupported
 
 
 def test_reinterpret_wraps_and_signs():

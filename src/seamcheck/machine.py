@@ -1,10 +1,11 @@
 """Execution engine: two dialects, one memory, one borrow model per run.
 
 Host locals are storage-backed: every `let` gets its own stack allocation
-with a borrow tracker, and the local's root tag is what references are
-retagged from. Foreign locals are plain registers holding integers,
-pointers, or opaque byte blobs, with a taint flag that marks values read
-out of uninitialized memory in permissive mode.
+and root tag, and references are retagged from that tag. The allocation's
+borrow tracker is built only once the local is reborrowed or reached
+through another provenance (see `memory`). Foreign locals are plain
+registers holding integers, pointers, or opaque byte blobs, with a taint
+flag that marks values read out of uninitialized memory in permissive mode.
 
 Every call pushes a frame on the caller's thread, whichever dialect the
 callee is written in; a frame runs in its function's dialect. A host `call`
@@ -181,25 +182,19 @@ class Machine:
             symbolic_alignment=self.config.symbolic_alignment,
             strict_provenance=self.config.strict_provenance,
             zero_init_foreign=self.config.zero_init_foreign,
+            tracker=TreeBorrowTracker if self.config.model == "tb" else StackedBorrowTracker,
         )
         self.rng = Xoshiro256(self.config.seed)
-        self._tags = 0
         self.threads: dict[int, _Thread] = {}  # by id, in spawn order
         self.steps = 0
 
     # ---- plumbing ------------------------------------------------------------
 
-    def _next_tag(self) -> int:
-        self._tags += 1
-        return self._tags
-
     def _alloc(
         self, size: int, align: int, origin: AllocOrigin, label: str, line: int
     ) -> tuple[Allocation, PointerValue]:
-        alloc = self.memory.allocate(size, align, origin, label)
-        tracker = TreeBorrowTracker if self.config.model == "tb" else StackedBorrowTracker
-        alloc.tracker = tracker(alloc.id, size, self._next_tag, label, line)
-        return alloc, self.memory.base_pointer(alloc, alloc.tracker.root_tag)
+        alloc = self.memory.allocate(size, align, origin, label, line)
+        return alloc, self.memory.base_pointer(alloc, alloc.root.tag)
 
     def _spawn_thread(self, frame: _Frame, spawn_trace: Trace = ((), ())) -> _Thread:
         t = _Thread(id=len(self.threads), frames=[frame], spawn_trace=spawn_trace)
@@ -317,12 +312,12 @@ class Machine:
         """
         size = size_of(pointee)
         alloc = self.memory.check_bounds(ptr, size, f"{kind} retag")
-        parent = alloc.tracker.root_tag if ptr.provenance is WILDCARD else ptr.provenance
+        parent = alloc.root.tag if ptr.provenance is WILDCARD else ptr.provenance
         cells = tuple(
             (a + ptr.offset, b + ptr.offset) for a, b in layout_of(pointee).cell_ranges
         )
         rng = (ptr.offset, ptr.offset + size)
-        tag = alloc.tracker.retag(parent, rng, kind, cells, protect, label, line)
+        tag = self.memory.tracker(alloc).retag(parent, rng, kind, cells, protect, label, line)
         return replace(ptr, provenance=tag)
 
     def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc, line: int) -> _Slot:
@@ -341,9 +336,7 @@ class Machine:
                 box, _ = self.memory.read_pointer(slot.pointer, line=line)
                 self.memory.deallocate(box, "host")
         for alloc_id, tag in frame.protected:
-            tracker = self.memory.allocations[alloc_id].tracker
-            if tracker is not None:
-                tracker.protector_end(tag)
+            self.memory.allocations[alloc_id].tracker.protector_end(tag)  # built by the retag
         for alloc_id in reversed(frame.stack_allocs):
             self.memory.release_stack(alloc_id)
         return thread.frames.pop()
@@ -723,8 +716,6 @@ class Machine:
                 caller.regs[call.dest] = Reg(0 if value is None else value)
             return
         if callee.fn.dialect is Dialect.FOREIGN:
-            # The result lands at the call, not at the foreign return.
-            line = call.line
             ret = self.program.binding(call.callee).ret
             if isinstance(ret, UnitType):
                 value = None  # the binding declares no result
@@ -734,10 +725,11 @@ class Machine:
                     "foreign call returned a value derived from uninitialized memory",
                 )
         if call.dest is not None:
-            # Retag before the slot exists, so its root tag is numbered after the result's.
+            # The result lands at the call, not at the callee's return. Retag
+            # before the slot exists, so its root tag is numbered after the result's.
             value = self._bind_reference(value, call.dest_type, call.dest, call.line)
-            slot = self._new_slot(caller, call.dest, call.dest_type, line)
-            self._typed_write_value(slot.pointer, call.dest_type, value, line)
+            slot = self._new_slot(caller, call.dest, call.dest_type, call.line)
+            self._typed_write_value(slot.pointer, call.dest_type, value, call.line)
 
     # ---- calls ---------------------------------------------------------------
 
@@ -760,8 +752,9 @@ class Machine:
         """The arguments `stmt` passes to host function `callee`, checked against its parameters."""
         args = [self._check_host_arg(thread, a, p.type, stmt.line) for a, p in zip(stmt.args, callee.params)]
         if len(stmt.args) != len(callee.params):
+            what = "spawn of" if isinstance(stmt, SpawnStmt) else "call to"
             raise ScenarioUnsupported(
-                f"call to '{callee.name}' passes {len(stmt.args)} arguments, "
+                f"{what} '{callee.name}' passes {len(stmt.args)} arguments, "
                 f"it takes {len(callee.params)}"
             )
         return args

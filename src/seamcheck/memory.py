@@ -18,6 +18,18 @@ simulated base address happened to line up. An access that reaches a
 tracker carries the source line it came from, which is all a tag event
 records besides its description.
 
+A `Memory` built with a tracker type judges borrows. Every allocation then
+draws its root tag when it is made and keeps that tag's `TagHistory` as
+`Allocation.root`, but builds its tracker (`Allocation.tracker`) only when
+it is first needed: at its first retag, or at the first access through a
+provenance other than the root tag, such as a wildcard. Most allocations
+are never reborrowed. Until its tracker exists an allocation has only its
+root tag, so a root access changes no state and `check_access` just
+records it as the root's last use, exactly as a root-only tracker's no-op
+memo would. The tracker, once built, adopts that same root record, and a
+root tag is never protected, so deallocation has nothing to check before
+then. A `Memory` built without a tracker type tracks no borrows at all.
+
 `BorrowTracker` is the base of both borrow models: it owns an allocation's
 tags and one `TagHistory` per tag (created, last valid use, first
 invalidation), which both models update in place, and hands copies of
@@ -35,6 +47,7 @@ it, which the deduplication tests rely on.
 from __future__ import annotations
 
 import enum
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
@@ -122,6 +135,16 @@ class ScenarioUnsupported(Exception):
     """The scenario steps outside what the engine models; not a finding."""
 
 
+def root_history(alloc_id: int, tag: int, label: str, line: int) -> TagHistory:
+    """The record of an allocation's root tag, created with the allocation at `line`."""
+    return TagHistory(tag, label, TagEvent(line, f"allocation of alloc#{alloc_id}"))
+
+
+def access_event(kind: str, rng: Range, line: int) -> TagEvent:
+    """What a `kind` access of `rng` records as its tag's last valid use."""
+    return TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
+
+
 class BorrowTracker:
     """The tags of one allocation under a borrow model, with their histories.
 
@@ -139,17 +162,22 @@ class BorrowTracker:
     a root-only tracker is a no-op under both models, so the root's `read`
     and `write` seed it. `_new_tag` clears it, and so must every access that
     changes state; ending a protector only removes errors, so it keeps it.
+
+    The root tag is drawn from `tag_source` and labelled `root_label`,
+    unless `root` hands over the record of one drawn when the allocation
+    was made, which the tracker then adopts as it is.
     """
 
-    def __init__(self, alloc_id: int, tag_source: Callable[[], int], root_label: str, line: int) -> None:
+    def __init__(
+        self, alloc_id: int, tag_source: Callable[[], int], root_label: str, line: int,
+        root: Optional[TagHistory] = None,
+    ) -> None:
         self.alloc_id = alloc_id
         self._tag_source = tag_source
-        self.root_tag = tag_source()
-        self.tags: dict[int, TagHistory] = {
-            self.root_tag: TagHistory(
-                self.root_tag, root_label, TagEvent(line, f"allocation of alloc#{alloc_id}")
-            )
-        }
+        if root is None:
+            root = root_history(alloc_id, tag_source(), root_label, line)
+        self.root_tag = root.tag
+        self.tags: dict[int, TagHistory] = {root.tag: root}
         self.protected: set[int] = set()
         self._noops: set[tuple[int, str]] = {(self.root_tag, "read"), (self.root_tag, "write")}
 
@@ -224,7 +252,8 @@ class Allocation:
     live: bool = True
     values: list[Optional[int]] = field(default_factory=list)
     fragments: dict[int, Fragment] = field(default_factory=dict)
-    tracker: Optional[BorrowTracker] = None  # set by the machine
+    root: Optional[TagHistory] = None  # of the root tag, when borrows are tracked
+    tracker: Optional[BorrowTracker] = None  # built by `Memory.tracker` on first need
 
 
 @dataclass
@@ -269,10 +298,13 @@ class Memory:
         symbolic_alignment: bool = True,
         strict_provenance: bool = False,
         zero_init_foreign: bool = False,
+        tracker: Optional[type[BorrowTracker]] = None,
     ) -> None:
         self.symbolic_alignment = symbolic_alignment
         self.strict_provenance = strict_provenance
         self.zero_init_foreign = zero_init_foreign
+        self._tracker_type = tracker
+        self._next_tag = itertools.count(1).__next__  # the run's tags, from 1
         self.allocations: dict[int, Allocation] = {}
         self._bases: list[int] = []  # of every allocation, in id order, so increasing
         self._next_id = 1
@@ -282,7 +314,9 @@ class Memory:
 
     # ---- allocation ----------------------------------------------------------
 
-    def allocate(self, size: int, align: int, origin: AllocOrigin, label: str = "") -> Allocation:
+    def allocate(
+        self, size: int, align: int, origin: AllocOrigin, label: str = "", line: int = 0
+    ) -> Allocation:
         if size < 0 or align < 1:
             raise ValueError("bad allocation request")
         base = (self._bump + align - 1) // align * align
@@ -298,10 +332,20 @@ class Memory:
         )
         if self.zero_init_foreign and origin in (AllocOrigin.FOREIGN_STACK, AllocOrigin.FOREIGN_HEAP):
             alloc.values = [0] * size
+        if self._tracker_type is not None:
+            alloc.root = root_history(alloc.id, self._next_tag(), label, line)
         self._next_id += 1
         self.allocations[alloc.id] = alloc
         self._bases.append(base)
         return alloc
+
+    def tracker(self, alloc: Allocation) -> BorrowTracker:
+        """`alloc`'s borrow tracker, built around its root tag on first call."""
+        if alloc.tracker is None:
+            alloc.tracker = self._tracker_type(
+                alloc.id, alloc.size, self._next_tag, alloc.label, root=alloc.root
+            )
+        return alloc.tracker
 
     def base_pointer(self, alloc: Allocation, tag: Provenance) -> PointerValue:
         return PointerValue(alloc.base, alloc.id, 0, tag)
@@ -408,8 +452,12 @@ class Memory:
                     f"(allocation aligned to {alloc.align})",
                     address=ptr.address,
                 )
-        if alloc.tracker is not None and size > 0:
-            alloc.tracker.access(ptr.provenance, (ptr.offset, ptr.offset + size), kind, line)
+        if alloc.root is not None and size > 0:
+            rng = (ptr.offset, ptr.offset + size)
+            if alloc.tracker is None and ptr.provenance == alloc.root.tag:
+                alloc.root.last_valid_use = access_event(kind, rng, line)
+            else:
+                self.tracker(alloc).access(ptr.provenance, rng, kind, line)
         return alloc
 
     # ---- typed and raw data movement ----------------------------------------

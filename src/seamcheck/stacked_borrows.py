@@ -42,8 +42,8 @@ from __future__ import annotations
 import enum
 from typing import Callable, NamedTuple, Optional
 
-from .diagnostics import DiagnosticKind, TagEvent
-from .memory import WILDCARD, BorrowTracker, Provenance, Range
+from .diagnostics import DiagnosticKind, TagHistory
+from .memory import WILDCARD, BorrowTracker, Provenance, Range, access_event
 from .rangemap import RangeMap, in_ranges
 
 
@@ -129,8 +129,9 @@ class StackedBorrowTracker(BorrowTracker):
         tag_source: Callable[[], int],
         root_label: str,
         line: int = 0,
+        root: Optional[TagHistory] = None,
     ) -> None:
-        super().__init__(alloc_id, tag_source, root_label, line)
+        super().__init__(alloc_id, tag_source, root_label, line, root)
         self._stacks = RangeMap(size, _Stack([_Item(self.root_tag, Grant.UNIQUE)], 0, {self.root_tag: 0}))
 
     # ---- helpers -------------------------------------------------------------
@@ -238,7 +239,7 @@ class StackedBorrowTracker(BorrowTracker):
         Each segment finds the granting item (the tag's own, or for a
         wildcard the topmost that grants the access) and pops above it.
         """
-        use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
+        use = access_event(kind, rng, line)
         if (prov, kind) in self._noops:
             if rng[0] < rng[1]:
                 self.tags[prov].last_valid_use = use

@@ -52,8 +52,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .diagnostics import DiagnosticKind, TagEvent
-from .memory import WILDCARD, BorrowTracker, Provenance, Range, UbError
+from .diagnostics import DiagnosticKind, TagHistory
+from .memory import WILDCARD, BorrowTracker, Provenance, Range, UbError, access_event
 from .rangemap import RangeMap, in_ranges
 
 
@@ -139,8 +139,9 @@ class TreeBorrowTracker(BorrowTracker):
         tag_source: Callable[[], int],
         root_label: str,
         line: int = 0,
+        root: Optional[TagHistory] = None,
     ) -> None:
-        super().__init__(alloc_id, tag_source, root_label, line)
+        super().__init__(alloc_id, tag_source, root_label, line, root)
         # By tag, in creation order: a node's index is its position here, and
         # `_order` lists the tags by index.
         self.nodes: dict[int, _Node] = {self.root_tag: _Node(None, 0, Permission.ACTIVE)}
@@ -197,7 +198,7 @@ class TreeBorrowTracker(BorrowTracker):
         """
         if prov is WILDCARD:
             return  # exposed-address accesses are unchecked and change nothing
-        use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
+        use = access_event(kind, rng, line)
         if (prov, kind) in self._noops:
             self.tags[prov].last_valid_use = use
             return

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from seamcheck.diagnostics import Classification, DiagnosticKind
+from seamcheck.diagnostics import Classification, DiagnosticKind, TagEvent, render_diagnostic
 from seamcheck.machine import Machine, MachineConfig, run_program
 from seamcheck.parser import parse_text
 from seamcheck.runner import exit_code
@@ -537,7 +537,7 @@ end
     assert "└─ b: Reserved" in tree_on
     off = Machine(program, MachineConfig(unique_as_mutable=False))
     off.run()
-    tree_off = off.memory.allocations[1].tracker.render()
+    tree_off = off.memory.tracker(off.memory.allocations[1]).render()
     assert tree_off == "└─ b (alloc): Active"
 
 
@@ -992,8 +992,8 @@ end
 @pytest.mark.parametrize(
     "args, note",
     [
-        pytest.param("", "call to 'worker' passes 0 arguments, it takes 1", id="too-few"),
-        pytest.param("q, q", "call to 'worker' passes 2 arguments, it takes 1", id="too-many"),
+        pytest.param("", "spawn of 'worker' passes 0 arguments, it takes 1", id="too-few"),
+        pytest.param("q, q", "spawn of 'worker' passes 2 arguments, it takes 1", id="too-many"),
         pytest.param("x", "argument of type i64 where &mut i32 is expected", id="not-assignable"),
     ],
 )
@@ -1043,3 +1043,148 @@ def test_reference_bound_from_a_call_result_is_retagged():
     sb = _expect_bug(_CALL_RESULT_REFERENCE, DiagnosticKind.ACCESS_OUT_OF_BOUNDS, model="sb")
     assert "('r') in the borrow stack" in sb.diagnostics[0].message
     assert "('q')" not in sb.diagnostics[0].message
+
+
+_CALL_RESULT_ALIASED = """host fn f() -> i32
+  let a: i32 = 4
+  return a
+end
+
+host fn main()
+  let y: i32 = call f()
+  let r: &mut i32 = &mut y
+  let s: &mut i32 = &mut y
+  *r = 1
+end
+"""
+
+
+def _machine_run(text, model):
+    machine = Machine(parse_text(text), MachineConfig(model=model))
+    return machine, machine.run()
+
+
+def _allocation(machine, label):
+    return next(a for a in machine.memory.allocations.values() if a.label == label)
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_call_result_slot_is_created_and_written_at_the_call_line(model):
+    machine, outcome = _machine_run(_CALL_RESULT_ALIASED, model)
+    root = _allocation(machine, "y").root
+    # Line 7 is the call, line 3 the callee's `return`. The result's write
+    # is a root access made before `y`'s first retag; it must survive into
+    # the history of the tracker that the retag builds.
+    assert root.created == TagEvent(7, "allocation of alloc#2")
+    assert root.last_valid_use == TagEvent(7, "write of [0..4)")
+    if model == "tb":
+        assert outcome.classification is Classification.PASS
+        return
+    (diag,) = outcome.diagnostics
+    assert diag.kind is DiagnosticKind.ACCESS_OUT_OF_BOUNDS
+    assert diag.permission_history[0] == root
+    assert "tag#2 'y' created at line 7: allocation of alloc#2" in render_diagnostic(diag)
+
+
+_PINGPONG = """bind ping = c_ping(*mut i64)
+
+foreign fn c_ping(p: ptr)
+  call bump(p)
+  call bump(p)
+end
+
+host fn bump(q: *mut i64)
+  let v: i64 = *q
+  *q = 6
+end
+
+host fn main()
+  let x: i64 = 5
+  let raw: *mut i64 = &raw mut x
+  call ping(raw)
+  let after: i64 = x
+  assert_eq after 6
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_only_a_retagged_allocation_builds_a_tracker(model):
+    machine, outcome = _machine_run(_PINGPONG, model)
+    assert outcome.classification is Classification.PASS
+    allocations = machine.memory.allocations.values()
+    # The callbacks' parameters and locals are only ever used through their root tags.
+    assert [a.label for a in allocations] == ["x", "raw", "q", "v", "q", "v", "after"]
+    assert [a.label for a in allocations if a.tracker is not None] == ["x"]
+    assert all(a.root.last_valid_use is not None for a in allocations)
+
+
+_EXPOSED_BEFORE_RETAG = """bind probe = c_probe()
+
+foreign fn c_probe()
+  let p = alloca 4
+  store i32 p 7
+  let s = alloca 8
+  store u64 s p
+  let a = load u64 s
+  let v = load i32 a
+end
+
+host fn main()
+  call probe()
+end
+"""
+
+
+@pytest.mark.parametrize("model, last_use", [("tb", 5), ("sb", 9)])
+def test_an_exposed_address_access_builds_the_tracker_and_keeps_the_root_use(model, last_use):
+    # `a` holds `p`'s address as a plain integer, so the load at line 9 is a
+    # wildcard access to an allocation never retagged. A wildcard access
+    # leaves tb's root untouched; sb resolves it to the root item, a use.
+    machine, outcome = _machine_run(_EXPOSED_BEFORE_RETAG, model)
+    assert outcome.classification is Classification.PASS
+    p = _allocation(machine, "p")
+    assert p.tracker is not None
+    assert p.root.last_valid_use.line == last_use
+    assert _allocation(machine, "s").tracker is None
+
+
+_UNTRACKED_FAULTS = {
+    "double-free": (
+        "  let p = malloc 4\n  free p\n  free p",
+        "",
+        DiagnosticKind.DOUBLE_FREE, "dealloc of alloc#1 (p) which was already freed",
+    ),
+    "use-after-free": (
+        "  let p = malloc 4\n  store i32 p 1\n  free p\n  store i32 p 2",
+        "",
+        DiagnosticKind.USE_AFTER_FREE, "write of 4 bytes in alloc#1 (p) after it was freed",
+    ),
+    "frame-exit": (
+        "  let p = alloca 4\n  store i32 p 1",
+        "  let v: i32 = *q",
+        DiagnosticKind.USE_AFTER_FREE, "read of 4 bytes in alloc#1 (p) after it was freed",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("case", sorted(_UNTRACKED_FAULTS))
+def test_faults_of_a_never_retagged_allocation_keep_their_messages(model, case):
+    foreign, host, kind, message = _UNTRACKED_FAULTS[case]
+    text = f"""bind make = c_make() -> *mut i32
+
+foreign fn c_make() -> ptr
+{foreign}
+  return p
+end
+
+host fn main()
+  let q: *mut i32 = call make()
+{host}
+end
+"""
+    machine, outcome = _machine_run(text, model)
+    (diag,) = outcome.diagnostics
+    assert (diag.kind, diag.message) == (kind, message)
+    assert _allocation(machine, "p").tracker is None

@@ -1,11 +1,11 @@
 """Execution engine: two dialects, one memory, one borrow model per run.
 
 Host locals are storage-backed: every `let` gets its own stack allocation
-and root tag, and references are retagged from that tag. The allocation's
-borrow tracker is built only once the local is reborrowed or reached
-through another provenance (see `memory`). Foreign locals are plain
-registers holding integers, pointers, or opaque byte blobs, with a taint
-flag that marks values read out of uninitialized memory in permissive mode.
+and root tag, and references are retagged from that tag. `Memory` owns
+each allocation's root tag and borrow tracker (see `memory`); the machine
+deals in types only. Foreign locals are plain registers holding integers,
+pointers, or opaque byte blobs, with a taint flag that marks values read
+out of uninitialized memory in permissive mode.
 
 Every call pushes a frame on the caller's thread, whichever dialect the
 callee is written in; a frame runs in its function's dialect. A host `call`
@@ -22,9 +22,10 @@ function of (program, config).
 
 Every borrow, cell pointer, reference-to-raw cast, owned heap value,
 reference parameter and reference-typed `let` or call result gets its tag
-from one retag path, `_retag`; reference parameters are retagged with a
-protector that lasts until their frame exits. A place's steps after a
-pointer local read through it whether or not `*` was written.
+from one retag path, `_retag`, which hands `Memory.retag` a size and cell
+ranges. Every parameter binds through `_bind_reference`, and a reference
+one gets a protector that lasts until its frame exits. A place's steps
+after a pointer local read through it whether or not `*` was written.
 
 Host frames tear down in a fixed order at exit: owned heap values that were
 not moved out drop in reverse declaration order, shadowed ones too, then
@@ -34,7 +35,7 @@ dropped allocation still sees active protectors from the same frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .diagnostics import Classification, Diagnostic, DiagnosticKind, Outcome, TraceFrame
@@ -74,7 +75,6 @@ from .ir import (
     ZeroedRhs,
 )
 from .memory import (
-    WILDCARD,
     Allocation,
     AllocOrigin,
     Blob,
@@ -190,12 +190,6 @@ class Machine:
 
     # ---- plumbing ------------------------------------------------------------
 
-    def _alloc(
-        self, size: int, align: int, origin: AllocOrigin, label: str, line: int
-    ) -> tuple[Allocation, PointerValue]:
-        alloc = self.memory.allocate(size, align, origin, label, line)
-        return alloc, self.memory.base_pointer(alloc, alloc.root.tag)
-
     def _spawn_thread(self, frame: _Frame, spawn_trace: Trace = ((), ())) -> _Thread:
         t = _Thread(id=len(self.threads), frames=[frame], spawn_trace=spawn_trace)
         self.threads[t.id] = t
@@ -293,8 +287,8 @@ class Machine:
         for param, value in zip(fn.params, args):
             ty = param.type
             slot = self._new_slot(frame, param.name, ty, line)
-            if is_reference(ty) and isinstance(value, PointerValue):
-                value = self._retag(value, ty.pointee, ty.kind.value, param.name, line, protect=True)
+            value = self._bind_reference(value, ty, param.name, line, protect=True)
+            if is_reference(ty):
                 frame.protected.append((value.alloc_id, value.provenance))
             self._typed_write_value(slot.pointer, ty, value, line)
         return frame
@@ -303,27 +297,14 @@ class Machine:
         self, ptr: PointerValue, pointee: TypeDesc, kind: str, label: str, line: int,
         protect: bool = False,
     ) -> PointerValue:
-        """`ptr` with a fresh `kind` tag over its `pointee`, derived from the tag it carries.
-
-        The pointee must be live and in bounds when the borrow is made, as
-        Miri requires it to be dereferenceable at retag; `check_bounds` also
-        rejects a pointer into no allocation. A borrow through an exposed
-        address hangs off the allocation's root tag.
-        """
-        size = size_of(pointee)
-        alloc = self.memory.check_bounds(ptr, size, f"{kind} retag")
-        parent = alloc.root.tag if ptr.provenance is WILDCARD else ptr.provenance
-        cells = tuple(
-            (a + ptr.offset, b + ptr.offset) for a, b in layout_of(pointee).cell_ranges
-        )
-        rng = (ptr.offset, ptr.offset + size)
-        tag = self.memory.tracker(alloc).retag(parent, rng, kind, cells, protect, label, line)
-        return replace(ptr, provenance=tag)
+        """`ptr` with a fresh `kind` tag over its `pointee`; see `Memory.retag`."""
+        layout = layout_of(pointee)
+        return self.memory.retag(ptr, layout.size, layout.cell_ranges, kind, label, line, protect)
 
     def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc, line: int) -> _Slot:
         layout = layout_of(ty)
-        alloc, ptr = self._alloc(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name, line)
-        slot = _Slot(type=ty, pointer=ptr)
+        alloc = self.memory.allocate(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name, line)
+        slot = _Slot(type=ty, pointer=self.memory.base_pointer(alloc))
         frame.slots[name] = slot
         frame.slot_order.append(slot)
         frame.stack_allocs.append(alloc.id)
@@ -336,7 +317,7 @@ class Machine:
                 box, _ = self.memory.read_pointer(slot.pointer, line=line)
                 self.memory.deallocate(box, "host")
         for alloc_id, tag in frame.protected:
-            self.memory.allocations[alloc_id].tracker.protector_end(tag)  # built by the retag
+            self.memory.protector_end(alloc_id, tag)
         for alloc_id in reversed(frame.stack_allocs):
             self.memory.release_stack(alloc_id)
         return thread.frames.pop()
@@ -466,7 +447,12 @@ class Machine:
         return reg
 
     def _reg_pointer(self, reg: Reg) -> PointerValue:
-        """A register used as a pointer; integers behave like casts from exposed."""
+        """A register used as a pointer; integers act as casts from exposed, tainted ones as uninit reads."""
+        if reg.tainted:
+            raise UbError(
+                DiagnosticKind.UNINITIALIZED_READ,
+                "foreign code used a value derived from uninitialized memory as a pointer",
+            )
         if isinstance(reg.value, PointerValue):
             return reg.value
         if isinstance(reg.value, int):
@@ -620,24 +606,29 @@ class Machine:
             return self._retag(value, pointee, "mutable-ref", stmt.name, line)
         raise ScenarioUnsupported(f"host let cannot evaluate {type(rhs).__name__}")
 
-    def _bind_reference(self, value: HostValue, ty: TypeDesc, name: str, line: int) -> HostValue:
-        """`value` retagged if local `name` of type `ty` is a reference.
+    def _bind_reference(
+        self, value: HostValue, ty: TypeDesc, name: str, line: int, protect: bool = False
+    ) -> HostValue:
+        """`value` retagged if local or parameter `name` of type `ty` is a reference.
 
-        SB retags every reference assignment, a call's result included. An
-        integer reads as a pointer with no provenance, as it would from a raw
-        pointer slot, so the retag rejects it.
+        SB retags every reference assignment, a call's result included, and
+        every reference argument at function entry, with a protector
+        (Stacked Borrows' function-entry retag, Jung et al., POPL 2020; Miri
+        applies it to every reference argument). An integer reads as a
+        pointer with no provenance, as it would from a raw pointer slot, so
+        the retag rejects it.
         """
         if not is_reference(ty) or not isinstance(value, (int, PointerValue)):
             return value
         if isinstance(value, int):
             value = no_provenance(value)
-        return self._retag(value, ty.pointee, ty.kind.value, name, line)
+        return self._retag(value, ty.pointee, ty.kind.value, name, line, protect)
 
     def _heap_new(self, name: str, rhs: HeapNewRhs, line: int) -> PointerValue:
         layout = layout_of(rhs.type)
-        _, base = self._alloc(
+        base = self.memory.base_pointer(self.memory.allocate(
             layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{name} (alloc)", line
-        )
+        ))
         if rhs.init == "zeroed":
             self.memory.memset(base, 0, layout.size, line)
         elif isinstance(rhs.init, int):
@@ -848,7 +839,7 @@ class Machine:
         if isinstance(target, PtrType):
             if isinstance(value, PointerValue):
                 return reg
-            return Reg(self._reg_pointer(reg), reg.tainted)
+            return Reg(self._reg_pointer(reg))
         if isinstance(target, CellType):
             return self._convert(reg, target.inner)
         if isinstance(target, (StructType, ArrayType)):
@@ -937,15 +928,14 @@ class Machine:
             if size < 0:
                 raise ScenarioUnsupported(f"{'malloc' if heap else 'alloca'} of {size} bytes")
             origin = AllocOrigin.FOREIGN_HEAP if heap else AllocOrigin.FOREIGN_STACK
-            alloc, base = self._alloc(size, 16, origin, stmt.name, line)
+            alloc = self.memory.allocate(size, 16, origin, stmt.name, line)
             if not heap:
                 thread.frames[-1].stack_allocs.append(alloc.id)
-            return Reg(base)
+            return Reg(self.memory.base_pointer(alloc))
         if isinstance(rhs, GepRhs):
             reg = self._foreign_operand(thread, rhs.pointer)
             off = self._reg_int(self._foreign_operand(thread, rhs.offset))
-            ptr = self._reg_pointer(reg)
-            return Reg(ptr.with_byte_offset(off), reg.tainted)
+            return Reg(self._reg_pointer(reg).with_byte_offset(off))
         raise ScenarioUnsupported(f"foreign let cannot evaluate {type(rhs).__name__}")
 
     def _foreign_call(self, thread: _Thread, stmt: CallStmt) -> None:

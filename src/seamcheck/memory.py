@@ -18,15 +18,17 @@ simulated base address happened to line up. An access that reaches a
 tracker carries the source line it came from, which is all a tag event
 records besides its description.
 
-A `Memory` built with a tracker type judges borrows. Every allocation then
-draws its root tag when it is made and keeps that tag's `TagHistory` as
-`Allocation.root`, but builds its tracker (`Allocation.tracker`) only when
-it is first needed: at its first retag, or at the first access through a
-provenance other than the root tag, such as a wildcard. Most allocations
-are never reborrowed. Until its tracker exists an allocation has only its
-root tag, so a root access changes no state and `check_access` just
-records it as the root's last use, exactly as a root-only tracker's no-op
-memo would. The tracker, once built, adopts that same root record, and a
+A `Memory` built with a tracker type judges borrows, and it is the only
+owner of that borrow state: it draws every tag, builds every tracker,
+retags through it (`retag`), checks accesses and deallocations against it
+and ends its protectors (`protector_end`). Every allocation draws its root
+tag when it is made and keeps that tag's `TagHistory` as `Allocation.root`,
+but builds its tracker (`Allocation.tracker`) only when it is first needed:
+at its first retag, or at the first access through a provenance other than
+the root tag, such as a wildcard. Most allocations are never reborrowed.
+Until its tracker exists an allocation has only its root tag, so a root
+access changes no state and `check_access` just records it as the root's
+last use. The tracker, once built, adopts that same root record, and a
 root tag is never protected, so deallocation has nothing to check before
 then. A `Memory` built without a tracker type tracks no borrows at all.
 
@@ -158,28 +160,23 @@ class BorrowTracker:
     `(tag, kind)` pairs whose last access, over the whole allocation,
     changed no state anywhere and raised nothing. Such an access changes
     nothing over any range until the state changes, so a model answers a
-    pair found here by recording the tag's last use alone. A root access on
-    a root-only tracker is a no-op under both models, so the root's `read`
-    and `write` seed it. `_new_tag` clears it, and so must every access that
-    changes state; ending a protector only removes errors, so it keeps it.
+    pair found here by recording the tag's last use alone. `_new_tag`
+    clears it, and so must every access that changes state; ending a
+    protector only removes errors, so it keeps it.
 
-    The root tag is drawn from `tag_source` and labelled `root_label`,
-    unless `root` hands over the record of one drawn when the allocation
-    was made, which the tracker then adopts as it is.
+    Every model is built as `cls(alloc_id, size, tag_source, root)`, only by
+    `Memory`: `size` is the allocation's, `tag_source` draws the run's later
+    tags, and `root` is the record of the root tag that `Memory.allocate`
+    drew, which the tracker adopts as it is.
     """
 
-    def __init__(
-        self, alloc_id: int, tag_source: Callable[[], int], root_label: str, line: int,
-        root: Optional[TagHistory] = None,
-    ) -> None:
+    def __init__(self, alloc_id: int, size: int, tag_source: Callable[[], int], root: TagHistory) -> None:
         self.alloc_id = alloc_id
         self._tag_source = tag_source
-        if root is None:
-            root = root_history(alloc_id, tag_source(), root_label, line)
         self.root_tag = root.tag
         self.tags: dict[int, TagHistory] = {root.tag: root}
         self.protected: set[int] = set()
-        self._noops: set[tuple[int, str]] = {(self.root_tag, "read"), (self.root_tag, "write")}
+        self._noops: set[tuple[int, str]] = set()
 
     def _new_tag(self, parent: int, rng: Range, kind: str, label: str, line: int, protect: bool) -> int:
         self._noops.clear()
@@ -342,13 +339,35 @@ class Memory:
     def tracker(self, alloc: Allocation) -> BorrowTracker:
         """`alloc`'s borrow tracker, built around its root tag on first call."""
         if alloc.tracker is None:
-            alloc.tracker = self._tracker_type(
-                alloc.id, alloc.size, self._next_tag, alloc.label, root=alloc.root
-            )
+            alloc.tracker = self._tracker_type(alloc.id, alloc.size, self._next_tag, alloc.root)
         return alloc.tracker
 
-    def base_pointer(self, alloc: Allocation, tag: Provenance) -> PointerValue:
-        return PointerValue(alloc.base, alloc.id, 0, tag)
+    def base_pointer(self, alloc: Allocation) -> PointerValue:
+        """A pointer to `alloc`'s first byte, carrying its root tag."""
+        return PointerValue(alloc.base, alloc.id, 0, alloc.root.tag)
+
+    def retag(
+        self, ptr: PointerValue, size: int, cells: tuple[Range, ...], kind: str, label: str,
+        line: int, protect: bool,
+    ) -> PointerValue:
+        """`ptr` with a fresh `kind` tag over `size` bytes, derived from the tag it carries.
+
+        `cells` are the interior-mutable ranges of the pointee, relative to
+        `ptr`. The pointee must be live and in bounds when the borrow is
+        made, as Miri requires it to be dereferenceable at retag;
+        `check_bounds` also rejects a pointer into no allocation. A borrow
+        through an exposed address hangs off the allocation's root tag.
+        """
+        alloc = self.check_bounds(ptr, size, f"{kind} retag")
+        parent = alloc.root.tag if ptr.provenance is WILDCARD else ptr.provenance
+        off = ptr.offset
+        cells = tuple((a + off, b + off) for a, b in cells)
+        tag = self.tracker(alloc).retag(parent, (off, off + size), kind, cells, protect, label, line)
+        return replace(ptr, provenance=tag)
+
+    def protector_end(self, alloc_id: int, tag: int) -> None:
+        """The frame that protected `tag` in `alloc_id` has exited; its retag built the tracker."""
+        self.allocations[alloc_id].tracker.protector_end(tag)
 
     def deallocate(self, ptr: PointerValue, via: str) -> Allocation:
         """Free a heap allocation through `ptr`. `via` is "host" or "foreign"."""

@@ -1,8 +1,10 @@
 """Per-location borrow stacks (the sb model).
 
 The stacks live in one `RangeMap` per allocation: a run of bytes with equal
-stacks shares one segment, so creating an allocation is O(1) and an operation
-costs the segments of its range, not its bytes.
+stacks shares one segment, so creating a tracker is O(1) and an operation
+costs the segments of its range, not its bytes. `Memory` builds the tracker
+the first time it is needed, around the root tag the allocation drew when it
+was made, and it alone retags through it and ends its protectors.
 
 Where the tree model judges accesses lazily, stacks assert at retag time:
 creating a mutable reference performs a write-grade assertion through the
@@ -122,16 +124,8 @@ class _Stack:
 class StackedBorrowTracker(BorrowTracker):
     """Borrow stacks for a single allocation, one per run of equal bytes."""
 
-    def __init__(
-        self,
-        alloc_id: int,
-        size: int,
-        tag_source: Callable[[], int],
-        root_label: str,
-        line: int = 0,
-        root: Optional[TagHistory] = None,
-    ) -> None:
-        super().__init__(alloc_id, tag_source, root_label, line, root)
+    def __init__(self, alloc_id: int, size: int, tag_source: Callable[[], int], root: TagHistory) -> None:
+        super().__init__(alloc_id, size, tag_source, root)
         self._stacks = RangeMap(size, _Stack([_Item(self.root_tag, Grant.UNIQUE)], 0, {self.root_tag: 0}))
 
     # ---- helpers -------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Per-allocation permission tree (the tb model).
 
-Every allocation owns one tree. The root tag is handed to the allocation's
-first owner and is Active everywhere; retags hang child nodes off the parent
-tag. The permissions live in one `RangeMap` per allocation, whose segments
-each hold every node's state over a run of equal bytes, as Miri's `rperms`
-does. A fresh node asserts nothing at retag time: it enters every segment at
+Every tracked allocation owns one tree, which `Memory` builds the first
+time it is needed, around the root tag the allocation drew when it was made,
+and which it alone retags through and ends protectors on. The root tag is
+Active everywhere; retags hang child nodes off the parent tag. The
+permissions live in one `RangeMap` per allocation, whose segments each hold
+every node's state over a run of equal bytes, as Miri's `rperms` does. A fresh node asserts nothing at retag time: it enters every segment at
 its initial permission (ReservedIM inside interior-mutable ranges, otherwise
 Reserved for mutable borrows and Frozen for shared ones), uninitialized, and
 becomes initialized at a location the first time it is accessed there.
@@ -132,16 +133,8 @@ def _perm_text(initial: Permission, current: Permission) -> str:
 class TreeBorrowTracker(BorrowTracker):
     """Tree of borrow permissions for a single allocation."""
 
-    def __init__(
-        self,
-        alloc_id: int,
-        size: int,
-        tag_source: Callable[[], int],
-        root_label: str,
-        line: int = 0,
-        root: Optional[TagHistory] = None,
-    ) -> None:
-        super().__init__(alloc_id, tag_source, root_label, line, root)
+    def __init__(self, alloc_id: int, size: int, tag_source: Callable[[], int], root: TagHistory) -> None:
+        super().__init__(alloc_id, size, tag_source, root)
         # By tag, in creation order: a node's index is its position here, and
         # `_order` lists the tags by index.
         self.nodes: dict[int, _Node] = {self.root_tag: _Node(None, 0, Permission.ACTIVE)}

@@ -1,10 +1,11 @@
 """Shared fixtures, path helpers and memory helpers for the test suite."""
 
+import itertools
 from pathlib import Path
 
 import pytest
 
-from seamcheck.memory import Allocation
+from seamcheck.memory import Allocation, BorrowTracker, root_history
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -26,6 +27,15 @@ def corpus_files() -> list[str]:
 def init_mask(alloc: Allocation) -> tuple[bool, ...]:
     """Which bytes of the allocation are initialized."""
     return tuple(v is not None for v in alloc.values)
+
+
+def make_tracker(cls: type[BorrowTracker], size: int) -> BorrowTracker:
+    """A `cls` tracker for a `size`-byte alloc#1 whose root tag#1 is labelled "root".
+
+    It is rooted as `Memory.allocate` roots one, and draws later tags from 2 on.
+    """
+    tags = itertools.count(1).__next__
+    return cls(1, size, tags, root_history(1, tags(), "root", 0))
 
 
 @pytest.fixture()

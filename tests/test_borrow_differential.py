@@ -14,6 +14,7 @@ those states after every operation and must match.
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import make_tracker
 from perbyte_stacked_borrows import StackedBorrowTracker as ByteStacks
 from perbyte_tree_borrows import TreeBorrowTracker as ByteTree
 from seamcheck.memory import WILDCARD, UbError
@@ -144,7 +145,7 @@ def _stack_view(tracker, tags, off):
 @example(case=_STALE[2])
 def test_tree_tracker_matches_per_byte_oracle(case):
     size, ops = case
-    new = TreeBorrowTracker(1, size, _counter(), "root")
+    new = make_tracker(TreeBorrowTracker, size)
     old = ByteTree(1, size, _counter(), "root")
     _lockstep(new, old, size, ops, _tree_view)
 
@@ -159,6 +160,6 @@ def test_tree_tracker_matches_per_byte_oracle(case):
 @example(case=_STALE[2])
 def test_stack_tracker_matches_per_byte_oracle(case):
     size, ops = case
-    new = StackedBorrowTracker(1, size, _counter(), "root")
+    new = make_tracker(StackedBorrowTracker, size)
     old = ByteStacks(1, size, _counter(), "root")
     _lockstep(new, old, size, ops, _stack_view)

@@ -1,4 +1,5 @@
-"""Every import in the package and its tests is used, and every local the package assigns is read."""
+"""Every import in the package and its tests is used, every local the package assigns is read,
+and only memory and the two trackers touch an allocation's borrow state."""
 
 import ast
 
@@ -52,3 +53,25 @@ def test_no_locals_assigned_but_never_read():
         if (names := _unread_locals(path))
     }
     assert unread == {}
+
+
+# `Memory` owns an allocation's tracker and root tag and hands them only to the trackers.
+_BORROW_STATE_OWNERS = {"memory.py", "tree_borrows.py", "stacked_borrows.py"}
+
+
+def _borrow_state_uses(path):
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("tracker", "root")
+    ]
+
+
+def test_only_memory_and_the_trackers_touch_borrow_state():
+    uses = {
+        str(path.relative_to(REPO_ROOT)): names
+        for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py"))
+        if path.name not in _BORROW_STATE_OWNERS and (names := _borrow_state_uses(path))
+    }
+    assert uses == {}

@@ -836,6 +836,17 @@ def test_tainted_integer_operand_is_an_uninitialized_read(model, use):
     assert outcome.diagnostics[0].foreign_trace[0].statement == use
 
 
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize(
+    "use",
+    ["let v = load i32 q", "store i32 q 1", "free q", "memset q 1 4", "memcpy q q 4", "let r = gep q 0"],
+)
+def test_tainted_pointer_operand_is_an_uninitialized_read(model, use):
+    text = _TAINTED_OPERAND.replace("let n = load u64 s", "let q = load ptr s").replace("USE", use)
+    outcome = _expect_bug(text, DiagnosticKind.UNINITIALIZED_READ, model=model)
+    assert outcome.diagnostics[0].foreign_trace[0].statement == use
+
+
 def _retag_record(text, model, alloc_id, label):
     """Run `text`, which must pass, and return the creation of tag `label` in `alloc_id`."""
     machine = Machine(parse_text(text), MachineConfig(model=model))
@@ -904,9 +915,34 @@ host fn main()
 end
 """
 
+# A reference parameter is retagged at function entry even if the callee
+# never uses it.
+_DANGLING_CALL = """
+host fn f(r: &mut i32)
+end
+
+host fn main()
+  call f(4096)
+end
+"""
+
+_DANGLING_SPAWN = """
+host fn f(r: &mut i32)
+end
+
+host fn main()
+  spawn h = f(4096)
+  join h
+end
+"""
+
 
 @pytest.mark.parametrize("model", ["tb", "sb"])
-@pytest.mark.parametrize("text", [_DANGLING_BORROW, _DANGLING_PARAM], ids=["borrow", "parameter"])
+@pytest.mark.parametrize(
+    "text",
+    [_DANGLING_BORROW, _DANGLING_PARAM, _DANGLING_CALL, _DANGLING_SPAWN],
+    ids=["borrow", "parameter", "call", "spawn"],
+)
 def test_retag_of_an_address_outside_every_allocation_is_out_of_bounds(model, text):
     outcome = _expect_bug(text, DiagnosticKind.ACCESS_OUT_OF_BOUNDS, model=model)
     assert outcome.diagnostics[0].message == (

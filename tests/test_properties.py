@@ -56,7 +56,7 @@ from seamcheck.types import (
     size_of,
 )
 
-from conftest import corpus_path, init_mask
+from conftest import corpus_path, init_mask, make_tracker
 
 _SIZE = 4
 _RETAG_KINDS = ("mutable-ref", "shared-ref", "raw-mut", "raw-const", "cell")
@@ -89,8 +89,7 @@ def _ancestors(tracker, tag):
 @settings(max_examples=1000, deadline=None)
 @given(ops=_ops)
 def test_suite_tree_disabled_absorbing_and_no_foreign_active(ops):
-    counter = iter(range(1, 10_000))
-    tracker = TreeBorrowTracker(1, _SIZE, lambda: next(counter), "root")
+    tracker = make_tracker(TreeBorrowTracker, _SIZE)
     tags = [tracker.root_tag]
     disabled: set[tuple[int, int]] = set()
 
@@ -137,8 +136,7 @@ def _is_subsequence(needle, haystack):
 @settings(max_examples=1000, deadline=None)
 @given(ops=_ops)
 def test_suite_stack_mutation_only_above_granting_item(ops):
-    counter = iter(range(1, 10_000))
-    tracker = StackedBorrowTracker(1, _SIZE, lambda: next(counter), "root")
+    tracker = make_tracker(StackedBorrowTracker, _SIZE)
     tags = [tracker.root_tag]
 
     for op, actor_sel, kind_sel, start_sel, extra_sel in ops:

@@ -1,17 +1,15 @@
 """Borrow stacks: retag kinds, pop discipline, wildcard resolution."""
 
-import itertools
-
 import pytest
 
+from conftest import make_tracker
 from seamcheck.diagnostics import DiagnosticKind
 from seamcheck.memory import WILDCARD, UbError
 from seamcheck.stacked_borrows import Grant, StackedBorrowTracker
 
 
 def _tracker(size=4):
-    counter = itertools.count(1)
-    return StackedBorrowTracker(1, size, lambda: next(counter), "root")
+    return make_tracker(StackedBorrowTracker, size)
 
 
 def _ctx(line=1):

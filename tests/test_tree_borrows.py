@@ -1,9 +1,8 @@
 """Permission-tree tracker: transitions, protectors, laziness, rendering."""
 
-import itertools
-
 import pytest
 
+from conftest import make_tracker
 from seamcheck.diagnostics import DiagnosticKind
 from seamcheck.memory import WILDCARD, UbError
 from seamcheck.tree_borrows import Permission, TreeBorrowTracker
@@ -16,8 +15,7 @@ D = Permission.DISABLED
 
 
 def _tracker(size=4):
-    counter = itertools.count(1)
-    return TreeBorrowTracker(1, size, lambda: next(counter), "root")
+    return make_tracker(TreeBorrowTracker, size)
 
 
 def _ctx(line=1):

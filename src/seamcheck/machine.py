@@ -1,11 +1,15 @@
 """Execution engine: two dialects, one memory, one borrow model per run.
 
-Host locals are storage-backed: every `let` gets its own stack allocation
-and root tag, and references are retagged from that tag. `Memory` owns
-each allocation's root tag and borrow tracker (see `memory`); the machine
-deals in types only. Foreign locals are plain registers holding integers,
-pointers, or opaque byte blobs, with a taint flag that marks values read
-out of uninitialized memory in permissive mode.
+Every host `let` and parameter gets its own alloc id, root tag and stack
+address, and references are retagged from that tag. A local of an integer
+or pointer type is a `memory.Local`: memory reserves it, and the machine
+reads and writes its whole value (`_read_slot`, `_write_slot`) without
+bytes until an address reaches it, when memory materializes it into a
+stack allocation (see `memory`). Any other local is an allocation from the
+start. `Memory` owns each allocation's root tag and borrow tracker; the
+machine deals in types only. Foreign locals are plain registers holding
+integers, pointers, or opaque byte blobs, with a taint flag that marks
+values read out of uninitialized memory in permissive mode.
 
 Every call pushes a frame on the caller's thread, whichever dialect the
 callee is written in; a frame runs in its function's dialect. A host `call`
@@ -17,8 +21,8 @@ Bound arguments and returns, callback arguments and integer/pointer casts
 all convert through `_convert`, which applies the pairings `translate`
 checks and carries taint; a tainted value landing in host code is an
 uninitialized read. Only `spawn` creates a thread. The scheduler picks
-among ready threads with a seeded generator, so a run is a deterministic
-function of (program, config).
+among ready threads, in spawn order, with a seeded generator, so a run is a
+deterministic function of (program, config).
 
 Every borrow, cell pointer, reference-to-raw cast, owned heap value,
 reference parameter and reference-typed `let` or call result gets its tag
@@ -78,6 +82,7 @@ from .memory import (
     Allocation,
     AllocOrigin,
     Blob,
+    Local,
     Memory,
     PointerValue,
     ScenarioUnsupported,
@@ -148,6 +153,7 @@ class Reg:
 class _Slot:
     type: TypeDesc
     pointer: PointerValue  # base, root tag
+    local: Optional[Local] = None  # an integer or pointer local's whole value
     owning: bool = False   # heap value dropped at frame exit
     moved: bool = False
 
@@ -186,6 +192,7 @@ class Machine:
         )
         self.rng = Xoshiro256(self.config.seed)
         self.threads: dict[int, _Thread] = {}  # by id, in spawn order
+        self._ready: list[_Thread] = []  # the ready threads, in spawn order
         self.steps = 0
 
     # ---- plumbing ------------------------------------------------------------
@@ -193,7 +200,12 @@ class Machine:
     def _spawn_thread(self, frame: _Frame, spawn_trace: Trace = ((), ())) -> _Thread:
         t = _Thread(id=len(self.threads), frames=[frame], spawn_trace=spawn_trace)
         self.threads[t.id] = t
+        self._ready.append(t)
         return t
+
+    def _status_changed(self) -> None:
+        """Rebuild the ready list after a thread blocked, finished or woke."""
+        self._ready = [t for t in self.threads.values() if t.status == "ready"]
 
     # ---- running -------------------------------------------------------------
 
@@ -204,7 +216,7 @@ class Machine:
             return self._bug(e, None)
         main = self._spawn_thread(entry_frame)
         while main.status != "done":
-            ready = [t for t in self.threads.values() if t.status == "ready"]
+            ready = self._ready
             if not ready:
                 return Outcome(
                     Classification.TIMEOUT,
@@ -290,7 +302,7 @@ class Machine:
             value = self._bind_reference(value, ty, param.name, line, protect=True)
             if is_reference(ty):
                 frame.protected.append((value.alloc_id, value.provenance))
-            self._typed_write_value(slot.pointer, ty, value, line)
+            self._write_slot(slot, value, line)
         return frame
 
     def _retag(
@@ -303,19 +315,44 @@ class Machine:
 
     def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc, line: int) -> _Slot:
         layout = layout_of(ty)
-        alloc = self.memory.allocate(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name, line)
-        slot = _Slot(type=ty, pointer=self.memory.base_pointer(alloc))
+        if isinstance(ty, (IntType, PtrType)):
+            local = self.memory.reserve(layout.size, layout.align, name, line)
+            slot = _Slot(ty, local.pointer(), local)
+        else:
+            alloc = self.memory.allocate(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name, line)
+            slot = _Slot(ty, self.memory.base_pointer(alloc))
         frame.slots[name] = slot
         frame.slot_order.append(slot)
-        frame.stack_allocs.append(alloc.id)
+        frame.stack_allocs.append(slot.pointer.alloc_id)
         return slot
+
+    @staticmethod
+    def _slot(thread: _Thread, name: str) -> _Slot:
+        slot = thread.frames[-1].slots.get(name)
+        if slot is None:
+            raise ScenarioUnsupported(f"unknown local '{name}'")
+        return slot
+
+    def _read_slot(self, slot: _Slot, line: int) -> HostValue:
+        """The local's value: whole while memory keeps it immediate, else from its bytes."""
+        local = slot.local
+        if local is not None and local.immediate:
+            return self.memory.load(local, line)
+        return self._typed_read(slot.pointer, slot.type, line)[0]
+
+    def _write_slot(self, slot: _Slot, value: HostValue, line: int) -> None:
+        """Store `value` into the local, whole while memory keeps it immediate."""
+        local = slot.local
+        if local is None or not local.immediate:
+            self._typed_write_value(slot.pointer, slot.type, value, line)
+        elif value is not None:
+            self.memory.store(local, self._scalar(slot.type, value), line)
 
     def _exit_frame(self, thread: _Thread, line: int) -> _Frame:
         frame = thread.frames[-1]
         for slot in reversed(frame.slot_order):
             if slot.owning and not slot.moved:
-                box, _ = self.memory.read_pointer(slot.pointer, line=line)
-                self.memory.deallocate(box, "host")
+                self.memory.deallocate(self._read_slot(slot, line), "host")
         for alloc_id, tag in frame.protected:
             self.memory.protector_end(alloc_id, tag)
         for alloc_id in reversed(frame.stack_allocs):
@@ -363,21 +400,10 @@ class Machine:
         if value is None:
             return  # uninitialized: storage stays untouched
         if isinstance(ty, IntType):
-            if isinstance(value, PointerValue):
-                raise ScenarioUnsupported(
-                    f"pointer value written into integer slot of type {ty}; cast it first"
-                )
-            if isinstance(value, Blob):
-                raise ScenarioUnsupported(f"aggregate value written into {ty} slot")
-            self.memory.write_int(ptr, ty.size, reinterpret(value, ty), line=line)
+            self.memory.write_int(ptr, ty.size, self._scalar(ty, value), line=line)
             return
         if isinstance(ty, PtrType):
-            if isinstance(value, int):
-                self.memory.write_int(ptr, 8, value % (1 << 64), align=8, line=line)
-                return
-            if isinstance(value, Blob):
-                raise ScenarioUnsupported("aggregate value written into pointer slot")
-            self.memory.write_pointer(ptr, value, line)
+            self.memory.write_pointer(ptr, self._scalar(ty, value), line)
             return
         if isinstance(value, Blob):
             if len(value.values) != size_of(ty):
@@ -390,22 +416,38 @@ class Machine:
             raise ScenarioUnsupported(f"integer written into aggregate slot of type {ty}")
         raise ScenarioUnsupported(f"cannot store value into slot of type {ty}")
 
+    @staticmethod
+    def _scalar(ty: Union[IntType, PtrType], value: HostValue) -> Union[int, PointerValue]:
+        """`value` as a `ty` place stores it: wrapped to the integer type, or as a pointer.
+
+        An integer stored into a pointer place is a bare address, as its
+        bytes read back through `Memory.read_pointer` would be.
+        """
+        if isinstance(ty, IntType):
+            if isinstance(value, PointerValue):
+                raise ScenarioUnsupported(
+                    f"pointer value written into integer slot of type {ty}; cast it first"
+                )
+            if isinstance(value, Blob):
+                raise ScenarioUnsupported(f"aggregate value written into {ty} slot")
+            return reinterpret(value, ty)
+        if isinstance(value, Blob):
+            raise ScenarioUnsupported("aggregate value written into pointer slot")
+        return no_provenance(value) if isinstance(value, int) else value
+
     # ---- places and operands -------------------------------------------------
 
     def _resolve_place(
         self, thread: _Thread, place: Place, line: int
     ) -> tuple[PointerValue, TypeDesc]:
-        frame = thread.frames[-1]
-        slot = frame.slots.get(place.base)
-        if slot is None:
-            raise ScenarioUnsupported(f"unknown local '{place.base}'")
+        slot = self._slot(thread, place.base)
         ptr: PointerValue = slot.pointer
         ty: TypeDesc = slot.type
         # Steps after a pointer local read through it, as if `*` were written.
         if place.deref or (place.steps and isinstance(ty, PtrType)):
             if not isinstance(ty, PtrType):
                 raise ScenarioUnsupported(f"cannot dereference non-pointer local '{place.base}'")
-            target, _ = self.memory.read_pointer(ptr, line=line)
+            target = self._read_slot(slot, line)
             pointee = self._pointee(ty, target)
             ptr, ty = target, pointee
         for step in place.steps:
@@ -435,8 +477,8 @@ class Machine:
     def _eval_operand(self, thread: _Thread, op: Operand, line: int) -> tuple[HostValue, TypeDesc]:
         if isinstance(op, int):
             return op, IntType(64, op < 0)
-        ptr, ty = self._resolve_place(thread, Place(op), line)
-        return self._typed_read(ptr, ty, line)[0], ty
+        slot = self._slot(thread, op)
+        return self._read_slot(slot, line), slot.type
 
     def _foreign_operand(self, thread: _Thread, op: Operand) -> Reg:
         if isinstance(op, int):
@@ -494,9 +536,13 @@ class Machine:
         if isinstance(stmt, LetStmt):
             self._host_let(thread, stmt)
         elif isinstance(stmt, WriteStmt):
-            ptr, ty = self._resolve_place(thread, stmt.place, line)
-            value, _ = self._eval_operand(thread, stmt.value, line)
-            self._typed_write_value(ptr, ty, value, line)
+            if stmt.place.deref or stmt.place.steps:
+                ptr, ty = self._resolve_place(thread, stmt.place, line)
+                value, _ = self._eval_operand(thread, stmt.value, line)
+                self._typed_write_value(ptr, ty, value, line)
+            else:
+                slot = self._slot(thread, stmt.place.base)
+                self._write_slot(slot, self._eval_operand(thread, stmt.value, line)[0], line)
         elif isinstance(stmt, AssumeInitStmt):
             ptr, ty = self._resolve_place(thread, stmt.place, line)
             self.memory.assume_init(ptr, size_of(ty))
@@ -515,6 +561,7 @@ class Machine:
                 thread.status = "blocked-join"
                 thread.waiting_on = tid
                 frame.pc -= 1  # re-run the join once the target finishes
+                self._status_changed()
         elif isinstance(stmt, CallStmt):
             self._host_call(thread, stmt)
         elif isinstance(stmt, ReturnStmt):
@@ -530,14 +577,17 @@ class Machine:
         line = stmt.line
         if isinstance(stmt.rhs, ZeroedRhs):
             slot = self._new_slot(frame, stmt.name, stmt.type, line)
-            self.memory.memset(slot.pointer, 0, size_of(stmt.type), line)
+            if slot.local is None:
+                self.memory.memset(slot.pointer, 0, size_of(stmt.type), line)
+            else:
+                self._write_slot(slot, 0, line)
             return
         # Evaluate first, so the slot's root tag is numbered after any tag
         # the right-hand side creates.
         value = self._host_rhs(thread, stmt)
         slot = self._new_slot(frame, stmt.name, stmt.type, line)
         slot.owning = isinstance(stmt.rhs, (HeapNewRhs, HeapFromRawRhs))
-        self._typed_write_value(slot.pointer, stmt.type, value, line)
+        self._write_slot(slot, value, line)
 
     def _host_rhs(self, thread: _Thread, stmt: LetStmt) -> HostValue:
         """The value a host `let` binds; None leaves the new slot uninitialized."""
@@ -549,6 +599,9 @@ class Machine:
         if isinstance(rhs, LiteralRhs):
             return self._bind_reference(rhs.value, stmt.type, stmt.name, line)
         if isinstance(rhs, PlaceRhs):
+            if not (rhs.place.deref or rhs.place.steps):
+                value, _ = self._eval_operand(thread, rhs.place.base, line)
+                return self._bind_reference(value, stmt.type, stmt.name, line)
             src_ptr, src_ty = self._resolve_place(thread, rhs.place, line)
             base = frame.slots.get(rhs.place.base)
             if (
@@ -584,7 +637,7 @@ class Machine:
             src = frame.slots.get(rhs.source)
             if src is None or not src.owning:
                 raise ScenarioUnsupported(f"'{rhs.source}' is not an owned heap value")
-            box, _ = self.memory.read_pointer(src.pointer, line=line)
+            box = self._read_slot(src, line)
             src.moved = True
             return box
         if isinstance(rhs, HeapFromRawRhs):
@@ -699,6 +752,7 @@ class Machine:
                 if t.waiting_on == thread.id:
                     t.status = "ready"
                     t.waiting_on = None
+            self._status_changed()
             return
         caller = thread.frames[-1]
         call: CallStmt = caller.fn.body[caller.pc - 1]  # the call that pushed `callee`
@@ -720,7 +774,7 @@ class Machine:
             # before the slot exists, so its root tag is numbered after the result's.
             value = self._bind_reference(value, call.dest_type, call.dest, call.line)
             slot = self._new_slot(caller, call.dest, call.dest_type, call.line)
-            self._typed_write_value(slot.pointer, call.dest_type, value, call.line)
+            self._write_slot(slot, value, call.line)
 
     # ---- calls ---------------------------------------------------------------
 

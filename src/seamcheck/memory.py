@@ -41,6 +41,19 @@ creates it, and `protector_end` removes it at function exit. Its no-op
 memo lets either model answer a repeated access in O(1); see
 `BorrowTracker`.
 
+A host local of an integer or pointer type is not an allocation at first.
+`Memory.reserve` draws its alloc id, root tag and base address exactly as
+`allocate` would, and nothing else: it returns a `Local`, which holds the
+local's whole value and its root's last use, after Miri's `LocalValue`.
+The machine reads and writes it with `load` and `store`, which give what
+the byte path would give. The first time an address reaches the local (a
+retag, an init claim, any access through a pointer, or an
+integer-to-pointer cast that lands inside it) memory materializes it into
+the `Allocation`, bytes, fragments and root record that the byte path
+would hold by then, and from that point on it is one, after Miri's
+`force_allocation`. So every id, tag, address and tag history stays the
+same whether or not a local is ever borrowed.
+
 Addresses come from a bump allocator with guard gaps between allocations.
 The starting base is perturbed by the seed; no semantic result may depend on
 it, which the deduplication tests rely on.
@@ -261,6 +274,35 @@ class Blob:
     frags: dict[int, Fragment] = field(default_factory=dict)
 
 
+@dataclass(slots=True)
+class Local:
+    """A host integer or pointer local, kept as one whole value until an address reaches it.
+
+    `id`, `base` and `tag` are the alloc id, base address and root tag
+    (None without borrow tracking) that `Memory.reserve` drew, and `label`
+    and `line` name the `let`. `value` is the whole value (None while
+    uninitialized): an int of the local's type, or a pointer as
+    `read_pointer` would return it. `last_use` is the root's last use as
+    `(kind, line)`. `immediate` turns False when memory materializes the
+    local into an `Allocation`; `pointer` reaches that allocation.
+    """
+
+    id: int
+    base: int
+    size: int
+    align: int
+    tag: Optional[int]
+    label: str
+    line: int
+    value: Union[int, PointerValue, None] = None
+    last_use: Optional[tuple[str, int]] = None
+    immediate: bool = True
+
+    def pointer(self) -> PointerValue:
+        """A pointer to the local's first byte, carrying its root tag."""
+        return PointerValue(self.base, self.id, 0, self.tag)
+
+
 def _drop_fragments(alloc: Allocation, lo: int, hi: int) -> None:
     """Forget the provenance fragments of bytes [lo, hi), which were just overwritten."""
     if alloc.fragments:
@@ -303,7 +345,8 @@ class Memory:
         self._tracker_type = tracker
         self._next_tag = itertools.count(1).__next__  # the run's tags, from 1
         self.allocations: dict[int, Allocation] = {}
-        self._bases: list[int] = []  # of every allocation, in id order, so increasing
+        self._locals: dict[int, Local] = {}  # live and not yet materialized, by id
+        self._bases: list[int] = []  # of every allocation and local, in id order, so increasing
         self._next_id = 1
         # Base perturbation only moves addresses, never semantics.
         _, word = _splitmix64(seed)
@@ -311,15 +354,23 @@ class Memory:
 
     # ---- allocation ----------------------------------------------------------
 
-    def allocate(
-        self, size: int, align: int, origin: AllocOrigin, label: str = "", line: int = 0
-    ) -> Allocation:
+    def _draw(self, size: int, align: int) -> tuple[int, int, Optional[int]]:
+        """The next alloc id, its base address and its root tag (None without borrow tracking)."""
         if size < 0 or align < 1:
             raise ValueError("bad allocation request")
         base = (self._bump + align - 1) // align * align
         self._bump = base + size + GUARD_GAP
+        alloc_id = self._next_id
+        self._next_id += 1
+        self._bases.append(base)
+        return alloc_id, base, None if self._tracker_type is None else self._next_tag()
+
+    def allocate(
+        self, size: int, align: int, origin: AllocOrigin, label: str = "", line: int = 0
+    ) -> Allocation:
+        alloc_id, base, tag = self._draw(size, align)
         alloc = Allocation(
-            id=self._next_id,
+            id=alloc_id,
             base=base,
             size=size,
             align=align,
@@ -329,12 +380,70 @@ class Memory:
         )
         if self.zero_init_foreign and origin in (AllocOrigin.FOREIGN_STACK, AllocOrigin.FOREIGN_HEAP):
             alloc.values = [0] * size
-        if self._tracker_type is not None:
-            alloc.root = root_history(alloc.id, self._next_tag(), label, line)
-        self._next_id += 1
-        self.allocations[alloc.id] = alloc
-        self._bases.append(base)
+        if tag is not None:
+            alloc.root = root_history(alloc_id, tag, label, line)
+        self.allocations[alloc_id] = alloc
         return alloc
+
+    def reserve(self, size: int, align: int, label: str = "", line: int = 0) -> Local:
+        """A host stack local that memory keeps whole until an address reaches it.
+
+        Draws the alloc id, base address and root tag that `allocate` would
+        draw at this point, and builds nothing else.
+        """
+        alloc_id, base, tag = self._draw(size, align)
+        local = Local(alloc_id, base, size, align, tag, label, line)
+        self._locals[alloc_id] = local
+        return local
+
+    def _materialize(self, local: Local) -> Allocation:
+        """The `Allocation` that the byte path would hold for `local` by now, which replaces it."""
+        del self._locals[local.id]
+        local.immediate = False
+        alloc = Allocation(local.id, local.base, local.size, local.align, AllocOrigin.HOST_STACK, local.label)
+        value = local.value
+        if value is None:
+            alloc.values = [None] * local.size
+        elif isinstance(value, PointerValue):
+            alloc.values = list(value.address.to_bytes(8, "little"))
+            if value.provenance is not None or value.alloc_id is not None:
+                key = (value.alloc_id, value.provenance)
+                alloc.fragments = {i: (key, i) for i in range(8)}
+        else:
+            alloc.values = list(value.to_bytes(local.size, "little", signed=value < 0))
+        if local.tag is not None:
+            alloc.root = root_history(local.id, local.tag, local.label, local.line)
+            if local.last_use is not None:
+                kind, line = local.last_use
+                alloc.root.last_valid_use = access_event(kind, (0, local.size), line)
+        self.allocations[local.id] = alloc
+        return alloc
+
+    def load(self, local: Local, line: int = 0) -> Union[int, PointerValue]:
+        """An immediate local's value, read whole as `read_int` or `read_pointer` reads its bytes."""
+        local.last_use = ("read", line)
+        if local.value is None:
+            raise UbError(
+                DiagnosticKind.UNINITIALIZED_READ,
+                f"read of uninitialized byte at alloc#{local.id}+0",
+                address=local.base,
+            )
+        return local.value
+
+    def store(self, local: Local, value: Union[int, PointerValue], line: int = 0) -> None:
+        """Write an immediate local whole: an int of its type, or a pointer.
+
+        A pointer is kept as `read_pointer` returns it after `write_pointer`:
+        its address wrapped to 64 bits and its offset taken from its
+        allocation's base.
+        """
+        if isinstance(value, PointerValue):
+            address = value.address % (1 << 64)
+            offset = address if value.alloc_id is None else address - self._bases[value.alloc_id - 1]
+            if address != value.address or offset != value.offset:
+                value = PointerValue(address, value.alloc_id, offset, value.provenance)
+        local.value = value
+        local.last_use = ("write", line)
 
     def tracker(self, alloc: Allocation) -> BorrowTracker:
         """`alloc`'s borrow tracker, built around its root tag on first call."""
@@ -402,6 +511,8 @@ class Memory:
 
     def release_stack(self, alloc_id: int) -> None:
         """Tear down one stack slot at frame exit. Protector checks still apply."""
+        if self._locals.pop(alloc_id, None) is not None:
+            return  # never reached by an address, so nothing can check it
         alloc = self.allocations[alloc_id]
         if not alloc.live:
             return
@@ -419,13 +530,17 @@ class Memory:
     # ---- access checks -------------------------------------------------------
 
     def _require_allocation(self, ptr: PointerValue) -> Allocation:
+        """The allocation `ptr` points into, materialized first if it is an immediate local."""
         if ptr.alloc_id is None:
             raise UbError(
                 DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                 f"pointer 0x{ptr.address:x} has no provenance and points into no allocation",
                 address=ptr.address,
             )
-        return self.allocations[ptr.alloc_id]
+        alloc = self.allocations.get(ptr.alloc_id)
+        if alloc is None:
+            alloc = self._materialize(self._locals[ptr.alloc_id])
+        return alloc
 
     def check_bounds(self, ptr: PointerValue, size: int, what: str) -> Allocation:
         """Liveness, then bounds, of `size` bytes at `ptr`; the tracker is not consulted.
@@ -545,7 +660,7 @@ class Memory:
             ):
                 target_alloc, prov = first[0]
                 if target_alloc is not None:
-                    base = self.allocations[target_alloc].base
+                    base = self._bases[target_alloc - 1]
                     return PointerValue(address, target_alloc, address - base, prov), False
                 return PointerValue(address, None, address, prov), False
         # Broken or absent fragments: the value is just an integer.
@@ -607,9 +722,10 @@ class Memory:
 
         Inside a live allocation the result carries wildcard provenance;
         otherwise it has none and every later access fails. Under strict
-        provenance this operation is itself an error. Allocations are
-        disjoint and their bases increase with their ids, so the only one
-        that can hold `address` is the last one based at or below it.
+        provenance this operation is itself an error. Allocations and
+        locals are disjoint and their bases increase with their ids, so the
+        only one that can hold `address` is the last one based at or below
+        it. A live immediate local that holds it is materialized.
         """
         address %= 1 << 64
         if self.strict_provenance:
@@ -618,9 +734,12 @@ class Memory:
                 f"integer-to-pointer conversion of 0x{address:x} under strict provenance",
                 address=address,
             )
-        i = bisect_right(self._bases, address)
+        i = bisect_right(self._bases, address)  # the candidate's id, since ids count from 1
         if i:
-            alloc = self.allocations[i]  # ids count from 1
-            if alloc.live and address < alloc.base + alloc.size:
+            alloc = self.allocations.get(i)
+            local = self._locals.get(i)
+            if local is not None and address < local.base + local.size:
+                alloc = self._materialize(local)
+            if alloc is not None and alloc.live and address < alloc.base + alloc.size:
                 return PointerValue(address, alloc.id, address - alloc.base, WILDCARD)
         return no_provenance(address)

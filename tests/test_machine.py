@@ -6,6 +6,7 @@ import pytest
 
 from seamcheck.diagnostics import Classification, DiagnosticKind, TagEvent, render_diagnostic
 from seamcheck.machine import Machine, MachineConfig, run_program
+from seamcheck.memory import GUARD_GAP, AllocOrigin
 from seamcheck.parser import parse_text
 from seamcheck.runner import exit_code
 
@@ -1148,11 +1149,17 @@ end
 def test_only_a_retagged_allocation_builds_a_tracker(model):
     machine, outcome = _machine_run(_PINGPONG, model)
     assert outcome.classification is Classification.PASS
-    allocations = machine.memory.allocations.values()
-    # The callbacks' parameters and locals are only ever used through their root tags.
-    assert [a.label for a in allocations] == ["x", "raw", "q", "v", "q", "v", "after"]
-    assert [a.label for a in allocations if a.tracker is not None] == ["x"]
-    assert all(a.root.last_valid_use is not None for a in allocations)
+    # Only `x` is borrowed, so only `x` becomes an allocation and builds a
+    # tracker; `raw`, the callbacks' `q` and `v` and `after` stay whole values.
+    (x,) = machine.memory.allocations.values()
+    assert (x.id, x.label, x.root.tag) == (1, "x", 1)
+    assert x.tracker is not None and x.root.last_valid_use is not None
+    # Yet all seven locals drew an alloc id, a root tag and an 8-byte slot
+    # in order: x, raw, q, v, q, v, after, with sb's `&raw mut x` retag
+    # drawing a tag between x's and raw's (tb does not retag a raw borrow).
+    probe = machine.memory.allocate(1, 1, AllocOrigin.HOST_HEAP)
+    assert (probe.id, probe.root.tag) == (8, {"tb": 8, "sb": 9}[model])
+    assert probe.base == x.base + 7 * (8 + GUARD_GAP)
 
 
 _EXPOSED_BEFORE_RETAG = """bind probe = c_probe()
@@ -1224,3 +1231,41 @@ end
     (diag,) = outcome.diagnostics
     assert (diag.kind, diag.message) == (kind, message)
     assert _allocation(machine, "p").tracker is None
+
+
+# A wildcard pointer whose address lands in a local that was never borrowed
+# reaches that local's storage: the bump allocator puts `y` 20 bytes after
+# `x` (4 bytes, then a 16-byte guard gap), and `z` 24 bytes and the pointer
+# `y` 48 bytes after the 8-byte `x`.
+_NEIGHBOUR_INT = """host fn main()
+  let x: i32 = 1
+  let y: i32 = 2
+  let p: *mut i32 = &raw mut x
+  let q: *mut i32 = p.offset(5)
+  let a: usize = q as usize
+  let r: *mut i32 = a as *mut i32
+  *r = 5
+  assert_eq y 5
+end
+"""
+
+_NEIGHBOUR_POINTER = """host fn main()
+  let x: i64 = 1
+  let z: i32 = 3
+  let y: *mut i32 = &raw mut z
+  let p: *mut i64 = &raw mut x
+  let q: *mut i64 = p.offset(6)
+  let a: usize = q as usize
+  let r: *mut *mut i32 = a as *mut *mut i32
+  let w: *mut i32 = *r
+  *w = 9
+  assert_eq z 9
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("text", [_NEIGHBOUR_INT, _NEIGHBOUR_POINTER], ids=["int", "pointer"])
+def test_a_wildcard_pointer_reaches_a_never_borrowed_neighbour(model, text):
+    outcome = _run(text, model=model)
+    assert outcome.classification is Classification.PASS, outcome.diagnostics

@@ -1,6 +1,6 @@
 """Randomized property suites for the model and pipeline invariants.
 
-Seven suites, each driven by at least a thousand generated cases:
+Eight suites, each driven by at least a thousand generated cases:
 
 1. tree model: Disabled is absorbing and no foreign tag stays Active
 2. stack model: accesses only ever mutate the stack above the granting item
@@ -11,6 +11,8 @@ Seven suites, each driven by at least a thousand generated cases:
 6. whole runs: byte-identical structured reports under a fixed seed
 7. report encoder: `json_dumps` gives the bytes of `json.dumps` with
    `indent=2, sort_keys=True` and a newline
+8. memory: an immediate local loads what the same stores leave in a real
+   allocation's bytes, and materializes into that allocation
 """
 
 import json
@@ -417,3 +419,72 @@ _json_payloads = st.recursive(
 @given(payload=st.dictionaries(_json_text, _json_payloads, max_size=3))
 def test_suite_report_encoder_matches_json_dumps(payload):
     assert json_dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+
+_SCALAR_TYPES = [IntType(bits, signed) for bits in (8, 16, 32, 64) for signed in (False, True)]
+_stored_pointer = st.tuples(
+    st.sampled_from([None, 0, 1]),  # no allocation, or the pointee made before or after the local
+    st.integers(0, 2**64 - 1),  # the address, or an offset in [-24, 40) from the pointee's base
+    st.sampled_from([0, 1 << 64, 3 << 64]),  # added past 2**64, leaving the offset stale
+    st.sampled_from([None, WILDCARD, 1, 2]),
+)
+_local_op = st.one_of(st.none(), st.integers(-(2**70), 2**70), _stored_pointer)  # a load or a store
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except UbError as e:
+        return (e.kind, e.message, e.address)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    ty=st.sampled_from([*_SCALAR_TYPES, PtrType(PtrKind.RAW_MUT, IntType(32, True))]),
+    ops=st.lists(_local_op, min_size=1, max_size=4),
+)
+def test_suite_immediate_local_matches_the_byte_path(ty, ops):
+    immediate, byte_path = Memory(tracker=TreeBorrowTracker), Memory(tracker=TreeBorrowTracker)
+    size = size_of(ty)
+    pointees = [immediate.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "before", 1)]
+    byte_path.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "before", 1)
+    local = immediate.reserve(size, size, "x", 2)
+    alloc = byte_path.allocate(size, size, AllocOrigin.HOST_STACK, "x", 2)
+    pointees.append(immediate.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "after", 3))
+    byte_path.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "after", 3)
+    ptr = byte_path.base_pointer(alloc)
+    for line, op in enumerate(ops, start=4):
+        if op is None:
+            if isinstance(ty, PtrType):
+                expected = _outcome(lambda: byte_path.read_pointer(ptr, line=line)[0])
+            else:
+                expected = _outcome(lambda: byte_path.read_int(ptr, size, ty.signed, line=line)[0])
+            assert _outcome(lambda: immediate.load(local, line)) == expected
+        elif isinstance(op, tuple) and isinstance(ty, PtrType):
+            which, address, wrap, provenance = op
+            if which is None:
+                value = PointerValue(address + wrap, None, address, provenance)
+            else:
+                target, offset = pointees[which], address % 64 - 24
+                value = PointerValue(target.base + offset + wrap, target.id, offset, provenance)
+            immediate.store(local, value, line)
+            byte_path.write_pointer(ptr, value, line)
+        else:
+            value = op[1] + op[2] if isinstance(op, tuple) else op
+            if isinstance(ty, PtrType):
+                # An integer lands in a pointer local as a bare address.
+                immediate.store(local, PointerValue(value % (1 << 64), None, value % (1 << 64), None), line)
+                byte_path.write_int(ptr, 8, value % (1 << 64), align=8, line=line)
+            else:
+                immediate.store(local, reinterpret(value, ty), line)
+                byte_path.write_int(ptr, size, reinterpret(value, ty), line=line)
+    assert immediate.from_exposed(local.base) == byte_path.from_exposed(alloc.base)
+    made = immediate.allocations[local.id]
+    assert not local.immediate
+    assert (made.base, made.size, made.align, made.origin, made.label) == (
+        alloc.base, alloc.size, alloc.align, alloc.origin, alloc.label
+    )
+    assert made.values == alloc.values
+    assert made.fragments == alloc.fragments
+    assert made.root == alloc.root

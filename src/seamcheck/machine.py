@@ -1,15 +1,16 @@
 """Execution engine: two dialects, one memory, one borrow model per run.
 
-Every host `let` and parameter gets its own alloc id, root tag and stack
-address, and references are retagged from that tag. A local of an integer
-or pointer type is a `memory.Local`: memory reserves it, and the machine
-reads and writes its whole value (`_read_slot`, `_write_slot`) without
-bytes until an address reaches it, when memory materializes it into a
-stack allocation (see `memory`). Any other local is an allocation from the
-start. `Memory` owns each allocation's root tag and borrow tracker; the
-machine deals in types only. Foreign locals are plain registers holding
-integers, pointers, or opaque byte blobs, with a taint flag that marks
-values read out of uninitialized memory in permissive mode.
+Every host `let` and parameter gets its own stack allocation, with its
+own alloc id, root tag and address, and references are retagged from that
+tag. An integer or pointer local starts as an immediate allocation, which
+memory reserves: the machine reads and writes its whole value
+(`_read_slot`, `_write_slot`) until an address reaches it and memory
+materializes its bytes in place (see `memory`). Any other local has bytes
+from the start. `Memory` owns each allocation's root tag and borrow
+tracker; the machine deals in types only. Foreign locals are plain
+registers holding integers, pointers, or opaque byte blobs, with a taint
+flag that marks values read out of uninitialized memory in permissive
+mode.
 
 Every call pushes a frame on the caller's thread, whichever dialect the
 callee is written in; a frame runs in its function's dialect. A host `call`
@@ -82,7 +83,6 @@ from .memory import (
     Allocation,
     AllocOrigin,
     Blob,
-    Local,
     Memory,
     PointerValue,
     ScenarioUnsupported,
@@ -153,7 +153,7 @@ class Reg:
 class _Slot:
     type: TypeDesc
     pointer: PointerValue  # base, root tag
-    local: Optional[Local] = None  # an integer or pointer local's whole value
+    alloc: Allocation
     owning: bool = False   # heap value dropped at frame exit
     moved: bool = False
 
@@ -316,14 +316,13 @@ class Machine:
     def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc, line: int) -> _Slot:
         layout = layout_of(ty)
         if isinstance(ty, (IntType, PtrType)):
-            local = self.memory.reserve(layout.size, layout.align, name, line)
-            slot = _Slot(ty, local.pointer(), local)
+            alloc = self.memory.reserve(layout.size, layout.align, name, line)
         else:
             alloc = self.memory.allocate(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name, line)
-            slot = _Slot(ty, self.memory.base_pointer(alloc))
+        slot = _Slot(ty, self.memory.base_pointer(alloc), alloc)
         frame.slots[name] = slot
         frame.slot_order.append(slot)
-        frame.stack_allocs.append(slot.pointer.alloc_id)
+        frame.stack_allocs.append(alloc.id)
         return slot
 
     @staticmethod
@@ -335,18 +334,16 @@ class Machine:
 
     def _read_slot(self, slot: _Slot, line: int) -> HostValue:
         """The local's value: whole while memory keeps it immediate, else from its bytes."""
-        local = slot.local
-        if local is not None and local.immediate:
-            return self.memory.load(local, line)
+        if slot.alloc.immediate:
+            return self.memory.load(slot.alloc, line)
         return self._typed_read(slot.pointer, slot.type, line)[0]
 
     def _write_slot(self, slot: _Slot, value: HostValue, line: int) -> None:
         """Store `value` into the local, whole while memory keeps it immediate."""
-        local = slot.local
-        if local is None or not local.immediate:
+        if not slot.alloc.immediate:
             self._typed_write_value(slot.pointer, slot.type, value, line)
         elif value is not None:
-            self.memory.store(local, self._scalar(slot.type, value), line)
+            self.memory.store(slot.alloc, self._scalar(slot.type, value), line)
 
     def _exit_frame(self, thread: _Thread, line: int) -> _Frame:
         frame = thread.frames[-1]
@@ -577,10 +574,10 @@ class Machine:
         line = stmt.line
         if isinstance(stmt.rhs, ZeroedRhs):
             slot = self._new_slot(frame, stmt.name, stmt.type, line)
-            if slot.local is None:
-                self.memory.memset(slot.pointer, 0, size_of(stmt.type), line)
-            else:
+            if slot.alloc.immediate:
                 self._write_slot(slot, 0, line)
+            else:
+                self.memory.memset(slot.pointer, 0, size_of(stmt.type), line)
             return
         # Evaluate first, so the slot's root tag is numbered after any tag
         # the right-hand side creates.

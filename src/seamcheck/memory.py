@@ -22,15 +22,14 @@ A `Memory` built with a tracker type judges borrows, and it is the only
 owner of that borrow state: it draws every tag, builds every tracker,
 retags through it (`retag`), checks accesses and deallocations against it
 and ends its protectors (`protector_end`). Every allocation draws its root
-tag when it is made and keeps that tag's `TagHistory` as `Allocation.root`,
-but builds its tracker (`Allocation.tracker`) only when it is first needed:
-at its first retag, or at the first access through a provenance other than
-the root tag, such as a wildcard. Most allocations are never reborrowed.
-Until its tracker exists an allocation has only its root tag, so a root
-access changes no state and `check_access` just records it as the root's
-last use. The tracker, once built, adopts that same root record, and a
-root tag is never protected, so deallocation has nothing to check before
-then. A `Memory` built without a tracker type tracks no borrows at all.
+tag (`Allocation.tag`) when it is made, but builds its tracker only when
+it is first needed: at its first retag, or at the first access through a
+provenance other than the root tag, such as a wildcard. Most allocations
+are never reborrowed. Until then a root access changes no state and is
+kept only as `Allocation.last_use`, from which `Memory.tracker` builds the
+root's `TagHistory`; a root tag is never protected, so deallocation has
+nothing to check before then. A `Memory` built without a tracker type
+tracks no borrows at all.
 
 `BorrowTracker` is the base of both borrow models: it owns an allocation's
 tags and one `TagHistory` per tag (created, last valid use, first
@@ -41,18 +40,16 @@ creates it, and `protector_end` removes it at function exit. Its no-op
 memo lets either model answer a repeated access in O(1); see
 `BorrowTracker`.
 
-A host local of an integer or pointer type is not an allocation at first.
-`Memory.reserve` draws its alloc id, root tag and base address exactly as
-`allocate` would, and nothing else: it returns a `Local`, which holds the
-local's whole value and its root's last use, after Miri's `LocalValue`.
-The machine reads and writes it with `load` and `store`, which give what
-the byte path would give. The first time an address reaches the local (a
-retag, an init claim, any access through a pointer, or an
-integer-to-pointer cast that lands inside it) memory materializes it into
-the `Allocation`, bytes, fragments and root record that the byte path
-would hold by then, and from that point on it is one, after Miri's
-`force_allocation`. So every id, tag, address and tag history stays the
-same whether or not a local is ever borrowed.
+`Allocation` is the one record of an allocation. A host local of an
+integer or pointer type starts immediate, after Miri's `LocalValue`:
+`Memory.reserve` draws its id, root tag and base address as `allocate`
+would, and it holds one whole `value` and no bytes, which `load` and
+`store` read and write as the byte path would. The first address that
+reaches it (a retag, an init claim, any pointer access, or an
+integer-to-pointer cast into it) materializes it in place, after Miri's
+`force_allocation`, with the bytes and fragments the byte path would hold
+by then. So every id, tag, address and tag history stays the same whether
+or not a local is ever borrowed.
 
 Addresses come from a bump allocator with guard gaps between allocations.
 The starting base is perturbed by the seed; no semantic result may depend on
@@ -179,8 +176,8 @@ class BorrowTracker:
 
     Every model is built as `cls(alloc_id, size, tag_source, root)`, only by
     `Memory`: `size` is the allocation's, `tag_source` draws the run's later
-    tags, and `root` is the record of the root tag that `Memory.allocate`
-    drew, which the tracker adopts as it is.
+    tags, and `root` is the record of the allocation's root tag, which the
+    tracker adopts as it is.
     """
 
     def __init__(self, alloc_id: int, size: int, tag_source: Callable[[], int], root: TagHistory) -> None:
@@ -251,18 +248,30 @@ class BorrowTracker:
 Fragment = tuple[tuple[Optional[int], Provenance], int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Allocation:
+    """One allocation, made at `line`, with root tag `tag` (None without borrow tracking).
+
+    An immediate local has no `values` or `fragments`, only its whole
+    `value` (None while uninitialized): an int of its type, or a pointer as
+    `read_pointer` would return it. Until `tracker` is built, `last_use` is
+    the root's last use as `(kind, range, line)`.
+    """
+
     id: int
     base: int
     size: int
     align: int
     origin: AllocOrigin
     label: str
+    line: int
+    tag: Optional[int]
+    immediate: bool
+    values: Optional[list[Optional[int]]]
+    fragments: Optional[dict[int, Fragment]]
+    value: Union[int, PointerValue, None] = None
     live: bool = True
-    values: list[Optional[int]] = field(default_factory=list)
-    fragments: dict[int, Fragment] = field(default_factory=dict)
-    root: Optional[TagHistory] = None  # of the root tag, when borrows are tracked
+    last_use: Optional[tuple[str, Range, int]] = None
     tracker: Optional[BorrowTracker] = None  # built by `Memory.tracker` on first need
 
 
@@ -274,40 +283,28 @@ class Blob:
     frags: dict[int, Fragment] = field(default_factory=dict)
 
 
-@dataclass(slots=True)
-class Local:
-    """A host integer or pointer local, kept as one whole value until an address reaches it.
-
-    `id`, `base` and `tag` are the alloc id, base address and root tag
-    (None without borrow tracking) that `Memory.reserve` drew, and `label`
-    and `line` name the `let`. `value` is the whole value (None while
-    uninitialized): an int of the local's type, or a pointer as
-    `read_pointer` would return it. `last_use` is the root's last use as
-    `(kind, line)`. `immediate` turns False when memory materializes the
-    local into an `Allocation`; `pointer` reaches that allocation.
-    """
-
-    id: int
-    base: int
-    size: int
-    align: int
-    tag: Optional[int]
-    label: str
-    line: int
-    value: Union[int, PointerValue, None] = None
-    last_use: Optional[tuple[str, int]] = None
-    immediate: bool = True
-
-    def pointer(self) -> PointerValue:
-        """A pointer to the local's first byte, carrying its root tag."""
-        return PointerValue(self.base, self.id, 0, self.tag)
-
-
 def _drop_fragments(alloc: Allocation, lo: int, hi: int) -> None:
     """Forget the provenance fragments of bytes [lo, hi), which were just overwritten."""
     if alloc.fragments:
         for off in range(lo, hi):
             alloc.fragments.pop(off, None)
+
+
+def _put_int(alloc: Allocation, off: int, size: int, value: int) -> None:
+    """Store `value` little-endian in bytes [off, off + size), with no provenance."""
+    alloc.values[off : off + size] = value.to_bytes(size, "little", signed=value < 0)
+    _drop_fragments(alloc, off, off + size)
+
+
+def _put_pointer(alloc: Allocation, off: int, value: PointerValue) -> None:
+    """Store `value`'s address, wrapped to 64 bits, at `off`, spreading its provenance fragment."""
+    alloc.values[off : off + 8] = (value.address % (1 << 64)).to_bytes(8, "little")
+    if value.provenance is not None or value.alloc_id is not None:
+        key = (value.alloc_id, value.provenance)
+        for i in range(8):
+            alloc.fragments[off + i] = (key, i)
+    else:
+        _drop_fragments(alloc, off, off + 8)
 
 
 def _init_bytes(alloc: Allocation, ptr: PointerValue, size: int, permissive: bool) -> tuple[bytes, bool]:
@@ -344,84 +341,64 @@ class Memory:
         self.zero_init_foreign = zero_init_foreign
         self._tracker_type = tracker
         self._next_tag = itertools.count(1).__next__  # the run's tags, from 1
-        self.allocations: dict[int, Allocation] = {}
-        self._locals: dict[int, Local] = {}  # live and not yet materialized, by id
-        self._bases: list[int] = []  # of every allocation and local, in id order, so increasing
-        self._next_id = 1
+        self.allocations: dict[int, Allocation] = {}  # by id, so in id order
+        self._bases: list[int] = []  # of every allocation, in id order, so increasing
         # Base perturbation only moves addresses, never semantics.
         _, word = _splitmix64(seed)
         self._bump = BASE_ADDRESS + 0x1000 * (word % 256)
 
     # ---- allocation ----------------------------------------------------------
 
-    def _draw(self, size: int, align: int) -> tuple[int, int, Optional[int]]:
-        """The next alloc id, its base address and its root tag (None without borrow tracking)."""
+    def _new(
+        self, size: int, align: int, origin: AllocOrigin, label: str, line: int,
+        values: Optional[list[Optional[int]]],
+    ) -> Allocation:
+        """The next allocation, with the next id, base address and root tag.
+
+        It holds `values`, or is an immediate local if they are None. Ids
+        count from 1, one per base address.
+        """
         if size < 0 or align < 1:
             raise ValueError("bad allocation request")
         base = (self._bump + align - 1) // align * align
         self._bump = base + size + GUARD_GAP
-        alloc_id = self._next_id
-        self._next_id += 1
         self._bases.append(base)
-        return alloc_id, base, None if self._tracker_type is None else self._next_tag()
+        alloc = Allocation(
+            len(self._bases), base, size, align, origin, label, line,
+            None if self._tracker_type is None else self._next_tag(),
+            values is None, values, None if values is None else {},
+        )
+        self.allocations[alloc.id] = alloc
+        return alloc
 
     def allocate(
         self, size: int, align: int, origin: AllocOrigin, label: str = "", line: int = 0
     ) -> Allocation:
-        alloc_id, base, tag = self._draw(size, align)
-        alloc = Allocation(
-            id=alloc_id,
-            base=base,
-            size=size,
-            align=align,
-            origin=origin,
-            label=label,
-            values=[None] * size,
-        )
-        if self.zero_init_foreign and origin in (AllocOrigin.FOREIGN_STACK, AllocOrigin.FOREIGN_HEAP):
-            alloc.values = [0] * size
-        if tag is not None:
-            alloc.root = root_history(alloc_id, tag, label, line)
-        self.allocations[alloc_id] = alloc
-        return alloc
+        zeroed = self.zero_init_foreign and origin in (AllocOrigin.FOREIGN_STACK, AllocOrigin.FOREIGN_HEAP)
+        return self._new(size, align, origin, label, line, [0 if zeroed else None] * size)
 
-    def reserve(self, size: int, align: int, label: str = "", line: int = 0) -> Local:
+    def reserve(self, size: int, align: int, label: str = "", line: int = 0) -> Allocation:
         """A host stack local that memory keeps whole until an address reaches it.
 
         Draws the alloc id, base address and root tag that `allocate` would
-        draw at this point, and builds nothing else.
+        draw at this point, and builds no bytes.
         """
-        alloc_id, base, tag = self._draw(size, align)
-        local = Local(alloc_id, base, size, align, tag, label, line)
-        self._locals[alloc_id] = local
-        return local
+        return self._new(size, align, AllocOrigin.HOST_STACK, label, line, None)
 
-    def _materialize(self, local: Local) -> Allocation:
-        """The `Allocation` that the byte path would hold for `local` by now, which replaces it."""
-        del self._locals[local.id]
-        local.immediate = False
-        alloc = Allocation(local.id, local.base, local.size, local.align, AllocOrigin.HOST_STACK, local.label)
-        value = local.value
-        if value is None:
-            alloc.values = [None] * local.size
-        elif isinstance(value, PointerValue):
-            alloc.values = list(value.address.to_bytes(8, "little"))
-            if value.provenance is not None or value.alloc_id is not None:
-                key = (value.alloc_id, value.provenance)
-                alloc.fragments = {i: (key, i) for i in range(8)}
-        else:
-            alloc.values = list(value.to_bytes(local.size, "little", signed=value < 0))
-        if local.tag is not None:
-            alloc.root = root_history(local.id, local.tag, local.label, local.line)
-            if local.last_use is not None:
-                kind, line = local.last_use
-                alloc.root.last_valid_use = access_event(kind, (0, local.size), line)
-        self.allocations[local.id] = alloc
-        return alloc
+    def _materialize(self, alloc: Allocation) -> None:
+        """Give immediate local `alloc` the bytes and fragments the byte path would hold by now."""
+        alloc.immediate = False
+        alloc.values = [None] * alloc.size
+        alloc.fragments = {}
+        value = alloc.value
+        if isinstance(value, PointerValue):
+            _put_pointer(alloc, 0, value)
+        elif value is not None:
+            _put_int(alloc, 0, alloc.size, value)
 
-    def load(self, local: Local, line: int = 0) -> Union[int, PointerValue]:
+    def load(self, local: Allocation, line: int = 0) -> Union[int, PointerValue]:
         """An immediate local's value, read whole as `read_int` or `read_pointer` reads its bytes."""
-        local.last_use = ("read", line)
+        local.last_use = ("read", (0, local.size), line)
         if local.value is None:
             raise UbError(
                 DiagnosticKind.UNINITIALIZED_READ,
@@ -430,7 +407,7 @@ class Memory:
             )
         return local.value
 
-    def store(self, local: Local, value: Union[int, PointerValue], line: int = 0) -> None:
+    def store(self, local: Allocation, value: Union[int, PointerValue], line: int = 0) -> None:
         """Write an immediate local whole: an int of its type, or a pointer.
 
         A pointer is kept as `read_pointer` returns it after `write_pointer`:
@@ -443,17 +420,20 @@ class Memory:
             if address != value.address or offset != value.offset:
                 value = PointerValue(address, value.alloc_id, offset, value.provenance)
         local.value = value
-        local.last_use = ("write", line)
+        local.last_use = ("write", (0, local.size), line)
 
     def tracker(self, alloc: Allocation) -> BorrowTracker:
-        """`alloc`'s borrow tracker, built around its root tag on first call."""
+        """`alloc`'s borrow tracker, built on first call around its root tag's record."""
         if alloc.tracker is None:
-            alloc.tracker = self._tracker_type(alloc.id, alloc.size, self._next_tag, alloc.root)
+            root = root_history(alloc.id, alloc.tag, alloc.label, alloc.line)
+            if alloc.last_use is not None:
+                root.last_valid_use = access_event(*alloc.last_use)
+            alloc.tracker = self._tracker_type(alloc.id, alloc.size, self._next_tag, root)
         return alloc.tracker
 
     def base_pointer(self, alloc: Allocation) -> PointerValue:
         """A pointer to `alloc`'s first byte, carrying its root tag."""
-        return PointerValue(alloc.base, alloc.id, 0, alloc.root.tag)
+        return PointerValue(alloc.base, alloc.id, 0, alloc.tag)
 
     def retag(
         self, ptr: PointerValue, size: int, cells: tuple[Range, ...], kind: str, label: str,
@@ -468,7 +448,7 @@ class Memory:
         through an exposed address hangs off the allocation's root tag.
         """
         alloc = self.check_bounds(ptr, size, f"{kind} retag")
-        parent = alloc.root.tag if ptr.provenance is WILDCARD else ptr.provenance
+        parent = alloc.tag if ptr.provenance is WILDCARD else ptr.provenance
         off = ptr.offset
         cells = tuple((a + off, b + off) for a, b in cells)
         tag = self.tracker(alloc).retag(parent, (off, off + size), kind, cells, protect, label, line)
@@ -510,20 +490,23 @@ class Memory:
         return alloc
 
     def release_stack(self, alloc_id: int) -> None:
-        """Tear down one stack slot at frame exit. Protector checks still apply."""
-        if self._locals.pop(alloc_id, None) is not None:
-            return  # never reached by an address, so nothing can check it
-        alloc = self.allocations[alloc_id]
-        if not alloc.live:
+        """Tear down one stack slot at frame exit. Protector checks still apply.
+
+        A local that no address ever reached leaves `allocations` for good.
+        """
+        alloc = self.allocations.get(alloc_id)
+        if alloc is None or not alloc.live:
             return
-        if alloc.tracker is not None:
+        if alloc.immediate:
+            del self.allocations[alloc_id]
+        elif alloc.tracker is not None:
             alloc.tracker.dealloc_check()
         alloc.live = False
 
     def leak_report(self) -> list[Allocation]:
         return [
             a
-            for a in sorted(self.allocations.values(), key=lambda a: a.id)
+            for a in self.allocations.values()
             if a.live and a.origin in (AllocOrigin.HOST_HEAP, AllocOrigin.FOREIGN_HEAP)
         ]
 
@@ -537,9 +520,9 @@ class Memory:
                 f"pointer 0x{ptr.address:x} has no provenance and points into no allocation",
                 address=ptr.address,
             )
-        alloc = self.allocations.get(ptr.alloc_id)
-        if alloc is None:
-            alloc = self._materialize(self._locals[ptr.alloc_id])
+        alloc = self.allocations[ptr.alloc_id]
+        if alloc.immediate:
+            self._materialize(alloc)
         return alloc
 
     def check_bounds(self, ptr: PointerValue, size: int, what: str) -> Allocation:
@@ -586,10 +569,10 @@ class Memory:
                     f"(allocation aligned to {alloc.align})",
                     address=ptr.address,
                 )
-        if alloc.root is not None and size > 0:
+        if alloc.tag is not None and size > 0:
             rng = (ptr.offset, ptr.offset + size)
-            if alloc.tracker is None and ptr.provenance == alloc.root.tag:
-                alloc.root.last_valid_use = access_event(kind, rng, line)
+            if alloc.tracker is None and ptr.provenance == alloc.tag:
+                alloc.last_use = (kind, rng, line)
             else:
                 self.tracker(alloc).access(ptr.provenance, rng, kind, line)
         return alloc
@@ -621,9 +604,7 @@ class Memory:
         line: int = 0,
     ) -> None:
         alloc = self.check_access(ptr, size, align if align is not None else size, "write", line)
-        raw = value.to_bytes(size, "little", signed=value < 0)
-        alloc.values[ptr.offset : ptr.offset + size] = raw
-        _drop_fragments(alloc, ptr.offset, ptr.offset + size)
+        _put_int(alloc, ptr.offset, size, value)
 
     def write_uninit(self, ptr: PointerValue, size: int, line: int = 0) -> None:
         """A size-aligned write whose bytes end up uninitialized, with no provenance."""
@@ -633,13 +614,7 @@ class Memory:
 
     def write_pointer(self, ptr: PointerValue, value: PointerValue, line: int = 0) -> None:
         alloc = self.check_access(ptr, 8, 8, "write", line)
-        alloc.values[ptr.offset : ptr.offset + 8] = (value.address % (1 << 64)).to_bytes(8, "little")
-        if value.provenance is not None or value.alloc_id is not None:
-            key = (value.alloc_id, value.provenance)
-            for i in range(8):
-                alloc.fragments[ptr.offset + i] = (key, i)
-        else:
-            _drop_fragments(alloc, ptr.offset, ptr.offset + 8)
+        _put_pointer(alloc, ptr.offset, value)
 
     def read_pointer(
         self,
@@ -722,10 +697,10 @@ class Memory:
 
         Inside a live allocation the result carries wildcard provenance;
         otherwise it has none and every later access fails. Under strict
-        provenance this operation is itself an error. Allocations and
-        locals are disjoint and their bases increase with their ids, so the
-        only one that can hold `address` is the last one based at or below
-        it. A live immediate local that holds it is materialized.
+        provenance this operation is itself an error. Allocations are
+        disjoint and their bases increase with their ids, so the only one
+        that can hold `address` is the last one based at or below it. A live
+        immediate local that holds it is materialized.
         """
         address %= 1 << 64
         if self.strict_provenance:
@@ -735,11 +710,9 @@ class Memory:
                 address=address,
             )
         i = bisect_right(self._bases, address)  # the candidate's id, since ids count from 1
-        if i:
-            alloc = self.allocations.get(i)
-            local = self._locals.get(i)
-            if local is not None and address < local.base + local.size:
-                alloc = self._materialize(local)
-            if alloc is not None and alloc.live and address < alloc.base + alloc.size:
-                return PointerValue(address, alloc.id, address - alloc.base, WILDCARD)
+        alloc = self.allocations.get(i)
+        if alloc is not None and alloc.live and address < alloc.base + alloc.size:
+            if alloc.immediate:
+                self._materialize(alloc)
+            return PointerValue(address, i, address - alloc.base, WILDCARD)
         return no_provenance(address)

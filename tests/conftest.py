@@ -32,7 +32,7 @@ def init_mask(alloc: Allocation) -> tuple[bool, ...]:
 def make_tracker(cls: type[BorrowTracker], size: int) -> BorrowTracker:
     """A `cls` tracker for a `size`-byte alloc#1 whose root tag#1 is labelled "root".
 
-    It is rooted as `Memory.allocate` roots one, and draws later tags from 2 on.
+    It is rooted as `Memory.tracker` roots one, and draws later tags from 2 on.
     """
     tags = itertools.count(1).__next__
     return cls(1, size, tags, root_history(1, tags(), "root", 0))

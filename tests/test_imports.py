@@ -55,7 +55,7 @@ def test_no_locals_assigned_but_never_read():
     assert unread == {}
 
 
-# `Memory` owns an allocation's tracker and root tag and hands them only to the trackers.
+# `Memory` owns an allocation's tracker and its root's last use, and hands them only to the trackers.
 _BORROW_STATE_OWNERS = {"memory.py", "tree_borrows.py", "stacked_borrows.py"}
 
 
@@ -64,7 +64,7 @@ def _borrow_state_uses(path):
     return [
         f"{node.attr} (line {node.lineno})"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("tracker", "root")
+        if isinstance(node, ast.Attribute) and node.attr in ("tracker", "last_use")
     ]
 
 

@@ -1108,7 +1108,8 @@ def _allocation(machine, label):
 @pytest.mark.parametrize("model", ["tb", "sb"])
 def test_call_result_slot_is_created_and_written_at_the_call_line(model):
     machine, outcome = _machine_run(_CALL_RESULT_ALIASED, model)
-    root = _allocation(machine, "y").root
+    y = _allocation(machine, "y")
+    root = y.tracker.tags[y.tag]
     # Line 7 is the call, line 3 the callee's `return`. The result's write
     # is a root access made before `y`'s first retag; it must survive into
     # the history of the tracker that the retag builds.
@@ -1149,16 +1150,17 @@ end
 def test_only_a_retagged_allocation_builds_a_tracker(model):
     machine, outcome = _machine_run(_PINGPONG, model)
     assert outcome.classification is Classification.PASS
-    # Only `x` is borrowed, so only `x` becomes an allocation and builds a
-    # tracker; `raw`, the callbacks' `q` and `v` and `after` stay whole values.
+    # Only `x` is borrowed, so only `x` gets bytes and builds a tracker;
+    # `raw`, the callbacks' `q` and `v` and `after` stay whole values and
+    # leave `allocations` when their frames exit.
     (x,) = machine.memory.allocations.values()
-    assert (x.id, x.label, x.root.tag) == (1, "x", 1)
-    assert x.tracker is not None and x.root.last_valid_use is not None
+    assert (x.id, x.label, x.tag) == (1, "x", 1)
+    assert x.tracker is not None and x.tracker.tags[x.tag].last_valid_use is not None
     # Yet all seven locals drew an alloc id, a root tag and an 8-byte slot
     # in order: x, raw, q, v, q, v, after, with sb's `&raw mut x` retag
     # drawing a tag between x's and raw's (tb does not retag a raw borrow).
     probe = machine.memory.allocate(1, 1, AllocOrigin.HOST_HEAP)
-    assert (probe.id, probe.root.tag) == (8, {"tb": 8, "sb": 9}[model])
+    assert (probe.id, probe.tag) == (8, {"tb": 8, "sb": 9}[model])
     assert probe.base == x.base + 7 * (8 + GUARD_GAP)
 
 
@@ -1188,7 +1190,7 @@ def test_an_exposed_address_access_builds_the_tracker_and_keeps_the_root_use(mod
     assert outcome.classification is Classification.PASS
     p = _allocation(machine, "p")
     assert p.tracker is not None
-    assert p.root.last_valid_use.line == last_use
+    assert p.tracker.tags[p.tag].last_valid_use.line == last_use
     assert _allocation(machine, "s").tracker is None
 
 

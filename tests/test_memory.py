@@ -254,14 +254,18 @@ def test_from_exposed_finds_the_one_allocation_holding_the_address():
     mem = _mem()
     allocs = [mem.allocate(8, 8, AllocOrigin.HOST_STACK, f"a{i}") for i in range(5)]
     empty = mem.allocate(0, 1, AllocOrigin.HOST_STACK, "empty")
+    local = mem.reserve(4, 4, "local")
+    gone = mem.reserve(8, 8, "gone")  # released before any address reached it
     last = mem.allocate(8, 8, AllocOrigin.HOST_HEAP, "last")
     freed = allocs[3]
     mem.release_stack(freed.id)
-    for alloc, off in ((allocs[0], 0), (allocs[2], 5), (last, 7)):
+    mem.release_stack(gone.id)
+    for alloc, off in ((allocs[0], 0), (allocs[2], 5), (local, 3), (last, 7)):
         back = mem.from_exposed(alloc.base + off)
         assert (back.alloc_id, back.offset, back.provenance) == (alloc.id, off, WILDCARD)
+    assert not local.immediate and local.values == [None] * 4
     gap = allocs[1].base + allocs[1].size  # the guard gap after a live allocation
-    for address in (freed.base, empty.base, gap, last.base + last.size, allocs[0].base - 1):
+    for address in (freed.base, empty.base, gone.base, gap, last.base + last.size, allocs[0].base - 1):
         back = mem.from_exposed(address)
         assert (back.address, back.alloc_id, back.provenance) == (address, None, None)
 
@@ -288,9 +292,12 @@ def test_leak_report_lists_live_heap_allocations_in_id_order():
 def test_release_stack_is_idempotent():
     mem = _mem()
     alloc = mem.allocate(8, 8, AllocOrigin.HOST_STACK)
-    mem.release_stack(alloc.id)
-    mem.release_stack(alloc.id)
-    assert not alloc.live
+    local = mem.reserve(8, 8)  # never reached by an address
+    for released in (alloc, local):
+        mem.release_stack(released.id)
+        mem.release_stack(released.id)
+        assert not released.live
+    assert list(mem.allocations) == [alloc.id]
 
 
 def test_pointer_with_no_provenance_cannot_access():

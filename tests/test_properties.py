@@ -481,10 +481,11 @@ def test_suite_immediate_local_matches_the_byte_path(ty, ops):
                 byte_path.write_int(ptr, size, reinterpret(value, ty), line=line)
     assert immediate.from_exposed(local.base) == byte_path.from_exposed(alloc.base)
     made = immediate.allocations[local.id]
-    assert not local.immediate
+    assert made is local and not made.immediate
     assert (made.base, made.size, made.align, made.origin, made.label) == (
         alloc.base, alloc.size, alloc.align, alloc.origin, alloc.label
     )
     assert made.values == alloc.values
     assert made.fragments == alloc.fragments
-    assert made.root == alloc.root
+    made_root = immediate.tracker(made).tags[made.tag]
+    assert made_root == byte_path.tracker(alloc).tags[alloc.tag]

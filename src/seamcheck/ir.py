@@ -286,18 +286,21 @@ class ScenarioProgram:
     bindings: tuple[BindingSignature, ...]
     expectations: tuple[Expectation, ...] = ()
     tags: tuple[str, ...] = ()
+    # Name -> first definition of that name, built once per program so that a
+    # call finds its callee without a scan; not part of equality or repr.
+    functions_by_name: dict[str, FnDef] = field(init=False, compare=False, repr=False)
+    bindings_by_name: dict[str, BindingSignature] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # A dict keeps the last value given for a key, so build each from the end.
+        object.__setattr__(self, "functions_by_name", {f.name: f for f in reversed(self.functions)})
+        object.__setattr__(self, "bindings_by_name", {b.name: b for b in reversed(self.bindings)})
 
     def function(self, name: str) -> FnDef:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise KeyError(name)
+        return self.functions_by_name[name]
 
     def binding(self, name: str) -> BindingSignature:
-        for b in self.bindings:
-            if b.name == name:
-                return b
-        raise KeyError(name)
+        return self.bindings_by_name[name]
 
     def struct(self, name: str) -> StructType:
         for t in self.types:

@@ -777,10 +777,7 @@ class Machine:
 
     def _host_call(self, thread: _Thread, stmt: CallStmt) -> None:
         line = stmt.line
-        try:
-            binding = self.program.binding(stmt.callee)
-        except KeyError:
-            binding = None
+        binding = self.program.bindings_by_name.get(stmt.callee)
         if binding is None:
             callee = self.program.function(stmt.callee)
             args = self._host_args(thread, stmt, callee)

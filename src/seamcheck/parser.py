@@ -3,7 +3,10 @@
 A scenario file contains, in any order: `type` blocks, `host fn` and
 `foreign fn` blocks, `bind` declarations, `expect` annotations, and `tag`
 labels. Comments run from `#` to end of line. Statements are one per line;
-blocks close with `end`.
+blocks close with `end`. One regular-expression scan turns the whole text
+into tokens, and each statement is chosen by its first token; a
+`ParseError`'s column is worked out again from its line's text only when
+the error is raised.
 
 The grammar enforces the dialect rules: `let`, `call` and `return` share
 one rule across both dialects, and every other statement and right-hand
@@ -19,6 +22,7 @@ targets of the right dialect.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Callable, Iterator, Optional, Union
 
@@ -86,18 +90,18 @@ class ParseError(ValueError):
         self.col = col
 
 
+# A token is its text: `->`, `...`, an integer (`-?0x[0-9a-fA-F]+` or `-?\d+`),
+# an identifier, one punctuation character, or `_EOL` between lines. Each
+# alternative starts with a fixed character or set, so whitespace is skipped fast.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<arrow>->)
-  | (?P<ellipsis>\.\.\.)
-  | (?P<int>-?0x[0-9a-fA-F]+|-?\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[()\[\]{}:,.*&=@;-])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
+    r"[A-Za-z_][A-Za-z0-9_]*|\.\.\.|[()\[\]{}:,.*&=@;]|-(?:>|0x[0-9a-fA-F]+|\d+)?|0x[0-9a-fA-F]+|\d+|\n"
 )
+# A character that starts no token: not whitespace, a digit, an ASCII letter,
+# `_` or punctuation, or a `>` that does not end `->` (a `-` always starts a
+# token, so `->` is taken wherever `-` precedes `>`).
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_()\[\]{}:,.*&=@;-](?<!->)")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_EOL = "\n"
 
 _SCALARS: dict[str, TypeDesc] = {
     "i8": IntType(8, True),
@@ -114,109 +118,29 @@ _SCALARS: dict[str, TypeDesc] = {
     "unit": UNIT,
 }
 
-# A token is (kind, text, column). Every line ends in `_EOL`, whose column 0
-# makes an error at the end of a line carry no column.
-Token = tuple[str, str, int]
-_EOL: Token = ("eol", "end of line", 0)
 
-
-def _tokenize(text: str, line: int) -> list[Token]:
-    out: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() + 1)
-        out.append((kind, m.group(), m.start() + 1))
-    out.append(_EOL)
-    return out
-
-
-class _Line:
-    """Token cursor over one logical line."""
-
-    def __init__(self, toks: list[Token], line: int) -> None:
-        self.toks = toks
-        self.line = line
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def at(self, text: str) -> bool:
-        return self.toks[self.i][1] == text
-
-    def at_pair(self, first: str, second: str) -> bool:
-        # A token that matches `first` is not `_EOL`, so another follows it.
-        return self.toks[self.i][1] == first and self.toks[self.i + 1][1] == second
-
-    def at_end(self) -> bool:
-        return self.toks[self.i] is _EOL
-
-    def accept(self, text: str) -> bool:
-        """Take the next token if it reads `text`."""
-        if self.toks[self.i][1] == text:
-            self.i += 1
-            return True
-        return False
-
-    def take(self) -> Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def need(self, missing: str) -> Token:
-        """The next token; at the end of the line, a ParseError saying `missing`."""
-        t = self.toks[self.i]
-        if t is _EOL:
-            raise ParseError(missing, self.line)
-        return t
-
-    def expected(self, what: str) -> ParseError:
-        _, text, col = self.toks[self.i]
-        return ParseError(f"expected {what}, found {text!r}", self.line, col)
-
-    def expect(self, text: str) -> Token:
-        if self.toks[self.i][1] != text:
-            raise self.expected(repr(text))
-        return self.take()
-
-    def ident(self, what: str = "name") -> str:
-        kind, text, _ = self.toks[self.i]
-        if kind != "ident":
-            raise self.expected(what)
-        self.i += 1
-        return text
-
-    def integer(self) -> int:
-        kind, text, _ = self.toks[self.i]
-        if kind != "int":
-            raise self.expected("integer")
-        self.i += 1
-        return int(text, 0)
-
-    def rest(self) -> str:
-        """The tokens left on the line, joined without spaces."""
-        words = "".join(t[1] for t in self.toks[self.i : -1])
-        self.i = len(self.toks) - 1
-        return words
-
-    def done(self) -> None:
-        t = self.toks[self.i]
-        if t is not _EOL:
-            raise ParseError(f"trailing input starting at {t[1]!r}", self.line, t[2])
+def _is_int(tok: str) -> bool:
+    """Whether `tok` is an integer literal: a decimal digit first, after an optional `-`."""
+    return tok.lstrip("-")[:1].isdecimal()
 
 
 class _Parser:
+    """Recursive descent over the tokens of a whole text, one line at a time.
+
+    `toks` is every token of the text, with `_EOL` before each line; `i` is
+    the next token, `start` the first token of the current line and `line`
+    its number.
+    """
+
     def __init__(self, text: str, path: str) -> None:
         self.path = path
-        self.lines: list[tuple[int, str]] = []
-        for n, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.lines.append((n, body))
-        self.pos = 0
+        # One kind of line break, so that a comment ends where `str.splitlines` ends a line.
+        self.code = _COMMENT_RE.sub("", "\n".join(text.splitlines()))
+        self.toks = _TOKEN_RE.findall(f"\n{self.code}\n")
+        self.i = self.start = self.line = 0
+        bad = _BAD_RE.search(self.code)
+        # The line of the first character that starts no token; reached, it is an error.
+        self.bad_line = self.code.count("\n", 0, bad.start()) + 1 if bad else math.inf
         self.structs: dict[str, StructType] = {}
         self.struct_order: list[StructType] = []
         self.functions: list[FnDef] = []
@@ -224,341 +148,420 @@ class _Parser:
         self.expectations: list[Expectation] = []
         self.tags: list[str] = []
 
-    def _next_line(self) -> Optional[_Line]:
-        if self.pos >= len(self.lines):
-            return None
-        n, body = self.lines[self.pos]
-        self.pos += 1
-        return _Line(_tokenize(body, n), n)
+    # ---- the token cursor ----------------------------------------------------
 
-    def _block(self, head: _Line, what: str) -> Iterator[_Line]:
-        """The lines of the block opened by `head`, up to its `end`."""
-        while True:
-            ln = self._next_line()
-            if ln is None:
-                raise ParseError(f"{what} never closed with 'end'", head.line)
-            if ln.accept("end"):
-                ln.done()
+    def _next_line(self) -> bool:
+        """Move to the next line that holds a token; False past the last one."""
+        last = len(self.toks) - 1  # the `_EOL` that ends the text
+        while self.toks[self.i] == _EOL and self.i < last:
+            self.i += 1
+            self.line += 1
+        self.start = self.i
+        if self.line >= self.bad_line:
+            self.line = self.bad_line
+            bad = _BAD_RE.search(self.code.split("\n")[self.line - 1].strip())
+            raise ParseError(f"unexpected character {bad.group()!r}", self.line, bad.start() + 1)
+        return self.toks[self.i] != _EOL
+
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        """A ParseError at token `at` (by default the next one), its column found from the line's text."""
+        i = self.i if at is None else at
+        if self.toks[i] == _EOL:
+            return ParseError(message, self.line)
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.code.split("\n")[self.line - 1].strip())]
+        return ParseError(message, self.line, starts[i - self.start] + 1)
+
+    def at_pair(self, first: str, second: str) -> bool:
+        # A token that matches `first` is not `_EOL`, so another follows it.
+        return self.toks[self.i] == first and self.toks[self.i + 1] == second
+
+    def accept(self, text: str) -> bool:
+        """Take the next token if it reads `text`."""
+        if self.toks[self.i] == text:
+            self.i += 1
+            return True
+        return False
+
+    def take(self) -> str:
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def need(self, missing: str) -> str:
+        """The next token; at the end of the line, a ParseError saying `missing`."""
+        t = self.toks[self.i]
+        if t == _EOL:
+            raise ParseError(missing, self.line)
+        return t
+
+    def expected(self, what: str) -> ParseError:
+        t = self.toks[self.i]
+        return self.error(f"expected {what}, found {'end of line' if t == _EOL else t!r}")
+
+    def expect(self, text: str) -> None:
+        if self.toks[self.i] != text:
+            raise self.expected(repr(text))
+        self.i += 1
+
+    def ident(self, what: str = "name") -> str:
+        t = self.toks[self.i]
+        if not t.isidentifier():
+            raise self.expected(what)
+        self.i += 1
+        return t
+
+    def integer(self) -> int:
+        t = self.toks[self.i]
+        if not _is_int(t):
+            raise self.expected("integer")
+        try:
+            value = int(t, 0)
+        except ValueError:  # a leading zero, as in `08`
+            raise self.error(f"invalid integer literal {t!r}") from None
+        self.i += 1
+        return value
+
+    def rest(self) -> str:
+        """The tokens left on the line, joined without spaces."""
+        end = self.toks.index(_EOL, self.i)
+        words = "".join(self.toks[self.i : end])
+        self.i = end
+        return words
+
+    def done(self) -> None:
+        t = self.toks[self.i]
+        if t != _EOL:
+            raise self.error(f"trailing input starting at {t!r}")
+
+    def _block(self, head: int, what: str) -> Iterator[None]:
+        """Move to each line of the block opened at line `head`, up to its `end`."""
+        while self._next_line():
+            if self.toks[self.i] == "end":
+                self.i += 1
+                self.done()
                 return
-            yield ln
+            yield
+        raise ParseError(f"{what} never closed with 'end'", head)
 
     # ---- types ---------------------------------------------------------------
 
-    def parse_type(self, ln: _Line) -> TypeDesc:
-        kind, text, col = ln.need("expected a type")
-        if ln.accept("&"):
-            if ln.accept("mut"):
-                return PtrType(PtrKind.MUT_REF, self.parse_type(ln))
-            return PtrType(PtrKind.SHARED_REF, self.parse_type(ln))
-        if ln.accept("*"):
-            if ln.accept("mut"):
-                return PtrType(PtrKind.RAW_MUT, self.parse_type(ln))
-            if ln.accept("const"):
-                return PtrType(PtrKind.RAW_CONST, self.parse_type(ln))
-            raise ParseError("raw pointer needs 'mut' or 'const'", ln.line, col)
-        if ln.accept("["):
-            elem = self.parse_type(ln)
-            ln.expect(";")
-            count = ln.integer()
-            ln.expect("]")
+    def parse_type(self) -> TypeDesc:
+        t = self.need("expected a type")
+        ty = _SCALARS.get(t)
+        if ty is not None:
+            self.i += 1
+            return ty
+        start = self.i
+        self.i += 1
+        if t == "&":
+            kind = PtrKind.MUT_REF if self.accept("mut") else PtrKind.SHARED_REF
+            return PtrType(kind, self.parse_type())
+        if t == "*":
+            if self.accept("mut"):
+                return PtrType(PtrKind.RAW_MUT, self.parse_type())
+            if self.accept("const"):
+                return PtrType(PtrKind.RAW_CONST, self.parse_type())
+            raise self.error("raw pointer needs 'mut' or 'const'", start)
+        if t == "[":
+            elem = self.parse_type()
+            self.expect(";")
+            at = self.i
+            count = self.integer()
+            if count < 0:
+                raise self.error("array count must be non-negative", at)
+            self.expect("]")
             return ArrayType(elem, count)
-        if kind == "ident":
-            ln.take()
-            if text == "ptr":
-                return PtrType(PtrKind.OPAQUE, None)
-            if text in ("cell", "phantom"):
-                ln.expect("(")
-                inner = self.parse_type(ln)
-                ln.expect(")")
-                return CellType(inner) if text == "cell" else PhantomType(inner)
-            if text in _SCALARS:
-                return _SCALARS[text]
-            if text in self.structs:
-                return self.structs[text]
-            raise ParseError(f"unknown type '{text}'", ln.line, col)
-        raise ln.expected("a type")
+        if t == "ptr":
+            return PtrType(PtrKind.OPAQUE, None)
+        if t == "cell" or t == "phantom":
+            self.expect("(")
+            inner = self.parse_type()
+            self.expect(")")
+            return CellType(inner) if t == "cell" else PhantomType(inner)
+        ty = self.structs.get(t)
+        if ty is not None:
+            return ty
+        if t.isidentifier():
+            raise self.error(f"unknown type '{t}'", start)
+        self.i = start
+        raise self.expected("a type")
 
-    def _parse_type_block(self, ln: _Line) -> None:
-        name = ln.ident("type name")
-        ln.done()
+    def _parse_type_block(self) -> None:
+        head = self.line
+        name = self.ident("type name")
+        self.done()
         if name in self.structs or name in _SCALARS:
-            raise ParseError(f"type '{name}' already defined", ln.line)
+            raise ParseError(f"type '{name}' already defined", head)
         fields: list[FieldDef] = []
-        for fl in self._block(ln, f"type '{name}'"):
-            fname = fl.ident("field name")
-            fl.expect(":")
-            ftype = self.parse_type(fl)
+        for _ in self._block(head, f"type '{name}'"):
+            fname = self.ident("field name")
+            self.expect(":")
+            ftype = self.parse_type()
             offset = None
-            if fl.accept("@"):
-                offset = fl.integer()
-            fl.done()
+            if self.accept("@"):
+                offset = self.integer()
+            self.done()
             fields.append(FieldDef(fname, ftype, offset))
         struct = StructType(name, tuple(fields))
         try:
             layout_of(struct)
         except LayoutError as e:
-            raise ParseError(str(e), ln.line) from None
+            raise ParseError(str(e), head) from None
         self.structs[name] = struct
         self.struct_order.append(struct)
 
     # ---- places and operands -------------------------------------------------
 
-    def parse_place(self, ln: _Line) -> Place:
-        deref = ln.accept("*")
-        base = ln.ident("place")
+    def parse_place(self) -> Place:
+        deref = self.accept("*")
+        base = self.ident("place")
+        toks = self.toks
         steps: list[Union[str, int]] = []
         while True:
-            if ln.at("."):
-                kind, text, _ = ln.toks[ln.i + 1]
+            t = toks[self.i]
+            if t == ".":
+                name = toks[self.i + 1]
                 # `.get(` and `.offset(` are method forms, not field steps.
-                if kind != "ident" or text in ("get", "offset") and ln.toks[ln.i + 2][1] == "(":
+                if not name.isidentifier() or name in ("get", "offset") and toks[self.i + 2] == "(":
                     break
-                ln.i += 2
-                steps.append(text)
-            elif ln.accept("["):
-                steps.append(ln.integer())
-                ln.expect("]")
+                self.i += 2
+                steps.append(name)
+            elif t == "[":
+                self.i += 1
+                steps.append(self.integer())
+                self.expect("]")
             else:
                 break
         return Place(base, deref, tuple(steps))
 
-    def parse_operand(self, ln: _Line) -> Operand:
-        if ln.need("expected a value")[0] == "int":
-            return ln.integer()
-        return ln.ident("value")
+    def parse_operand(self) -> Operand:
+        if _is_int(self.need("expected a value")):
+            return self.integer()
+        return self.ident("value")
 
-    def _parse_args(self, ln: _Line) -> tuple[Operand, ...]:
-        ln.expect("(")
+    def _parse_args(self) -> tuple[Operand, ...]:
+        self.expect("(")
         args: list[Operand] = []
-        if not ln.at(")"):
+        if not self.accept(")"):
             while True:
-                args.append(self.parse_operand(ln))
-                if not ln.accept(","):
+                args.append(self.parse_operand())
+                if not self.accept(","):
                     break
-        ln.expect(")")
+            self.expect(")")
         return tuple(args)
 
     # ---- statements ----------------------------------------------------------
 
-    def _parse_stmt(self, ln: _Line, host: bool) -> Stmt:
-        if ln.accept("let"):
-            stmt = self._parse_let(ln, host)
-        elif ln.accept("call"):
-            stmt = self._parse_call(ln)
-        elif ln.accept("return"):
-            stmt = ReturnStmt(None if ln.at_end() else self.parse_operand(ln), line=ln.line)
+    def _parse_stmt(self, host: bool) -> Stmt:
+        """One statement, chosen by its first token."""
+        first = self.take()
+        if first == "let":
+            stmt = self._parse_let(host)
+        elif first == "call":
+            stmt = self._parse_call()
+        elif first == "return":
+            stmt = ReturnStmt(None if self.toks[self.i] == _EOL else self.parse_operand(), line=self.line)
         elif host:
-            stmt = self._parse_host_stmt(ln)
+            stmt = self._parse_host_stmt(first)
         else:
-            stmt = self._parse_foreign_stmt(ln)
-        ln.done()
+            stmt = self._parse_foreign_stmt(first)
+        self.done()
         return stmt
 
-    def _parse_call(
-        self, ln: _Line, dest: Optional[str] = None, dest_type: Optional[TypeDesc] = None
-    ) -> CallStmt:
-        callee = ln.ident("function name")
-        args = self._parse_args(ln)
-        return CallStmt(callee, args, dest=dest, dest_type=dest_type, line=ln.line)
+    def _parse_call(self, dest: Optional[str] = None, dest_type: Optional[TypeDesc] = None) -> CallStmt:
+        callee = self.ident("function name")
+        args = self._parse_args()
+        return CallStmt(callee, args, dest=dest, dest_type=dest_type, line=self.line)
 
-    def _parse_let(self, ln: _Line, host: bool) -> Stmt:
+    def _parse_let(self, host: bool) -> Stmt:
         """`let NAME: TYPE = RHS` in host code, `let NAME = RHS` in foreign code."""
-        name = ln.ident()
+        name = self.ident()
         ty = None
         if host:
-            ln.expect(":")
-            ty = self.parse_type(ln)
-        ln.expect("=")
-        if ln.accept("call"):
-            return self._parse_call(ln, name, ty)
+            self.expect(":")
+            ty = self.parse_type()
+        self.expect("=")
+        if self.accept("call"):
+            return self._parse_call(name, ty)
         if host:
-            return LetStmt(name, ty, self._parse_host_rhs(ln, ty), line=ln.line)
-        return LetStmt(name, None, self._parse_foreign_rhs(ln), line=ln.line)
+            return LetStmt(name, ty, self._parse_host_rhs(ty), line=self.line)
+        return LetStmt(name, None, self._parse_foreign_rhs(), line=self.line)
 
-    def _parse_host_rhs(self, ln: _Line, ty: TypeDesc) -> Rhs:
-        kind, text, _ = ln.need("missing right-hand side")
-        if kind == "int":
-            return LiteralRhs(ln.integer())
-        if ln.accept("&"):
-            if ln.accept("raw"):
-                if ln.accept("mut"):
-                    return BorrowRhs(PtrKind.RAW_MUT, self.parse_place(ln))
-                ln.expect("const")
-                return BorrowRhs(PtrKind.RAW_CONST, self.parse_place(ln))
-            if ln.accept("mut"):
-                return BorrowRhs(PtrKind.MUT_REF, self.parse_place(ln))
-            return BorrowRhs(PtrKind.SHARED_REF, self.parse_place(ln))
-        if ln.accept("uninit"):
+    def _parse_host_rhs(self, ty: TypeDesc) -> Rhs:
+        t = self.need("missing right-hand side")
+        if _is_int(t):
+            return LiteralRhs(self.integer())
+        self.i += 1
+        if t == "&":
+            if not self.accept("raw"):
+                kind = PtrKind.MUT_REF if self.accept("mut") else PtrKind.SHARED_REF
+                return BorrowRhs(kind, self.parse_place())
+            if self.accept("mut"):
+                return BorrowRhs(PtrKind.RAW_MUT, self.parse_place())
+            self.expect("const")
+            return BorrowRhs(PtrKind.RAW_CONST, self.parse_place())
+        if t == "uninit":
             return UninitRhs()
-        if ln.accept("zeroed"):
+        if t == "zeroed":
             return ZeroedRhs()
-        if ln.accept("heap_new"):
-            heap_ty = self.parse_type(ln)
-            if ln.accept("zeroed"):
+        if t == "heap_new":
+            heap_ty = self.parse_type()
+            if self.accept("zeroed"):
                 return HeapNewRhs(heap_ty, "zeroed")
-            if ln.peek()[0] == "int":
-                return HeapNewRhs(heap_ty, ln.integer())
+            if _is_int(self.toks[self.i]):
+                return HeapNewRhs(heap_ty, self.integer())
             return HeapNewRhs(heap_ty, None)
-        if ln.accept("heap_into_raw"):
-            return HeapIntoRawRhs(ln.ident())
-        if ln.accept("heap_from_raw"):
-            return HeapFromRawRhs(ln.ident())
-        # Remaining forms start with an identifier: cast, offset, get, or place.
-        if kind == "ident":
-            ln.take()
-            if ln.accept("as"):
-                target = self.parse_type(ln)
-                ln.done()
+        if t == "heap_into_raw":
+            return HeapIntoRawRhs(self.ident())
+        if t == "heap_from_raw":
+            return HeapFromRawRhs(self.ident())
+        # Remaining forms start with an identifier (cast, offset) or are a place.
+        if t.isidentifier():
+            if self.accept("as"):
+                target = self.parse_type()
+                self.done()
                 if target != ty:
-                    raise ParseError(
-                        f"cast target {target} disagrees with declared type {ty}", ln.line
-                    )
-                return CastRhs(text)
-            if ln.at_pair(".", "offset"):
-                ln.i += 2
-                ln.expect("(")
-                count = self.parse_operand(ln)
-                ln.expect(")")
-                return OffsetRhs(text, count)
-            ln.i -= 1
-        place = self.parse_place(ln)
-        if ln.at_pair(".", "get"):
-            ln.i += 2
-            ln.expect("(")
-            ln.expect(")")
+                    raise ParseError(f"cast target {target} disagrees with declared type {ty}", self.line)
+                return CastRhs(t)
+            if self.at_pair(".", "offset"):
+                self.i += 2
+                self.expect("(")
+                count = self.parse_operand()
+                self.expect(")")
+                return OffsetRhs(t, count)
+        self.i -= 1
+        place = self.parse_place()
+        if self.at_pair(".", "get"):
+            self.i += 2
+            self.expect("(")
+            self.expect(")")
             return CellGetRhs(place)
         return PlaceRhs(place)
 
-    def _parse_host_stmt(self, ln: _Line) -> Stmt:
-        n = ln.line
-        if ln.accept("assume_init"):
-            return AssumeInitStmt(self.parse_place(ln), line=n)
-        if ln.accept("assert_eq"):
-            left = self.parse_operand(ln)
-            return AssertEqStmt(left, self.parse_operand(ln), line=n)
-        if ln.accept("spawn"):
-            handle = ln.ident("handle")
-            ln.expect("=")
-            callee = ln.ident("function name")
-            return SpawnStmt(handle, callee, self._parse_args(ln), line=n)
-        if ln.accept("join"):
-            return JoinStmt(ln.ident("handle"), line=n)
-        place = self.parse_place(ln)
-        ln.expect("=")
-        return WriteStmt(place, self.parse_operand(ln), line=n)
+    def _parse_host_stmt(self, first: str) -> Stmt:
+        n = self.line
+        if first == "assume_init":
+            return AssumeInitStmt(self.parse_place(), line=n)
+        if first == "assert_eq":
+            left = self.parse_operand()
+            return AssertEqStmt(left, self.parse_operand(), line=n)
+        if first == "spawn":
+            handle = self.ident("handle")
+            self.expect("=")
+            callee = self.ident("function name")
+            return SpawnStmt(handle, callee, self._parse_args(), line=n)
+        if first == "join":
+            return JoinStmt(self.ident("handle"), line=n)
+        self.i -= 1  # a write, whose place starts at the first token
+        place = self.parse_place()
+        self.expect("=")
+        return WriteStmt(place, self.parse_operand(), line=n)
 
-    def _parse_foreign_rhs(self, ln: _Line) -> Rhs:
-        if ln.need("missing right-hand side")[0] == "int":
-            return LiteralRhs(ln.integer())
-        if ln.accept("load"):
-            ty = self.parse_type(ln)
-            return LoadRhs(ty, ln.ident("pointer"))
-        if ln.accept("malloc"):
-            return MallocRhs(self.parse_operand(ln))
-        if ln.accept("alloca"):
-            return AllocaRhs(self.parse_operand(ln))
-        if ln.accept("gep"):
-            ptr = ln.ident("pointer")
-            return GepRhs(ptr, self.parse_operand(ln))
-        return PlaceRhs(Place(ln.ident("value")))
+    def _parse_foreign_rhs(self) -> Rhs:
+        t = self.need("missing right-hand side")
+        if _is_int(t):
+            return LiteralRhs(self.integer())
+        self.i += 1
+        if t == "load":
+            return LoadRhs(self.parse_type(), self.ident("pointer"))
+        if t == "malloc":
+            return MallocRhs(self.parse_operand())
+        if t == "alloca":
+            return AllocaRhs(self.parse_operand())
+        if t == "gep":
+            return GepRhs(self.ident("pointer"), self.parse_operand())
+        self.i -= 1
+        return PlaceRhs(Place(self.ident("value")))
 
-    def _parse_foreign_stmt(self, ln: _Line) -> Stmt:
-        n = ln.line
-        if ln.accept("store"):
-            ty = self.parse_type(ln)
-            ptr = ln.ident("pointer")
-            return StoreStmt(ty, ptr, self.parse_operand(ln), line=n)
-        if ln.accept("free"):
-            return FreeStmt(ln.ident("pointer"), line=n)
-        if ln.accept("memset"):
-            ptr = ln.ident("pointer")
-            value = self.parse_operand(ln)
-            return MemsetStmt(ptr, value, self.parse_operand(ln), line=n)
-        if ln.accept("memcpy"):
-            dest = ln.ident("pointer")
-            src = ln.ident("pointer")
-            return MemcpyStmt(dest, src, self.parse_operand(ln), line=n)
-        _, text, col = ln.peek()
-        raise ParseError(f"unknown foreign statement starting with {text!r}", n, col)
+    def _parse_foreign_stmt(self, first: str) -> Stmt:
+        n = self.line
+        if first == "store":
+            return StoreStmt(self.parse_type(), self.ident("pointer"), self.parse_operand(), line=n)
+        if first == "free":
+            return FreeStmt(self.ident("pointer"), line=n)
+        if first == "memset":
+            return MemsetStmt(self.ident("pointer"), self.parse_operand(), self.parse_operand(), line=n)
+        if first == "memcpy":
+            return MemcpyStmt(self.ident("pointer"), self.ident("pointer"), self.parse_operand(), line=n)
+        raise self.error(f"unknown foreign statement starting with {first!r}", self.start)
 
     # ---- blocks --------------------------------------------------------------
 
-    def _parse_signature(
-        self, ln: _Line, param: Callable[[_Line], object]
-    ) -> tuple[tuple, bool, TypeDesc]:
+    def _parse_signature(self, param: Callable[[], object]) -> tuple[tuple, bool, TypeDesc]:
         """`(PARAM, ... [, ...]) [-> TYPE]` to the end of the line: params, variadic, return."""
-        ln.expect("(")
+        self.expect("(")
         params = []
         variadic = False
-        if not ln.at(")"):
+        if self.toks[self.i] != ")":
             while True:
-                if ln.accept("..."):
+                if self.accept("..."):
                     variadic = True
                     break
-                params.append(param(ln))
-                if not ln.accept(","):
+                params.append(param())
+                if not self.accept(","):
                     break
-        ln.expect(")")
+        self.expect(")")
         ret: TypeDesc = UNIT
-        if ln.accept("->"):
-            ret = self.parse_type(ln)
-        ln.done()
+        if self.accept("->"):
+            ret = self.parse_type()
+        self.done()
         return tuple(params), variadic, ret
 
-    def _parse_param(self, ln: _Line) -> Param:
-        name = ln.ident("parameter name")
-        ln.expect(":")
-        return Param(name, self.parse_type(ln))
+    def _parse_param(self) -> Param:
+        name = self.ident("parameter name")
+        self.expect(":")
+        return Param(name, self.parse_type())
 
-    def _parse_fn(self, ln: _Line, dialect: Dialect) -> None:
-        ln.expect("fn")
-        name = ln.ident("function name")
-        params, variadic, ret = self._parse_signature(ln, self._parse_param)
+    def _parse_fn(self, dialect: Dialect) -> None:
+        head = self.line
+        self.expect("fn")
+        name = self.ident("function name")
+        params, variadic, ret = self._parse_signature(self._parse_param)
         host = dialect is Dialect.HOST
-        body = tuple(self._parse_stmt(sl, host) for sl in self._block(ln, f"function '{name}'"))
-        self.functions.append(FnDef(name, dialect, params, ret, body, variadic, line=ln.line))
+        body = tuple(self._parse_stmt(host) for _ in self._block(head, f"function '{name}'"))
+        self.functions.append(FnDef(name, dialect, params, ret, body, variadic, line=head))
 
-    def _parse_bind(self, ln: _Line) -> None:
-        alias = target = ln.ident("function name")
-        if ln.accept("="):
-            target = ln.ident("function name")
-        params, variadic, ret = self._parse_signature(ln, self.parse_type)
+    def _parse_bind(self) -> None:
+        alias = target = self.ident("function name")
+        if self.accept("="):
+            target = self.ident("function name")
+        params, variadic, ret = self._parse_signature(self.parse_type)
         self.bindings.append(
-            BindingSignature(alias, target, params, ret, variadic, line=ln.line)
+            BindingSignature(alias, target, params, ret, variadic, line=self.line)
         )
 
-    def _parse_expect(self, ln: _Line) -> None:
+    def _parse_expect(self) -> None:
         model = None
-        if ln.at_pair("tb", ":") or ln.at_pair("sb", ":"):
-            model = ln.take()[1]
-            ln.take()
-        tag_text = ln.rest()
+        if self.at_pair("tb", ":") or self.at_pair("sb", ":"):
+            model = self.take()
+            self.i += 1
+        tag_text = self.rest()
         try:
             outcome = OutcomeTag(tag_text)
         except ValueError:
-            raise ParseError(f"unknown outcome '{tag_text}'", ln.line) from None
+            raise ParseError(f"unknown outcome '{tag_text}'", self.line) from None
         self.expectations.append(Expectation(outcome, model))
 
     def parse(self) -> ScenarioProgram:
-        while (ln := self._next_line()) is not None:
-            if ln.accept("type"):
-                self._parse_type_block(ln)
-            elif ln.accept("host"):
-                self._parse_fn(ln, Dialect.HOST)
-            elif ln.accept("foreign"):
-                self._parse_fn(ln, Dialect.FOREIGN)
-            elif ln.accept("bind"):
-                self._parse_bind(ln)
-            elif ln.accept("expect"):
-                self._parse_expect(ln)
-            elif ln.accept("tag"):
-                label = ln.rest()
+        while self._next_line():
+            first = self.take()
+            if first == "host":
+                self._parse_fn(Dialect.HOST)
+            elif first == "foreign":
+                self._parse_fn(Dialect.FOREIGN)
+            elif first == "bind":
+                self._parse_bind()
+            elif first == "type":
+                self._parse_type_block()
+            elif first == "expect":
+                self._parse_expect()
+            elif first == "tag":
+                label = self.rest()
                 if not label:
-                    raise ParseError("tag needs a label", ln.line)
+                    raise ParseError("tag needs a label", self.line)
                 self.tags.append(label)
             else:
-                _, text, col = ln.peek()
-                raise ParseError(f"unexpected top-level input {text!r}", ln.line, col)
+                raise self.error(f"unexpected top-level input {first!r}", self.start)
         program = ScenarioProgram(
             path=self.path,
             types=tuple(self.struct_order),
@@ -584,20 +587,17 @@ def parse_file(path: str) -> ScenarioProgram:
 
 
 def _validate(program: ScenarioProgram) -> None:
-    names: dict[str, FnDef] = {}
+    names = program.functions_by_name
     for f in program.functions:
-        if f.name in names:
+        if names[f.name] is not f:
             raise ParseError(f"function '{f.name}' defined twice", f.line)
-        names[f.name] = f
-    binding_names: dict[str, BindingSignature] = {}
+    binding_names = program.bindings_by_name
     for b in program.bindings:
-        if b.name in binding_names:
+        if binding_names[b.name] is not b:
             raise ParseError(f"binding '{b.name}' declared twice", b.line)
-        binding_names[b.name] = b
-    try:
-        entry = program.entry
-    except KeyError:
-        raise ParseError("no 'main' function", 1) from None
+    entry = names.get("main")
+    if entry is None:
+        raise ParseError("no 'main' function", 1)
     if entry.dialect is not Dialect.HOST:
         raise ParseError("'main' must be a host function", entry.line)
     if entry.params:

@@ -71,6 +71,16 @@ def test_parse_error_exits_sixty_four(scenario, capsys):
     assert "error:" in err and ":2:" in err
 
 
+@pytest.mark.parametrize("literal", ["08", "-01", "0\u0663"])
+def test_leading_zero_literal_exits_sixty_four_not_internal_error(scenario, capsys, literal):
+    with pytest.raises(SystemExit) as e:
+        main([scenario(f"host fn main()\n  let x: i32 = {literal}\nend\n")])
+    assert e.value.code == 64
+    err = capsys.readouterr().err
+    assert f":2:14: invalid integer literal '{literal}'" in err
+    assert "internal error" not in err
+
+
 def test_missing_file_exits_sixty_four(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main([str(tmp_path / "absent.sc")])

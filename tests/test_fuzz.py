@@ -7,6 +7,7 @@ mutation, and the exception it raised.
 """
 
 import random
+import string
 
 from seamcheck.machine import MachineConfig, run_program
 from seamcheck.parser import ParseError, parse_text
@@ -61,3 +62,56 @@ def test_corpus_mutants_parse_or_run_to_an_outcome():
     assert not failures, f"{len(failures)} escaped exceptions:\n" + "\n".join(failures[:20])
     # The mutations must leave enough programs parseable to exercise the machine.
     assert ran >= _MUTANTS // 10
+
+
+_CHAR_SEED = 1
+_CHAR_MUTANTS = 5000
+# Digits, letters, the punctuation tokens, `>` (only legal in `->`), the
+# comment mark, a tab and one letter no identifier may hold.
+_ALPHABET = string.digits + string.ascii_letters + "()[]{}:,.*&=@;-" + ">#\té"
+
+
+def _mutate_char(rng: random.Random, lines: list[str], code_lines: list[int]) -> tuple[str, list[str]]:
+    """Insert, delete or replace one character of a line that holds code."""
+    i = rng.choice(code_lines)
+    line = lines[i]
+    j = rng.randrange(len(line) + 1)
+    c = rng.choice(_ALPHABET)
+    mutation = rng.choice(("insert", "delete", "replace"))
+    if mutation == "insert":
+        new = line[:j] + c + line[j:]
+    elif mutation == "delete":
+        new = line[:j] + line[j + 1:]
+    else:
+        new = line[:j] + c + line[j + 1:]
+    return f"line {i + 1}: {line!r} -> {new!r}", lines[:i] + [new] + lines[i + 1:]
+
+
+def test_character_mutants_parse_or_run_to_an_outcome():
+    rng = random.Random(_CHAR_SEED)
+    sources = []
+    for path in corpus_files():
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        code_lines = [i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()]
+        sources.append((path.rsplit("/", 1)[-1], lines, code_lines))
+    failures = []
+    ran = 0
+    for _ in range(_CHAR_MUTANTS):
+        name, lines, code_lines = rng.choice(sources)
+        what, mutant = _mutate_char(rng, lines, code_lines)
+        try:
+            program = parse_text("\n".join(mutant) + "\n", name)
+        except ParseError:
+            continue
+        except Exception as e:  # any other exception is the finding
+            failures.append(f"{name}, {what}: parse raised {type(e).__name__}: {e}")
+            continue
+        ran += 1
+        for model in ("tb", "sb"):
+            try:
+                run_program(program, MachineConfig(model=model, step_budget=_STEP_BUDGET))
+            except Exception as e:
+                failures.append(f"{name}, {what}: {model} raised {type(e).__name__}: {e}")
+    assert not failures, f"{len(failures)} escaped exceptions:\n" + "\n".join(failures[:20])
+    assert ran >= _CHAR_MUTANTS // 10

@@ -10,13 +10,17 @@ import pytest
 from seamcheck.diagnostics import Classification, DiagnosticKind
 from seamcheck.ir import (
     AssertEqStmt,
+    BindingSignature,
     CallStmt,
     CastRhs,
     Dialect,
     Expectation,
+    FnDef,
+    LetStmt,
     LiteralRhs,
     OutcomeTag,
     Place,
+    ScenarioProgram,
     StoreStmt,
     WriteStmt,
 )
@@ -476,3 +480,154 @@ def test_render_round_trip_over_corpus(name):
     program = parse_text(text, path)
     rendered = render_program(program)
     assert parse_text(rendered, path=program.path) == program
+
+
+_MAIN = "host fn main()\nend\n"
+
+# One case per place the parser raises ParseError: (text, line, col, message).
+# Columns count from 1 in the line with its comment and leading whitespace
+# removed; 0 means the error has no column (end of line, or a whole line or
+# program).
+_ERROR_POSITIONS = {
+    # the tokenizer: a bad character comes before any grammar error on its line
+    "bad_character": ("host fn main()\n  let x: i32 = 1 $ 2\nend\n", 2, 16, "unexpected character '$'"),
+    "bad_character_before_grammar_error": (
+        "host fn main()\n  let = 1 ? \nend\n", 2, 9, "unexpected character '?'"
+    ),
+    "bad_greater_than": ("host fn main() > i32\nend\n", 1, 16, "unexpected character '>'"),
+    "column_after_unicode_digit": (
+        "host fn main()\n  let x: i32 = \u0663 \u00e9\nend\n", 2, 16, "unexpected character '\u00e9'"
+    ),
+    # expected X, found Y: mid-line, at the end of a line, after a tab indent
+    "expected_mid_line": ("host fn main()\n  let x i32 = 1\nend\n", 2, 7, "expected ':', found 'i32'"),
+    "expected_at_end_of_line": (
+        "host fn main(\nend\n", 1, 0, "expected parameter name, found 'end of line'"
+    ),
+    "expected_after_comment_strip": (
+        "host fn main()\n\t  assert_eq 1 (  # note\nend\n", 2, 13, "expected value, found '('"
+    ),
+    # trailing input, including a token whose text also appears earlier
+    "trailing_input": ("host fn main()\n  let x: i32 = 1 2\nend\n", 2, 16, "trailing input starting at '2'"),
+    "repeated_token_text": ("host fn main()\n  assert_eq x x x\nend\n", 2, 15, "trailing input starting at 'x'"),
+    "tab_indent_trailing": ("host fn main()\n\t\tjoin h h\nend\n", 2, 8, "trailing input starting at 'h'"),
+    # blocks
+    "block_never_closed": ("type T\n  a: u32\n", 1, 0, "type 'T' never closed with 'end'"),
+    # types
+    "type_missing": ("host fn main()\n  let x: = 1\nend\n", 2, 8, "expected a type, found '='"),
+    "type_missing_at_end": ("host fn main()\n  let x:\nend\n", 2, 0, "expected a type"),
+    "type_expected_punct": ("host fn main()\n  let x: ( = 1\nend\n", 2, 8, "expected a type, found '('"),
+    "raw_pointer_needs_qualifier": (
+        "host fn main()\n  let p: *i32 = 0\nend\n", 2, 8, "raw pointer needs 'mut' or 'const'"
+    ),
+    "nested_raw_pointer": (
+        "host fn main()\n  let p: &[*i32; 2] = 0\nend\n", 2, 10, "raw pointer needs 'mut' or 'const'"
+    ),
+    "unknown_type": ("host fn main()\n  let x: &mut wat = 1\nend\n", 2, 13, "unknown type 'wat'"),
+    "field_type_unknown": ("type T\n  a: [Q; 2]\nend\n" + _MAIN, 2, 5, "unknown type 'Q'"),
+    "foreign_store_bad_type": (
+        "foreign fn f(p: ptr)\n  store & p 1\nend\n" + _MAIN, 2, 9, "unknown type 'p'"
+    ),
+    "type_already_defined": ("type T\nend\ntype T\nend\n" + _MAIN, 3, 0, "type 'T' already defined"),
+    "type_shadows_scalar": ("type u8\nend\n" + _MAIN, 1, 0, "type 'u8' already defined"),
+    "struct_layout_error": (
+        "type Bad\n  a: u32 @ 2\nend\n" + _MAIN, 1, 0, "Bad.a: explicit offset 2 breaks 4-alignment"
+    ),
+    # values and right-hand sides
+    "value_missing": ("host fn main()\n  assert_eq 1\nend\n", 2, 0, "expected a value"),
+    "rhs_missing": ("host fn main()\n  let x: i32 =\nend\n", 2, 0, "missing right-hand side"),
+    "foreign_rhs_missing": ("foreign fn f()\n  let x =\nend\n" + _MAIN, 2, 0, "missing right-hand side"),
+    "cast_disagrees": (
+        "host fn main()\n  let x: i32 = 0\n  let y: i64 = x as i32\nend\n",
+        3, 0, "cast target i32 disagrees with declared type i64",
+    ),
+    "unknown_foreign_statement": (
+        "foreign fn f()\n  jump p\nend\n" + _MAIN, 2, 1, "unknown foreign statement starting with 'jump'"
+    ),
+    # top level
+    "unknown_outcome": ("expect tb: no-such\n" + _MAIN, 1, 0, "unknown outcome 'no-such'"),
+    "expect_model_only": ("expect tb:\n" + _MAIN, 1, 0, "unknown outcome ''"),
+    "tag_without_label": ("tag\n" + _MAIN, 1, 0, "tag needs a label"),
+    "unexpected_top_level": (_MAIN + "let x: i32 = 1\n", 3, 1, "unexpected top-level input 'let'"),
+    # validation
+    "function_defined_twice": (_MAIN + "\n" + _MAIN, 4, 0, "function 'main' defined twice"),
+    "binding_declared_twice": (
+        "bind f = c_f()\nbind f = c_f()\nforeign fn c_f()\nend\n" + _MAIN,
+        2, 0, "binding 'f' declared twice",
+    ),
+    "no_main": ("foreign fn only()\nend\n", 1, 0, "no 'main' function"),
+    "main_not_host": ("foreign fn main()\nend\n", 1, 0, "'main' must be a host function"),
+    "main_with_params": ("\nhost fn main(x: i32)\nend\n", 2, 0, "'main' takes no parameters"),
+    "spawn_target_foreign": (
+        "foreign fn c_w()\nend\nhost fn main()\n  spawn h = c_w()\n  join h\nend\n",
+        4, 0, "spawn target 'c_w' is not a host function",
+    ),
+    "binding_target_not_foreign": (
+        "bind f = g()\nhost fn g()\nend\nhost fn main()\n  call f()\nend\n",
+        5, 0, "binding 'f' names 'g', which is not a foreign function",
+    ),
+    "host_calls_foreign_directly": (
+        "foreign fn c_f()\nend\nhost fn main()\n  call c_f()\nend\n",
+        4, 0, "calls into foreign code go through a binding; none declares 'c_f'",
+    ),
+    "host_calls_unknown": ("host fn main()\n  call nowhere()\nend\n", 2, 0, "unknown function 'nowhere'"),
+    "foreign_calls_unknown": (
+        "foreign fn c_f()\n  call nowhere()\nend\n" + _MAIN, 2, 0, "unknown function 'nowhere'"
+    ),
+    "foreign_calls_foreign": (
+        "foreign fn c_a()\nend\nforeign fn c_b()\n  call c_a()\nend\n" + _MAIN,
+        4, 0, "foreign-to-foreign calls are out of scope; only host functions may be called back",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _ERROR_POSITIONS)
+def test_parse_error_position(name):
+    text, line, col, message = _ERROR_POSITIONS[name]
+    with pytest.raises(ParseError) as e:
+        parse_text(text)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
+
+
+def test_bad_characters_in_comments_are_ignored():
+    program = parse_text("# $ and > are fine here\nhost fn main()\n  let x: i32 = 1 # ? too\nend\n")
+    assert program.entry.body == (LetStmt("x", IntType(32, True), LiteralRhs(1)),)
+
+
+@pytest.mark.parametrize("literal", ["08", "-01", "0٣"])
+def test_integer_literal_with_a_leading_zero_is_a_parse_error(literal):
+    with pytest.raises(ParseError) as e:
+        parse_text(f"host fn main()\n  let x: i32 = {literal}\nend\n")
+    assert (e.value.line, e.value.col, e.value.message) == (2, 14, f"invalid integer literal '{literal}'")
+
+
+def test_zero_digits_and_unicode_digits_are_integer_literals():
+    body = _main_body("host fn main()\n  let a: i32 = 00\n  let b: i32 = ٣\n  let c: i32 = -0\nend\n")
+    assert [s.rhs for s in body] == [LiteralRhs(0), LiteralRhs(3), LiteralRhs(0)]
+
+
+def test_negative_array_count_is_a_parse_error():
+    with pytest.raises(ParseError) as e:
+        parse_text("host fn main()\n  let a: [u8; -4] = zeroed\nend\n")
+    assert (e.value.line, e.value.col, e.value.message) == (2, 13, "array count must be non-negative")
+
+
+def test_name_lookups_return_the_first_definition():
+    functions = tuple(
+        FnDef(f"f{i % 500}", Dialect.HOST, (), UnitType(), (), line=i) for i in range(1000)
+    )
+    bindings = (
+        BindingSignature("b", "first", (), UnitType(), line=1),
+        BindingSignature("b", "second", (), UnitType(), line=2),
+    )
+    program = ScenarioProgram(path="many", types=(), functions=functions, bindings=bindings)
+    assert program.function("f499").line == 499
+    assert program.function("f0") is functions[0]
+    assert program.binding("b").target == "first"
+    with pytest.raises(KeyError):
+        program.function("f500")
+    with pytest.raises(KeyError):
+        program.binding("c")
+    # The name maps are neither compared nor shown.
+    again = ScenarioProgram(path="other", types=(), functions=functions, bindings=bindings)
+    assert again == program
+    assert "by_name" not in repr(program)

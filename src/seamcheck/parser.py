@@ -102,6 +102,7 @@ _TOKEN_RE = re.compile(
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_()\[\]{}:,.*&=@;-](?<!->)")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _EOL = "\n"
+_OUTCOMES = {o.value: o for o in OutcomeTag}
 
 _SCALARS: dict[str, TypeDesc] = {
     "i8": IntType(8, True),
@@ -536,10 +537,9 @@ class _Parser:
             model = self.take()
             self.i += 1
         tag_text = self.rest()
-        try:
-            outcome = OutcomeTag(tag_text)
-        except ValueError:
-            raise ParseError(f"unknown outcome '{tag_text}'", self.line) from None
+        outcome = _OUTCOMES.get(tag_text)
+        if outcome is None:
+            raise ParseError(f"unknown outcome '{tag_text}'", self.line)
         self.expectations.append(Expectation(outcome, model))
 
     def parse(self) -> ScenarioProgram:

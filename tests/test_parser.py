@@ -503,6 +503,8 @@ _ERROR_POSITIONS = {
     "expected_at_end_of_line": (
         "host fn main(\nend\n", 1, 0, "expected parameter name, found 'end of line'"
     ),
+    "expected_integer": ("host fn main()\n  let a: [u8; n] = zeroed\nend\n", 2, 13, "expected integer, found 'n'"),
+    "expected_after_keyword": ("host fn main()\n  spawn = f()\nend\n", 2, 7, "expected handle, found '='"),
     "expected_after_comment_strip": (
         "host fn main()\n\t  assert_eq 1 (  # note\nend\n", 2, 13, "expected value, found '('"
     ),

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import make_tracker
-from seamcheck.diagnostics import DiagnosticKind
+from seamcheck.diagnostics import DiagnosticKind, TagEvent
 from seamcheck.memory import WILDCARD, UbError
 from seamcheck.stacked_borrows import Grant, StackedBorrowTracker
 
@@ -262,3 +262,94 @@ def test_serialize_is_stable_under_wildcard_reads():
     before = t.serialize()
     t.access(WILDCARD, (0, 4), "read", _ctx())
     assert t.serialize() == before
+
+
+# ---- the text of every event form an sb history holds ----------------------------
+
+
+def _record(t, tag):
+    return {h.tag: h for h in t.history()}[tag]
+
+
+def test_history_text_of_the_root_creation():
+    t = _tracker()
+    assert _record(t, t.root_tag).created == TagEvent(0, "allocation of alloc#1")
+
+
+def test_history_text_of_a_retag():
+    t = _tracker()
+    a = t.retag(t.root_tag, (1, 3), "mutable-ref", (), False, "a", _ctx(line=2))
+    assert _record(t, a).created == TagEvent(2, "mutable-ref retag of [1..3) from tag#1")
+
+
+def test_history_text_of_a_last_use():
+    t = _tracker()
+    a = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "a", _ctx(line=2))
+    t.access(a, (1, 3), "write", _ctx(line=3))
+    t.access(t.root_tag, (0, 2), "read", _ctx(line=4))
+    assert _record(t, a).last_valid_use == TagEvent(3, "write of [1..3)")
+    assert _record(t, t.root_tag).last_valid_use == TagEvent(4, "read of [0..2)")
+
+
+def test_history_text_of_a_pop_by_a_tag():
+    t = _tracker()
+    a = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "a", _ctx(line=2))
+    t.access(t.root_tag, (0, 4), "write", _ctx(line=3))
+    assert _record(t, a).invalidated == TagEvent(3, "write via tag#1 ('root')")
+
+
+def test_history_text_of_a_pop_by_an_exposed_address():
+    t = _tracker()
+    s = t.retag(t.root_tag, (0, 4), "shared-ref", (), False, "s", _ctx(line=2))
+    t.access(WILDCARD, (0, 4), "write", _ctx(line=3))
+    assert _record(t, s).invalidated == TagEvent(3, "write via exposed address")
+    assert _record(t, t.root_tag).last_valid_use == TagEvent(3, "write of [0..4)")
+
+
+def test_history_text_of_a_pop_by_a_retag():
+    t = _tracker()
+    a = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "a", _ctx(line=2))
+    t.retag(t.root_tag, (0, 4), "shared-ref", (), False, "b", _ctx(line=3))
+    assert _record(t, a).invalidated == TagEvent(3, "shared-ref retag for tag#3 ('b')")
+
+
+def test_error_message_carries_the_invalidation_note():
+    t = _tracker()
+    a = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "a", _ctx(line=2))
+    t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "b", _ctx(line=3))
+    with pytest.raises(UbError) as e:
+        t.access(a, (0, 4), "write", _ctx(line=4))
+    assert str(e.value) == (
+        "write at alloc#1+0: no item for tag#2 ('a') in the borrow stack"
+        " (invalidated at line 3: mutable-ref retag for tag#3 ('b'))"
+    )
+
+
+@pytest.mark.parametrize(
+    "guard_kind, act, message",
+    [
+        (
+            "mutable-ref",
+            lambda t: t.access(t.root_tag, (0, 4), "write", _ctx(line=3)),
+            "write via tag#1 ('root') at alloc#1+0 would pop protected tag#2 ('guard')",
+        ),
+        (
+            "shared-ref",
+            lambda t: t.access(WILDCARD, (0, 4), "write", _ctx(line=3)),
+            "write via exposed address at alloc#1+0 would pop protected tag#2 ('guard')",
+        ),
+        (
+            "mutable-ref",
+            lambda t: t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "b", _ctx(line=3)),
+            "mutable-ref retag for tag#3 ('b') at alloc#1+0 would pop protected tag#2 ('guard')",
+        ),
+    ],
+    ids=["tag", "exposed", "retag"],
+)
+def test_would_pop_protected_message_names_the_cause(guard_kind, act, message):
+    t = _tracker()
+    t.retag(t.root_tag, (0, 4), guard_kind, (), True, "guard", _ctx(line=2))
+    with pytest.raises(UbError) as e:
+        act(t)
+    assert e.value.kind is DiagnosticKind.PROTECTED_PERMISSION
+    assert str(e.value) == message

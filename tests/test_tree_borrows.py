@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import make_tracker
-from seamcheck.diagnostics import DiagnosticKind
+from seamcheck.diagnostics import DiagnosticKind, TagEvent
 from seamcheck.memory import WILDCARD, UbError
 from seamcheck.tree_borrows import Permission, TreeBorrowTracker
 
@@ -277,3 +277,51 @@ def test_retag_from_unknown_tag_is_internal_error():
     t = _tracker()
     with pytest.raises(ValueError):
         t.retag(999, (0, 4), "mutable-ref", (), False, "x", _ctx())
+
+
+# ---- the text of every event form a tb history holds ----------------------------
+
+
+def _record(t, tag):
+    return {h.tag: h for h in t.history()}[tag]
+
+
+def test_history_text_of_the_root_creation():
+    t = _tracker()
+    assert _record(t, t.root_tag).created == TagEvent(0, "allocation of alloc#1")
+
+
+def test_history_text_of_a_retag():
+    t = _tracker()
+    child = t.retag(t.root_tag, (1, 3), "shared-ref", (), False, "child", _ctx(line=2))
+    assert _record(t, child).created == TagEvent(2, "shared-ref retag of [1..3) from tag#1")
+
+
+def test_history_text_of_a_last_use():
+    t = _tracker()
+    child = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "child", _ctx(line=2))
+    t.access(child, (1, 3), "write", _ctx(line=3))
+    t.access(t.root_tag, (0, 2), "read", _ctx(line=4))
+    assert _record(t, child).last_valid_use == TagEvent(3, "write of [1..3)")
+    assert _record(t, t.root_tag).last_valid_use == TagEvent(4, "read of [0..2)")
+
+
+def test_history_text_of_a_transition():
+    t = _tracker()
+    child = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "child", _ctx(line=2))
+    t.access(child, (0, 4), "write", _ctx(line=3))
+    t.access(t.root_tag, (0, 4), "read", _ctx(line=4))
+    t.access(t.root_tag, (0, 4), "write", _ctx(line=5))  # Frozen -> Disabled: the first stands
+    assert _record(t, child).invalidated == TagEvent(4, "read via tag#1 ('root'): Active -> Frozen")
+
+
+def test_error_message_carries_the_invalidation_note():
+    t = _tracker()
+    child = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "child", _ctx(line=2))
+    t.access(t.root_tag, (0, 4), "write", _ctx(line=3))
+    with pytest.raises(UbError) as e:
+        t.access(child, (0, 4), "read", _ctx(line=4))
+    assert str(e.value) == (
+        "read through tag#2 ('child') at alloc#1+0: permission of tag#2 ('child') is Disabled"
+        " (invalidated at line 3: write via tag#1 ('root'): Reserved -> Disabled)"
+    )

@@ -15,8 +15,8 @@ tracker, then byte movement. The alignment check is symbolic by default
 (offset modulo the type's alignment, plus a requirement that the allocation
 itself is at least that aligned) so that a run never passes just because the
 simulated base address happened to line up. An access that reaches a
-tracker carries the source line it came from, which is all a tag event
-records besides its description.
+tracker carries the source line it came from, which its tag's last use
+records beside the access kind and range.
 
 A `Memory` built with a tracker type judges borrows, and it is the only
 owner of that borrow state: it draws every tag, builds every tracker,
@@ -26,19 +26,18 @@ tag (`Allocation.tag`) when it is made, but builds its tracker only when
 it is first needed: at its first retag, or at the first access through a
 provenance other than the root tag, such as a wildcard. Most allocations
 are never reborrowed. Until then a root access changes no state and is
-kept only as `Allocation.last_use`, from which `Memory.tracker` builds the
-root's `TagHistory`; a root tag is never protected, so deallocation has
+kept only as the raw `Allocation.last_use`, which the tracker adopts as its
+root's last use; a root tag is never protected, so deallocation has
 nothing to check before then. A `Memory` built without a tracker type
 tracks no borrows at all.
 
 `BorrowTracker` is the base of both borrow models: it owns an allocation's
-tags and one `TagHistory` per tag (created, last valid use, first
-invalidation), which both models update in place, and hands copies of
-those records to the errors it raises. It also holds protection, one
-per-tag set that both models read: a protecting retag adds its tag when it
-creates it, and `protector_end` removes it at function exit. Its no-op
-memo lets either model answer a repeated access in O(1); see
-`BorrowTracker`.
+tags with their raw events (creation, last use, first invalidation), which
+only it writes as text, when an error is raised (`history()`). It also
+holds protection, one per-tag set that both models read: a protecting
+retag adds its tag when it creates it, and `protector_end` removes it at
+function exit. Its no-op memo lets either model answer a repeated access
+in O(1); see `BorrowTracker`.
 
 `Allocation` is the one record of an allocation. A host local of an
 integer or pointer type starts immediate, after Miri's `LocalValue`:
@@ -61,7 +60,7 @@ from __future__ import annotations
 import enum
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .diagnostics import DiagnosticKind, TagEvent, TagHistory
@@ -147,24 +146,21 @@ class ScenarioUnsupported(Exception):
     """The scenario steps outside what the engine models; not a finding."""
 
 
-def root_history(alloc_id: int, tag: int, label: str, line: int) -> TagHistory:
-    """The record of an allocation's root tag, created with the allocation at `line`."""
-    return TagHistory(tag, label, TagEvent(line, f"allocation of alloc#{alloc_id}"))
-
-
-def access_event(kind: str, rng: Range, line: int) -> TagEvent:
-    """What a `kind` access of `rng` records as its tag's last valid use."""
-    return TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
-
-
 class BorrowTracker:
-    """The tags of one allocation under a borrow model, with their histories.
+    """The tags of one allocation under a borrow model, and their raw events.
 
-    `tags` holds the live `TagHistory` of every tag the tracker made, in
-    creation order, starting with the root tag that owns the allocation, and
-    `protected` the tags whose function-entry protector is still active. Each
-    model keeps its per-location state in a subclass and implements the
-    operations below.
+    `labels` maps every tag the tracker made to its label, in creation
+    order, starting with the root tag that owns the allocation, and
+    `protected` holds the tags whose function-entry protector is still
+    active. Each model keeps its per-location state in a subclass and
+    implements the operations below.
+
+    Per tag, after Miri's `AllocHistory`: `created` holds `(line, kind,
+    range, parent)`, `kind` None for the root; `last_use` holds `(kind,
+    range, line)`, as `Allocation.last_use` does; `invalidated` holds the
+    first `(line, kind, acting tag or None, transition)`, the transition
+    being tb's `(old, new)`, "retag" for an sb pop by a retag, or None.
+    Only `_describe` writes an event as text, and only for an error.
 
     `_noops` is the no-op memo, after Miri's `skip_if_known_noop`: the
     `(tag, kind)` pairs whose last access, over the whole allocation,
@@ -174,41 +170,48 @@ class BorrowTracker:
     clears it, and so must every access that changes state; ending a
     protector only removes errors, so it keeps it.
 
-    Every model is built as `cls(alloc_id, size, tag_source, root)`, only by
-    `Memory`: `size` is the allocation's, `tag_source` draws the run's later
-    tags, and `root` is the record of the allocation's root tag, which the
-    tracker adopts as it is.
+    Every model is built as `cls(alloc, tag_source)`, only by `Memory`. It
+    adopts the `Allocation`'s id, size, root tag, label, line and root last
+    use as they are, and `tag_source` draws the run's later tags.
     """
 
-    def __init__(self, alloc_id: int, size: int, tag_source: Callable[[], int], root: TagHistory) -> None:
-        self.alloc_id = alloc_id
+    def __init__(self, alloc: Allocation, tag_source: Callable[[], int]) -> None:
+        self.alloc_id = alloc.id
         self._tag_source = tag_source
-        self.root_tag = root.tag
-        self.tags: dict[int, TagHistory] = {root.tag: root}
+        self.root_tag = root = alloc.tag
+        self.labels: dict[int, str] = {root: alloc.label}
+        self.created: dict[int, tuple] = {root: (alloc.line, None, None, None)}
+        self.last_use: dict[int, tuple] = {} if alloc.last_use is None else {root: alloc.last_use}
+        self.invalidated: dict[int, tuple] = {}
         self.protected: set[int] = set()
         self._noops: set[tuple[int, str]] = set()
 
     def _new_tag(self, parent: int, rng: Range, kind: str, label: str, line: int, protect: bool) -> int:
         self._noops.clear()
         tag = self._tag_source()
-        self.tags[tag] = TagHistory(
-            tag, label, TagEvent(line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}")
-        )
+        self.labels[tag] = label
+        self.created[tag] = (line, kind, rng, parent)
         if protect:
             self.protected.add(tag)
         return tag
 
-    def _invalidate(self, tag: int, line: int, cause: str) -> None:
-        """Record the tag's invalidation; the first one recorded stands."""
-        record = self.tags[tag]
-        if record.invalidated is None:
-            record.invalidated = TagEvent(line, cause)
+    def _describe(self, kind: Optional[str], tag: Optional[int] = None, transition=None, rng=None) -> str:
+        """An event's text from its fields: `(kind, parent, rng=)`, `(kind, rng=)` or `(kind, acting, transition)`."""
+        if kind is None:
+            return f"allocation of alloc#{self.alloc_id}"
+        if rng is not None:
+            span = f"[{rng[0]}..{rng[1]})"
+            return f"{kind} of {span}" if tag is None else f"{kind} retag of {span} from tag#{tag}"
+        if tag is None:
+            return f"{kind} via exposed address"
+        if transition == "retag":
+            return f"{kind} retag for tag#{tag} ('{self.labels[tag]}')"
+        text = f"{kind} via tag#{tag} ('{self.labels[tag]}')"
+        return text if transition is None else f"{text}: {transition[0].value} -> {transition[1].value}"
 
     def _invalidation_note(self, tag: int) -> str:
-        record = self.tags.get(tag)
-        if record is None or record.invalidated is None:
-            return ""
-        return f" (invalidated at line {record.invalidated.line}: {record.invalidated.description})"
+        event = self.invalidated.get(tag)
+        return "" if event is None else f" (invalidated at line {event[0]}: {self._describe(*event[1:])})"
 
     def _error(self, kind: DiagnosticKind, message: str, off: Optional[int]) -> UbError:
         return UbError(
@@ -219,8 +222,17 @@ class BorrowTracker:
         )
 
     def history(self) -> tuple[TagHistory, ...]:
-        """Copies of every tag's record, which later accesses leave unchanged."""
-        return tuple(replace(record) for record in self.tags.values())
+        """Every tag's record in creation order, written afresh, so later accesses leave it unchanged."""
+        records = []
+        for tag, label in self.labels.items():
+            line, kind, rng, parent = self.created[tag]
+            use, gone = self.last_use.get(tag), self.invalidated.get(tag)
+            records.append(TagHistory(
+                tag, label, TagEvent(line, self._describe(kind, parent, rng=rng)),
+                None if use is None else TagEvent(use[2], self._describe(use[0], rng=use[1])),
+                None if gone is None else TagEvent(gone[0], self._describe(*gone[1:])),
+            ))
+        return tuple(records)
 
     def protector_end(self, tag: int) -> None:
         """The frame that protected `tag` has exited."""
@@ -423,12 +435,9 @@ class Memory:
         local.last_use = ("write", (0, local.size), line)
 
     def tracker(self, alloc: Allocation) -> BorrowTracker:
-        """`alloc`'s borrow tracker, built on first call around its root tag's record."""
+        """`alloc`'s borrow tracker, built on first call around its root tag."""
         if alloc.tracker is None:
-            root = root_history(alloc.id, alloc.tag, alloc.label, alloc.line)
-            if alloc.last_use is not None:
-                root.last_valid_use = access_event(*alloc.last_use)
-            alloc.tracker = self._tracker_type(alloc.id, alloc.size, self._next_tag, root)
+            alloc.tracker = self._tracker_type(alloc, self._next_tag)
         return alloc.tracker
 
     def base_pointer(self, alloc: Allocation) -> PointerValue:
@@ -452,7 +461,7 @@ class Memory:
         off = ptr.offset
         cells = tuple((a + off, b + off) for a, b in cells)
         tag = self.tracker(alloc).retag(parent, (off, off + size), kind, cells, protect, label, line)
-        return replace(ptr, provenance=tag)
+        return PointerValue(ptr.address, ptr.alloc_id, ptr.offset, tag)
 
     def protector_end(self, alloc_id: int, tag: int) -> None:
         """The frame that protected `tag` in `alloc_id` has exited; its retag built the tracker."""

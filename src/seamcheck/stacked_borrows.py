@@ -33,10 +33,10 @@ a read at or above the topmost write-granting item pops nothing and returns
 at once, and a write pops exactly the items above its own. An access the
 `BorrowTracker` memo knows to be a no-op costs O(1).
 
-Each tag's `TagHistory` (created, last valid use, first invalidation) lives
-in the `BorrowTracker` base, shared with the tb model: the last use is
-recorded per segment as an access passes, and an item's first pop
-invalidates its tag.
+Each tag's raw events (creation, last use, first invalidation) live in the
+`BorrowTracker` base, shared with the tb model: the last use is recorded
+per segment as an access passes, and an item's first pop records the raw
+cause of the access or retag that popped it as its tag's invalidation.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from __future__ import annotations
 import enum
 from typing import Callable, NamedTuple, Optional
 
-from .diagnostics import DiagnosticKind, TagHistory
-from .memory import WILDCARD, BorrowTracker, Provenance, Range, access_event
+from .diagnostics import DiagnosticKind
+from .memory import WILDCARD, Allocation, BorrowTracker, Provenance, Range
 from .rangemap import RangeMap, in_ranges
 
 
@@ -55,10 +55,6 @@ class Grant(enum.Enum):
     SHARED_RO = "SharedReadOnly"
 
     __hash__ = object.__hash__  # identity, in C; `Enum.__hash__` runs in Python
-
-    @property
-    def allows_write(self) -> bool:
-        return self is not Grant.SHARED_RO
 
 
 class _Item(NamedTuple):
@@ -124,24 +120,19 @@ class _Stack:
 class StackedBorrowTracker(BorrowTracker):
     """Borrow stacks for a single allocation, one per run of equal bytes."""
 
-    def __init__(self, alloc_id: int, size: int, tag_source: Callable[[], int], root: TagHistory) -> None:
-        super().__init__(alloc_id, size, tag_source, root)
-        self._stacks = RangeMap(size, _Stack([_Item(self.root_tag, Grant.UNIQUE)], 0, {self.root_tag: 0}))
+    def __init__(self, alloc: Allocation, tag_source: Callable[[], int]) -> None:
+        super().__init__(alloc, tag_source)
+        self._stacks = RangeMap(alloc.size, _Stack([_Item(self.root_tag, Grant.UNIQUE)], 0, {self.root_tag: 0}))
 
     # ---- helpers -------------------------------------------------------------
 
-    def stack_at(self, off: int) -> tuple[_Item, ...]:
-        """The borrow stack of byte `off`, bottom to top."""
-        return tuple(self._stacks.at(off).items)
-
-    def _remove_above(
-        self, stack: _Stack, index: int, kind: str, cause: str, line: int, off: int
-    ) -> bool:
+    def _remove_above(self, stack: _Stack, index: int, kind: str, cause: tuple, off: int) -> bool:
         """Pop items above the granting one at `index`, top-down, invalidating their tags.
 
         A write pops all of them, a read only the write-granting ones, of
-        which there are none above `top`. Popping an item whose tag is
-        protected is an error. Returns whether anything was popped.
+        which there are none above `top`; a popped tag not yet invalidated
+        records `cause`. Popping an item whose tag is protected is an error.
+        Returns whether anything was popped.
         """
         items = stack.items
         if kind == "write":
@@ -163,12 +154,12 @@ class StackedBorrowTracker(BorrowTracker):
             popped = [items[i].tag for i in doomed]
             stack.delete(doomed)
             for tag in popped:
-                self._invalidate(tag, line, cause)
+                self.invalidated.setdefault(tag, cause)
         if blocked is not None:
             raise self._error(
                 DiagnosticKind.PROTECTED_PERMISSION,
-                f"{cause} at alloc#{self.alloc_id}+{off} would pop protected "
-                f"tag#{guard} ('{self.tags[guard].label}')",
+                f"{self._describe(*cause[1:])} at alloc#{self.alloc_id}+{off} would pop protected "
+                f"tag#{guard} ('{self.labels[guard]}')",
                 off,
             )
         return True
@@ -186,7 +177,7 @@ class StackedBorrowTracker(BorrowTracker):
         line: int = 0,
     ) -> int:
         tag = self._new_tag(parent, rng, kind, label, line, protect)
-        cause = f"{kind} retag for tag#{tag} ('{label}')"
+        cause = (line, kind, tag, "retag")
         stacks = self._stacks
         for a, b in cell_ranges:
             stacks.split(a)
@@ -199,7 +190,7 @@ class StackedBorrowTracker(BorrowTracker):
                 raise self._error(
                     DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                     f"retag at alloc#{self.alloc_id}+{off}: no item for parent tag#{parent} "
-                    f"('{self.tags[parent].label if parent in self.tags else '?'}') in the borrow stack"
+                    f"('{self.labels.get(parent, '?')}') in the borrow stack"
                     + self._invalidation_note(parent),
                     off,
                 )
@@ -208,13 +199,13 @@ class StackedBorrowTracker(BorrowTracker):
                     raise self._error(
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
                         f"mutable retag at alloc#{self.alloc_id}+{off} through read-only "
-                        f"tag#{parent} ('{self.tags[parent].label}')",
+                        f"tag#{parent} ('{self.labels[parent]}')",
                         off,
                     )
-                self._remove_above(stack, idx, "write", cause, line, off)
+                self._remove_above(stack, idx, "write", cause, off)
                 stack.push(_Item(tag, Grant.UNIQUE))
             elif kind == "shared-ref":
-                self._remove_above(stack, idx, "read", cause, line, off)
+                self._remove_above(stack, idx, "read", cause, off)
                 grant = Grant.SHARED_RW if in_ranges(off, cell_ranges) else Grant.SHARED_RO
                 stack.push(_Item(tag, grant))
             elif kind in ("raw-mut", "cell"):
@@ -233,12 +224,13 @@ class StackedBorrowTracker(BorrowTracker):
         Each segment finds the granting item (the tag's own, or for a
         wildcard the topmost that grants the access) and pops above it.
         """
-        use = access_event(kind, rng, line)
+        use = (kind, rng, line)
         if (prov, kind) in self._noops:
             if rng[0] < rng[1]:
-                self.tags[prov].last_valid_use = use
+                self.last_use[prov] = use
             return
-        stacks = self._stacks
+        cause = (line, kind, None if prov is WILDCARD else prov, None)
+        last_use, stacks = self.last_use, self._stacks
         span = stacks.span(*rng)
         changed = False
         for i in span:
@@ -252,7 +244,6 @@ class StackedBorrowTracker(BorrowTracker):
                         f"no item in the borrow stack grants it",
                         off,
                     )
-                cause = f"{kind} via exposed address"
                 tag_for_history = stack.items[idx].tag
             else:
                 if not isinstance(prov, int):
@@ -260,28 +251,24 @@ class StackedBorrowTracker(BorrowTracker):
                         f"access with no provenance reached the tracker in alloc#{self.alloc_id}"
                     )
                 idx = stack.pos.get(prov)
-                label = self.tags[prov].label if prov in self.tags else "?"
                 if idx is None:
                     raise self._error(
                         DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                         f"{kind} at alloc#{self.alloc_id}+{off}: no item for tag#{prov} "
-                        f"('{label}') in the borrow stack" + self._invalidation_note(prov),
+                        f"('{self.labels.get(prov, '?')}') in the borrow stack" + self._invalidation_note(prov),
                         off,
                     )
                 if kind == "write" and stack.items[idx].grant is Grant.SHARED_RO:
                     raise self._error(
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
-                        f"write at alloc#{self.alloc_id}+{off} through tag#{prov} ('{label}'), "
+                        f"write at alloc#{self.alloc_id}+{off} through tag#{prov} ('{self.labels[prov]}'), "
                         f"which grants only reads",
                         off,
                     )
-                cause = f"{kind} via tag#{prov} ('{label}')"
                 tag_for_history = prov
-            if self._remove_above(stack, idx, kind, cause, line, off):
+            if self._remove_above(stack, idx, kind, cause, off):
                 changed = True
-            info = self.tags.get(tag_for_history)
-            if info is not None:
-                info.last_valid_use = use
+            last_use[tag_for_history] = use
         stacks.merge(span)
         if not changed and prov is not WILDCARD and rng == (0, stacks.size):
             self._noops.add((prov, kind))
@@ -293,7 +280,7 @@ class StackedBorrowTracker(BorrowTracker):
                     raise self._error(
                         DiagnosticKind.PROTECTED_PERMISSION,
                         f"deallocation of alloc#{self.alloc_id} while tag#{item.tag} "
-                        f"('{self.tags[item.tag].label}') is protected",
+                        f"('{self.labels[item.tag]}') is protected",
                         off,
                     )
 
@@ -302,7 +289,7 @@ class StackedBorrowTracker(BorrowTracker):
     def _stack_text(self, stack: _Stack) -> str:
         parts = []
         for item in stack.items:
-            text = f"{self.tags[item.tag].label}: {item.grant.value}"
+            text = f"{self.labels[item.tag]}: {item.grant.value}"
             if item.tag in self.protected:
                 text += " (protected)"
             parts.append(text)
@@ -314,12 +301,3 @@ class StackedBorrowTracker(BorrowTracker):
             return self._stack_text(self._stacks.at(off))
         lines = [f"[{a}..{b}) {text}" for a, b, text in self._stacks.runs(self._stack_text)]
         return "\n".join(lines) if lines else "[]"
-
-    def serialize(self) -> str:
-        """Stable full-state dump, equal runs coalesced."""
-        protected = self.protected
-        return "\n".join(
-            f"[{a}..{b})|"
-            + ";".join(f"{i.tag}:{i.grant.value}:{int(i.tag in protected)}" for i in stack)
-            for a, b, stack in self._stacks.runs(lambda stack: tuple(stack.items))
-        )

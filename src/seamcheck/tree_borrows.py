@@ -41,10 +41,10 @@ changes, and the error raised is still the one at the first failing node in
 node order. An access the `BorrowTracker` memo knows to be a no-op costs
 O(1).
 
-Each tag's `TagHistory` (created, last valid use, first invalidation) lives
-in the `BorrowTracker` base, shared with the sb model, and so does
-protection, one per-tag set that both models read; a `_Node` holds only the
-tag's place in the tree. Every access records its source line.
+Each tag's raw events (creation, last use, first invalidation) and its
+protection live in the `BorrowTracker` base, shared with the sb model; a
+`_Node` holds only the tag's place in the tree. A move to Frozen or Disabled
+records `(line, kind, acting tag, (old, new))`, which only an error writes out.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .diagnostics import DiagnosticKind, TagHistory
-from .memory import WILDCARD, BorrowTracker, Provenance, Range, UbError, access_event
+from .diagnostics import DiagnosticKind
+from .memory import WILDCARD, Allocation, BorrowTracker, Provenance, Range, UbError
 from .rangemap import RangeMap, in_ranges
 
 
@@ -133,20 +133,13 @@ def _perm_text(initial: Permission, current: Permission) -> str:
 class TreeBorrowTracker(BorrowTracker):
     """Tree of borrow permissions for a single allocation."""
 
-    def __init__(self, alloc_id: int, size: int, tag_source: Callable[[], int], root: TagHistory) -> None:
-        super().__init__(alloc_id, size, tag_source, root)
+    def __init__(self, alloc: Allocation, tag_source: Callable[[], int]) -> None:
+        super().__init__(alloc, tag_source)
         # By tag, in creation order: a node's index is its position here, and
         # `_order` lists the tags by index.
         self.nodes: dict[int, _Node] = {self.root_tag: _Node(None, 0, Permission.ACTIVE)}
         self._order: list[int] = [self.root_tag]
-        self._perms = RangeMap(size, _Segment([(_A, _A, True)], {_A: {0}}))
-
-    # ---- structure helpers ---------------------------------------------------
-
-    def peek_at(self, tag: int, off: int) -> tuple[Permission, bool]:
-        """Permission and initialized flag of `tag` at byte `off`."""
-        _, perm, initialized = self._perms.at(off).states[self.nodes[tag].index]
-        return perm, initialized
+        self._perms = RangeMap(alloc.size, _Segment([(_A, _A, True)], {_A: {0}}))
 
     # ---- operations ----------------------------------------------------------
 
@@ -191,15 +184,14 @@ class TreeBorrowTracker(BorrowTracker):
         """
         if prov is WILDCARD:
             return  # exposed-address accesses are unchecked and change nothing
-        use = access_event(kind, rng, line)
         if (prov, kind) in self._noops:
-            self.tags[prov].last_valid_use = use
+            self.last_use[prov] = (kind, rng, line)
             return
         if not isinstance(prov, int):
             raise ValueError(f"access with no provenance reached the tracker in alloc#{self.alloc_id}")
         if prov not in self.nodes:
             raise ValueError(f"access via unknown tag#{prov} in alloc#{self.alloc_id}")
-        nodes, order = self.nodes, self._order
+        nodes, order, invalidated = self.nodes, self._order, self.invalidated
         path: list[int] = []  # node indices, from the acting node up to the root
         tag: Optional[int] = prov
         while tag is not None:
@@ -245,10 +237,7 @@ class TreeBorrowTracker(BorrowTracker):
             for n, perm, new in moves:
                 segment.move(n, perm, new)
                 if new is not _A:
-                    self._invalidate(
-                        order[n], line,
-                        f"{kind} via tag#{prov} ('{self.tags[prov].label}'): {perm.value} -> {new.value}",
-                    )
+                    invalidated.setdefault(order[n], (line, kind, prov, (perm, new)))
             initial, perm, initialized = states[acting_index]
             if not initialized:
                 states[acting_index] = (initial, perm, True)
@@ -256,14 +245,14 @@ class TreeBorrowTracker(BorrowTracker):
                 self._noops.clear()
                 changed = True
         perms.merge(span)
-        self.tags[prov].last_valid_use = use
+        self.last_use[prov] = (kind, rng, line)
         if not changed and rng == (0, perms.size):
             self._noops.add((prov, kind))
 
     def _access_error(self, prov: int, kind: str, off: int, tag: int, perm: Permission, child: bool) -> UbError:
         """The error of a `kind` access through `prov` that fails at node `tag`."""
-        head = f"{kind} through tag#{prov} ('{self.tags[prov].label}') at alloc#{self.alloc_id}+{off}"
-        label = self.tags[tag].label
+        head = f"{kind} through tag#{prov} ('{self.labels[prov]}') at alloc#{self.alloc_id}+{off}"
+        label = self.labels[tag]
         if not child:
             return self._error(
                 DiagnosticKind.PROTECTED_PERMISSION,
@@ -290,7 +279,7 @@ class TreeBorrowTracker(BorrowTracker):
                 raise self._error(
                     DiagnosticKind.PROTECTED_PERMISSION,
                     f"deallocation of alloc#{self.alloc_id} while tag#{tag} "
-                    f"('{self.tags[tag].label}') is protected",
+                    f"('{self.labels[tag]}') is protected",
                     None,
                 )
 
@@ -319,21 +308,10 @@ class TreeBorrowTracker(BorrowTracker):
             text = _perm_text(*at[node.index][:2]) if at is not None else self._whole_perm_text(node)
             branch = "└" if is_last else "├"
             shape = "┬" if node.children else "─"
-            lines.append(f"{indent}{branch}{shape} {self.tags[tag].label}: {text}")
+            lines.append(f"{indent}{branch}{shape} {self.labels[tag]}: {text}")
             child_indent = indent + (" " if is_last else "│")
             for i, c in enumerate(node.children):
                 walk(c, child_indent, i == len(node.children) - 1)
 
         walk(self.root_tag, "", True)
         return "\n".join(lines)
-
-    def serialize(self) -> str:
-        """Stable full-state dump; used to check that wildcard accesses change nothing."""
-        parts = []
-        for tag, n in self.nodes.items():
-            states = ";".join(
-                f"[{a}..{b}):{initial.value}:{perm.value}:{int(initialized)}"
-                for a, b, (initial, perm, initialized) in self._perms.runs(lambda seg: seg.states[n.index])
-            )
-            parts.append(f"{tag}|{self.tags[tag].label}|{n.parent}|{int(tag in self.protected)}|{states}")
-        return "\n".join(parts)

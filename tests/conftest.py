@@ -1,11 +1,10 @@
 """Shared fixtures, path helpers and memory helpers for the test suite."""
 
-import itertools
 from pathlib import Path
 
 import pytest
 
-from seamcheck.memory import Allocation, BorrowTracker, root_history
+from seamcheck.memory import Allocation, AllocOrigin, BorrowTracker, Memory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -32,10 +31,10 @@ def init_mask(alloc: Allocation) -> tuple[bool, ...]:
 def make_tracker(cls: type[BorrowTracker], size: int) -> BorrowTracker:
     """A `cls` tracker for a `size`-byte alloc#1 whose root tag#1 is labelled "root".
 
-    It is rooted as `Memory.tracker` roots one, and draws later tags from 2 on.
+    It is built as a run builds one, by `Memory.tracker`, and draws later tags from 2 on.
     """
-    tags = itertools.count(1).__next__
-    return cls(1, size, tags, root_history(1, tags(), "root", 0))
+    memory = Memory(tracker=cls)
+    return memory.tracker(memory.allocate(size, 1, AllocOrigin.HOST_HEAP, "root"))
 
 
 @pytest.fixture()

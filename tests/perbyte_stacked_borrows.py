@@ -34,6 +34,7 @@ from typing import Callable, Optional
 from seamcheck.diagnostics import DiagnosticKind, TagEvent, TagHistory
 from seamcheck.memory import WILDCARD, Provenance, UbError
 from seamcheck.stacked_borrows import Grant
+from tracker_state import allows_write
 
 Range = tuple[int, int]
 
@@ -116,7 +117,7 @@ class StackedBorrowTracker:
         i = len(stack) - 1
         while i > index:
             item = stack[i]
-            if item.grant.allows_write:
+            if allows_write(item.grant):
                 if item.protected:
                     raise self._error(
                         DiagnosticKind.PROTECTED_PERMISSION,
@@ -159,7 +160,7 @@ class StackedBorrowTracker:
                 )
             parent_item = stack[idx]
             if kind == "mutable-ref":
-                if not parent_item.grant.allows_write:
+                if not allows_write(parent_item.grant):
                     raise self._error(
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
                         f"mutable retag at alloc#{self.alloc_id}+{off} through read-only "
@@ -187,7 +188,7 @@ class StackedBorrowTracker:
             if prov is WILDCARD:
                 idx = None
                 for i in range(len(stack) - 1, -1, -1):
-                    if kind == "read" or stack[i].grant.allows_write:
+                    if kind == "read" or allows_write(stack[i].grant):
                         idx = i
                         break
                 if idx is None:
@@ -213,7 +214,7 @@ class StackedBorrowTracker:
                         f"('{label}') in the borrow stack" + self._invalidation_note(prov),
                         off,
                     )
-                if kind == "write" and not stack[idx].grant.allows_write:
+                if kind == "write" and not allows_write(stack[idx].grant):
                     raise self._error(
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
                         f"write at alloc#{self.alloc_id}+{off} through tag#{prov} ('{label}'), "

@@ -20,6 +20,7 @@ from perbyte_tree_borrows import TreeBorrowTracker as ByteTree
 from seamcheck.memory import WILDCARD, UbError
 from seamcheck.stacked_borrows import Grant, StackedBorrowTracker
 from seamcheck.tree_borrows import TreeBorrowTracker
+from tracker_state import peek_at, stack_at
 
 _RETAG_KINDS = ("mutable-ref", "shared-ref", "raw-mut", "raw-const", "cell")
 _sel = st.integers(0, 63)
@@ -125,13 +126,13 @@ def _counter():
 
 def _tree_view(tracker, tags, off):
     if isinstance(tracker, TreeBorrowTracker):
-        return [tracker.peek_at(tag, off) for tag in tags]
+        return [peek_at(tracker, tag, off) for tag in tags]
     return [tracker.nodes[tag].peek_at(off) for tag in tags]
 
 
 def _stack_view(tracker, tags, off):
     if isinstance(tracker, StackedBorrowTracker):
-        return [(item.tag, item.grant, item.tag in tracker.protected) for item in tracker.stack_at(off)]
+        return [(item.tag, item.grant, item.tag in tracker.protected) for item in stack_at(tracker, off)]
     return [(item.tag, item.grant, item.protected) for item in tracker.stacks[off]]
 
 

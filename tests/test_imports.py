@@ -1,5 +1,6 @@
 """Every import in the package and its tests is used, every local the package assigns is read,
-and only memory and the two trackers touch an allocation's borrow state."""
+only memory and the two trackers touch an allocation's borrow state, and only the borrow tracker
+base writes a tag event."""
 
 import ast
 
@@ -75,3 +76,26 @@ def test_only_memory_and_the_trackers_touch_borrow_state():
         if path.name not in _BORROW_STATE_OWNERS and (names := _borrow_state_uses(path))
     }
     assert uses == {}
+
+
+# Trackers keep raw tag events; `BorrowTracker` alone turns them into `TagEvent` and `TagHistory`
+# records, when an error is raised, so no access or retag path formats an event.
+_EVENT_RECORDS = ("TagEvent", "TagHistory")
+
+
+def _event_records_built(path):
+    tree = ast.parse(path.read_text(), str(path))
+    built = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.ClassDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in _EVENT_RECORDS:
+                    built.append((f"{path.name}:{owner}", f"{name} (line {node.lineno})"))
+    return built
+
+
+def test_only_the_borrow_tracker_builds_tag_events():
+    built = [b for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py")) for b in _event_records_built(path)]
+    assert {where for where, _ in built} == {"memory.py:BorrowTracker"}, built

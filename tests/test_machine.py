@@ -855,7 +855,7 @@ def _retag_record(text, model, alloc_id, label):
     assert outcome.classification is Classification.PASS
     assert outcome.leaks == ()
     tracker = machine.memory.allocations[alloc_id].tracker
-    record = next(r for r in tracker.tags.values() if r.label == label)
+    record = next(r for r in tracker.history() if r.label == label)
     return record.created.description, tracker.root_tag
 
 
@@ -1105,11 +1105,16 @@ def _allocation(machine, label):
     return next(a for a in machine.memory.allocations.values() if a.label == label)
 
 
+def _root_record(alloc):
+    """The history record of `alloc`'s root tag, as its tracker writes it."""
+    return next(r for r in alloc.tracker.history() if r.tag == alloc.tag)
+
+
 @pytest.mark.parametrize("model", ["tb", "sb"])
 def test_call_result_slot_is_created_and_written_at_the_call_line(model):
     machine, outcome = _machine_run(_CALL_RESULT_ALIASED, model)
     y = _allocation(machine, "y")
-    root = y.tracker.tags[y.tag]
+    root = _root_record(y)
     # Line 7 is the call, line 3 the callee's `return`. The result's write
     # is a root access made before `y`'s first retag; it must survive into
     # the history of the tracker that the retag builds.
@@ -1155,7 +1160,7 @@ def test_only_a_retagged_allocation_builds_a_tracker(model):
     # leave `allocations` when their frames exit.
     (x,) = machine.memory.allocations.values()
     assert (x.id, x.label, x.tag) == (1, "x", 1)
-    assert x.tracker is not None and x.tracker.tags[x.tag].last_valid_use is not None
+    assert x.tracker is not None and _root_record(x).last_valid_use is not None
     # Yet all seven locals drew an alloc id, a root tag and an 8-byte slot
     # in order: x, raw, q, v, q, v, after, with sb's `&raw mut x` retag
     # drawing a tag between x's and raw's (tb does not retag a raw borrow).
@@ -1190,7 +1195,7 @@ def test_an_exposed_address_access_builds_the_tracker_and_keeps_the_root_use(mod
     assert outcome.classification is Classification.PASS
     p = _allocation(machine, "p")
     assert p.tracker is not None
-    assert p.tracker.tags[p.tag].last_valid_use.line == last_use
+    assert _root_record(p).last_valid_use.line == last_use
     assert _allocation(machine, "s").tracker is None
 
 

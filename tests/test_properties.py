@@ -59,6 +59,7 @@ from seamcheck.types import (
 )
 
 from conftest import corpus_path, init_mask, make_tracker
+from tracker_state import allows_write, peek_at, stack_at
 
 _SIZE = 4
 _RETAG_KINDS = ("mutable-ref", "shared-ref", "raw-mut", "raw-const", "cell")
@@ -112,13 +113,13 @@ def test_suite_tree_disabled_absorbing_and_no_foreign_active(ops):
             break
         # Root stays Active at every location.
         for off in range(_SIZE):
-            assert tracker.peek_at(tracker.root_tag, off)[0] is Permission.ACTIVE
+            assert peek_at(tracker, tracker.root_tag, off)[0] is Permission.ACTIVE
         # Disabled never comes back.
         for tag, off in disabled:
-            assert tracker.peek_at(tag, off)[0] is Permission.DISABLED
+            assert peek_at(tracker, tag, off)[0] is Permission.DISABLED
         for tag in tracker.nodes:
             for off in range(_SIZE):
-                if tracker.peek_at(tag, off)[0] is Permission.DISABLED:
+                if peek_at(tracker, tag, off)[0] is Permission.DISABLED:
                     disabled.add((tag, off))
         # After an access, no tag foreign to it is still Active there.
         if op == 1:
@@ -127,7 +128,7 @@ def test_suite_tree_disabled_absorbing_and_no_foreign_active(ops):
                 if tag in child_side:
                     continue
                 for off in range(*rng):
-                    assert tracker.peek_at(tag, off)[0] is not Permission.ACTIVE
+                    assert peek_at(tracker, tag, off)[0] is not Permission.ACTIVE
 
 
 def _is_subsequence(needle, haystack):
@@ -157,16 +158,16 @@ def test_suite_stack_mutation_only_above_granting_item(ops):
         actor = WILDCARD if wildcard else tags[actor_sel % len(tags)]
         kind = "read" if kind_sel % 2 == 0 else "write"
         before = {
-            off: [(i.tag, i.grant, i.tag in tracker.protected) for i in tracker.stack_at(off)]
+            off: [(i.tag, i.grant, i.tag in tracker.protected) for i in stack_at(tracker, off)]
             for off in range(*rng)
         }
         grant_idx = {}
         for off in range(*rng):
-            stack = tracker.stack_at(off)
+            stack = stack_at(tracker, off)
             idx = None
             for i in range(len(stack) - 1, -1, -1):
                 if wildcard:
-                    if kind == "read" or stack[i].grant.allows_write:
+                    if kind == "read" or allows_write(stack[i].grant):
                         idx = i
                         break
                 elif stack[i].tag == actor:
@@ -179,7 +180,7 @@ def test_suite_stack_mutation_only_above_granting_item(ops):
             break
         for off in range(*rng):
             old = before[off]
-            new = [(i.tag, i.grant, i.tag in tracker.protected) for i in tracker.stack_at(off)]
+            new = [(i.tag, i.grant, i.tag in tracker.protected) for i in stack_at(tracker, off)]
             idx = grant_idx[off]
             assert idx is not None  # the access succeeded, so something granted it
             # Everything below and including the granting item is untouched.
@@ -190,7 +191,7 @@ def test_suite_stack_mutation_only_above_granting_item(ops):
                 assert new[-1] == old[idx]
             else:
                 # A read removes exactly the writers above the granting item.
-                kept = [item for item in old[idx + 1 :] if not item[1].allows_write]
+                kept = [item for item in old[idx + 1 :] if not allows_write(item[1])]
                 assert new == old[: idx + 1] + kept
 
 
@@ -487,5 +488,5 @@ def test_suite_immediate_local_matches_the_byte_path(ty, ops):
     )
     assert made.values == alloc.values
     assert made.fragments == alloc.fragments
-    made_root = immediate.tracker(made).tags[made.tag]
-    assert made_root == byte_path.tracker(alloc).tags[alloc.tag]
+    (made_root,) = immediate.tracker(made).history()
+    assert (made_root,) == byte_path.tracker(alloc).history()

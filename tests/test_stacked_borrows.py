@@ -6,6 +6,7 @@ from conftest import make_tracker
 from seamcheck.diagnostics import DiagnosticKind, TagEvent
 from seamcheck.memory import WILDCARD, UbError
 from seamcheck.stacked_borrows import Grant, StackedBorrowTracker
+from tracker_state import serialize_stacks, stack_at
 
 
 def _tracker(size=4):
@@ -17,7 +18,7 @@ def _ctx(line=1):
 
 
 def _stack(t, off=0):
-    return [(item.tag, item.grant) for item in t.stack_at(off)]
+    return [(item.tag, item.grant) for item in stack_at(t, off)]
 
 
 def test_root_item_is_unique():
@@ -59,10 +60,10 @@ def test_shared_retag_pushes_read_only_and_removes_writers_above():
 def test_shared_retag_grants_writes_on_cell_bytes():
     t = _tracker()
     reader = t.retag(t.root_tag, (0, 4), "shared-ref", ((1, 3),), False, "reader", _ctx())
-    assert t.stack_at(0)[-1].grant is Grant.SHARED_RO
-    assert t.stack_at(1)[-1].grant is Grant.SHARED_RW
-    assert t.stack_at(2)[-1].grant is Grant.SHARED_RW
-    assert t.stack_at(3)[-1].grant is Grant.SHARED_RO
+    assert stack_at(t, 0)[-1].grant is Grant.SHARED_RO
+    assert stack_at(t, 1)[-1].grant is Grant.SHARED_RW
+    assert stack_at(t, 2)[-1].grant is Grant.SHARED_RW
+    assert stack_at(t, 3)[-1].grant is Grant.SHARED_RO
 
 
 def test_raw_mut_retag_inserts_above_granting_item():
@@ -188,8 +189,8 @@ def test_dealloc_check_passes_after_protector_end():
 def test_retag_of_partial_range_only_touches_those_bytes():
     t = _tracker(size=4)
     child = t.retag(t.root_tag, (0, 2), "mutable-ref", (), False, "child", _ctx())
-    assert len(t.stack_at(0)) == 2
-    assert len(t.stack_at(2)) == 1
+    assert len(stack_at(t, 0)) == 2
+    assert len(stack_at(t, 2)) == 1
 
 
 def test_retag_with_popped_parent_is_out_of_bounds():
@@ -259,9 +260,9 @@ def test_errors_carry_history_and_snapshot():
 def test_serialize_is_stable_under_wildcard_reads():
     t = _tracker()
     t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "a", _ctx())
-    before = t.serialize()
+    before = serialize_stacks(t)
     t.access(WILDCARD, (0, 4), "read", _ctx())
-    assert t.serialize() == before
+    assert serialize_stacks(t) == before
 
 
 # ---- the text of every event form an sb history holds ----------------------------

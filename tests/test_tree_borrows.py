@@ -6,6 +6,7 @@ from conftest import make_tracker
 from seamcheck.diagnostics import DiagnosticKind, TagEvent
 from seamcheck.memory import WILDCARD, UbError
 from seamcheck.tree_borrows import Permission, TreeBorrowTracker
+from tracker_state import peek_at, serialize_tree
 
 R = Permission.RESERVED
 RIM = Permission.RESERVED_IM
@@ -23,7 +24,7 @@ def _ctx(line=1):
 
 
 def _perm(tracker, tag, off=0):
-    return tracker.peek_at(tag, off)[0]
+    return peek_at(tracker, tag, off)[0]
 
 
 def test_root_is_active_everywhere():
@@ -136,9 +137,9 @@ def test_ancestors_count_as_child_side():
 def test_lazy_locations_materialize_on_first_touch():
     t = _tracker()
     child = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "child", _ctx())
-    assert [t.peek_at(child, off) for off in range(4)] == [(R, False)] * 4
+    assert [peek_at(t, child, off) for off in range(4)] == [(R, False)] * 4
     t.access(child, (2, 3), "read", _ctx())
-    assert [t.peek_at(child, off) for off in range(4)] == [(R, False), (R, False), (R, True), (R, False)]
+    assert [peek_at(t, child, off) for off in range(4)] == [(R, False), (R, False), (R, True), (R, False)]
 
 
 def test_transitions_apply_to_lazy_locations():
@@ -152,7 +153,7 @@ def test_protected_retag_reads_immediately():
     t = _tracker()
     t.access(t.root_tag, (0, 4), "write", _ctx())
     guard = t.retag(t.root_tag, (0, 4), "mutable-ref", (), True, "guard", _ctx())
-    assert t.peek_at(guard, 0)[1]
+    assert peek_at(t, guard, 0)[1]
 
 
 def test_disabling_protected_initialized_tag_is_an_error():
@@ -192,10 +193,10 @@ def test_wildcard_access_changes_nothing():
     t = _tracker()
     child = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "child", _ctx())
     t.access(child, (0, 4), "write", _ctx())
-    before = t.serialize()
+    before = serialize_tree(t)
     t.access(WILDCARD, (0, 4), "write", _ctx())
     t.access(WILDCARD, (0, 4), "read", _ctx())
-    assert t.serialize() == before
+    assert serialize_tree(t) == before
 
 
 def test_access_outside_retag_range_uses_initial_permission():

@@ -2,6 +2,9 @@
 
 import difflib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -320,3 +323,21 @@ def test_internal_error_exits_70_with_traceback_on_stderr(scenario, capsys, monk
     assert captured.out == ""
     assert "seamcheck: internal error: RuntimeError: boom" in captured.err
     assert "Traceback (most recent call last)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, code, last",
+    [
+        (["--corpus", "corpus"], 0, "78 checks, 0 mismatches"),
+        (["--diff", "corpus/offset_beyond_borrow.sc"], 1, "verdict: sb-only-violation"),
+    ],
+    ids=["corpus", "diff"],
+)
+def test_module_entry_point_runs_from_the_repo_root(args, code, last):
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run(
+        [sys.executable, "-m", "seamcheck", *args],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    assert done.stdout.splitlines()[-1] == last

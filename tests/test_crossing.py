@@ -256,3 +256,57 @@ end
     path = tmp_path / "negative.sc"
     path.write_text(text)
     assert main([str(path)]) == 2
+
+
+_HALF_INIT_ARGUMENT = _PT + """
+bind pass = c_pass(Pt) -> i64
+
+foreign fn c_pass(p: i64) -> i64
+  return p
+end
+
+host fn main()
+  let pt: Pt = uninit
+  pt.x = 1
+  let bits: i64 = call pass(pt)
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_by_value_argument_with_uninitialized_bytes_into_an_integer_is_an_uninitialized_read(model):
+    diag = _expect_bug(_HALF_INIT_ARGUMENT, DiagnosticKind.UNINITIALIZED_READ, model=model)
+    assert diag.message == "foreign call returned a value derived from uninitialized memory"
+    diag = _expect_bug(
+        _HALF_INIT_ARGUMENT, DiagnosticKind.UNINITIALIZED_READ, model=model, permissive_foreign=False
+    )
+    assert diag.message == "by-value crossing reads uninitialized byte 4 of an aggregate"
+
+
+_UNIT_CROSSINGS = """
+bind f = c_f(unit)
+
+foreign fn c_f(u: unit)
+  let s = alloca 8
+  let v = load u64 s
+  let p = malloc u
+  free p
+  call cb(ARG)
+end
+
+host fn cb(w: unit)
+end
+
+host fn main()
+  let u: unit = zeroed
+  call f(u)
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_a_unit_value_crosses_out_as_zero_and_an_uninitialized_one_cannot_cross_back(model):
+    # A host unit value has no bytes, so foreign code sees it as 0.
+    assert _run(_UNIT_CROSSINGS.replace("ARG", "u"), model=model).classification is Classification.PASS
+    diag = _expect_bug(_UNIT_CROSSINGS.replace("ARG", "v"), DiagnosticKind.UNINITIALIZED_READ, model=model)
+    assert diag.message == "value derived from uninitialized memory passed into host code"

@@ -1276,3 +1276,135 @@ end
 def test_a_wildcard_pointer_reaches_a_never_borrowed_neighbour(model, text):
     outcome = _run(text, model=model)
     assert outcome.classification is Classification.PASS, outcome.diagnostics
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_callback_with_the_wrong_argument_count_is_invalid_binding(model):
+    outcome = _expect_bug(
+        """
+bind run = c_run()
+
+foreign fn c_run()
+  call cb(1, 2)
+end
+
+host fn cb(v: i32)
+end
+
+host fn main()
+  call run()
+end
+""",
+        DiagnosticKind.INVALID_BINDING,
+        model=model,
+    )
+    assert outcome.diagnostics[0].message == "callback 'cb' takes 1 parameters, call passes 2"
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_wide_load_through_an_untyped_pointer_is_invalid_binding(model):
+    outcome = _expect_bug(
+        """
+host fn main()
+  let x: i32 = 1
+  let xp: *mut i32 = &raw mut x
+  let p: ptr = xp as ptr
+  let v: i64 = *p
+end
+""",
+        DiagnosticKind.INVALID_BINDING,
+        model=model,
+    )
+    assert outcome.diagnostics[0].message == (
+        "load through untyped pointer 'p' resolves to 4 bytes, destination 'v' holds 8"
+    )
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_zeroed_integer_local_reads_back_zero(model):
+    text = "host fn main()\n  let x: i64 = zeroed\n  assert_eq x WANT\nend\n"
+    assert _run(text.replace("WANT", "0"), model=model).classification is Classification.PASS
+    outcome = _expect_bug(text.replace("WANT", "1"), DiagnosticKind.ASSERTION_FAILED, model=model)
+    assert outcome.diagnostics[0].message == "assertion failed: 0 != 1"
+
+
+_POINTER_AGAINST_INTEGER = """
+host fn main()
+  let x: i32 = 1
+  let p: *mut i32 = &raw mut x
+  let a: u64 = p as u64
+  assert_eq p a
+  assert_eq p 0
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_assert_eq_compares_a_pointer_by_its_address(model):
+    outcome = _expect_bug(_POINTER_AGAINST_INTEGER, DiagnosticKind.ASSERTION_FAILED, model=model)
+    diag = outcome.diagnostics[0]
+    # The first assertion held; the second names the address in hex.
+    assert diag.host_trace[0].statement == "assert_eq p 0"
+    assert re.fullmatch(r"assertion failed: 0x[0-9a-f]+ != 0", diag.message)
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_pointer_stored_in_a_struct_field_keeps_its_provenance(model):
+    outcome = _run(
+        """
+type Holder
+  p: *mut i32
+end
+
+host fn main()
+  let x: i32 = 1
+  let h: Holder = zeroed
+  let xp: *mut i32 = &raw mut x
+  h.p = xp
+  let q: *mut i32 = h.p
+  *q = 5
+  assert_eq x 5
+end
+""",
+        model=model,
+    )
+    assert outcome.classification is Classification.PASS, outcome.diagnostics
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_heap_from_raw_of_an_address_outside_every_allocation_is_out_of_bounds(model):
+    outcome = _expect_bug(
+        """
+host fn main()
+  let raw: *mut i64 = 4096
+  let b: *mut i64 = heap_from_raw raw
+end
+""",
+        DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
+        model=model,
+    )
+    assert outcome.diagnostics[0].message == (
+        "heap_from_raw of 0x1000, which points into no live allocation"
+    )
+
+
+_HEAP_ROUND_TRIP = """
+host fn main()
+  let b: *mut i64 = heap_new i64 7
+  let raw: *mut i64 = heap_into_raw b
+  let back: *mut i64 = heap_from_raw raw
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_heap_from_raw_without_unique_as_mutable_keeps_the_pointer_untagged(model):
+    machine = Machine(parse_text(_HEAP_ROUND_TRIP), MachineConfig(model=model, unique_as_mutable=False))
+    outcome = machine.run()
+    assert outcome.classification is Classification.PASS
+    assert outcome.leaks == ()
+    # No retag reached the heap value, so it never built a tracker.
+    assert _allocation(machine, "b (alloc)").tracker is None
+    machine, _ = _machine_run(_HEAP_ROUND_TRIP, model)
+    labels = _allocation(machine, "b (alloc)").tracker.labels.values()
+    assert "back" in labels

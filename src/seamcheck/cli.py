@@ -250,7 +250,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"seamcheck: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         traceback.print_exc()
         return INTERNAL_EXIT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

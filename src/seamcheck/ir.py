@@ -302,12 +302,6 @@ class ScenarioProgram:
     def binding(self, name: str) -> BindingSignature:
         return self.bindings_by_name[name]
 
-    def struct(self, name: str) -> StructType:
-        for t in self.types:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
     @property
     def entry(self) -> FnDef:
         return self.function("main")

@@ -7,10 +7,11 @@ memory reserves: the machine reads and writes its whole value
 (`_read_slot`, `_write_slot`) until an address reaches it and memory
 materializes its bytes in place (see `memory`). Any other local has bytes
 from the start. `Memory` owns each allocation's root tag and borrow
-tracker; the machine deals in types only. Foreign locals are plain
-registers holding integers, pointers, or opaque byte blobs, with a taint
-flag that marks values read out of uninitialized memory in permissive
-mode.
+tracker; the machine deals in types only. Foreign locals are registers
+holding the same values as host locals: an integer, a pointer, an opaque
+byte blob, or None. None is uninitialized on both sides of the boundary: a
+host slot that was never written, or a register loaded from uninitialized
+memory in permissive mode, which is an error only where it is used.
 
 Every call pushes a frame on the caller's thread, whichever dialect the
 callee is written in; a frame runs in its function's dialect. A host `call`
@@ -20,8 +21,8 @@ says where the result lands. A call across the boundary converts the
 arguments on the way in and the return value when the callee's frame pops.
 Bound arguments and returns, callback arguments and integer/pointer casts
 all convert through `_convert`, which applies the pairings `translate`
-checks and carries taint; a tainted value landing in host code is an
-uninitialized read. Only `spawn` creates a thread. The scheduler picks
+checks and passes None through; an uninitialized value landing in host code
+is an uninitialized read. Only `spawn` creates a thread. The scheduler picks
 among ready threads, in spawn order, with a seeded generator, so a run is a
 deterministic function of (program, config).
 
@@ -137,16 +138,11 @@ class MachineConfig:
             self.permissive_foreign = False
 
 
-HostValue = Union[int, PointerValue, Blob, None]
+# A host local's or a foreign register's value; None is uninitialized.
+Value = Union[int, PointerValue, Blob, None]
 
 # (host frames, foreign frames), innermost first.
 Trace = tuple[tuple[TraceFrame, ...], tuple[TraceFrame, ...]]
-
-
-@dataclass(frozen=True)
-class Reg:
-    value: Union[int, PointerValue, Blob]
-    tainted: bool = False
 
 
 @dataclass
@@ -164,7 +160,7 @@ class _Frame:
     pc: int = 0
     slots: dict[str, _Slot] = field(default_factory=dict)
     slot_order: list[_Slot] = field(default_factory=list)
-    regs: dict[str, Reg] = field(default_factory=dict)
+    regs: dict[str, Value] = field(default_factory=dict)
     handles: dict[str, int] = field(default_factory=dict)
     protected: list[tuple[int, int]] = field(default_factory=list)  # (alloc id, tag)
     stack_allocs: list[int] = field(default_factory=list)
@@ -294,7 +290,7 @@ class Machine:
 
     # ---- frame setup and teardown --------------------------------------------
 
-    def _make_host_frame(self, fn: FnDef, args: list[HostValue], line: int) -> _Frame:
+    def _make_host_frame(self, fn: FnDef, args: list[Value], line: int) -> _Frame:
         frame = _Frame(fn=fn)
         for param, value in zip(fn.params, args):
             ty = param.type
@@ -332,13 +328,13 @@ class Machine:
             raise ScenarioUnsupported(f"unknown local '{name}'")
         return slot
 
-    def _read_slot(self, slot: _Slot, line: int) -> HostValue:
+    def _read_slot(self, slot: _Slot, line: int) -> Value:
         """The local's value: whole while memory keeps it immediate, else from its bytes."""
         if slot.alloc.immediate:
             return self.memory.load(slot.alloc, line)
-        return self._typed_read(slot.pointer, slot.type, line)[0]
+        return self._typed_read(slot.pointer, slot.type, line)
 
-    def _write_slot(self, slot: _Slot, value: HostValue, line: int) -> None:
+    def _write_slot(self, slot: _Slot, value: Value, line: int) -> None:
         """Store `value` into the local, whole while memory keeps it immediate."""
         if not slot.alloc.immediate:
             self._typed_write_value(slot.pointer, slot.type, value, line)
@@ -365,7 +361,7 @@ class Machine:
         if ptr.alloc_id is not None:
             alloc = self.memory.allocations[ptr.alloc_id]
             if (
-                alloc.origin in (AllocOrigin.HOST_STACK, AllocOrigin.FOREIGN_STACK, AllocOrigin.STATIC)
+                alloc.origin in (AllocOrigin.HOST_STACK, AllocOrigin.FOREIGN_STACK)
                 and ptr.offset == 0
                 and alloc.size in (1, 2, 4, 8)
             ):
@@ -374,21 +370,21 @@ class Machine:
 
     def _typed_read(
         self, ptr: PointerValue, ty: TypeDesc, line: int, permissive: bool = False
-    ) -> tuple[HostValue, bool]:
-        """The `ty` value at `ptr` and whether it is tainted, which only a `permissive` read can be."""
+    ) -> Value:
+        """The `ty` value at `ptr`: None for a unit, or for uninitialized bytes under a `permissive` read."""
         if isinstance(ty, CellType):
             ty = ty.inner
         if isinstance(ty, UnitType):
             self.memory.check_access(ptr, 0, 1, "read", line)
-            return None, False
+            return None
         if isinstance(ty, IntType):
             return self.memory.read_int(ptr, ty.size, ty.signed, line=line, permissive=permissive)
         if isinstance(ty, PtrType):
             return self.memory.read_pointer(ptr, line=line, permissive=permissive)
-        return self.memory.read_blob(ptr, size_of(ty), line), False
+        return self.memory.read_blob(ptr, size_of(ty), line)
 
     def _typed_write_value(
-        self, ptr: PointerValue, ty: TypeDesc, value: HostValue, line: int
+        self, ptr: PointerValue, ty: TypeDesc, value: Value, line: int
     ) -> None:
         if isinstance(ty, CellType):
             ty = ty.inner
@@ -414,7 +410,7 @@ class Machine:
         raise ScenarioUnsupported(f"cannot store value into slot of type {ty}")
 
     @staticmethod
-    def _scalar(ty: Union[IntType, PtrType], value: HostValue) -> Union[int, PointerValue]:
+    def _scalar(ty: Union[IntType, PtrType], value: Value) -> Union[int, PointerValue]:
         """`value` as a `ty` place stores it: wrapped to the integer type, or as a pointer.
 
         An integer stored into a pointer place is a bare address, as its
@@ -471,44 +467,44 @@ class Machine:
                 ty = ty.elem
         return ptr, ty
 
-    def _eval_operand(self, thread: _Thread, op: Operand, line: int) -> tuple[HostValue, TypeDesc]:
+    def _eval_operand(self, thread: _Thread, op: Operand, line: int) -> tuple[Value, TypeDesc]:
         if isinstance(op, int):
             return op, IntType(64, op < 0)
         slot = self._slot(thread, op)
         return self._read_slot(slot, line), slot.type
 
-    def _foreign_operand(self, thread: _Thread, op: Operand) -> Reg:
+    def _foreign_operand(self, thread: _Thread, op: Operand) -> Value:
         if isinstance(op, int):
-            return Reg(op)
-        reg = thread.frames[-1].regs.get(op)
-        if reg is None:
+            return op
+        regs = thread.frames[-1].regs
+        if op not in regs:  # a register may hold None
             raise ScenarioUnsupported(f"unknown register '{op}'")
-        return reg
+        return regs[op]
 
-    def _reg_pointer(self, reg: Reg) -> PointerValue:
-        """A register used as a pointer; integers act as casts from exposed, tainted ones as uninit reads."""
-        if reg.tainted:
+    def _reg_pointer(self, value: Value) -> PointerValue:
+        """A register used as a pointer; integers act as casts from exposed, uninitialized ones as uninit reads."""
+        if isinstance(value, PointerValue):
+            return value
+        if isinstance(value, int):
+            return self.memory.from_exposed(value)
+        if value is None:
             raise UbError(
                 DiagnosticKind.UNINITIALIZED_READ,
                 "foreign code used a value derived from uninitialized memory as a pointer",
             )
-        if isinstance(reg.value, PointerValue):
-            return reg.value
-        if isinstance(reg.value, int):
-            return self.memory.from_exposed(reg.value)
         raise ScenarioUnsupported("aggregate register used as a pointer")
 
-    def _reg_int(self, reg: Reg) -> int:
-        """A register used as an integer operand; a tainted one is an uninitialized read."""
-        if reg.tainted:
+    def _reg_int(self, value: Value) -> int:
+        """A register used as an integer operand; an uninitialized one is an uninitialized read."""
+        if isinstance(value, int):
+            return value
+        if isinstance(value, PointerValue):
+            return self.memory.expose(value)
+        if value is None:
             raise UbError(
                 DiagnosticKind.UNINITIALIZED_READ,
                 "foreign code used a value derived from uninitialized memory as an integer operand",
             )
-        if isinstance(reg.value, int):
-            return reg.value
-        if isinstance(reg.value, PointerValue):
-            return self.memory.expose(reg.value)
         raise ScenarioUnsupported("aggregate register used as an integer")
 
     # ---- stepping ------------------------------------------------------------
@@ -586,7 +582,7 @@ class Machine:
         slot.owning = isinstance(stmt.rhs, (HeapNewRhs, HeapFromRawRhs))
         self._write_slot(slot, value, line)
 
-    def _host_rhs(self, thread: _Thread, stmt: LetStmt) -> HostValue:
+    def _host_rhs(self, thread: _Thread, stmt: LetStmt) -> Value:
         """The value a host `let` binds; None leaves the new slot uninitialized."""
         frame = thread.frames[-1]
         line = stmt.line
@@ -614,7 +610,7 @@ class Machine:
                     f"{size_of(src_ty)} bytes, destination '{stmt.name}' holds "
                     f"{size_of(stmt.type)}",
                 )
-            value, _ = self._typed_read(src_ptr, src_ty, line)
+            value = self._typed_read(src_ptr, src_ty, line)
             return self._bind_reference(value, stmt.type, stmt.name, line)
         if isinstance(rhs, BorrowRhs):
             ptr, ty = self._resolve_place(thread, rhs.place, line)
@@ -657,8 +653,8 @@ class Machine:
         raise ScenarioUnsupported(f"host let cannot evaluate {type(rhs).__name__}")
 
     def _bind_reference(
-        self, value: HostValue, ty: TypeDesc, name: str, line: int, protect: bool = False
-    ) -> HostValue:
+        self, value: Value, ty: TypeDesc, name: str, line: int, protect: bool = False
+    ) -> Value:
         """`value` retagged if local or parameter `name` of type `ty` is a reference.
 
         SB retags every reference assignment, a call's result included, and
@@ -689,7 +685,7 @@ class Machine:
 
     def _cast(
         self, thread: _Thread, source: str, target: TypeDesc, label: str, line: int
-    ) -> HostValue:
+    ) -> Value:
         value, src_ty = self._eval_operand(thread, source, line)
         if not isinstance(src_ty, (IntType, PtrType)) or not isinstance(target, (IntType, PtrType)):
             raise ScenarioUnsupported(f"no cast from {src_ty} to {target}")
@@ -701,7 +697,7 @@ class Machine:
                 raise ScenarioUnsupported("casts cannot create references")
         elif (isinstance(src_ty, PtrType) or isinstance(target, PtrType)) and size_of(src_ty) != size_of(target):
             raise ScenarioUnsupported("pointer addresses only fit 8-byte integers")
-        return self._convert(Reg(value), target).value
+        return self._convert(value, target)
 
     def _offset(self, thread: _Thread, rhs: OffsetRhs, line: int) -> PointerValue:
         value, src_ty = self._eval_operand(thread, rhs.source, line)
@@ -723,7 +719,7 @@ class Machine:
             )
 
     @staticmethod
-    def _plain(v: HostValue):
+    def _plain(v: Value):
         # Pointers compare by address so a round-tripped pointer can be
         # checked against the integer it was cast to.
         if isinstance(v, PointerValue):
@@ -733,15 +729,15 @@ class Machine:
         return v
 
     @staticmethod
-    def _show(v: HostValue) -> str:
+    def _show(v: Value) -> str:
         if isinstance(v, PointerValue):
             return f"0x{v.address:x}"
         if isinstance(v, Blob):
             return f"<{len(v.values)}-byte value>"
         return str(v)
 
-    def _do_return(self, thread: _Thread, value: Union[HostValue, Reg], line: int) -> None:
-        """Pop the frame and hand `value` (a `Reg` from foreign code) to its caller."""
+    def _do_return(self, thread: _Thread, value: Value, line: int) -> None:
+        """Pop the frame and hand `value` to its caller."""
         callee = self._exit_frame(thread, line)
         if not thread.frames:
             thread.status = "done"
@@ -755,7 +751,8 @@ class Machine:
         call: CallStmt = caller.fn.body[caller.pc - 1]  # the call that pushed `callee`
         if caller.fn.dialect is Dialect.FOREIGN:
             if call.dest is not None:
-                caller.regs[call.dest] = Reg(0 if value is None else value)
+                # The callee is a host function, whose missing result lands as 0.
+                caller.regs[call.dest] = 0 if value is None else value
             return
         if callee.fn.dialect is Dialect.FOREIGN:
             ret = self.program.binding(call.callee).ret
@@ -763,8 +760,7 @@ class Machine:
                 value = None  # the binding declares no result
             else:
                 value = self._to_host(
-                    value or Reg(0, tainted=True), ret,
-                    "foreign call returned a value derived from uninitialized memory",
+                    value, ret, "foreign call returned a value derived from uninitialized memory"
                 )
         if call.dest is not None:
             # The result lands at the call, not at the callee's return. Retag
@@ -787,7 +783,7 @@ class Machine:
 
     def _host_args(
         self, thread: _Thread, stmt: Union[CallStmt, SpawnStmt], callee: FnDef
-    ) -> list[HostValue]:
+    ) -> list[Value]:
         """The arguments `stmt` passes to host function `callee`, checked against its parameters."""
         args = [self._check_host_arg(thread, a, p.type, stmt.line) for a, p in zip(stmt.args, callee.params)]
         if len(stmt.args) != len(callee.params):
@@ -800,7 +796,7 @@ class Machine:
 
     def _check_host_arg(
         self, thread: _Thread, op: Operand, want: TypeDesc, line: int
-    ) -> HostValue:
+    ) -> Value:
         value, ty = self._eval_operand(thread, op, line)
         if isinstance(op, int):
             return value
@@ -818,9 +814,8 @@ class Machine:
                 f"call passes {len(stmt.args)} arguments, binding '{binding.name}' "
                 f"declares {len(binding.params)}",
             )
-        plan = plan_call(binding, callee)
-        regs: list[Reg] = []
-        for arg_plan, op in zip(plan.args, stmt.args):
+        regs: list[Value] = []
+        for arg_plan, op in zip(plan_call(binding, callee), stmt.args):
             value = self._check_host_arg(thread, op, arg_plan.source, stmt.line)
             regs.extend(self._outbound(arg_plan, value))
         for op in stmt.args[len(binding.params):]:
@@ -834,31 +829,37 @@ class Machine:
             frame.regs[f"vararg{i}"] = reg
         thread.frames.append(frame)
 
-    def _outbound(self, plan: ArgPlan, value: HostValue) -> list[Reg]:
+    def _outbound(self, plan: ArgPlan, value: Value) -> list[Value]:
         """The registers one host argument fills on the foreign side."""
         if len(plan.targets) > 1:
             # Only a homogeneous aggregate without padding flattens, so its
             # fields sit at a fixed stride.
-            values = self._convert(Reg(value), plan.source).value.values
+            values = self._convert(value, plan.source).values
             width = len(values) // len(plan.targets)
             return [
-                self._convert(Reg(Blob(values[i * width : (i + 1) * width])), target)
+                self._convert(Blob(values[i * width : (i + 1) * width]), target)
                 for i, target in enumerate(plan.targets)
             ]
+        if value is None:
+            # A host read of uninitialized memory raises, so this is a unit,
+            # which has no bytes; it lands as 0, as a missing host result does.
+            return [0]
         if isinstance(value, int) and isinstance(plan.source, PtrType):
             # A literal where the binding declares a pointer is an address
             # without provenance, not an integer to rehydrate.
             value = no_provenance(value)
-        return [self._convert(Reg(value), plan.targets[0])]
+        return [self._convert(value, plan.targets[0])]
 
-    def _convert(self, reg: Reg, target: TypeDesc) -> Reg:
-        """`reg` as a value of type `target` on the other side of a crossing.
+    def _convert(self, value: Value, target: TypeDesc) -> Value:
+        """`value` as a value of type `target` on the other side of a crossing.
 
         Every crossing converts here: bound arguments and returns, callback
-        arguments and integer/pointer casts. The result is tainted when `reg`
-        is, or when it reads uninitialized bytes of a by-value aggregate.
+        arguments and integer/pointer casts. The result is None, uninitialized,
+        when `value` is, or when it reads uninitialized bytes of a by-value
+        aggregate under permissive loads.
         """
-        value = reg.value
+        if value is None:
+            return None
         if isinstance(target, IntType):
             if isinstance(value, PointerValue):
                 if target.size != 8:
@@ -867,33 +868,31 @@ class Machine:
                         f"pointer crosses into {target.size}-byte integer {target}: "
                         f"only 8-byte integers carry addresses",
                     )
-                return Reg(self.memory.expose(value), reg.tainted)
+                return self.memory.expose(value)
             if not isinstance(value, Blob):
-                return Reg(reinterpret(value, target), reg.tainted)
+                return reinterpret(value, target)
             if len(value.values) != target.size:
                 raise UbError(
                     DiagnosticKind.INVALID_BINDING,
                     f"{len(value.values)}-byte aggregate crosses into {target.size}-byte {target}",
                 )
-            uninit = None in value.values
-            if uninit and not self.config.permissive_foreign:
+            if None in value.values:
+                if self.config.permissive_foreign:
+                    return None
                 raise UbError(
                     DiagnosticKind.UNINITIALIZED_READ,
                     f"by-value crossing reads uninitialized byte "
                     f"{value.values.index(None)} of an aggregate",
                 )
-            raw = bytes([0 if v is None else v for v in value.values])
-            return Reg(reinterpret(int.from_bytes(raw, "little"), target), reg.tainted or uninit)
+            return reinterpret(int.from_bytes(bytes(value.values), "little"), target)
         if isinstance(target, PtrType):
-            if isinstance(value, PointerValue):
-                return reg
-            return Reg(self._reg_pointer(reg))
+            return self._reg_pointer(value)
         if isinstance(target, CellType):
-            return self._convert(reg, target.inner)
+            return self._convert(value, target.inner)
         if isinstance(target, (StructType, ArrayType)):
             size = size_of(target)
             if isinstance(value, int):
-                return Reg(Blob(list((value % (1 << (8 * size))).to_bytes(size, "little"))), reg.tainted)
+                return Blob(list((value % (1 << (8 * size))).to_bytes(size, "little")))
             if not isinstance(value, Blob):
                 raise ScenarioUnsupported(f"a pointer cannot cross into aggregate {target}")
             if len(value.values) != size:
@@ -901,18 +900,17 @@ class Machine:
                     DiagnosticKind.INVALID_BINDING,
                     f"{len(value.values)}-byte aggregate crosses into {size}-byte {target}",
                 )
-            return reg
+            return value
         if isinstance(target, UnitType):
-            return Reg(0, reg.tainted)
+            return 0
         raise ScenarioUnsupported(f"no conversion into {target}")
 
-    def _to_host(self, reg: Reg, target: TypeDesc, tainted_message: str) -> HostValue:
-        """A foreign value landing in host code as a `target`; tainted ones are errors."""
-        if not reg.tainted:
-            reg = self._convert(reg, target)
-        if reg.tainted:
-            raise UbError(DiagnosticKind.UNINITIALIZED_READ, tainted_message)
-        return reg.value
+    def _to_host(self, value: Value, target: TypeDesc, uninit_message: str) -> Value:
+        """A foreign value landing in host code as a `target`; an uninitialized one is an error."""
+        value = self._convert(value, target)
+        if value is None:
+            raise UbError(DiagnosticKind.UNINITIALIZED_READ, uninit_message)
+        return value
 
     # ---- foreign execution ---------------------------------------------------
 
@@ -926,15 +924,15 @@ class Machine:
             if size not in (1, 2, 4, 8):
                 raise ScenarioUnsupported(f"foreign store of {size}-byte type {stmt.type}")
             ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer))
-            reg = self._foreign_operand(thread, stmt.value)
-            if reg.tainted:
+            value = self._foreign_operand(thread, stmt.value)
+            if value is None:
                 # A value derived from uninitialized memory stays
                 # uninitialized when written back.
                 self.memory.write_uninit(ptr, size, line)
-            elif isinstance(reg.value, PointerValue) and size == 8:
-                self.memory.write_pointer(ptr, reg.value, line)
+            elif isinstance(value, PointerValue) and size == 8:
+                self.memory.write_pointer(ptr, value, line)
             else:
-                self.memory.write_int(ptr, size, reinterpret(self._reg_int(reg), IntType(8 * size, False)), line=line)
+                self.memory.write_int(ptr, size, reinterpret(self._reg_int(value), IntType(8 * size, False)), line=line)
         elif isinstance(stmt, FreeStmt):
             ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer))
             self.memory.deallocate(ptr, "foreign")
@@ -951,27 +949,27 @@ class Machine:
         elif isinstance(stmt, CallStmt):
             self._foreign_call(thread, stmt)
         elif isinstance(stmt, ReturnStmt):
-            reg = None if stmt.value is None else self._foreign_operand(thread, stmt.value)
-            self._do_return(thread, reg, line)
+            value = None if stmt.value is None else self._foreign_operand(thread, stmt.value)
+            self._do_return(thread, value, line)
         else:
             raise ScenarioUnsupported(f"statement not executable in foreign code: {stmt!r}")
 
-    def _foreign_let(self, thread: _Thread, stmt: LetStmt) -> Reg:
+    def _foreign_let(self, thread: _Thread, stmt: LetStmt) -> Value:
         rhs, line = stmt.rhs, stmt.line
         if isinstance(rhs, LiteralRhs):
-            return Reg(rhs.value)
+            return rhs.value
         if isinstance(rhs, PlaceRhs):
             return self._foreign_operand(thread, rhs.place.base)
         if isinstance(rhs, LoadRhs):
             ptr = self._reg_pointer(self._foreign_operand(thread, rhs.pointer))
             if not isinstance(rhs.type, (IntType, PtrType)):
                 raise ScenarioUnsupported(f"foreign load of type {rhs.type}")
-            return Reg(*self._typed_read(ptr, rhs.type, line, self.config.permissive_foreign))
+            return self._typed_read(ptr, rhs.type, line, self.config.permissive_foreign)
         if isinstance(rhs, (MallocRhs, AllocaRhs)):
-            reg = self._foreign_operand(thread, rhs.size)
-            size = self._reg_int(reg)
+            value = self._foreign_operand(thread, rhs.size)
+            size = self._reg_int(value)
             heap = isinstance(rhs, MallocRhs)
-            if isinstance(reg.value, PointerValue):
+            if isinstance(value, PointerValue):
                 raise ScenarioUnsupported(f"{'malloc' if heap else 'alloca'} sized by a pointer register")
             if size < 0:
                 raise ScenarioUnsupported(f"{'malloc' if heap else 'alloca'} of {size} bytes")
@@ -979,11 +977,11 @@ class Machine:
             alloc = self.memory.allocate(size, 16, origin, stmt.name, line)
             if not heap:
                 thread.frames[-1].stack_allocs.append(alloc.id)
-            return Reg(self.memory.base_pointer(alloc))
+            return self.memory.base_pointer(alloc)
         if isinstance(rhs, GepRhs):
-            reg = self._foreign_operand(thread, rhs.pointer)
+            value = self._foreign_operand(thread, rhs.pointer)
             off = self._reg_int(self._foreign_operand(thread, rhs.offset))
-            return Reg(self._reg_pointer(reg).with_byte_offset(off))
+            return self._reg_pointer(value).with_byte_offset(off)
         raise ScenarioUnsupported(f"foreign let cannot evaluate {type(rhs).__name__}")
 
     def _foreign_call(self, thread: _Thread, stmt: CallStmt) -> None:

@@ -5,7 +5,10 @@ holds a value plus an optional provenance fragment: a stored pointer spreads
 one `((alloc id, provenance), index)` fragment across its eight bytes, and a
 pointer-typed read reconstructs provenance only when all eight bytes still
 carry that fragment in order. Anything else degrades to a plain integer
-value. `read_int` and `read_pointer` share one uninit-checking byte read.
+value. `read_int` and `read_pointer` share one uninit-checking byte read;
+a permissive read, the foreign load mode, returns None for an
+uninitialized value where a strict one raises, as an LLVM load of undef
+bytes yields a value that is an error only when used.
 An untyped copy is a `Blob`, memory's by-value format: `read_blob` returns
 the bytes it copies out with their uninit mask and fragments, `write_blob`
 stores one back, and by-value aggregates cross the boundary as one.
@@ -95,7 +98,6 @@ class AllocOrigin(enum.Enum):
     HOST_HEAP = "host-heap"
     FOREIGN_STACK = "foreign-stack"
     FOREIGN_HEAP = "foreign-heap"
-    STATIC = "static"
 
 
 @dataclass(frozen=True)
@@ -319,15 +321,15 @@ def _put_pointer(alloc: Allocation, off: int, value: PointerValue) -> None:
         _drop_fragments(alloc, off, off + 8)
 
 
-def _init_bytes(alloc: Allocation, ptr: PointerValue, size: int, permissive: bool) -> tuple[bytes, bool]:
-    """The `size` bytes at `ptr` and whether any was uninitialized.
+def _init_bytes(alloc: Allocation, ptr: PointerValue, size: int, permissive: bool) -> Optional[bytes]:
+    """The `size` bytes at `ptr`, or None if any is uninitialized and the read is `permissive`.
 
     An uninitialized byte is an error unless `permissive` (the foreign load
-    mode), in which case it reads as zero and taints the result.
+    mode), in which case the whole value is uninitialized.
     """
     raw = alloc.values[ptr.offset : ptr.offset + size]
     if None not in raw:
-        return bytes(raw), False
+        return bytes(raw)
     if not permissive:
         i = raw.index(None)
         raise UbError(
@@ -335,7 +337,7 @@ def _init_bytes(alloc: Allocation, ptr: PointerValue, size: int, permissive: boo
             f"read of uninitialized byte at alloc#{alloc.id}+{ptr.offset + i}",
             address=ptr.address + i,
         )
-    return bytes(0 if v is None else v for v in raw), True
+    return None
 
 
 class Memory:
@@ -589,30 +591,16 @@ class Memory:
     # ---- typed and raw data movement ----------------------------------------
 
     def read_int(
-        self,
-        ptr: PointerValue,
-        size: int,
-        signed: bool,
-        *,
-        align: Optional[int] = None,
-        line: int = 0,
-        permissive: bool = False,
-    ) -> tuple[int, bool]:
-        """Read one integer. Returns (value, tainted); see `_init_bytes`."""
-        alloc = self.check_access(ptr, size, align if align is not None else size, "read", line)
-        raw, tainted = _init_bytes(alloc, ptr, size, permissive)
-        return int.from_bytes(raw, "little", signed=signed), tainted
+        self, ptr: PointerValue, size: int, signed: bool, *, line: int = 0, permissive: bool = False
+    ) -> Optional[int]:
+        """Read one size-aligned integer; None only for a `permissive` read, see `_init_bytes`."""
+        alloc = self.check_access(ptr, size, size, "read", line)
+        raw = _init_bytes(alloc, ptr, size, permissive)
+        return None if raw is None else int.from_bytes(raw, "little", signed=signed)
 
-    def write_int(
-        self,
-        ptr: PointerValue,
-        size: int,
-        value: int,
-        *,
-        align: Optional[int] = None,
-        line: int = 0,
-    ) -> None:
-        alloc = self.check_access(ptr, size, align if align is not None else size, "write", line)
+    def write_int(self, ptr: PointerValue, size: int, value: int, *, line: int = 0) -> None:
+        """Write one size-aligned integer, with no provenance."""
+        alloc = self.check_access(ptr, size, size, "write", line)
         _put_int(alloc, ptr.offset, size, value)
 
     def write_uninit(self, ptr: PointerValue, size: int, line: int = 0) -> None:
@@ -626,18 +614,16 @@ class Memory:
         _put_pointer(alloc, ptr.offset, value)
 
     def read_pointer(
-        self,
-        ptr: PointerValue,
-        *,
-        line: int = 0,
-        permissive: bool = False,
-    ) -> tuple[PointerValue, bool]:
-        """Read 8 bytes as a pointer, reconstructing provenance if intact."""
+        self, ptr: PointerValue, *, line: int = 0, permissive: bool = False
+    ) -> Optional[PointerValue]:
+        """Read 8 bytes as a pointer, reconstructing provenance if intact; see `_init_bytes`."""
         alloc = self.check_access(ptr, 8, 8, "read", line)
-        raw, tainted = _init_bytes(alloc, ptr, 8, permissive)
+        raw = _init_bytes(alloc, ptr, 8, permissive)
+        if raw is None:
+            return None
         address = int.from_bytes(raw, "little")
         frags = alloc.fragments
-        if frags and not tainted:
+        if frags:
             first = frags.get(ptr.offset)
             if first is not None and all(
                 frags.get(ptr.offset + i) == (first[0], i) for i in range(8)
@@ -645,10 +631,10 @@ class Memory:
                 target_alloc, prov = first[0]
                 if target_alloc is not None:
                     base = self._bases[target_alloc - 1]
-                    return PointerValue(address, target_alloc, address - base, prov), False
-                return PointerValue(address, None, address, prov), False
+                    return PointerValue(address, target_alloc, address - base, prov)
+                return PointerValue(address, None, address, prov)
         # Broken or absent fragments: the value is just an integer.
-        return no_provenance(address), tainted
+        return no_provenance(address)
 
     def read_blob(self, ptr: PointerValue, size: int, line: int = 0) -> Blob:
         """Untyped copy-out of the uninit mask and provenance fragments. No init check."""

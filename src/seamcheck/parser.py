@@ -142,8 +142,7 @@ class _Parser:
         bad = _BAD_RE.search(self.code)
         # The line of the first character that starts no token; reached, it is an error.
         self.bad_line = self.code.count("\n", 0, bad.start()) + 1 if bad else math.inf
-        self.structs: dict[str, StructType] = {}
-        self.struct_order: list[StructType] = []
+        self.structs: dict[str, StructType] = {}  # in declaration order
         self.functions: list[FnDef] = []
         self.bindings: list[BindingSignature] = []
         self.expectations: list[Expectation] = []
@@ -309,7 +308,6 @@ class _Parser:
         except LayoutError as e:
             raise ParseError(str(e), head) from None
         self.structs[name] = struct
-        self.struct_order.append(struct)
 
     # ---- places and operands -------------------------------------------------
 
@@ -564,7 +562,7 @@ class _Parser:
                 raise self.error(f"unexpected top-level input {first!r}", self.start)
         program = ScenarioProgram(
             path=self.path,
-            types=tuple(self.struct_order),
+            types=tuple(self.structs.values()),
             functions=tuple(self.functions),
             bindings=tuple(self.bindings),
             expectations=tuple(self.expectations),

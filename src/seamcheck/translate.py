@@ -58,12 +58,6 @@ class ArgPlan:
     targets: tuple[TypeDesc, ...]  # several only for a flattened aggregate
 
 
-@dataclass(frozen=True)
-class CallPlan:
-    args: tuple[ArgPlan, ...]
-    ret: TypeDesc  # the binding's; unit discards the returned value
-
-
 _AGGREGATES = (StructType, ArrayType, CellType)
 
 
@@ -139,11 +133,12 @@ def _check_pair(src: TypeDesc, dst: TypeDesc) -> None:
         raise TranslationError(f"no conversion between {src} and {dst}")
 
 
-def plan_call(binding: BindingSignature, callee: FnDef) -> CallPlan:
+def plan_call(binding: BindingSignature, callee: FnDef) -> tuple[ArgPlan, ...]:
     """Match a binding's parameter list onto a definition's, position by position.
 
     One aggregate binding parameter may absorb several definition parameters
-    (the flatten rule); everything else is one-to-one.
+    (the flatten rule); everything else is one-to-one. The return types are
+    checked too, by `plan_return`.
     """
     dparams = callee.params
     plans: list[ArgPlan] = []
@@ -175,7 +170,8 @@ def plan_call(binding: BindingSignature, callee: FnDef) -> CallPlan:
             f"'{callee.name}' declares {len(dparams)} parameters, binding "
             f"'{binding.name}' supplies values for {j}"
         )
-    return CallPlan(args=tuple(plans), ret=plan_return(binding, callee))
+    plan_return(binding, callee)
+    return tuple(plans)
 
 
 def _compatible(src: TypeDesc, dst: TypeDesc) -> bool:

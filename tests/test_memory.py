@@ -58,17 +58,13 @@ def test_write_then_read_round_trip():
     mem = _mem()
     alloc = mem.allocate(8, 8, AllocOrigin.HOST_STACK)
     mem.write_int(_ptr(alloc), 8, -12345)
-    value, tainted = mem.read_int(_ptr(alloc), 8, True)
-    assert value == -12345
-    assert not tainted
+    assert mem.read_int(_ptr(alloc), 8, True) == -12345
 
 
-def test_permissive_read_of_uninit_is_tainted_zero():
+def test_permissive_read_of_uninit_is_none():
     mem = _mem()
     alloc = mem.allocate(2, 2, AllocOrigin.FOREIGN_STACK)
-    value, tainted = mem.read_int(_ptr(alloc), 2, False, permissive=True)
-    assert value == 0
-    assert tainted
+    assert mem.read_int(_ptr(alloc), 2, False, permissive=True) is None
 
 
 def test_out_of_bounds_access_rejected():
@@ -151,7 +147,7 @@ def test_byte_accesses_skip_alignment_checks():
     mem = _mem()
     alloc = mem.allocate(3, 1, AllocOrigin.FOREIGN_STACK)
     mem.write_int(_ptr(alloc, 1), 1, 0xAB)
-    assert mem.read_int(_ptr(alloc, 1), 1, False) == (0xAB, False)
+    assert mem.read_int(_ptr(alloc, 1), 1, False) == 0xAB
 
 
 def test_pointer_round_trip_preserves_provenance():
@@ -160,8 +156,7 @@ def test_pointer_round_trip_preserves_provenance():
     target = mem.allocate(4, 4, AllocOrigin.HOST_STACK, "target")
     value = _ptr(target, 0, provenance=17)
     mem.write_pointer(_ptr(slot), value)
-    got, tainted = mem.read_pointer(_ptr(slot))
-    assert not tainted
+    got = mem.read_pointer(_ptr(slot))
     assert got.alloc_id == target.id
     assert got.provenance == 17
     assert got.address == target.base
@@ -173,7 +168,7 @@ def test_partially_overwritten_pointer_loses_provenance():
     target = mem.allocate(4, 4, AllocOrigin.HOST_STACK)
     mem.write_pointer(_ptr(slot), _ptr(target, 0, provenance=5))
     mem.write_int(_ptr(slot, 0).with_byte_offset(0), 1, 0xFF)
-    got, _ = mem.read_pointer(_ptr(slot))
+    got = mem.read_pointer(_ptr(slot))
     assert got.alloc_id is None
     assert got.provenance is None
 
@@ -188,7 +183,7 @@ def test_memcpy_preserves_uninit_and_fragments():
     mem.memcpy(_ptr(dst), _ptr(src), 16)
     assert init_mask(dst)[:8] == (True,) * 8
     assert init_mask(dst)[8:] == (False,) * 8
-    got, _ = mem.read_pointer(_ptr(dst))
+    got = mem.read_pointer(_ptr(dst))
     assert got.alloc_id == target.id and got.provenance == 9
 
 
@@ -199,7 +194,7 @@ def test_memset_initializes_and_clears_fragments():
     mem.write_pointer(_ptr(alloc), _ptr(target, 0, provenance=3))
     mem.memset(_ptr(alloc), 0xCC, 8)
     assert init_mask(alloc) == (True,) * 8
-    got, _ = mem.read_pointer(_ptr(alloc))
+    got = mem.read_pointer(_ptr(alloc))
     assert got.alloc_id is None
 
 
@@ -208,7 +203,7 @@ def test_assume_init_fills_missing_bytes_with_zero():
     alloc = mem.allocate(4, 4, AllocOrigin.HOST_STACK)
     mem.write_int(_ptr(alloc, 0), 1, 7)
     mem.assume_init(_ptr(alloc), 4)
-    assert mem.read_int(_ptr(alloc), 4, False) == (7, False)
+    assert mem.read_int(_ptr(alloc), 4, False) == 7
 
 
 def test_assume_init_past_the_end_overruns():

@@ -107,7 +107,7 @@ host fn main()
 end
 """
     )
-    struct = program.struct("Header")
+    (struct,) = [t for t in program.types if t.name == "Header"]
     assert [f.name for f in struct.fields] == ["magic", "size"]
     assert struct.fields[1].explicit_offset == 8
 

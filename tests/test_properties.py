@@ -261,8 +261,7 @@ def test_suite_translation_size_rule_and_bit_exact_round_trips(src, dst, value, 
     tag = data.draw(st.integers(1, 99), label="pointer tag")
     original = PointerValue(target.base + offset, target.id, offset, tag)
     mem.write_pointer(PointerValue(slot.base, slot.id, 0, None), original)
-    restored, tainted = mem.read_pointer(PointerValue(slot.base, slot.id, 0, None))
-    assert not tainted
+    restored = mem.read_pointer(PointerValue(slot.base, slot.id, 0, None))
     assert restored == original
 
 
@@ -286,9 +285,8 @@ def test_suite_init_mask_only_grows(ops, seed):
             size = (1, 2, 4, 8)[size_sel % 4]
             off = (off_sel % (32 // size)) * size
             mem.write_int(ptr.with_byte_offset(off), size, value % (1 << (8 * size)))
-            got, tainted = mem.read_int(ptr.with_byte_offset(off), size, False)
+            got = mem.read_int(ptr.with_byte_offset(off), size, False)
             assert got == value % (1 << (8 * size))
-            assert not tainted
         elif op == 1:
             off = off_sel % 32
             size = size_sel % (32 - off + 1)
@@ -458,9 +456,9 @@ def test_suite_immediate_local_matches_the_byte_path(ty, ops):
     for line, op in enumerate(ops, start=4):
         if op is None:
             if isinstance(ty, PtrType):
-                expected = _outcome(lambda: byte_path.read_pointer(ptr, line=line)[0])
+                expected = _outcome(lambda: byte_path.read_pointer(ptr, line=line))
             else:
-                expected = _outcome(lambda: byte_path.read_int(ptr, size, ty.signed, line=line)[0])
+                expected = _outcome(lambda: byte_path.read_int(ptr, size, ty.signed, line=line))
             assert _outcome(lambda: immediate.load(local, line)) == expected
         elif isinstance(op, tuple) and isinstance(ty, PtrType):
             which, address, wrap, provenance = op
@@ -476,7 +474,7 @@ def test_suite_immediate_local_matches_the_byte_path(ty, ops):
             if isinstance(ty, PtrType):
                 # An integer lands in a pointer local as a bare address.
                 immediate.store(local, PointerValue(value % (1 << 64), None, value % (1 << 64), None), line)
-                byte_path.write_int(ptr, 8, value % (1 << 64), align=8, line=line)
+                byte_path.write_int(ptr, 8, value % (1 << 64), line=line)
             else:
                 immediate.store(local, reinterpret(value, ty), line)
                 byte_path.write_int(ptr, size, reinterpret(value, ty), line=line)

@@ -45,7 +45,7 @@ def _callee(param_types, ret=UnitType(), variadic=False):
 
 def _targets(binding_params, callee_params):
     plan = plan_call(_binding(binding_params), _callee(callee_params))
-    return [p.targets for p in plan.args]
+    return [p.targets for p in plan]
 
 
 def test_matching_integers_cross_as_scalars():
@@ -109,7 +109,7 @@ def test_aggregate_field_count_mismatch_rejected():
 def test_homogeneous_aggregate_flattens_over_scalars():
     pair = ArrayType(U32, 2)
     plan = plan_call(_binding([pair]), _callee([U32, U32]))
-    assert [p.targets for p in plan.args] == [(U32, U32)]
+    assert [p.targets for p in plan] == [(U32, U32)]
 
 
 def test_flatten_requires_enough_definition_parameters():
@@ -122,13 +122,13 @@ def test_flatten_requires_enough_definition_parameters():
 def test_flatten_leaves_room_for_later_binding_parameters():
     pair = ArrayType(U32, 2)
     plan = plan_call(_binding([pair, I32]), _callee([U32, U32, I32]))
-    assert [p.targets for p in plan.args] == [(U32, U32), (I32,)]
+    assert [p.targets for p in plan] == [(U32, U32), (I32,)]
 
 
 def test_single_integer_prefers_blob_over_flatten():
     wrapped = StructType("W", (FieldDef("v", U64, None),))
     plan = plan_call(_binding([wrapped]), _callee([U64]))
-    assert [p.targets for p in plan.args] == [(U64,)]
+    assert [p.targets for p in plan] == [(U64,)]
 
 
 def test_flatten_needs_matching_scalar_widths():

@@ -23,6 +23,7 @@ import glob
 import os
 import sys
 import traceback
+from dataclasses import fields
 from typing import Optional
 
 from .diagnostics import Classification, Outcome, json_dumps, render_diagnostic
@@ -91,17 +92,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-permissive-loads",
-        action="store_true",
+        dest="permissive_foreign_loads",
+        action="store_false",
         help="make foreign reads of uninitialized memory an immediate error",
     )
     parser.add_argument(
         "--no-symbolic-alignment",
-        action="store_true",
+        dest="symbolic_alignment",
+        action="store_false",
         help="check alignment against simulated addresses instead of symbolically",
     )
     parser.add_argument(
         "--no-unique-as-mutable",
-        action="store_true",
+        dest="unique_as_mutable",
+        action="store_false",
         help="do not retag owned heap pointers like mutable references",
     )
     parser.add_argument(
@@ -119,16 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace, model: str) -> MachineConfig:
-    return MachineConfig(
-        model=model,
-        seed=args.seed,
-        step_budget=args.steps,
-        symbolic_alignment=not args.no_symbolic_alignment,
-        strict_provenance=args.strict_provenance,
-        permissive_foreign=not args.no_permissive_loads,
-        zero_init_foreign=args.zero_init_foreign,
-        unique_as_mutable=not args.no_unique_as_mutable,
-    )
+    """The run's config: each field from the flag whose `dest` is its name."""
+    options = {f.name: getattr(args, f.name) for f in fields(MachineConfig) if f.name != "model"}
+    return MachineConfig(model=model, **options)
 
 
 def _parse_scenario(path: str):

@@ -120,12 +120,14 @@ from .types import (
 
 @dataclass
 class MachineConfig:
+    """A run's options. Each field's name is its report key and its CLI flag's `dest`."""
+
     model: str = "tb"
     seed: int = 0
-    step_budget: int = 1_000_000
+    steps: int = 1_000_000
     symbolic_alignment: bool = True
     strict_provenance: bool = False
-    permissive_foreign: bool = True
+    permissive_foreign_loads: bool = True
     zero_init_foreign: bool = False
     unique_as_mutable: bool = True
 
@@ -135,7 +137,7 @@ class MachineConfig:
         if self.zero_init_foreign:
             # Zeroed memory has no uninitialized reads to be permissive about;
             # the two modes are exclusive.
-            self.permissive_foreign = False
+            self.permissive_foreign_loads = False
 
 
 # A host local's or a foreign register's value; None is uninitialized.
@@ -169,10 +171,9 @@ class _Frame:
 @dataclass
 class _Thread:
     id: int
-    frames: list[_Frame]
+    frames: list[_Frame]  # empty once the thread is done
     spawn_trace: Trace = ((), ())  # the spawner's, taken when `spawn` ran
-    status: str = "ready"  # ready | blocked-join (on waiting_on) | done
-    waiting_on: Optional[int] = None
+    waiting_on: Optional[int] = None  # blocked in a `join` of this thread
 
 
 class Machine:
@@ -201,7 +202,7 @@ class Machine:
 
     def _status_changed(self) -> None:
         """Rebuild the ready list after a thread blocked, finished or woke."""
-        self._ready = [t for t in self.threads.values() if t.status == "ready"]
+        self._ready = [t for t in self.threads.values() if t.frames and t.waiting_on is None]
 
     # ---- running -------------------------------------------------------------
 
@@ -211,17 +212,17 @@ class Machine:
         except UbError as e:
             return self._bug(e, None)
         main = self._spawn_thread(entry_frame)
-        while main.status != "done":
+        while main.frames:
             ready = self._ready
             if not ready:
                 return Outcome(
                     Classification.TIMEOUT,
                     note="deadlock: every thread is blocked",
                 )
-            if self.steps >= self.config.step_budget:
+            if self.steps >= self.config.steps:
                 return Outcome(
                     Classification.TIMEOUT,
-                    note=f"step budget of {self.config.step_budget} exhausted",
+                    note=f"step budget of {self.config.steps} exhausted",
                 )
             self.steps += 1
             thread = ready[self.rng.below(len(ready))]
@@ -250,16 +251,7 @@ class Machine:
         foreign_trace: tuple[TraceFrame, ...] = ()
         if thread is not None:
             host_trace, foreign_trace = self._traces(thread)
-        diag = Diagnostic(
-            kind=e.kind,
-            message=e.message,
-            host_trace=host_trace,
-            foreign_trace=foreign_trace,
-            permission_history=e.history,
-            tracker_snapshot=e.snapshot,
-            allocation_origin=e.origin,
-            address=e.address,
-        )
+        diag = Diagnostic(e.kind, e.message, host_trace, foreign_trace, **e.details)
         return Outcome(Classification.BUG, diagnostics=(diag,))
 
     def _traces(self, thread: _Thread) -> Trace:
@@ -550,8 +542,7 @@ class Machine:
             tid = frame.handles.get(stmt.handle)
             if tid is None:
                 raise ScenarioUnsupported(f"join of unknown handle '{stmt.handle}'")
-            if self.threads[tid].status != "done":
-                thread.status = "blocked-join"
+            if self.threads[tid].frames:
                 thread.waiting_on = tid
                 frame.pc -= 1  # re-run the join once the target finishes
                 self._status_changed()
@@ -740,10 +731,8 @@ class Machine:
         """Pop the frame and hand `value` to its caller."""
         callee = self._exit_frame(thread, line)
         if not thread.frames:
-            thread.status = "done"
             for t in self.threads.values():
                 if t.waiting_on == thread.id:
-                    t.status = "ready"
                     t.waiting_on = None
             self._status_changed()
             return
@@ -877,7 +866,7 @@ class Machine:
                     f"{len(value.values)}-byte aggregate crosses into {target.size}-byte {target}",
                 )
             if None in value.values:
-                if self.config.permissive_foreign:
+                if self.config.permissive_foreign_loads:
                     return None
                 raise UbError(
                     DiagnosticKind.UNINITIALIZED_READ,
@@ -964,7 +953,7 @@ class Machine:
             ptr = self._reg_pointer(self._foreign_operand(thread, rhs.pointer))
             if not isinstance(rhs.type, (IntType, PtrType)):
                 raise ScenarioUnsupported(f"foreign load of type {rhs.type}")
-            return self._typed_read(ptr, rhs.type, line, self.config.permissive_foreign)
+            return self._typed_read(ptr, rhs.type, line, self.config.permissive_foreign_loads)
         if isinstance(rhs, (MallocRhs, AllocaRhs)):
             value = self._foreign_operand(thread, rhs.size)
             size = self._reg_int(value)

@@ -121,27 +121,16 @@ class UbError(Exception):
     """An undefined-behavior finding, raised mid-execution.
 
     Carries everything the machine cannot reconstruct later: the kind, a
-    display message, and (for aliasing errors) tag histories plus a rendered
-    tracker snapshot taken at the moment of the error.
+    display message, and `details`, which are `Diagnostic` fields under
+    their `Diagnostic` names (for aliasing errors the tag histories and a
+    tracker snapshot taken at the moment of the error).
     """
 
-    def __init__(
-        self,
-        kind: DiagnosticKind,
-        message: str,
-        *,
-        history: tuple[TagHistory, ...] = (),
-        snapshot: Optional[str] = None,
-        origin: Optional[str] = None,
-        address: Optional[int] = None,
-    ) -> None:
+    def __init__(self, kind: DiagnosticKind, message: str, **details) -> None:
         super().__init__(message)
         self.kind = kind
         self.message = message
-        self.history = history
-        self.snapshot = snapshot
-        self.origin = origin
-        self.address = address
+        self.details = details
 
 
 class ScenarioUnsupported(Exception):
@@ -219,8 +208,8 @@ class BorrowTracker:
         return UbError(
             kind,
             message,
-            history=self.history(),
-            snapshot=self.render(off) if off is not None else self.render(),
+            permission_history=self.history(),
+            tracker_snapshot=self.render(off) if off is not None else self.render(),
         )
 
     def history(self) -> tuple[TagHistory, ...]:
@@ -495,7 +484,7 @@ class Memory:
                 DiagnosticKind.CROSS_LANGUAGE_DEALLOC,
                 f"alloc#{alloc.id} ({alloc.label}) was allocated by the {alloc.origin.value} allocator "
                 f"but freed by {via} code",
-                origin=alloc.origin.value,
+                allocation_origin=alloc.origin.value,
             )
         alloc.live = False
         return alloc

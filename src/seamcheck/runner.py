@@ -58,26 +58,12 @@ def worst_exit_code(codes: Iterable[int]) -> int:
     return max(codes, key=_RANK.__getitem__, default=0)
 
 
-def config_to_dict(config: MachineConfig) -> dict:
-    """Config as it appears in structured reports; field names are frozen."""
-    return {
-        "model": config.model,
-        "seed": config.seed,
-        "steps": config.step_budget,
-        "symbolic_alignment": config.symbolic_alignment,
-        "strict_provenance": config.strict_provenance,
-        "permissive_foreign_loads": config.permissive_foreign,
-        "zero_init_foreign": config.zero_init_foreign,
-        "unique_as_mutable": config.unique_as_mutable,
-    }
-
-
 def single_report(program: ScenarioProgram, config: MachineConfig, outcome: Outcome) -> dict:
     return {
         "scenario": program.path,
         "model": config.model,
         "seed": config.seed,
-        "config": config_to_dict(config),
+        "config": dict(vars(config)),
         "outcome": outcome_tag(outcome).value,
         "exit_code": exit_code(outcome),
         "dedup_key": dedup_key_to_dict(outcome_key(outcome)),
@@ -110,12 +96,10 @@ def run_differential(program: ScenarioProgram, config: MachineConfig) -> Differe
 def differential_report(
     program: ScenarioProgram, config: MachineConfig, result: DifferentialResult
 ) -> dict:
-    cfg = config_to_dict(config)
-    cfg["model"] = "both"
     return {
         "scenario": program.path,
         "seed": config.seed,
-        "config": cfg,
+        "config": {**vars(config), "model": "both"},
         "verdict": result.verdict,
         "exit_code": result.exit_code,
         "tb": {

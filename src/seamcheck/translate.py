@@ -137,9 +137,14 @@ def plan_call(binding: BindingSignature, callee: FnDef) -> tuple[ArgPlan, ...]:
     """Match a binding's parameter list onto a definition's, position by position.
 
     One aggregate binding parameter may absorb several definition parameters
-    (the flatten rule); everything else is one-to-one. The return types are
-    checked too, by `plan_return`.
+    (the flatten rule); everything else is one-to-one. Both must agree on a
+    variadic tail, and the return types are checked too, by `plan_return`.
     """
+    if binding.variadic != callee.variadic:
+        b, c = ("", "not ") if binding.variadic else ("not ", "")
+        raise TranslationError(
+            f"binding '{binding.name}' is {b}variadic, '{callee.name}' is {c}variadic"
+        )
     dparams = callee.params
     plans: list[ArgPlan] = []
     j = 0

@@ -42,15 +42,16 @@ node order. An access the `BorrowTracker` memo knows to be a no-op costs
 O(1).
 
 Each tag's raw events (creation, last use, first invalidation) and its
-protection live in the `BorrowTracker` base, shared with the sb model; a
-`_Node` holds only the tag's place in the tree. A move to Frozen or Disabled
-records `(line, kind, acting tag, (old, new))`, which only an error writes out.
+protection live in the `BorrowTracker` base, shared with the sb model. The
+tree is those events too: a node's parent is the one its `created` event
+records, and only its index, `_index[tag]`, is kept here; `render` derives
+the children from the parents. A move to Frozen or Disabled records `(line,
+kind, acting tag, (old, new))`, which only an error writes out.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .diagnostics import DiagnosticKind
@@ -79,15 +80,9 @@ _D = Permission.DISABLED
 # Access kind -> the foreign transitions that change a permission.
 _FOREIGN = {"read": ((_A, _F),), "write": ((_R, _D), (_A, _F), (_F, _D))}
 
-
-@dataclass
-class _Node:
-    """A tag's place in the tree; its history lives in the tracker's `tags`."""
-
-    parent: Optional[int]
-    index: int  # position in creation order, and in every segment's state list
-    default_perm: Permission
-    children: list[int] = field(default_factory=list)
+# Retag kind (None for the root) -> a node's permission outside interior-mutable
+# ranges, and the permission shown for a zero-size allocation.
+_DEFAULT = {None: _A, "mutable-ref": _R, "shared-ref": _F}
 
 
 class _Segment:
@@ -135,9 +130,9 @@ class TreeBorrowTracker(BorrowTracker):
 
     def __init__(self, alloc: Allocation, tag_source: Callable[[], int]) -> None:
         super().__init__(alloc, tag_source)
-        # By tag, in creation order: a node's index is its position here, and
-        # `_order` lists the tags by index.
-        self.nodes: dict[int, _Node] = {self.root_tag: _Node(None, 0, Permission.ACTIVE)}
+        # A node's index is its position in creation order and in every
+        # segment's state list: `_index` maps a tag to it, `_order` back.
+        self._index: dict[int, int] = {self.root_tag: 0}
         self._order: list[int] = [self.root_tag]
         self._perms = RangeMap(alloc.size, _Segment([(_A, _A, True)], {_A: {0}}))
 
@@ -154,14 +149,13 @@ class TreeBorrowTracker(BorrowTracker):
         line: int = 0,
     ) -> int:
         """New child tag under `parent`. Raw retags return the parent unchanged."""
-        if parent not in self.nodes:
+        if parent not in self._index:
             raise ValueError(f"retag from unknown tag#{parent} in alloc#{self.alloc_id}")
         if kind in ("raw-mut", "raw-const", "cell"):
             return parent
-        default = {"mutable-ref": Permission.RESERVED, "shared-ref": Permission.FROZEN}[kind]
+        default = _DEFAULT[kind]
         tag = self._new_tag(parent, rng, kind, label, line, protect)
-        self.nodes[tag] = _Node(parent, len(self.nodes), default)
-        self.nodes[parent].children.append(tag)
+        self._index[tag] = len(self._order)
         self._order.append(tag)
         perms = self._perms
         for a, b in cell_ranges:
@@ -189,21 +183,21 @@ class TreeBorrowTracker(BorrowTracker):
             return
         if not isinstance(prov, int):
             raise ValueError(f"access with no provenance reached the tracker in alloc#{self.alloc_id}")
-        if prov not in self.nodes:
+        index_of = self._index
+        if prov not in index_of:
             raise ValueError(f"access via unknown tag#{prov} in alloc#{self.alloc_id}")
-        nodes, order, invalidated = self.nodes, self._order, self.invalidated
+        created, order, invalidated = self.created, self._order, self.invalidated
         path: list[int] = []  # node indices, from the acting node up to the root
         tag: Optional[int] = prov
         while tag is not None:
-            node = nodes[tag]
-            path.append(node.index)
-            tag = node.parent
+            path.append(index_of[tag])
+            tag = created[tag][3]
         on_path = set(path)
         acting_index = path[0]
         write = kind == "write"
         # Protected nodes that a foreign write may disable, in node order.
         guarded = sorted(
-            i for i in (nodes[t].index for t in self.protected) if i not in on_path
+            i for i in (index_of[t] for t in self.protected) if i not in on_path
         ) if write else ()
         foreign = _FOREIGN[kind]
         perms = self._perms
@@ -274,8 +268,8 @@ class TreeBorrowTracker(BorrowTracker):
 
     def dealloc_check(self) -> None:
         """Deallocation while any used, still-protected borrow exists is an error."""
-        for tag, node in self.nodes.items():
-            if tag in self.protected and any(seg.states[node.index][2] for seg in self._perms.values):
+        for tag, i in self._index.items():
+            if tag in self.protected and any(seg.states[i][2] for seg in self._perms.values):
                 raise self._error(
                     DiagnosticKind.PROTECTED_PERMISSION,
                     f"deallocation of alloc#{self.alloc_id} while tag#{tag} "
@@ -285,11 +279,12 @@ class TreeBorrowTracker(BorrowTracker):
 
     # ---- rendering -----------------------------------------------------------
 
-    def _whole_perm_text(self, node: _Node) -> str:
+    def _whole_perm_text(self, tag: int) -> str:
         """Permissions over the whole allocation, equal runs coalesced."""
-        runs = self._perms.runs(lambda seg: _perm_text(*seg.states[node.index][:2]))
+        i = self._index[tag]
+        runs = self._perms.runs(lambda seg: _perm_text(*seg.states[i][:2]))
         if not runs:
-            return node.default_perm.value
+            return _DEFAULT[self.created[tag][1]].value
         if len(runs) == 1:
             return runs[0][2]
         return ", ".join(f"[{a}..{b}) {text}" for a, b, text in runs)
@@ -301,17 +296,19 @@ class TreeBorrowTracker(BorrowTracker):
         runs are coalesced into per-range entries.
         """
         at = self._perms.at(off).states if off is not None else None
+        children: dict[int, list[int]] = {tag: [] for tag in self._order}
+        for tag in self._order[1:]:
+            children[self.created[tag][3]].append(tag)
         lines: list[str] = []
 
         def walk(tag: int, indent: str, is_last: bool) -> None:
-            node = self.nodes[tag]
-            text = _perm_text(*at[node.index][:2]) if at is not None else self._whole_perm_text(node)
+            text = _perm_text(*at[self._index[tag]][:2]) if at is not None else self._whole_perm_text(tag)
             branch = "└" if is_last else "├"
-            shape = "┬" if node.children else "─"
+            shape = "┬" if children[tag] else "─"
             lines.append(f"{indent}{branch}{shape} {self.labels[tag]}: {text}")
             child_indent = indent + (" " if is_last else "│")
-            for i, c in enumerate(node.children):
-                walk(c, child_indent, i == len(node.children) - 1)
+            for i, c in enumerate(children[tag]):
+                walk(c, child_indent, i == len(children[tag]) - 1)
 
         walk(self.root_tag, "", True)
         return "\n".join(lines)

@@ -260,8 +260,8 @@ class StackedBorrowTracker:
         return UbError(
             kind,
             message,
-            history=self.history(),
-            snapshot=self.render(off) if off is not None else self.render(),
+            permission_history=self.history(),
+            tracker_snapshot=self.render(off) if off is not None else self.render(),
         )
 
     def history(self) -> tuple[TagHistory, ...]:

@@ -85,7 +85,8 @@ def _outcome(tracker, op, size, tags, line):
     try:
         return ("ok", _apply(tracker, op, size, tags, line))
     except UbError as e:
-        return ("error", e.kind, e.message, e.snapshot, e.history)
+        details = e.details
+        return ("error", e.kind, e.message, details["tracker_snapshot"], details["permission_history"])
 
 
 def _lockstep(new, old, size, ops, view):

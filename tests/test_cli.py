@@ -272,6 +272,37 @@ def test_seed_flag_lands_in_the_report(scenario, capsys):
     assert report["config"]["seed"] == 42
 
 
+_DEFAULT_CONFIG = {
+    "model": "tb",
+    "seed": 0,
+    "steps": 1_000_000,
+    "symbolic_alignment": True,
+    "strict_provenance": False,
+    "permissive_foreign_loads": True,
+    "zero_init_foreign": False,
+    "unique_as_mutable": True,
+}
+
+
+@pytest.mark.parametrize(
+    "flag, changed",
+    [
+        (["--strict-provenance"], {"strict_provenance": True}),
+        (["--no-permissive-loads"], {"permissive_foreign_loads": False}),
+        (["--no-symbolic-alignment"], {"symbolic_alignment": False}),
+        (["--no-unique-as-mutable"], {"unique_as_mutable": False}),
+        (["--steps", "7"], {"steps": 7}),
+        (["--seed", "5"], {"seed": 5}),
+        (["--zero-init-foreign"], {"zero_init_foreign": True, "permissive_foreign_loads": False}),
+        (["--diff"], {"model": "both"}),
+    ],
+)
+def test_each_flag_sets_its_report_config_key(scenario, capsys, flag, changed):
+    main([scenario(_PASS), "--format", "json", *flag])
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"] == {**_DEFAULT_CONFIG, **changed}
+
+
 def test_reruns_are_byte_identical(scenario, capsys):
     path = scenario(_BUG)
     main([path, "--format", "json", "--seed", "3"])

@@ -48,7 +48,7 @@ def test_by_value_return_with_uninitialized_bytes_into_an_integer_is_an_uninitia
 
 def test_by_value_return_with_uninitialized_bytes_fails_at_the_crossing_without_permissive_loads():
     diag = _expect_bug(
-        _HALF_INIT_RETURN, DiagnosticKind.UNINITIALIZED_READ, permissive_foreign=False
+        _HALF_INIT_RETURN, DiagnosticKind.UNINITIALIZED_READ, permissive_foreign_loads=False
     )
     assert "uninitialized byte 4" in diag.message
 
@@ -237,6 +237,34 @@ end
     assert outcome.classification is Classification.PASS
 
 
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize(
+    "bound, defined, message",
+    [
+        ("i32, ...", "a: i32", "binding 'f' is variadic, 'c_f' is not variadic"),
+        ("i32", "a: i32, ...", "binding 'f' is not variadic, 'c_f' is variadic"),
+    ],
+    ids=["binding-only", "definition-only"],
+)
+def test_a_binding_and_a_definition_that_disagree_on_the_ellipsis_are_an_invalid_binding(
+    model, bound, defined, message
+):
+    # C11 6.7.6.3p15: compatible function types agree on the ellipsis; a call
+    # through an incompatible one is undefined (6.5.2.2p9).
+    text = f"""
+bind f = c_f({bound})
+
+foreign fn c_f({defined})
+end
+
+host fn main()
+  call f(1)
+end
+"""
+    diag = _expect_bug(text, DiagnosticKind.INVALID_BINDING, model=model)
+    assert diag.message == message
+
+
 @pytest.mark.parametrize("rhs", ["malloc -1", "alloca -8"])
 def test_negative_allocation_size_is_unsupported(rhs, tmp_path, capsys):
     text = f"""
@@ -278,7 +306,7 @@ def test_by_value_argument_with_uninitialized_bytes_into_an_integer_is_an_uninit
     diag = _expect_bug(_HALF_INIT_ARGUMENT, DiagnosticKind.UNINITIALIZED_READ, model=model)
     assert diag.message == "foreign call returned a value derived from uninitialized memory"
     diag = _expect_bug(
-        _HALF_INIT_ARGUMENT, DiagnosticKind.UNINITIALIZED_READ, model=model, permissive_foreign=False
+        _HALF_INIT_ARGUMENT, DiagnosticKind.UNINITIALIZED_READ, model=model, permissive_foreign_loads=False
     )
     assert diag.message == "by-value crossing reads uninitialized byte 4 of an aggregate"
 

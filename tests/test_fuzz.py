@@ -56,7 +56,7 @@ def test_corpus_mutants_parse_or_run_to_an_outcome():
         ran += 1
         for model in ("tb", "sb"):
             try:
-                run_program(program, MachineConfig(model=model, step_budget=_STEP_BUDGET))
+                run_program(program, MachineConfig(model=model, steps=_STEP_BUDGET))
             except Exception as e:
                 failures.append(f"{name}, {what}: {model} raised {type(e).__name__}: {e}")
     assert not failures, f"{len(failures)} escaped exceptions:\n" + "\n".join(failures[:20])
@@ -110,7 +110,7 @@ def test_character_mutants_parse_or_run_to_an_outcome():
         ran += 1
         for model in ("tb", "sb"):
             try:
-                run_program(program, MachineConfig(model=model, step_budget=_STEP_BUDGET))
+                run_program(program, MachineConfig(model=model, steps=_STEP_BUDGET))
             except Exception as e:
                 failures.append(f"{name}, {what}: {model} raised {type(e).__name__}: {e}")
     assert not failures, f"{len(failures)} escaped exceptions:\n" + "\n".join(failures[:20])

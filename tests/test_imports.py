@@ -1,8 +1,11 @@
 """Every import in the package and its tests is used, every local the package assigns is read,
-only memory and the two trackers touch an allocation's borrow state, and only the borrow tracker
-base writes a tag event."""
+only memory and the two trackers touch an allocation's borrow state, only the borrow tracker
+base writes a tag event, and every detail of a finding is named as its diagnostic field."""
 
 import ast
+from dataclasses import fields
+
+from seamcheck.diagnostics import Diagnostic
 
 from conftest import REPO_ROOT
 
@@ -99,3 +102,28 @@ def _event_records_built(path):
 def test_only_the_borrow_tracker_builds_tag_events():
     built = [b for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py")) for b in _event_records_built(path)]
     assert {where for where, _ in built} == {"memory.py:BorrowTracker"}, built
+
+
+# `UbError(kind, message, **details)` carries `details` unchecked until `Machine._bug` passes them
+# to `Diagnostic`, so each keyword must name a field there. The machine fills in both traces.
+_UB_ERROR_KEYWORDS = {f.name for f in fields(Diagnostic)} - {"host_trace", "foreign_trace"}
+
+
+def _ub_error_keywords(path):
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        f"{kw.arg} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "UbError"
+        for kw in node.keywords
+        if kw.arg not in _UB_ERROR_KEYWORDS
+    ]
+
+
+def test_ub_error_details_are_diagnostic_fields():
+    bad = {
+        str(path.relative_to(REPO_ROOT)): names
+        for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py"))
+        if (names := _ub_error_keywords(path))
+    }
+    assert bad == {}

@@ -465,7 +465,7 @@ end
     assert permissive.diagnostics[0].kind is DiagnosticKind.UNINITIALIZED_READ
     assert permissive.diagnostics[0].host_trace
     # Opting out moves the error to the foreign load itself.
-    eager = _run(text, permissive_foreign=False)
+    eager = _run(text, permissive_foreign_loads=False)
     assert eager.diagnostics[0].kind is DiagnosticKind.UNINITIALIZED_READ
     assert eager.diagnostics[0].foreign_trace
     assert "load u32" in eager.diagnostics[0].foreign_trace[0].statement
@@ -522,7 +522,7 @@ end
 
 def test_zero_init_forces_permissive_off():
     config = MachineConfig(zero_init_foreign=True)
-    assert not config.permissive_foreign
+    assert not config.permissive_foreign_loads
 
 
 def test_unique_as_mutable_flag_controls_box_retag():
@@ -551,7 +551,7 @@ host fn main()
   let c: i32 = 3
 end
 """,
-        step_budget=2,
+        steps=2,
     )
     assert outcome.classification is Classification.TIMEOUT
     assert "step budget" in outcome.note

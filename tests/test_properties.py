@@ -85,7 +85,7 @@ def _ancestors(tracker, tag):
     cur = tag
     while cur is not None:
         out.add(cur)
-        cur = tracker.nodes[cur].parent
+        cur = tracker.created[cur][3]
     return out
 
 
@@ -117,14 +117,14 @@ def test_suite_tree_disabled_absorbing_and_no_foreign_active(ops):
         # Disabled never comes back.
         for tag, off in disabled:
             assert peek_at(tracker, tag, off)[0] is Permission.DISABLED
-        for tag in tracker.nodes:
+        for tag in tracker.labels:
             for off in range(_SIZE):
                 if peek_at(tracker, tag, off)[0] is Permission.DISABLED:
                     disabled.add((tag, off))
         # After an access, no tag foreign to it is still Active there.
         if op == 1:
             child_side = _ancestors(tracker, actor)
-            for tag in tracker.nodes:
+            for tag in tracker.labels:
                 if tag in child_side:
                     continue
                 for off in range(*rng):
@@ -435,7 +435,7 @@ def _outcome(fn):
     try:
         return fn()
     except UbError as e:
-        return (e.kind, e.message, e.address)
+        return (e.kind, e.message, e.details.get("address"))
 
 
 @settings(max_examples=1000, deadline=None)

@@ -1,11 +1,12 @@
 """Run orchestration: exit codes, differential verdicts, corpus checking."""
 
+from dataclasses import asdict
+
 from seamcheck.diagnostics import Classification, Diagnostic, DiagnosticKind, Outcome
 from seamcheck.machine import MachineConfig
 from seamcheck.parser import parse_file, parse_text
 from seamcheck.runner import (
     DifferentialResult,
-    config_to_dict,
     corpus_report,
     differential_report,
     exit_code,
@@ -52,7 +53,7 @@ def test_outcome_tag_vocabulary():
 
 
 def test_config_dict_field_names_are_frozen():
-    cfg = config_to_dict(MachineConfig(model="sb", seed=7, step_budget=10))
+    cfg = asdict(MachineConfig(model="sb", seed=7, steps=10))
     assert cfg == {
         "model": "sb",
         "seed": 7,

@@ -253,8 +253,8 @@ def test_errors_carry_history_and_snapshot():
     t.access(t.root_tag, (0, 4), "write", _ctx())
     with pytest.raises(UbError) as e:
         t.access(a, (0, 4), "read", _ctx())
-    assert e.value.history
-    assert "[root: Unique]" in e.value.snapshot
+    assert e.value.details["permission_history"]
+    assert "[root: Unique]" in e.value.details["tracker_snapshot"]
 
 
 def test_serialize_is_stable_under_wildcard_reads():

@@ -270,8 +270,8 @@ def test_errors_carry_history_and_snapshot():
     t.access(t.root_tag, (0, 4), "write", _ctx())
     with pytest.raises(UbError) as e:
         t.access(child, (0, 4), "read", _ctx())
-    assert e.value.history
-    assert "child: Reserved → Disabled" in e.value.snapshot
+    assert e.value.details["permission_history"]
+    assert "child: Reserved → Disabled" in e.value.details["tracker_snapshot"]
 
 
 def test_retag_from_unknown_tag_is_internal_error():

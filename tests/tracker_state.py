@@ -11,19 +11,21 @@ from seamcheck.tree_borrows import Permission, TreeBorrowTracker
 
 def peek_at(tracker: TreeBorrowTracker, tag: int, off: int) -> tuple[Permission, bool]:
     """Permission and initialized flag of `tag` at byte `off`."""
-    _, perm, initialized = tracker._perms.at(off).states[tracker.nodes[tag].index]
+    _, perm, initialized = tracker._perms.at(off).states[tracker._index[tag]]
     return perm, initialized
 
 
 def serialize_tree(tracker: TreeBorrowTracker) -> str:
     """Stable full-state dump of a tree; used to check that wildcard accesses change nothing."""
     parts = []
-    for tag, n in tracker.nodes.items():
+    for tag in tracker._order:
+        i = tracker._index[tag]
         states = ";".join(
             f"[{a}..{b}):{initial.value}:{perm.value}:{int(initialized)}"
-            for a, b, (initial, perm, initialized) in tracker._perms.runs(lambda seg: seg.states[n.index])
+            for a, b, (initial, perm, initialized) in tracker._perms.runs(lambda seg: seg.states[i])
         )
-        parts.append(f"{tag}|{tracker.labels[tag]}|{n.parent}|{int(tag in tracker.protected)}|{states}")
+        parent = tracker.created[tag][3]
+        parts.append(f"{tag}|{tracker.labels[tag]}|{parent}|{int(tag in tracker.protected)}|{states}")
     return "\n".join(parts)
 
 

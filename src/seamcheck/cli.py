@@ -216,7 +216,7 @@ def _run_corpus(args: argparse.Namespace, fmt: str, model: str) -> int:
         lines = []
         for e in result.entries:
             status = "ok" if e.ok else f"MISMATCH (expected {e.expected})"
-            lines.append(f"{e.path} [{e.model}] {e.actual}: {status}")
+            lines.append(f"{e.scenario} [{e.model}] {e.actual}: {status}")
         counts = ", ".join(f"{k}: {v}" for k, v in result.counts.items())
         lines.append(f"summary [{result.summary_model}]: {counts}")
         lines.append(f"{len(result.dedup_groups)} dedup groups")

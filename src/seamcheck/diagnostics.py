@@ -6,15 +6,17 @@ tracker snapshot. Deduplication keys are built from the error class, an
 address-stripped message, and a trace fingerprint; they never contain
 absolute addresses or allocation ids, so runs that differ only in address
 assignment collapse to the same key. `OutcomeTag`, the vocabulary of
-`expect` annotations, is built here from the diagnostic kinds.
+`expect` annotations, is built here from the diagnostic kinds. Reports
+hold these records as they are: a record's field names are its report keys.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Optional
 
@@ -59,12 +61,13 @@ class TagEvent:
     description: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class TagHistory:
     """Creation, last valid use, and first invalidation of one tag.
 
-    A borrow tracker holds the live record and updates it in place; a
-    diagnostic holds copies taken when the error was raised.
+    A borrow tracker keeps these as raw events and builds the records only
+    when asked for its history; a diagnostic holds the records as they
+    stood when the error was raised.
     """
 
     tag: int
@@ -184,58 +187,6 @@ def dedup(items: Iterable[tuple[str, Outcome]]) -> dict[DedupKey, list[str]]:
     return groups
 
 
-# ---- serialization -----------------------------------------------------------
-
-
-def _frame_to_dict(f: TraceFrame) -> dict:
-    return {"dialect": f.dialect, "function": f.function, "line": f.line, "statement": f.statement}
-
-
-def _event_to_dict(e: Optional[TagEvent]) -> Optional[dict]:
-    return None if e is None else {"line": e.line, "description": e.description}
-
-
-def _history_to_dict(h: TagHistory) -> dict:
-    return {
-        "tag": h.tag,
-        "label": h.label,
-        "created": _event_to_dict(h.created),
-        "last_valid_use": _event_to_dict(h.last_valid_use),
-        "invalidated": _event_to_dict(h.invalidated),
-    }
-
-
-def diagnostic_to_dict(d: Diagnostic) -> dict:
-    return {
-        "kind": d.kind.value,
-        "message": d.message,
-        "host_trace": [_frame_to_dict(f) for f in d.host_trace],
-        "foreign_trace": [_frame_to_dict(f) for f in d.foreign_trace],
-        "permission_history": [_history_to_dict(h) for h in d.permission_history],
-        "tracker_snapshot": d.tracker_snapshot,
-        "allocation_origin": d.allocation_origin,
-        "address": d.address,
-    }
-
-
-def outcome_to_dict(o: Outcome) -> dict:
-    return {
-        "classification": o.classification.value,
-        "bug_kind": o.bug_kind.value if o.bug_kind else None,
-        "diagnostics": [diagnostic_to_dict(d) for d in o.diagnostics],
-        "leaks": [diagnostic_to_dict(d) for d in o.leaks],
-        "note": o.note,
-    }
-
-
-def dedup_key_to_dict(k: DedupKey) -> dict:
-    return {
-        "exit_class": k.exit_class,
-        "normalized_log": k.normalized_log,
-        "trace_fingerprint": list(k.trace_fingerprint),
-    }
-
-
 # ---- text rendering ----------------------------------------------------------
 
 
@@ -261,12 +212,16 @@ def render_diagnostic(d: Diagnostic) -> str:
     return "\n".join(lines)
 
 
-def json_dumps(payload: dict) -> str:
+# ---- serialization -----------------------------------------------------------
+
+
+def json_dumps(payload: object) -> str:
     """Stable serialization used everywhere a report is compared byte-wise.
 
     The bytes of `json.dumps(payload, indent=2, sort_keys=True)` plus a
     newline, made in one pass: given `indent`, `json.dumps` leaves its C
-    encoder for a pure-Python one.
+    encoder for a pure-Python one. A dataclass instance is written as the
+    object of its fields, an enum member as its value.
     """
     out: list[str] = []
     _encode(payload, "\n", out)
@@ -308,5 +263,27 @@ def _encode(value: object, newline: str, out: list[str]) -> None:
             _encode(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(value, enum.Enum):
+        _encode(value.value, newline, out)
     else:
-        out.append(json.dumps(value))  # floats, and the TypeError of anything else
+        keys = _field_keys(type(value))
+        if keys is None:
+            out.append(json.dumps(value))  # floats, and the TypeError of anything else
+        elif not keys:
+            out.append("{}")
+        else:
+            inner = newline + "  "
+            sep = "{" + inner
+            for name, key in keys:
+                out.append(sep + key)
+                _encode(getattr(value, name), inner, out)
+                sep = "," + inner
+            out.append(newline + "}")
+
+
+@functools.cache
+def _field_keys(cls: type) -> Optional[tuple[tuple[str, str], ...]]:
+    """A dataclass's field names in sorted order, each with its quoted key; None for any other class."""
+    if not is_dataclass(cls):
+        return None
+    return tuple((name, _quote(name) + ": ") for name in sorted(f.name for f in fields(cls)))

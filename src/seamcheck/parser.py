@@ -103,6 +103,11 @@ _BAD_RE = re.compile(r"[^\s\dA-Za-z_()\[\]{}:,.*&=@;-](?<!->)")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _EOL = "\n"
 _OUTCOMES = {o.value: o for o in OutcomeTag}
+# How deep types may nest. Types are walked recursively (layout, hashing,
+# printing), so the bound keeps any accepted type within Python's recursion limit.
+MAX_TYPE_DEPTH = 100
+_NESTING = frozenset(("&", "*", "[", "cell", "phantom"))
+_TOO_DEEP = f"type nested more than {MAX_TYPE_DEPTH} levels deep"
 
 _SCALARS: dict[str, TypeDesc] = {
     "i8": IntType(8, True),
@@ -143,6 +148,7 @@ class _Parser:
         # The line of the first character that starts no token; reached, it is an error.
         self.bad_line = self.code.count("\n", 0, bad.start()) + 1 if bad else math.inf
         self.structs: dict[str, StructType] = {}  # in declaration order
+        self.struct_levels: dict[str, int] = {}  # name -> levels, see `parse_type`
         self.functions: list[FnDef] = []
         self.bindings: list[BindingSignature] = []
         self.expectations: list[Expectation] = []
@@ -245,7 +251,13 @@ class _Parser:
 
     # ---- types ---------------------------------------------------------------
 
-    def parse_type(self) -> TypeDesc:
+    def parse_type(self, depth: int = 1) -> TypeDesc:
+        """A type `depth` levels deep.
+
+        A reference, raw pointer, array, `cell` or `phantom` adds a level, a
+        struct one more than its deepest field (`_levels`); a level past
+        `MAX_TYPE_DEPTH` is an error at its token.
+        """
         t = self.need("expected a type")
         ty = _SCALARS.get(t)
         if ty is not None:
@@ -253,17 +265,19 @@ class _Parser:
             return ty
         start = self.i
         self.i += 1
+        if depth > MAX_TYPE_DEPTH and t in _NESTING:
+            raise self.error(_TOO_DEEP, start)
         if t == "&":
             kind = PtrKind.MUT_REF if self.accept("mut") else PtrKind.SHARED_REF
-            return PtrType(kind, self.parse_type())
+            return PtrType(kind, self.parse_type(depth + 1))
         if t == "*":
             if self.accept("mut"):
-                return PtrType(PtrKind.RAW_MUT, self.parse_type())
+                return PtrType(PtrKind.RAW_MUT, self.parse_type(depth + 1))
             if self.accept("const"):
-                return PtrType(PtrKind.RAW_CONST, self.parse_type())
+                return PtrType(PtrKind.RAW_CONST, self.parse_type(depth + 1))
             raise self.error("raw pointer needs 'mut' or 'const'", start)
         if t == "[":
-            elem = self.parse_type()
+            elem = self.parse_type(depth + 1)
             self.expect(";")
             at = self.i
             count = self.integer()
@@ -275,11 +289,13 @@ class _Parser:
             return PtrType(PtrKind.OPAQUE, None)
         if t == "cell" or t == "phantom":
             self.expect("(")
-            inner = self.parse_type()
+            inner = self.parse_type(depth + 1)
             self.expect(")")
             return CellType(inner) if t == "cell" else PhantomType(inner)
         ty = self.structs.get(t)
         if ty is not None:
+            if depth + self.struct_levels[t] - 1 > MAX_TYPE_DEPTH:
+                raise self.error(_TOO_DEEP, start)
             return ty
         if t.isidentifier():
             raise self.error(f"unknown type '{t}'", start)
@@ -296,7 +312,7 @@ class _Parser:
         for _ in self._block(head, f"type '{name}'"):
             fname = self.ident("field name")
             self.expect(":")
-            ftype = self.parse_type()
+            ftype = self.parse_type(2)
             offset = None
             if self.accept("@"):
                 offset = self.integer()
@@ -308,6 +324,7 @@ class _Parser:
         except LayoutError as e:
             raise ParseError(str(e), head) from None
         self.structs[name] = struct
+        self.struct_levels[name] = 1 + max((_levels(f.type, self.struct_levels) for f in fields), default=0)
 
     # ---- places and operands -------------------------------------------------
 
@@ -570,6 +587,19 @@ class _Parser:
         )
         _validate(program)
         return program
+
+
+def _levels(ty: TypeDesc, struct_levels: dict[str, int]) -> int:
+    """How many levels deep `ty` nests, as `_Parser.parse_type` counts them."""
+    if isinstance(ty, StructType):
+        return struct_levels[ty.name]
+    if isinstance(ty, PtrType) and ty.pointee is not None:
+        return 1 + _levels(ty.pointee, struct_levels)
+    if isinstance(ty, ArrayType):
+        return 1 + _levels(ty.elem, struct_levels)
+    if isinstance(ty, (CellType, PhantomType)):
+        return 1 + _levels(ty.inner, struct_levels)
+    return 0
 
 
 def parse_text(text: str, path: str = "<string>") -> ScenarioProgram:

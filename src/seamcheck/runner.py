@@ -18,9 +18,7 @@ from .diagnostics import (
     Outcome,
     OutcomeTag,
     dedup,
-    dedup_key_to_dict,
     outcome_key,
-    outcome_to_dict,
 )
 from .ir import ScenarioProgram
 from .machine import MachineConfig, run_program
@@ -58,16 +56,23 @@ def worst_exit_code(codes: Iterable[int]) -> int:
     return max(codes, key=_RANK.__getitem__, default=0)
 
 
+def _model_report(outcome: Outcome) -> dict:
+    """The part of a report that one model's run fills in."""
+    return {
+        "outcome": outcome_tag(outcome).value,
+        "dedup_key": outcome_key(outcome),
+        "result": {**vars(outcome), "bug_kind": outcome.bug_kind},
+    }
+
+
 def single_report(program: ScenarioProgram, config: MachineConfig, outcome: Outcome) -> dict:
     return {
         "scenario": program.path,
         "model": config.model,
         "seed": config.seed,
-        "config": dict(vars(config)),
-        "outcome": outcome_tag(outcome).value,
+        "config": config,
         "exit_code": exit_code(outcome),
-        "dedup_key": dedup_key_to_dict(outcome_key(outcome)),
-        "result": outcome_to_dict(outcome),
+        **_model_report(outcome),
     }
 
 
@@ -102,29 +107,20 @@ def differential_report(
         "config": {**vars(config), "model": "both"},
         "verdict": result.verdict,
         "exit_code": result.exit_code,
-        "tb": {
-            "outcome": outcome_tag(result.tb).value,
-            "dedup_key": dedup_key_to_dict(outcome_key(result.tb)),
-            "result": outcome_to_dict(result.tb),
-        },
-        "sb": {
-            "outcome": outcome_tag(result.sb).value,
-            "dedup_key": dedup_key_to_dict(outcome_key(result.sb)),
-            "result": outcome_to_dict(result.sb),
-        },
+        "tb": _model_report(result.tb),
+        "sb": _model_report(result.sb),
     }
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    path: str
+    """One annotation check: a scenario's expected and actual outcome under one model."""
+
+    scenario: str
     model: str
     expected: str
     actual: str
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
+    ok: bool
 
 
 @dataclass(frozen=True)
@@ -181,15 +177,8 @@ def run_corpus(programs: list[ScenarioProgram], config: MachineConfig) -> Corpus
                 if program.expectations:
                     continue
                 expected = OutcomeTag.PASS
-            outcome = run(path, program, model)
-            entries.append(
-                CorpusEntry(
-                    path=path,
-                    model=model,
-                    expected=expected.value,
-                    actual=outcome_tag(outcome).value,
-                )
-            )
+            actual = outcome_tag(run(path, program, model))
+            entries.append(CorpusEntry(path, model, expected.value, actual.value, expected is actual))
         outcomes.append((path, run(path, program, config.model)))
     return CorpusResult(
         entries=tuple(entries), summary_model=config.model, outcomes=tuple(outcomes)
@@ -198,21 +187,12 @@ def run_corpus(programs: list[ScenarioProgram], config: MachineConfig) -> Corpus
 
 def corpus_report(result: CorpusResult) -> dict:
     return {
-        "checks": [
-            {
-                "scenario": e.path,
-                "model": e.model,
-                "expected": e.expected,
-                "actual": e.actual,
-                "ok": e.ok,
-            }
-            for e in result.entries
-        ],
+        "checks": result.entries,
         "summary": {
             "model": result.summary_model,
             "counts": result.counts,
             "dedup_groups": [
-                {"key": dedup_key_to_dict(k), "scenarios": paths}
+                {"key": k, "scenarios": paths}
                 for k, paths in result.dedup_groups.items()
             ],
         },

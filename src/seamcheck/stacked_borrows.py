@@ -222,7 +222,9 @@ class StackedBorrowTracker(BorrowTracker):
         """Apply one access to every segment of `rng`, offset-major.
 
         Each segment finds the granting item (the tag's own, or for a
-        wildcard the topmost that grants the access) and pops above it.
+        wildcard the topmost that grants the access) and pops above it. A
+        tag's last use is the whole range, or under a wildcard the span from
+        the first segment it granted to the end of the last.
         """
         use = (kind, rng, line)
         if (prov, kind) in self._noops:
@@ -233,6 +235,7 @@ class StackedBorrowTracker(BorrowTracker):
         last_use, stacks = self.last_use, self._stacks
         span = stacks.span(*rng)
         changed = False
+        granted: dict[int, int] = {}  # wildcard only: tag -> first offset it granted
         for i in span:
             off, stack = stacks.starts[i], stacks.values[i]
             if prov is WILDCARD:
@@ -245,6 +248,8 @@ class StackedBorrowTracker(BorrowTracker):
                         off,
                     )
                 tag_for_history = stack.items[idx].tag
+                end = rng[1] if i + 1 == span.stop else stacks.starts[i + 1]
+                use = (kind, (granted.setdefault(tag_for_history, off), end), line)
             else:
                 if not isinstance(prov, int):
                     raise ValueError(

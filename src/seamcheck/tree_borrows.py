@@ -300,15 +300,16 @@ class TreeBorrowTracker(BorrowTracker):
         for tag in self._order[1:]:
             children[self.created[tag][3]].append(tag)
         lines: list[str] = []
-
-        def walk(tag: int, indent: str, is_last: bool) -> None:
+        # Depth first from a stack, not recursion, so a chain of any depth draws.
+        stack = [(self.root_tag, "", True)]
+        while stack:
+            tag, indent, is_last = stack.pop()
             text = _perm_text(*at[self._index[tag]][:2]) if at is not None else self._whole_perm_text(tag)
             branch = "└" if is_last else "├"
             shape = "┬" if children[tag] else "─"
             lines.append(f"{indent}{branch}{shape} {self.labels[tag]}: {text}")
             child_indent = indent + (" " if is_last else "│")
-            for i, c in enumerate(children[tag]):
-                walk(c, child_indent, i == len(children[tag]) - 1)
-
-        walk(self.root_tag, "", True)
+            kids = children[tag]
+            last = len(kids) - 1
+            stack.extend((kids[i], child_indent, i == last) for i in range(last, -1, -1))
         return "\n".join(lines)

@@ -183,6 +183,7 @@ class StackedBorrowTracker:
         return tag
 
     def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
+        granted: dict[int, int] = {}  # wildcard only: tag -> first byte it granted
         for off in range(rng[0], rng[1]):
             stack = self.stacks[off]
             if prov is WILDCARD:
@@ -229,7 +230,8 @@ class StackedBorrowTracker:
                 self._disable_writers_above(stack, idx, cause, line, off)
             info = self.tags.get(tag_for_history)
             if info is not None:
-                info.last_use = TagEvent(line, f"{kind} of [{rng[0]}..{rng[1]})")
+                span = (granted.setdefault(tag_for_history, off), off + 1) if prov is WILDCARD else rng
+                info.last_use = TagEvent(line, f"{kind} of [{span[0]}..{span[1]})")
 
     def protector_end(self, tag: int) -> None:
         for stack in self.stacks.values():

@@ -1,7 +1,7 @@
 """Rebuild diagnostics and outcomes from their report dicts.
 
-The inverse of `diagnostic_to_dict` and `outcome_to_dict`, used only to
-check that a report loses nothing.
+The inverse of the JSON that `json_dumps` writes for a diagnostic or an
+outcome, used only to check that a report loses nothing.
 """
 
 from typing import Optional

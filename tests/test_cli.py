@@ -84,6 +84,15 @@ def test_leading_zero_literal_exits_sixty_four_not_internal_error(scenario, caps
     assert "internal error" not in err
 
 
+def test_too_deeply_nested_type_exits_sixty_four_not_internal_error(scenario, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([scenario(f"host fn main()\n  let y: {'&' * 3000}i32 = 0\nend\n")])
+    assert e.value.code == 64
+    err = capsys.readouterr().err
+    assert ":2:108: type nested more than 100 levels deep" in err
+    assert "internal error" not in err
+
+
 def test_missing_file_exits_sixty_four(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main([str(tmp_path / "absent.sc")])

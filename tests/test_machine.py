@@ -1408,3 +1408,16 @@ def test_heap_from_raw_without_unique_as_mutable_keeps_the_pointer_untagged(mode
     machine, _ = _machine_run(_HEAP_ROUND_TRIP, model)
     labels = _allocation(machine, "b (alloc)").tracker.labels.values()
     assert "back" in labels
+
+
+def test_a_1500_deep_reborrow_chain_reports_its_tb_finding():
+    # The final write goes through a reborrow the read of `x` froze; drawing
+    # the tree for the diagnostic walks all 1,500 levels.
+    n = 1500
+    lines = ["host fn main()", "  let x: i32 = 1", "  let r0: &mut i32 = &mut x"]
+    lines += [f"  let r{i}: &mut i32 = &mut *r{i - 1}" for i in range(1, n)]
+    lines += [f"  *r{n - 1} = 5", "  let v: i32 = x", "  assert_eq v 5", f"  *r{n - 1} = 6", "end", ""]
+    outcome = _expect_bug("\n".join(lines), DiagnosticKind.INSUFFICIENT_PERMISSION, model="tb")
+    snapshot = outcome.diagnostics[0].tracker_snapshot.splitlines()
+    assert len(snapshot) == n + 1
+    assert snapshot[-1] == " " * n + "└─ r1499: Reserved → Frozen"

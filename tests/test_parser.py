@@ -613,6 +613,53 @@ def test_negative_array_count_is_a_parse_error():
     assert (e.value.line, e.value.col, e.value.message) == (2, 13, "array count must be non-negative")
 
 
+def _nested_refs(n):
+    return f"host fn main()\n  let y: {'&' * n}i32 = 0\nend\n"
+
+
+def _struct_chain(n):
+    blocks = ["type S1\n  a: i32\nend"] + [f"type S{i}\n  a: S{i - 1}\nend" for i in range(2, n + 1)]
+    return "\n".join(blocks) + f"\nhost fn main()\n  let y: S{n} = zeroed\nend\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        (_nested_refs(3000), 2, 108),  # overflowed the type parser
+        (_nested_refs(400), 2, 108),  # parsed, then overflowed printing the type in a trace
+        (_struct_chain(400), 302, 4),  # overflowed hashing the struct for its layout
+        # A hundred structs, the innermost field an array: struct fields count.
+        (_struct_chain(100).replace("  a: i32", "  a: [i32; 1]"), 299, 4),
+    ],
+    ids=["3000-refs", "400-refs", "400-structs", "100-structs-and-array"],
+)
+def test_a_type_nested_more_than_100_levels_is_a_parse_error(text, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_text(text)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, "type nested more than 100 levels deep")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _nested_refs(100),
+        f"host fn main()\n  let y: {'[' * 100}i32{'; 1]' * 100} = zeroed\nend\n",
+        f"host fn main()\n  let y: {'cell(' * 100}i32{')' * 100} = zeroed\nend\n",
+        _struct_chain(100),
+        # Ninety-nine levels of struct, and one of array around the innermost field.
+        _struct_chain(99).replace("  a: i32", "  a: [i32; 1]"),
+    ],
+    ids=["refs", "arrays", "cells", "structs", "structs-and-array"],
+)
+def test_a_type_nested_100_levels_parses_and_runs(text):
+    program = parse_text(text)
+    for model in ("tb", "sb"):
+        assert run_program(program, MachineConfig(model=model)).classification in (
+            Classification.PASS,
+            Classification.BUG,
+        )
+
+
 def test_name_lookups_return_the_first_definition():
     functions = tuple(
         FnDef(f"f{i % 500}", Dialect.HOST, (), UnitType(), (), line=i) for i in range(1000)

@@ -10,22 +10,27 @@ Eight suites, each driven by at least a thousand generated cases:
 5. dedup keys: identifier-invariant and idempotent partitioning
 6. whole runs: byte-identical structured reports under a fixed seed
 7. report encoder: `json_dumps` gives the bytes of `json.dumps` with
-   `indent=2, sort_keys=True` and a newline
+   `indent=2, sort_keys=True` and a newline, for plain payloads and for
+   report records (as `asdict`, enum members as their values)
 8. memory: an immediate local loads what the same stores leave in a real
    allocation's bytes, and materializes into that allocation
 """
 
 import json
 import re
+from dataclasses import asdict, is_dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seamcheck.diagnostics import (
     Classification,
+    DedupKey,
     Diagnostic,
     DiagnosticKind,
     Outcome,
+    TagEvent,
+    TagHistory,
     TraceFrame,
     dedup,
     json_dumps,
@@ -41,7 +46,7 @@ from seamcheck.memory import (
     UbError,
 )
 from seamcheck.parser import parse_file
-from seamcheck.runner import run_program, single_report
+from seamcheck.runner import CorpusEntry, run_program, single_report
 from seamcheck.stacked_borrows import StackedBorrowTracker
 from seamcheck.translate import TranslationError, field_count, plan_call, reinterpret
 from seamcheck.tree_borrows import Permission, TreeBorrowTracker
@@ -414,10 +419,39 @@ _json_payloads = st.recursive(
 )
 
 
+# Report records, each field drawn from what it may hold.
+_events = st.builds(TagEvent, st.integers(), _json_text)
+_frames = st.builds(TraceFrame, _json_text, _json_text, st.integers(), _json_text)
+_traces = st.lists(_frames, max_size=2).map(tuple)
+_histories = st.builds(
+    TagHistory, st.integers(), _json_text, _events, st.none() | _events, st.none() | _events
+)
+_records = st.one_of(
+    _frames,
+    _events,
+    _histories,
+    st.builds(
+        Diagnostic,
+        st.sampled_from(DiagnosticKind),
+        _json_text,
+        _traces,
+        _traces,
+        st.lists(_histories, max_size=2).map(tuple),
+        st.none() | _json_text,
+        st.none() | _json_text,
+        st.none() | st.integers(),
+    ),
+    st.builds(DedupKey, _json_text, _json_text, st.lists(_json_text, max_size=3).map(tuple)),
+    st.builds(CorpusEntry, _json_text, _json_text, _json_text, _json_text, st.booleans()),
+)
+
+
 @settings(max_examples=1000, deadline=None)
-@given(payload=st.dictionaries(_json_text, _json_payloads, max_size=3))
+@given(payload=st.dictionaries(_json_text, _json_payloads, max_size=3) | _records)
 def test_suite_report_encoder_matches_json_dumps(payload):
-    assert json_dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    plain = asdict(payload) if is_dataclass(payload) else payload
+    expected = json.dumps(plain, default=lambda e: e.value, indent=2, sort_keys=True) + "\n"
+    assert json_dumps(payload) == expected
 
 
 

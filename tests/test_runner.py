@@ -1,8 +1,9 @@
 """Run orchestration: exit codes, differential verdicts, corpus checking."""
 
+import json
 from dataclasses import asdict
 
-from seamcheck.diagnostics import Classification, Diagnostic, DiagnosticKind, Outcome
+from seamcheck.diagnostics import Classification, Diagnostic, DiagnosticKind, Outcome, json_dumps
 from seamcheck.machine import MachineConfig
 from seamcheck.parser import parse_file, parse_text
 from seamcheck.runner import (
@@ -70,7 +71,7 @@ def test_single_report_shape():
     program = parse_text("host fn main()\nend\n", path="small.sc")
     config = MachineConfig()
     outcome = run_program(program, config)
-    report = single_report(program, config, outcome)
+    report = json.loads(json_dumps(single_report(program, config, outcome)))
     assert report["scenario"] == "small.sc"
     assert report["model"] == "tb"
     assert report["outcome"] == "pass"
@@ -124,7 +125,7 @@ def test_corpus_run_checks_annotations(tmp_path):
     result = run_corpus(_parsed(good, bad), MachineConfig())
     assert len(result.entries) == 4  # two scenarios, checked under both models
     assert len(result.failures) == 2  # bad.sc misses under both models
-    assert {e.path for e in result.failures} == {str(bad)}
+    assert {e.scenario for e in result.failures} == {str(bad)}
     assert result.exit_code == 1
 
 

@@ -307,6 +307,14 @@ def test_history_text_of_a_pop_by_an_exposed_address():
     assert _record(t, t.root_tag).last_valid_use == TagEvent(3, "write of [0..4)")
 
 
+def test_wildcard_access_records_each_tag_over_the_span_it_granted():
+    t = _tracker(size=8)
+    a = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "a", _ctx(line=2))
+    t.access(WILDCARD, (0, 8), "write", _ctx(line=3))
+    assert _record(t, a).last_valid_use == TagEvent(3, "write of [0..4)")
+    assert _record(t, t.root_tag).last_valid_use == TagEvent(3, "write of [4..8)")
+
+
 def test_history_text_of_a_pop_by_a_retag():
     t = _tracker()
     a = t.retag(t.root_tag, (0, 4), "mutable-ref", (), False, "a", _ctx(line=2))

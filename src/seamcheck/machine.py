@@ -13,6 +13,11 @@ byte blob, or None. None is uninitialized on both sides of the boundary: a
 host slot that was never written, or a register loaded from uninitialized
 memory in permissive mode, which is an error only where it is used.
 
+The step context is state, after Miri's active thread and current span:
+`run` records the thread it schedules, which every statement handler reads
+as `_thread`, and `_step` sets `Memory.line`, which stamps every event
+memory records (see `memory` for its two exceptions).
+
 Every call pushes a frame on the caller's thread, whichever dialect the
 callee is written in; a frame runs in its function's dialect. A host `call`
 or `spawn` of a host function checks its arguments in one place,
@@ -188,27 +193,28 @@ class Machine:
             tracker=TreeBorrowTracker if self.config.model == "tb" else StackedBorrowTracker,
         )
         self.rng = Xoshiro256(self.config.seed)
-        self.threads: dict[int, _Thread] = {}  # by id, in spawn order
+        self.threads: list[_Thread] = []  # indexed by id, so in spawn order
         self._ready: list[_Thread] = []  # the ready threads, in spawn order
+        self._thread: Optional[_Thread] = None  # the one `_step` runs
         self.steps = 0
 
     # ---- plumbing ------------------------------------------------------------
 
     def _spawn_thread(self, frame: _Frame, spawn_trace: Trace = ((), ())) -> _Thread:
         t = _Thread(id=len(self.threads), frames=[frame], spawn_trace=spawn_trace)
-        self.threads[t.id] = t
+        self.threads.append(t)
         self._ready.append(t)
         return t
 
     def _status_changed(self) -> None:
         """Rebuild the ready list after a thread blocked, finished or woke."""
-        self._ready = [t for t in self.threads.values() if t.frames and t.waiting_on is None]
+        self._ready = [t for t in self.threads if t.frames and t.waiting_on is None]
 
     # ---- running -------------------------------------------------------------
 
     def run(self) -> Outcome:
         try:
-            entry_frame = self._make_host_frame(self.program.entry, [], 0)
+            entry_frame = self._make_host_frame(self.program.entry, [])
         except UbError as e:
             return self._bug(e, None)
         main = self._spawn_thread(entry_frame)
@@ -225,9 +231,9 @@ class Machine:
                     note=f"step budget of {self.config.steps} exhausted",
                 )
             self.steps += 1
-            thread = ready[self.rng.below(len(ready))]
+            self._thread = thread = ready[self.rng.below(len(ready))]
             try:
-                self._step(thread)
+                self._step()
             except UbError as e:
                 return self._bug(e, thread)
             except ScenarioUnsupported as e:
@@ -282,67 +288,66 @@ class Machine:
 
     # ---- frame setup and teardown --------------------------------------------
 
-    def _make_host_frame(self, fn: FnDef, args: list[Value], line: int) -> _Frame:
+    def _make_host_frame(self, fn: FnDef, args: list[Value]) -> _Frame:
         frame = _Frame(fn=fn)
         for param, value in zip(fn.params, args):
             ty = param.type
-            slot = self._new_slot(frame, param.name, ty, line)
-            value = self._bind_reference(value, ty, param.name, line, protect=True)
+            slot = self._new_slot(frame, param.name, ty)
+            value = self._bind_reference(value, ty, param.name, protect=True)
             if is_reference(ty):
                 frame.protected.append((value.alloc_id, value.provenance))
-            self._write_slot(slot, value, line)
+            self._write_slot(slot, value)
         return frame
 
     def _retag(
-        self, ptr: PointerValue, pointee: TypeDesc, kind: str, label: str, line: int,
-        protect: bool = False,
+        self, ptr: PointerValue, pointee: TypeDesc, kind: str, label: str, protect: bool = False
     ) -> PointerValue:
         """`ptr` with a fresh `kind` tag over its `pointee`; see `Memory.retag`."""
         layout = layout_of(pointee)
-        return self.memory.retag(ptr, layout.size, layout.cell_ranges, kind, label, line, protect)
+        return self.memory.retag(ptr, layout.size, layout.cell_ranges, kind, label, protect)
 
-    def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc, line: int) -> _Slot:
+    def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc) -> _Slot:
         layout = layout_of(ty)
         if isinstance(ty, (IntType, PtrType)):
-            alloc = self.memory.reserve(layout.size, layout.align, name, line)
+            alloc = self.memory.reserve(layout.size, layout.align, name)
         else:
-            alloc = self.memory.allocate(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name, line)
+            alloc = self.memory.allocate(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name)
         slot = _Slot(ty, self.memory.base_pointer(alloc), alloc)
         frame.slots[name] = slot
         frame.slot_order.append(slot)
         frame.stack_allocs.append(alloc.id)
         return slot
 
-    @staticmethod
-    def _slot(thread: _Thread, name: str) -> _Slot:
-        slot = thread.frames[-1].slots.get(name)
+    def _slot(self, name: str) -> _Slot:
+        slot = self._thread.frames[-1].slots.get(name)
         if slot is None:
             raise ScenarioUnsupported(f"unknown local '{name}'")
         return slot
 
-    def _read_slot(self, slot: _Slot, line: int) -> Value:
+    def _read_slot(self, slot: _Slot) -> Value:
         """The local's value: whole while memory keeps it immediate, else from its bytes."""
         if slot.alloc.immediate:
-            return self.memory.load(slot.alloc, line)
-        return self._typed_read(slot.pointer, slot.type, line)
+            return self.memory.load(slot.alloc)
+        return self._typed_read(slot.pointer, slot.type)
 
-    def _write_slot(self, slot: _Slot, value: Value, line: int) -> None:
+    def _write_slot(self, slot: _Slot, value: Value) -> None:
         """Store `value` into the local, whole while memory keeps it immediate."""
         if not slot.alloc.immediate:
-            self._typed_write_value(slot.pointer, slot.type, value, line)
+            self._typed_write_value(slot.pointer, slot.type, value)
         elif value is not None:
-            self.memory.store(slot.alloc, self._scalar(slot.type, value), line)
+            self.memory.store(slot.alloc, self._scalar(slot.type, value))
 
-    def _exit_frame(self, thread: _Thread, line: int) -> _Frame:
-        frame = thread.frames[-1]
+    def _exit_frame(self) -> _Frame:
+        frames = self._thread.frames
+        frame = frames[-1]
         for slot in reversed(frame.slot_order):
             if slot.owning and not slot.moved:
-                self.memory.deallocate(self._read_slot(slot, line), "host")
+                self.memory.deallocate(self._read_slot(slot), "host")
         for alloc_id, tag in frame.protected:
             self.memory.protector_end(alloc_id, tag)
         for alloc_id in reversed(frame.stack_allocs):
             self.memory.release_stack(alloc_id)
-        return thread.frames.pop()
+        return frames.pop()
 
     # ---- typed data movement -------------------------------------------------
 
@@ -360,24 +365,20 @@ class Machine:
                 return IntType(alloc.size * 8, False)
         return U8
 
-    def _typed_read(
-        self, ptr: PointerValue, ty: TypeDesc, line: int, permissive: bool = False
-    ) -> Value:
+    def _typed_read(self, ptr: PointerValue, ty: TypeDesc, permissive: bool = False) -> Value:
         """The `ty` value at `ptr`: None for a unit, or for uninitialized bytes under a `permissive` read."""
         if isinstance(ty, CellType):
             ty = ty.inner
         if isinstance(ty, UnitType):
-            self.memory.check_access(ptr, 0, 1, "read", line)
+            self.memory.check_access(ptr, 0, 1, "read")
             return None
         if isinstance(ty, IntType):
-            return self.memory.read_int(ptr, ty.size, ty.signed, line=line, permissive=permissive)
+            return self.memory.read_int(ptr, ty.size, ty.signed, permissive)
         if isinstance(ty, PtrType):
-            return self.memory.read_pointer(ptr, line=line, permissive=permissive)
-        return self.memory.read_blob(ptr, size_of(ty), line)
+            return self.memory.read_pointer(ptr, permissive)
+        return self.memory.read_blob(ptr, size_of(ty))
 
-    def _typed_write_value(
-        self, ptr: PointerValue, ty: TypeDesc, value: Value, line: int
-    ) -> None:
+    def _typed_write_value(self, ptr: PointerValue, ty: TypeDesc, value: Value) -> None:
         if isinstance(ty, CellType):
             ty = ty.inner
         if isinstance(ty, UnitType):
@@ -385,17 +386,17 @@ class Machine:
         if value is None:
             return  # uninitialized: storage stays untouched
         if isinstance(ty, IntType):
-            self.memory.write_int(ptr, ty.size, self._scalar(ty, value), line=line)
+            self.memory.write_int(ptr, ty.size, self._scalar(ty, value))
             return
         if isinstance(ty, PtrType):
-            self.memory.write_pointer(ptr, self._scalar(ty, value), line)
+            self.memory.write_pointer(ptr, self._scalar(ty, value))
             return
         if isinstance(value, Blob):
             if len(value.values) != size_of(ty):
                 raise ScenarioUnsupported(
                     f"aggregate of {len(value.values)} bytes written into {size_of(ty)}-byte slot"
                 )
-            self.memory.write_blob(ptr, value, line)
+            self.memory.write_blob(ptr, value)
             return
         if isinstance(value, int):
             raise ScenarioUnsupported(f"integer written into aggregate slot of type {ty}")
@@ -422,17 +423,15 @@ class Machine:
 
     # ---- places and operands -------------------------------------------------
 
-    def _resolve_place(
-        self, thread: _Thread, place: Place, line: int
-    ) -> tuple[PointerValue, TypeDesc]:
-        slot = self._slot(thread, place.base)
+    def _resolve_place(self, place: Place) -> tuple[PointerValue, TypeDesc]:
+        slot = self._slot(place.base)
         ptr: PointerValue = slot.pointer
         ty: TypeDesc = slot.type
         # Steps after a pointer local read through it, as if `*` were written.
         if place.deref or (place.steps and isinstance(ty, PtrType)):
             if not isinstance(ty, PtrType):
                 raise ScenarioUnsupported(f"cannot dereference non-pointer local '{place.base}'")
-            target = self._read_slot(slot, line)
+            target = self._read_slot(slot)
             pointee = self._pointee(ty, target)
             ptr, ty = target, pointee
         for step in place.steps:
@@ -441,11 +440,11 @@ class Machine:
             if isinstance(step, str):
                 if not isinstance(ty, StructType):
                     raise ScenarioUnsupported(f"field access '.{step}' on non-struct {ty}")
-                if all(f.name != step for f in ty.fields):
-                    raise ScenarioUnsupported(f"struct {ty} has no field '{step}'")
-                off, fty = struct_field_range(ty, step)
+                try:
+                    off, ty = struct_field_range(ty, step)
+                except KeyError:
+                    raise ScenarioUnsupported(f"struct {ty} has no field '{step}'") from None
                 ptr = ptr.with_byte_offset(off)
-                ty = fty
             else:
                 if not isinstance(ty, ArrayType):
                     raise ScenarioUnsupported(f"index [{step}] on non-array {ty}")
@@ -459,16 +458,16 @@ class Machine:
                 ty = ty.elem
         return ptr, ty
 
-    def _eval_operand(self, thread: _Thread, op: Operand, line: int) -> tuple[Value, TypeDesc]:
+    def _eval_operand(self, op: Operand) -> tuple[Value, TypeDesc]:
         if isinstance(op, int):
             return op, IntType(64, op < 0)
-        slot = self._slot(thread, op)
-        return self._read_slot(slot, line), slot.type
+        slot = self._slot(op)
+        return self._read_slot(slot), slot.type
 
-    def _foreign_operand(self, thread: _Thread, op: Operand) -> Value:
+    def _foreign_operand(self, op: Operand) -> Value:
         if isinstance(op, int):
             return op
-        regs = thread.frames[-1].regs
+        regs = self._thread.frames[-1].regs
         if op not in regs:  # a register may hold None
             raise ScenarioUnsupported(f"unknown register '{op}'")
         return regs[op]
@@ -501,42 +500,47 @@ class Machine:
 
     # ---- stepping ------------------------------------------------------------
 
-    def _step(self, thread: _Thread) -> None:
-        frame = thread.frames[-1]
-        if frame.pc >= len(frame.fn.body):
-            self._do_return(thread, None, frame.fn.body[-1].line if frame.fn.body else frame.fn.line)
+    def _step(self) -> None:
+        """Run the running thread's next statement, at its line."""
+        frame = self._thread.frames[-1]
+        body = frame.fn.body
+        if frame.pc >= len(body):
+            # The implicit return at the end of a body, at its last line.
+            self.memory.line = body[-1].line if body else frame.fn.line
+            self._do_return(None)
             return
-        stmt = frame.fn.body[frame.pc]
+        stmt = body[frame.pc]
         frame.pc += 1
+        self.memory.line = stmt.line
         if frame.fn.dialect is Dialect.HOST:
-            self._exec_host(thread, stmt)
+            self._exec_host(stmt)
         else:
-            self._exec_foreign(thread, stmt)
+            self._exec_foreign(stmt)
 
     # ---- host execution ------------------------------------------------------
 
-    def _exec_host(self, thread: _Thread, stmt: Stmt) -> None:
+    def _exec_host(self, stmt: Stmt) -> None:
+        thread = self._thread
         frame = thread.frames[-1]
-        line = stmt.line
         if isinstance(stmt, LetStmt):
-            self._host_let(thread, stmt)
+            self._host_let(stmt)
         elif isinstance(stmt, WriteStmt):
             if stmt.place.deref or stmt.place.steps:
-                ptr, ty = self._resolve_place(thread, stmt.place, line)
-                value, _ = self._eval_operand(thread, stmt.value, line)
-                self._typed_write_value(ptr, ty, value, line)
+                ptr, ty = self._resolve_place(stmt.place)
+                value, _ = self._eval_operand(stmt.value)
+                self._typed_write_value(ptr, ty, value)
             else:
-                slot = self._slot(thread, stmt.place.base)
-                self._write_slot(slot, self._eval_operand(thread, stmt.value, line)[0], line)
+                slot = self._slot(stmt.place.base)
+                self._write_slot(slot, self._eval_operand(stmt.value)[0])
         elif isinstance(stmt, AssumeInitStmt):
-            ptr, ty = self._resolve_place(thread, stmt.place, line)
+            ptr, ty = self._resolve_place(stmt.place)
             self.memory.assume_init(ptr, size_of(ty))
         elif isinstance(stmt, AssertEqStmt):
-            self._assert_eq(thread, stmt)
+            self._assert_eq(stmt)
         elif isinstance(stmt, SpawnStmt):
             callee = self.program.function(stmt.callee)
-            args = self._host_args(thread, stmt, callee)
-            child = self._spawn_thread(self._make_host_frame(callee, args, line), self._traces(thread))
+            args = self._host_args(stmt, callee)
+            child = self._spawn_thread(self._make_host_frame(callee, args), self._traces(thread))
             frame.handles[stmt.handle] = child.id
         elif isinstance(stmt, JoinStmt):
             tid = frame.handles.get(stmt.handle)
@@ -547,46 +551,44 @@ class Machine:
                 frame.pc -= 1  # re-run the join once the target finishes
                 self._status_changed()
         elif isinstance(stmt, CallStmt):
-            self._host_call(thread, stmt)
+            self._host_call(stmt)
         elif isinstance(stmt, ReturnStmt):
             value = None
             if stmt.value is not None:
-                value, _ = self._eval_operand(thread, stmt.value, line)
-            self._do_return(thread, value, stmt.line)
+                value, _ = self._eval_operand(stmt.value)
+            self._do_return(value)
         else:
             raise ScenarioUnsupported(f"statement not executable in host code: {stmt!r}")
 
-    def _host_let(self, thread: _Thread, stmt: LetStmt) -> None:
-        frame = thread.frames[-1]
-        line = stmt.line
+    def _host_let(self, stmt: LetStmt) -> None:
+        frame = self._thread.frames[-1]
         if isinstance(stmt.rhs, ZeroedRhs):
-            slot = self._new_slot(frame, stmt.name, stmt.type, line)
+            slot = self._new_slot(frame, stmt.name, stmt.type)
             if slot.alloc.immediate:
-                self._write_slot(slot, 0, line)
+                self._write_slot(slot, 0)
             else:
-                self.memory.memset(slot.pointer, 0, size_of(stmt.type), line)
+                self.memory.memset(slot.pointer, 0, size_of(stmt.type))
             return
         # Evaluate first, so the slot's root tag is numbered after any tag
         # the right-hand side creates.
-        value = self._host_rhs(thread, stmt)
-        slot = self._new_slot(frame, stmt.name, stmt.type, line)
+        value = self._host_rhs(stmt)
+        slot = self._new_slot(frame, stmt.name, stmt.type)
         slot.owning = isinstance(stmt.rhs, (HeapNewRhs, HeapFromRawRhs))
-        self._write_slot(slot, value, line)
+        self._write_slot(slot, value)
 
-    def _host_rhs(self, thread: _Thread, stmt: LetStmt) -> Value:
+    def _host_rhs(self, stmt: LetStmt) -> Value:
         """The value a host `let` binds; None leaves the new slot uninitialized."""
-        frame = thread.frames[-1]
-        line = stmt.line
+        frame = self._thread.frames[-1]
         rhs = stmt.rhs
         if isinstance(rhs, UninitRhs):
             return None
         if isinstance(rhs, LiteralRhs):
-            return self._bind_reference(rhs.value, stmt.type, stmt.name, line)
+            return self._bind_reference(rhs.value, stmt.type, stmt.name)
         if isinstance(rhs, PlaceRhs):
             if not (rhs.place.deref or rhs.place.steps):
-                value, _ = self._eval_operand(thread, rhs.place.base, line)
-                return self._bind_reference(value, stmt.type, stmt.name, line)
-            src_ptr, src_ty = self._resolve_place(thread, rhs.place, line)
+                value, _ = self._eval_operand(rhs.place.base)
+                return self._bind_reference(value, stmt.type, stmt.name)
+            src_ptr, src_ty = self._resolve_place(rhs.place)
             base = frame.slots.get(rhs.place.base)
             if (
                 rhs.place.deref
@@ -601,31 +603,31 @@ class Machine:
                     f"{size_of(src_ty)} bytes, destination '{stmt.name}' holds "
                     f"{size_of(stmt.type)}",
                 )
-            value = self._typed_read(src_ptr, src_ty, line)
-            return self._bind_reference(value, stmt.type, stmt.name, line)
+            value = self._typed_read(src_ptr, src_ty)
+            return self._bind_reference(value, stmt.type, stmt.name)
         if isinstance(rhs, BorrowRhs):
-            ptr, ty = self._resolve_place(thread, rhs.place, line)
-            return self._retag(ptr, ty, rhs.kind.value, stmt.name, line)
+            ptr, ty = self._resolve_place(rhs.place)
+            return self._retag(ptr, ty, rhs.kind.value, stmt.name)
         if isinstance(rhs, CastRhs):
-            return self._cast(thread, rhs.source, stmt.type, stmt.name, line)
+            return self._cast(rhs.source, stmt.type, stmt.name)
         if isinstance(rhs, OffsetRhs):
-            return self._offset(thread, rhs, line)
+            return self._offset(rhs)
         if isinstance(rhs, CellGetRhs):
-            src_ptr, src_ty = self._resolve_place(thread, rhs.place, line)
+            src_ptr, src_ty = self._resolve_place(rhs.place)
             if not isinstance(src_ty, CellType):
                 raise ScenarioUnsupported(".get() on a place that is not interior-mutable")
-            return self._retag(src_ptr, src_ty.inner, "cell", stmt.name, line)
+            return self._retag(src_ptr, src_ty.inner, "cell", stmt.name)
         if isinstance(rhs, HeapNewRhs):
-            return self._heap_new(stmt.name, rhs, line)
+            return self._heap_new(stmt.name, rhs)
         if isinstance(rhs, HeapIntoRawRhs):
             src = frame.slots.get(rhs.source)
             if src is None or not src.owning:
                 raise ScenarioUnsupported(f"'{rhs.source}' is not an owned heap value")
-            box = self._read_slot(src, line)
+            box = self._read_slot(src)
             src.moved = True
             return box
         if isinstance(rhs, HeapFromRawRhs):
-            value, _ = self._eval_operand(thread, rhs.source, line)
+            value, _ = self._eval_operand(rhs.source)
             if not isinstance(value, PointerValue):
                 raise ScenarioUnsupported("heap_from_raw needs a pointer value")
             if value.alloc_id is None:
@@ -640,12 +642,10 @@ class Machine:
             if pointee is None:
                 # An untyped pointer reclaims the whole allocation.
                 pointee = ArrayType(U8, self.memory.allocations[value.alloc_id].size)
-            return self._retag(value, pointee, "mutable-ref", stmt.name, line)
+            return self._retag(value, pointee, "mutable-ref", stmt.name)
         raise ScenarioUnsupported(f"host let cannot evaluate {type(rhs).__name__}")
 
-    def _bind_reference(
-        self, value: Value, ty: TypeDesc, name: str, line: int, protect: bool = False
-    ) -> Value:
+    def _bind_reference(self, value: Value, ty: TypeDesc, name: str, protect: bool = False) -> Value:
         """`value` retagged if local or parameter `name` of type `ty` is a reference.
 
         SB retags every reference assignment, a call's result included, and
@@ -659,40 +659,38 @@ class Machine:
             return value
         if isinstance(value, int):
             value = no_provenance(value)
-        return self._retag(value, ty.pointee, ty.kind.value, name, line, protect)
+        return self._retag(value, ty.pointee, ty.kind.value, name, protect)
 
-    def _heap_new(self, name: str, rhs: HeapNewRhs, line: int) -> PointerValue:
+    def _heap_new(self, name: str, rhs: HeapNewRhs) -> PointerValue:
         layout = layout_of(rhs.type)
         base = self.memory.base_pointer(self.memory.allocate(
-            layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{name} (alloc)", line
+            layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{name} (alloc)"
         ))
         if rhs.init == "zeroed":
-            self.memory.memset(base, 0, layout.size, line)
+            self.memory.memset(base, 0, layout.size)
         elif isinstance(rhs.init, int):
-            self._typed_write_value(base, rhs.type, rhs.init, line)
+            self._typed_write_value(base, rhs.type, rhs.init)
         if self.config.unique_as_mutable:
-            base = self._retag(base, rhs.type, "mutable-ref", name, line)
+            base = self._retag(base, rhs.type, "mutable-ref", name)
         return base
 
-    def _cast(
-        self, thread: _Thread, source: str, target: TypeDesc, label: str, line: int
-    ) -> Value:
-        value, src_ty = self._eval_operand(thread, source, line)
+    def _cast(self, source: str, target: TypeDesc, label: str) -> Value:
+        value, src_ty = self._eval_operand(source)
         if not isinstance(src_ty, (IntType, PtrType)) or not isinstance(target, (IntType, PtrType)):
             raise ScenarioUnsupported(f"no cast from {src_ty} to {target}")
         if isinstance(src_ty, PtrType) and isinstance(target, PtrType):
             raw = target.kind in (PtrKind.RAW_MUT, PtrKind.RAW_CONST)
             if is_reference(src_ty) and raw and value.alloc_id is not None:
-                return self._retag(value, src_ty.pointee, target.kind.value, label, line)
+                return self._retag(value, src_ty.pointee, target.kind.value, label)
             if is_reference(target):
                 raise ScenarioUnsupported("casts cannot create references")
         elif (isinstance(src_ty, PtrType) or isinstance(target, PtrType)) and size_of(src_ty) != size_of(target):
             raise ScenarioUnsupported("pointer addresses only fit 8-byte integers")
         return self._convert(value, target)
 
-    def _offset(self, thread: _Thread, rhs: OffsetRhs, line: int) -> PointerValue:
-        value, src_ty = self._eval_operand(thread, rhs.source, line)
-        count, _ = self._eval_operand(thread, rhs.count, line)
+    def _offset(self, rhs: OffsetRhs) -> PointerValue:
+        value, src_ty = self._eval_operand(rhs.source)
+        count, _ = self._eval_operand(rhs.count)
         if not isinstance(value, PointerValue) or not isinstance(src_ty, PtrType):
             raise ScenarioUnsupported("offset() applies to pointer values")
         if not isinstance(count, int):
@@ -700,9 +698,9 @@ class Machine:
         elem = self._pointee(src_ty, value)
         return value.with_byte_offset(count * max(size_of(elem), 1))
 
-    def _assert_eq(self, thread: _Thread, stmt: AssertEqStmt) -> None:
-        left, _ = self._eval_operand(thread, stmt.left, stmt.line)
-        right, _ = self._eval_operand(thread, stmt.right, stmt.line)
+    def _assert_eq(self, stmt: AssertEqStmt) -> None:
+        left, _ = self._eval_operand(stmt.left)
+        right, _ = self._eval_operand(stmt.right)
         if self._plain(left) != self._plain(right):
             raise UbError(
                 DiagnosticKind.ASSERTION_FAILED,
@@ -727,11 +725,12 @@ class Machine:
             return f"<{len(v.values)}-byte value>"
         return str(v)
 
-    def _do_return(self, thread: _Thread, value: Value, line: int) -> None:
+    def _do_return(self, value: Value) -> None:
         """Pop the frame and hand `value` to its caller."""
-        callee = self._exit_frame(thread, line)
+        thread = self._thread
+        callee = self._exit_frame()
         if not thread.frames:
-            for t in self.threads.values():
+            for t in self.threads:
                 if t.waiting_on == thread.id:
                     t.waiting_on = None
             self._status_changed()
@@ -754,27 +753,25 @@ class Machine:
         if call.dest is not None:
             # The result lands at the call, not at the callee's return. Retag
             # before the slot exists, so its root tag is numbered after the result's.
-            value = self._bind_reference(value, call.dest_type, call.dest, call.line)
-            slot = self._new_slot(caller, call.dest, call.dest_type, call.line)
-            self._write_slot(slot, value, call.line)
+            self.memory.line = call.line
+            value = self._bind_reference(value, call.dest_type, call.dest)
+            slot = self._new_slot(caller, call.dest, call.dest_type)
+            self._write_slot(slot, value)
 
     # ---- calls ---------------------------------------------------------------
 
-    def _host_call(self, thread: _Thread, stmt: CallStmt) -> None:
-        line = stmt.line
+    def _host_call(self, stmt: CallStmt) -> None:
         binding = self.program.bindings_by_name.get(stmt.callee)
         if binding is None:
             callee = self.program.function(stmt.callee)
-            args = self._host_args(thread, stmt, callee)
-            thread.frames.append(self._make_host_frame(callee, args, line))
+            args = self._host_args(stmt, callee)
+            self._thread.frames.append(self._make_host_frame(callee, args))
             return
-        self._call_foreign(thread, stmt, binding)
+        self._call_foreign(stmt, binding)
 
-    def _host_args(
-        self, thread: _Thread, stmt: Union[CallStmt, SpawnStmt], callee: FnDef
-    ) -> list[Value]:
+    def _host_args(self, stmt: Union[CallStmt, SpawnStmt], callee: FnDef) -> list[Value]:
         """The arguments `stmt` passes to host function `callee`, checked against its parameters."""
-        args = [self._check_host_arg(thread, a, p.type, stmt.line) for a, p in zip(stmt.args, callee.params)]
+        args = [self._check_host_arg(a, p.type) for a, p in zip(stmt.args, callee.params)]
         if len(stmt.args) != len(callee.params):
             what = "spawn of" if isinstance(stmt, SpawnStmt) else "call to"
             raise ScenarioUnsupported(
@@ -783,17 +780,15 @@ class Machine:
             )
         return args
 
-    def _check_host_arg(
-        self, thread: _Thread, op: Operand, want: TypeDesc, line: int
-    ) -> Value:
-        value, ty = self._eval_operand(thread, op, line)
+    def _check_host_arg(self, op: Operand, want: TypeDesc) -> Value:
+        value, ty = self._eval_operand(op)
         if isinstance(op, int):
             return value
         if not assignable(ty, want):
             raise ScenarioUnsupported(f"argument of type {ty} where {want} is expected")
         return value
 
-    def _call_foreign(self, thread: _Thread, stmt: CallStmt, binding) -> None:
+    def _call_foreign(self, stmt: CallStmt, binding) -> None:
         callee = self.program.function(binding.target)
         if len(stmt.args) < len(binding.params) or (
             len(stmt.args) > len(binding.params) and not binding.variadic
@@ -805,10 +800,10 @@ class Machine:
             )
         regs: list[Value] = []
         for arg_plan, op in zip(plan_call(binding, callee), stmt.args):
-            value = self._check_host_arg(thread, op, arg_plan.source, stmt.line)
+            value = self._check_host_arg(op, arg_plan.source)
             regs.extend(self._outbound(arg_plan, value))
         for op in stmt.args[len(binding.params):]:
-            value, ty = self._eval_operand(thread, op, stmt.line)
+            value, ty = self._eval_operand(op)
             regs.extend(self._outbound(plan_variadic_arg(ty), value))
         frame = _Frame(fn=callee)
         for param, reg in zip(callee.params, regs):
@@ -816,7 +811,7 @@ class Machine:
         # Extras land as vararg0, vararg1, ... in caller order.
         for i, reg in enumerate(regs[len(callee.params):]):
             frame.regs[f"vararg{i}"] = reg
-        thread.frames.append(frame)
+        self._thread.frames.append(frame)
 
     def _outbound(self, plan: ArgPlan, value: Value) -> list[Value]:
         """The registers one host argument fills on the foreign side."""
@@ -903,59 +898,57 @@ class Machine:
 
     # ---- foreign execution ---------------------------------------------------
 
-    def _exec_foreign(self, thread: _Thread, stmt: Stmt) -> None:
-        frame = thread.frames[-1]
-        line = stmt.line
+    def _exec_foreign(self, stmt: Stmt) -> None:
         if isinstance(stmt, LetStmt):
-            frame.regs[stmt.name] = self._foreign_let(thread, stmt)
+            self._thread.frames[-1].regs[stmt.name] = self._foreign_let(stmt)
         elif isinstance(stmt, StoreStmt):
             size = size_of(stmt.type)
             if size not in (1, 2, 4, 8):
                 raise ScenarioUnsupported(f"foreign store of {size}-byte type {stmt.type}")
-            ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer))
-            value = self._foreign_operand(thread, stmt.value)
+            ptr = self._reg_pointer(self._foreign_operand(stmt.pointer))
+            value = self._foreign_operand(stmt.value)
             if value is None:
                 # A value derived from uninitialized memory stays
                 # uninitialized when written back.
-                self.memory.write_uninit(ptr, size, line)
+                self.memory.write_uninit(ptr, size)
             elif isinstance(value, PointerValue) and size == 8:
-                self.memory.write_pointer(ptr, value, line)
+                self.memory.write_pointer(ptr, value)
             else:
-                self.memory.write_int(ptr, size, reinterpret(self._reg_int(value), IntType(8 * size, False)), line=line)
+                self.memory.write_int(ptr, size, reinterpret(self._reg_int(value), IntType(8 * size, False)))
         elif isinstance(stmt, FreeStmt):
-            ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer))
+            ptr = self._reg_pointer(self._foreign_operand(stmt.pointer))
             self.memory.deallocate(ptr, "foreign")
         elif isinstance(stmt, MemsetStmt):
-            ptr = self._reg_pointer(self._foreign_operand(thread, stmt.pointer))
-            value = self._reg_int(self._foreign_operand(thread, stmt.value))
-            size = self._reg_int(self._foreign_operand(thread, stmt.size))
-            self.memory.memset(ptr, value, size, line)
+            ptr = self._reg_pointer(self._foreign_operand(stmt.pointer))
+            value = self._reg_int(self._foreign_operand(stmt.value))
+            size = self._reg_int(self._foreign_operand(stmt.size))
+            self.memory.memset(ptr, value, size)
         elif isinstance(stmt, MemcpyStmt):
-            dest = self._reg_pointer(self._foreign_operand(thread, stmt.dest))
-            src = self._reg_pointer(self._foreign_operand(thread, stmt.src))
-            size = self._reg_int(self._foreign_operand(thread, stmt.size))
-            self.memory.memcpy(dest, src, size, line)
+            dest = self._reg_pointer(self._foreign_operand(stmt.dest))
+            src = self._reg_pointer(self._foreign_operand(stmt.src))
+            size = self._reg_int(self._foreign_operand(stmt.size))
+            self.memory.memcpy(dest, src, size)
         elif isinstance(stmt, CallStmt):
-            self._foreign_call(thread, stmt)
+            self._foreign_call(stmt)
         elif isinstance(stmt, ReturnStmt):
-            value = None if stmt.value is None else self._foreign_operand(thread, stmt.value)
-            self._do_return(thread, value, line)
+            value = None if stmt.value is None else self._foreign_operand(stmt.value)
+            self._do_return(value)
         else:
             raise ScenarioUnsupported(f"statement not executable in foreign code: {stmt!r}")
 
-    def _foreign_let(self, thread: _Thread, stmt: LetStmt) -> Value:
-        rhs, line = stmt.rhs, stmt.line
+    def _foreign_let(self, stmt: LetStmt) -> Value:
+        rhs = stmt.rhs
         if isinstance(rhs, LiteralRhs):
             return rhs.value
         if isinstance(rhs, PlaceRhs):
-            return self._foreign_operand(thread, rhs.place.base)
+            return self._foreign_operand(rhs.place.base)
         if isinstance(rhs, LoadRhs):
-            ptr = self._reg_pointer(self._foreign_operand(thread, rhs.pointer))
+            ptr = self._reg_pointer(self._foreign_operand(rhs.pointer))
             if not isinstance(rhs.type, (IntType, PtrType)):
                 raise ScenarioUnsupported(f"foreign load of type {rhs.type}")
-            return self._typed_read(ptr, rhs.type, line, self.config.permissive_foreign_loads)
+            return self._typed_read(ptr, rhs.type, self.config.permissive_foreign_loads)
         if isinstance(rhs, (MallocRhs, AllocaRhs)):
-            value = self._foreign_operand(thread, rhs.size)
+            value = self._foreign_operand(rhs.size)
             size = self._reg_int(value)
             heap = isinstance(rhs, MallocRhs)
             if isinstance(value, PointerValue):
@@ -963,17 +956,17 @@ class Machine:
             if size < 0:
                 raise ScenarioUnsupported(f"{'malloc' if heap else 'alloca'} of {size} bytes")
             origin = AllocOrigin.FOREIGN_HEAP if heap else AllocOrigin.FOREIGN_STACK
-            alloc = self.memory.allocate(size, 16, origin, stmt.name, line)
+            alloc = self.memory.allocate(size, 16, origin, stmt.name)
             if not heap:
-                thread.frames[-1].stack_allocs.append(alloc.id)
+                self._thread.frames[-1].stack_allocs.append(alloc.id)
             return self.memory.base_pointer(alloc)
         if isinstance(rhs, GepRhs):
-            value = self._foreign_operand(thread, rhs.pointer)
-            off = self._reg_int(self._foreign_operand(thread, rhs.offset))
+            value = self._foreign_operand(rhs.pointer)
+            off = self._reg_int(self._foreign_operand(rhs.offset))
             return self._reg_pointer(value).with_byte_offset(off)
         raise ScenarioUnsupported(f"foreign let cannot evaluate {type(rhs).__name__}")
 
-    def _foreign_call(self, thread: _Thread, stmt: CallStmt) -> None:
+    def _foreign_call(self, stmt: CallStmt) -> None:
         callee = self.program.function(stmt.callee)
         if len(stmt.args) != len(callee.params):
             raise UbError(
@@ -983,12 +976,12 @@ class Machine:
             )
         args = [
             self._to_host(
-                self._foreign_operand(thread, op), param.type,
+                self._foreign_operand(op), param.type,
                 "value derived from uninitialized memory passed into host code",
             )
             for op, param in zip(stmt.args, callee.params)
         ]
-        thread.frames.append(self._make_host_frame(callee, args, stmt.line))
+        self._thread.frames.append(self._make_host_frame(callee, args))
 
 
 def run_program(program: ScenarioProgram, config: Optional[MachineConfig] = None) -> Outcome:

@@ -17,9 +17,16 @@ Access checks run in a fixed order: liveness, bounds, alignment, borrow
 tracker, then byte movement. The alignment check is symbolic by default
 (offset modulo the type's alignment, plus a requirement that the allocation
 itself is at least that aligned) so that a run never passes just because the
-simulated base address happened to line up. An access that reaches a
-tracker carries the source line it came from, which its tag's last use
-records beside the access kind and range.
+simulated base address happened to line up.
+
+Every event memory records (an allocation, a retag, an access) is stamped
+with `Memory.line`, the source line of the statement the machine is
+running, which `Machine._step` sets before each statement; a tag's last use
+records it beside the access kind and range. There are two exceptions. An
+implicit return at the end of a body, and the frame teardown it runs, take
+the body's last line (the function's own line for an empty body). A call's
+result binds at its call's line, which `Machine._do_return` sets once the
+callee's frame is gone.
 
 A `Memory` built with a tracker type judges borrows, and it is the only
 owner of that borrow state: it draws every tag, builds every tracker,
@@ -349,12 +356,12 @@ class Memory:
         # Base perturbation only moves addresses, never semantics.
         _, word = _splitmix64(seed)
         self._bump = BASE_ADDRESS + 0x1000 * (word % 256)
+        self.line = 0  # the source line of the statement being run
 
     # ---- allocation ----------------------------------------------------------
 
     def _new(
-        self, size: int, align: int, origin: AllocOrigin, label: str, line: int,
-        values: Optional[list[Optional[int]]],
+        self, size: int, align: int, origin: AllocOrigin, label: str, values: Optional[list[Optional[int]]]
     ) -> Allocation:
         """The next allocation, with the next id, base address and root tag.
 
@@ -367,26 +374,24 @@ class Memory:
         self._bump = base + size + GUARD_GAP
         self._bases.append(base)
         alloc = Allocation(
-            len(self._bases), base, size, align, origin, label, line,
+            len(self._bases), base, size, align, origin, label, self.line,
             None if self._tracker_type is None else self._next_tag(),
             values is None, values, None if values is None else {},
         )
         self.allocations[alloc.id] = alloc
         return alloc
 
-    def allocate(
-        self, size: int, align: int, origin: AllocOrigin, label: str = "", line: int = 0
-    ) -> Allocation:
+    def allocate(self, size: int, align: int, origin: AllocOrigin, label: str = "") -> Allocation:
         zeroed = self.zero_init_foreign and origin in (AllocOrigin.FOREIGN_STACK, AllocOrigin.FOREIGN_HEAP)
-        return self._new(size, align, origin, label, line, [0 if zeroed else None] * size)
+        return self._new(size, align, origin, label, [0 if zeroed else None] * size)
 
-    def reserve(self, size: int, align: int, label: str = "", line: int = 0) -> Allocation:
+    def reserve(self, size: int, align: int, label: str = "") -> Allocation:
         """A host stack local that memory keeps whole until an address reaches it.
 
         Draws the alloc id, base address and root tag that `allocate` would
         draw at this point, and builds no bytes.
         """
-        return self._new(size, align, AllocOrigin.HOST_STACK, label, line, None)
+        return self._new(size, align, AllocOrigin.HOST_STACK, label, None)
 
     def _materialize(self, alloc: Allocation) -> None:
         """Give immediate local `alloc` the bytes and fragments the byte path would hold by now."""
@@ -399,9 +404,9 @@ class Memory:
         elif value is not None:
             _put_int(alloc, 0, alloc.size, value)
 
-    def load(self, local: Allocation, line: int = 0) -> Union[int, PointerValue]:
+    def load(self, local: Allocation) -> Union[int, PointerValue]:
         """An immediate local's value, read whole as `read_int` or `read_pointer` reads its bytes."""
-        local.last_use = ("read", (0, local.size), line)
+        local.last_use = ("read", (0, local.size), self.line)
         if local.value is None:
             raise UbError(
                 DiagnosticKind.UNINITIALIZED_READ,
@@ -410,7 +415,7 @@ class Memory:
             )
         return local.value
 
-    def store(self, local: Allocation, value: Union[int, PointerValue], line: int = 0) -> None:
+    def store(self, local: Allocation, value: Union[int, PointerValue]) -> None:
         """Write an immediate local whole: an int of its type, or a pointer.
 
         A pointer is kept as `read_pointer` returns it after `write_pointer`:
@@ -423,7 +428,7 @@ class Memory:
             if address != value.address or offset != value.offset:
                 value = PointerValue(address, value.alloc_id, offset, value.provenance)
         local.value = value
-        local.last_use = ("write", (0, local.size), line)
+        local.last_use = ("write", (0, local.size), self.line)
 
     def tracker(self, alloc: Allocation) -> BorrowTracker:
         """`alloc`'s borrow tracker, built on first call around its root tag."""
@@ -436,8 +441,7 @@ class Memory:
         return PointerValue(alloc.base, alloc.id, 0, alloc.tag)
 
     def retag(
-        self, ptr: PointerValue, size: int, cells: tuple[Range, ...], kind: str, label: str,
-        line: int, protect: bool,
+        self, ptr: PointerValue, size: int, cells: tuple[Range, ...], kind: str, label: str, protect: bool
     ) -> PointerValue:
         """`ptr` with a fresh `kind` tag over `size` bytes, derived from the tag it carries.
 
@@ -451,7 +455,7 @@ class Memory:
         parent = alloc.tag if ptr.provenance is WILDCARD else ptr.provenance
         off = ptr.offset
         cells = tuple((a + off, b + off) for a, b in cells)
-        tag = self.tracker(alloc).retag(parent, (off, off + size), kind, cells, protect, label, line)
+        tag = self.tracker(alloc).retag(parent, (off, off + size), kind, cells, protect, label, self.line)
         return PointerValue(ptr.address, ptr.alloc_id, ptr.offset, tag)
 
     def protector_end(self, alloc_id: int, tag: int) -> None:
@@ -553,7 +557,6 @@ class Memory:
         size: int,
         align: int,
         kind: str,  # "read" or "write"
-        line: int = 0,
     ) -> Allocation:
         """Liveness, bounds, alignment, then the borrow tracker, in that order."""
         alloc = self.check_bounds(ptr, size, kind)
@@ -572,41 +575,39 @@ class Memory:
         if alloc.tag is not None and size > 0:
             rng = (ptr.offset, ptr.offset + size)
             if alloc.tracker is None and ptr.provenance == alloc.tag:
-                alloc.last_use = (kind, rng, line)
+                alloc.last_use = (kind, rng, self.line)
             else:
-                self.tracker(alloc).access(ptr.provenance, rng, kind, line)
+                self.tracker(alloc).access(ptr.provenance, rng, kind, self.line)
         return alloc
 
     # ---- typed and raw data movement ----------------------------------------
 
     def read_int(
-        self, ptr: PointerValue, size: int, signed: bool, *, line: int = 0, permissive: bool = False
+        self, ptr: PointerValue, size: int, signed: bool, permissive: bool = False
     ) -> Optional[int]:
         """Read one size-aligned integer; None only for a `permissive` read, see `_init_bytes`."""
-        alloc = self.check_access(ptr, size, size, "read", line)
+        alloc = self.check_access(ptr, size, size, "read")
         raw = _init_bytes(alloc, ptr, size, permissive)
         return None if raw is None else int.from_bytes(raw, "little", signed=signed)
 
-    def write_int(self, ptr: PointerValue, size: int, value: int, *, line: int = 0) -> None:
+    def write_int(self, ptr: PointerValue, size: int, value: int) -> None:
         """Write one size-aligned integer, with no provenance."""
-        alloc = self.check_access(ptr, size, size, "write", line)
+        alloc = self.check_access(ptr, size, size, "write")
         _put_int(alloc, ptr.offset, size, value)
 
-    def write_uninit(self, ptr: PointerValue, size: int, line: int = 0) -> None:
+    def write_uninit(self, ptr: PointerValue, size: int) -> None:
         """A size-aligned write whose bytes end up uninitialized, with no provenance."""
-        alloc = self.check_access(ptr, size, size, "write", line)
+        alloc = self.check_access(ptr, size, size, "write")
         alloc.values[ptr.offset : ptr.offset + size] = [None] * size
         _drop_fragments(alloc, ptr.offset, ptr.offset + size)
 
-    def write_pointer(self, ptr: PointerValue, value: PointerValue, line: int = 0) -> None:
-        alloc = self.check_access(ptr, 8, 8, "write", line)
+    def write_pointer(self, ptr: PointerValue, value: PointerValue) -> None:
+        alloc = self.check_access(ptr, 8, 8, "write")
         _put_pointer(alloc, ptr.offset, value)
 
-    def read_pointer(
-        self, ptr: PointerValue, *, line: int = 0, permissive: bool = False
-    ) -> Optional[PointerValue]:
+    def read_pointer(self, ptr: PointerValue, permissive: bool = False) -> Optional[PointerValue]:
         """Read 8 bytes as a pointer, reconstructing provenance if intact; see `_init_bytes`."""
-        alloc = self.check_access(ptr, 8, 8, "read", line)
+        alloc = self.check_access(ptr, 8, 8, "read")
         raw = _init_bytes(alloc, ptr, 8, permissive)
         if raw is None:
             return None
@@ -625,9 +626,9 @@ class Memory:
         # Broken or absent fragments: the value is just an integer.
         return no_provenance(address)
 
-    def read_blob(self, ptr: PointerValue, size: int, line: int = 0) -> Blob:
+    def read_blob(self, ptr: PointerValue, size: int) -> Blob:
         """Untyped copy-out of the uninit mask and provenance fragments. No init check."""
-        alloc = self.check_access(ptr, size, 1, "read", line)
+        alloc = self.check_access(ptr, size, 1, "read")
         values = alloc.values[ptr.offset : ptr.offset + size]
         if not alloc.fragments:
             return Blob(values)
@@ -638,10 +639,10 @@ class Memory:
         }
         return Blob(values, frags)
 
-    def write_blob(self, ptr: PointerValue, blob: Blob, line: int = 0) -> None:
+    def write_blob(self, ptr: PointerValue, blob: Blob) -> None:
         """Untyped copy-in: preserves the uninit mask and provenance fragments."""
         size = len(blob.values)
-        alloc = self.check_access(ptr, size, 1, "write", line)
+        alloc = self.check_access(ptr, size, 1, "write")
         alloc.values[ptr.offset : ptr.offset + size] = blob.values
         _drop_fragments(alloc, ptr.offset, ptr.offset + size)
         for i, frag in blob.frags.items():
@@ -659,13 +660,13 @@ class Memory:
             if alloc.values[off] is None:
                 alloc.values[off] = 0
 
-    def memset(self, ptr: PointerValue, byte: int, size: int, line: int = 0) -> None:
-        alloc = self.check_access(ptr, size, 1, "write", line)
+    def memset(self, ptr: PointerValue, byte: int, size: int) -> None:
+        alloc = self.check_access(ptr, size, 1, "write")
         alloc.values[ptr.offset : ptr.offset + size] = [byte & 0xFF] * size
         _drop_fragments(alloc, ptr.offset, ptr.offset + size)
 
-    def memcpy(self, dest: PointerValue, src: PointerValue, size: int, line: int = 0) -> None:
-        self.write_blob(dest, self.read_blob(src, size, line), line)
+    def memcpy(self, dest: PointerValue, src: PointerValue, size: int) -> None:
+        self.write_blob(dest, self.read_blob(src, size))
 
     # ---- provenance boundary -------------------------------------------------
 

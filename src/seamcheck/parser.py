@@ -67,11 +67,18 @@ from .ir import (
     ZeroedRhs,
 )
 from .types import (
+    I8,
+    I16,
+    I32,
+    I64,
+    U8,
+    U16,
+    U32,
+    U64,
     UNIT,
     ArrayType,
     CellType,
     FieldDef,
-    IntType,
     LayoutError,
     PhantomType,
     PtrKind,
@@ -109,20 +116,9 @@ MAX_TYPE_DEPTH = 100
 _NESTING = frozenset(("&", "*", "[", "cell", "phantom"))
 _TOO_DEEP = f"type nested more than {MAX_TYPE_DEPTH} levels deep"
 
-_SCALARS: dict[str, TypeDesc] = {
-    "i8": IntType(8, True),
-    "i16": IntType(16, True),
-    "i32": IntType(32, True),
-    "i64": IntType(64, True),
-    "u8": IntType(8, False),
-    "u16": IntType(16, False),
-    "u32": IntType(32, False),
-    "u64": IntType(64, False),
-    "isize": IntType(64, True),
-    "usize": IntType(64, False),
-    "bool": IntType(8, False),
-    "unit": UNIT,
-}
+# Each scalar type by its own name, plus the names Rust gives the same layouts.
+_SCALARS: dict[str, TypeDesc] = {str(t): t for t in (I8, I16, I32, I64, U8, U16, U32, U64, UNIT)}
+_SCALARS.update(isize=I64, usize=U64, bool=U8)
 
 
 def _is_int(tok: str) -> bool:

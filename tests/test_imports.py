@@ -1,6 +1,7 @@
 """Every import in the package and its tests is used, every local the package assigns is read,
 only memory and the two trackers touch an allocation's borrow state, only the borrow tracker
-base writes a tag event, and every detail of a finding is named as its diagnostic field."""
+base writes a tag event, every detail of a finding is named as its diagnostic field, and no
+machine or memory method takes a source line."""
 
 import ast
 from dataclasses import fields
@@ -127,3 +128,37 @@ def test_ub_error_details_are_diagnostic_fields():
         if (names := _ub_error_keywords(path))
     }
     assert bad == {}
+
+
+
+# The machine keeps its step context as state: the running thread, and `Memory.line`, the line
+# of the statement being run. `_step` sets that line and `_do_return` moves it to the call a
+# result binds at; no `Machine` or `Memory` method takes a line.
+_LINE_WRITERS = {"machine.py:Machine._step", "machine.py:Machine._do_return", "memory.py:Memory.__init__"}
+
+
+def _step_context(path):
+    tree = ast.parse(path.read_text(), str(path))
+    params, writers = [], set()
+    for top in tree.body:
+        for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            where = f"{path.name}:{owner}.{fn.name}"
+            if owner in ("Machine", "Memory"):
+                args = ast.walk(fn.args)
+                params += [f"{where} (line {a.lineno})" for a in args if getattr(a, "arg", None) == "line"]
+            for node in ast.walk(fn):
+                for t in getattr(node, "targets", [getattr(node, "target", None)]):
+                    if isinstance(t, ast.Attribute) and t.attr == "line" and (
+                        getattr(t.value, "attr", None) == "memory" or owner == "Memory"
+                    ):
+                        writers.add(where)
+    return params, writers
+
+
+def test_step_context_is_state_not_a_parameter():
+    found = [_step_context(path) for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py"))]
+    assert [p for params, _ in found for p in params] == []
+    assert set().union(*(writers for _, writers in found)) == _LINE_WRITERS

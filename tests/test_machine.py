@@ -1129,6 +1129,28 @@ def test_call_result_slot_is_created_and_written_at_the_call_line(model):
     assert "tag#2 'y' created at line 7: allocation of alloc#2" in render_diagnostic(diag)
 
 
+_IMPLICIT_RETURN_DROP = """host fn f()
+  let b: *mut i32 = heap_new i32 5
+  let pb: *mut *mut i32 = &raw mut b
+  let z: i32 = 1
+end
+
+host fn main()
+  call f()
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_frame_exit_without_return_reads_at_the_last_line(model):
+    # `f` ends without a `return`, so its frame exits at its last statement,
+    # line 4. Dropping the owned `b` reads it there, through its root tag.
+    machine, outcome = _machine_run(_IMPLICIT_RETURN_DROP, model)
+    assert outcome.classification is Classification.PASS
+    root = _root_record(_allocation(machine, "b"))
+    assert root.last_valid_use == TagEvent(4, "read of [0..8)")
+
+
 _PINGPONG = """bind ping = c_ping(*mut i64)
 
 foreign fn c_ping(p: ptr)

@@ -299,5 +299,5 @@ def test_pointer_with_no_provenance_cannot_access():
     mem = _mem()
     bare = PointerValue(0x9999, None, 0x9999, None)
     with pytest.raises(UbError) as e:
-        mem.check_access(bare, 1, 1, "read", 0)
+        mem.check_access(bare, 1, 1, "read")
     assert e.value.kind is DiagnosticKind.ACCESS_OUT_OF_BOUNDS

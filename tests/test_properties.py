@@ -480,20 +480,27 @@ def _outcome(fn):
 def test_suite_immediate_local_matches_the_byte_path(ty, ops):
     immediate, byte_path = Memory(tracker=TreeBorrowTracker), Memory(tracker=TreeBorrowTracker)
     size = size_of(ty)
-    pointees = [immediate.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "before", 1)]
-    byte_path.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "before", 1)
-    local = immediate.reserve(size, size, "x", 2)
-    alloc = byte_path.allocate(size, size, AllocOrigin.HOST_STACK, "x", 2)
-    pointees.append(immediate.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "after", 3))
-    byte_path.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "after", 3)
+    def at(line):
+        immediate.line = byte_path.line = line
+
+    at(1)
+    pointees = [immediate.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "before")]
+    byte_path.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "before")
+    at(2)
+    local = immediate.reserve(size, size, "x")
+    alloc = byte_path.allocate(size, size, AllocOrigin.HOST_STACK, "x")
+    at(3)
+    pointees.append(immediate.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "after"))
+    byte_path.allocate(12, 4, AllocOrigin.FOREIGN_HEAP, "after")
     ptr = byte_path.base_pointer(alloc)
     for line, op in enumerate(ops, start=4):
+        at(line)
         if op is None:
             if isinstance(ty, PtrType):
-                expected = _outcome(lambda: byte_path.read_pointer(ptr, line=line))
+                expected = _outcome(lambda: byte_path.read_pointer(ptr))
             else:
-                expected = _outcome(lambda: byte_path.read_int(ptr, size, ty.signed, line=line))
-            assert _outcome(lambda: immediate.load(local, line)) == expected
+                expected = _outcome(lambda: byte_path.read_int(ptr, size, ty.signed))
+            assert _outcome(lambda: immediate.load(local)) == expected
         elif isinstance(op, tuple) and isinstance(ty, PtrType):
             which, address, wrap, provenance = op
             if which is None:
@@ -501,17 +508,17 @@ def test_suite_immediate_local_matches_the_byte_path(ty, ops):
             else:
                 target, offset = pointees[which], address % 64 - 24
                 value = PointerValue(target.base + offset + wrap, target.id, offset, provenance)
-            immediate.store(local, value, line)
-            byte_path.write_pointer(ptr, value, line)
+            immediate.store(local, value)
+            byte_path.write_pointer(ptr, value)
         else:
             value = op[1] + op[2] if isinstance(op, tuple) else op
             if isinstance(ty, PtrType):
                 # An integer lands in a pointer local as a bare address.
-                immediate.store(local, PointerValue(value % (1 << 64), None, value % (1 << 64), None), line)
-                byte_path.write_int(ptr, 8, value % (1 << 64), line=line)
+                immediate.store(local, PointerValue(value % (1 << 64), None, value % (1 << 64), None))
+                byte_path.write_int(ptr, 8, value % (1 << 64))
             else:
-                immediate.store(local, reinterpret(value, ty), line)
-                byte_path.write_int(ptr, size, reinterpret(value, ty), line=line)
+                immediate.store(local, reinterpret(value, ty))
+                byte_path.write_int(ptr, size, reinterpret(value, ty))
     assert immediate.from_exposed(local.base) == byte_path.from_exposed(alloc.base)
     made = immediate.allocations[local.id]
     assert made is local and not made.immediate

@@ -290,6 +290,7 @@ class ScenarioProgram:
     # call finds its callee without a scan; not part of equality or repr.
     functions_by_name: dict[str, FnDef] = field(init=False, compare=False, repr=False)
     bindings_by_name: dict[str, BindingSignature] = field(init=False, compare=False, repr=False)
+    lowered: object = field(init=False, default=None, compare=False, repr=False)  # the machine's, see `machine`
 
     def __post_init__(self) -> None:
         # A dict keeps the last value given for a key, so build each from the end.

@@ -1,125 +1,59 @@
 """Execution engine: two dialects, one memory, one borrow model per run.
 
-Every host `let` and parameter gets its own stack allocation, with its
-own alloc id, root tag and address, and references are retagged from that
-tag. An integer or pointer local starts as an immediate allocation, which
-memory reserves: the machine reads and writes its whole value
-(`_read_slot`, `_write_slot`) until an address reaches it and memory
-materializes its bytes in place (see `memory`). Any other local has bytes
-from the start. `Memory` owns each allocation's root tag and borrow
-tracker; the machine deals in types only. Foreign locals are registers
-holding the same values as host locals: an integer, a pointer, an opaque
-byte blob, or None. None is uninitialized on both sides of the boundary: a
-host slot that was never written, or a register loaded from uninitialized
-memory in permissive mode, which is an error only where it is used.
+Every host `let` and parameter gets its own stack allocation, with its own alloc id, root tag
+and address, and references are retagged from that tag. An integer or pointer local starts as
+an immediate allocation, which memory reserves: the machine reads and writes its whole value
+until an address reaches it and memory materializes its bytes in place (see `memory`). Foreign
+locals are registers holding the same values: an integer, a pointer, an opaque byte blob, or
+None, which is uninitialized on both sides of the boundary and an error only where it is used.
 
-The step context is state, after Miri's active thread and current span:
-`run` records the thread it schedules, which every statement handler reads
-as `_thread`, and `_step` sets `Memory.line`, which stamps every event
-memory records (see `memory` for its two exceptions).
+A function is lowered when its first frame is made, into one step per statement plus one for
+the implicit return (`_Lowering`). Lowering resolves what the text fixes: each host local as an
+index into its frame's slot list, with its type and layout; each place as a byte offset and a
+result type; each call's callee and argument checks; each binding's `plan_call` result, once per
+binding; and what a call does with its result when the callee's frame pops. The lowered code
+hangs off its `ScenarioProgram`, so every run of a program, both runs of a `--diff` included,
+shares it, and none outlives it. Steps look memory, tracker, `translate` and `types` functions
+up when they run. Lowering never raises: an error the text decides, such as an unknown local,
+a field step on a non-struct, or an argument count or binding that does not match, becomes a
+step that raises it when its statement runs, after the same side effects, so a scenario that
+never reaches a bad line keeps its outcome.
 
-Every call pushes a frame on the caller's thread, whichever dialect the
-callee is written in; a frame runs in its function's dialect. A host `call`
-or `spawn` of a host function checks its arguments in one place,
-`_host_args`. When the callee's frame pops, the caller's `call` statement
-says where the result lands. A call across the boundary converts the
-arguments on the way in and the return value when the callee's frame pops.
-Bound arguments and returns, callback arguments and integer/pointer casts
-all convert through `_convert`, which applies the pairings `translate`
-checks and passes None through; an uninitialized value landing in host code
-is an uninitialized read. Only `spawn` creates a thread. The scheduler picks
-among ready threads, in spawn order, with a seeded generator, so a run is a
-deterministic function of (program, config).
+The step context is state, after Miri's active thread and current span: `run` records the
+thread it schedules as `_thread`, and `_step` sets `Memory.line`, which stamps every event
+memory records (see `memory` for its two exceptions). Every call pushes a frame on the caller's
+thread. A call across the boundary converts its arguments, and its result when the callee's
+frame pops, through `_convert`, which applies the pairings `translate` checks. Only `spawn`
+creates a thread; the scheduler picks among ready threads with a seeded generator, so a run is
+a deterministic function of (program, config).
 
-Every borrow, cell pointer, reference-to-raw cast, owned heap value,
-reference parameter and reference-typed `let` or call result gets its tag
-from one retag path, `_retag`, which hands `Memory.retag` a size and cell
-ranges. Every parameter binds through `_bind_reference`, and a reference
-one gets a protector that lasts until its frame exits. A place's steps
-after a pointer local read through it whether or not `*` was written.
-
-Host frames tear down in a fixed order at exit: owned heap values that were
-not moved out drop in reverse declaration order, shadowed ones too, then
-protectors end, then local storage dies. That ordering is load-bearing: a
-dropped allocation still sees active protectors from the same frame.
+Every borrow, cell pointer, reference-to-raw cast, owned heap value, reference parameter and
+reference-typed `let` or call result gets its tag from one retag path, `_retag`. Host frames
+tear down in a fixed order: owned heap values not moved out drop in reverse declaration order,
+then protectors end, then local storage dies, so a dropped allocation still sees the protectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 from .diagnostics import Classification, Diagnostic, DiagnosticKind, Outcome, TraceFrame
 from .ir import (
-    AllocaRhs,
-    AssertEqStmt,
-    AssumeInitStmt,
-    BorrowRhs,
-    CallStmt,
-    CastRhs,
-    CellGetRhs,
-    Dialect,
-    FnDef,
-    FreeStmt,
-    GepRhs,
-    HeapFromRawRhs,
-    HeapIntoRawRhs,
-    HeapNewRhs,
-    JoinStmt,
-    LetStmt,
-    LiteralRhs,
-    LoadRhs,
-    MallocRhs,
-    MemcpyStmt,
-    MemsetStmt,
-    OffsetRhs,
-    Operand,
-    Place,
-    PlaceRhs,
-    ReturnStmt,
-    ScenarioProgram,
-    SpawnStmt,
-    Stmt,
-    StoreStmt,
-    UninitRhs,
-    WriteStmt,
-    ZeroedRhs,
+    AllocaRhs, AssertEqStmt, AssumeInitStmt, BorrowRhs, CallStmt, CastRhs, CellGetRhs, Dialect, FnDef,
+    FreeStmt, GepRhs, HeapFromRawRhs, HeapIntoRawRhs, HeapNewRhs, JoinStmt, LetStmt, LiteralRhs, LoadRhs,
+    MallocRhs, MemcpyStmt, MemsetStmt, OffsetRhs, Operand, Place, PlaceRhs, ReturnStmt, ScenarioProgram,
+    SpawnStmt, Stmt, StoreStmt, UninitRhs, WriteStmt, ZeroedRhs,
 )
-from .memory import (
-    Allocation,
-    AllocOrigin,
-    Blob,
-    Memory,
-    PointerValue,
-    ScenarioUnsupported,
-    UbError,
-    no_provenance,
-)
+from .memory import Allocation, AllocOrigin, Blob, Memory, PointerValue, ScenarioUnsupported, UbError, no_provenance
 from .parser import render_stmt
 from .rng import Xoshiro256
 from .stacked_borrows import StackedBorrowTracker
-from .translate import (
-    ArgPlan,
-    assignable,
-    plan_call,
-    plan_variadic_arg,
-    reinterpret,
-)
+from .translate import ArgPlan, TranslationError, assignable, plan_call, plan_variadic_arg, reinterpret
 from .tree_borrows import TreeBorrowTracker
 from .types import (
-    U8,
-    CellType,
-    IntType,
-    PtrKind,
-    PtrType,
-    StructType,
-    ArrayType,
-    TypeDesc,
-    UnitType,
-    is_reference,
-    layout_of,
-    size_of,
-    struct_field_range,
+    I64, U8, U16, U32, U64, ArrayType, CellType, IntType, Layout, PtrKind, PtrType, StructType, TypeDesc,
+    UnitType, is_reference, layout_of, struct_field_range,
 )
 
 
@@ -140,37 +74,72 @@ class MachineConfig:
         if self.model not in ("tb", "sb"):
             raise ValueError(f"unknown borrow model: {self.model!r}")
         if self.zero_init_foreign:
-            # Zeroed memory has no uninitialized reads to be permissive about;
-            # the two modes are exclusive.
+            # Zeroed memory has no uninitialized reads to be permissive about; the modes are exclusive.
             self.permissive_foreign_loads = False
 
 
-# A host local's or a foreign register's value; None is uninitialized.
-Value = Union[int, PointerValue, Blob, None]
+Value = Union[int, PointerValue, Blob, None]  # a host local's or a register's; None is uninitialized
+Trace = tuple[tuple[TraceFrame, ...], tuple[TraceFrame, ...]]  # (host frames, foreign frames), innermost first
+Step = Callable[["Machine", "_Frame"], Value]  # a lowered statement or part of one, run on its frame
+_UNSIGNED = {1: U8, 2: U16, 4: U32, 8: U64}  # by size in bytes
 
-# (host frames, foreign frames), innermost first.
-Trace = tuple[tuple[TraceFrame, ...], tuple[TraceFrame, ...]]
+
+class _Local:
+    """A host local: its slot's index `k` in a frame, its type and layout, and how to move its bytes;
+    an integer or pointer local (`scalar`) is kept whole while memory keeps it immediate."""
+
+    __slots__ = ("k", "name", "type", "size", "align", "scalar", "read", "write")
+
+    def make(self, m: Machine, f: _Frame) -> _Slot:
+        """Make the local's slot, the next in frame `f`'s list."""
+        if self.scalar:
+            alloc = m.memory.reserve(self.size, self.align, self.name)
+        else:
+            alloc = m.memory.allocate(self.size, self.align, AllocOrigin.HOST_STACK, self.name)
+        slot = _Slot(m.memory.base_pointer(alloc), alloc)
+        f.slots.append(slot)
+        return slot
+
+    def get(self, m: Machine, f: _Frame) -> Value:
+        slot = f.slots[self.k]
+        if slot.alloc.immediate:
+            return m.memory.load(slot.alloc)
+        return self.read(m, f, slot.pointer)
+
+    def put(self, m: Machine, slot: _Slot, value: Value, exact: bool = False) -> None:
+        """Store `value` in the local's `slot`; an `exact` value is a scalar of its type already."""
+        if not slot.alloc.immediate:
+            self.write(m, slot.pointer, value)
+        elif value is not None:
+            m.memory.store(slot.alloc, value if exact else m._scalar(self.type, value))
 
 
-@dataclass
 class _Slot:
-    type: TypeDesc
-    pointer: PointerValue  # base, root tag
-    alloc: Allocation
-    owning: bool = False   # heap value dropped at frame exit
-    moved: bool = False
+    __slots__ = ("pointer", "alloc", "moved")
+
+    def __init__(self, pointer: PointerValue, alloc: Allocation) -> None:
+        self.pointer = pointer  # base, root tag
+        self.alloc = alloc
+        self.moved = False  # an owned heap value moved out by `heap_into_raw`
 
 
-@dataclass
+class _Code:
+    """A lowered function: a step and a line per statement, then the implicit return's; `lands[pc]` is
+    (convert, line, bind), what the call at `pc` does with its result; `owned`, the heap owners."""
+
+    __slots__ = ("steps", "lines", "params", "lands", "owned")
+
+
 class _Frame:
-    fn: FnDef
-    pc: int = 0
-    slots: dict[str, _Slot] = field(default_factory=dict)
-    slot_order: list[_Slot] = field(default_factory=list)
-    regs: dict[str, Value] = field(default_factory=dict)
-    handles: dict[str, int] = field(default_factory=dict)
-    protected: list[tuple[int, int]] = field(default_factory=list)  # (alloc id, tag)
-    stack_allocs: list[int] = field(default_factory=list)
+    __slots__ = ("fn", "code", "pc", "slots", "regs", "handles", "protected", "stack_allocs")
+
+    def __init__(self, fn: FnDef, code: _Code, regs: Optional[dict[str, Value]] = None) -> None:
+        self.fn, self.code, self.pc = fn, code, 0
+        self.slots: list[_Slot] = []  # host locals, indexed by `_Local.k`
+        self.regs = regs  # foreign registers
+        self.handles: dict[str, int] = {}
+        self.protected: tuple[tuple[int, int], ...] = ()  # (alloc id, tag)
+        self.stack_allocs: tuple[int, ...] = ()  # foreign `alloca`s
 
 
 @dataclass
@@ -181,24 +150,570 @@ class _Thread:
     waiting_on: Optional[int] = None  # blocked in a `join` of this thread
 
 
+def _fail(error: type, *args, after: Optional[Step] = None) -> Callable:
+    """A step that raises `error(*args)`, an error the text decides, when it runs; after `after`, if given."""
+    def fail(*context):
+        if after is not None:
+            after(*context[:2])
+        raise error(*args)
+    return fail
+
+
+def _return_nothing(m: Machine, f: _Frame) -> None:
+    m._do_return(None)
+
+
+def _return(get: Optional[Step]) -> Step:
+    return _return_nothing if get is None else lambda m, f, get=get: m._do_return(get(m, f))
+
+
+class _Lowering:
+    """What a program's text fixes, worked out on first need and shared by every run of it.
+
+    A step is a function of (machine, frame) that takes what lowering resolved as default arguments.
+    While a function is lowered, `env` maps each host local's name to the `_Local` it names there."""
+
+    def __init__(self, program: ScenarioProgram) -> None:
+        self.program = program
+        self.codes: dict[str, _Code] = {}
+        self.plans: dict[str, Union[tuple[ArgPlan, ...], str]] = {}  # per binding, or its mismatch
+        self.callbacks: dict[tuple, Step] = {}  # by (callee, arguments), shared by equal lines
+        self.layouts: dict[int, tuple[TypeDesc, Layout]] = {}  # by type id; each keeps its type, so no id is reused
+        self.movers: dict[int, tuple[TypeDesc, Callable, Callable]] = {}  # likewise
+
+    def layout(self, ty: TypeDesc) -> Layout:
+        seen = self.layouts.get(id(ty))
+        if seen is None:
+            seen = self.layouts[id(ty)] = (ty, layout_of(ty))
+        return seen[1]
+
+    def code(self, fn: FnDef) -> _Code:
+        code = self.codes.get(fn.name)
+        if code is None:
+            code = self.codes[fn.name] = self._lower(fn)
+        return code
+
+    def _lower(self, fn: FnDef) -> _Code:
+        self.env: dict[str, _Local] = {}
+        self.nlocals, self.owned, self.lands = 0, [], {}
+        code, host = _Code(), fn.dialect is Dialect.HOST
+        code.params = [self._param(p.name, p.type) for p in fn.params] if host else []
+        self.steps = code.steps = []  # a call's result lands by its step's index
+        for stmt in fn.body:
+            self.steps.append(self._host(stmt) if host else self._foreign(stmt))
+        code.steps.append(_return_nothing)
+        code.lines = [s.line for s in fn.body] + [fn.body[-1].line if fn.body else fn.line]
+        code.lands, code.owned = self.lands, self.owned[::-1]
+        return code
+
+    def _local(self, name: str, ty: TypeDesc) -> _Local:
+        """A new host local, the next in its frame's slot list, which `name` names from here on."""
+        layout, local = self.layout(ty), _Local()
+        local.k, local.name, local.type, local.size = self.nlocals, name, ty, layout.size
+        local.scalar = isinstance(ty, (IntType, PtrType))
+        local.align = layout.align if local.scalar else max(layout.align, 1)
+        local.read, local.write = self._movers(ty)
+        self.env[name] = local
+        self.nlocals += 1
+        return local
+
+    def _movers(self, ty: TypeDesc) -> tuple[Callable, Callable]:
+        """`read(m, f, ptr)` and `write(m, ptr, value)` of a `ty` place; a unit reads as None, None writes nothing."""
+        seen = self.movers.get(id(ty))
+        if seen is not None:
+            return seen[1:]
+        inner = ty.inner if isinstance(ty, CellType) else ty
+        if isinstance(inner, UnitType):
+            def read(m, f, ptr):
+                m.memory.check_access(ptr, 0, 1, "read")
+            def write(m, ptr, value):
+                pass
+        elif isinstance(inner, (IntType, PtrType)):
+            def read(m, f, ptr, ty=inner):
+                if isinstance(ty, PtrType):
+                    return m.memory.read_pointer(ptr, False)
+                return m.memory.read_int(ptr, ty.size, ty.signed, False)
+            def write(m, ptr, value, ty=inner):
+                if isinstance(ty, PtrType) and value is not None:
+                    m.memory.write_pointer(ptr, m._scalar(ty, value))
+                elif value is not None:
+                    m.memory.write_int(ptr, ty.size, m._scalar(ty, value))
+        else:
+            def read(m, f, ptr, size=self.layout(inner).size):
+                return m.memory.read_blob(ptr, size)
+            def write(m, ptr, value, ty=inner, size=self.layout(inner).size):
+                if isinstance(value, Blob):
+                    if len(value.values) != size:
+                        raise ScenarioUnsupported(f"aggregate of {len(value.values)} bytes written into {size}-byte "
+                                                  "slot")
+                    m.memory.write_blob(ptr, value)
+                elif isinstance(value, int):
+                    raise ScenarioUnsupported(f"integer written into aggregate slot of type {ty}")
+                elif value is not None:
+                    raise ScenarioUnsupported(f"cannot store value into slot of type {ty}")
+        self.movers[id(ty)] = (ty, read, write)
+        return read, write
+
+    def _ref(self, ty: TypeDesc) -> Optional[tuple[Layout, str]]:
+        """(pointee layout, retag kind) of a reference type, else None."""
+        return (self.layout(ty.pointee), ty.kind.value) if is_reference(ty) else None
+
+    def _bound(self, get: Step, ty: TypeDesc, name: str) -> Step:
+        """`get`, retagged as the value of a `ty` local `name`; see `Machine._bind_reference`."""
+        ref = self._ref(ty)
+        if ref is None:
+            return get
+        return lambda m, f, get=get, ref=ref, name=name: m._bind_reference(get(m, f), ref, name)
+
+    def _param(self, name: str, ty: TypeDesc) -> Callable:
+        """`bind(m, f, value)`: make a parameter's slot, retag and protect a reference, then store it."""
+        ref, local = self._ref(ty), self._local(name, ty)
+        def bind(m, f, value, local=local, ref=ref):
+            slot = local.make(m, f)
+            if ref is not None:
+                value = m._bind_reference(value, ref, local.name, True)
+                f.protected += ((value.alloc_id, value.provenance),)
+            local.put(m, slot, value)
+        return bind
+
+    def _operand(self, op: Operand) -> tuple[Step, Optional[TypeDesc]]:
+        """A host operand's value and static type; an unknown local has None, and raises when run."""
+        if isinstance(op, int):
+            return (lambda m, f, op=op: op), (I64 if op < 0 else U64)
+        local = self.env.get(op)
+        if local is None:
+            return _fail(ScenarioUnsupported, f"unknown local '{op}'"), None
+        return local.get, local.type
+
+    def _walk(self, ty: TypeDesc, steps: tuple) -> tuple[int, TypeDesc, Optional[Callable]]:
+        """(offset, type) of `steps` from a `ty` place, and `fail(ptr)` for a step that cannot be taken."""
+        off = 0
+        for step in steps:
+            if isinstance(ty, CellType):
+                ty = ty.inner
+            if isinstance(step, str):
+                if not isinstance(ty, StructType):
+                    return off, ty, _fail(ScenarioUnsupported, f"field access '.{step}' on non-struct {ty}")
+                try:
+                    field_off, ty = struct_field_range(ty, step)
+                except KeyError:
+                    return off, ty, _fail(ScenarioUnsupported, f"struct {ty} has no field '{step}'")
+                off += field_off
+                continue
+            if not isinstance(ty, ArrayType):
+                return off, ty, _fail(ScenarioUnsupported, f"index [{step}] on non-array {ty}")
+            if step < 0 or step >= ty.count:
+                def out_of_bounds(ptr, at=off, message=f"index {step} outside array of {ty.count} elements"):
+                    raise UbError(DiagnosticKind.ACCESS_OUT_OF_BOUNDS, message, address=ptr.address + at)
+                return off, ty, out_of_bounds
+            off += step * self.layout(ty.elem).size
+            ty = ty.elem
+        return off, ty, None
+
+    def _place(self, place: Place) -> tuple[Step, Optional[TypeDesc]]:
+        """`resolve(m, f)`, a host place's pointer, and its type; see `_at_place` for None."""
+        local = self.env.get(place.base)
+        if local is None:
+            return _fail(ScenarioUnsupported, f"unknown local '{place.base}'"), None
+        ty, steps = local.type, place.steps
+        # Steps after a pointer local read through it, as if `*` were written.
+        if not (place.deref or (steps and isinstance(ty, PtrType))):
+            def base(m, f, k=local.k):
+                return f.slots[k].pointer
+        elif not isinstance(ty, PtrType):
+            return _fail(ScenarioUnsupported, f"cannot dereference non-pointer local '{place.base}'"), None
+        elif ty.kind is PtrKind.OPAQUE:
+            def guess(m, f, get=local.get, steps=steps, walk=self._walk):
+                target = get(m, f)
+                pointee = m._guess_pointee(target)
+                fail = walk(pointee, steps)[2]
+                if fail is not None:
+                    fail(target)
+                return target, pointee
+            return guess, None
+        else:
+            base, ty = local.get, ty.pointee
+        off, ty, fail = self._walk(ty, steps)
+        if fail is not None:
+            return (lambda m, f, base=base, fail=fail: fail(base(m, f))), None
+        return (base, ty) if not off else ((lambda m, f, base=base, off=off: base(m, f).with_byte_offset(off)), ty)
+
+    def _at_place(self, place: Place, make: Callable) -> tuple[Step, Optional[TypeDesc]]:
+        """A step that resolves `place` and runs `make(type)(m, f, ptr)`, and the type (None: run time's)."""
+        resolve, ty = self._place(place)
+        if ty is not None:
+            return (lambda m, f, use=make(ty), resolve=resolve: use(m, f, resolve(m, f))), ty
+        def dynamic(m, f, resolve=resolve, make=make):
+            ptr, ty = resolve(m, f)
+            return make(ty)(m, f, ptr)
+        return dynamic, None
+
+    def _host(self, stmt: Stmt) -> Step:
+        if isinstance(stmt, LetStmt):
+            return self._let(stmt)
+        if isinstance(stmt, WriteStmt):
+            return self._write(stmt)
+        if isinstance(stmt, AssumeInitStmt):
+            return self._at_place(stmt.place, lambda ty: lambda m, f, ptr, size=self.layout(ty).size: (
+                m.memory.assume_init(ptr, size)
+            ))[0]
+        if isinstance(stmt, AssertEqStmt):
+            (left, _), (right, _) = self._operand(stmt.left), self._operand(stmt.right)
+            return lambda m, f, left=left, right=right: m._assert_eq(left(m, f), right(m, f))
+        if isinstance(stmt, (CallStmt, SpawnStmt)):
+            binding = self.program.bindings_by_name.get(stmt.callee)
+            if isinstance(stmt, CallStmt) and binding is not None:
+                return self._bound_call(stmt, binding)
+            callee, spawn = self.program.function(stmt.callee), isinstance(stmt, SpawnStmt)
+            args = self._args(stmt.args, callee, "spawn of" if spawn else "call to")
+            if spawn:
+                return lambda m, f, callee=callee, args=args, h=stmt.handle: m._spawn(f, h, callee, args(m, f))
+            self._land(None, stmt)
+            return lambda m, f, callee=callee, args=args: m._thread.frames.append(m._host_frame(callee, args(m, f)))
+        if isinstance(stmt, JoinStmt):
+            return lambda m, f, handle=stmt.handle: m._join(f, handle)
+        if isinstance(stmt, ReturnStmt):
+            return _return(None if stmt.value is None else self._operand(stmt.value)[0])
+        return _fail(ScenarioUnsupported, f"statement not executable in host code: {stmt!r}")
+
+    def _write(self, stmt: WriteStmt) -> Step:
+        place, op = stmt.place, stmt.value
+        get, _ = self._operand(op)
+        if place.deref or place.steps:
+            def put_at(ty):
+                inner = ty.inner if isinstance(ty, CellType) else ty
+                if isinstance(op, int) and isinstance(inner, IntType):
+                    value = reinterpret(op, inner)
+                    return lambda m, f, ptr, size=inner.size, value=value: m.memory.write_int(ptr, size, value)
+                return lambda m, f, ptr, write=self._movers(ty)[1], get=get: write(m, ptr, get(m, f))
+            return self._at_place(place, put_at)[0]
+        local = self.env.get(place.base)
+        if local is None:
+            return _fail(ScenarioUnsupported, f"unknown local '{place.base}'")
+        if isinstance(op, int) and isinstance(local.type, IntType):
+            value = reinterpret(op, local.type)
+            return lambda m, f, local=local, value=value: local.put(m, f.slots[local.k], value, True)
+        return lambda m, f, local=local, get=get: local.put(m, f.slots[local.k], get(m, f))
+
+    def _let(self, stmt: LetStmt) -> Step:
+        rhs, ty, name = stmt.rhs, stmt.type, stmt.name
+        if isinstance(rhs, ZeroedRhs) or (isinstance(rhs, LiteralRhs) and isinstance(ty, IntType)):
+            local = self._local(name, ty)
+            if not local.scalar:
+                return lambda m, f, local=local: m.memory.memset(local.make(m, f).pointer, 0, local.size)
+            # A constant, stored whole, as the new local is immediate.
+            value = Machine._scalar(ty, getattr(rhs, "value", 0))
+            return lambda m, f, local=local, value=value: local.put(m, local.make(m, f), value, True)
+        # Evaluate first, so the slot's root tag is numbered after any tag the right-hand side creates.
+        get, exact = self._rhs(stmt)
+        local = self._local(name, ty)
+        if isinstance(rhs, (HeapNewRhs, HeapFromRawRhs)):
+            self.owned.append(local)
+        def let(m, f, get=get, local=local, exact=exact):
+            value = get(m, f)
+            local.put(m, local.make(m, f), value, exact)
+        return let
+
+    def _rhs(self, stmt: LetStmt) -> tuple[Step, bool]:
+        """The value a host `let` binds, and whether it is a scalar of the local's integer type already."""
+        rhs, ty, name = stmt.rhs, stmt.type, stmt.name
+        if isinstance(rhs, UninitRhs):
+            return (lambda m, f: None), False
+        if isinstance(rhs, LiteralRhs):
+            return self._bound(lambda m, f, value=rhs.value: value, ty, name), False
+        if isinstance(rhs, PlaceRhs):
+            get, src = self._copy(rhs.place, ty, name)
+            return self._bound(get, ty, name), src == ty and isinstance(ty, IntType)
+        if isinstance(rhs, (BorrowRhs, CellGetRhs)):
+            return self._retagged(rhs.place, name, "cell" if isinstance(rhs, CellGetRhs) else rhs.kind.value), False
+        if isinstance(rhs, CastRhs):
+            return self._cast(*self._operand(rhs.source), ty, name), False
+        if isinstance(rhs, OffsetRhs):
+            return self._offset(rhs), False
+        if isinstance(rhs, HeapNewRhs):
+            return self._heap_new(rhs, name), False
+        if isinstance(rhs, HeapIntoRawRhs):
+            local = self.env.get(rhs.source)
+            if local not in self.owned:
+                return _fail(ScenarioUnsupported, f"'{rhs.source}' is not an owned heap value"), False
+            def into_raw(m, f, local=local):
+                box = local.get(m, f)
+                f.slots[local.k].moved = True
+                return box
+            return into_raw, False
+        if isinstance(rhs, HeapFromRawRhs):
+            get = self._operand(rhs.source)[0]
+            layout = self.layout(ty.pointee) if isinstance(ty, PtrType) and ty.pointee is not None else None
+            return (lambda m, f, get=get, layout=layout, name=name: m._from_raw(get(m, f), layout, name)), False
+        return _fail(ScenarioUnsupported, f"host let cannot evaluate {type(rhs).__name__}"), False
+
+    def _copy(self, place: Place, ty: TypeDesc, name: str) -> tuple[Step, Optional[TypeDesc]]:
+        """A host place's value, and its type, which None leaves to run time."""
+        if not (place.deref or place.steps):
+            return self._operand(place.base)
+        base, want = self.env.get(place.base), self.layout(ty).size
+        opaque = place.deref and base is not None and isinstance(base.type, PtrType)
+        opaque = opaque and base.type.kind is PtrKind.OPAQUE
+        def load(src):
+            if opaque and src.size != want:
+                return _fail(UbError, DiagnosticKind.INVALID_BINDING, f"load through untyped pointer '{place.base}' "
+                             f"resolves to {src.size} bytes, destination '{name}' holds {want}")
+            return self._movers(src)[0]
+        return self._at_place(place, load)
+
+    def _retagged(self, place: Place, name: str, kind: str) -> Step:
+        """A borrow of `place` as a `kind` pointer, or for "cell" a `.get()` of it."""
+        def retag(src):
+            if kind == "cell":
+                if not isinstance(src, CellType):
+                    return _fail(ScenarioUnsupported, ".get() on a place that is not interior-mutable")
+                src = src.inner
+            return lambda m, f, ptr, layout=self.layout(src), kind=kind, name=name: m._retag(ptr, layout, kind, name)
+        return self._at_place(place, retag)[0]
+
+    def _heap_new(self, rhs: HeapNewRhs, name: str) -> Step:
+        def heap_new(m, f, layout=self.layout(rhs.type), init=rhs.init, name=name,
+                     write=self._movers(rhs.type)[1] if isinstance(rhs.init, int) else None):
+            alloc = m.memory.allocate(layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{name} (alloc)")
+            base = m.memory.base_pointer(alloc)
+            if init == "zeroed":
+                m.memory.memset(base, 0, layout.size)
+            elif write is not None:
+                write(m, base, init)
+            return m._retag(base, layout, "mutable-ref", name) if m.config.unique_as_mutable else base
+        return heap_new
+
+    def _cast(self, get: Step, src: Optional[TypeDesc], target: TypeDesc, label: str) -> Step:
+        if src is None:
+            return get  # an unknown local, which raises
+        scalars = (IntType, PtrType)
+        if not isinstance(src, scalars) or not isinstance(target, scalars):
+            return _fail(ScenarioUnsupported, f"no cast from {src} to {target}", after=get)
+        if isinstance(src, PtrType) and isinstance(target, PtrType):
+            if is_reference(target):
+                return _fail(ScenarioUnsupported, "casts cannot create references", after=get)
+            if is_reference(src) and target.kind in (PtrKind.RAW_MUT, PtrKind.RAW_CONST):
+                def to_raw(m, f, get=get, layout=self.layout(src.pointee), target=target, label=label):
+                    value = get(m, f)
+                    if value.alloc_id is not None:
+                        return m._retag(value, layout, target.kind.value, label)
+                    return m._convert(value, target)
+                return to_raw
+        elif PtrType in (type(src), type(target)) and self.layout(src).size != self.layout(target).size:
+            return _fail(ScenarioUnsupported, "pointer addresses only fit 8-byte integers", after=get)
+        return lambda m, f, get=get, target=target: m._convert(get(m, f), target)
+
+    def _offset(self, rhs: OffsetRhs) -> Step:
+        (get, src), (count, _) = self._operand(rhs.source), self._operand(rhs.count)
+        typed = isinstance(src, PtrType) and src.kind is not PtrKind.OPAQUE
+        def offset(m, f, get=get, count=count, src=src, stride=max(self.layout(src.pointee).size, 1) if typed else 0):
+            value, n = get(m, f), count(m, f)
+            if not isinstance(value, PointerValue) or not isinstance(src, PtrType):
+                raise ScenarioUnsupported("offset() applies to pointer values")
+            if not isinstance(n, int):
+                raise ScenarioUnsupported("offset() count must be an integer")
+            return value.with_byte_offset(n * (stride or max(m._guess_pointee(value).size, 1)))
+        return offset
+
+    def _checked(self, op: Operand, want: TypeDesc) -> Step:
+        """A host argument for a `want` parameter; a local's type must be assignable to it."""
+        get, ty = self._operand(op)
+        if isinstance(op, int) or ty is None or assignable(ty, want):
+            return get
+        return _fail(ScenarioUnsupported, f"argument of type {ty} where {want} is expected", after=get)
+
+    def _args(self, ops: tuple[Operand, ...], callee: FnDef, what: str) -> Step:
+        """The arguments a host `call` or `spawn` passes to host function `callee`, checked against its parameters."""
+        parts = tuple(self._checked(op, p.type) for op, p in zip(ops, callee.params))
+        if len(ops) == len(callee.params):
+            return lambda m, f, parts=parts: [get(m, f) for get in parts]
+        message = f"{what} '{callee.name}' passes {len(ops)} arguments, it takes {len(callee.params)}"
+        def mismatch(m, f, parts=parts, message=message):
+            for get in parts:
+                get(m, f)
+            raise ScenarioUnsupported(message)
+        return mismatch
+
+    def _land(self, convert: Optional[Callable], stmt: CallStmt) -> None:
+        """What a host call does with its result: `convert` it, retag it, then make its destination local."""
+        bind = None
+        if stmt.dest is not None:
+            ref, local = self._ref(stmt.dest_type), self._local(stmt.dest, stmt.dest_type)
+            def bind(m, f, value, local=local, ref=ref):
+                if ref is not None:  # before the slot exists, so its root tag is numbered after the result's
+                    value = m._bind_reference(value, ref, local.name)
+                local.put(m, local.make(m, f), value)
+        if convert is not None or bind is not None:
+            self.lands[len(self.steps)] = (convert, stmt.line, bind)
+
+    def _bound_call(self, stmt: CallStmt, binding) -> Step:
+        callee = self.program.function(binding.target)
+        nargs, nparams = len(stmt.args), len(binding.params)
+        plans = self.plans.get(binding.name)
+        if plans is None:  # once per binding
+            try:
+                plans = plan_call(binding, callee)
+            except TranslationError as e:
+                plans = e.message
+            self.plans[binding.name] = plans
+        if nargs < nparams or (nargs > nparams and not binding.variadic):
+            step = _fail(UbError, DiagnosticKind.INVALID_BINDING,
+                         f"call passes {nargs} arguments, binding '{binding.name}' declares {nparams}")
+        elif isinstance(plans, str):
+            step = _fail(TranslationError, plans)
+        else:
+            parts = [(self._checked(op, plan.source), self._outbound(plan)) for plan, op in zip(plans, stmt.args)]
+            for op in stmt.args[nparams:]:
+                get, ty = self._operand(op)
+                try:
+                    parts.append((get, None if ty is None else self._outbound(plan_variadic_arg(ty))))
+                except (ScenarioUnsupported, TranslationError) as e:
+                    parts.append((_fail(type(e), *e.args, after=get), None))
+            # Extras land as vararg0, vararg1, ... in caller order.
+            names = tuple(p.name for p in callee.params) + tuple(f"vararg{i}" for i in range(nargs - nparams))
+            def step(m, f, parts=tuple(parts), callee=callee, names=names):
+                regs = []
+                for get, out in parts:
+                    regs.extend(out(m, get(m, f)))
+                m._thread.frames.append(_Frame(callee, m._lowering.code(callee), dict(zip(names, regs))))
+        def convert(m, value, ret=binding.ret):
+            if isinstance(ret, UnitType):
+                return None  # the binding declares no result
+            return m._to_host(value, ret, "foreign call returned a value derived from uninitialized memory")
+        self._land(convert, stmt)
+        return step
+
+    @staticmethod
+    def _outbound(plan: ArgPlan) -> Callable:
+        """`out(m, value)`: the registers one host argument fills on the foreign side."""
+        if len(plan.targets) > 1:
+            # Only a homogeneous aggregate without padding flattens, so its fields sit at a fixed stride.
+            def flatten(m, value, source=plan.source, targets=plan.targets):
+                values = m._convert(value, source).values
+                width = len(values) // len(targets)
+                return [m._convert(Blob(values[i * width : (i + 1) * width]), t) for i, t in enumerate(targets)]
+            return flatten
+        def out(m, value, target=plan.targets[0], pointer=isinstance(plan.source, PtrType)):
+            if value is None:
+                return [0]  # a unit, as a host read of uninitialized memory raises; it lands as 0
+            if pointer and isinstance(value, int):
+                value = no_provenance(value)  # a literal for a pointer is an address without provenance
+            return [m._convert(value, target)]
+        return out
+
+    @staticmethod
+    def _reg(op: Operand) -> Step:
+        if isinstance(op, int):
+            return lambda m, f, op=op: op
+        def get(m, f, op=op):
+            try:
+                return f.regs[op]  # a register may hold None
+            except KeyError:
+                raise ScenarioUnsupported(f"unknown register '{op}'") from None
+        return get
+
+    def _foreign(self, stmt: Stmt) -> Step:
+        reg = self._reg
+        if isinstance(stmt, CallStmt):
+            return self._callback(stmt)
+        if isinstance(stmt, LetStmt):
+            return lambda m, f, name=stmt.name, get=self._foreign_rhs(stmt): f.regs.__setitem__(name, get(m, f))
+        if isinstance(stmt, StoreStmt):
+            size = self.layout(stmt.type).size
+            if size not in _UNSIGNED:
+                return _fail(ScenarioUnsupported, f"foreign store of {size}-byte type {stmt.type}")
+            return lambda m, f, pointer=reg(stmt.pointer), get=reg(stmt.value), size=size: m._foreign_store(
+                m._reg_pointer(pointer(m, f)), get(m, f), size
+            )
+        if isinstance(stmt, FreeStmt):
+            return lambda m, f, ptr=reg(stmt.pointer): m.memory.deallocate(m._reg_pointer(ptr(m, f)), "foreign")
+        if isinstance(stmt, MemsetStmt):
+            def memset(m, f, pointer=reg(stmt.pointer), byte=reg(stmt.value), count=reg(stmt.size)):
+                ptr = m._reg_pointer(pointer(m, f))
+                value = m._reg_int(byte(m, f))
+                m.memory.memset(ptr, value, m._reg_int(count(m, f)))
+            return memset
+        if isinstance(stmt, MemcpyStmt):
+            def memcpy(m, f, dest=reg(stmt.dest), src=reg(stmt.src), count=reg(stmt.size)):
+                to = m._reg_pointer(dest(m, f))
+                source = m._reg_pointer(src(m, f))
+                m.memory.memcpy(to, source, m._reg_int(count(m, f)))
+            return memcpy
+        if isinstance(stmt, ReturnStmt):
+            return _return(None if stmt.value is None else reg(stmt.value))
+        return _fail(ScenarioUnsupported, f"statement not executable in foreign code: {stmt!r}")
+
+    def _foreign_rhs(self, stmt: LetStmt) -> Step:
+        rhs, reg = stmt.rhs, self._reg
+        if isinstance(rhs, LiteralRhs):
+            return lambda m, f, value=rhs.value: value
+        if isinstance(rhs, PlaceRhs):
+            return reg(rhs.place.base)
+        if isinstance(rhs, LoadRhs):
+            pointer, ty = reg(rhs.pointer), rhs.type
+            if isinstance(ty, IntType):
+                return lambda m, f, pointer=pointer, size=ty.size, signed=ty.signed: m.memory.read_int(
+                    m._reg_pointer(pointer(m, f)), size, signed, m.config.permissive_foreign_loads
+                )
+            if isinstance(ty, PtrType):
+                return lambda m, f, pointer=pointer: m.memory.read_pointer(
+                    m._reg_pointer(pointer(m, f)), m.config.permissive_foreign_loads
+                )
+            return _fail(ScenarioUnsupported, f"foreign load of type {ty}",
+                         after=lambda m, f: m._reg_pointer(pointer(m, f)))
+        if isinstance(rhs, (MallocRhs, AllocaRhs)):
+            heap = isinstance(rhs, MallocRhs)
+            return lambda m, f, n=reg(rhs.size), heap=heap, name=stmt.name: m._foreign_alloc(f, n(m, f), heap, name)
+        if isinstance(rhs, GepRhs):
+            def gep(m, f, pointer=reg(rhs.pointer), offset=reg(rhs.offset)):
+                value = pointer(m, f)
+                off = m._reg_int(offset(m, f))
+                return m._reg_pointer(value).with_byte_offset(off)
+            return gep
+        return _fail(ScenarioUnsupported, f"foreign let cannot evaluate {type(rhs).__name__}")
+
+    def _callback(self, stmt: CallStmt) -> Step:
+        """A foreign call of a host function; equal calls share one step, so its plan is made once."""
+        if stmt.dest is not None:
+            def land(m, f, value, dest=stmt.dest):
+                f.regs[dest] = 0 if value is None else value  # a host callee's missing result lands as 0
+            self.lands[len(self.steps)] = (None, stmt.line, land)
+        step = self.callbacks.get((stmt.callee, stmt.args))
+        if step is not None:
+            return step
+        callee = self.program.function(stmt.callee)
+        if len(stmt.args) != len(callee.params):
+            step = _fail(UbError, DiagnosticKind.INVALID_BINDING,
+                         f"callback '{callee.name}' takes {len(callee.params)} parameters, "
+                         f"call passes {len(stmt.args)}")
+        else:
+            args = tuple((self._reg(op), p.type) for op, p in zip(stmt.args, callee.params))
+            message = "value derived from uninitialized memory passed into host code"
+
+            def step(m, f, callee=callee, args=args, message=message):
+                values = [m._to_host(get(m, f), ty, message) for get, ty in args]
+                m._thread.frames.append(m._host_frame(callee, values))
+        self.callbacks[(stmt.callee, stmt.args)] = step
+        return step
+
+
 class Machine:
     def __init__(self, program: ScenarioProgram, config: Optional[MachineConfig] = None) -> None:
         self.program = program
-        self.config = config or MachineConfig()
+        self.config = config = config or MachineConfig()
         self.memory = Memory(
-            seed=self.config.seed,
-            symbolic_alignment=self.config.symbolic_alignment,
-            strict_provenance=self.config.strict_provenance,
-            zero_init_foreign=self.config.zero_init_foreign,
-            tracker=TreeBorrowTracker if self.config.model == "tb" else StackedBorrowTracker,
+            seed=config.seed, symbolic_alignment=config.symbolic_alignment,
+            strict_provenance=config.strict_provenance, zero_init_foreign=config.zero_init_foreign,
+            tracker=TreeBorrowTracker if config.model == "tb" else StackedBorrowTracker,
         )
-        self.rng = Xoshiro256(self.config.seed)
+        self.rng = Xoshiro256(config.seed)
         self.threads: list[_Thread] = []  # indexed by id, so in spawn order
         self._ready: list[_Thread] = []  # the ready threads, in spawn order
         self._thread: Optional[_Thread] = None  # the one `_step` runs
         self.steps = 0
-
-    # ---- plumbing ------------------------------------------------------------
+        if program.lowered is None:
+            object.__setattr__(program, "lowered", _Lowering(program))
+        self._lowering: _Lowering = program.lowered
 
     def _spawn_thread(self, frame: _Frame, spawn_trace: Trace = ((), ())) -> _Thread:
         t = _Thread(id=len(self.threads), frames=[frame], spawn_trace=spawn_trace)
@@ -210,267 +725,190 @@ class Machine:
         """Rebuild the ready list after a thread blocked, finished or woke."""
         self._ready = [t for t in self.threads if t.frames and t.waiting_on is None]
 
-    # ---- running -------------------------------------------------------------
-
     def run(self) -> Outcome:
         try:
-            entry_frame = self._make_host_frame(self.program.entry, [])
+            entry_frame = self._host_frame(self.program.entry, [])
         except UbError as e:
             return self._bug(e, None)
         main = self._spawn_thread(entry_frame)
         while main.frames:
             ready = self._ready
             if not ready:
-                return Outcome(
-                    Classification.TIMEOUT,
-                    note="deadlock: every thread is blocked",
-                )
+                return Outcome(Classification.TIMEOUT, note="deadlock: every thread is blocked")
             if self.steps >= self.config.steps:
-                return Outcome(
-                    Classification.TIMEOUT,
-                    note=f"step budget of {self.config.steps} exhausted",
-                )
+                return Outcome(Classification.TIMEOUT, note=f"step budget of {self.config.steps} exhausted")
             self.steps += 1
-            self._thread = thread = ready[self.rng.below(len(ready))]
+            self._thread = thread = ready[self.rng.below(len(ready))] if len(ready) > 1 else ready[0]
             try:
                 self._step()
             except UbError as e:
                 return self._bug(e, thread)
             except ScenarioUnsupported as e:
                 return Outcome(Classification.UNSUPPORTED, note=str(e))
-        leaks = tuple(self._leak_diagnostic(a) for a in self.memory.leak_report())
+        leaks = tuple(Diagnostic(
+            DiagnosticKind.MEMORY_LEAK,
+            f"alloc#{a.id} ({a.label}): {a.size} bytes from the {a.origin.value} allocator were never freed",
+            allocation_origin=a.origin.value, address=a.base,
+        ) for a in self.memory.leak_report())
         return Outcome(Classification.PASS, leaks=leaks)
 
-    def _leak_diagnostic(self, alloc: Allocation) -> Diagnostic:
-        return Diagnostic(
-            kind=DiagnosticKind.MEMORY_LEAK,
-            message=(
-                f"alloc#{alloc.id} ({alloc.label}): {alloc.size} bytes from the "
-                f"{alloc.origin.value} allocator were never freed"
-            ),
-            allocation_origin=alloc.origin.value,
-            address=alloc.base,
-        )
+    def _step(self) -> None:
+        """Run the running thread's next step, at its line."""
+        frame = self._thread.frames[-1]
+        pc = frame.pc
+        frame.pc = pc + 1
+        code = frame.code
+        self.memory.line = code.lines[pc]
+        code.steps[pc](self, frame)
 
     def _bug(self, e: UbError, thread: Optional[_Thread]) -> Outcome:
-        host_trace: tuple[TraceFrame, ...] = ()
-        foreign_trace: tuple[TraceFrame, ...] = ()
-        if thread is not None:
-            host_trace, foreign_trace = self._traces(thread)
+        host_trace, foreign_trace = ((), ()) if thread is None else self._traces(thread)
         diag = Diagnostic(e.kind, e.message, host_trace, foreign_trace, **e.details)
         return Outcome(Classification.BUG, diagnostics=(diag,))
 
     def _traces(self, thread: _Thread) -> Trace:
         """Innermost frame first, then the spawner's trace where it spawned `thread`."""
-        host: list[TraceFrame] = []
-        foreign: list[TraceFrame] = []
+        host, foreign = [], []  # of `TraceFrame`s
         for frame in reversed(thread.frames):
-            stmt = self._current_stmt(frame)
-            if stmt is None:
+            body = frame.fn.body
+            if not body:
                 continue
+            stmt = body[min(max(frame.pc - 1, 0), len(body) - 1)]  # the one the frame is running
             dialect = frame.fn.dialect
-            tf = TraceFrame(
-                dialect=dialect.value,
-                function=frame.fn.name,
-                line=stmt.line,
-                statement=render_stmt(stmt),
-            )
+            tf = TraceFrame(dialect.value, frame.fn.name, stmt.line, render_stmt(stmt))
             (host if dialect is Dialect.HOST else foreign).append(tf)
         spawn_host, spawn_foreign = thread.spawn_trace
         return tuple(host) + spawn_host, tuple(foreign) + spawn_foreign
 
-    @staticmethod
-    def _current_stmt(frame: _Frame) -> Optional[Stmt]:
-        """The statement the frame is executing, or None for an empty body."""
-        if not frame.fn.body:
-            return None
-        return frame.fn.body[min(max(frame.pc - 1, 0), len(frame.fn.body) - 1)]
-
-    # ---- frame setup and teardown --------------------------------------------
-
-    def _make_host_frame(self, fn: FnDef, args: list[Value]) -> _Frame:
-        frame = _Frame(fn=fn)
-        for param, value in zip(fn.params, args):
-            ty = param.type
-            slot = self._new_slot(frame, param.name, ty)
-            value = self._bind_reference(value, ty, param.name, protect=True)
-            if is_reference(ty):
-                frame.protected.append((value.alloc_id, value.provenance))
-            self._write_slot(slot, value)
+    def _host_frame(self, fn: FnDef, args: list[Value]) -> _Frame:
+        code = self._lowering.code(fn)
+        frame = _Frame(fn, code)
+        for bind, value in zip(code.params, args):
+            bind(self, frame, value)
         return frame
 
-    def _retag(
-        self, ptr: PointerValue, pointee: TypeDesc, kind: str, label: str, protect: bool = False
-    ) -> PointerValue:
-        """`ptr` with a fresh `kind` tag over its `pointee`; see `Memory.retag`."""
-        layout = layout_of(pointee)
-        return self.memory.retag(ptr, layout.size, layout.cell_ranges, kind, label, protect)
+    def _do_return(self, value: Value) -> None:
+        """Pop the frame and hand `value` to its caller."""
+        thread = self._thread
+        self._exit_frame()
+        if not thread.frames:
+            for t in self.threads:
+                if t.waiting_on == thread.id:
+                    t.waiting_on = None
+            self._status_changed()
+            return
+        caller = thread.frames[-1]
+        convert, line, bind = caller.code.lands.get(caller.pc - 1, (None, 0, None))  # the call that pushed it
+        if convert is not None:
+            value = convert(self, value)
+        if bind is not None:
+            self.memory.line = line  # the result lands at the call, not at the callee's return
+            bind(self, caller, value)
 
-    def _new_slot(self, frame: _Frame, name: str, ty: TypeDesc) -> _Slot:
-        layout = layout_of(ty)
-        if isinstance(ty, (IntType, PtrType)):
-            alloc = self.memory.reserve(layout.size, layout.align, name)
-        else:
-            alloc = self.memory.allocate(layout.size, max(layout.align, 1), AllocOrigin.HOST_STACK, name)
-        slot = _Slot(ty, self.memory.base_pointer(alloc), alloc)
-        frame.slots[name] = slot
-        frame.slot_order.append(slot)
-        frame.stack_allocs.append(alloc.id)
-        return slot
-
-    def _slot(self, name: str) -> _Slot:
-        slot = self._thread.frames[-1].slots.get(name)
-        if slot is None:
-            raise ScenarioUnsupported(f"unknown local '{name}'")
-        return slot
-
-    def _read_slot(self, slot: _Slot) -> Value:
-        """The local's value: whole while memory keeps it immediate, else from its bytes."""
-        if slot.alloc.immediate:
-            return self.memory.load(slot.alloc)
-        return self._typed_read(slot.pointer, slot.type)
-
-    def _write_slot(self, slot: _Slot, value: Value) -> None:
-        """Store `value` into the local, whole while memory keeps it immediate."""
-        if not slot.alloc.immediate:
-            self._typed_write_value(slot.pointer, slot.type, value)
-        elif value is not None:
-            self.memory.store(slot.alloc, self._scalar(slot.type, value))
-
-    def _exit_frame(self) -> _Frame:
+    def _exit_frame(self) -> None:
         frames = self._thread.frames
         frame = frames[-1]
-        for slot in reversed(frame.slot_order):
-            if slot.owning and not slot.moved:
-                self.memory.deallocate(self._read_slot(slot), "host")
+        slots = frame.slots
+        for local in frame.code.owned:
+            if local.k < len(slots) and not slots[local.k].moved:
+                self.memory.deallocate(local.get(self, frame), "host")
         for alloc_id, tag in frame.protected:
             self.memory.protector_end(alloc_id, tag)
+        for slot in reversed(slots):
+            self.memory.release_stack(slot.alloc.id)
         for alloc_id in reversed(frame.stack_allocs):
             self.memory.release_stack(alloc_id)
-        return frames.pop()
+        frames.pop()
 
-    # ---- typed data movement -------------------------------------------------
+    def _retag(self, ptr: PointerValue, pointee: Layout, kind: str, label: str, protect=False) -> PointerValue:
+        """`ptr` with a fresh `kind` tag over a `pointee`; see `Memory.retag`."""
+        return self.memory.retag(ptr, pointee.size, pointee.cell_ranges, kind, label, protect)
 
-    def _pointee(self, ty: PtrType, ptr: PointerValue) -> TypeDesc:
-        if ty.kind is not PtrKind.OPAQUE:
-            return ty.pointee
-        # Untyped pointer: guess a width from the allocation it points at.
+    def _bind_reference(self, value: Value, ref: tuple[Layout, str], name: str, protect: bool = False) -> Value:
+        """`value` retagged as reference `name`, `ref` its (pointee layout, kind). SB retags every reference
+        assignment and, protected, every reference argument (Jung et al., POPL 2020); an int has no provenance."""
+        if not isinstance(value, (int, PointerValue)):
+            return value
+        if isinstance(value, int):
+            value = no_provenance(value)
+        return self._retag(value, ref[0], ref[1], name, protect)
+
+    def _from_raw(self, value: Value, layout: Optional[Layout], name: str) -> Value:
+        """`heap_from_raw` of `value`, retagged over `layout`, or for None over its whole allocation."""
+        if not isinstance(value, PointerValue):
+            raise ScenarioUnsupported("heap_from_raw needs a pointer value")
+        if value.alloc_id is None:
+            raise UbError(DiagnosticKind.ACCESS_OUT_OF_BOUNDS, f"heap_from_raw of 0x{value.address:x}, which "
+                          "points into no live allocation", address=value.address)
+        if not self.config.unique_as_mutable:
+            return value
+        if layout is None:
+            layout = layout_of(ArrayType(U8, self.memory.allocations[value.alloc_id].size))
+        return self._retag(value, layout, "mutable-ref", name)
+
+    @staticmethod
+    def _assert_eq(left: Value, right: Value) -> None:
+        # A pointer compares by address, so it can be checked against the integer it was cast to.
+        plain = [v.address if isinstance(v, PointerValue) else ("blob", v.values) if isinstance(v, Blob) else v
+                 for v in (left, right)]
+        if plain[0] != plain[1]:
+            a, b = (f"0x{v.address:x}" if isinstance(v, PointerValue)
+                    else f"<{len(v.values)}-byte value>" if isinstance(v, Blob) else str(v) for v in (left, right))
+            raise UbError(DiagnosticKind.ASSERTION_FAILED, f"assertion failed: {a} != {b}")
+
+    def _spawn(self, frame: _Frame, handle: str, callee: FnDef, args: list[Value]) -> None:
+        child = self._spawn_thread(self._host_frame(callee, args), self._traces(self._thread))
+        frame.handles[handle] = child.id
+
+    def _join(self, frame: _Frame, handle: str) -> None:
+        tid = frame.handles.get(handle)
+        if tid is None:
+            raise ScenarioUnsupported(f"join of unknown handle '{handle}'")
+        if self.threads[tid].frames:
+            self._thread.waiting_on = tid
+            frame.pc -= 1  # re-run the join once the target finishes
+            self._status_changed()
+
+    def _foreign_store(self, ptr: PointerValue, value: Value, size: int) -> None:
+        if value is None:
+            self.memory.write_uninit(ptr, size)  # a value derived from uninitialized memory stays so
+        elif isinstance(value, PointerValue) and size == 8:
+            self.memory.write_pointer(ptr, value)
+        else:
+            self.memory.write_int(ptr, size, reinterpret(self._reg_int(value), _UNSIGNED[size]))
+
+    def _foreign_alloc(self, frame: _Frame, value: Value, heap: bool, name: str) -> PointerValue:
+        size, what = self._reg_int(value), "malloc" if heap else "alloca"
+        if isinstance(value, PointerValue):
+            raise ScenarioUnsupported(f"{what} sized by a pointer register")
+        if size < 0:
+            raise ScenarioUnsupported(f"{what} of {size} bytes")
+        alloc = self.memory.allocate(size, 16, AllocOrigin.FOREIGN_HEAP if heap else AllocOrigin.FOREIGN_STACK, name)
+        if not heap:
+            frame.stack_allocs += (alloc.id,)
+        return self.memory.base_pointer(alloc)
+
+    def _guess_pointee(self, ptr: PointerValue) -> IntType:
+        """An untyped pointer's pointee: an integer as wide as the stack local it points at, else a byte."""
         if ptr.alloc_id is not None:
             alloc = self.memory.allocations[ptr.alloc_id]
-            if (
-                alloc.origin in (AllocOrigin.HOST_STACK, AllocOrigin.FOREIGN_STACK)
-                and ptr.offset == 0
-                and alloc.size in (1, 2, 4, 8)
-            ):
-                return IntType(alloc.size * 8, False)
+            stack = alloc.origin in (AllocOrigin.HOST_STACK, AllocOrigin.FOREIGN_STACK)
+            if stack and ptr.offset == 0 and alloc.size in _UNSIGNED:
+                return _UNSIGNED[alloc.size]
         return U8
-
-    def _typed_read(self, ptr: PointerValue, ty: TypeDesc, permissive: bool = False) -> Value:
-        """The `ty` value at `ptr`: None for a unit, or for uninitialized bytes under a `permissive` read."""
-        if isinstance(ty, CellType):
-            ty = ty.inner
-        if isinstance(ty, UnitType):
-            self.memory.check_access(ptr, 0, 1, "read")
-            return None
-        if isinstance(ty, IntType):
-            return self.memory.read_int(ptr, ty.size, ty.signed, permissive)
-        if isinstance(ty, PtrType):
-            return self.memory.read_pointer(ptr, permissive)
-        return self.memory.read_blob(ptr, size_of(ty))
-
-    def _typed_write_value(self, ptr: PointerValue, ty: TypeDesc, value: Value) -> None:
-        if isinstance(ty, CellType):
-            ty = ty.inner
-        if isinstance(ty, UnitType):
-            return
-        if value is None:
-            return  # uninitialized: storage stays untouched
-        if isinstance(ty, IntType):
-            self.memory.write_int(ptr, ty.size, self._scalar(ty, value))
-            return
-        if isinstance(ty, PtrType):
-            self.memory.write_pointer(ptr, self._scalar(ty, value))
-            return
-        if isinstance(value, Blob):
-            if len(value.values) != size_of(ty):
-                raise ScenarioUnsupported(
-                    f"aggregate of {len(value.values)} bytes written into {size_of(ty)}-byte slot"
-                )
-            self.memory.write_blob(ptr, value)
-            return
-        if isinstance(value, int):
-            raise ScenarioUnsupported(f"integer written into aggregate slot of type {ty}")
-        raise ScenarioUnsupported(f"cannot store value into slot of type {ty}")
 
     @staticmethod
     def _scalar(ty: Union[IntType, PtrType], value: Value) -> Union[int, PointerValue]:
-        """`value` as a `ty` place stores it: wrapped to the integer type, or as a pointer.
-
-        An integer stored into a pointer place is a bare address, as its
-        bytes read back through `Memory.read_pointer` would be.
-        """
+        """`value` as a `ty` place stores it: wrapped to an integer type, or as a pointer (an int is an address)."""
         if isinstance(ty, IntType):
             if isinstance(value, PointerValue):
-                raise ScenarioUnsupported(
-                    f"pointer value written into integer slot of type {ty}; cast it first"
-                )
+                raise ScenarioUnsupported(f"pointer value written into integer slot of type {ty}; cast it first")
             if isinstance(value, Blob):
                 raise ScenarioUnsupported(f"aggregate value written into {ty} slot")
             return reinterpret(value, ty)
         if isinstance(value, Blob):
             raise ScenarioUnsupported("aggregate value written into pointer slot")
         return no_provenance(value) if isinstance(value, int) else value
-
-    # ---- places and operands -------------------------------------------------
-
-    def _resolve_place(self, place: Place) -> tuple[PointerValue, TypeDesc]:
-        slot = self._slot(place.base)
-        ptr: PointerValue = slot.pointer
-        ty: TypeDesc = slot.type
-        # Steps after a pointer local read through it, as if `*` were written.
-        if place.deref or (place.steps and isinstance(ty, PtrType)):
-            if not isinstance(ty, PtrType):
-                raise ScenarioUnsupported(f"cannot dereference non-pointer local '{place.base}'")
-            target = self._read_slot(slot)
-            pointee = self._pointee(ty, target)
-            ptr, ty = target, pointee
-        for step in place.steps:
-            if isinstance(ty, CellType):
-                ty = ty.inner
-            if isinstance(step, str):
-                if not isinstance(ty, StructType):
-                    raise ScenarioUnsupported(f"field access '.{step}' on non-struct {ty}")
-                try:
-                    off, ty = struct_field_range(ty, step)
-                except KeyError:
-                    raise ScenarioUnsupported(f"struct {ty} has no field '{step}'") from None
-                ptr = ptr.with_byte_offset(off)
-            else:
-                if not isinstance(ty, ArrayType):
-                    raise ScenarioUnsupported(f"index [{step}] on non-array {ty}")
-                if step < 0 or step >= ty.count:
-                    raise UbError(
-                        DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
-                        f"index {step} outside array of {ty.count} elements",
-                        address=ptr.address,
-                    )
-                ptr = ptr.with_byte_offset(step * size_of(ty.elem))
-                ty = ty.elem
-        return ptr, ty
-
-    def _eval_operand(self, op: Operand) -> tuple[Value, TypeDesc]:
-        if isinstance(op, int):
-            return op, IntType(64, op < 0)
-        slot = self._slot(op)
-        return self._read_slot(slot), slot.type
-
-    def _foreign_operand(self, op: Operand) -> Value:
-        if isinstance(op, int):
-            return op
-        regs = self._thread.frames[-1].regs
-        if op not in regs:  # a register may hold None
-            raise ScenarioUnsupported(f"unknown register '{op}'")
-        return regs[op]
 
     def _reg_pointer(self, value: Value) -> PointerValue:
         """A register used as a pointer; integers act as casts from exposed, uninitialized ones as uninit reads."""
@@ -479,10 +917,8 @@ class Machine:
         if isinstance(value, int):
             return self.memory.from_exposed(value)
         if value is None:
-            raise UbError(
-                DiagnosticKind.UNINITIALIZED_READ,
-                "foreign code used a value derived from uninitialized memory as a pointer",
-            )
+            raise UbError(DiagnosticKind.UNINITIALIZED_READ,
+                          "foreign code used a value derived from uninitialized memory as a pointer")
         raise ScenarioUnsupported("aggregate register used as a pointer")
 
     def _reg_int(self, value: Value) -> int:
@@ -492,398 +928,48 @@ class Machine:
         if isinstance(value, PointerValue):
             return self.memory.expose(value)
         if value is None:
-            raise UbError(
-                DiagnosticKind.UNINITIALIZED_READ,
-                "foreign code used a value derived from uninitialized memory as an integer operand",
-            )
+            raise UbError(DiagnosticKind.UNINITIALIZED_READ,
+                          "foreign code used a value derived from uninitialized memory as an integer operand")
         raise ScenarioUnsupported("aggregate register used as an integer")
 
-    # ---- stepping ------------------------------------------------------------
-
-    def _step(self) -> None:
-        """Run the running thread's next statement, at its line."""
-        frame = self._thread.frames[-1]
-        body = frame.fn.body
-        if frame.pc >= len(body):
-            # The implicit return at the end of a body, at its last line.
-            self.memory.line = body[-1].line if body else frame.fn.line
-            self._do_return(None)
-            return
-        stmt = body[frame.pc]
-        frame.pc += 1
-        self.memory.line = stmt.line
-        if frame.fn.dialect is Dialect.HOST:
-            self._exec_host(stmt)
-        else:
-            self._exec_foreign(stmt)
-
-    # ---- host execution ------------------------------------------------------
-
-    def _exec_host(self, stmt: Stmt) -> None:
-        thread = self._thread
-        frame = thread.frames[-1]
-        if isinstance(stmt, LetStmt):
-            self._host_let(stmt)
-        elif isinstance(stmt, WriteStmt):
-            if stmt.place.deref or stmt.place.steps:
-                ptr, ty = self._resolve_place(stmt.place)
-                value, _ = self._eval_operand(stmt.value)
-                self._typed_write_value(ptr, ty, value)
-            else:
-                slot = self._slot(stmt.place.base)
-                self._write_slot(slot, self._eval_operand(stmt.value)[0])
-        elif isinstance(stmt, AssumeInitStmt):
-            ptr, ty = self._resolve_place(stmt.place)
-            self.memory.assume_init(ptr, size_of(ty))
-        elif isinstance(stmt, AssertEqStmt):
-            self._assert_eq(stmt)
-        elif isinstance(stmt, SpawnStmt):
-            callee = self.program.function(stmt.callee)
-            args = self._host_args(stmt, callee)
-            child = self._spawn_thread(self._make_host_frame(callee, args), self._traces(thread))
-            frame.handles[stmt.handle] = child.id
-        elif isinstance(stmt, JoinStmt):
-            tid = frame.handles.get(stmt.handle)
-            if tid is None:
-                raise ScenarioUnsupported(f"join of unknown handle '{stmt.handle}'")
-            if self.threads[tid].frames:
-                thread.waiting_on = tid
-                frame.pc -= 1  # re-run the join once the target finishes
-                self._status_changed()
-        elif isinstance(stmt, CallStmt):
-            self._host_call(stmt)
-        elif isinstance(stmt, ReturnStmt):
-            value = None
-            if stmt.value is not None:
-                value, _ = self._eval_operand(stmt.value)
-            self._do_return(value)
-        else:
-            raise ScenarioUnsupported(f"statement not executable in host code: {stmt!r}")
-
-    def _host_let(self, stmt: LetStmt) -> None:
-        frame = self._thread.frames[-1]
-        if isinstance(stmt.rhs, ZeroedRhs):
-            slot = self._new_slot(frame, stmt.name, stmt.type)
-            if slot.alloc.immediate:
-                self._write_slot(slot, 0)
-            else:
-                self.memory.memset(slot.pointer, 0, size_of(stmt.type))
-            return
-        # Evaluate first, so the slot's root tag is numbered after any tag
-        # the right-hand side creates.
-        value = self._host_rhs(stmt)
-        slot = self._new_slot(frame, stmt.name, stmt.type)
-        slot.owning = isinstance(stmt.rhs, (HeapNewRhs, HeapFromRawRhs))
-        self._write_slot(slot, value)
-
-    def _host_rhs(self, stmt: LetStmt) -> Value:
-        """The value a host `let` binds; None leaves the new slot uninitialized."""
-        frame = self._thread.frames[-1]
-        rhs = stmt.rhs
-        if isinstance(rhs, UninitRhs):
-            return None
-        if isinstance(rhs, LiteralRhs):
-            return self._bind_reference(rhs.value, stmt.type, stmt.name)
-        if isinstance(rhs, PlaceRhs):
-            if not (rhs.place.deref or rhs.place.steps):
-                value, _ = self._eval_operand(rhs.place.base)
-                return self._bind_reference(value, stmt.type, stmt.name)
-            src_ptr, src_ty = self._resolve_place(rhs.place)
-            base = frame.slots.get(rhs.place.base)
-            if (
-                rhs.place.deref
-                and base is not None
-                and isinstance(base.type, PtrType)
-                and base.type.kind is PtrKind.OPAQUE
-                and size_of(src_ty) != size_of(stmt.type)
-            ):
-                raise UbError(
-                    DiagnosticKind.INVALID_BINDING,
-                    f"load through untyped pointer '{rhs.place.base}' resolves to "
-                    f"{size_of(src_ty)} bytes, destination '{stmt.name}' holds "
-                    f"{size_of(stmt.type)}",
-                )
-            value = self._typed_read(src_ptr, src_ty)
-            return self._bind_reference(value, stmt.type, stmt.name)
-        if isinstance(rhs, BorrowRhs):
-            ptr, ty = self._resolve_place(rhs.place)
-            return self._retag(ptr, ty, rhs.kind.value, stmt.name)
-        if isinstance(rhs, CastRhs):
-            return self._cast(rhs.source, stmt.type, stmt.name)
-        if isinstance(rhs, OffsetRhs):
-            return self._offset(rhs)
-        if isinstance(rhs, CellGetRhs):
-            src_ptr, src_ty = self._resolve_place(rhs.place)
-            if not isinstance(src_ty, CellType):
-                raise ScenarioUnsupported(".get() on a place that is not interior-mutable")
-            return self._retag(src_ptr, src_ty.inner, "cell", stmt.name)
-        if isinstance(rhs, HeapNewRhs):
-            return self._heap_new(stmt.name, rhs)
-        if isinstance(rhs, HeapIntoRawRhs):
-            src = frame.slots.get(rhs.source)
-            if src is None or not src.owning:
-                raise ScenarioUnsupported(f"'{rhs.source}' is not an owned heap value")
-            box = self._read_slot(src)
-            src.moved = True
-            return box
-        if isinstance(rhs, HeapFromRawRhs):
-            value, _ = self._eval_operand(rhs.source)
-            if not isinstance(value, PointerValue):
-                raise ScenarioUnsupported("heap_from_raw needs a pointer value")
-            if value.alloc_id is None:
-                raise UbError(
-                    DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
-                    f"heap_from_raw of 0x{value.address:x}, which points into no live allocation",
-                    address=value.address,
-                )
-            if not self.config.unique_as_mutable:
-                return value
-            pointee = stmt.type.pointee if isinstance(stmt.type, PtrType) else None
-            if pointee is None:
-                # An untyped pointer reclaims the whole allocation.
-                pointee = ArrayType(U8, self.memory.allocations[value.alloc_id].size)
-            return self._retag(value, pointee, "mutable-ref", stmt.name)
-        raise ScenarioUnsupported(f"host let cannot evaluate {type(rhs).__name__}")
-
-    def _bind_reference(self, value: Value, ty: TypeDesc, name: str, protect: bool = False) -> Value:
-        """`value` retagged if local or parameter `name` of type `ty` is a reference.
-
-        SB retags every reference assignment, a call's result included, and
-        every reference argument at function entry, with a protector
-        (Stacked Borrows' function-entry retag, Jung et al., POPL 2020; Miri
-        applies it to every reference argument). An integer reads as a
-        pointer with no provenance, as it would from a raw pointer slot, so
-        the retag rejects it.
-        """
-        if not is_reference(ty) or not isinstance(value, (int, PointerValue)):
-            return value
-        if isinstance(value, int):
-            value = no_provenance(value)
-        return self._retag(value, ty.pointee, ty.kind.value, name, protect)
-
-    def _heap_new(self, name: str, rhs: HeapNewRhs) -> PointerValue:
-        layout = layout_of(rhs.type)
-        base = self.memory.base_pointer(self.memory.allocate(
-            layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{name} (alloc)"
-        ))
-        if rhs.init == "zeroed":
-            self.memory.memset(base, 0, layout.size)
-        elif isinstance(rhs.init, int):
-            self._typed_write_value(base, rhs.type, rhs.init)
-        if self.config.unique_as_mutable:
-            base = self._retag(base, rhs.type, "mutable-ref", name)
-        return base
-
-    def _cast(self, source: str, target: TypeDesc, label: str) -> Value:
-        value, src_ty = self._eval_operand(source)
-        if not isinstance(src_ty, (IntType, PtrType)) or not isinstance(target, (IntType, PtrType)):
-            raise ScenarioUnsupported(f"no cast from {src_ty} to {target}")
-        if isinstance(src_ty, PtrType) and isinstance(target, PtrType):
-            raw = target.kind in (PtrKind.RAW_MUT, PtrKind.RAW_CONST)
-            if is_reference(src_ty) and raw and value.alloc_id is not None:
-                return self._retag(value, src_ty.pointee, target.kind.value, label)
-            if is_reference(target):
-                raise ScenarioUnsupported("casts cannot create references")
-        elif (isinstance(src_ty, PtrType) or isinstance(target, PtrType)) and size_of(src_ty) != size_of(target):
-            raise ScenarioUnsupported("pointer addresses only fit 8-byte integers")
-        return self._convert(value, target)
-
-    def _offset(self, rhs: OffsetRhs) -> PointerValue:
-        value, src_ty = self._eval_operand(rhs.source)
-        count, _ = self._eval_operand(rhs.count)
-        if not isinstance(value, PointerValue) or not isinstance(src_ty, PtrType):
-            raise ScenarioUnsupported("offset() applies to pointer values")
-        if not isinstance(count, int):
-            raise ScenarioUnsupported("offset() count must be an integer")
-        elem = self._pointee(src_ty, value)
-        return value.with_byte_offset(count * max(size_of(elem), 1))
-
-    def _assert_eq(self, stmt: AssertEqStmt) -> None:
-        left, _ = self._eval_operand(stmt.left)
-        right, _ = self._eval_operand(stmt.right)
-        if self._plain(left) != self._plain(right):
-            raise UbError(
-                DiagnosticKind.ASSERTION_FAILED,
-                f"assertion failed: {self._show(left)} != {self._show(right)}",
-            )
-
-    @staticmethod
-    def _plain(v: Value):
-        # Pointers compare by address so a round-tripped pointer can be
-        # checked against the integer it was cast to.
-        if isinstance(v, PointerValue):
-            return v.address
-        if isinstance(v, Blob):
-            return ("blob", v.values)
-        return v
-
-    @staticmethod
-    def _show(v: Value) -> str:
-        if isinstance(v, PointerValue):
-            return f"0x{v.address:x}"
-        if isinstance(v, Blob):
-            return f"<{len(v.values)}-byte value>"
-        return str(v)
-
-    def _do_return(self, value: Value) -> None:
-        """Pop the frame and hand `value` to its caller."""
-        thread = self._thread
-        callee = self._exit_frame()
-        if not thread.frames:
-            for t in self.threads:
-                if t.waiting_on == thread.id:
-                    t.waiting_on = None
-            self._status_changed()
-            return
-        caller = thread.frames[-1]
-        call: CallStmt = caller.fn.body[caller.pc - 1]  # the call that pushed `callee`
-        if caller.fn.dialect is Dialect.FOREIGN:
-            if call.dest is not None:
-                # The callee is a host function, whose missing result lands as 0.
-                caller.regs[call.dest] = 0 if value is None else value
-            return
-        if callee.fn.dialect is Dialect.FOREIGN:
-            ret = self.program.binding(call.callee).ret
-            if isinstance(ret, UnitType):
-                value = None  # the binding declares no result
-            else:
-                value = self._to_host(
-                    value, ret, "foreign call returned a value derived from uninitialized memory"
-                )
-        if call.dest is not None:
-            # The result lands at the call, not at the callee's return. Retag
-            # before the slot exists, so its root tag is numbered after the result's.
-            self.memory.line = call.line
-            value = self._bind_reference(value, call.dest_type, call.dest)
-            slot = self._new_slot(caller, call.dest, call.dest_type)
-            self._write_slot(slot, value)
-
-    # ---- calls ---------------------------------------------------------------
-
-    def _host_call(self, stmt: CallStmt) -> None:
-        binding = self.program.bindings_by_name.get(stmt.callee)
-        if binding is None:
-            callee = self.program.function(stmt.callee)
-            args = self._host_args(stmt, callee)
-            self._thread.frames.append(self._make_host_frame(callee, args))
-            return
-        self._call_foreign(stmt, binding)
-
-    def _host_args(self, stmt: Union[CallStmt, SpawnStmt], callee: FnDef) -> list[Value]:
-        """The arguments `stmt` passes to host function `callee`, checked against its parameters."""
-        args = [self._check_host_arg(a, p.type) for a, p in zip(stmt.args, callee.params)]
-        if len(stmt.args) != len(callee.params):
-            what = "spawn of" if isinstance(stmt, SpawnStmt) else "call to"
-            raise ScenarioUnsupported(
-                f"{what} '{callee.name}' passes {len(stmt.args)} arguments, "
-                f"it takes {len(callee.params)}"
-            )
-        return args
-
-    def _check_host_arg(self, op: Operand, want: TypeDesc) -> Value:
-        value, ty = self._eval_operand(op)
-        if isinstance(op, int):
-            return value
-        if not assignable(ty, want):
-            raise ScenarioUnsupported(f"argument of type {ty} where {want} is expected")
-        return value
-
-    def _call_foreign(self, stmt: CallStmt, binding) -> None:
-        callee = self.program.function(binding.target)
-        if len(stmt.args) < len(binding.params) or (
-            len(stmt.args) > len(binding.params) and not binding.variadic
-        ):
-            raise UbError(
-                DiagnosticKind.INVALID_BINDING,
-                f"call passes {len(stmt.args)} arguments, binding '{binding.name}' "
-                f"declares {len(binding.params)}",
-            )
-        regs: list[Value] = []
-        for arg_plan, op in zip(plan_call(binding, callee), stmt.args):
-            value = self._check_host_arg(op, arg_plan.source)
-            regs.extend(self._outbound(arg_plan, value))
-        for op in stmt.args[len(binding.params):]:
-            value, ty = self._eval_operand(op)
-            regs.extend(self._outbound(plan_variadic_arg(ty), value))
-        frame = _Frame(fn=callee)
-        for param, reg in zip(callee.params, regs):
-            frame.regs[param.name] = reg
-        # Extras land as vararg0, vararg1, ... in caller order.
-        for i, reg in enumerate(regs[len(callee.params):]):
-            frame.regs[f"vararg{i}"] = reg
-        self._thread.frames.append(frame)
-
-    def _outbound(self, plan: ArgPlan, value: Value) -> list[Value]:
-        """The registers one host argument fills on the foreign side."""
-        if len(plan.targets) > 1:
-            # Only a homogeneous aggregate without padding flattens, so its
-            # fields sit at a fixed stride.
-            values = self._convert(value, plan.source).values
-            width = len(values) // len(plan.targets)
-            return [
-                self._convert(Blob(values[i * width : (i + 1) * width]), target)
-                for i, target in enumerate(plan.targets)
-            ]
-        if value is None:
-            # A host read of uninitialized memory raises, so this is a unit,
-            # which has no bytes; it lands as 0, as a missing host result does.
-            return [0]
-        if isinstance(value, int) and isinstance(plan.source, PtrType):
-            # A literal where the binding declares a pointer is an address
-            # without provenance, not an integer to rehydrate.
-            value = no_provenance(value)
-        return [self._convert(value, plan.targets[0])]
-
     def _convert(self, value: Value, target: TypeDesc) -> Value:
-        """`value` as a value of type `target` on the other side of a crossing.
-
-        Every crossing converts here: bound arguments and returns, callback
-        arguments and integer/pointer casts. The result is None, uninitialized,
-        when `value` is, or when it reads uninitialized bytes of a by-value
-        aggregate under permissive loads.
-        """
+        """`value` as a `target` on the other side of a crossing: a bound argument or return, a callback
+        argument or an integer/pointer cast. It is None, uninitialized, when `value` is, or when it
+        reads uninitialized bytes of a by-value aggregate under permissive loads."""
         if value is None:
             return None
         if isinstance(target, IntType):
             if isinstance(value, PointerValue):
                 if target.size != 8:
-                    raise UbError(
-                        DiagnosticKind.INVALID_BINDING,
-                        f"pointer crosses into {target.size}-byte integer {target}: "
-                        f"only 8-byte integers carry addresses",
-                    )
+                    raise UbError(DiagnosticKind.INVALID_BINDING,
+                                  f"pointer crosses into {target.size}-byte integer {target}: "
+                                  "only 8-byte integers carry addresses")
                 return self.memory.expose(value)
             if not isinstance(value, Blob):
                 return reinterpret(value, target)
             if len(value.values) != target.size:
-                raise UbError(
-                    DiagnosticKind.INVALID_BINDING,
-                    f"{len(value.values)}-byte aggregate crosses into {target.size}-byte {target}",
-                )
+                raise UbError(DiagnosticKind.INVALID_BINDING,
+                              f"{len(value.values)}-byte aggregate crosses into {target.size}-byte {target}")
             if None in value.values:
                 if self.config.permissive_foreign_loads:
                     return None
-                raise UbError(
-                    DiagnosticKind.UNINITIALIZED_READ,
-                    f"by-value crossing reads uninitialized byte "
-                    f"{value.values.index(None)} of an aggregate",
-                )
+                raise UbError(DiagnosticKind.UNINITIALIZED_READ,
+                              f"by-value crossing reads uninitialized byte {value.values.index(None)} of an "
+                              "aggregate")
             return reinterpret(int.from_bytes(bytes(value.values), "little"), target)
         if isinstance(target, PtrType):
             return self._reg_pointer(value)
         if isinstance(target, CellType):
             return self._convert(value, target.inner)
         if isinstance(target, (StructType, ArrayType)):
-            size = size_of(target)
+            size = self._lowering.layout(target).size
             if isinstance(value, int):
                 return Blob(list((value % (1 << (8 * size))).to_bytes(size, "little")))
             if not isinstance(value, Blob):
                 raise ScenarioUnsupported(f"a pointer cannot cross into aggregate {target}")
             if len(value.values) != size:
-                raise UbError(
-                    DiagnosticKind.INVALID_BINDING,
-                    f"{len(value.values)}-byte aggregate crosses into {size}-byte {target}",
-                )
+                raise UbError(DiagnosticKind.INVALID_BINDING,
+                              f"{len(value.values)}-byte aggregate crosses into {size}-byte {target}")
             return value
         if isinstance(target, UnitType):
             return 0
@@ -895,93 +981,6 @@ class Machine:
         if value is None:
             raise UbError(DiagnosticKind.UNINITIALIZED_READ, uninit_message)
         return value
-
-    # ---- foreign execution ---------------------------------------------------
-
-    def _exec_foreign(self, stmt: Stmt) -> None:
-        if isinstance(stmt, LetStmt):
-            self._thread.frames[-1].regs[stmt.name] = self._foreign_let(stmt)
-        elif isinstance(stmt, StoreStmt):
-            size = size_of(stmt.type)
-            if size not in (1, 2, 4, 8):
-                raise ScenarioUnsupported(f"foreign store of {size}-byte type {stmt.type}")
-            ptr = self._reg_pointer(self._foreign_operand(stmt.pointer))
-            value = self._foreign_operand(stmt.value)
-            if value is None:
-                # A value derived from uninitialized memory stays
-                # uninitialized when written back.
-                self.memory.write_uninit(ptr, size)
-            elif isinstance(value, PointerValue) and size == 8:
-                self.memory.write_pointer(ptr, value)
-            else:
-                self.memory.write_int(ptr, size, reinterpret(self._reg_int(value), IntType(8 * size, False)))
-        elif isinstance(stmt, FreeStmt):
-            ptr = self._reg_pointer(self._foreign_operand(stmt.pointer))
-            self.memory.deallocate(ptr, "foreign")
-        elif isinstance(stmt, MemsetStmt):
-            ptr = self._reg_pointer(self._foreign_operand(stmt.pointer))
-            value = self._reg_int(self._foreign_operand(stmt.value))
-            size = self._reg_int(self._foreign_operand(stmt.size))
-            self.memory.memset(ptr, value, size)
-        elif isinstance(stmt, MemcpyStmt):
-            dest = self._reg_pointer(self._foreign_operand(stmt.dest))
-            src = self._reg_pointer(self._foreign_operand(stmt.src))
-            size = self._reg_int(self._foreign_operand(stmt.size))
-            self.memory.memcpy(dest, src, size)
-        elif isinstance(stmt, CallStmt):
-            self._foreign_call(stmt)
-        elif isinstance(stmt, ReturnStmt):
-            value = None if stmt.value is None else self._foreign_operand(stmt.value)
-            self._do_return(value)
-        else:
-            raise ScenarioUnsupported(f"statement not executable in foreign code: {stmt!r}")
-
-    def _foreign_let(self, stmt: LetStmt) -> Value:
-        rhs = stmt.rhs
-        if isinstance(rhs, LiteralRhs):
-            return rhs.value
-        if isinstance(rhs, PlaceRhs):
-            return self._foreign_operand(rhs.place.base)
-        if isinstance(rhs, LoadRhs):
-            ptr = self._reg_pointer(self._foreign_operand(rhs.pointer))
-            if not isinstance(rhs.type, (IntType, PtrType)):
-                raise ScenarioUnsupported(f"foreign load of type {rhs.type}")
-            return self._typed_read(ptr, rhs.type, self.config.permissive_foreign_loads)
-        if isinstance(rhs, (MallocRhs, AllocaRhs)):
-            value = self._foreign_operand(rhs.size)
-            size = self._reg_int(value)
-            heap = isinstance(rhs, MallocRhs)
-            if isinstance(value, PointerValue):
-                raise ScenarioUnsupported(f"{'malloc' if heap else 'alloca'} sized by a pointer register")
-            if size < 0:
-                raise ScenarioUnsupported(f"{'malloc' if heap else 'alloca'} of {size} bytes")
-            origin = AllocOrigin.FOREIGN_HEAP if heap else AllocOrigin.FOREIGN_STACK
-            alloc = self.memory.allocate(size, 16, origin, stmt.name)
-            if not heap:
-                self._thread.frames[-1].stack_allocs.append(alloc.id)
-            return self.memory.base_pointer(alloc)
-        if isinstance(rhs, GepRhs):
-            value = self._foreign_operand(rhs.pointer)
-            off = self._reg_int(self._foreign_operand(rhs.offset))
-            return self._reg_pointer(value).with_byte_offset(off)
-        raise ScenarioUnsupported(f"foreign let cannot evaluate {type(rhs).__name__}")
-
-    def _foreign_call(self, stmt: CallStmt) -> None:
-        callee = self.program.function(stmt.callee)
-        if len(stmt.args) != len(callee.params):
-            raise UbError(
-                DiagnosticKind.INVALID_BINDING,
-                f"callback '{callee.name}' takes {len(callee.params)} parameters, "
-                f"call passes {len(stmt.args)}",
-            )
-        args = [
-            self._to_host(
-                self._foreign_operand(op), param.type,
-                "value derived from uninitialized memory passed into host code",
-            )
-            for op, param in zip(stmt.args, callee.params)
-        ]
-        self._thread.frames.append(self._make_host_frame(callee, args))
 
 
 def run_program(program: ScenarioProgram, config: Optional[MachineConfig] = None) -> Outcome:

@@ -1,5 +1,8 @@
 """Shared fixtures, path helpers and memory helpers for the test suite."""
 
+import functools
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,17 @@ def corpus_path(name: str) -> str:
 def corpus_files() -> list[str]:
     """All bundled scenario files, sorted for stable iteration order."""
     return sorted(str(p) for p in CORPUS_DIR.glob("*.sc"))
+
+
+@functools.cache
+def bench_workloads():
+    """The benchmark's scenario generators, `bench/workloads.py`, loaded as a module."""
+    # `Case` is a dataclass, which looks its module up in `sys.modules`.
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO_ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def init_mask(alloc: Allocation) -> tuple[bool, ...]:

@@ -4,44 +4,36 @@
 report digest: tb and sb for each case, then the `--diff` report where the
 case asks for one. This rebuilds that digest for each workload at two seeds,
 at full scale, and pins it, so a change that moves any byte of any report
-the benchmark makes fails here and not only when the benchmark runs.
+the benchmark makes fails here and not only when the benchmark runs. A
+program parsed once must also give those bytes on every later run of it.
 """
 
-import functools
 import hashlib
-import importlib.util
-import sys
 
 import pytest
 
-from conftest import CORPUS_DIR, REPO_ROOT
+from conftest import CORPUS_DIR, bench_workloads
 from seamcheck import diagnostics, runner
 from seamcheck.machine import MachineConfig
 from seamcheck.parser import parse_text
 
 
-@functools.cache
-def _load_workloads():
-    # `Case` is a dataclass, which looks its module up in `sys.modules`.
-    spec = importlib.util.spec_from_file_location("bench_workloads", REPO_ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+def _report(program, model: str, seed: int) -> bytes:
+    """The JSON report of one run of `program`, a `--diff` run for model "diff", as the benchmark makes it."""
+    if model == "diff":
+        config = MachineConfig(model="tb", seed=seed)
+        report = runner.differential_report(program, config, runner.run_differential(program, config))
+    else:
+        config = MachineConfig(model=model, seed=seed)
+        report = runner.single_report(program, config, runner.run_program(program, config))
+    return diagnostics.json_dumps(report).encode()
 
 
 def _report_digest(workload: str, seed: int) -> str:
     digest = hashlib.sha256()
-    for case in _load_workloads().build(workload, seed, str(CORPUS_DIR)):
+    for case in bench_workloads().build(workload, seed, str(CORPUS_DIR)):
         for model in ("tb", "sb", "diff") if case.diff else ("tb", "sb"):
-            program = parse_text(case.text, case.name)
-            if model == "diff":
-                config = MachineConfig(model="tb", seed=seed)
-                report = runner.differential_report(program, config, runner.run_differential(program, config))
-            else:
-                config = MachineConfig(model=model, seed=seed)
-                report = runner.single_report(program, config, runner.run_program(program, config))
-            digest.update(diagnostics.json_dumps(report).encode())
+            digest.update(_report(parse_text(case.text, case.name), model, seed))
     return digest.hexdigest()[:16]
 
 
@@ -60,3 +52,14 @@ def _report_digest(workload: str, seed: int) -> str:
 )
 def test_report_digest_of_each_workload_is_pinned(workload, seed, expected):
     assert _report_digest(workload, seed) == expected
+
+
+@pytest.mark.parametrize("workload", ["corpus", "tags", "buffers", "crossings"])
+def test_a_program_parsed_once_runs_again_with_nothing_carried_over(workload):
+    # The machine keeps what it works out from a program's text with the program. Runs of one
+    # parse under tb, sb, tb again and `--diff` must each give the bytes of a fresh parse's run.
+    # The corpus workload holds every bundled scenario.
+    for case in bench_workloads().build(workload, 1, str(CORPUS_DIR), scale=0.25):
+        program = parse_text(case.text, case.name)
+        for model in ("tb", "sb", "tb", "diff"):
+            assert _report(program, model, 1) == _report(parse_text(case.text, case.name), model, 1), (case.name, model)

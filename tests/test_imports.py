@@ -1,7 +1,8 @@
 """Every import in the package and its tests is used, every local the package assigns is read,
 only memory and the two trackers touch an allocation's borrow state, only the borrow tracker
-base writes a tag event, every detail of a finding is named as its diagnostic field, and no
-machine or memory method takes a source line."""
+base writes a tag event, every detail of a finding is named as its diagnostic field, no
+machine or memory method takes a source line, and only the machine's lowering looks at which
+statement or right-hand side form it has."""
 
 import ast
 from dataclasses import fields
@@ -103,6 +104,27 @@ def _event_records_built(path):
 def test_only_the_borrow_tracker_builds_tag_events():
     built = [b for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py")) for b in _event_records_built(path)]
     assert {where for where, _ in built} == {"memory.py:BorrowTracker"}, built
+
+
+# The machine lowers each function once into steps (`machine._Lowering`); a statement's or a
+# right-hand side's form is looked at there and nowhere else, so no second, interpreting
+# dispatch grows back beside the lowered one.
+def _ir_form_tests(path):
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                names = [n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)]
+                if any(name.endswith(("Stmt", "Rhs")) for name in names):
+                    found.append((owner, f"{', '.join(names)} (line {node.lineno})"))
+    return found
+
+
+def test_only_the_lowering_tests_statement_forms():
+    found = _ir_form_tests(REPO_ROOT / "src" / "seamcheck" / "machine.py")
+    assert found and {owner for owner, _ in found} == {"_Lowering"}, found
 
 
 # `UbError(kind, message, **details)` carries `details` unchecked until `Machine._bug` passes them

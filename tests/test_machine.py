@@ -4,11 +4,22 @@ import re
 
 import pytest
 
-from seamcheck.diagnostics import Classification, DiagnosticKind, TagEvent, render_diagnostic
+from seamcheck.diagnostics import (
+    Classification,
+    Diagnostic,
+    DiagnosticKind,
+    Outcome,
+    TagEvent,
+    TraceFrame,
+    render_diagnostic,
+)
+from seamcheck import machine as machine_module
 from seamcheck.machine import Machine, MachineConfig, run_program
 from seamcheck.memory import GUARD_GAP, AllocOrigin
 from seamcheck.parser import parse_text
 from seamcheck.runner import exit_code
+
+from conftest import bench_workloads
 
 
 def _run(text, **config_kw):
@@ -1443,3 +1454,75 @@ def test_a_1500_deep_reborrow_chain_reports_its_tb_finding():
     snapshot = outcome.diagnostics[0].tracker_snapshot.splitlines()
     assert len(snapshot) == n + 1
     assert snapshot[-1] == " " * n + "└─ r1499: Reserved → Frozen"
+
+
+# Each of these functions holds an error that its text alone decides. It must be raised only
+# when its statement runs, as it would be if each statement were looked at only then.
+_STATICALLY_BAD = {
+    "unknown-local": ("host fn bad()\n  let y: i32 = z\nend\n", "call bad()"),
+    "field-of-int": ("host fn bad()\n  let x: i32 = 1\n  let y: i32 = x.f\nend\n", "call bad()"),
+    "plan-call": ("bind bad = c_bad(i32)\n\nforeign fn c_bad(p: ptr)\nend\n", "call bad(a)"),
+}
+_WHEN_REACHED = {
+    "unknown-local": Outcome(Classification.UNSUPPORTED, note="unknown local 'z'"),
+    "field-of-int": Outcome(Classification.UNSUPPORTED, note="field access '.f' on non-struct i32"),
+    "plan-call": Outcome(Classification.BUG, diagnostics=(Diagnostic(
+        DiagnosticKind.INVALID_BINDING,
+        "pointer against 4-byte integer i32: only 8-byte integers carry addresses",
+        host_trace=(TraceFrame("host", "main", 8, "call bad(a)"),),
+    ),)),
+}
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("error", sorted(_STATICALLY_BAD))
+@pytest.mark.parametrize("reach", ["never-called", "assert-first", "called"])
+def test_an_error_the_text_decides_is_raised_only_when_its_statement_runs(model, error, reach):
+    bad, call = _STATICALLY_BAD[error]
+    body = {"never-called": "", "assert-first": f"  assert_eq a 2\n  {call}\n", "called": f"  {call}\n"}[reach]
+    text = f"{bad}\nhost fn main()\n  let a: i32 = 1\n{body}end\n"
+    assert_line = text.splitlines().index("  assert_eq a 2") + 1 if reach == "assert-first" else None
+    expected = {
+        "never-called": Outcome(Classification.PASS),
+        "assert-first": Outcome(Classification.BUG, diagnostics=(Diagnostic(
+            DiagnosticKind.ASSERTION_FAILED,
+            "assertion failed: 1 != 2",
+            host_trace=(TraceFrame("host", "main", assert_line, "assert_eq a 2"),),
+        ),)),
+        "called": _WHEN_REACHED[error],
+    }[reach]
+    assert _run(text, model=model) == expected
+
+
+def test_static_work_is_done_once_per_program_not_once_per_execution(monkeypatch):
+    # A crossings scenario with 4 times the callbacks and bound calls plans each binding and lays
+    # out each type as often as the small one does: the program text fixes both.
+    counts = {"plan_call": 0, "layout_of": 0}
+    for name in counts:
+        def counted(*args, name=name, original=getattr(machine_module, name)):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(machine_module, name, counted)
+    seen = []
+    for n, m in ((25, 5), (100, 20)):
+        counts.update(plan_call=0, layout_of=0)
+        outcome = run_program(parse_text(bench_workloads().crossings(n, m)), MachineConfig(model="tb"))
+        assert outcome.classification is Classification.PASS
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+
+
+def test_integer_casts_wrap_between_widths():
+    assert _run(
+        """
+host fn main()
+  let a: i32 = -1
+  let b: u64 = a as u64
+  assert_eq b 18446744073709551615
+  let c: u8 = b as u8
+  assert_eq c 255
+  let d: i16 = c as i16
+  assert_eq d 255
+end
+"""
+    ) == Outcome(Classification.PASS)

@@ -134,9 +134,8 @@ class _Frame:
     __slots__ = ("fn", "code", "pc", "slots", "regs", "handles", "protected", "stack_allocs")
 
     def __init__(self, fn: FnDef, code: _Code, regs: Optional[dict[str, Value]] = None) -> None:
-        self.fn, self.code, self.pc = fn, code, 0
+        self.fn, self.code, self.pc, self.regs = fn, code, 0, regs  # `regs`: foreign registers
         self.slots: list[_Slot] = []  # host locals, indexed by `_Local.k`
-        self.regs = regs  # foreign registers
         self.handles: dict[str, int] = {}
         self.protected: tuple[tuple[int, int], ...] = ()  # (alloc id, tag)
         self.stack_allocs: tuple[int, ...] = ()  # foreign `alloca`s
@@ -179,19 +178,14 @@ class _Lowering:
         self.plans: dict[str, Union[tuple[ArgPlan, ...], str]] = {}  # per binding, or its mismatch
         self.callbacks: dict[tuple, Step] = {}  # by (callee, arguments), shared by equal lines
         self.layouts: dict[int, tuple[TypeDesc, Layout]] = {}  # by type id; each keeps its type, so no id is reused
-        self.movers: dict[int, tuple[TypeDesc, Callable, Callable]] = {}  # likewise
+        self.movers: dict[object, tuple] = {}  # likewise
 
     def layout(self, ty: TypeDesc) -> Layout:
-        seen = self.layouts.get(id(ty))
-        if seen is None:
-            seen = self.layouts[id(ty)] = (ty, layout_of(ty))
-        return seen[1]
+        key = PtrType if isinstance(ty, PtrType) else id(ty)  # every pointer lays out alike
+        return (self.layouts.get(key) or self.layouts.setdefault(key, (ty, layout_of(ty))))[1]
 
     def code(self, fn: FnDef) -> _Code:
-        code = self.codes.get(fn.name)
-        if code is None:
-            code = self.codes[fn.name] = self._lower(fn)
-        return code
+        return self.codes.get(fn.name) or self.codes.setdefault(fn.name, self._lower(fn))
 
     def _lower(self, fn: FnDef) -> _Code:
         self.env: dict[str, _Local] = {}
@@ -208,18 +202,18 @@ class _Lowering:
 
     def _local(self, name: str, ty: TypeDesc) -> _Local:
         """A new host local, the next in its frame's slot list, which `name` names from here on."""
-        layout, local = self.layout(ty), _Local()
-        local.k, local.name, local.type, local.size = self.nlocals, name, ty, layout.size
-        local.scalar = isinstance(ty, (IntType, PtrType))
-        local.align = layout.align if local.scalar else max(layout.align, 1)
-        local.read, local.write = self._movers(ty)
+        local = _Local()
+        local.k, local.name, local.type = self.nlocals, name, ty
+        local.read, local.write, local.size, local.align, local.scalar = self._movers(ty)
         self.env[name] = local
         self.nlocals += 1
         return local
 
-    def _movers(self, ty: TypeDesc) -> tuple[Callable, Callable]:
-        """`read(m, f, ptr)` and `write(m, ptr, value)` of a `ty` place; a unit reads as None, None writes nothing."""
-        seen = self.movers.get(id(ty))
+    def _movers(self, ty: TypeDesc) -> tuple:
+        """`read(m, f, ptr)` and `write(m, ptr, value)` of a `ty` place, then a `ty` local's size, alignment
+        and whether it is a scalar; a unit reads as None, and writing None leaves the bytes as they are."""
+        key = PtrType if isinstance(ty, PtrType) else id(ty)  # every pointer moves alike
+        seen = self.movers.get(key)
         if seen is not None:
             return seen[1:]
         inner = ty.inner if isinstance(ty, CellType) else ty
@@ -251,8 +245,10 @@ class _Lowering:
                     raise ScenarioUnsupported(f"integer written into aggregate slot of type {ty}")
                 elif value is not None:
                     raise ScenarioUnsupported(f"cannot store value into slot of type {ty}")
-        self.movers[id(ty)] = (ty, read, write)
-        return read, write
+        layout, scalar = self.layout(ty), isinstance(ty, (IntType, PtrType))
+        align = layout.align if scalar else max(layout.align, 1)
+        seen = self.movers[key] = (ty, read, write, layout.size, align, scalar)
+        return seen[1:]
 
     def _ref(self, ty: TypeDesc) -> Optional[tuple[Layout, str]]:
         """(pointee layout, retag kind) of a reference type, else None."""
@@ -260,7 +256,7 @@ class _Lowering:
 
     def _bound(self, get: Step, ty: TypeDesc, name: str) -> Step:
         """`get`, retagged as the value of a `ty` local `name`; see `Machine._bind_reference`."""
-        ref = self._ref(ty)
+        ref = self._ref(ty) if isinstance(ty, PtrType) else None
         if ref is None:
             return get
         return lambda m, f, get=get, ref=ref, name=name: m._bind_reference(get(m, f), ref, name)
@@ -299,15 +295,14 @@ class _Lowering:
                 except KeyError:
                     return off, ty, _fail(ScenarioUnsupported, f"struct {ty} has no field '{step}'")
                 off += field_off
-                continue
-            if not isinstance(ty, ArrayType):
+            elif not isinstance(ty, ArrayType):
                 return off, ty, _fail(ScenarioUnsupported, f"index [{step}] on non-array {ty}")
-            if step < 0 or step >= ty.count:
+            elif step < 0 or step >= ty.count:
                 def out_of_bounds(ptr, at=off, message=f"index {step} outside array of {ty.count} elements"):
                     raise UbError(DiagnosticKind.ACCESS_OUT_OF_BOUNDS, message, address=ptr.address + at)
                 return off, ty, out_of_bounds
-            off += step * self.layout(ty.elem).size
-            ty = ty.elem
+            else:
+                off, ty = off + step * self.layout(ty.elem).size, ty.elem
         return off, ty, None
 
     def _place(self, place: Place) -> tuple[Step, Optional[TypeDesc]]:
@@ -333,19 +328,19 @@ class _Lowering:
             return guess, None
         else:
             base, ty = local.get, ty.pointee
-        off, ty, fail = self._walk(ty, steps)
+        off, ty, fail = self._walk(ty, steps) if steps else (0, ty, None)
         if fail is not None:
             return (lambda m, f, base=base, fail=fail: fail(base(m, f))), None
         return (base, ty) if not off else ((lambda m, f, base=base, off=off: base(m, f).with_byte_offset(off)), ty)
 
     def _at_place(self, place: Place, make: Callable) -> tuple[Step, Optional[TypeDesc]]:
-        """A step that resolves `place` and runs `make(type)(m, f, ptr)`, and the type (None: run time's)."""
+        """`make(type, resolve)`, a step that uses `place`, and the type; None if known only at run time."""
         resolve, ty = self._place(place)
         if ty is not None:
-            return (lambda m, f, use=make(ty), resolve=resolve: use(m, f, resolve(m, f))), ty
-        def dynamic(m, f, resolve=resolve, make=make):
+            return make(ty, resolve), ty
+        def dynamic(m, f, resolve=resolve, make=make):  # through an untyped pointer, or raising
             ptr, ty = resolve(m, f)
-            return make(ty)(m, f, ptr)
+            return make(ty, lambda m, f: ptr)(m, f)
         return dynamic, None
 
     def _host(self, stmt: Stmt) -> Step:
@@ -354,8 +349,8 @@ class _Lowering:
         if isinstance(stmt, WriteStmt):
             return self._write(stmt)
         if isinstance(stmt, AssumeInitStmt):
-            return self._at_place(stmt.place, lambda ty: lambda m, f, ptr, size=self.layout(ty).size: (
-                m.memory.assume_init(ptr, size)
+            return self._at_place(stmt.place, lambda ty, at: lambda m, f, at=at, size=self.layout(ty).size: (
+                m.memory.assume_init(at(m, f), size)
             ))[0]
         if isinstance(stmt, AssertEqStmt):
             (left, _), (right, _) = self._operand(stmt.left), self._operand(stmt.right)
@@ -380,12 +375,12 @@ class _Lowering:
         place, op = stmt.place, stmt.value
         get, _ = self._operand(op)
         if place.deref or place.steps:
-            def put_at(ty):
+            def put_at(ty, at):
                 inner = ty.inner if isinstance(ty, CellType) else ty
                 if isinstance(op, int) and isinstance(inner, IntType):
                     value = reinterpret(op, inner)
-                    return lambda m, f, ptr, size=inner.size, value=value: m.memory.write_int(ptr, size, value)
-                return lambda m, f, ptr, write=self._movers(ty)[1], get=get: write(m, ptr, get(m, f))
+                    return lambda m, f, at=at, size=inner.size, value=value: m.memory.write_int(at(m, f), size, value)
+                return lambda m, f, at=at, write=self._movers(ty)[1], get=get: write(m, at(m, f), get(m, f))
             return self._at_place(place, put_at)[0]
         local = self.env.get(place.base)
         if local is None:
@@ -417,15 +412,15 @@ class _Lowering:
     def _rhs(self, stmt: LetStmt) -> tuple[Step, bool]:
         """The value a host `let` binds, and whether it is a scalar of the local's integer type already."""
         rhs, ty, name = stmt.rhs, stmt.type, stmt.name
-        if isinstance(rhs, UninitRhs):
-            return (lambda m, f: None), False
-        if isinstance(rhs, LiteralRhs):
-            return self._bound(lambda m, f, value=rhs.value: value, ty, name), False
         if isinstance(rhs, PlaceRhs):
             get, src = self._copy(rhs.place, ty, name)
             return self._bound(get, ty, name), src == ty and isinstance(ty, IntType)
         if isinstance(rhs, (BorrowRhs, CellGetRhs)):
             return self._retagged(rhs.place, name, "cell" if isinstance(rhs, CellGetRhs) else rhs.kind.value), False
+        if isinstance(rhs, UninitRhs):
+            return (lambda m, f: None), False
+        if isinstance(rhs, LiteralRhs):
+            return self._bound(lambda m, f, value=rhs.value: value, ty, name), False
         if isinstance(rhs, CastRhs):
             return self._cast(*self._operand(rhs.source), ty, name), False
         if isinstance(rhs, OffsetRhs):
@@ -451,24 +446,29 @@ class _Lowering:
         """A host place's value, and its type, which None leaves to run time."""
         if not (place.deref or place.steps):
             return self._operand(place.base)
-        base, want = self.env.get(place.base), self.layout(ty).size
-        opaque = place.deref and base is not None and isinstance(base.type, PtrType)
-        opaque = opaque and base.type.kind is PtrKind.OPAQUE
-        def load(src):
-            if opaque and src.size != want:
+        base = self.env.get(place.base)
+        if not (place.deref and base is not None and isinstance(base.type, PtrType)) or base.type.pointee:
+            return self._at_place(place, self._read_at)
+        want = self.layout(ty).size
+        def load(src, at):  # through an untyped pointer, so `src` is known only at run time
+            if src.size != want:
                 return _fail(UbError, DiagnosticKind.INVALID_BINDING, f"load through untyped pointer '{place.base}' "
-                             f"resolves to {src.size} bytes, destination '{name}' holds {want}")
-            return self._movers(src)[0]
+                             f"resolves to {src.size} bytes, destination '{name}' holds {want}", after=at)
+            return self._read_at(src, at)
         return self._at_place(place, load)
+
+    def _read_at(self, ty: TypeDesc, at: Step) -> Step:
+        return lambda m, f, at=at, read=self._movers(ty)[0]: read(m, f, at(m, f))
 
     def _retagged(self, place: Place, name: str, kind: str) -> Step:
         """A borrow of `place` as a `kind` pointer, or for "cell" a `.get()` of it."""
-        def retag(src):
+        def retag(src, at):
             if kind == "cell":
                 if not isinstance(src, CellType):
-                    return _fail(ScenarioUnsupported, ".get() on a place that is not interior-mutable")
+                    return _fail(ScenarioUnsupported, ".get() on a place that is not interior-mutable", after=at)
                 src = src.inner
-            return lambda m, f, ptr, layout=self.layout(src), kind=kind, name=name: m._retag(ptr, layout, kind, name)
+            return lambda m, f, at=at, pointee=self.layout(src), kind=kind, name=name: (
+                m._retag(at(m, f), pointee, kind, name))
         return self._at_place(place, retag)[0]
 
     def _heap_new(self, rhs: HeapNewRhs, name: str) -> Step:

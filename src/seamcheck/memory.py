@@ -43,11 +43,12 @@ tracks no borrows at all.
 
 `BorrowTracker` is the base of both borrow models: it owns an allocation's
 tags with their raw events (creation, last use, first invalidation), which
-only it writes as text, when an error is raised (`history()`). It also
-holds protection, one per-tag set that both models read: a protecting
-retag adds its tag when it creates it, and `protector_end` removes it at
-function exit. Its no-op memo lets either model answer a repeated access
-in O(1); see `BorrowTracker`.
+only it writes as text (`history()`). It does so when an error is raised,
+and then only for the tags that error involves, so describing a violation
+costs those tags and not the allocation's. It also holds protection, one
+per-tag set that both models read: a protecting retag adds its tag when it
+creates it, and `protector_end` removes it at function exit. Its no-op memo
+lets either model answer a repeated access in O(1); see `BorrowTracker`.
 
 `Allocation` is the one record of an allocation. A host local of an
 integer or pointer type starts immediate, after Miri's `LocalValue`:
@@ -158,7 +159,8 @@ class BorrowTracker:
     range, line)`, as `Allocation.last_use` does; `invalidated` holds the
     first `(line, kind, acting tag or None, transition)`, the transition
     being tb's `(old, new)`, "retag" for an sb pop by a retag, or None.
-    Only `_describe` writes an event as text, and only for an error.
+    Only `_describe` writes an event as text, and only for an error, whose
+    history and snapshot hold just the tags it involves (`_involved`).
 
     `_noops` is the no-op memo, after Miri's `skip_if_known_noop`: the
     `(tag, kind)` pairs whose last access, over the whole allocation,
@@ -211,22 +213,50 @@ class BorrowTracker:
         event = self.invalidated.get(tag)
         return "" if event is None else f" (invalidated at line {event[0]}: {self._describe(*event[1:])})"
 
-    def _error(self, kind: DiagnosticKind, message: str, off: Optional[int]) -> UbError:
+    def _error(self, kind: DiagnosticKind, message: str, off: Optional[int], *named: Optional[int]) -> UbError:
+        """An error with the history and snapshot of the tags it involves (`_involved`).
+
+        `named` are the tags its message names; None among them is a
+        wildcard's acting tag, which is no tag. An error that names none
+        keeps every tag.
+        """
+        tags = self._involved(named) if named else None
         return UbError(
-            kind,
-            message,
-            permission_history=self.history(),
-            tracker_snapshot=self.render(off) if off is not None else self.render(),
+            kind, message, permission_history=self.history(tags), tracker_snapshot=self.render(off, tags)
         )
 
-    def history(self) -> tuple[TagHistory, ...]:
-        """Every tag's record in creation order, written afresh, so later accesses leave it unchanged."""
+    def _involved(self, named: tuple[Optional[int], ...]) -> list[int]:
+        """The tags an error naming `named` involves, in creation order.
+
+        Those are `named`, the acting tag of each one's first invalidation,
+        and every creation parent of either, up to the root; a None or a
+        tag this tracker never made adds nothing. Tags are drawn in
+        increasing order, so their order is their creation order.
+        """
+        created, invalidated = self.created, self.invalidated
+        tags = set(named)
+        for tag in named:
+            event = invalidated.get(tag)
+            if event is not None and event[2] is not None:
+                tags.add(event[2])
+        closed: set[int] = set()
+        for tag in tags:
+            while tag in created and tag not in closed:
+                closed.add(tag)
+                tag = created[tag][3]
+        return sorted(closed)
+
+    def history(self, tags: Optional[list[int]] = None) -> tuple[TagHistory, ...]:
+        """The records of `tags`, or of every tag, in creation order.
+
+        They are written afresh, so later accesses leave them unchanged.
+        """
         records = []
-        for tag, label in self.labels.items():
+        for tag in self.labels if tags is None else tags:
             line, kind, rng, parent = self.created[tag]
             use, gone = self.last_use.get(tag), self.invalidated.get(tag)
             records.append(TagHistory(
-                tag, label, TagEvent(line, self._describe(kind, parent, rng=rng)),
+                tag, self.labels[tag], TagEvent(line, self._describe(kind, parent, rng=rng)),
                 None if use is None else TagEvent(use[2], self._describe(use[0], rng=use[1])),
                 None if gone is None else TagEvent(gone[0], self._describe(*gone[1:])),
             ))
@@ -250,7 +280,8 @@ class BorrowTracker:
     def dealloc_check(self) -> None:
         raise NotImplementedError
 
-    def render(self, off: Optional[int] = None) -> str:
+    def render(self, off: Optional[int] = None, tags: Optional[list[int]] = None) -> str:
+        """The state of byte `off`, or of every run of equal bytes, drawn for `tags` or every tag."""
         raise NotImplementedError
 
 

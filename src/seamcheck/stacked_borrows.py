@@ -36,7 +36,10 @@ at once, and a write pops exactly the items above its own. An access the
 Each tag's raw events (creation, last use, first invalidation) live in the
 `BorrowTracker` base, shared with the tb model: the last use is recorded
 per segment as an access passes, and an item's first pop records the raw
-cause of the access or retag that popped it as its tag's invalidation.
+cause of the access or retag that popped it as its tag's invalidation. An
+error's snapshot lists only the items of the tags that error involves, found
+through each stack's tag index, except a wildcard access that no item
+grants: it names no tag, so its snapshot keeps every item.
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ class StackedBorrowTracker(BorrowTracker):
                 DiagnosticKind.PROTECTED_PERMISSION,
                 f"{self._describe(*cause[1:])} at alloc#{self.alloc_id}+{off} would pop protected "
                 f"tag#{guard} ('{self.labels[guard]}')",
-                off,
+                off, cause[2], guard,
             )
         return True
 
@@ -192,7 +195,7 @@ class StackedBorrowTracker(BorrowTracker):
                     f"retag at alloc#{self.alloc_id}+{off}: no item for parent tag#{parent} "
                     f"('{self.labels.get(parent, '?')}') in the borrow stack"
                     + self._invalidation_note(parent),
-                    off,
+                    off, tag, parent,
                 )
             if kind == "mutable-ref":
                 if stack.items[idx].grant is Grant.SHARED_RO:
@@ -200,7 +203,7 @@ class StackedBorrowTracker(BorrowTracker):
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
                         f"mutable retag at alloc#{self.alloc_id}+{off} through read-only "
                         f"tag#{parent} ('{self.labels[parent]}')",
-                        off,
+                        off, tag, parent,
                     )
                 self._remove_above(stack, idx, "write", cause, off)
                 stack.push(_Item(tag, Grant.UNIQUE))
@@ -261,14 +264,14 @@ class StackedBorrowTracker(BorrowTracker):
                         DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                         f"{kind} at alloc#{self.alloc_id}+{off}: no item for tag#{prov} "
                         f"('{self.labels.get(prov, '?')}') in the borrow stack" + self._invalidation_note(prov),
-                        off,
+                        off, prov,
                     )
                 if kind == "write" and stack.items[idx].grant is Grant.SHARED_RO:
                     raise self._error(
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
                         f"write at alloc#{self.alloc_id}+{off} through tag#{prov} ('{self.labels[prov]}'), "
                         f"which grants only reads",
-                        off,
+                        off, prov,
                     )
                 tag_for_history = prov
             if self._remove_above(stack, idx, kind, cause, off):
@@ -286,23 +289,28 @@ class StackedBorrowTracker(BorrowTracker):
                         DiagnosticKind.PROTECTED_PERMISSION,
                         f"deallocation of alloc#{self.alloc_id} while tag#{item.tag} "
                         f"('{self.labels[item.tag]}') is protected",
-                        off,
+                        off, item.tag,
                     )
 
     # ---- rendering -----------------------------------------------------------
 
-    def _stack_text(self, stack: _Stack) -> str:
+    def _stack_text(self, stack: _Stack, tags: Optional[list[int]] = None) -> str:
+        """`stack`'s items, or only those of `tags`, bottom to top."""
+        items = stack.items
+        if tags is not None:
+            pos = stack.pos
+            items = [items[i] for i in sorted(pos[tag] for tag in tags if tag in pos)]
         parts = []
-        for item in stack.items:
+        for item in items:
             text = f"{self.labels[item.tag]}: {item.grant.value}"
             if item.tag in self.protected:
                 text += " (protected)"
             parts.append(text)
         return "[" + ", ".join(parts) + "]"
 
-    def render(self, off: Optional[int] = None) -> str:
-        """Bottom-to-top stack drawing, per byte or coalesced over equal runs."""
+    def render(self, off: Optional[int] = None, tags: Optional[list[int]] = None) -> str:
+        """Bottom-to-top stack drawing, per byte or coalesced over equal runs, of `tags`' items or all."""
         if off is not None:
-            return self._stack_text(self._stacks.at(off))
-        lines = [f"[{a}..{b}) {text}" for a, b, text in self._stacks.runs(self._stack_text)]
+            return self._stack_text(self._stacks.at(off), tags)
+        lines = [f"[{a}..{b}) {text}" for a, b, text in self._stacks.runs(lambda s: self._stack_text(s, tags))]
         return "\n".join(lines) if lines else "[]"

@@ -45,8 +45,9 @@ Each tag's raw events (creation, last use, first invalidation) and its
 protection live in the `BorrowTracker` base, shared with the sb model. The
 tree is those events too: a node's parent is the one its `created` event
 records, and only its index, `_index[tag]`, is kept here; `render` derives
-the children from the parents. A move to Frozen or Disabled records `(line,
-kind, acting tag, (old, new))`, which only an error writes out.
+the children from the parents, and for an error draws only the nodes that
+error involves. A move to Frozen or Disabled records `(line, kind, acting
+tag, (old, new))`, which only an error writes out.
 """
 
 from __future__ import annotations
@@ -251,19 +252,19 @@ class TreeBorrowTracker(BorrowTracker):
             return self._error(
                 DiagnosticKind.PROTECTED_PERMISSION,
                 f"{head} would disable protected tag#{tag} ('{label}')",
-                off,
+                off, prov, tag,
             )
         if perm is _D:
             return self._error(
                 DiagnosticKind.EXPIRED_PERMISSION,
                 f"{head}: permission of tag#{tag} ('{label}') is Disabled" + self._invalidation_note(tag),
-                off,
+                off, prov, tag,
             )
         return self._error(
             DiagnosticKind.INSUFFICIENT_PERMISSION,
             f"{head}: permission of tag#{tag} ('{label}') is Frozen, which forbids writes"
             + self._invalidation_note(tag),
-            off,
+            off, prov, tag,
         )
 
     def dealloc_check(self) -> None:
@@ -274,7 +275,7 @@ class TreeBorrowTracker(BorrowTracker):
                     DiagnosticKind.PROTECTED_PERMISSION,
                     f"deallocation of alloc#{self.alloc_id} while tag#{tag} "
                     f"('{self.labels[tag]}') is protected",
-                    None,
+                    None, tag,
                 )
 
     # ---- rendering -----------------------------------------------------------
@@ -289,15 +290,17 @@ class TreeBorrowTracker(BorrowTracker):
             return runs[0][2]
         return ", ".join(f"[{a}..{b}) {text}" for a, b, text in runs)
 
-    def render(self, off: Optional[int] = None) -> str:
+    def render(self, off: Optional[int] = None, tags: Optional[list[int]] = None) -> str:
         """Tree drawing of the permission state, for goldens and diagnostics.
 
         With `off` the permissions are those of a single byte; otherwise equal
-        runs are coalesced into per-range entries.
+        runs are coalesced into per-range entries. With `tags`, in creation
+        order and holding every parent of each, only their nodes are drawn.
         """
         at = self._perms.at(off).states if off is not None else None
-        children: dict[int, list[int]] = {tag: [] for tag in self._order}
-        for tag in self._order[1:]:
+        order = self._order if tags is None else tags
+        children: dict[int, list[int]] = {tag: [] for tag in order}
+        for tag in order[1:]:
             children[self.created[tag][3]].append(tag)
         lines: list[str] = []
         # Depth first from a stack, not recursion, so a chain of any depth draws.

@@ -50,8 +50,10 @@ class _Item:
 class _TagInfo:
     label: str
     created: TagEvent
+    parent: Optional[int] = None
     last_use: Optional[TagEvent] = None
     invalidated: Optional[TagEvent] = None
+    invalidated_by: Optional[int] = None  # the acting tag of `invalidated`
 
 
 def _in_ranges(off: int, ranges: tuple[Range, ...]) -> bool:
@@ -91,12 +93,15 @@ class StackedBorrowTracker:
                 return i
         return None
 
-    def _record_pop(self, item: _Item, cause: str, line: int) -> None:
+    def _record_pop(self, item: _Item, cause: str, line: int, acting: Optional[int]) -> None:
         info = self.tags[item.tag]
         if info.invalidated is None:
             info.invalidated = TagEvent(line, cause)
+            info.invalidated_by = acting
 
-    def _pop_above(self, stack: list[_Item], index: int, cause: str, line: int, off: int) -> None:
+    def _pop_above(
+        self, stack: list[_Item], index: int, cause: str, line: int, off: int, acting: Optional[int]
+    ) -> None:
         """Write semantics: remove everything above the granting item."""
         while len(stack) > index + 1:
             item = stack[-1]
@@ -105,13 +110,13 @@ class StackedBorrowTracker:
                     DiagnosticKind.PROTECTED_PERMISSION,
                     f"{cause} at alloc#{self.alloc_id}+{off} would pop protected "
                     f"tag#{item.tag} ('{self.tags[item.tag].label}')",
-                    off,
+                    off, *(t for t in (acting, item.tag) if t is not None),
                 )
             stack.pop()
-            self._record_pop(item, cause, line)
+            self._record_pop(item, cause, line, acting)
 
     def _disable_writers_above(
-        self, stack: list[_Item], index: int, cause: str, line: int, off: int
+        self, stack: list[_Item], index: int, cause: str, line: int, off: int, acting: Optional[int]
     ) -> None:
         """Read semantics: remove only write-granting items above the granting one."""
         i = len(stack) - 1
@@ -123,10 +128,10 @@ class StackedBorrowTracker:
                         DiagnosticKind.PROTECTED_PERMISSION,
                         f"{cause} at alloc#{self.alloc_id}+{off} would pop protected "
                         f"tag#{item.tag} ('{self.tags[item.tag].label}')",
-                        off,
+                        off, *(t for t in (acting, item.tag) if t is not None),
                     )
                 stack.pop(i)
-                self._record_pop(item, cause, line)
+                self._record_pop(item, cause, line, acting)
             i -= 1
 
     # ---- operations ----------------------------------------------------------
@@ -143,7 +148,7 @@ class StackedBorrowTracker:
     ) -> int:
         tag = self._tag_source()
         self.tags[tag] = _TagInfo(
-            label, TagEvent(line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}")
+            label, TagEvent(line, f"{kind} retag of [{rng[0]}..{rng[1]}) from tag#{parent}"), parent
         )
         self._order.append(tag)
         cause = f"{kind} retag for tag#{tag} ('{label}')"
@@ -156,7 +161,7 @@ class StackedBorrowTracker:
                     f"retag at alloc#{self.alloc_id}+{off}: no item for parent tag#{parent} "
                     f"('{self.tags[parent].label if parent in self.tags else '?'}') in the borrow stack"
                     + self._invalidation_note(parent),
-                    off,
+                    off, tag, parent,
                 )
             parent_item = stack[idx]
             if kind == "mutable-ref":
@@ -165,12 +170,12 @@ class StackedBorrowTracker:
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
                         f"mutable retag at alloc#{self.alloc_id}+{off} through read-only "
                         f"tag#{parent} ('{self.tags[parent].label}')",
-                        off,
+                        off, tag, parent,
                     )
-                self._pop_above(stack, idx, cause, line, off)
+                self._pop_above(stack, idx, cause, line, off, tag)
                 stack.append(_Item(tag, Grant.UNIQUE, protect))
             elif kind == "shared-ref":
-                self._disable_writers_above(stack, idx, cause, line, off)
+                self._disable_writers_above(stack, idx, cause, line, off, tag)
                 grant = Grant.SHARED_RW if _in_ranges(off, cell_ranges) else Grant.SHARED_RO
                 stack.append(_Item(tag, grant, protect))
             elif kind in ("raw-mut", "cell"):
@@ -200,6 +205,7 @@ class StackedBorrowTracker:
                         off,
                     )
                 cause = f"{kind} via exposed address"
+                acting = None
                 tag_for_history = stack[idx].tag
             else:
                 if not isinstance(prov, int):
@@ -213,21 +219,22 @@ class StackedBorrowTracker:
                         DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                         f"{kind} at alloc#{self.alloc_id}+{off}: no item for tag#{prov} "
                         f"('{label}') in the borrow stack" + self._invalidation_note(prov),
-                        off,
+                        off, prov,
                     )
                 if kind == "write" and not allows_write(stack[idx].grant):
                     raise self._error(
                         DiagnosticKind.INSUFFICIENT_PERMISSION,
                         f"write at alloc#{self.alloc_id}+{off} through tag#{prov} ('{label}'), "
                         f"which grants only reads",
-                        off,
+                        off, prov,
                     )
                 cause = f"{kind} via tag#{prov} ('{label}')"
+                acting = prov
                 tag_for_history = prov
             if kind == "write":
-                self._pop_above(stack, idx, cause, line, off)
+                self._pop_above(stack, idx, cause, line, off, acting)
             else:
-                self._disable_writers_above(stack, idx, cause, line, off)
+                self._disable_writers_above(stack, idx, cause, line, off, acting)
             info = self.tags.get(tag_for_history)
             if info is not None:
                 span = (granted.setdefault(tag_for_history, off), off + 1) if prov is WILDCARD else rng
@@ -247,7 +254,7 @@ class StackedBorrowTracker:
                         DiagnosticKind.PROTECTED_PERMISSION,
                         f"deallocation of alloc#{self.alloc_id} while tag#{item.tag} "
                         f"('{self.tags[item.tag].label}') is protected",
-                        off,
+                        off, item.tag,
                     )
 
     # ---- rendering and history -----------------------------------------------
@@ -258,15 +265,33 @@ class StackedBorrowTracker:
             return ""
         return f" (invalidated at line {info.invalidated.line}: {info.invalidated.description})"
 
-    def _error(self, kind: DiagnosticKind, message: str, off: Optional[int]) -> UbError:
+    def _ancestors_and_self(self, tag: int) -> set[int]:
+        out = set()
+        cur: Optional[int] = tag
+        while cur in self.tags:
+            out.add(cur)
+            cur = self.tags[cur].parent
+        return out
+
+    def _error(self, kind: DiagnosticKind, message: str, off: Optional[int], *named: int) -> UbError:
+        """An error with the history and snapshot of the tags it involves, or of every tag if it names none.
+
+        The tags involved are the ones named, the acting tag of each named
+        tag's first invalidation, and the ancestors of all of those.
+        """
+        tags = None
+        if named:
+            seeds = [*named, *(self.tags[t].invalidated_by for t in named if t in self.tags)]
+            involved = set().union(*(self._ancestors_and_self(t) for t in seeds if t is not None))
+            tags = [t for t in self._order if t in involved]
         return UbError(
             kind,
             message,
-            permission_history=self.history(),
-            tracker_snapshot=self.render(off) if off is not None else self.render(),
+            permission_history=self.history(tags),
+            tracker_snapshot=self.render(off, tags),
         )
 
-    def history(self) -> tuple[TagHistory, ...]:
+    def history(self, tags: Optional[list[int]] = None) -> tuple[TagHistory, ...]:
         return tuple(
             TagHistory(
                 tag=tag,
@@ -275,28 +300,30 @@ class StackedBorrowTracker:
                 last_valid_use=info.last_use,
                 invalidated=info.invalidated,
             )
-            for tag, info in ((t, self.tags[t]) for t in self._order)
+            for tag, info in ((t, self.tags[t]) for t in (self._order if tags is None else tags))
         )
 
-    def _stack_text(self, stack: list[_Item]) -> str:
+    def _stack_text(self, stack: list[_Item], tags: Optional[list[int]]) -> str:
         parts = []
         for item in stack:
+            if tags is not None and item.tag not in tags:
+                continue
             text = f"{self.tags[item.tag].label}: {item.grant.value}"
             if item.protected:
                 text += " (protected)"
             parts.append(text)
         return "[" + ", ".join(parts) + "]"
 
-    def render(self, off: Optional[int] = None) -> str:
-        """Bottom-to-top stack drawing, per byte or coalesced over equal runs."""
+    def render(self, off: Optional[int] = None, tags: Optional[list[int]] = None) -> str:
+        """Bottom-to-top stack drawing, per byte or coalesced over equal runs, of `tags`' items or all."""
         if off is not None:
-            return self._stack_text(self.stacks[off])
+            return self._stack_text(self.stacks[off], tags)
         lines = []
         start = 0
         while start < self.size:
-            text = self._stack_text(self.stacks[start])
+            text = self._stack_text(self.stacks[start], tags)
             end = start + 1
-            while end < self.size and self._stack_text(self.stacks[end]) == text:
+            while end < self.size and self._stack_text(self.stacks[end], tags) == text:
                 end += 1
             lines.append(f"[{start}..{end}) {text}")
             start = end

@@ -82,6 +82,7 @@ class _Node:
     created: TagEvent = TagEvent(0, "")
     last_use: Optional[TagEvent] = None
     invalidated: Optional[TagEvent] = None
+    invalidated_by: Optional[int] = None  # the acting tag of `invalidated`
     states: dict[int, _LocState] = field(default_factory=dict)
 
     @property
@@ -207,7 +208,7 @@ class TreeBorrowTracker:
                         f"{kind} through tag#{prov} ('{acting.label}') at alloc#{self.alloc_id}+{off}: "
                         f"permission of tag#{tag} ('{node.label}') is Disabled"
                         + self._invalidation_note(node),
-                        off,
+                        off, prov, tag,
                     )
                 if result is _INSUFFICIENT:
                     raise self._error(
@@ -215,7 +216,7 @@ class TreeBorrowTracker:
                         f"{kind} through tag#{prov} ('{acting.label}') at alloc#{self.alloc_id}+{off}: "
                         f"permission of tag#{tag} ('{node.label}') is Frozen, which forbids writes"
                         + self._invalidation_note(node),
-                        off,
+                        off, prov, tag,
                     )
                 new_perm = result
                 if (
@@ -228,7 +229,7 @@ class TreeBorrowTracker:
                         DiagnosticKind.PROTECTED_PERMISSION,
                         f"{kind} through tag#{prov} ('{acting.label}') at alloc#{self.alloc_id}+{off} "
                         f"would disable protected tag#{tag} ('{node.label}')",
-                        off,
+                        off, prov, tag,
                     )
                 staged.append((node, state, new_perm))
             for node, state, new_perm in staged:
@@ -242,6 +243,7 @@ class TreeBorrowTracker:
                                 f"{kind} via tag#{prov} ('{acting.label}'): "
                                 f"{state.perm.value} -> {new_perm.value}",
                             )
+                            node.invalidated_by = prov
                     state.perm = new_perm
             acting_state = acting.states[off]  # materialized by the scan above
             acting_state.initialized = True
@@ -259,7 +261,7 @@ class TreeBorrowTracker:
                     DiagnosticKind.PROTECTED_PERMISSION,
                     f"deallocation of alloc#{self.alloc_id} while tag#{tag} "
                     f"('{node.label}') is protected",
-                    None,
+                    None, tag,
                 )
 
     # ---- rendering and history -----------------------------------------------
@@ -269,15 +271,25 @@ class TreeBorrowTracker:
             return ""
         return f" (invalidated at line {node.invalidated.line}: {node.invalidated.description})"
 
-    def _error(self, kind: DiagnosticKind, message: str, off: Optional[int]) -> UbError:
+    def _error(self, kind: DiagnosticKind, message: str, off: Optional[int], *named: int) -> UbError:
+        """An error with the history and snapshot of the tags it involves, or of every tag if it names none.
+
+        The tags involved are the ones named, the acting tag of each named
+        tag's first invalidation, and the ancestors of all of those.
+        """
+        tags = None
+        if named:
+            seeds = [*named, *(self.nodes[t].invalidated_by for t in named)]
+            involved = set().union(*(self._ancestors_and_self(t) for t in seeds if t is not None))
+            tags = [t for t in self._order if t in involved]
         return UbError(
             kind,
             message,
-            permission_history=self.history(),
-            tracker_snapshot=self.render(off) if off is not None else self.render(),
+            permission_history=self.history(tags),
+            tracker_snapshot=self.render(off, tags),
         )
 
-    def history(self) -> tuple[TagHistory, ...]:
+    def history(self, tags: Optional[list[int]] = None) -> tuple[TagHistory, ...]:
         return tuple(
             TagHistory(
                 tag=n.tag,
@@ -286,11 +298,11 @@ class TreeBorrowTracker:
                 last_valid_use=n.last_use,
                 invalidated=n.invalidated,
             )
-            for n in (self.nodes[t] for t in self._order)
+            for n in (self.nodes[t] for t in (self._order if tags is None else tags))
         )
 
-    def _children(self, tag: int) -> list[int]:
-        return [t for t in self._order if self.nodes[t].parent == tag]
+    def _children(self, tag: int, shown: list[int]) -> list[int]:
+        return [t for t in shown if self.nodes[t].parent == tag]
 
     def _perm_text(self, node: _Node, off: Optional[int]) -> str:
         if off is not None:
@@ -320,17 +332,19 @@ class TreeBorrowTracker:
             return runs[0][2]
         return ", ".join(f"[{a}..{b}) {text}" for a, b, text in runs)
 
-    def render(self, off: Optional[int] = None) -> str:
+    def render(self, off: Optional[int] = None, tags: Optional[list[int]] = None) -> str:
         """Tree drawing of the permission state, for goldens and diagnostics.
 
         With `off` the permissions are those of a single byte; otherwise equal
-        runs are coalesced into per-range entries.
+        runs are coalesced into per-range entries. With `tags` only their
+        nodes are drawn.
         """
         lines: list[str] = []
+        shown = self._order if tags is None else tags
 
         def walk(tag: int, indent: str, is_last: bool) -> None:
             node = self.nodes[tag]
-            children = self._children(tag)
+            children = self._children(tag, shown)
             branch = "└" if is_last else "├"
             shape = "┬" if children else "─"
             lines.append(f"{indent}{branch}{shape} {node.label}: {self._perm_text(node, off)}")

@@ -4,12 +4,17 @@ Random retag, access, protector_end and dealloc_check sequences, with cell
 ranges, protectors and wildcard provenance, run on a `seamcheck` tracker and
 on its per-byte reference in lockstep. After every operation both must have
 raised the same error (kind, message, snapshot, history) or none, and agree
-on `history()`, `render()`, `render(off)` and every byte's state. A sequence
+on `history()`, `render()`, `render(off)` and every byte's state. An error
+describes only the tags it involves: its history must be the full
+`history()` cut down to a set of tags that holds every tag its message
+names and is closed under creation parents. A sequence
 goes on after an error, so the state an error leaves behind is compared too.
 The indexes a tracker keeps beside its states (tb: nodes by permission; sb:
 the topmost write-granting item and each tag's position) are recomputed from
 those states after every operation and must match.
 """
+
+import re
 
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -61,6 +66,12 @@ _STALE = [
 ]
 
 
+# A protected borrow, a raw pointer that sb inserts below it, then a write
+# through the pointer: the error's sb snapshot lists the two items in stack
+# order, which is not their creation order.
+_FOCUS = (4, [(0, 0, 0, 4, 0, 0, []), (0, 1, 0, 4, 2, 1, []), (3, 2, 0, 4, 1, 1, [])])
+
+
 def _range(size, a, b):
     lo = a % (size + 1)
     return lo, lo + b % (size - lo + 1)
@@ -94,6 +105,8 @@ def _lockstep(new, old, size, ops, view):
     for line, op in enumerate(ops, 1):
         got = _outcome(new, op, size, tags, line)
         assert got == _outcome(old, op, size, tags, line)
+        if got[0] == "error":
+            _check_focus(new, got[2], got[4])
         if got[0] == "ok" and isinstance(got[1], int) and got[1] not in tags:
             tags.append(got[1])
         assert new.history() == old.history()
@@ -102,6 +115,14 @@ def _lockstep(new, old, size, ops, view):
             assert new.render(off) == old.render(off)
             assert view(new, tags, off) == view(old, tags, off)
         _check_indexes(new)
+
+
+def _check_focus(tracker, message, history):
+    """An error's history is the full one filtered to its tags, which hold the message's and their parents."""
+    involved = {record.tag for record in history}
+    assert history == tuple(record for record in tracker.history() if record.tag in involved)
+    assert {int(n) for n in re.findall(r"tag#(\d+)", message)} <= involved
+    assert all(tracker.created[tag][3] in involved for tag in involved if tag != tracker.root_tag)
 
 
 def _check_indexes(tracker):
@@ -145,6 +166,7 @@ def _stack_view(tracker, tags, off):
 @example(case=_STALE[0])
 @example(case=_STALE[1])
 @example(case=_STALE[2])
+@example(case=_FOCUS)
 def test_tree_tracker_matches_per_byte_oracle(case):
     size, ops = case
     new = make_tracker(TreeBorrowTracker, size)
@@ -160,6 +182,7 @@ def test_tree_tracker_matches_per_byte_oracle(case):
 @example(case=_STALE[0])
 @example(case=_STALE[1])
 @example(case=_STALE[2])
+@example(case=_FOCUS)
 def test_stack_tracker_matches_per_byte_oracle(case):
     size, ops = case
     new = make_tracker(StackedBorrowTracker, size)

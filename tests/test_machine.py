@@ -1456,6 +1456,33 @@ def test_a_1500_deep_reborrow_chain_reports_its_tb_finding():
     assert snapshot[-1] == " " * n + "└─ r1499: Reserved → Frozen"
 
 
+def _wide_bug(n):
+    """n shared reborrows of `x`, each read, then a write through `x` and a read through `s0`."""
+    lines = ["host fn main()", "  let x: i32 = 7"]
+    lines += [f"  let s{i}: &i32 = &x" for i in range(n)]
+    lines += [f"  let v{i}: i32 = *s{i}" for i in range(n)]
+    lines += ["  assert_eq v0 7", "  x = 9", "  let w: i32 = *s0", "end", ""]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "model, kind", [("tb", DiagnosticKind.EXPIRED_PERMISSION), ("sb", DiagnosticKind.ACCESS_OUT_OF_BOUNDS)]
+)
+def test_a_diagnostic_holds_the_tags_it_involves_whatever_the_allocation_tag_count(model, kind):
+    # The read names `s0`, which the write through `x` invalidated: the history
+    # and snapshot describe those two tags, however many siblings `s0` has.
+    sizes = []
+    for n in (40, 400):
+        diag = _expect_bug(_wide_bug(n), kind, model=model).diagnostics[0]
+        assert [record.label for record in diag.permission_history] == ["x", "s0"]
+        sizes.append((
+            len(diag.permission_history),
+            len(diag.tracker_snapshot.splitlines()),
+            len(render_diagnostic(diag).splitlines()),
+        ))
+    assert sizes[0] == sizes[1]
+
+
 # Each of these functions holds an error that its text alone decides. It must be raised only
 # when its statement runs, as it would be if each statement were looked at only then.
 _STATICALLY_BAD = {

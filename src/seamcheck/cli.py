@@ -228,6 +228,8 @@ def _run_corpus(args: argparse.Namespace, fmt: str, model: str) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.steps < 0:
+        parser.error(f"--steps takes a count of 0 or more statements, not {args.steps}")
     if args.diff and args.model not in (None, "both"):
         parser.error("--diff runs both models; it contradicts --model " + args.model)
     if args.corpus is not None and args.scenarios:

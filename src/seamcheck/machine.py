@@ -1,9 +1,12 @@
 """Execution engine: two dialects, one memory, one borrow model per run.
 
 Every host `let` and parameter gets its own stack allocation, with its own alloc id, root tag
-and address, and references are retagged from that tag. An integer or pointer local starts as
-an immediate allocation, which memory reserves: the machine reads and writes its whole value
-until an address reaches it and memory materializes its bytes in place (see `memory`). Foreign
+and address, and references are retagged from that tag. A frame's slot for a local is that
+allocation; the local's base pointer is built from it only where an address is used (a place
+that starts at the local, a read or write of its bytes, a `zeroed` fill), after Miri's
+`force_allocation`, as most locals never have their address taken. An integer or pointer local
+starts as an immediate allocation, which memory reserves: the machine reads and writes its whole
+value until an address reaches it and memory materializes its bytes in place (see `memory`). Foreign
 locals are registers holding the same values: an integer, a pointer, an opaque byte blob, or
 None, which is uninitialized on both sides of the boundary and an error only where it is used.
 
@@ -25,7 +28,12 @@ memory records (see `memory` for its two exceptions). Every call pushes a frame 
 thread. A call across the boundary converts its arguments, and its result when the callee's
 frame pops, through `_convert`, which applies the pairings `translate` checks. Only `spawn`
 creates a thread; the scheduler picks among ready threads with a seeded generator, so a run is
-a deterministic function of (program, config).
+a deterministic function of (program, config). It draws only while two or more threads are
+ready. `_step` runs the scheduled thread's steps in one loop for as long as no other thread
+could be picked: it stops after a step that leaves another thread ready, rebuilds the ready
+list (a thread blocked, finished or woke), empties the thread's frames or uses up the step
+budget, and `run` schedules again. So a run whose threads never overlap draws nothing and
+enters `_step` once per thread switch, not once per step; `steps` still counts every step.
 
 Every borrow, cell pointer, reference-to-raw cast, owned heap value, reference parameter and
 reference-typed `let` or call result gets its tag from one retag path, `_retag`. Host frames
@@ -86,41 +94,32 @@ _UNSIGNED = {1: U8, 2: U16, 4: U32, 8: U64}  # by size in bytes
 
 class _Local:
     """A host local: its slot's index `k` in a frame, its type and layout, and how to move its bytes;
-    an integer or pointer local (`scalar`) is kept whole while memory keeps it immediate."""
+    an integer or pointer local (`scalar`) is kept whole while memory keeps it immediate. A slot is
+    the local's allocation; its base pointer is built where an address is used."""
 
     __slots__ = ("k", "name", "type", "size", "align", "scalar", "read", "write")
 
-    def make(self, m: Machine, f: _Frame) -> _Slot:
+    def make(self, m: Machine, f: _Frame) -> Allocation:
         """Make the local's slot, the next in frame `f`'s list."""
         if self.scalar:
             alloc = m.memory.reserve(self.size, self.align, self.name)
         else:
             alloc = m.memory.allocate(self.size, self.align, AllocOrigin.HOST_STACK, self.name)
-        slot = _Slot(m.memory.base_pointer(alloc), alloc)
-        f.slots.append(slot)
-        return slot
+        f.slots.append(alloc)
+        return alloc
 
     def get(self, m: Machine, f: _Frame) -> Value:
-        slot = f.slots[self.k]
-        if slot.alloc.immediate:
-            return m.memory.load(slot.alloc)
-        return self.read(m, f, slot.pointer)
+        alloc = f.slots[self.k]
+        if alloc.immediate:
+            return m.memory.load(alloc)
+        return self.read(m, f, m.memory.base_pointer(alloc))
 
-    def put(self, m: Machine, slot: _Slot, value: Value, exact: bool = False) -> None:
-        """Store `value` in the local's `slot`; an `exact` value is a scalar of its type already."""
-        if not slot.alloc.immediate:
-            self.write(m, slot.pointer, value)
+    def put(self, m: Machine, alloc: Allocation, value: Value, exact: bool = False) -> None:
+        """Store `value` in the local's slot `alloc`; an `exact` value is a scalar of its type already."""
+        if not alloc.immediate:
+            self.write(m, m.memory.base_pointer(alloc), value)
         elif value is not None:
-            m.memory.store(slot.alloc, value if exact else m._scalar(self.type, value))
-
-
-class _Slot:
-    __slots__ = ("pointer", "alloc", "moved")
-
-    def __init__(self, pointer: PointerValue, alloc: Allocation) -> None:
-        self.pointer = pointer  # base, root tag
-        self.alloc = alloc
-        self.moved = False  # an owned heap value moved out by `heap_into_raw`
+            m.memory.store(alloc, value if exact else m._scalar(self.type, value))
 
 
 class _Code:
@@ -131,13 +130,14 @@ class _Code:
 
 
 class _Frame:
-    __slots__ = ("fn", "code", "pc", "slots", "regs", "handles", "protected", "stack_allocs")
+    __slots__ = ("fn", "code", "pc", "slots", "regs", "handles", "protected", "moved", "stack_allocs")
 
     def __init__(self, fn: FnDef, code: _Code, regs: Optional[dict[str, Value]] = None) -> None:
         self.fn, self.code, self.pc, self.regs = fn, code, 0, regs  # `regs`: foreign registers
-        self.slots: list[_Slot] = []  # host locals, indexed by `_Local.k`
-        self.handles: dict[str, int] = {}
+        self.slots: list[Allocation] = []  # host locals, indexed by `_Local.k`
+        self.handles: Optional[dict[str, int]] = None  # spawned threads' ids, made at the first `spawn`
         self.protected: tuple[tuple[int, int], ...] = ()  # (alloc id, tag)
+        self.moved: tuple[int, ...] = ()  # slots of owned heap values moved out by `heap_into_raw`
         self.stack_allocs: tuple[int, ...] = ()  # foreign `alloca`s
 
 
@@ -314,7 +314,7 @@ class _Lowering:
         # Steps after a pointer local read through it, as if `*` were written.
         if not (place.deref or (steps and isinstance(ty, PtrType))):
             def base(m, f, k=local.k):
-                return f.slots[k].pointer
+                return m.memory.base_pointer(f.slots[k])
         elif not isinstance(ty, PtrType):
             return _fail(ScenarioUnsupported, f"cannot dereference non-pointer local '{place.base}'"), None
         elif ty.kind is PtrKind.OPAQUE:
@@ -364,6 +364,9 @@ class _Lowering:
             if spawn:
                 return lambda m, f, callee=callee, args=args, h=stmt.handle: m._spawn(f, h, callee, args(m, f))
             self._land(None, stmt)
+            if stmt.dest is not None and not assignable(callee.ret, stmt.dest_type):
+                return _fail(ScenarioUnsupported, f"call to '{callee.name}' returns {callee.ret} where "
+                             f"{stmt.dest_type} is expected", after=args)
             return lambda m, f, callee=callee, args=args: m._thread.frames.append(m._host_frame(callee, args(m, f)))
         if isinstance(stmt, JoinStmt):
             return lambda m, f, handle=stmt.handle: m._join(f, handle)
@@ -395,7 +398,9 @@ class _Lowering:
         if isinstance(rhs, ZeroedRhs) or (isinstance(rhs, LiteralRhs) and isinstance(ty, IntType)):
             local = self._local(name, ty)
             if not local.scalar:
-                return lambda m, f, local=local: m.memory.memset(local.make(m, f).pointer, 0, local.size)
+                def zeroed(m, f, local=local):
+                    m.memory.memset(m.memory.base_pointer(local.make(m, f)), 0, local.size)
+                return zeroed
             # A constant, stored whole, as the new local is immediate.
             value = Machine._scalar(ty, getattr(rhs, "value", 0))
             return lambda m, f, local=local, value=value: local.put(m, local.make(m, f), value, True)
@@ -433,7 +438,7 @@ class _Lowering:
                 return _fail(ScenarioUnsupported, f"'{rhs.source}' is not an owned heap value"), False
             def into_raw(m, f, local=local):
                 box = local.get(m, f)
-                f.slots[local.k].moved = True
+                f.moved += (local.k,)
                 return box
             return into_raw, False
         if isinstance(rhs, HeapFromRawRhs):
@@ -737,12 +742,11 @@ class Machine:
                 return Outcome(Classification.TIMEOUT, note="deadlock: every thread is blocked")
             if self.steps >= self.config.steps:
                 return Outcome(Classification.TIMEOUT, note=f"step budget of {self.config.steps} exhausted")
-            self.steps += 1
-            self._thread = thread = ready[self.rng.below(len(ready))] if len(ready) > 1 else ready[0]
+            self._thread = ready[self.rng.below(len(ready))] if len(ready) > 1 else ready[0]
             try:
-                self._step()
+                self._step(ready)
             except UbError as e:
-                return self._bug(e, thread)
+                return self._bug(e, self._thread)
             except ScenarioUnsupported as e:
                 return Outcome(Classification.UNSUPPORTED, note=str(e))
         leaks = tuple(Diagnostic(
@@ -752,14 +756,22 @@ class Machine:
         ) for a in self.memory.leak_report())
         return Outcome(Classification.PASS, leaks=leaks)
 
-    def _step(self) -> None:
-        """Run the running thread's next step, at its line."""
-        frame = self._thread.frames[-1]
-        pc = frame.pc
-        frame.pc = pc + 1
-        code = frame.code
-        self.memory.line = code.lines[pc]
-        code.steps[pc](self, frame)
+    def _step(self, ready: list[_Thread]) -> None:
+        """Run the running thread's steps, each at its line, while nothing else could be scheduled:
+        stop after a step that leaves `ready`, the ready list `run` scheduled from, with more than
+        one thread, rebuilds the ready list, empties the thread's frames or uses up the budget."""
+        frames = self._thread.frames
+        budget = self.config.steps
+        while True:
+            self.steps += 1
+            frame = frames[-1]
+            pc = frame.pc
+            frame.pc = pc + 1
+            code = frame.code
+            self.memory.line = code.lines[pc]
+            code.steps[pc](self, frame)
+            if len(ready) > 1 or ready is not self._ready or not frames or self.steps >= budget:
+                return
 
     def _bug(self, e: UbError, thread: Optional[_Thread]) -> Outcome:
         host_trace, foreign_trace = ((), ()) if thread is None else self._traces(thread)
@@ -810,12 +822,12 @@ class Machine:
         frame = frames[-1]
         slots = frame.slots
         for local in frame.code.owned:
-            if local.k < len(slots) and not slots[local.k].moved:
+            if local.k < len(slots) and local.k not in frame.moved:
                 self.memory.deallocate(local.get(self, frame), "host")
         for alloc_id, tag in frame.protected:
             self.memory.protector_end(alloc_id, tag)
-        for slot in reversed(slots):
-            self.memory.release_stack(slot.alloc.id)
+        for alloc in reversed(slots):
+            self.memory.release_stack(alloc.id)
         for alloc_id in reversed(frame.stack_allocs):
             self.memory.release_stack(alloc_id)
         frames.pop()
@@ -858,10 +870,12 @@ class Machine:
 
     def _spawn(self, frame: _Frame, handle: str, callee: FnDef, args: list[Value]) -> None:
         child = self._spawn_thread(self._host_frame(callee, args), self._traces(self._thread))
+        if frame.handles is None:
+            frame.handles = {}
         frame.handles[handle] = child.id
 
     def _join(self, frame: _Frame, handle: str) -> None:
-        tid = frame.handles.get(handle)
+        tid = None if frame.handles is None else frame.handles.get(handle)
         if tid is None:
             raise ScenarioUnsupported(f"join of unknown handle '{handle}'")
         if self.threads[tid].frames:

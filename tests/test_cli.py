@@ -58,6 +58,16 @@ def test_timeout_exits_three(scenario, capsys):
     assert "step budget" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("steps", ["-1", "-5"])
+def test_negative_step_budget_is_a_usage_error(scenario, capsys, steps):
+    with pytest.raises(SystemExit) as e:
+        main([scenario(_PASS), "--steps", steps])
+    assert e.value.code == 64
+    captured = capsys.readouterr()
+    assert f"--steps takes a count of 0 or more statements, not {steps}" in captured.err
+    assert "step budget" not in captured.out
+
+
 def test_leaks_exit_four(scenario, capsys):
     code = main([scenario(_LEAK)])
     out = capsys.readouterr().out

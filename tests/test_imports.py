@@ -155,28 +155,35 @@ def test_ub_error_details_are_diagnostic_fields():
 
 # The machine keeps its step context as state: the running thread, and `Memory.line`, the line
 # of the statement being run. `_step` sets that line and `_do_return` moves it to the call a
-# result binds at; no `Machine` or `Memory` method takes a line.
+# result binds at; no `Machine` or `Memory` method takes a line. In `machine.py` and `memory.py`
+# every store to an attribute named `line` counts as a write of it, whatever the receiver, so
+# a write through an alias (`memory = self.memory; memory.line = ...`) counts too, as do an
+# augmented assignment and a `setattr` of "line".
 _LINE_WRITERS = {"machine.py:Machine._step", "machine.py:Machine._do_return", "memory.py:Memory.__init__"}
+
+
+def _writes_line(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr == "line" and isinstance(node.ctx, ast.Store)
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("setattr", "__setattr__")
+        and any(isinstance(a, ast.Constant) and a.value == "line" for a in node.args)
+    )
 
 
 def _step_context(path):
     tree = ast.parse(path.read_text(), str(path))
     params, writers = [], set()
     for top in tree.body:
-        for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            owner = top.name if isinstance(top, ast.ClassDef) else None
-            where = f"{path.name}:{owner}.{fn.name}"
-            if owner in ("Machine", "Memory"):
+        owner = top.name if isinstance(top, ast.ClassDef) else None
+        for fn in top.body if owner else [top]:
+            where = f"{path.name}:{owner}.{getattr(fn, 'name', None)}"
+            if owner in ("Machine", "Memory") and isinstance(fn, ast.FunctionDef):
                 args = ast.walk(fn.args)
                 params += [f"{where} (line {a.lineno})" for a in args if getattr(a, "arg", None) == "line"]
-            for node in ast.walk(fn):
-                for t in getattr(node, "targets", [getattr(node, "target", None)]):
-                    if isinstance(t, ast.Attribute) and t.attr == "line" and (
-                        getattr(t.value, "attr", None) == "memory" or owner == "Memory"
-                    ):
-                        writers.add(where)
+            if path.name in ("machine.py", "memory.py") and any(_writes_line(node) for node in ast.walk(fn)):
+                writers.add(where)
     return params, writers
 
 

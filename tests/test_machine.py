@@ -1,5 +1,6 @@
 """Whole-scenario execution: calls, threads, heap ownership, config flags."""
 
+import hashlib
 import re
 
 import pytest
@@ -11,13 +12,15 @@ from seamcheck.diagnostics import (
     Outcome,
     TagEvent,
     TraceFrame,
+    json_dumps,
     render_diagnostic,
 )
 from seamcheck import machine as machine_module
 from seamcheck.machine import Machine, MachineConfig, run_program
 from seamcheck.memory import GUARD_GAP, AllocOrigin
 from seamcheck.parser import parse_text
-from seamcheck.runner import exit_code
+from seamcheck.rng import Xoshiro256
+from seamcheck.runner import exit_code, single_report
 
 from conftest import bench_workloads
 
@@ -212,13 +215,10 @@ end
     assert len(machine.threads) == 1
 
 
-def test_boundary_calls_interleave_with_other_threads():
-    # Two workers and main each load and store through p; main then writes
-    # to x, which invalidates p. Under sb a load through p after that write
-    # fails, so a failing store needs the write to land between a worker's
-    # load and its store, inside the foreign call.
-    program = parse_text(
-        """
+# Two workers and main each load and store through p; main then writes to x, which
+# invalidates p. Under sb a load through p after that write fails, so a failing store
+# needs the write to land between a worker's load and its store, inside the foreign call.
+_RACE = """
 bind bump = c_bump(*mut i32)
 
 foreign fn c_bump(p: ptr)
@@ -242,7 +242,37 @@ host fn main()
   join b
 end
 """
-    )
+
+# Each worker reborrows p as q, spawns a leaf that writes through p, then reads through q;
+# main writes through r between its joins. Whether a write lands between a reborrow and its
+# read, and on which thread the error shows, depends on the interleaving.
+_SPAWN_JOIN = """
+host fn leaf(p: *mut i32)
+  *p = 3
+end
+
+host fn worker(p: *mut i32)
+  let q: &i32 = &*p
+  spawn c = leaf(p)
+  let v: i32 = *q
+  join c
+end
+
+host fn main()
+  let x: i32 = 0
+  let r: &mut i32 = &mut x
+  let p: *mut i32 = r as *mut i32
+  spawn a = worker(p)
+  spawn b = worker(p)
+  join a
+  *r = 5
+  join b
+end
+"""
+
+
+def test_boundary_calls_interleave_with_other_threads():
+    program = parse_text(_RACE)
     tb = [run_program(program, MachineConfig(seed=s)) for s in range(64)]
     assert {o.classification for o in tb} == {Classification.PASS, Classification.BUG}
     sb = [run_program(program, MachineConfig(model="sb", seed=s)) for s in range(64)]
@@ -250,6 +280,92 @@ end
         o.diagnostics and o.diagnostics[0].foreign_trace[0].statement == "store i32 p v"
         for o in sb
     )
+
+
+# The scheduler draws from the seeded generator only while two or more threads are ready, so
+# which thread runs each step, and so every report, is a function of (program, seed). These
+# digests pin the reports of seeds 0-63, so a rewrite of the scheduler that moves any draw,
+# step or report byte fails here.
+@pytest.mark.parametrize(
+    "scenario, model, expected",
+    [
+        ("race", "tb", "d7159797d4ab0e7d"),
+        ("race", "sb", "0fe3235d0fb6fd27"),
+        ("spawn-join", "tb", "a7b8e55835170bee"),
+        ("spawn-join", "sb", "7149ad73b4863180"),
+    ],
+)
+def test_reports_of_every_seed_are_pinned(scenario, model, expected):
+    program = parse_text(_RACE if scenario == "race" else _SPAWN_JOIN, scenario)
+    digest = hashlib.sha256()
+    for seed in range(64):
+        config = MachineConfig(model=model, seed=seed)
+        digest.update(json_dumps(single_report(program, config, run_program(program, config))).encode())
+    assert digest.hexdigest()[:16] == expected
+
+
+_CALLBACK_TWICE = """
+bind drive = c_drive(*mut u32) -> u32
+
+foreign fn c_drive(p: ptr) -> u32
+  let r = call bump(p)
+  let s = call bump(p)
+  return s
+end
+
+host fn bump(q: *mut u32) -> u32
+  *q = 5
+  return 6
+end
+
+host fn main()
+  let x: u32 = 0
+  let xp: *mut u32 = &raw mut x
+  let got: u32 = call drive(xp)
+  assert_eq got 6
+end
+"""
+
+# main ends while the spinning thread is still ready, so every step of main but its first
+# is taken with two threads ready.
+_TWO_READY = """
+host fn spin()
+  let a: i32 = 1
+  let b: i32 = 2
+  let c: i32 = 3
+  let d: i32 = 4
+  let e: i32 = 5
+  let f: i32 = 6
+end
+
+host fn main()
+  spawn h = spin()
+  let x: i32 = 1
+  let y: i32 = 2
+  let z: i32 = 3
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "text, seed, needed",
+    [(_CALLBACK_TWICE, 0, 12), (_TWO_READY, 0, 5), (_TWO_READY, 5, 11)],
+    ids=["callback", "two-ready-seed-0", "two-ready-seed-5"],
+)
+def test_a_run_passes_with_exactly_the_steps_it_needs(text, seed, needed):
+    program = parse_text(text)
+    exact = Machine(program, MachineConfig(seed=seed, steps=needed))
+    assert exact.run().classification is Classification.PASS
+    assert exact.steps == needed
+    short = Machine(program, MachineConfig(seed=seed, steps=needed - 1))
+    assert short.run() == Outcome(Classification.TIMEOUT, note=f"step budget of {needed - 1} exhausted")
+    assert short.steps == needed - 1
+
+
+def test_a_lone_ready_thread_draws_nothing_from_the_scheduler():
+    machine = Machine(parse_text(_CALLBACK_TWICE), MachineConfig(seed=7))
+    assert machine.run().classification is Classification.PASS
+    assert machine.rng.next_u64() == Xoshiro256(7).next_u64()
 
 
 def test_argument_count_mismatch_is_invalid_binding():
@@ -1068,13 +1184,13 @@ end
 
 
 _CALL_RESULT_REFERENCE = """
-host fn id(p: *mut i32) -> *mut i32
+host fn id(p: &mut i32) -> &mut i32
   return p
 end
 
 host fn main()
   let x: i32 = 0
-  let q: *mut i32 = &raw mut x
+  let q: &mut i32 = &mut x
   let r: &mut i32 = call id(q)
   let s: &mut i32 = &mut x
   *s = 1
@@ -1553,3 +1669,71 @@ host fn main()
 end
 """
     ) == Outcome(Classification.PASS)
+
+
+# A host call's result is checked against its destination's type as an argument is against
+# its parameter's: a result that is not assignable is Rust's mismatched types, so the run is
+# `unsupported` once the arguments are evaluated, and the callee never runs.
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize(
+    "dest, ret, found",
+    [
+        ("r: &mut i32", " -> i32", "i32"),  # was an access-out-of-bounds through address 300
+        ("x: u8", " -> i32", "i32"),  # was 300 wrapped to 44
+        ("y: unit", " -> i32", "i32"),  # was the value dropped
+        ("z: i32", "", "unit"),  # was an uninitialized local
+    ],
+)
+def test_a_host_call_result_of_another_type_is_unsupported(model, dest, ret, found):
+    outcome = _run(
+        f"""
+host fn f(){ret}
+  return 300
+end
+
+host fn main()
+  let {dest} = call f()
+end
+""",
+        model=model,
+    )
+    want = dest.split(": ")[1]
+    assert outcome == Outcome(Classification.UNSUPPORTED, note=f"call to 'f' returns {found} where {want} is expected")
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_a_mismatched_host_call_evaluates_its_arguments_first(model):
+    outcome = _expect_bug(
+        """
+host fn f(a: i32) -> i32
+  return a
+end
+
+host fn main()
+  let u: i32 = uninit
+  let x: u8 = call f(u)
+end
+""",
+        DiagnosticKind.UNINITIALIZED_READ,
+        model=model,
+    )
+    assert outcome.diagnostics[0].host_trace[0].statement == "let x: u8 = call f(u)"
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("dest", ["p: *mut i32", "p: *const i32", "p: &mut i32", "p: ptr"])
+def test_a_host_call_result_that_decays_is_assignable(model, dest):
+    assert _run(
+        f"""
+host fn f(q: &mut i32) -> &mut i32
+  return q
+end
+
+host fn main()
+  let x: i32 = 1
+  let r: &mut i32 = &mut x
+  let {dest} = call f(r)
+end
+""",
+        model=model,
+    ).classification is Classification.PASS

@@ -81,6 +81,8 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.model not in ("tb", "sb"):
             raise ValueError(f"unknown borrow model: {self.model!r}")
+        if self.steps < 0:
+            raise ValueError(f"a step budget is a count of 0 or more statements, not {self.steps}")
         if self.zero_init_foreign:
             # Zeroed memory has no uninitialized reads to be permissive about; the modes are exclusive.
             self.permissive_foreign_loads = False
@@ -135,7 +137,7 @@ class _Frame:
     def __init__(self, fn: FnDef, code: _Code, regs: Optional[dict[str, Value]] = None) -> None:
         self.fn, self.code, self.pc, self.regs = fn, code, 0, regs  # `regs`: foreign registers
         self.slots: list[Allocation] = []  # host locals, indexed by `_Local.k`
-        self.handles: Optional[dict[str, int]] = None  # spawned threads' ids, made at the first `spawn`
+        self.handles: dict[str, int] = {}
         self.protected: tuple[tuple[int, int], ...] = ()  # (alloc id, tag)
         self.moved: tuple[int, ...] = ()  # slots of owned heap values moved out by `heap_into_raw`
         self.stack_allocs: tuple[int, ...] = ()  # foreign `alloca`s
@@ -870,12 +872,10 @@ class Machine:
 
     def _spawn(self, frame: _Frame, handle: str, callee: FnDef, args: list[Value]) -> None:
         child = self._spawn_thread(self._host_frame(callee, args), self._traces(self._thread))
-        if frame.handles is None:
-            frame.handles = {}
         frame.handles[handle] = child.id
 
     def _join(self, frame: _Frame, handle: str) -> None:
-        tid = None if frame.handles is None else frame.handles.get(handle)
+        tid = frame.handles.get(handle)
         if tid is None:
             raise ScenarioUnsupported(f"join of unknown handle '{handle}'")
         if self.threads[tid].frames:

@@ -7,6 +7,8 @@ statement or right-hand side form it has."""
 import ast
 from dataclasses import fields
 
+import pytest
+
 from seamcheck.diagnostics import Diagnostic
 
 from conftest import REPO_ROOT
@@ -158,22 +160,34 @@ def test_ub_error_details_are_diagnostic_fields():
 # result binds at; no `Machine` or `Memory` method takes a line. In `machine.py` and `memory.py`
 # every store to an attribute named `line` counts as a write of it, whatever the receiver, so
 # a write through an alias (`memory = self.memory; memory.line = ...`) counts too, as do an
-# augmented assignment and a `setattr` of "line".
+# augmented assignment and a `setattr` of "line". In every other module a store to
+# `<x>.memory.line`, or to `line` inside a class `Memory`, counts.
 _LINE_WRITERS = {"machine.py:Machine._step", "machine.py:Machine._do_return", "memory.py:Memory.__init__"}
 
 
-def _writes_line(node):
+def _line_receiver(node):
+    """The object whose `line` `node` stores to, or None if `node` stores no `line`."""
     if isinstance(node, ast.Attribute):
-        return node.attr == "line" and isinstance(node.ctx, ast.Store)
-    return (
+        return node.value if node.attr == "line" and isinstance(node.ctx, ast.Store) else None
+    if (
         isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("setattr", "__setattr__")
         and any(isinstance(a, ast.Constant) and a.value == "line" for a in node.args)
+    ):
+        return node.args[0] if isinstance(node.func, ast.Name) else node.func.value
+    return None
+
+
+def _writes_line(node, path, owner):
+    receiver = _line_receiver(node)
+    return receiver is not None and (
+        path.name in ("machine.py", "memory.py") or owner == "Memory"
+        or getattr(receiver, "attr", None) == "memory"
     )
 
 
-def _step_context(path):
-    tree = ast.parse(path.read_text(), str(path))
+def _step_context(path, source=None):
+    tree = ast.parse(path.read_text() if source is None else source, str(path))
     params, writers = [], set()
     for top in tree.body:
         owner = top.name if isinstance(top, ast.ClassDef) else None
@@ -182,7 +196,7 @@ def _step_context(path):
             if owner in ("Machine", "Memory") and isinstance(fn, ast.FunctionDef):
                 args = ast.walk(fn.args)
                 params += [f"{where} (line {a.lineno})" for a in args if getattr(a, "arg", None) == "line"]
-            if path.name in ("machine.py", "memory.py") and any(_writes_line(node) for node in ast.walk(fn)):
+            if any(_writes_line(node, path, owner) for node in ast.walk(fn)):
                 writers.add(where)
     return params, writers
 
@@ -191,3 +205,25 @@ def test_step_context_is_state_not_a_parameter():
     found = [_step_context(path) for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py"))]
     assert [p for params, _ in found for p in params] == []
     assert set().union(*(writers for _, writers in found)) == _LINE_WRITERS
+
+
+@pytest.mark.parametrize(
+    "name, source, writer",
+    [
+        ("machine.py", "class Machine:\n    def run(self):\n        memory = self.memory\n        memory.line = 0\n",
+         "machine.py:Machine.run"),
+        ("machine.py", "class Machine:\n    def run(self):\n        m = self.memory\n        m.line += 1\n",
+         "machine.py:Machine.run"),
+        ("memory.py", "def reset(m):\n    setattr(m, 'line', 0)\n", "memory.py:None.reset"),
+        ("runner.py", "def go(machine):\n    machine.memory.line = 0\n", "runner.py:None.go"),
+        ("cli.py", "def go(machine):\n    setattr(machine.memory, 'line', 0)\n", "cli.py:None.go"),
+        ("tracking.py", "class Memory:\n    def reset(self):\n        self.line = 0\n", "tracking.py:Memory.reset"),
+    ],
+)
+def test_step_context_lint_sees_each_line_write(name, source, writer):
+    assert _step_context(REPO_ROOT / "src" / "seamcheck" / name, source) == ([], {writer})
+
+
+def test_step_context_lint_ignores_other_lines_outside_machine_and_memory():
+    source = "def show(report):\n    report.line = 3\n    setattr(report, 'line', 3)\n"
+    assert _step_context(REPO_ROOT / "src" / "seamcheck" / "reports.py", source) == ([], set())

@@ -823,6 +823,12 @@ def test_invalid_model_rejected():
         MachineConfig(model="nope")
 
 
+def test_negative_step_budget_rejected():
+    with pytest.raises(ValueError, match="not -5"):
+        MachineConfig(steps=-5)
+    assert MachineConfig(steps=0).steps == 0
+
+
 _RETAG_FREED = """
 bind make = c_make() -> *mut i32
 

@@ -7,6 +7,13 @@ parser's grammar, not here.
 
 Equality is structural and ignores source positions so that a parsed program
 compares equal to the parse of its own rendering.
+
+Statements, right-hand sides and places are mutable slotted records, the
+cheapest a parse can build: they compare structurally, are never hashed, and
+nothing writes them after parsing. Types stay frozen and hashable, as layout
+memos key on them, and the parser interns each one once per parse (see
+`parser`); operands are plain ints and strings, and function, binding and
+program records stay frozen.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ class Dialect(enum.Enum):
     FOREIGN = "foreign"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Place:
     """A path to a memory location: optional deref, then field/index steps.
 
@@ -50,81 +57,81 @@ Operand = Union[int, str]  # integer literal or local name
 # ---- right-hand sides for `let` ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LiteralRhs:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UninitRhs:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ZeroedRhs:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlaceRhs:
     place: Place
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BorrowRhs:
     kind: PtrKind  # of the pointer the borrow makes; never OPAQUE
     place: Place
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CastRhs:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OffsetRhs:
     source: str
     count: Operand  # element count, scaled by pointee size
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CellGetRhs:
     place: Place
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HeapNewRhs:
     type: TypeDesc
     init: Optional[Union[int, str]] = None  # literal, "zeroed", or None for uninit
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HeapIntoRawRhs:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HeapFromRawRhs:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LoadRhs:
     type: TypeDesc
     pointer: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MallocRhs:
     size: Operand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AllocaRhs:
     size: Operand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GepRhs:
     pointer: str
     offset: Operand  # byte offset
@@ -152,19 +159,19 @@ Rhs = Union[
 # ---- statements --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Stmt:
     line: int = field(compare=False, kw_only=True, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LetStmt(Stmt):
     name: str
     type: Optional[TypeDesc]  # None in foreign code, whose locals are untyped registers
     rhs: Rhs
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WriteStmt(Stmt):
     """`PLACE = operand`, a typed write through the place's tag."""
 
@@ -172,7 +179,7 @@ class WriteStmt(Stmt):
     value: Operand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StoreStmt(Stmt):
     """Foreign `store TYPE ptr value`."""
 
@@ -181,7 +188,7 @@ class StoreStmt(Stmt):
     value: Operand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CallStmt(Stmt):
     callee: str  # binding name for foreign targets, function name for host
     args: tuple[Operand, ...]
@@ -189,47 +196,47 @@ class CallStmt(Stmt):
     dest_type: Optional[TypeDesc] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpawnStmt(Stmt):
     handle: str
     callee: str
     args: tuple[Operand, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JoinStmt(Stmt):
     handle: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReturnStmt(Stmt):
     value: Optional[Operand] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AssertEqStmt(Stmt):
     left: Operand
     right: Operand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AssumeInitStmt(Stmt):
     place: Place
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FreeStmt(Stmt):
     pointer: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemsetStmt(Stmt):
     pointer: str
     value: Operand
     size: Operand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemcpyStmt(Stmt):
     dest: str
     src: str

@@ -10,17 +10,20 @@ value until an address reaches it and memory materializes its bytes in place (se
 locals are registers holding the same values: an integer, a pointer, an opaque byte blob, or
 None, which is uninitialized on both sides of the boundary and an error only where it is used.
 
-A function is lowered when its first frame is made, into one step per statement plus one for
-the implicit return (`_Lowering`). Lowering resolves what the text fixes: each host local as an
-index into its frame's slot list, with its type and layout; each place as a byte offset and a
-result type; each call's callee and argument checks; each binding's `plan_call` result, once per
-binding; and what a call does with its result when the callee's frame pops. The lowered code
-hangs off its `ScenarioProgram`, so every run of a program, both runs of a `--diff` included,
-shares it, and none outlives it. Steps look memory, tracker, `translate` and `types` functions
-up when they run. Lowering never raises: an error the text decides, such as an unknown local,
-a field step on a non-struct, or an argument count or binding that does not match, becomes a
-step that raises it when its statement runs, after the same side effects, so a scenario that
-never reaches a bad line keeps its outcome.
+A function is lowered when its first frame is made, into one step per statement plus one for the
+implicit return (`_Lowering`). Lowering dispatches by table on a statement's class, one table
+per dialect, and a `let` on its right-hand side's class, so no chain of `isinstance` tests runs
+per statement. Lowering resolves what the text fixes: each host local as an index into its
+frame's slot list, with its type and layout; each place as a byte offset and a result type; each
+call's callee, and the type checks of every value that lands in a typed slot (an argument, a
+call's result, a `return`); each binding's `plan_call` result, once per binding; and what a call
+does with its result when the callee's frame pops. The lowered code hangs off its
+`ScenarioProgram`, so every run of a program, both runs of a `--diff` included, shares it, and
+none outlives it. Steps look memory, tracker, `translate` and `types` functions up when they
+run. Lowering never raises: an error the text decides, such as an unknown local, a field step on
+a non-struct, or an argument count or binding that does not match, becomes a step that raises it
+when its statement runs, after the same side effects, so a scenario that never reaches a bad
+line keeps its outcome.
 
 The step context is state, after Miri's active thread and current span: `run` records the
 thread it schedules as `_thread`, and `_step` sets `Memory.line`, which stamps every event
@@ -51,7 +54,7 @@ from .ir import (
     AllocaRhs, AssertEqStmt, AssumeInitStmt, BorrowRhs, CallStmt, CastRhs, CellGetRhs, Dialect, FnDef,
     FreeStmt, GepRhs, HeapFromRawRhs, HeapIntoRawRhs, HeapNewRhs, JoinStmt, LetStmt, LiteralRhs, LoadRhs,
     MallocRhs, MemcpyStmt, MemsetStmt, OffsetRhs, Operand, Place, PlaceRhs, ReturnStmt, ScenarioProgram,
-    SpawnStmt, Stmt, StoreStmt, UninitRhs, WriteStmt, ZeroedRhs,
+    SpawnStmt, StoreStmt, UninitRhs, WriteStmt, ZeroedRhs,
 )
 from .memory import Allocation, AllocOrigin, Blob, Memory, PointerValue, ScenarioUnsupported, UbError, no_provenance
 from .parser import render_stmt
@@ -172,7 +175,9 @@ class _Lowering:
     """What a program's text fixes, worked out on first need and shared by every run of it.
 
     A step is a function of (machine, frame) that takes what lowering resolved as default arguments.
-    While a function is lowered, `env` maps each host local's name to the `_Local` it names there."""
+    A statement is lowered by the entry for its class in its dialect's table, a `let` by the entry
+    for its right-hand side's class (the tables close the class body). While a function is lowered,
+    `env` maps each host local's name to the `_Local` it names there and `ret` is its return type."""
 
     def __init__(self, program: ScenarioProgram) -> None:
         self.program = program
@@ -191,12 +196,15 @@ class _Lowering:
 
     def _lower(self, fn: FnDef) -> _Code:
         self.env: dict[str, _Local] = {}
-        self.nlocals, self.owned, self.lands = 0, [], {}
+        self.nlocals, self.owned, self.lands, self.ret = 0, [], {}, fn.ret
         code, host = _Code(), fn.dialect is Dialect.HOST
         code.params = [self._param(p.name, p.type) for p in fn.params] if host else []
         self.steps = code.steps = []  # a call's result lands by its step's index
+        table = self.HOST_STMTS if host else self.FOREIGN_STMTS
         for stmt in fn.body:
-            self.steps.append(self._host(stmt) if host else self._foreign(stmt))
+            lower = table.get(type(stmt))
+            self.steps.append(_fail(ScenarioUnsupported, f"statement not executable in {fn.dialect.value} code: "
+                                    f"{stmt!r}") if lower is None else lower(self, stmt))
         code.steps.append(_return_nothing)
         code.lines = [s.line for s in fn.body] + [fn.body[-1].line if fn.body else fn.line]
         code.lands, code.owned = self.lands, self.owned[::-1]
@@ -283,6 +291,19 @@ class _Lowering:
             return _fail(ScenarioUnsupported, f"unknown local '{op}'"), None
         return local.get, local.type
 
+    def _typed(self, get: Step, ty: Optional[TypeDesc], want: TypeDesc, what: str) -> Step:
+        """`get`, a value of static type `ty` that lands where a `want` is declared: an argument, a call's
+        result or a `return`. A `ty` that is not assignable to `want` is Rust's mismatched types, so the
+        step evaluates `get` and then raises `unsupported`; None, an unknown local's, leaves that to `get`."""
+        if ty is None or assignable(ty, want):
+            return get
+        return _fail(ScenarioUnsupported, f"{what} {ty} where {want} is expected", after=get)
+
+    def _typed_operand(self, op: Operand, want: TypeDesc, what: str) -> Step:
+        """A host operand landing where a `want` is declared; a literal lands in any slot but a unit's."""
+        get, ty = self._operand(op)
+        return self._typed(get, None if isinstance(op, int) and not isinstance(want, UnitType) else ty, want, what)
+
     def _walk(self, ty: TypeDesc, steps: tuple) -> tuple[int, TypeDesc, Optional[Callable]]:
         """(offset, type) of `steps` from a `ty` place, and `fail(ptr)` for a step that cannot be taken."""
         off = 0
@@ -345,36 +366,40 @@ class _Lowering:
             return make(ty, lambda m, f: ptr)(m, f)
         return dynamic, None
 
-    def _host(self, stmt: Stmt) -> Step:
-        if isinstance(stmt, LetStmt):
-            return self._let(stmt)
-        if isinstance(stmt, WriteStmt):
-            return self._write(stmt)
-        if isinstance(stmt, AssumeInitStmt):
-            return self._at_place(stmt.place, lambda ty, at: lambda m, f, at=at, size=self.layout(ty).size: (
-                m.memory.assume_init(at(m, f), size)
-            ))[0]
-        if isinstance(stmt, AssertEqStmt):
-            (left, _), (right, _) = self._operand(stmt.left), self._operand(stmt.right)
-            return lambda m, f, left=left, right=right: m._assert_eq(left(m, f), right(m, f))
-        if isinstance(stmt, (CallStmt, SpawnStmt)):
-            binding = self.program.bindings_by_name.get(stmt.callee)
-            if isinstance(stmt, CallStmt) and binding is not None:
-                return self._bound_call(stmt, binding)
-            callee, spawn = self.program.function(stmt.callee), isinstance(stmt, SpawnStmt)
-            args = self._args(stmt.args, callee, "spawn of" if spawn else "call to")
-            if spawn:
-                return lambda m, f, callee=callee, args=args, h=stmt.handle: m._spawn(f, h, callee, args(m, f))
-            self._land(None, stmt)
-            if stmt.dest is not None and not assignable(callee.ret, stmt.dest_type):
-                return _fail(ScenarioUnsupported, f"call to '{callee.name}' returns {callee.ret} where "
-                             f"{stmt.dest_type} is expected", after=args)
-            return lambda m, f, callee=callee, args=args: m._thread.frames.append(m._host_frame(callee, args(m, f)))
-        if isinstance(stmt, JoinStmt):
-            return lambda m, f, handle=stmt.handle: m._join(f, handle)
-        if isinstance(stmt, ReturnStmt):
-            return _return(None if stmt.value is None else self._operand(stmt.value)[0])
-        return _fail(ScenarioUnsupported, f"statement not executable in host code: {stmt!r}")
+    # ---- host statements, by class (`HOST_STMTS`) ----------------------------
+
+    def _assume_init(self, stmt: AssumeInitStmt) -> Step:
+        return self._at_place(stmt.place, lambda ty, at: lambda m, f, at=at, size=self.layout(ty).size: (
+            m.memory.assume_init(at(m, f), size)
+        ))[0]
+
+    def _assert_eq(self, stmt: AssertEqStmt) -> Step:
+        (left, _), (right, _) = self._operand(stmt.left), self._operand(stmt.right)
+        return lambda m, f, left=left, right=right: m._assert_eq(left(m, f), right(m, f))
+
+    def _call(self, stmt: CallStmt) -> Step:
+        binding = self.program.bindings_by_name.get(stmt.callee)
+        if binding is not None:
+            return self._bound_call(stmt, binding)
+        callee = self.program.function(stmt.callee)
+        args = self._args(stmt.args, callee, "call to")
+        self._land(None, stmt)
+        if stmt.dest is not None:
+            args = self._typed(args, callee.ret, stmt.dest_type, f"call to '{callee.name}' returns")
+        return lambda m, f, callee=callee, args=args: m._thread.frames.append(m._host_frame(callee, args(m, f)))
+
+    def _spawn(self, stmt: SpawnStmt) -> Step:
+        callee = self.program.function(stmt.callee)
+        args = self._args(stmt.args, callee, "spawn of")
+        return lambda m, f, callee=callee, args=args, h=stmt.handle: m._spawn(f, h, callee, args(m, f))
+
+    def _join(self, stmt: JoinStmt) -> Step:
+        return lambda m, f, handle=stmt.handle: m._join(f, handle)
+
+    def _host_return(self, stmt: ReturnStmt) -> Step:
+        if stmt.value is None:
+            return _return_nothing
+        return _return(self._typed_operand(stmt.value, self.ret, "return of type"))
 
     def _write(self, stmt: WriteStmt) -> Step:
         place, op = stmt.place, stmt.value
@@ -396,76 +421,76 @@ class _Lowering:
         return lambda m, f, local=local, get=get: local.put(m, f.slots[local.k], get(m, f))
 
     def _let(self, stmt: LetStmt) -> Step:
-        rhs, ty, name = stmt.rhs, stmt.type, stmt.name
-        if isinstance(rhs, ZeroedRhs) or (isinstance(rhs, LiteralRhs) and isinstance(ty, IntType)):
-            local = self._local(name, ty)
-            if not local.scalar:
-                def zeroed(m, f, local=local):
-                    m.memory.memset(m.memory.base_pointer(local.make(m, f)), 0, local.size)
-                return zeroed
-            # A constant, stored whole, as the new local is immediate.
-            value = Machine._scalar(ty, getattr(rhs, "value", 0))
-            return lambda m, f, local=local, value=value: local.put(m, local.make(m, f), value, True)
-        # Evaluate first, so the slot's root tag is numbered after any tag the right-hand side creates.
-        get, exact = self._rhs(stmt)
-        local = self._local(name, ty)
-        if isinstance(rhs, (HeapNewRhs, HeapFromRawRhs)):
+        lower = self.HOST_RHS.get(type(stmt.rhs))
+        if lower is None:
+            return _fail(ScenarioUnsupported, f"host let cannot evaluate {type(stmt.rhs).__name__}")
+        return lower(self, stmt)
+
+    # ---- host right-hand sides, by class (`HOST_RHS`): each lowers its whole `let` ----
+
+    def _assign(self, stmt: LetStmt, get: Step, exact: bool = False, owned: bool = False) -> Step:
+        """A `let` of `get`'s value, lowered before the local is made so that a name in the right-hand side
+        means the earlier local; `exact` as for `_Local.put`, and `owned` for an owned heap value."""
+        local = self._local(stmt.name, stmt.type)
+        if owned:
             self.owned.append(local)
         def let(m, f, get=get, local=local, exact=exact):
-            value = get(m, f)
+            value = get(m, f)  # first, so the slot's root tag is numbered after any tag the value creates
             local.put(m, local.make(m, f), value, exact)
         return let
 
-    def _rhs(self, stmt: LetStmt) -> tuple[Step, bool]:
-        """The value a host `let` binds, and whether it is a scalar of the local's integer type already."""
-        rhs, ty, name = stmt.rhs, stmt.type, stmt.name
-        if isinstance(rhs, PlaceRhs):
-            get, src = self._copy(rhs.place, ty, name)
-            return self._bound(get, ty, name), src == ty and isinstance(ty, IntType)
-        if isinstance(rhs, (BorrowRhs, CellGetRhs)):
-            return self._retagged(rhs.place, name, "cell" if isinstance(rhs, CellGetRhs) else rhs.kind.value), False
-        if isinstance(rhs, UninitRhs):
-            return (lambda m, f: None), False
-        if isinstance(rhs, LiteralRhs):
-            return self._bound(lambda m, f, value=rhs.value: value, ty, name), False
-        if isinstance(rhs, CastRhs):
-            return self._cast(*self._operand(rhs.source), ty, name), False
-        if isinstance(rhs, OffsetRhs):
-            return self._offset(rhs), False
-        if isinstance(rhs, HeapNewRhs):
-            return self._heap_new(rhs, name), False
-        if isinstance(rhs, HeapIntoRawRhs):
-            local = self.env.get(rhs.source)
-            if local not in self.owned:
-                return _fail(ScenarioUnsupported, f"'{rhs.source}' is not an owned heap value"), False
-            def into_raw(m, f, local=local):
-                box = local.get(m, f)
-                f.moved += (local.k,)
-                return box
-            return into_raw, False
-        if isinstance(rhs, HeapFromRawRhs):
-            get = self._operand(rhs.source)[0]
-            layout = self.layout(ty.pointee) if isinstance(ty, PtrType) and ty.pointee is not None else None
-            return (lambda m, f, get=get, layout=layout, name=name: m._from_raw(get(m, f), layout, name)), False
-        return _fail(ScenarioUnsupported, f"host let cannot evaluate {type(rhs).__name__}"), False
+    def _constant(self, stmt: LetStmt, value: int) -> Step:
+        """A `let` of an integer constant, stored whole as the new local is immediate; a zeroed aggregate
+        is filled in memory."""
+        local = self._local(stmt.name, stmt.type)
+        if not local.scalar:
+            def zeroed(m, f, local=local):
+                m.memory.memset(m.memory.base_pointer(local.make(m, f)), 0, local.size)
+            return zeroed
+        value = Machine._scalar(stmt.type, value)
+        return lambda m, f, local=local, value=value: local.put(m, local.make(m, f), value, True)
 
-    def _copy(self, place: Place, ty: TypeDesc, name: str) -> tuple[Step, Optional[TypeDesc]]:
-        """A host place's value, and its type, which None leaves to run time."""
+    def _zeroed(self, stmt: LetStmt) -> Step:
+        return self._constant(stmt, 0)
+
+    def _literal(self, stmt: LetStmt) -> Step:
+        ty, value = stmt.type, stmt.rhs.value
+        if isinstance(ty, IntType):
+            return self._constant(stmt, value)
+        return self._assign(stmt, self._bound(lambda m, f, value=value: value, ty, stmt.name))
+
+    def _uninit(self, stmt: LetStmt) -> Step:
+        return self._assign(stmt, lambda m, f: None)
+
+    def _copy(self, stmt: LetStmt) -> Step:
+        """A `let` of a host place's value; where the source's type is known only at run time, so is
+        the load's."""
+        place, ty, name = stmt.rhs.place, stmt.type, stmt.name
         if not (place.deref or place.steps):
-            return self._operand(place.base)
-        base = self.env.get(place.base)
-        if not (place.deref and base is not None and isinstance(base.type, PtrType)) or base.type.pointee:
-            return self._at_place(place, self._read_at)
-        want = self.layout(ty).size
-        def load(src, at):  # through an untyped pointer, so `src` is known only at run time
-            if src.size != want:
-                return _fail(UbError, DiagnosticKind.INVALID_BINDING, f"load through untyped pointer '{place.base}' "
-                             f"resolves to {src.size} bytes, destination '{name}' holds {want}", after=at)
-            return self._read_at(src, at)
-        return self._at_place(place, load)
+            get, src = self._operand(place.base)
+        else:
+            base = self.env.get(place.base)
+            if not (place.deref and base is not None and isinstance(base.type, PtrType)) or base.type.pointee:
+                get, src = self._at_place(place, self._read_at)
+            else:
+                want = self.layout(ty).size
+                def load(src, at):  # through an untyped pointer, so `src` is known only at run time
+                    if src.size != want:
+                        return _fail(UbError, DiagnosticKind.INVALID_BINDING, f"load through untyped pointer "
+                                     f"'{place.base}' resolves to {src.size} bytes, destination '{name}' holds "
+                                     f"{want}", after=at)
+                    return self._read_at(src, at)
+                get, src = self._at_place(place, load)
+        return self._assign(stmt, self._bound(get, ty, name), src == ty and isinstance(ty, IntType))
 
     def _read_at(self, ty: TypeDesc, at: Step) -> Step:
         return lambda m, f, at=at, read=self._movers(ty)[0]: read(m, f, at(m, f))
+
+    def _borrow(self, stmt: LetStmt) -> Step:
+        return self._assign(stmt, self._retagged(stmt.rhs.place, stmt.name, stmt.rhs.kind.value))
+
+    def _cell_get(self, stmt: LetStmt) -> Step:
+        return self._assign(stmt, self._retagged(stmt.rhs.place, stmt.name, "cell"))
 
     def _retagged(self, place: Place, name: str, kind: str) -> Step:
         """A borrow of `place` as a `kind` pointer, or for "cell" a `.get()` of it."""
@@ -478,7 +503,8 @@ class _Lowering:
                 m._retag(at(m, f), pointee, kind, name))
         return self._at_place(place, retag)[0]
 
-    def _heap_new(self, rhs: HeapNewRhs, name: str) -> Step:
+    def _heap_new(self, stmt: LetStmt) -> Step:
+        rhs, name = stmt.rhs, stmt.name
         def heap_new(m, f, layout=self.layout(rhs.type), init=rhs.init, name=name,
                      write=self._movers(rhs.type)[1] if isinstance(rhs.init, int) else None):
             alloc = m.memory.allocate(layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{name} (alloc)")
@@ -488,9 +514,30 @@ class _Lowering:
             elif write is not None:
                 write(m, base, init)
             return m._retag(base, layout, "mutable-ref", name) if m.config.unique_as_mutable else base
-        return heap_new
+        return self._assign(stmt, heap_new, owned=True)
 
-    def _cast(self, get: Step, src: Optional[TypeDesc], target: TypeDesc, label: str) -> Step:
+    def _into_raw(self, stmt: LetStmt) -> Step:
+        source = stmt.rhs.source
+        local = self.env.get(source)
+        if local not in self.owned:
+            return self._assign(stmt, _fail(ScenarioUnsupported, f"'{source}' is not an owned heap value"))
+        def into_raw(m, f, local=local):
+            box = local.get(m, f)
+            f.moved += (local.k,)
+            return box
+        return self._assign(stmt, into_raw)
+
+    def _from_raw(self, stmt: LetStmt) -> Step:
+        ty, name = stmt.type, stmt.name
+        get = self._operand(stmt.rhs.source)[0]
+        layout = self.layout(ty.pointee) if isinstance(ty, PtrType) and ty.pointee is not None else None
+        return self._assign(stmt, lambda m, f, get=get, layout=layout, name=name: m._from_raw(get(m, f), layout, name),
+                            owned=True)
+
+    def _cast(self, stmt: LetStmt) -> Step:
+        return self._assign(stmt, self._converted(*self._operand(stmt.rhs.source), stmt.type, stmt.name))
+
+    def _converted(self, get: Step, src: Optional[TypeDesc], target: TypeDesc, label: str) -> Step:
         if src is None:
             return get  # an unknown local, which raises
         scalars = (IntType, PtrType)
@@ -510,8 +557,8 @@ class _Lowering:
             return _fail(ScenarioUnsupported, "pointer addresses only fit 8-byte integers", after=get)
         return lambda m, f, get=get, target=target: m._convert(get(m, f), target)
 
-    def _offset(self, rhs: OffsetRhs) -> Step:
-        (get, src), (count, _) = self._operand(rhs.source), self._operand(rhs.count)
+    def _offset(self, stmt: LetStmt) -> Step:
+        (get, src), (count, _) = self._operand(stmt.rhs.source), self._operand(stmt.rhs.count)
         typed = isinstance(src, PtrType) and src.kind is not PtrKind.OPAQUE
         def offset(m, f, get=get, count=count, src=src, stride=max(self.layout(src.pointee).size, 1) if typed else 0):
             value, n = get(m, f), count(m, f)
@@ -520,18 +567,13 @@ class _Lowering:
             if not isinstance(n, int):
                 raise ScenarioUnsupported("offset() count must be an integer")
             return value.with_byte_offset(n * (stride or max(m._guess_pointee(value).size, 1)))
-        return offset
+        return self._assign(stmt, offset)
 
-    def _checked(self, op: Operand, want: TypeDesc) -> Step:
-        """A host argument for a `want` parameter; a local's type must be assignable to it."""
-        get, ty = self._operand(op)
-        if isinstance(op, int) or ty is None or assignable(ty, want):
-            return get
-        return _fail(ScenarioUnsupported, f"argument of type {ty} where {want} is expected", after=get)
+    # ---- calls ---------------------------------------------------------------
 
     def _args(self, ops: tuple[Operand, ...], callee: FnDef, what: str) -> Step:
         """The arguments a host `call` or `spawn` passes to host function `callee`, checked against its parameters."""
-        parts = tuple(self._checked(op, p.type) for op, p in zip(ops, callee.params))
+        parts = tuple(self._typed_operand(op, p.type, "argument of type") for op, p in zip(ops, callee.params))
         if len(ops) == len(callee.params):
             return lambda m, f, parts=parts: [get(m, f) for get in parts]
         message = f"{what} '{callee.name}' passes {len(ops)} arguments, it takes {len(callee.params)}"
@@ -564,12 +606,13 @@ class _Lowering:
                 plans = e.message
             self.plans[binding.name] = plans
         if nargs < nparams or (nargs > nparams and not binding.variadic):
-            step = _fail(UbError, DiagnosticKind.INVALID_BINDING,
+            regs = _fail(UbError, DiagnosticKind.INVALID_BINDING,
                          f"call passes {nargs} arguments, binding '{binding.name}' declares {nparams}")
         elif isinstance(plans, str):
-            step = _fail(TranslationError, plans)
+            regs = _fail(TranslationError, plans)
         else:
-            parts = [(self._checked(op, plan.source), self._outbound(plan)) for plan, op in zip(plans, stmt.args)]
+            parts = [(self._typed_operand(op, plan.source, "argument of type"), self._outbound(plan))
+                     for plan, op in zip(plans, stmt.args)]
             for op in stmt.args[nparams:]:
                 get, ty = self._operand(op)
                 try:
@@ -578,17 +621,20 @@ class _Lowering:
                     parts.append((_fail(type(e), *e.args, after=get), None))
             # Extras land as vararg0, vararg1, ... in caller order.
             names = tuple(p.name for p in callee.params) + tuple(f"vararg{i}" for i in range(nargs - nparams))
-            def step(m, f, parts=tuple(parts), callee=callee, names=names):
-                regs = []
+            def regs(m, f, parts=tuple(parts), names=names):
+                values = []
                 for get, out in parts:
-                    regs.extend(out(m, get(m, f)))
-                m._thread.frames.append(_Frame(callee, m._lowering.code(callee), dict(zip(names, regs))))
+                    values.extend(out(m, get(m, f)))
+                return dict(zip(names, values))
         def convert(m, value, ret=binding.ret):
             if isinstance(ret, UnitType):
                 return None  # the binding declares no result
             return m._to_host(value, ret, "foreign call returned a value derived from uninitialized memory")
         self._land(convert, stmt)
-        return step
+        if stmt.dest is not None:
+            regs = self._typed(regs, binding.ret, stmt.dest_type, f"call to '{binding.name}' returns")
+        return lambda m, f, callee=callee, regs=regs: m._thread.frames.append(
+            _Frame(callee, m._lowering.code(callee), regs(m, f)))
 
     @staticmethod
     def _outbound(plan: ArgPlan) -> Callable:
@@ -608,6 +654,8 @@ class _Lowering:
             return [m._convert(value, target)]
         return out
 
+    # ---- foreign statements, by class (`FOREIGN_STMTS`) -----------------------
+
     @staticmethod
     def _reg(op: Operand) -> Step:
         if isinstance(op, int):
@@ -618,66 +666,6 @@ class _Lowering:
             except KeyError:
                 raise ScenarioUnsupported(f"unknown register '{op}'") from None
         return get
-
-    def _foreign(self, stmt: Stmt) -> Step:
-        reg = self._reg
-        if isinstance(stmt, CallStmt):
-            return self._callback(stmt)
-        if isinstance(stmt, LetStmt):
-            return lambda m, f, name=stmt.name, get=self._foreign_rhs(stmt): f.regs.__setitem__(name, get(m, f))
-        if isinstance(stmt, StoreStmt):
-            size = self.layout(stmt.type).size
-            if size not in _UNSIGNED:
-                return _fail(ScenarioUnsupported, f"foreign store of {size}-byte type {stmt.type}")
-            return lambda m, f, pointer=reg(stmt.pointer), get=reg(stmt.value), size=size: m._foreign_store(
-                m._reg_pointer(pointer(m, f)), get(m, f), size
-            )
-        if isinstance(stmt, FreeStmt):
-            return lambda m, f, ptr=reg(stmt.pointer): m.memory.deallocate(m._reg_pointer(ptr(m, f)), "foreign")
-        if isinstance(stmt, MemsetStmt):
-            def memset(m, f, pointer=reg(stmt.pointer), byte=reg(stmt.value), count=reg(stmt.size)):
-                ptr = m._reg_pointer(pointer(m, f))
-                value = m._reg_int(byte(m, f))
-                m.memory.memset(ptr, value, m._reg_int(count(m, f)))
-            return memset
-        if isinstance(stmt, MemcpyStmt):
-            def memcpy(m, f, dest=reg(stmt.dest), src=reg(stmt.src), count=reg(stmt.size)):
-                to = m._reg_pointer(dest(m, f))
-                source = m._reg_pointer(src(m, f))
-                m.memory.memcpy(to, source, m._reg_int(count(m, f)))
-            return memcpy
-        if isinstance(stmt, ReturnStmt):
-            return _return(None if stmt.value is None else reg(stmt.value))
-        return _fail(ScenarioUnsupported, f"statement not executable in foreign code: {stmt!r}")
-
-    def _foreign_rhs(self, stmt: LetStmt) -> Step:
-        rhs, reg = stmt.rhs, self._reg
-        if isinstance(rhs, LiteralRhs):
-            return lambda m, f, value=rhs.value: value
-        if isinstance(rhs, PlaceRhs):
-            return reg(rhs.place.base)
-        if isinstance(rhs, LoadRhs):
-            pointer, ty = reg(rhs.pointer), rhs.type
-            if isinstance(ty, IntType):
-                return lambda m, f, pointer=pointer, size=ty.size, signed=ty.signed: m.memory.read_int(
-                    m._reg_pointer(pointer(m, f)), size, signed, m.config.permissive_foreign_loads
-                )
-            if isinstance(ty, PtrType):
-                return lambda m, f, pointer=pointer: m.memory.read_pointer(
-                    m._reg_pointer(pointer(m, f)), m.config.permissive_foreign_loads
-                )
-            return _fail(ScenarioUnsupported, f"foreign load of type {ty}",
-                         after=lambda m, f: m._reg_pointer(pointer(m, f)))
-        if isinstance(rhs, (MallocRhs, AllocaRhs)):
-            heap = isinstance(rhs, MallocRhs)
-            return lambda m, f, n=reg(rhs.size), heap=heap, name=stmt.name: m._foreign_alloc(f, n(m, f), heap, name)
-        if isinstance(rhs, GepRhs):
-            def gep(m, f, pointer=reg(rhs.pointer), offset=reg(rhs.offset)):
-                value = pointer(m, f)
-                off = m._reg_int(offset(m, f))
-                return m._reg_pointer(value).with_byte_offset(off)
-            return gep
-        return _fail(ScenarioUnsupported, f"foreign let cannot evaluate {type(rhs).__name__}")
 
     def _callback(self, stmt: CallStmt) -> Step:
         """A foreign call of a host function; equal calls share one step, so its plan is made once."""
@@ -702,6 +690,95 @@ class _Lowering:
                 m._thread.frames.append(m._host_frame(callee, values))
         self.callbacks[(stmt.callee, stmt.args)] = step
         return step
+
+    def _foreign_let(self, stmt: LetStmt) -> Step:
+        lower = self.FOREIGN_RHS.get(type(stmt.rhs))
+        if lower is None:
+            return _fail(ScenarioUnsupported, f"foreign let cannot evaluate {type(stmt.rhs).__name__}")
+        return lambda m, f, name=stmt.name, get=lower(self, stmt): f.regs.__setitem__(name, get(m, f))
+
+    def _store(self, stmt: StoreStmt) -> Step:
+        size, reg = self.layout(stmt.type).size, self._reg
+        if size not in _UNSIGNED:
+            return _fail(ScenarioUnsupported, f"foreign store of {size}-byte type {stmt.type}")
+        return lambda m, f, pointer=reg(stmt.pointer), get=reg(stmt.value), size=size: m._foreign_store(
+            m._reg_pointer(pointer(m, f)), get(m, f), size
+        )
+
+    def _free(self, stmt: FreeStmt) -> Step:
+        return lambda m, f, ptr=self._reg(stmt.pointer): m.memory.deallocate(m._reg_pointer(ptr(m, f)), "foreign")
+
+    def _memset(self, stmt: MemsetStmt) -> Step:
+        reg = self._reg
+        def memset(m, f, pointer=reg(stmt.pointer), byte=reg(stmt.value), count=reg(stmt.size)):
+            ptr = m._reg_pointer(pointer(m, f))
+            value = m._reg_int(byte(m, f))
+            m.memory.memset(ptr, value, m._reg_int(count(m, f)))
+        return memset
+
+    def _memcpy(self, stmt: MemcpyStmt) -> Step:
+        reg = self._reg
+        def memcpy(m, f, dest=reg(stmt.dest), src=reg(stmt.src), count=reg(stmt.size)):
+            to = m._reg_pointer(dest(m, f))
+            source = m._reg_pointer(src(m, f))
+            m.memory.memcpy(to, source, m._reg_int(count(m, f)))
+        return memcpy
+
+    def _foreign_return(self, stmt: ReturnStmt) -> Step:
+        return _return(None if stmt.value is None else self._reg(stmt.value))
+
+    # ---- foreign right-hand sides, by class (`FOREIGN_RHS`): each lowers the value -----
+
+    def _reg_literal(self, stmt: LetStmt) -> Step:
+        return lambda m, f, value=stmt.rhs.value: value
+
+    def _reg_copy(self, stmt: LetStmt) -> Step:
+        return self._reg(stmt.rhs.place.base)
+
+    def _load(self, stmt: LetStmt) -> Step:
+        pointer, ty = self._reg(stmt.rhs.pointer), stmt.rhs.type
+        if isinstance(ty, IntType):
+            return lambda m, f, pointer=pointer, size=ty.size, signed=ty.signed: m.memory.read_int(
+                m._reg_pointer(pointer(m, f)), size, signed, m.config.permissive_foreign_loads
+            )
+        if isinstance(ty, PtrType):
+            return lambda m, f, pointer=pointer: m.memory.read_pointer(
+                m._reg_pointer(pointer(m, f)), m.config.permissive_foreign_loads
+            )
+        return _fail(ScenarioUnsupported, f"foreign load of type {ty}",
+                     after=lambda m, f: m._reg_pointer(pointer(m, f)))
+
+    def _malloc(self, stmt: LetStmt) -> Step:
+        return lambda m, f, n=self._reg(stmt.rhs.size), name=stmt.name: m._foreign_alloc(f, n(m, f), True, name)
+
+    def _alloca(self, stmt: LetStmt) -> Step:
+        return lambda m, f, n=self._reg(stmt.rhs.size), name=stmt.name: m._foreign_alloc(f, n(m, f), False, name)
+
+    def _gep(self, stmt: LetStmt) -> Step:
+        def gep(m, f, pointer=self._reg(stmt.rhs.pointer), offset=self._reg(stmt.rhs.offset)):
+            value = pointer(m, f)
+            off = m._reg_int(offset(m, f))
+            return m._reg_pointer(value).with_byte_offset(off)
+        return gep
+
+    # A statement lowers by its class, in its function's dialect; a `let` by its right-hand side's.
+    HOST_STMTS = {
+        LetStmt: _let, WriteStmt: _write, AssumeInitStmt: _assume_init, AssertEqStmt: _assert_eq, CallStmt: _call,
+        SpawnStmt: _spawn, JoinStmt: _join, ReturnStmt: _host_return,
+    }
+    HOST_RHS = {
+        ZeroedRhs: _zeroed, LiteralRhs: _literal, UninitRhs: _uninit, PlaceRhs: _copy, BorrowRhs: _borrow,
+        CellGetRhs: _cell_get, CastRhs: _cast, OffsetRhs: _offset, HeapNewRhs: _heap_new,
+        HeapIntoRawRhs: _into_raw, HeapFromRawRhs: _from_raw,
+    }
+    FOREIGN_STMTS = {
+        CallStmt: _callback, LetStmt: _foreign_let, StoreStmt: _store, FreeStmt: _free, MemsetStmt: _memset,
+        MemcpyStmt: _memcpy, ReturnStmt: _foreign_return,
+    }
+    FOREIGN_RHS = {
+        LiteralRhs: _reg_literal, PlaceRhs: _reg_copy, LoadRhs: _load, MallocRhs: _malloc, AllocaRhs: _alloca,
+        GepRhs: _gep,
+    }
 
 
 class Machine:

@@ -15,9 +15,10 @@ threads parse only in host code and loads, stores and manual allocation
 only in foreign code. The parser resolves struct names as it goes (declare
 before use) but knows no local's type: a place records only the `*` that
 was written, and the machine decides at run time whether steps read through
-a pointer local. A validation pass then checks names: one definition per
-function and binding, a host `main` without parameters, and call and spawn
-targets of the right dialect.
+a pointer local. Each composite type is built once per parse (`_intern`),
+so a type written many times is one object. A validation pass then checks
+names: one definition per function and binding, a host `main` without
+parameters, and call and spawn targets of the right dialect.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ _TOO_DEEP = f"type nested more than {MAX_TYPE_DEPTH} levels deep"
 # Each scalar type by its own name, plus the names Rust gives the same layouts.
 _SCALARS: dict[str, TypeDesc] = {str(t): t for t in (I8, I16, I32, I64, U8, U16, U32, U64, UNIT)}
 _SCALARS.update(isize=I64, usize=U64, bool=U8)
+_OPAQUE = PtrType(PtrKind.OPAQUE, None)
 
 
 def _is_int(tok: str) -> bool:
@@ -145,6 +147,7 @@ class _Parser:
         self.bad_line = self.code.count("\n", 0, bad.start()) + 1 if bad else math.inf
         self.structs: dict[str, StructType] = {}  # in declaration order
         self.struct_levels: dict[str, int] = {}  # name -> levels, see `parse_type`
+        self.interned: dict[tuple, TypeDesc] = {}  # composite types, see `_intern`
         self.functions: list[FnDef] = []
         self.bindings: list[BindingSignature] = []
         self.expectations: list[Expectation] = []
@@ -265,13 +268,17 @@ class _Parser:
             raise self.error(_TOO_DEEP, start)
         if t == "&":
             kind = PtrKind.MUT_REF if self.accept("mut") else PtrKind.SHARED_REF
-            return PtrType(kind, self.parse_type(depth + 1))
+            pointee = self.parse_type(depth + 1)
+            return self._intern((kind, id(pointee)), PtrType, kind, pointee)
         if t == "*":
             if self.accept("mut"):
-                return PtrType(PtrKind.RAW_MUT, self.parse_type(depth + 1))
-            if self.accept("const"):
-                return PtrType(PtrKind.RAW_CONST, self.parse_type(depth + 1))
-            raise self.error("raw pointer needs 'mut' or 'const'", start)
+                kind = PtrKind.RAW_MUT
+            elif self.accept("const"):
+                kind = PtrKind.RAW_CONST
+            else:
+                raise self.error("raw pointer needs 'mut' or 'const'", start)
+            pointee = self.parse_type(depth + 1)
+            return self._intern((kind, id(pointee)), PtrType, kind, pointee)
         if t == "[":
             elem = self.parse_type(depth + 1)
             self.expect(";")
@@ -280,14 +287,14 @@ class _Parser:
             if count < 0:
                 raise self.error("array count must be non-negative", at)
             self.expect("]")
-            return ArrayType(elem, count)
+            return self._intern((id(elem), count), ArrayType, elem, count)
         if t == "ptr":
-            return PtrType(PtrKind.OPAQUE, None)
+            return _OPAQUE
         if t == "cell" or t == "phantom":
             self.expect("(")
             inner = self.parse_type(depth + 1)
             self.expect(")")
-            return CellType(inner) if t == "cell" else PhantomType(inner)
+            return self._intern((t, id(inner)), CellType if t == "cell" else PhantomType, inner)
         ty = self.structs.get(t)
         if ty is not None:
             if depth + self.struct_levels[t] - 1 > MAX_TYPE_DEPTH:
@@ -297,6 +304,15 @@ class _Parser:
             raise self.error(f"unknown type '{t}'", start)
         self.i = start
         raise self.expected("a type")
+
+    def _intern(self, key: tuple, make: Callable[..., TypeDesc], *parts: object) -> TypeDesc:
+        """The one `make(*parts)` of this parse: `key` names its kind and its parts' ids, and every
+        part is interned already, so equal types written twice are one object. Layout memos keyed
+        by a type's id then hit, and building a type once spares the rest of its writings."""
+        ty = self.interned.get(key)
+        if ty is None:
+            ty = self.interned[key] = make(*parts)
+        return ty
 
     def _parse_type_block(self) -> None:
         head = self.line

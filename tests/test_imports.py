@@ -110,23 +110,57 @@ def test_only_the_borrow_tracker_builds_tag_events():
 
 # The machine lowers each function once into steps (`machine._Lowering`); a statement's or a
 # right-hand side's form is looked at there and nowhere else, so no second, interpreting
-# dispatch grows back beside the lowered one.
-def _ir_form_tests(path):
-    tree = ast.parse(path.read_text(), str(path))
+# dispatch grows back beside the lowered one. A form is looked at by an `isinstance`, by a
+# comparison that names its class (`type(stmt) is LetStmt`, `type(rhs) in (...)`), or by a dict
+# literal keyed by its class, the lowering's dispatch tables.
+def _names_a_form(nodes):
+    names = [n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)]
+    return [name for name in names if name.endswith(("Stmt", "Rhs"))]
+
+
+def _ir_form_tests(path, source=None):
+    tree = ast.parse(path.read_text() if source is None else source, str(path))
     found = []
     for top in tree.body:
         owner = getattr(top, "name", None)
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
-                names = [n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)]
-                if any(name.endswith(("Stmt", "Rhs")) for name in names):
-                    found.append((owner, f"{', '.join(names)} (line {node.lineno})"))
+                what, names = "isinstance", _names_a_form(node.args[1:])
+            elif isinstance(node, ast.Compare):
+                what, names = "comparison", _names_a_form([node.left, *node.comparators])
+            elif isinstance(node, ast.Dict):
+                what, names = "dict", _names_a_form([k for k in node.keys if k is not None])
+            else:
+                continue
+            if names:
+                found.append((owner, f"{what} of {', '.join(names)} (line {node.lineno})"))
     return found
 
 
 def test_only_the_lowering_tests_statement_forms():
     found = _ir_form_tests(REPO_ROOT / "src" / "seamcheck" / "machine.py")
     assert found and {owner for owner, _ in found} == {"_Lowering"}, found
+
+
+@pytest.mark.parametrize(
+    "source, owner",
+    [
+        ("def run(stmt):\n    return isinstance(stmt, (LetStmt, CallStmt))\n", "run"),
+        ("def run(stmt):\n    if type(stmt) is LetStmt:\n        pass\n", "run"),
+        ("def run(rhs):\n    return PlaceRhs == type(rhs)\n", "run"),
+        ("def run(rhs):\n    return type(rhs) in (MallocRhs, AllocaRhs)\n", "run"),
+        ("class Machine:\n    TABLE = {JoinStmt: None}\n", "Machine"),
+        ("class Machine:\n    def run(self, rhs):\n        return {GepRhs: 1, **{}}.get(type(rhs))\n", "Machine"),
+    ],
+)
+def test_statement_form_lint_sees_each_form_test(source, owner):
+    found = _ir_form_tests(REPO_ROOT / "src" / "seamcheck" / "machine.py", source)
+    assert {o for o, _ in found} == {owner}, found
+
+
+def test_statement_form_lint_ignores_other_types():
+    source = "def run(ty, table):\n    return isinstance(ty, IntType) or type(ty) is PtrType or {CellType: 1}\n"
+    assert _ir_form_tests(REPO_ROOT / "src" / "seamcheck" / "machine.py", source) == []
 
 
 # `UbError(kind, message, **details)` carries `details` unchecked until `Machine._bug` passes them

@@ -1741,3 +1741,128 @@ end
 """,
         model=model,
     ).classification is Classification.PASS
+
+
+# Every other place a value lands takes the host-call rule: a bound call's result against its
+# destination and a host `return` against its function's type, each Rust's mismatched types. At
+# each, a value that is not assignable ends the run `unsupported` when its statement runs.
+_MISMATCHED_LANDINGS = {
+    "bound-call-result": (
+        """
+bind g = c_g() -> i32
+
+foreign fn c_g() -> i32
+  return 300
+end
+
+host fn main()
+  let x: u8 = call g()
+  assert_eq x 44
+end
+""",
+        "call to 'g' returns i32 where u8 is expected",
+    ),
+    "return-of-a-local": (
+        """
+host fn f() -> u8
+  let v: i32 = 300
+  return v
+end
+
+host fn main()
+  let x: u8 = call f()
+  assert_eq x 44
+end
+""",
+        "return of type i32 where u8 is expected",
+    ),
+    "return-without-arrow": (
+        """
+host fn f()
+  return 300
+end
+
+host fn main()
+  call f()
+end
+""",
+        "return of type u64 where unit is expected",
+    ),
+    "literal-argument-for-unit": (
+        """
+host fn f(u: unit)
+end
+
+host fn main()
+  call f(5)
+end
+""",
+        "argument of type u64 where unit is expected",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("case", sorted(_MISMATCHED_LANDINGS))
+def test_a_value_of_another_type_never_lands(model, case):
+    text, note = _MISMATCHED_LANDINGS[case]
+    assert _run(text, model=model) == Outcome(Classification.UNSUPPORTED, note=note)
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_a_mismatched_bound_call_evaluates_its_arguments_and_never_runs_its_callee(model):
+    outcome = _expect_bug(
+        """
+bind g = c_g(i32) -> i32
+
+foreign fn c_g(a: i32) -> i32
+  return a
+end
+
+host fn main()
+  let u: i32 = uninit
+  let x: u8 = call g(u)
+end
+""",
+        DiagnosticKind.UNINITIALIZED_READ,
+        model=model,
+    )
+    assert outcome.diagnostics[0].host_trace[0].statement == "let x: u8 = call g(u)"
+    assert outcome.diagnostics[0].foreign_trace == ()
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize(
+    "ret, value",
+    [(" -> *mut i32", "r"), (" -> ptr", "r"), (" -> &mut i32", "r"), (" -> u8", "7"), (" -> *mut i32", "0")],
+)
+def test_a_return_that_is_assignable_lands(model, ret, value):
+    assert _run(
+        f"""
+host fn f(r: &mut i32){ret}
+  return {value}
+end
+
+host fn main()
+  let x: i32 = 1
+  let q: &mut i32 = &mut x
+  call f(q)
+end
+""",
+        model=model,
+    ).classification is Classification.PASS
+
+
+def test_every_statement_and_right_hand_side_form_has_a_lowering():
+    """A new form gets a table entry, or the completeness check fails, rather than lowering to a step
+    that reports it as not executable."""
+    from typing import get_args
+
+    from seamcheck import ir
+
+    lowering = machine_module._Lowering
+    stmts = {c for c in vars(ir).values() if isinstance(c, type) and issubclass(c, ir.Stmt) and c is not ir.Stmt}
+    assert stmts and set(lowering.HOST_STMTS) | set(lowering.FOREIGN_STMTS) == stmts
+    assert set(lowering.HOST_RHS) | set(lowering.FOREIGN_RHS) == set(get_args(ir.Rhs))
+    tables = (lowering.HOST_STMTS, lowering.FOREIGN_STMTS, lowering.HOST_RHS, lowering.FOREIGN_RHS)
+    assert all(getattr(lowering, f.__name__) is f for table in tables for f in table.values())

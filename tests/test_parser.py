@@ -680,3 +680,58 @@ def test_name_lookups_return_the_first_definition():
     again = ScenarioProgram(path="other", types=(), functions=functions, bindings=bindings)
     assert again == program
     assert "by_name" not in repr(program)
+
+
+# Each composite type is built once per parse, so the many writings of one type are one object;
+# programs still compare, render and hash their types structurally.
+_INTERNED = """
+type Pair
+  a: &i32
+  b: [cell(u8); 4]
+end
+
+bind g = c_g(*mut i32, &i32) -> *mut i32
+
+foreign fn c_g(p: *mut i32, q: &i32) -> *mut i32
+  let v = load i32 q
+  return p
+end
+
+host fn main()
+  let x: i32 = 1
+  let a: &i32 = &x
+  let b: &i32 = &x
+  let c: [cell(u8); 4] = zeroed
+  let d: *mut i32 = &raw mut x
+  let e: cell([&i32; 2]) = zeroed
+  let f: cell([&i32; 2]) = zeroed
+  let r: *mut i32 = call g(d, a)
+end
+"""
+
+
+def test_equal_types_of_one_parse_are_one_object():
+    program = parse_text(_INTERNED)
+    (pair,), body = program.types, program.entry.body
+    ref, array, raw = pair.fields[0].type, pair.fields[1].type, body[4].type
+    assert all(t is ref for t in (body[1].type, body[2].type, program.function("c_g").params[1].type))
+    assert body[3].type is array and isinstance(array.elem, CellType)
+    assert program.binding("g").params[0] is raw and program.binding("g").ret is raw and body[7].dest_type is raw
+    assert body[5].type is body[6].type and body[5].type.inner.elem is ref
+
+
+def test_interned_programs_still_compare_structurally():
+    first, second = parse_text(_INTERNED), parse_text(_INTERNED)
+    assert first == second
+    assert first.entry.body[1].type is not second.entry.body[1].type
+    assert parse_text(render_program(first)) == first
+
+
+def test_an_interned_type_hashes_structurally_and_hits_the_layout_cache():
+    from seamcheck import types
+
+    first, second = (parse_text(_INTERNED).entry.body[5].type for _ in range(2))
+    assert first == second and first is not second and hash(first) == hash(second)
+    layout = types.layout_of(first)
+    assert types._layout_cache[second] is layout
+    assert layout.cell_ranges == ((0, 16),)

@@ -121,6 +121,9 @@ _TOO_DEEP = f"type nested more than {MAX_TYPE_DEPTH} levels deep"
 _SCALARS: dict[str, TypeDesc] = {str(t): t for t in (I8, I16, I32, I64, U8, U16, U32, U64, UNIT)}
 _SCALARS.update(isize=I64, usize=U64, bool=U8)
 _OPAQUE = PtrType(PtrKind.OPAQUE, None)
+_POINTER_KINDS = {
+    "&": PtrKind.SHARED_REF, "&mut": PtrKind.MUT_REF, "*mut": PtrKind.RAW_MUT, "*const": PtrKind.RAW_CONST,
+}
 
 
 def _is_int(tok: str) -> bool:
@@ -266,19 +269,18 @@ class _Parser:
         self.i += 1
         if depth > MAX_TYPE_DEPTH and t in _NESTING:
             raise self.error(_TOO_DEEP, start)
-        if t == "&":
-            kind = PtrKind.MUT_REF if self.accept("mut") else PtrKind.SHARED_REF
-            pointee = self.parse_type(depth + 1)
-            return self._intern((kind, id(pointee)), PtrType, kind, pointee)
-        if t == "*":
+        if t == "&" or t == "*":
             if self.accept("mut"):
-                kind = PtrKind.RAW_MUT
+                spelled = t + "mut"
+            elif t == "&":
+                spelled = t
             elif self.accept("const"):
-                kind = PtrKind.RAW_CONST
+                spelled = "*const"
             else:
                 raise self.error("raw pointer needs 'mut' or 'const'", start)
             pointee = self.parse_type(depth + 1)
-            return self._intern((kind, id(pointee)), PtrType, kind, pointee)
+            # Keyed by its spelling, as hashing a `PtrKind` runs `Enum.__hash__` in Python.
+            return self._intern((spelled, id(pointee)), PtrType, _POINTER_KINDS[spelled], pointee)
         if t == "[":
             elem = self.parse_type(depth + 1)
             self.expect(";")

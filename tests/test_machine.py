@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from typing import get_args
 
 import pytest
 
@@ -15,6 +16,7 @@ from seamcheck.diagnostics import (
     json_dumps,
     render_diagnostic,
 )
+from seamcheck import ir
 from seamcheck import machine as machine_module
 from seamcheck.machine import Machine, MachineConfig, run_program
 from seamcheck.memory import GUARD_GAP, AllocOrigin
@@ -1854,12 +1856,8 @@ end
 
 
 def test_every_statement_and_right_hand_side_form_has_a_lowering():
-    """A new form gets a table entry, or the completeness check fails, rather than lowering to a step
-    that reports it as not executable."""
-    from typing import get_args
-
-    from seamcheck import ir
-
+    """A new form gets a table entry, or this fails, rather than lowering to a step that reports it as
+    not executable."""
     lowering = machine_module._Lowering
     stmts = {c for c in vars(ir).values() if isinstance(c, type) and issubclass(c, ir.Stmt) and c is not ir.Stmt}
     assert stmts and set(lowering.HOST_STMTS) | set(lowering.FOREIGN_STMTS) == stmts

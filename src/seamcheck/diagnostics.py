@@ -47,7 +47,7 @@ OutcomeTag = enum.Enum(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceFrame:
     dialect: str  # "host" or "foreign"
     function: str
@@ -61,7 +61,7 @@ class TagEvent:
     description: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TagHistory:
     """Creation, last valid use, and first invalidation of one tag.
 
@@ -77,7 +77,7 @@ class TagHistory:
     invalidated: Optional[TagEvent] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Diagnostic:
     kind: DiagnosticKind
     message: str
@@ -96,7 +96,7 @@ class Classification(enum.Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Outcome:
     classification: Classification
     diagnostics: tuple[Diagnostic, ...] = ()

@@ -8,12 +8,13 @@ parser's grammar, not here.
 Equality is structural and ignores source positions so that a parsed program
 compares equal to the parse of its own rendering.
 
-Statements, right-hand sides and places are mutable slotted records, the
-cheapest a parse can build: they compare structurally, are never hashed, and
-nothing writes them after parsing. Types stay frozen and hashable, as layout
-memos key on them, and the parser interns each one once per parse (see
-`parser`); operands are plain ints and strings, and function, binding and
-program records stay frozen.
+Statements, right-hand sides, places and the parameter, function, binding,
+expectation and program records are mutable slotted records, the cheapest a
+parse can build: they compare structurally, are never hashed, and nothing
+writes them after parsing, except that the machine hangs its lowering off a
+program (`ScenarioProgram.lowered`). Types stay frozen and hashable, as
+layout memos key on them, and the parser interns each one once per parse
+(see `parser`); operands are plain ints and strings.
 """
 
 from __future__ import annotations
@@ -246,13 +247,13 @@ class MemcpyStmt(Stmt):
 # ---- program structure -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Param:
     name: str
     type: TypeDesc
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FnDef:
     name: str
     dialect: Dialect
@@ -263,7 +264,7 @@ class FnDef:
     line: int = field(compare=False, kw_only=True, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BindingSignature:
     """A host caller's declared view of a foreign function.
 
@@ -279,13 +280,13 @@ class BindingSignature:
     line: int = field(compare=False, kw_only=True, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Expectation:
     outcome: OutcomeTag
     model: Optional[str] = None  # "tb", "sb", or None for both
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScenarioProgram:
     path: str = field(compare=False)
     types: tuple[StructType, ...]
@@ -301,8 +302,8 @@ class ScenarioProgram:
 
     def __post_init__(self) -> None:
         # A dict keeps the last value given for a key, so build each from the end.
-        object.__setattr__(self, "functions_by_name", {f.name: f for f in reversed(self.functions)})
-        object.__setattr__(self, "bindings_by_name", {b.name: b for b in reversed(self.bindings)})
+        self.functions_by_name = {f.name: f for f in reversed(self.functions)}
+        self.bindings_by_name = {b.name: b for b in reversed(self.bindings)}
 
     def function(self, name: str) -> FnDef:
         return self.functions_by_name[name]

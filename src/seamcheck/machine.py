@@ -205,7 +205,7 @@ class _Lowering:
             lower = table.get(type(stmt))
             self.steps.append(_fail(ScenarioUnsupported, f"statement not executable in {fn.dialect.value} code: "
                                     f"{stmt!r}") if lower is None else lower(self, stmt))
-        code.steps.append(_return_nothing)
+        code.steps.append(self._bare_return() if host else _return_nothing)
         code.lines = [s.line for s in fn.body] + [fn.body[-1].line if fn.body else fn.line]
         code.lands, code.owned = self.lands, self.owned[::-1]
         return code
@@ -247,9 +247,8 @@ class _Lowering:
                 return m.memory.read_blob(ptr, size)
             def write(m, ptr, value, ty=inner, size=self.layout(inner).size):
                 if isinstance(value, Blob):
-                    if len(value.values) != size:
-                        raise ScenarioUnsupported(f"aggregate of {len(value.values)} bytes written into {size}-byte "
-                                                  "slot")
+                    if value.size != size:
+                        raise ScenarioUnsupported(f"aggregate of {value.size} bytes written into {size}-byte slot")
                     m.memory.write_blob(ptr, value)
                 elif isinstance(value, int):
                     raise ScenarioUnsupported(f"integer written into aggregate slot of type {ty}")
@@ -398,8 +397,16 @@ class _Lowering:
 
     def _host_return(self, stmt: ReturnStmt) -> Step:
         if stmt.value is None:
-            return _return_nothing
+            return self._bare_return()
         return _return(self._typed_operand(stmt.value, self.ret, "return of type"))
+
+    def _bare_return(self) -> Step:
+        """A host `return` without an operand, or the implicit one at a body's end. It lands a `unit` by
+        `_typed`'s rule, where a `unit` is assignable only to a `unit`, so in a function that declares
+        another result it ends `unsupported` (Rust's E0069)."""
+        if isinstance(self.ret, UnitType):
+            return _return_nothing
+        return _fail(ScenarioUnsupported, f"return of type unit where {self.ret} is expected")
 
     def _write(self, stmt: WriteStmt) -> Step:
         place, op = stmt.place, stmt.value
@@ -642,9 +649,8 @@ class _Lowering:
         if len(plan.targets) > 1:
             # Only a homogeneous aggregate without padding flattens, so its fields sit at a fixed stride.
             def flatten(m, value, source=plan.source, targets=plan.targets):
-                values = m._convert(value, source).values
-                width = len(values) // len(targets)
-                return [m._convert(Blob(values[i * width : (i + 1) * width]), t) for i, t in enumerate(targets)]
+                pieces = m._convert(value, source).split(len(targets))
+                return [m._convert(piece, t) for piece, t in zip(pieces, targets)]
             return flatten
         def out(m, value, target=plan.targets[0], pointer=isinstance(plan.source, PtrType)):
             if value is None:
@@ -796,7 +802,7 @@ class Machine:
         self._thread: Optional[_Thread] = None  # the one `_step` runs
         self.steps = 0
         if program.lowered is None:
-            object.__setattr__(program, "lowered", _Lowering(program))
+            program.lowered = _Lowering(program)
         self._lowering: _Lowering = program.lowered
 
     def _spawn_thread(self, frame: _Frame, spawn_trace: Trace = ((), ())) -> _Thread:
@@ -940,11 +946,11 @@ class Machine:
     @staticmethod
     def _assert_eq(left: Value, right: Value) -> None:
         # A pointer compares by address, so it can be checked against the integer it was cast to.
-        plain = [v.address if isinstance(v, PointerValue) else ("blob", v.values) if isinstance(v, Blob) else v
+        plain = [v.address if isinstance(v, PointerValue) else ("blob", v.contents()) if isinstance(v, Blob) else v
                  for v in (left, right)]
         if plain[0] != plain[1]:
             a, b = (f"0x{v.address:x}" if isinstance(v, PointerValue)
-                    else f"<{len(v.values)}-byte value>" if isinstance(v, Blob) else str(v) for v in (left, right))
+                    else f"<{v.size}-byte value>" if isinstance(v, Blob) else str(v) for v in (left, right))
             raise UbError(DiagnosticKind.ASSERTION_FAILED, f"assertion failed: {a} != {b}")
 
     def _spawn(self, frame: _Frame, handle: str, callee: FnDef, args: list[Value]) -> None:
@@ -1038,16 +1044,16 @@ class Machine:
                 return self.memory.expose(value)
             if not isinstance(value, Blob):
                 return reinterpret(value, target)
-            if len(value.values) != target.size:
+            if value.size != target.size:
                 raise UbError(DiagnosticKind.INVALID_BINDING,
-                              f"{len(value.values)}-byte aggregate crosses into {target.size}-byte {target}")
-            if None in value.values:
+                              f"{value.size}-byte aggregate crosses into {target.size}-byte {target}")
+            uninit = value.first_uninit()
+            if uninit is not None:
                 if self.config.permissive_foreign_loads:
                     return None
                 raise UbError(DiagnosticKind.UNINITIALIZED_READ,
-                              f"by-value crossing reads uninitialized byte {value.values.index(None)} of an "
-                              "aggregate")
-            return reinterpret(int.from_bytes(bytes(value.values), "little"), target)
+                              f"by-value crossing reads uninitialized byte {uninit} of an aggregate")
+            return reinterpret(value.to_int(), target)
         if isinstance(target, PtrType):
             return self._reg_pointer(value)
         if isinstance(target, CellType):
@@ -1055,12 +1061,12 @@ class Machine:
         if isinstance(target, (StructType, ArrayType)):
             size = self._lowering.layout(target).size
             if isinstance(value, int):
-                return Blob(list((value % (1 << (8 * size))).to_bytes(size, "little")))
+                return Blob.from_int(value, size)
             if not isinstance(value, Blob):
                 raise ScenarioUnsupported(f"a pointer cannot cross into aggregate {target}")
-            if len(value.values) != size:
+            if value.size != size:
                 raise UbError(DiagnosticKind.INVALID_BINDING,
-                              f"{len(value.values)}-byte aggregate crosses into {size}-byte {target}")
+                              f"{value.size}-byte aggregate crosses into {size}-byte {target}")
             return value
         if isinstance(target, UnitType):
             return 0

@@ -1,17 +1,25 @@
 """Shared memory model: allocations, abstract bytes, provenance, tag histories.
 
-Both dialects execute over one memory. Every byte is either uninitialized or
-holds a value plus an optional provenance fragment: a stored pointer spreads
-one `((alloc id, provenance), index)` fragment across its eight bytes, and a
-pointer-typed read reconstructs provenance only when all eight bytes still
-carry that fragment in order. Anything else degrades to a plain integer
-value. `read_int` and `read_pointer` share one uninit-checking byte read;
-a permissive read, the foreign load mode, returns None for an
-uninitialized value where a strict one raises, as an LLVM load of undef
-bytes yields a value that is an error only when used.
+Both dialects execute over one memory. An allocation keeps its bytes after
+Miri's `Allocation`: the values in one `bytearray`, an init mask of the same
+length in a second one (1 where a byte is initialized), and a dict of
+provenance fragments by offset. An uninitialized byte always holds 0, so two
+stores compare by their (bytes, mask) pair and an init claim only sets mask
+bytes. A stored pointer spreads one `((alloc id, provenance), index)`
+fragment across its eight bytes, and a pointer-typed read reconstructs
+provenance only when all eight bytes still carry that fragment in order.
+Anything else degrades to a plain integer value. Every mover is a slice
+operation on the two arrays, and touches only the fragments its range holds,
+so a byte moved costs C time. `read_int` and `read_pointer` share one
+uninit-checking byte read; a permissive read, the foreign load mode, returns
+None for an uninitialized value where a strict one raises, as an LLVM load
+of undef bytes yields a value that is an error only when used.
 An untyped copy is a `Blob`, memory's by-value format: `read_blob` returns
-the bytes it copies out with their uninit mask and fragments, `write_blob`
-stores one back, and by-value aggregates cross the boundary as one.
+the bytes it copies out with their init mask and fragments, `write_blob`
+stores one back, and by-value aggregates cross the boundary as one. Only
+this module reads a store's fields; the machine asks a `Blob` for its size,
+its integer, its first uninitialized byte, its equal pieces and its
+(bytes, mask) pair.
 
 Access checks run in a fixed order: liveness, bounds, alignment, borrow
 tracker, then byte movement. The alignment check is symbolic by default
@@ -28,18 +36,17 @@ the body's last line (the function's own line for an empty body). A call's
 result binds at its call's line, which `Machine._do_return` sets once the
 callee's frame is gone.
 
-A `Memory` built with a tracker type judges borrows, and it is the only
-owner of that borrow state: it draws every tag, builds every tracker,
-retags through it (`retag`), checks accesses and deallocations against it
-and ends its protectors (`protector_end`). Every allocation draws its root
-tag (`Allocation.tag`) when it is made, but builds its tracker only when
-it is first needed: at its first retag, or at the first access through a
-provenance other than the root tag, such as a wildcard. Most allocations
-are never reborrowed. Until then a root access changes no state and is
-kept only as the raw `Allocation.last_use`, which the tracker adopts as its
-root's last use; a root tag is never protected, so deallocation has
-nothing to check before then. A `Memory` built without a tracker type
-tracks no borrows at all.
+A `Memory` judges borrows under the tracker type it is built with, and it
+is the only owner of that borrow state: it draws every tag, builds every
+tracker, retags through it (`retag`), checks accesses and deallocations
+against it and ends its protectors (`protector_end`). Every allocation
+draws its root tag (`Allocation.tag`) when it is made, but builds its
+tracker only when it is first needed: at its first retag, or at the first
+access through a provenance other than the root tag, such as a wildcard.
+Most allocations are never reborrowed. Until then a root access changes no
+state and is kept only as the raw `Allocation.last_use`, which the tracker
+adopts as its root's last use; a root tag is never protected, so
+deallocation has nothing to check before then.
 
 `BorrowTracker` is the base of both borrow models: it owns an allocation's
 tags with their raw events (creation, last use, first invalidation), which
@@ -57,9 +64,9 @@ would, and it holds one whole `value` and no bytes, which `load` and
 `store` read and write as the byte path would. The first address that
 reaches it (a retag, an init claim, any pointer access, or an
 integer-to-pointer cast into it) materializes it in place, after Miri's
-`force_allocation`, with the bytes and fragments the byte path would hold
-by then. So every id, tag, address and tag history stays the same whether
-or not a local is ever borrowed.
+`force_allocation`, with the store the byte path would hold by then. So
+every id, tag, address and tag history stays the same whether or not a
+local is ever borrowed.
 
 Addresses come from a bump allocator with guard gaps between allocations.
 The starting base is perturbed by the seed; no semantic result may depend on
@@ -108,7 +115,7 @@ class AllocOrigin(enum.Enum):
     FOREIGN_HEAP = "foreign-heap"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PointerValue:
     address: int
     alloc_id: Optional[int]
@@ -288,15 +295,20 @@ class BorrowTracker:
 # A pointer byte's provenance: ((alloc id, provenance), index within the pointer).
 Fragment = tuple[tuple[Optional[int], Provenance], int]
 
+_ONE = b"\x01"  # an initialized byte's mask byte
+
 
 @dataclass(slots=True)
 class Allocation:
-    """One allocation, made at `line`, with root tag `tag` (None without borrow tracking).
+    """One allocation, made at `line`, with root tag `tag`.
 
-    An immediate local has no `values` or `fragments`, only its whole
-    `value` (None while uninitialized): an int of its type, or a pointer as
-    `read_pointer` would return it. Until `tracker` is built, `last_use` is
-    the root's last use as `(kind, range, line)`.
+    Its store is `octets`, its bytes; `initmask`, one byte per byte, 1 where
+    it is initialized (an uninitialized byte holds 0 in `octets`); and
+    `fragments`, the provenance fragment of each byte that holds one, by
+    offset. An immediate local has no store, only its whole `value` (None
+    while uninitialized): an int of its type, or a pointer as `read_pointer`
+    would return it. Until `tracker` is built, `last_use` is the root's last
+    use as `(kind, range, line)`.
     """
 
     id: int
@@ -306,63 +318,105 @@ class Allocation:
     origin: AllocOrigin
     label: str
     line: int
-    tag: Optional[int]
+    tag: int
     immediate: bool
-    values: Optional[list[Optional[int]]]
-    fragments: Optional[dict[int, Fragment]]
+    octets: Optional[bytearray] = None
+    initmask: Optional[bytearray] = None
+    fragments: Optional[dict[int, Fragment]] = None
     value: Union[int, PointerValue, None] = None
     live: bool = True
     last_use: Optional[tuple[str, Range, int]] = None
     tracker: Optional[BorrowTracker] = None  # built by `Memory.tracker` on first need
 
 
-@dataclass
+@dataclass(slots=True)
 class Blob:
-    """By-value bytes: each value (None where uninitialized) plus fragments by index."""
+    """By-value bytes in an allocation's store format: `octets`, `initmask` and `fragments` by index."""
 
-    values: list[Optional[int]]
-    frags: dict[int, Fragment] = field(default_factory=dict)
+    octets: bytearray
+    initmask: bytearray
+    fragments: dict[int, Fragment] = field(default_factory=dict)
+
+    @classmethod
+    def from_int(cls, value: int, size: int) -> "Blob":
+        """`value`, wrapped to `size` bytes, as initialized little-endian bytes without provenance."""
+        return cls(bytearray((value % (1 << (8 * size))).to_bytes(size, "little")), bytearray(_ONE * size))
+
+    @property
+    def size(self) -> int:
+        return len(self.octets)
+
+    def to_int(self) -> int:
+        """The bytes as an unsigned little-endian integer, whatever their init state."""
+        return int.from_bytes(self.octets, "little")
+
+    def first_uninit(self) -> Optional[int]:
+        """The index of the first uninitialized byte, or None if every byte is initialized."""
+        i = self.initmask.find(0)
+        return None if i < 0 else i
+
+    def split(self, n: int) -> list["Blob"]:
+        """`n` equal pieces, in order, without provenance."""
+        width = self.size // n
+        return [Blob(self.octets[i * width : (i + 1) * width], self.initmask[i * width : (i + 1) * width])
+                for i in range(n)]
+
+    def contents(self) -> tuple[bytearray, bytearray]:
+        """The (bytes, mask) pair that two by-value blobs compare by; fragments play no part."""
+        return self.octets, self.initmask
+
+
+def _fragment_offsets(fragments: dict[int, Fragment], lo: int, hi: int) -> list[int]:
+    """The offsets in [lo, hi) that hold a fragment, by walking the range or the fragments, whichever is shorter."""
+    if hi - lo <= len(fragments):
+        return [off for off in range(lo, hi) if off in fragments]
+    return [off for off in fragments if lo <= off < hi]
 
 
 def _drop_fragments(alloc: Allocation, lo: int, hi: int) -> None:
     """Forget the provenance fragments of bytes [lo, hi), which were just overwritten."""
-    if alloc.fragments:
-        for off in range(lo, hi):
-            alloc.fragments.pop(off, None)
+    fragments = alloc.fragments
+    if fragments:
+        for off in _fragment_offsets(fragments, lo, hi):
+            del fragments[off]
+
+
+def _put(alloc: Allocation, off: int, data: bytes) -> None:
+    """Store initialized `data` at `off`, with no provenance."""
+    end = off + len(data)
+    alloc.octets[off:end] = data
+    alloc.initmask[off:end] = _ONE * len(data)
+    _drop_fragments(alloc, off, end)
 
 
 def _put_int(alloc: Allocation, off: int, size: int, value: int) -> None:
     """Store `value` little-endian in bytes [off, off + size), with no provenance."""
-    alloc.values[off : off + size] = value.to_bytes(size, "little", signed=value < 0)
-    _drop_fragments(alloc, off, off + size)
+    _put(alloc, off, value.to_bytes(size, "little", signed=value < 0))
 
 
 def _put_pointer(alloc: Allocation, off: int, value: PointerValue) -> None:
     """Store `value`'s address, wrapped to 64 bits, at `off`, spreading its provenance fragment."""
-    alloc.values[off : off + 8] = (value.address % (1 << 64)).to_bytes(8, "little")
+    _put(alloc, off, (value.address % (1 << 64)).to_bytes(8, "little"))
     if value.provenance is not None or value.alloc_id is not None:
         key = (value.alloc_id, value.provenance)
-        for i in range(8):
-            alloc.fragments[off + i] = (key, i)
-    else:
-        _drop_fragments(alloc, off, off + 8)
+        alloc.fragments.update({off + i: (key, i) for i in range(8)})
 
 
-def _init_bytes(alloc: Allocation, ptr: PointerValue, size: int, permissive: bool) -> Optional[bytes]:
+def _init_bytes(alloc: Allocation, ptr: PointerValue, size: int, permissive: bool) -> Optional[bytearray]:
     """The `size` bytes at `ptr`, or None if any is uninitialized and the read is `permissive`.
 
     An uninitialized byte is an error unless `permissive` (the foreign load
     mode), in which case the whole value is uninitialized.
     """
-    raw = alloc.values[ptr.offset : ptr.offset + size]
-    if None not in raw:
-        return bytes(raw)
+    off = ptr.offset
+    i = alloc.initmask.find(0, off, off + size)
+    if i < 0:
+        return alloc.octets[off : off + size]
     if not permissive:
-        i = raw.index(None)
         raise UbError(
             DiagnosticKind.UNINITIALIZED_READ,
-            f"read of uninitialized byte at alloc#{alloc.id}+{ptr.offset + i}",
-            address=ptr.address + i,
+            f"read of uninitialized byte at alloc#{alloc.id}+{i}",
+            address=ptr.address + i - off,
         )
     return None
 
@@ -375,7 +429,7 @@ class Memory:
         symbolic_alignment: bool = True,
         strict_provenance: bool = False,
         zero_init_foreign: bool = False,
-        tracker: Optional[type[BorrowTracker]] = None,
+        tracker: type[BorrowTracker],
     ) -> None:
         self.symbolic_alignment = symbolic_alignment
         self.strict_provenance = strict_provenance
@@ -391,44 +445,39 @@ class Memory:
 
     # ---- allocation ----------------------------------------------------------
 
-    def _new(
-        self, size: int, align: int, origin: AllocOrigin, label: str, values: Optional[list[Optional[int]]]
-    ) -> Allocation:
-        """The next allocation, with the next id, base address and root tag.
+    def _new(self, size: int, align: int, origin: AllocOrigin, label: str, immediate: bool) -> Allocation:
+        """The next allocation, with the next id, base address and root tag, and no store yet.
 
-        It holds `values`, or is an immediate local if they are None. Ids
-        count from 1, one per base address.
+        Ids count from 1, one per base address.
         """
         if size < 0 or align < 1:
             raise ValueError("bad allocation request")
         base = (self._bump + align - 1) // align * align
         self._bump = base + size + GUARD_GAP
         self._bases.append(base)
-        alloc = Allocation(
-            len(self._bases), base, size, align, origin, label, self.line,
-            None if self._tracker_type is None else self._next_tag(),
-            values is None, values, None if values is None else {},
-        )
+        alloc = Allocation(len(self._bases), base, size, align, origin, label, self.line, self._next_tag(), immediate)
         self.allocations[alloc.id] = alloc
         return alloc
 
     def allocate(self, size: int, align: int, origin: AllocOrigin, label: str = "") -> Allocation:
+        alloc = self._new(size, align, origin, label, False)
         zeroed = self.zero_init_foreign and origin in (AllocOrigin.FOREIGN_STACK, AllocOrigin.FOREIGN_HEAP)
-        return self._new(size, align, origin, label, [0 if zeroed else None] * size)
+        alloc.octets, alloc.fragments = bytearray(size), {}
+        alloc.initmask = bytearray(_ONE) * size if zeroed else bytearray(size)
+        return alloc
 
     def reserve(self, size: int, align: int, label: str = "") -> Allocation:
         """A host stack local that memory keeps whole until an address reaches it.
 
         Draws the alloc id, base address and root tag that `allocate` would
-        draw at this point, and builds no bytes.
+        draw at this point, and builds no store.
         """
-        return self._new(size, align, AllocOrigin.HOST_STACK, label, None)
+        return self._new(size, align, AllocOrigin.HOST_STACK, label, True)
 
     def _materialize(self, alloc: Allocation) -> None:
-        """Give immediate local `alloc` the bytes and fragments the byte path would hold by now."""
+        """Give immediate local `alloc` the store the byte path would hold by now."""
         alloc.immediate = False
-        alloc.values = [None] * alloc.size
-        alloc.fragments = {}
+        alloc.octets, alloc.initmask, alloc.fragments = bytearray(alloc.size), bytearray(alloc.size), {}
         value = alloc.value
         if isinstance(value, PointerValue):
             _put_pointer(alloc, 0, value)
@@ -564,7 +613,9 @@ class Memory:
         """Liveness, then bounds, of `size` bytes at `ptr`; the tracker is not consulted.
 
         `what` names the operation in the message ("read", "write", "init
-        claim", or a retag kind such as "mutable-ref retag").
+        claim", or a retag kind such as "mutable-ref retag"). A negative
+        `size` overruns, as LLVM's `memset` and `memcpy` read their size
+        unsigned, past every allocation.
         """
         alloc = self._require_allocation(ptr)
         if not alloc.live:
@@ -573,7 +624,7 @@ class Memory:
                 f"{what} of {size} bytes in alloc#{alloc.id} ({alloc.label}) after it was freed",
                 address=ptr.address,
             )
-        if ptr.offset < 0 or ptr.offset + size > alloc.size:
+        if size < 0 or ptr.offset < 0 or ptr.offset + size > alloc.size:
             raise UbError(
                 DiagnosticKind.ACCESS_OUT_OF_BOUNDS,
                 f"{what} of {size} bytes at alloc#{alloc.id}+{ptr.offset} overruns the "
@@ -603,7 +654,7 @@ class Memory:
                     f"(allocation aligned to {alloc.align})",
                     address=ptr.address,
                 )
-        if alloc.tag is not None and size > 0:
+        if size > 0:
             rng = (ptr.offset, ptr.offset + size)
             if alloc.tracker is None and ptr.provenance == alloc.tag:
                 alloc.last_use = (kind, rng, self.line)
@@ -629,8 +680,9 @@ class Memory:
     def write_uninit(self, ptr: PointerValue, size: int) -> None:
         """A size-aligned write whose bytes end up uninitialized, with no provenance."""
         alloc = self.check_access(ptr, size, size, "write")
-        alloc.values[ptr.offset : ptr.offset + size] = [None] * size
-        _drop_fragments(alloc, ptr.offset, ptr.offset + size)
+        off, end = ptr.offset, ptr.offset + size
+        alloc.octets[off:end] = alloc.initmask[off:end] = bytes(size)
+        _drop_fragments(alloc, off, end)
 
     def write_pointer(self, ptr: PointerValue, value: PointerValue) -> None:
         alloc = self.check_access(ptr, 8, 8, "write")
@@ -658,43 +710,41 @@ class Memory:
         return no_provenance(address)
 
     def read_blob(self, ptr: PointerValue, size: int) -> Blob:
-        """Untyped copy-out of the uninit mask and provenance fragments. No init check."""
+        """Untyped copy-out of the bytes, init mask and provenance fragments. No init check."""
         alloc = self.check_access(ptr, size, 1, "read")
-        values = alloc.values[ptr.offset : ptr.offset + size]
-        if not alloc.fragments:
-            return Blob(values)
-        frags = {
-            i: alloc.fragments[ptr.offset + i]
-            for i in range(size)
-            if ptr.offset + i in alloc.fragments
-        }
-        return Blob(values, frags)
+        off, end = ptr.offset, ptr.offset + size
+        blob = Blob(alloc.octets[off:end], alloc.initmask[off:end])
+        fragments = alloc.fragments
+        if fragments:
+            blob.fragments = {i - off: fragments[i] for i in _fragment_offsets(fragments, off, end)}
+        return blob
 
     def write_blob(self, ptr: PointerValue, blob: Blob) -> None:
-        """Untyped copy-in: preserves the uninit mask and provenance fragments."""
-        size = len(blob.values)
-        alloc = self.check_access(ptr, size, 1, "write")
-        alloc.values[ptr.offset : ptr.offset + size] = blob.values
-        _drop_fragments(alloc, ptr.offset, ptr.offset + size)
-        for i, frag in blob.frags.items():
-            alloc.fragments[ptr.offset + i] = frag
+        """Untyped copy-in: preserves the init mask and provenance fragments."""
+        alloc = self.check_access(ptr, blob.size, 1, "write")
+        off, end = ptr.offset, ptr.offset + blob.size
+        alloc.octets[off:end] = blob.octets
+        alloc.initmask[off:end] = blob.initmask
+        _drop_fragments(alloc, off, end)
+        if blob.fragments:
+            alloc.fragments.update({off + i: fragment for i, fragment in blob.fragments.items()})
 
     def assume_init(self, ptr: PointerValue, size: int) -> None:
-        """Assert that a range is initialized: missing bytes become zero.
+        """Assert that a range is initialized: missing bytes become zero, which they already hold.
 
         Performs no access (it models a claim, not a use), so the borrow
         tracker is not consulted; liveness and bounds still are.
         """
         alloc = self.check_bounds(ptr, size, "init claim")
-        for i in range(size):
-            off = ptr.offset + i
-            if alloc.values[off] is None:
-                alloc.values[off] = 0
+        alloc.initmask[ptr.offset : ptr.offset + size] = _ONE * size
 
     def memset(self, ptr: PointerValue, byte: int, size: int) -> None:
         alloc = self.check_access(ptr, size, 1, "write")
-        alloc.values[ptr.offset : ptr.offset + size] = [byte & 0xFF] * size
-        _drop_fragments(alloc, ptr.offset, ptr.offset + size)
+        off, end = ptr.offset, ptr.offset + size
+        # One statement per array, so only one `size`-byte temporary is alive at a time.
+        alloc.octets[off:end] = bytes((byte & 0xFF,)) * size
+        alloc.initmask[off:end] = _ONE * size
+        _drop_fragments(alloc, off, end)
 
     def memcpy(self, dest: PointerValue, src: PointerValue, size: int) -> None:
         self.write_blob(dest, self.read_blob(src, size))

@@ -76,7 +76,7 @@ def single_report(program: ScenarioProgram, config: MachineConfig, outcome: Outc
     }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DifferentialResult:
     tb: Outcome
     sb: Outcome

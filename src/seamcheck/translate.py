@@ -52,7 +52,7 @@ class TranslationError(UbError):
         super().__init__(DiagnosticKind.INVALID_BINDING, message)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArgPlan:
     source: TypeDesc
     targets: tuple[TypeDesc, ...]  # several only for a flattened aggregate

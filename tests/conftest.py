@@ -39,7 +39,7 @@ def bench_workloads():
 
 def init_mask(alloc: Allocation) -> tuple[bool, ...]:
     """Which bytes of the allocation are initialized."""
-    return tuple(v is not None for v in alloc.values)
+    return tuple(map(bool, alloc.initmask))
 
 
 def make_tracker(cls: type[BorrowTracker], size: int) -> BorrowTracker:

@@ -286,6 +286,31 @@ end
     assert main([str(path)]) == 2
 
 
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("stmt, what", [("memset p 0 n", "write"), ("memcpy p q n", "read")])
+def test_a_negative_fill_or_copy_size_overruns(stmt, what, model):
+    text = f"""
+bind go = c_go() -> i32
+
+foreign fn c_go() -> i32
+  let p = malloc 8
+  let q = malloc 8
+  store i32 p 5
+  let n = -1
+  {stmt}
+  let r = gep p 4
+  let v = load i32 r
+  return v
+end
+
+host fn main()
+  let x: i32 = call go()
+end
+"""
+    diag = _expect_bug(text, DiagnosticKind.ACCESS_OUT_OF_BOUNDS, model=model)
+    assert diag.message == f"{what} of -1 bytes at alloc#{1 if what == 'write' else 2}+0 overruns the 8-byte allocation"
+
+
 _HALF_INIT_ARGUMENT = _PT + """
 bind pass = c_pass(Pt) -> i64
 

@@ -1,8 +1,8 @@
 """Every import in the package and its tests is used, every local the package assigns is read,
-only memory and the two trackers touch an allocation's borrow state, only the borrow tracker
-base writes a tag event, every detail of a finding is named as its diagnostic field, no
-machine or memory method takes a source line, and only the machine's lowering looks at which
-statement or right-hand side form it has."""
+only memory and the two trackers touch an allocation's borrow state, only memory reads a byte
+store's fields, only the borrow tracker base writes a tag event, every detail of a finding is
+named as its diagnostic field, no machine or memory method takes a source line, and only the
+machine's lowering looks at which statement or right-hand side form it has."""
 
 import ast
 from dataclasses import fields
@@ -83,6 +83,42 @@ def test_only_memory_and_the_trackers_touch_borrow_state():
         if path.name not in _BORROW_STATE_OWNERS and (names := _borrow_state_uses(path))
     }
     assert uses == {}
+
+
+# An allocation and a `Blob` keep their bytes, init mask and fragments in fields only `memory` reads,
+# so the byte format can change in one module; the machine asks a `Blob` for what it needs.
+_BYTE_STORE_FIELDS = ("octets", "initmask", "fragments", "frags")
+
+
+def _byte_store_uses(path, source=None):
+    tree = ast.parse(path.read_text() if source is None else source, str(path))
+    return [
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _BYTE_STORE_FIELDS
+    ]
+
+
+def test_only_memory_reads_the_byte_store():
+    uses = {
+        str(path.relative_to(REPO_ROOT)): names
+        for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py"))
+        if path.name != "memory.py" and (names := _byte_store_uses(path))
+    }
+    assert uses == {}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def size(blob):\n    return len(blob.octets)\n",
+        "def uninit(alloc, i):\n    return not alloc.initmask[i]\n",
+        "def forget(alloc):\n    alloc.fragments = {}\n",
+        "def pieces(m, blob):\n    return [m.frags for _ in blob.frags]\n",
+    ],
+)
+def test_byte_store_lint_sees_a_planted_use(source):
+    assert _byte_store_uses(REPO_ROOT / "src" / "seamcheck" / "machine.py", source) != []
 
 
 # Trackers keep raw tag events; `BorrowTracker` alone turns them into `TagEvent` and `TagHistory`

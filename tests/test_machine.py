@@ -1790,6 +1790,33 @@ end
 """,
         "return of type u64 where unit is expected",
     ),
+    # A function that declares a result returns one on every path (Rust's E0069).
+    "bare-return": (
+        """
+host fn f() -> i32
+  return
+end
+
+host fn main()
+  let x: i32 = call f()
+  assert_eq x 0
+end
+""",
+        "return of type unit where i32 is expected",
+    ),
+    "implicit-return": (
+        """
+host fn f() -> i32
+  let v: i32 = 0
+end
+
+host fn main()
+  let x: i32 = call f()
+  assert_eq x 0
+end
+""",
+        "return of type unit where i32 is expected",
+    ),
     "literal-argument-for-unit": (
         """
 host fn f(u: unit)

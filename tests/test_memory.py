@@ -10,16 +10,18 @@ from seamcheck.memory import (
     PointerValue,
     UbError,
 )
+from seamcheck.tree_borrows import TreeBorrowTracker
 
 from conftest import init_mask
 
 
 def _mem(**kw):
-    return Memory(**kw)
+    return Memory(tracker=TreeBorrowTracker, **kw)
 
 
 def _ptr(alloc, offset=0, provenance=None):
-    return PointerValue(alloc.base + offset, alloc.id, offset, provenance)
+    """A pointer into `alloc`, through its root tag unless `provenance` is given."""
+    return PointerValue(alloc.base + offset, alloc.id, offset, alloc.tag if provenance is None else provenance)
 
 
 def test_allocations_get_distinct_ids_and_disjoint_ranges():
@@ -198,6 +200,35 @@ def test_memset_initializes_and_clears_fragments():
     assert got.alloc_id is None
 
 
+class _ProbedFragments(dict):
+    """A fragment dict that counts the offsets looked up in it one by one."""
+
+    probes = 0
+
+    def __contains__(self, off):
+        self.probes += 1
+        return super().__contains__(off)
+
+
+def test_a_large_copy_or_fill_costs_the_fragments_it_holds_not_its_bytes():
+    mem = _mem()
+    size = 1 << 16
+    src = mem.allocate(size, 8, AllocOrigin.FOREIGN_HEAP, "src")
+    dst = mem.allocate(size, 8, AllocOrigin.FOREIGN_HEAP, "dst")
+    target = mem.allocate(4, 4, AllocOrigin.HOST_STACK, "target")
+    mem.memset(_ptr(src), 7, size)
+    mem.write_pointer(_ptr(src, 4096), _ptr(target, 0, provenance=9))
+    src.fragments, dst.fragments = _ProbedFragments(src.fragments), _ProbedFragments(dst.fragments)
+    mem.memcpy(_ptr(dst), _ptr(src), size)
+    got = mem.read_pointer(_ptr(dst, 4096))
+    assert (got.alloc_id, got.offset, got.provenance) == (target.id, 0, 9)
+    assert mem.read_int(_ptr(dst, size - 1), 1, False) == 7
+    mem.memset(_ptr(dst), 0, size)
+    assert mem.read_pointer(_ptr(dst, 4096)) == PointerValue(0, None, 0, None)
+    assert dst.fragments == {} and len(src.fragments) == 8
+    assert src.fragments.probes == dst.fragments.probes == 0  # no walk over the 64 KiB
+
+
 def test_assume_init_fills_missing_bytes_with_zero():
     mem = _mem()
     alloc = mem.allocate(4, 4, AllocOrigin.HOST_STACK)
@@ -258,7 +289,7 @@ def test_from_exposed_finds_the_one_allocation_holding_the_address():
     for alloc, off in ((allocs[0], 0), (allocs[2], 5), (local, 3), (last, 7)):
         back = mem.from_exposed(alloc.base + off)
         assert (back.alloc_id, back.offset, back.provenance) == (alloc.id, off, WILDCARD)
-    assert not local.immediate and local.values == [None] * 4
+    assert not local.immediate and init_mask(local) == (False,) * 4
     gap = allocs[1].base + allocs[1].size  # the guard gap after a live allocation
     for address in (freed.base, empty.base, gone.base, gap, last.base + last.size, allocs[0].base - 1):
         back = mem.from_exposed(address)

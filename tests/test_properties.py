@@ -1,6 +1,6 @@
 """Randomized property suites for the model and pipeline invariants.
 
-Eight suites, each driven by at least a thousand generated cases:
+Nine suites, each driven by at least a thousand generated cases:
 
 1. tree model: Disabled is absorbing and no foreign tag stays Active
 2. stack model: accesses only ever mutate the stack above the granting item
@@ -14,13 +14,15 @@ Eight suites, each driven by at least a thousand generated cases:
    report records (as `asdict`, enum members as their values)
 8. memory: an immediate local loads what the same stores leave in a real
    allocation's bytes, and materializes into that allocation
+9. memory: the byte store (bytes, init mask, fragments) returns, raises and
+   ends up holding what the per-byte oracle `perbyte_memory` does
 """
 
 import json
 import re
 from dataclasses import asdict, is_dataclass
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seamcheck.diagnostics import (
@@ -41,6 +43,7 @@ from seamcheck.machine import MachineConfig
 from seamcheck.memory import (
     WILDCARD,
     AllocOrigin,
+    Blob,
     Memory,
     PointerValue,
     UbError,
@@ -64,6 +67,7 @@ from seamcheck.types import (
 )
 
 from conftest import corpus_path, init_mask, make_tracker
+from perbyte_memory import PerByteMemory
 from tracker_state import allows_write, peek_at, stack_at
 
 _SIZE = 4
@@ -259,14 +263,14 @@ def test_suite_translation_size_rule_and_bit_exact_round_trips(src, dst, value, 
         assert crossed % (1 << dst.bits) == v % (1 << dst.bits)
 
     # Pointer round trips through memory keep address, identity, and tag.
-    mem = Memory()
+    mem = Memory(tracker=TreeBorrowTracker)
     target = mem.allocate(16, 8, AllocOrigin.HOST_STACK, "target")
     slot = mem.allocate(8, 8, AllocOrigin.HOST_STACK, "slot")
     offset = data.draw(st.integers(0, 15), label="pointer offset")
     tag = data.draw(st.integers(1, 99), label="pointer tag")
     original = PointerValue(target.base + offset, target.id, offset, tag)
-    mem.write_pointer(PointerValue(slot.base, slot.id, 0, None), original)
-    restored = mem.read_pointer(PointerValue(slot.base, slot.id, 0, None))
+    mem.write_pointer(mem.base_pointer(slot), original)
+    restored = mem.read_pointer(mem.base_pointer(slot))
     assert restored == original
 
 
@@ -281,9 +285,9 @@ _mask_op = st.tuples(
 @settings(max_examples=1000, deadline=None)
 @given(ops=st.lists(_mask_op, min_size=1, max_size=8), seed=st.integers(0, 2**32))
 def test_suite_init_mask_only_grows(ops, seed):
-    mem = Memory(seed=seed)
+    mem = Memory(seed=seed, tracker=TreeBorrowTracker)
     alloc = mem.allocate(32, 8, AllocOrigin.FOREIGN_HEAP, "buf")
-    ptr = PointerValue(alloc.base, alloc.id, 0, None)
+    ptr = mem.base_pointer(alloc)
     mask = init_mask(alloc)
     for op, off_sel, value, size_sel in ops:
         if op == 0:
@@ -525,7 +529,102 @@ def test_suite_immediate_local_matches_the_byte_path(ty, ops):
     assert (made.base, made.size, made.align, made.origin, made.label) == (
         alloc.base, alloc.size, alloc.align, alloc.origin, alloc.label
     )
-    assert made.values == alloc.values
+    assert (made.octets, made.initmask) == (alloc.octets, alloc.initmask)
     assert made.fragments == alloc.fragments
     (made_root,) = immediate.tracker(made).history()
     assert (made_root,) == byte_path.tracker(alloc).history()
+
+
+# A place in one of the suite's allocations: (allocation selector, offset). Offsets, spans and sizes
+# lean to multiples of 8, where a pointer can be stored, so copies and fills often start or end at a
+# stored pointer or cut across one.
+_eights = st.integers(1, 5).map(lambda k: 8 * k)
+_place = st.tuples(st.integers(0, 2), st.one_of(_eights, st.just(0), st.integers(-2, 44)))
+_span = st.one_of(_eights, st.integers(-1, 44))
+_width = st.sampled_from((1, 2, 4, 8))
+_store_op = st.one_of(
+    st.tuples(st.just("write_int"), _place, _width, st.integers(0, 2**64), st.booleans()),
+    st.tuples(
+        st.just("write_pointer"), _place, st.one_of(st.none(), _place), st.sampled_from((None, "root", 7, WILDCARD))
+    ),
+    st.tuples(st.just("write_uninit"), _place, _width),
+    st.tuples(st.just("memset"), _place, st.integers(0, 511), _span),
+    st.tuples(st.just("memcpy"), _place, _place, _span),
+    st.tuples(st.just("assume_init"), _place, _span),
+    st.tuples(st.just("read_int"), _place, _width, st.booleans(), st.booleans()),
+    st.tuples(st.just("read_pointer"), _place, st.booleans()),
+    st.tuples(st.just("read_blob"), _place, _span),
+)
+
+
+def _per_byte(octets, initmask):
+    """Compact bytes as the oracle keeps them, None where uninitialized; an uninitialized byte holds 0."""
+    assert all(not byte for byte, init in zip(octets, initmask) if not init)
+    return [byte if init else None for byte, init in zip(octets, initmask)]
+
+
+def _store_step(memory, op, args):
+    """Run one `_store_op` on `memory`: what it returns, or the kind, message and address it raises."""
+    def at(place):
+        alloc = memory.allocations[place[0] % len(memory.allocations) + 1]
+        return PointerValue(alloc.base + place[1], alloc.id, place[1], alloc.tag)
+
+    if op == "write_int":
+        place, size, raw, negative = args
+        value = raw % (1 << (8 * size)) - (negative << (8 * size - 1))
+        return _outcome(lambda: memory.write_int(at(place), size, value))
+    if op == "write_pointer":
+        place, target, provenance = args
+        if target is None:
+            value = PointerValue(0x1234, None, 0x1234, None if provenance == "root" else provenance)
+        else:
+            value = at(target)
+            if provenance != "root":
+                value = PointerValue(value.address, value.alloc_id, value.offset, provenance)
+        return _outcome(lambda: memory.write_pointer(at(place), value))
+    if op == "write_uninit":
+        return _outcome(lambda: memory.write_uninit(at(args[0]), args[1]))
+    if op == "memset":
+        return _outcome(lambda: memory.memset(at(args[0]), args[1], args[2]))
+    if op == "memcpy":
+        return _outcome(lambda: memory.memcpy(at(args[0]), at(args[1]), args[2]))
+    if op == "assume_init":
+        return _outcome(lambda: memory.assume_init(at(args[0]), args[1]))
+    if op == "read_int":
+        place, size, signed, permissive = args
+        return _outcome(lambda: memory.read_int(at(place), size, signed, permissive))
+    if op == "read_pointer":
+        return _outcome(lambda: memory.read_pointer(at(args[0]), args[1]))
+    got = _outcome(lambda: memory.read_blob(at(args[0]), args[1]))
+    return (_per_byte(got.octets, got.initmask), got.fragments) if isinstance(got, Blob) else got
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    allocs=st.lists(st.tuples(st.one_of(_eights, st.integers(0, 40)), st.sampled_from((1, 4, 8, 16))),
+                    min_size=2, max_size=3),
+    zeroed=st.booleans(),
+    seed=st.integers(0, 2**32),
+    ops=st.lists(_store_op, min_size=1, max_size=16),
+)
+# Around one stored pointer at 16: a fill and a copy-out that end where it starts and one that starts
+# where it ends, each longer than its eight fragments; a copy of all of it, of its second half, and a
+# fill across its first half.
+@example(
+    allocs=[(40, 8), (16, 8)], zeroed=False, seed=0,
+    ops=[("write_pointer", (0, 16), (1, 4), "root"), ("memset", (0, 0), 1, 16), ("read_blob", (0, 0), 16),
+         ("read_blob", (0, 24), 16), ("memcpy", (1, 0), (0, 16), 8), ("read_pointer", (1, 0), False),
+         ("memcpy", (0, 0), (0, 20), 4), ("memset", (0, 12), 0, 8), ("read_blob", (0, 0), 40)],
+)
+def test_suite_byte_store_matches_the_per_byte_oracle(allocs, zeroed, seed, ops):
+    store = Memory(seed=seed, zero_init_foreign=zeroed, tracker=TreeBorrowTracker)
+    oracle = PerByteMemory(seed=seed, zero_init_foreign=zeroed, tracker=TreeBorrowTracker)
+    origins = (AllocOrigin.FOREIGN_HEAP, AllocOrigin.HOST_STACK, AllocOrigin.FOREIGN_STACK)
+    for memory in (store, oracle):
+        for i, ((size, align), origin) in enumerate(zip(allocs, origins)):
+            memory.allocate(size, align, origin, f"a{i}")
+    for op, *args in ops:
+        assert _store_step(store, op, args) == _store_step(oracle, op, args), op
+        for alloc in store.allocations.values():
+            assert _per_byte(alloc.octets, alloc.initmask) == oracle.values[alloc.id], op
+            assert alloc.fragments == oracle.frags[alloc.id], op

@@ -12,9 +12,11 @@ Statements, right-hand sides, places and the parameter, function, binding,
 expectation and program records are mutable slotted records, the cheapest a
 parse can build: they compare structurally, are never hashed, and nothing
 writes them after parsing, except that the machine hangs its lowering off a
-program (`ScenarioProgram.lowered`). Types stay frozen and hashable, as
-layout memos key on them, and the parser interns each one once per parse
-(see `parser`); operands are plain ints and strings.
+program (`ScenarioProgram.lowered`). Types are frozen and compare and hash
+structurally; each keeps its own layout once `types.layout_of` has worked
+it out, and the parser interns each one once per parse (see `parser`), so
+a type written many times is laid out once. Operands are plain ints and
+strings.
 """
 
 from __future__ import annotations

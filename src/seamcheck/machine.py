@@ -16,11 +16,14 @@ per dialect, and a `let` on its right-hand side's class, so no chain of `isinsta
 per statement. Lowering resolves what the text fixes: each host local as an index into its
 frame's slot list, with its type and layout; each place as a byte offset and a result type; each
 call's callee, and the type checks of every value that lands in a typed slot (an argument, a
-call's result, a `return`); each binding's `plan_call` result, once per binding; and what a call
+call's result, a `return`); which foreign registers hold a unit, which no statement may use as a
+value (`_unit_read`); each binding's `plan_call` result, once per binding; and what a call
 does with its result when the callee's frame pops. The lowered code hangs off its
 `ScenarioProgram`, so every run of a program, both runs of a `--diff` included, shares it, and
-none outlives it. Steps look memory, tracker, `translate` and `types` functions up when they
-run. Lowering never raises: an error the text decides, such as an unknown local, a field step on
+none outlives it. A type's layout comes from `types.layout_of`, which keeps it on the type, and
+an integer or pointer type's movers are built once per process, so lowering keeps no memo of
+type facts. Steps look memory, tracker, `translate` and `types` functions up when they run.
+Lowering never raises: an error the text decides, such as an unknown local, a field step on
 a non-struct, or an argument count or binding that does not match, becomes a step that raises it
 when its statement runs, after the same side effects, so a scenario that never reaches a bad
 line keeps its outcome.
@@ -39,7 +42,7 @@ budget, and `run` schedules again. So a run whose threads never overlap draws no
 enters `_step` once per thread switch, not once per step; `steps` still counts every step.
 
 Every borrow, cell pointer, reference-to-raw cast, owned heap value, reference parameter and
-reference-typed `let` or call result gets its tag from one retag path, `_retag`. Host frames
+reference-typed `let` or call result gets its tag from one retag path, `Memory.retag`. Host frames
 tear down in a fixed order: owned heap values not moved out drop in reverse declaration order,
 then protectors end, then local storage dies, so a dropped allocation still sees the protectors.
 """
@@ -63,8 +66,8 @@ from .stacked_borrows import StackedBorrowTracker
 from .translate import ArgPlan, TranslationError, assignable, plan_call, plan_variadic_arg, reinterpret
 from .tree_borrows import TreeBorrowTracker
 from .types import (
-    I64, U8, U16, U32, U64, ArrayType, CellType, IntType, Layout, PtrKind, PtrType, StructType, TypeDesc,
-    UnitType, is_reference, layout_of, struct_field_range,
+    I8, I16, I32, I64, U8, U16, U32, U64, ArrayType, CellType, IntType, Layout, PtrKind, PtrType, StructType,
+    TypeDesc, UnitType, is_reference, layout_of, struct_field_range,
 )
 
 
@@ -171,6 +174,52 @@ def _return(get: Optional[Step]) -> Step:
     return _return_nothing if get is None else lambda m, f, get=get: m._do_return(get(m, f))
 
 
+def _movers(ty: TypeDesc) -> tuple:
+    """`read(m, f, ptr)` and `write(m, ptr, value)` of a `ty` place, then a `ty` local's size, alignment
+    and whether it is a scalar; a unit reads as None, and writing None leaves the bytes as they are."""
+    if isinstance(ty, IntType):
+        return _INT_MOVERS[ty.bits, ty.signed]
+    return _POINTER_MOVERS if isinstance(ty, PtrType) else _new_movers(ty)
+
+
+def _new_movers(ty: TypeDesc) -> tuple:
+    inner = ty.inner if isinstance(ty, CellType) else ty
+    if isinstance(inner, UnitType):
+        def read(m, f, ptr):
+            m.memory.check_access(ptr, 0, 1, "read")
+        def write(m, ptr, value):
+            pass
+    elif isinstance(inner, (IntType, PtrType)):
+        def read(m, f, ptr, ty=inner):
+            if isinstance(ty, PtrType):
+                return m.memory.read_pointer(ptr, False)
+            return m.memory.read_int(ptr, ty.size, ty.signed, False)
+        def write(m, ptr, value, ty=inner):
+            if isinstance(ty, PtrType) and value is not None:
+                m.memory.write_pointer(ptr, m._scalar(ty, value))
+            elif value is not None:
+                m.memory.write_int(ptr, ty.size, m._scalar(ty, value))
+    else:
+        def read(m, f, ptr, size=layout_of(inner).size):
+            return m.memory.read_blob(ptr, size)
+        def write(m, ptr, value, ty=inner, size=layout_of(inner).size):
+            if isinstance(value, Blob):
+                if value.size != size:
+                    raise ScenarioUnsupported(f"aggregate of {value.size} bytes written into {size}-byte slot")
+                m.memory.write_blob(ptr, value)
+            elif isinstance(value, int):
+                raise ScenarioUnsupported(f"integer written into aggregate slot of type {ty}")
+            elif value is not None:
+                raise ScenarioUnsupported(f"cannot store value into slot of type {ty}")
+    layout = layout_of(ty)
+    return read, write, layout.size, layout.align, isinstance(ty, (IntType, PtrType))
+
+
+# Built once per process: an integer type's movers by (bits, signed), and the one set all pointers share.
+_INT_MOVERS = {(t.bits, t.signed): _new_movers(t) for t in (I8, I16, I32, I64, U8, U16, U32, U64)}
+_POINTER_MOVERS = _new_movers(PtrType(PtrKind.OPAQUE, None))
+
+
 class _Lowering:
     """What a program's text fixes, worked out on first need and shared by every run of it.
 
@@ -184,12 +233,6 @@ class _Lowering:
         self.codes: dict[str, _Code] = {}
         self.plans: dict[str, Union[tuple[ArgPlan, ...], str]] = {}  # per binding, or its mismatch
         self.callbacks: dict[tuple, Step] = {}  # by (callee, arguments), shared by equal lines
-        self.layouts: dict[int, tuple[TypeDesc, Layout]] = {}  # by type id; each keeps its type, so no id is reused
-        self.movers: dict[object, tuple] = {}  # likewise
-
-    def layout(self, ty: TypeDesc) -> Layout:
-        key = PtrType if isinstance(ty, PtrType) else id(ty)  # every pointer lays out alike
-        return (self.layouts.get(key) or self.layouts.setdefault(key, (ty, layout_of(ty))))[1]
 
     def code(self, fn: FnDef) -> _Code:
         return self.codes.get(fn.name) or self.codes.setdefault(fn.name, self._lower(fn))
@@ -201,10 +244,18 @@ class _Lowering:
         code.params = [self._param(p.name, p.type) for p in fn.params] if host else []
         self.steps = code.steps = []  # a call's result lands by its step's index
         table = self.HOST_STMTS if host else self.FOREIGN_STMTS
+        self.units = set() if host else {p.name for p in fn.params if isinstance(p.type, UnitType)}
         for stmt in fn.body:
             lower = table.get(type(stmt))
-            self.steps.append(_fail(ScenarioUnsupported, f"statement not executable in {fn.dialect.value} code: "
-                                    f"{stmt!r}") if lower is None else lower(self, stmt))
+            unit = self._unit_read(stmt) if self.units else None
+            if lower is None:
+                step = _fail(ScenarioUnsupported, f"statement not executable in {fn.dialect.value} code: {stmt!r}")
+            elif unit is not None:
+                step = _fail(ScenarioUnsupported, f"register '{unit}' holds a unit, which has no value; foreign "
+                             "code may only pass it to a unit parameter or return it as a unit")
+            else:
+                step = lower(self, stmt)
+            self.steps.append(step)
         code.steps.append(self._bare_return() if host else _return_nothing)
         code.lines = [s.line for s in fn.body] + [fn.body[-1].line if fn.body else fn.line]
         code.lands, code.owned = self.lands, self.owned[::-1]
@@ -214,54 +265,14 @@ class _Lowering:
         """A new host local, the next in its frame's slot list, which `name` names from here on."""
         local = _Local()
         local.k, local.name, local.type = self.nlocals, name, ty
-        local.read, local.write, local.size, local.align, local.scalar = self._movers(ty)
+        local.read, local.write, local.size, local.align, local.scalar = _movers(ty)
         self.env[name] = local
         self.nlocals += 1
         return local
 
-    def _movers(self, ty: TypeDesc) -> tuple:
-        """`read(m, f, ptr)` and `write(m, ptr, value)` of a `ty` place, then a `ty` local's size, alignment
-        and whether it is a scalar; a unit reads as None, and writing None leaves the bytes as they are."""
-        key = PtrType if isinstance(ty, PtrType) else id(ty)  # every pointer moves alike
-        seen = self.movers.get(key)
-        if seen is not None:
-            return seen[1:]
-        inner = ty.inner if isinstance(ty, CellType) else ty
-        if isinstance(inner, UnitType):
-            def read(m, f, ptr):
-                m.memory.check_access(ptr, 0, 1, "read")
-            def write(m, ptr, value):
-                pass
-        elif isinstance(inner, (IntType, PtrType)):
-            def read(m, f, ptr, ty=inner):
-                if isinstance(ty, PtrType):
-                    return m.memory.read_pointer(ptr, False)
-                return m.memory.read_int(ptr, ty.size, ty.signed, False)
-            def write(m, ptr, value, ty=inner):
-                if isinstance(ty, PtrType) and value is not None:
-                    m.memory.write_pointer(ptr, m._scalar(ty, value))
-                elif value is not None:
-                    m.memory.write_int(ptr, ty.size, m._scalar(ty, value))
-        else:
-            def read(m, f, ptr, size=self.layout(inner).size):
-                return m.memory.read_blob(ptr, size)
-            def write(m, ptr, value, ty=inner, size=self.layout(inner).size):
-                if isinstance(value, Blob):
-                    if value.size != size:
-                        raise ScenarioUnsupported(f"aggregate of {value.size} bytes written into {size}-byte slot")
-                    m.memory.write_blob(ptr, value)
-                elif isinstance(value, int):
-                    raise ScenarioUnsupported(f"integer written into aggregate slot of type {ty}")
-                elif value is not None:
-                    raise ScenarioUnsupported(f"cannot store value into slot of type {ty}")
-        layout, scalar = self.layout(ty), isinstance(ty, (IntType, PtrType))
-        align = layout.align if scalar else max(layout.align, 1)
-        seen = self.movers[key] = (ty, read, write, layout.size, align, scalar)
-        return seen[1:]
-
     def _ref(self, ty: TypeDesc) -> Optional[tuple[Layout, str]]:
         """(pointee layout, retag kind) of a reference type, else None."""
-        return (self.layout(ty.pointee), ty.kind.value) if is_reference(ty) else None
+        return (layout_of(ty.pointee), ty.kind.value) if is_reference(ty) else None
 
     def _bound(self, get: Step, ty: TypeDesc, name: str) -> Step:
         """`get`, retagged as the value of a `ty` local `name`; see `Machine._bind_reference`."""
@@ -324,7 +335,7 @@ class _Lowering:
                     raise UbError(DiagnosticKind.ACCESS_OUT_OF_BOUNDS, message, address=ptr.address + at)
                 return off, ty, out_of_bounds
             else:
-                off, ty = off + step * self.layout(ty.elem).size, ty.elem
+                off, ty = off + step * layout_of(ty.elem).size, ty.elem
         return off, ty, None
 
     def _place(self, place: Place) -> tuple[Step, Optional[TypeDesc]]:
@@ -368,7 +379,7 @@ class _Lowering:
     # ---- host statements, by class (`HOST_STMTS`) ----------------------------
 
     def _assume_init(self, stmt: AssumeInitStmt) -> Step:
-        return self._at_place(stmt.place, lambda ty, at: lambda m, f, at=at, size=self.layout(ty).size: (
+        return self._at_place(stmt.place, lambda ty, at: lambda m, f, at=at, size=layout_of(ty).size: (
             m.memory.assume_init(at(m, f), size)
         ))[0]
 
@@ -417,7 +428,7 @@ class _Lowering:
                 if isinstance(op, int) and isinstance(inner, IntType):
                     value = reinterpret(op, inner)
                     return lambda m, f, at=at, size=inner.size, value=value: m.memory.write_int(at(m, f), size, value)
-                return lambda m, f, at=at, write=self._movers(ty)[1], get=get: write(m, at(m, f), get(m, f))
+                return lambda m, f, at=at, write=_movers(ty)[1], get=get: write(m, at(m, f), get(m, f))
             return self._at_place(place, put_at)[0]
         local = self.env.get(place.base)
         if local is None:
@@ -480,7 +491,7 @@ class _Lowering:
             if not (place.deref and base is not None and isinstance(base.type, PtrType)) or base.type.pointee:
                 get, src = self._at_place(place, self._read_at)
             else:
-                want = self.layout(ty).size
+                want = layout_of(ty).size
                 def load(src, at):  # through an untyped pointer, so `src` is known only at run time
                     if src.size != want:
                         return _fail(UbError, DiagnosticKind.INVALID_BINDING, f"load through untyped pointer "
@@ -491,7 +502,7 @@ class _Lowering:
         return self._assign(stmt, self._bound(get, ty, name), src == ty and isinstance(ty, IntType))
 
     def _read_at(self, ty: TypeDesc, at: Step) -> Step:
-        return lambda m, f, at=at, read=self._movers(ty)[0]: read(m, f, at(m, f))
+        return lambda m, f, at=at, read=_movers(ty)[0]: read(m, f, at(m, f))
 
     def _borrow(self, stmt: LetStmt) -> Step:
         return self._assign(stmt, self._retagged(stmt.rhs.place, stmt.name, stmt.rhs.kind.value))
@@ -506,21 +517,21 @@ class _Lowering:
                 if not isinstance(src, CellType):
                     return _fail(ScenarioUnsupported, ".get() on a place that is not interior-mutable", after=at)
                 src = src.inner
-            return lambda m, f, at=at, pointee=self.layout(src), kind=kind, name=name: (
-                m._retag(at(m, f), pointee, kind, name))
+            return lambda m, f, at=at, pointee=layout_of(src), kind=kind, name=name: (
+                m.memory.retag(at(m, f), pointee, kind, name))
         return self._at_place(place, retag)[0]
 
     def _heap_new(self, stmt: LetStmt) -> Step:
         rhs, name = stmt.rhs, stmt.name
-        def heap_new(m, f, layout=self.layout(rhs.type), init=rhs.init, name=name,
-                     write=self._movers(rhs.type)[1] if isinstance(rhs.init, int) else None):
-            alloc = m.memory.allocate(layout.size, max(layout.align, 1), AllocOrigin.HOST_HEAP, f"{name} (alloc)")
+        def heap_new(m, f, layout=layout_of(rhs.type), init=rhs.init, name=name,
+                     write=_movers(rhs.type)[1] if isinstance(rhs.init, int) else None):
+            alloc = m.memory.allocate(layout.size, layout.align, AllocOrigin.HOST_HEAP, f"{name} (alloc)")
             base = m.memory.base_pointer(alloc)
             if init == "zeroed":
                 m.memory.memset(base, 0, layout.size)
             elif write is not None:
                 write(m, base, init)
-            return m._retag(base, layout, "mutable-ref", name) if m.config.unique_as_mutable else base
+            return m.memory.retag(base, layout, "mutable-ref", name) if m.config.unique_as_mutable else base
         return self._assign(stmt, heap_new, owned=True)
 
     def _into_raw(self, stmt: LetStmt) -> Step:
@@ -537,7 +548,7 @@ class _Lowering:
     def _from_raw(self, stmt: LetStmt) -> Step:
         ty, name = stmt.type, stmt.name
         get = self._operand(stmt.rhs.source)[0]
-        layout = self.layout(ty.pointee) if isinstance(ty, PtrType) and ty.pointee is not None else None
+        layout = layout_of(ty.pointee) if isinstance(ty, PtrType) and ty.pointee is not None else None
         return self._assign(stmt, lambda m, f, get=get, layout=layout, name=name: m._from_raw(get(m, f), layout, name),
                             owned=True)
 
@@ -554,20 +565,20 @@ class _Lowering:
             if is_reference(target):
                 return _fail(ScenarioUnsupported, "casts cannot create references", after=get)
             if is_reference(src) and target.kind in (PtrKind.RAW_MUT, PtrKind.RAW_CONST):
-                def to_raw(m, f, get=get, layout=self.layout(src.pointee), target=target, label=label):
+                def to_raw(m, f, get=get, layout=layout_of(src.pointee), target=target, label=label):
                     value = get(m, f)
                     if value.alloc_id is not None:
-                        return m._retag(value, layout, target.kind.value, label)
+                        return m.memory.retag(value, layout, target.kind.value, label)
                     return m._convert(value, target)
                 return to_raw
-        elif PtrType in (type(src), type(target)) and self.layout(src).size != self.layout(target).size:
+        elif PtrType in (type(src), type(target)) and layout_of(src).size != layout_of(target).size:
             return _fail(ScenarioUnsupported, "pointer addresses only fit 8-byte integers", after=get)
         return lambda m, f, get=get, target=target: m._convert(get(m, f), target)
 
     def _offset(self, stmt: LetStmt) -> Step:
         (get, src), (count, _) = self._operand(stmt.rhs.source), self._operand(stmt.rhs.count)
         typed = isinstance(src, PtrType) and src.kind is not PtrKind.OPAQUE
-        def offset(m, f, get=get, count=count, src=src, stride=max(self.layout(src.pointee).size, 1) if typed else 0):
+        def offset(m, f, get=get, count=count, src=src, stride=max(layout_of(src.pointee).size, 1) if typed else 0):
             value, n = get(m, f), count(m, f)
             if not isinstance(value, PointerValue) or not isinstance(src, PtrType):
                 raise ScenarioUnsupported("offset() applies to pointer values")
@@ -654,13 +665,33 @@ class _Lowering:
             return flatten
         def out(m, value, target=plan.targets[0], pointer=isinstance(plan.source, PtrType)):
             if value is None:
-                return [0]  # a unit, as a host read of uninitialized memory raises; it lands as 0
+                return [0]  # a unit, as a host read of uninitialized memory raises; see `_unit_read`
             if pointer and isinstance(value, int):
                 value = no_provenance(value)  # a literal for a pointer is an address without provenance
             return [m._convert(value, target)]
         return out
 
     # ---- foreign statements, by class (`FOREIGN_STMTS`) -----------------------
+
+    def _unit_read(self, stmt) -> Optional[str]:
+        """The register of `units` that foreign `stmt` uses as a value, if any.
+
+        `units` holds the registers that hold a unit: the `unit` parameters, and the result of a callback
+        whose host callee returns nothing (`_callback`), until a later `let` of the name (`_foreign_let`).
+        LLVM has no `void` value, and rustc flags `()` in an `extern` signature (`improper_ctypes`), so a
+        unit may only pass to a callback's `unit` parameter or return from a foreign fn that returns
+        `unit`; any other use, a copy included, is `unsupported` when its statement runs. Foreign code
+        runs straight through, so what such a statement would define never matters."""
+        if isinstance(stmt, CallStmt):
+            params = self.program.function(stmt.callee).params
+            ops = [op for op, p in zip(stmt.args, params) if not isinstance(p.type, UnitType)]
+        elif isinstance(stmt, ReturnStmt):
+            ops = () if isinstance(self.ret, UnitType) else (stmt.value,)
+        else:
+            node = stmt.rhs if isinstance(stmt, LetStmt) else stmt
+            reads = self.FOREIGN_READS.get(type(node))
+            ops = () if reads is None else reads(node)
+        return next((op for op in ops if op in self.units), None)
 
     @staticmethod
     def _reg(op: Operand) -> Step:
@@ -676,8 +707,11 @@ class _Lowering:
     def _callback(self, stmt: CallStmt) -> Step:
         """A foreign call of a host function; equal calls share one step, so its plan is made once."""
         if stmt.dest is not None:
+            self.units.discard(stmt.dest)
+            if isinstance(self.program.function(stmt.callee).ret, UnitType):
+                self.units.add(stmt.dest)
             def land(m, f, value, dest=stmt.dest):
-                f.regs[dest] = 0 if value is None else value  # a host callee's missing result lands as 0
+                f.regs[dest] = 0 if value is None else value  # a unit; see `_unit_read`
             self.lands[len(self.steps)] = (None, stmt.line, land)
         step = self.callbacks.get((stmt.callee, stmt.args))
         if step is not None:
@@ -698,13 +732,14 @@ class _Lowering:
         return step
 
     def _foreign_let(self, stmt: LetStmt) -> Step:
+        self.units.discard(stmt.name)
         lower = self.FOREIGN_RHS.get(type(stmt.rhs))
         if lower is None:
             return _fail(ScenarioUnsupported, f"foreign let cannot evaluate {type(stmt.rhs).__name__}")
         return lambda m, f, name=stmt.name, get=lower(self, stmt): f.regs.__setitem__(name, get(m, f))
 
     def _store(self, stmt: StoreStmt) -> Step:
-        size, reg = self.layout(stmt.type).size, self._reg
+        size, reg = layout_of(stmt.type).size, self._reg
         if size not in _UNSIGNED:
             return _fail(ScenarioUnsupported, f"foreign store of {size}-byte type {stmt.type}")
         return lambda m, f, pointer=reg(stmt.pointer), get=reg(stmt.value), size=size: m._foreign_store(
@@ -784,6 +819,13 @@ class _Lowering:
     FOREIGN_RHS = {
         LiteralRhs: _reg_literal, PlaceRhs: _reg_copy, LoadRhs: _load, MallocRhs: _malloc, AllocaRhs: _alloca,
         GepRhs: _gep,
+    }
+    # The registers a foreign statement, or a `let`'s right-hand side, reads as values (see `_unit_read`).
+    FOREIGN_READS = {
+        StoreStmt: lambda s: (s.pointer, s.value), FreeStmt: lambda s: (s.pointer,),
+        MemsetStmt: lambda s: (s.pointer, s.value, s.size), MemcpyStmt: lambda s: (s.dest, s.src, s.size),
+        PlaceRhs: lambda r: (r.place.base,), LoadRhs: lambda r: (r.pointer,), MallocRhs: lambda r: (r.size,),
+        AllocaRhs: lambda r: (r.size,), GepRhs: lambda r: (r.pointer, r.offset),
     }
 
 
@@ -917,10 +959,6 @@ class Machine:
             self.memory.release_stack(alloc_id)
         frames.pop()
 
-    def _retag(self, ptr: PointerValue, pointee: Layout, kind: str, label: str, protect=False) -> PointerValue:
-        """`ptr` with a fresh `kind` tag over a `pointee`; see `Memory.retag`."""
-        return self.memory.retag(ptr, pointee.size, pointee.cell_ranges, kind, label, protect)
-
     def _bind_reference(self, value: Value, ref: tuple[Layout, str], name: str, protect: bool = False) -> Value:
         """`value` retagged as reference `name`, `ref` its (pointee layout, kind). SB retags every reference
         assignment and, protected, every reference argument (Jung et al., POPL 2020); an int has no provenance."""
@@ -928,7 +966,7 @@ class Machine:
             return value
         if isinstance(value, int):
             value = no_provenance(value)
-        return self._retag(value, ref[0], ref[1], name, protect)
+        return self.memory.retag(value, ref[0], ref[1], name, protect)
 
     def _from_raw(self, value: Value, layout: Optional[Layout], name: str) -> Value:
         """`heap_from_raw` of `value`, retagged over `layout`, or for None over its whole allocation."""
@@ -941,7 +979,7 @@ class Machine:
             return value
         if layout is None:
             layout = layout_of(ArrayType(U8, self.memory.allocations[value.alloc_id].size))
-        return self._retag(value, layout, "mutable-ref", name)
+        return self.memory.retag(value, layout, "mutable-ref", name)
 
     @staticmethod
     def _assert_eq(left: Value, right: Value) -> None:
@@ -1059,7 +1097,7 @@ class Machine:
         if isinstance(target, CellType):
             return self._convert(value, target.inner)
         if isinstance(target, (StructType, ArrayType)):
-            size = self._lowering.layout(target).size
+            size = layout_of(target).size
             if isinstance(value, int):
                 return Blob.from_int(value, size)
             if not isinstance(value, Blob):

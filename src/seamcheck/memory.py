@@ -83,6 +83,7 @@ from typing import Callable, Optional, Union
 
 from .diagnostics import DiagnosticKind, TagEvent, TagHistory
 from .rng import _splitmix64
+from .types import Layout
 
 GUARD_GAP = 16
 BASE_ADDRESS = 0x10000
@@ -307,8 +308,8 @@ class Allocation:
     `fragments`, the provenance fragment of each byte that holds one, by
     offset. An immediate local has no store, only its whole `value` (None
     while uninitialized): an int of its type, or a pointer as `read_pointer`
-    would return it. Until `tracker` is built, `last_use` is the root's last
-    use as `(kind, range, line)`.
+    would return it. A dead allocation has no store either. Until `tracker`
+    is built, `last_use` is the root's last use as `(kind, range, line)`.
     """
 
     id: int
@@ -520,21 +521,20 @@ class Memory:
         """A pointer to `alloc`'s first byte, carrying its root tag."""
         return PointerValue(alloc.base, alloc.id, 0, alloc.tag)
 
-    def retag(
-        self, ptr: PointerValue, size: int, cells: tuple[Range, ...], kind: str, label: str, protect: bool
-    ) -> PointerValue:
-        """`ptr` with a fresh `kind` tag over `size` bytes, derived from the tag it carries.
+    def retag(self, ptr: PointerValue, pointee: Layout, kind: str, label: str, protect: bool = False) -> PointerValue:
+        """`ptr` with a fresh `kind` tag over its `pointee`'s bytes, derived from the tag it carries.
 
-        `cells` are the interior-mutable ranges of the pointee, relative to
-        `ptr`. The pointee must be live and in bounds when the borrow is
-        made, as Miri requires it to be dereferenceable at retag;
-        `check_bounds` also rejects a pointer into no allocation. A borrow
-        through an exposed address hangs off the allocation's root tag.
+        The pointee's cell ranges are its interior-mutable bytes. It must be
+        live and in bounds when the borrow is made, as Miri requires it to be
+        dereferenceable at retag; `check_bounds` also rejects a pointer into
+        no allocation. A borrow through an exposed address hangs off the
+        allocation's root tag.
         """
+        size = pointee.size
         alloc = self.check_bounds(ptr, size, f"{kind} retag")
         parent = alloc.tag if ptr.provenance is WILDCARD else ptr.provenance
         off = ptr.offset
-        cells = tuple((a + off, b + off) for a, b in cells)
+        cells = tuple((a + off, b + off) for a, b in pointee.cell_ranges)
         tag = self.tracker(alloc).retag(parent, (off, off + size), kind, cells, protect, label, self.line)
         return PointerValue(ptr.address, ptr.alloc_id, ptr.offset, tag)
 
@@ -570,7 +570,7 @@ class Memory:
                 f"but freed by {via} code",
                 allocation_origin=alloc.origin.value,
             )
-        alloc.live = False
+        self._die(alloc)
         return alloc
 
     def release_stack(self, alloc_id: int) -> None:
@@ -585,7 +585,14 @@ class Memory:
             del self.allocations[alloc_id]
         elif alloc.tracker is not None:
             alloc.tracker.dealloc_check()
+        self._die(alloc)
+
+    @staticmethod
+    def _die(alloc: Allocation) -> None:
+        """Mark `alloc` dead and drop its store: every access stops at `check_bounds`'s liveness check, and
+        what reads a dead allocation (`leak_report`, a pointee guess) reads only its size and origin."""
         alloc.live = False
+        alloc.octets = alloc.initmask = alloc.fragments = None
 
     def leak_report(self) -> list[Allocation]:
         return [

@@ -309,8 +309,8 @@ class _Parser:
 
     def _intern(self, key: tuple, make: Callable[..., TypeDesc], *parts: object) -> TypeDesc:
         """The one `make(*parts)` of this parse: `key` names its kind and its parts' ids, and every
-        part is interned already, so equal types written twice are one object. Layout memos keyed
-        by a type's id then hit, and building a type once spares the rest of its writings."""
+        part is interned already, so equal types written twice are one object. Building a type once
+        spares the rest of its writings, and it is laid out once, as it keeps its own layout."""
         ty = self.interned.get(key)
         if ty is None:
             ty = self.interned[key] = make(*parts)

@@ -10,6 +10,10 @@ need: padding ranges (bytes no declared field occupies) and cell ranges
 (bytes under interior mutability). A `cell(T)` has the same size and
 alignment as `T` and contributes its whole extent as a cell range; a
 `phantom(T)` is a zero-sized marker and contributes nothing.
+
+A type's layout is worked out by its first `layout_of` and kept on the type
+object, after rustc's `layout_of` query: a lookup reads one attribute and
+never hashes the type, and a layout lives as long as its type.
 """
 
 from __future__ import annotations
@@ -172,26 +176,24 @@ def _shift(ranges: tuple[Range, ...], by: int) -> list[Range]:
     return [(a + by, b + by) for a, b in ranges]
 
 
-_layout_cache: dict[TypeDesc, Layout] = {}
+_POINTER = Layout(size=POINTER_SIZE, align=POINTER_ALIGN)  # every pointer's
 
 
 def layout_of(t: TypeDesc) -> Layout:
-    return _layout_of(t, ())
+    return getattr(t, "_layout", None) or _layout_of(t, ())
 
 
 def _layout_of(t: TypeDesc, stack: tuple[str, ...]) -> Layout:
-    cached = _layout_cache.get(t)
-    if cached is not None:
-        return cached
+    out = getattr(t, "_layout", None)
+    if out is not None:
+        return out
     if isinstance(t, IntType):
         out = Layout(size=t.size, align=t.size)
-    elif isinstance(t, UnitType):
-        out = Layout(size=0, align=1)
     elif isinstance(t, PtrType):
-        out = Layout(size=POINTER_SIZE, align=POINTER_ALIGN)
-    elif isinstance(t, PhantomType):
-        # Marker type: occupies nothing and confers no interior mutability,
-        # whatever it wraps.
+        out = _POINTER
+    elif isinstance(t, (UnitType, PhantomType)):
+        # A phantom is a marker type: it occupies nothing and confers no
+        # interior mutability, whatever it wraps.
         out = Layout(size=0, align=1)
     elif isinstance(t, CellType):
         inner = _layout_of(t.inner, stack)
@@ -224,7 +226,8 @@ def _layout_of(t: TypeDesc, stack: tuple[str, ...]) -> Layout:
         out = _layout_struct(t, stack + (t.name,))
     else:
         raise TypeError(f"not a type description: {t!r}")
-    _layout_cache[t] = out
+    # A non-field attribute, which equality, hashing and `repr` ignore, set past the frozen guard.
+    object.__setattr__(t, "_layout", out)
     return out
 
 

@@ -342,9 +342,7 @@ bind f = c_f(unit)
 foreign fn c_f(u: unit)
   let s = alloca 8
   let v = load u64 s
-  let p = malloc u
-  free p
-  call cb(ARG)
+  USE
 end
 
 host fn cb(w: unit)
@@ -357,9 +355,101 @@ end
 """
 
 
+def _unit_used(register):
+    return (f"register '{register}' holds a unit, which has no value; foreign code may only pass it to a unit "
+            "parameter or return it as a unit")
+
+
 @pytest.mark.parametrize("model", ["tb", "sb"])
-def test_a_unit_value_crosses_out_as_zero_and_an_uninitialized_one_cannot_cross_back(model):
-    # A host unit value has no bytes, so foreign code sees it as 0.
-    assert _run(_UNIT_CROSSINGS.replace("ARG", "u"), model=model).classification is Classification.PASS
-    diag = _expect_bug(_UNIT_CROSSINGS.replace("ARG", "v"), DiagnosticKind.UNINITIALIZED_READ, model=model)
+def test_a_unit_parameter_used_as_a_malloc_size_is_unsupported(model):
+    outcome = _run(_UNIT_CROSSINGS.replace("USE", "let p = malloc u\n  free p"), model=model)
+    assert (outcome.classification, outcome.note) == (Classification.UNSUPPORTED, _unit_used("u"))
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_a_unit_parameter_crosses_back_into_a_unit_parameter(model):
+    assert _run(_UNIT_CROSSINGS.replace("USE", "call cb(u)"), model=model).classification is Classification.PASS
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_an_uninitialized_register_cannot_cross_back_into_a_unit_parameter(model):
+    diag = _expect_bug(_UNIT_CROSSINGS.replace("USE", "call cb(v)"), DiagnosticKind.UNINITIALIZED_READ, model=model)
     assert diag.message == "value derived from uninitialized memory passed into host code"
+
+
+_UNIT_RESULT = """
+bind f = c_f() -> RET
+
+foreign fn c_f() -> RET
+  let r = call nothing()
+  BODY
+end
+
+host fn nothing()
+end
+
+host fn take(w: unit)
+end
+
+host fn seven() -> u64
+  return 7
+end
+
+host fn main()
+  let x: RET = call f()
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("ret, body, outcome", [
+    ("u64", "return r", "unsupported"),  # no value for the binding's result
+    ("u64", "let c = r\n  return 7", "unsupported"),  # a copy is a use
+    ("u64", "store u64 r 1\n  return 7", "unsupported"),
+    ("unit", "return r", "pass"),
+    ("u64", "call take(r)\n  return 7", "pass"),
+    ("u64", "let r = 7\n  return r", "pass"),  # a later `let` of the name holds a value
+    ("u64", "let r = call seven()\n  return r", "pass"),  # so does a callback result with a value
+])
+def test_a_callback_result_without_a_value_is_a_unit(model, ret, body, outcome):
+    result = _run(_UNIT_RESULT.replace("RET", ret).replace("BODY", body), model=model)
+    assert result.classification.value == outcome, result
+    if outcome == "unsupported":
+        assert result.note == _unit_used("r")
+
+
+_SHARED_CALLBACK = """
+bind f = c_f(unit)
+bind g = c_g(u64)
+
+foreign fn c_f(u: unit)
+  EARLY
+  call wide(u)
+end
+
+foreign fn c_g(u: u64)
+  call wide(u)
+end
+
+host fn wide(w: u64)
+end
+
+host fn main()
+  let u: unit = zeroed
+  let n: u64 = 1
+  FIRST
+  SECOND
+end
+"""
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+def test_equal_callback_lines_share_no_unit_fact(model):
+    # Equal callback lines share one lowered step. Passing `u` to a `u64` parameter is unsupported in
+    # `c_f`, where it is a unit, whichever function is lowered first, and passes in `c_g`.
+    def run(early, first, second):
+        text = _SHARED_CALLBACK.replace("EARLY", early).replace("FIRST", first).replace("SECOND", second)
+        return _run(text, model=model)
+    outcome = run("", "call g(n)", "call f(u)")
+    assert (outcome.classification, outcome.note) == (Classification.UNSUPPORTED, _unit_used("u"))
+    assert run("return", "call f(u)", "call g(n)").classification is Classification.PASS

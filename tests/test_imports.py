@@ -121,6 +121,31 @@ def test_byte_store_lint_sees_a_planted_use(source):
     assert _byte_store_uses(REPO_ROOT / "src" / "seamcheck" / "machine.py", source) != []
 
 
+# Only the parser keys anything by an object's identity: `_intern` keys a composite type by its parts' ids,
+# within one parse. Every other module asks `types` for a type's facts, which it keeps on the type.
+def _identity_keys(path, source=None):
+    tree = ast.parse(path.read_text() if source is None else source, str(path))
+    return [
+        f"id() (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"
+    ]
+
+
+def test_only_the_parser_keys_by_identity():
+    uses = {
+        str(path.relative_to(REPO_ROOT)): found
+        for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py"))
+        if path.name != "parser.py" and (found := _identity_keys(path))
+    }
+    assert uses == {}
+
+
+def test_identity_key_lint_sees_a_planted_use():
+    source = "class _Lowering:\n    def layout(self, ty):\n        return self.layouts[id(ty)]\n"
+    assert _identity_keys(REPO_ROOT / "src" / "seamcheck" / "machine.py", source) != []
+
+
 # Trackers keep raw tag events; `BorrowTracker` alone turns them into `TagEvent` and `TagHistory`
 # records, when an error is raised, so no access or retag path formats an event.
 _EVENT_RECORDS = ("TagEvent", "TagHistory")

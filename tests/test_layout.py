@@ -164,3 +164,6 @@ def test_struct_field_range_uses_layout():
 def test_layout_result_is_immutable_value():
     t = ArrayType(I8, 3)
     assert layout_of(t) == Layout(size=3, align=1)
+    forms = (I8, UnitType(), PtrType(PtrKind.OPAQUE, None), PhantomType(I64), CellType(I16), ArrayType(I64, 0),
+             _struct("Empty"))
+    assert all(lo.align >= 1 and lo.size % lo.align == 0 for lo in map(layout_of, forms))

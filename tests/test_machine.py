@@ -1,7 +1,10 @@
 """Whole-scenario execution: calls, threads, heap ownership, config flags."""
 
+import gc
 import hashlib
 import re
+import weakref
+from pathlib import Path
 from typing import get_args
 
 import pytest
@@ -23,8 +26,9 @@ from seamcheck.memory import GUARD_GAP, AllocOrigin
 from seamcheck.parser import parse_text
 from seamcheck.rng import Xoshiro256
 from seamcheck.runner import exit_code, single_report
+from seamcheck.types import ArrayType
 
-from conftest import bench_workloads
+from conftest import bench_workloads, corpus_path
 
 
 def _run(text, **config_kw):
@@ -1661,6 +1665,49 @@ def test_static_work_is_done_once_per_program_not_once_per_execution(monkeypatch
         assert outcome.classification is Classification.PASS
         seen.append(dict(counts))
     assert seen[0] == seen[1]
+
+
+def test_a_program_types_die_with_the_program():
+    program = parse_text(Path(corpus_path("aggregate_passthrough.sc")).read_text())
+    assert run_program(program, MachineConfig(model="tb")).classification is Classification.PASS
+    structs = [weakref.ref(t) for t in program.types]
+    del program
+    gc.collect()
+    assert len(structs) == 2 and [ref() for ref in structs] == [None, None]
+
+
+def test_untyped_heap_from_raw_leaves_no_type_behind():
+    # Each `heap_from_raw` into a `ptr` retags over its whole allocation, laid out as a fresh `[u8; size]`.
+    lines = "\n".join(f"  let q{n}: ptr = call make({n})\n  let b{n}: ptr = heap_from_raw q{n}" for n in range(1, 201))
+    text = f"bind make = c_make(u64) -> ptr\nforeign fn c_make(n: u64) -> ptr\n  let p = malloc n\n  return p\nend\n" \
+           f"host fn main()\n{lines}\nend\n"
+    program = parse_text(text)
+    gc.collect()
+    before = sum(isinstance(o, ArrayType) for o in gc.get_objects())
+    outcome = run_program(program, MachineConfig(model="tb"))
+    assert outcome.diagnostics[0].kind is DiagnosticKind.CROSS_LANGUAGE_DEALLOC  # `b200` drops at main's end
+    del program, outcome
+    gc.collect()
+    assert sum(isinstance(o, ArrayType) for o in gc.get_objects()) == before
+
+
+def test_two_parses_share_their_scalar_movers():
+    text = "host fn main()\n  let a: i32 = 1\n  let p: *const i32 = &raw const a\nend\n"
+    envs = []
+    for _ in range(2):
+        lowering = machine_module._Lowering(parse_text(text))
+        lowering.code(lowering.program.entry)
+        envs.append(lowering.env)
+    first, second = envs
+    assert first["p"].type is not second["p"].type  # a pointer type is built once per parse
+    for name in ("a", "p"):
+        assert first[name].read is second[name].read and first[name].write is second[name].write
+
+
+def test_every_foreign_form_that_reads_a_register_is_checked_for_units():
+    lowering = machine_module._Lowering
+    read_elsewhere = {ir.CallStmt, ir.ReturnStmt, ir.LetStmt, ir.LiteralRhs}  # see `_Lowering._unit_read`
+    assert set(lowering.FOREIGN_READS) | read_elsewhere == set(lowering.FOREIGN_STMTS) | set(lowering.FOREIGN_RHS)
 
 
 def test_integer_casts_wrap_between_widths():

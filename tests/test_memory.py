@@ -96,6 +96,21 @@ def test_double_free_rejected():
     assert e.value.kind is DiagnosticKind.DOUBLE_FREE
 
 
+def test_a_dead_allocation_holds_no_store():
+    mem = _mem()
+    heap = mem.allocate(16, 8, AllocOrigin.FOREIGN_HEAP, "buf")
+    mem.memset(_ptr(heap), 1, 16)
+    mem.deallocate(_ptr(heap), "foreign")
+    local = mem.reserve(8, 8, "x")
+    mem.write_pointer(_ptr(local), _ptr(heap))  # an address reaches it, so it is materialized
+    mem.release_stack(local.id)
+    for alloc in (heap, local):
+        assert not alloc.live and (alloc.octets, alloc.initmask, alloc.fragments) == (None, None, None)
+    with pytest.raises(UbError) as e:
+        mem.read_int(_ptr(local), 8, False)
+    assert e.value.message == "read of 8 bytes in alloc#2 (x) after it was freed"
+
+
 def test_interior_free_rejected():
     mem = _mem()
     alloc = mem.allocate(8, 8, AllocOrigin.FOREIGN_HEAP)

@@ -727,11 +727,11 @@ def test_interned_programs_still_compare_structurally():
     assert parse_text(render_program(first)) == first
 
 
-def test_an_interned_type_hashes_structurally_and_hits_the_layout_cache():
+def test_an_interned_type_hashes_structurally_and_keeps_its_own_layout():
     from seamcheck import types
 
     first, second = (parse_text(_INTERNED).entry.body[5].type for _ in range(2))
     assert first == second and first is not second and hash(first) == hash(second)
     layout = types.layout_of(first)
-    assert types._layout_cache[second] is layout
+    assert types.layout_of(first) is layout and types.layout_of(second) == layout
     assert layout.cell_ranges == ((0, 16),)

@@ -17,7 +17,7 @@ per statement. Lowering resolves what the text fixes: each host local as an inde
 frame's slot list, with its type and layout; each place as a byte offset and a result type; each
 call's callee, and the type checks of every value that lands in a typed slot (an argument, a
 call's result, a `return`); which foreign registers hold a unit, which no statement may use as a
-value (`_unit_read`); each binding's `plan_call` result, once per binding; and what a call
+value (`_reg`); each binding's `plan_call` result, once per binding; and what a call
 does with its result when the callee's frame pops. The lowered code hangs off its
 `ScenarioProgram`, so every run of a program, both runs of a `--diff` included, shares it, and
 none outlives it. A type's layout comes from `types.layout_of`, which keeps it on the type, and
@@ -138,15 +138,14 @@ class _Code:
 
 
 class _Frame:
-    __slots__ = ("fn", "code", "pc", "slots", "regs", "handles", "protected", "moved", "stack_allocs")
+    __slots__ = ("fn", "code", "pc", "slots", "regs", "handles", "protected", "moved")
 
     def __init__(self, fn: FnDef, code: _Code, regs: Optional[dict[str, Value]] = None) -> None:
         self.fn, self.code, self.pc, self.regs = fn, code, 0, regs  # `regs`: foreign registers
-        self.slots: list[Allocation] = []  # host locals, indexed by `_Local.k`
+        self.slots: list[Allocation] = []  # host locals, indexed by `_Local.k`, or foreign `alloca`s
         self.handles: dict[str, int] = {}
         self.protected: tuple[tuple[int, int], ...] = ()  # (alloc id, tag)
         self.moved: tuple[int, ...] = ()  # slots of owned heap values moved out by `heap_into_raw`
-        self.stack_allocs: tuple[int, ...] = ()  # foreign `alloca`s
 
 
 @dataclass
@@ -247,14 +246,14 @@ class _Lowering:
         self.units = set() if host else {p.name for p in fn.params if isinstance(p.type, UnitType)}
         for stmt in fn.body:
             lower = table.get(type(stmt))
-            unit = self._unit_read(stmt) if self.units else None
+            self.unit = None
             if lower is None:
                 step = _fail(ScenarioUnsupported, f"statement not executable in {fn.dialect.value} code: {stmt!r}")
-            elif unit is not None:
-                step = _fail(ScenarioUnsupported, f"register '{unit}' holds a unit, which has no value; foreign "
-                             "code may only pass it to a unit parameter or return it as a unit")
             else:
                 step = lower(self, stmt)
+                if self.unit is not None:
+                    step = _fail(ScenarioUnsupported, f"register '{self.unit}' holds a unit, which has no value; "
+                                 "foreign code may only pass it to a unit parameter or return it as a unit")
             self.steps.append(step)
         code.steps.append(self._bare_return() if host else _return_nothing)
         code.lines = [s.line for s in fn.body] + [fn.body[-1].line if fn.body else fn.line]
@@ -578,13 +577,15 @@ class _Lowering:
     def _offset(self, stmt: LetStmt) -> Step:
         (get, src), (count, _) = self._operand(stmt.rhs.source), self._operand(stmt.rhs.count)
         typed = isinstance(src, PtrType) and src.kind is not PtrKind.OPAQUE
-        def offset(m, f, get=get, count=count, src=src, stride=max(layout_of(src.pointee).size, 1) if typed else 0):
+        def offset(m, f, get=get, count=count, src=src, stride=layout_of(src.pointee).size if typed else None):
             value, n = get(m, f), count(m, f)
             if not isinstance(value, PointerValue) or not isinstance(src, PtrType):
                 raise ScenarioUnsupported("offset() applies to pointer values")
             if not isinstance(n, int):
                 raise ScenarioUnsupported("offset() count must be an integer")
-            return value.with_byte_offset(n * (stride or max(m._guess_pointee(value).size, 1)))
+            if stride is None:  # an untyped pointer's guessed pointee
+                stride = m._guess_pointee(value).size
+            return value.with_byte_offset(n * stride)
         return self._assign(stmt, offset)
 
     # ---- calls ---------------------------------------------------------------
@@ -665,7 +666,7 @@ class _Lowering:
             return flatten
         def out(m, value, target=plan.targets[0], pointer=isinstance(plan.source, PtrType)):
             if value is None:
-                return [0]  # a unit, as a host read of uninitialized memory raises; see `_unit_read`
+                return [0]  # a unit, as a host read of uninitialized memory raises; see `_reg`
             if pointer and isinstance(value, int):
                 value = no_provenance(value)  # a literal for a pointer is an address without provenance
             return [m._convert(value, target)]
@@ -673,30 +674,21 @@ class _Lowering:
 
     # ---- foreign statements, by class (`FOREIGN_STMTS`) -----------------------
 
-    def _unit_read(self, stmt) -> Optional[str]:
-        """The register of `units` that foreign `stmt` uses as a value, if any.
+    def _reg(self, op: Operand, unit: bool = False) -> Step:
+        """A foreign operand's value, read where a unit may pass if `unit`.
 
         `units` holds the registers that hold a unit: the `unit` parameters, and the result of a callback
         whose host callee returns nothing (`_callback`), until a later `let` of the name (`_foreign_let`).
         LLVM has no `void` value, and rustc flags `()` in an `extern` signature (`improper_ctypes`), so a
         unit may only pass to a callback's `unit` parameter or return from a foreign fn that returns
-        `unit`; any other use, a copy included, is `unsupported` when its statement runs. Foreign code
-        runs straight through, so what such a statement would define never matters."""
-        if isinstance(stmt, CallStmt):
-            params = self.program.function(stmt.callee).params
-            ops = [op for op, p in zip(stmt.args, params) if not isinstance(p.type, UnitType)]
-        elif isinstance(stmt, ReturnStmt):
-            ops = () if isinstance(self.ret, UnitType) else (stmt.value,)
-        else:
-            node = stmt.rhs if isinstance(stmt, LetStmt) else stmt
-            reads = self.FOREIGN_READS.get(type(node))
-            ops = () if reads is None else reads(node)
-        return next((op for op in ops if op in self.units), None)
-
-    @staticmethod
-    def _reg(op: Operand) -> Step:
+        `unit`; any other read, a copy included, is noted in `self.unit`, the first one of a statement,
+        and `_lower` makes the statement a step that raises `unsupported`. So a statement reads its
+        registers before any other check its lowering makes, and defines its own name after. Foreign
+        code runs straight through, so what such a statement would define never matters."""
         if isinstance(op, int):
             return lambda m, f, op=op: op
+        if not unit and self.unit is None and op in self.units:
+            self.unit = op
         def get(m, f, op=op):
             try:
                 return f.regs[op]  # a register may hold None
@@ -706,23 +698,25 @@ class _Lowering:
 
     def _callback(self, stmt: CallStmt) -> Step:
         """A foreign call of a host function; equal calls share one step, so its plan is made once."""
+        callee = self.program.function(stmt.callee)
+        step = self.callbacks.get((stmt.callee, stmt.args))
+        if step is None or self.units:  # read before a shared step is handed back; no unit, no unit read
+            args = tuple((self._reg(op, isinstance(p.type, UnitType)), p.type)
+                         for op, p in zip(stmt.args, callee.params))
         if stmt.dest is not None:
             self.units.discard(stmt.dest)
-            if isinstance(self.program.function(stmt.callee).ret, UnitType):
+            if isinstance(callee.ret, UnitType):
                 self.units.add(stmt.dest)
             def land(m, f, value, dest=stmt.dest):
-                f.regs[dest] = 0 if value is None else value  # a unit; see `_unit_read`
+                f.regs[dest] = 0 if value is None else value  # a unit; see `_reg`
             self.lands[len(self.steps)] = (None, stmt.line, land)
-        step = self.callbacks.get((stmt.callee, stmt.args))
         if step is not None:
             return step
-        callee = self.program.function(stmt.callee)
         if len(stmt.args) != len(callee.params):
             step = _fail(UbError, DiagnosticKind.INVALID_BINDING,
                          f"callback '{callee.name}' takes {len(callee.params)} parameters, "
                          f"call passes {len(stmt.args)}")
         else:
-            args = tuple((self._reg(op), p.type) for op, p in zip(stmt.args, callee.params))
             message = "value derived from uninitialized memory passed into host code"
 
             def step(m, f, callee=callee, args=args, message=message):
@@ -732,17 +726,19 @@ class _Lowering:
         return step
 
     def _foreign_let(self, stmt: LetStmt) -> Step:
-        self.units.discard(stmt.name)
         lower = self.FOREIGN_RHS.get(type(stmt.rhs))
         if lower is None:
-            return _fail(ScenarioUnsupported, f"foreign let cannot evaluate {type(stmt.rhs).__name__}")
-        return lambda m, f, name=stmt.name, get=lower(self, stmt): f.regs.__setitem__(name, get(m, f))
+            step = _fail(ScenarioUnsupported, f"foreign let cannot evaluate {type(stmt.rhs).__name__}")
+        else:
+            step = lambda m, f, name=stmt.name, get=lower(self, stmt): f.regs.__setitem__(name, get(m, f))
+        self.units.discard(stmt.name)
+        return step
 
     def _store(self, stmt: StoreStmt) -> Step:
-        size, reg = layout_of(stmt.type).size, self._reg
+        pointer, get, size = self._reg(stmt.pointer), self._reg(stmt.value), layout_of(stmt.type).size
         if size not in _UNSIGNED:
             return _fail(ScenarioUnsupported, f"foreign store of {size}-byte type {stmt.type}")
-        return lambda m, f, pointer=reg(stmt.pointer), get=reg(stmt.value), size=size: m._foreign_store(
+        return lambda m, f, pointer=pointer, get=get, size=size: m._foreign_store(
             m._reg_pointer(pointer(m, f)), get(m, f), size
         )
 
@@ -766,7 +762,7 @@ class _Lowering:
         return memcpy
 
     def _foreign_return(self, stmt: ReturnStmt) -> Step:
-        return _return(None if stmt.value is None else self._reg(stmt.value))
+        return _return(None if stmt.value is None else self._reg(stmt.value, isinstance(self.ret, UnitType)))
 
     # ---- foreign right-hand sides, by class (`FOREIGN_RHS`): each lowers the value -----
 
@@ -819,13 +815,6 @@ class _Lowering:
     FOREIGN_RHS = {
         LiteralRhs: _reg_literal, PlaceRhs: _reg_copy, LoadRhs: _load, MallocRhs: _malloc, AllocaRhs: _alloca,
         GepRhs: _gep,
-    }
-    # The registers a foreign statement, or a `let`'s right-hand side, reads as values (see `_unit_read`).
-    FOREIGN_READS = {
-        StoreStmt: lambda s: (s.pointer, s.value), FreeStmt: lambda s: (s.pointer,),
-        MemsetStmt: lambda s: (s.pointer, s.value, s.size), MemcpyStmt: lambda s: (s.dest, s.src, s.size),
-        PlaceRhs: lambda r: (r.place.base,), LoadRhs: lambda r: (r.pointer,), MallocRhs: lambda r: (r.size,),
-        AllocaRhs: lambda r: (r.size,), GepRhs: lambda r: (r.pointer, r.offset),
     }
 
 
@@ -955,8 +944,6 @@ class Machine:
             self.memory.protector_end(alloc_id, tag)
         for alloc in reversed(slots):
             self.memory.release_stack(alloc.id)
-        for alloc_id in reversed(frame.stack_allocs):
-            self.memory.release_stack(alloc_id)
         frames.pop()
 
     def _bind_reference(self, value: Value, ref: tuple[Layout, str], name: str, protect: bool = False) -> Value:
@@ -978,7 +965,7 @@ class Machine:
         if not self.config.unique_as_mutable:
             return value
         if layout is None:
-            layout = layout_of(ArrayType(U8, self.memory.allocations[value.alloc_id].size))
+            layout = Layout(size=self.memory.allocations[value.alloc_id].size, align=1)
         return self.memory.retag(value, layout, "mutable-ref", name)
 
     @staticmethod
@@ -1020,7 +1007,7 @@ class Machine:
             raise ScenarioUnsupported(f"{what} of {size} bytes")
         alloc = self.memory.allocate(size, 16, AllocOrigin.FOREIGN_HEAP if heap else AllocOrigin.FOREIGN_STACK, name)
         if not heap:
-            frame.stack_allocs += (alloc.id,)
+            frame.slots.append(alloc)
         return self.memory.base_pointer(alloc)
 
     def _guess_pointee(self, ptr: PointerValue) -> IntType:

@@ -54,8 +54,9 @@ only it writes as text (`history()`). It does so when an error is raised,
 and then only for the tags that error involves, so describing a violation
 costs those tags and not the allocation's. It also holds protection, one
 per-tag set that both models read: a protecting retag adds its tag when it
-creates it, and `protector_end` removes it at function exit. Its no-op memo
-lets either model answer a repeated access in O(1); see `BorrowTracker`.
+creates it, and `protector_end` removes it at function exit. Every access
+goes through its `access`, whose no-op memo answers a repeated access in
+O(1) before the model's own `_access` runs; see `BorrowTracker`.
 
 `Allocation` is the one record of an allocation. A host local of an
 integer or pointer type starts immediate, after Miri's `LocalValue`:
@@ -170,13 +171,16 @@ class BorrowTracker:
     Only `_describe` writes an event as text, and only for an error, whose
     history and snapshot hold just the tags it involves (`_involved`).
 
-    `_noops` is the no-op memo, after Miri's `skip_if_known_noop`: the
-    `(tag, kind)` pairs whose last access, over the whole allocation,
-    changed no state anywhere and raised nothing. Such an access changes
-    nothing over any range until the state changes, so a model answers a
-    pair found here by recording the tag's last use alone. `_new_tag`
-    clears it, and so must every access that changes state; ending a
-    protector only removes errors, so it keeps it.
+    Every access takes one path, `access`. `_noops` is the no-op memo,
+    after Miri's `skip_if_known_noop`: the `(tag, kind)` pairs whose last
+    access, over the whole allocation, changed no state anywhere and raised
+    nothing. Such an access changes nothing over any range until the state
+    changes, so `access` answers a pair found here by recording the tag's
+    last use alone; otherwise the model's `_access` applies it and says
+    whether it changed any state. Only `access` tests the memo and adds to
+    it. `_new_tag` clears it, and so must a model's `_access` wherever it
+    changes state, before any error that follows; ending a protector only
+    removes errors, so it keeps it.
 
     Every model is built as `cls(alloc, tag_source)`, only by `Memory`. It
     adopts the `Allocation`'s id, size, root tag, label, line and root last
@@ -184,7 +188,7 @@ class BorrowTracker:
     """
 
     def __init__(self, alloc: Allocation, tag_source: Callable[[], int]) -> None:
-        self.alloc_id = alloc.id
+        self.alloc_id, self.size = alloc.id, alloc.size
         self._tag_source = tag_source
         self.root_tag = root = alloc.tag
         self.labels: dict[int, str] = {root: alloc.label}
@@ -274,6 +278,26 @@ class BorrowTracker:
         """The frame that protected `tag` has exited."""
         self.protected.discard(tag)
 
+    def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
+        """Apply a `kind` access over `rng` through `prov`, a tag or `WILDCARD`, made at `line`.
+
+        The memo answers a non-empty access only: an empty one, which `Memory` never makes, is each
+        model's own, as tb records it as a use and sb does not."""
+        if (prov, kind) in self._noops and rng[0] < rng[1]:
+            self.last_use[prov] = (kind, rng, line)
+            return
+        if prov is not WILDCARD and not isinstance(prov, int):
+            raise ValueError(f"access with no provenance reached the tracker in alloc#{self.alloc_id}")
+        if not self._access(prov, rng, kind, line) and prov is not WILDCARD and rng == (0, self.size):
+            self._noops.add((prov, kind))
+
+    def _protected_dealloc(self, tag: int, off: Optional[int]) -> UbError:
+        """The error of deallocating while `tag` is protected, drawn at byte `off`."""
+        return self._error(
+            DiagnosticKind.PROTECTED_PERMISSION,
+            f"deallocation of alloc#{self.alloc_id} while tag#{tag} ('{self.labels[tag]}') is protected", off, tag,
+        )
+
     # ---- implemented by each model -------------------------------------------
 
     def retag(
@@ -282,7 +306,8 @@ class BorrowTracker:
     ) -> int:
         raise NotImplementedError
 
-    def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
+    def _access(self, prov: Provenance, rng: Range, kind: str, line: int) -> bool:
+        """Apply an access the memo does not know, through a tag or `WILDCARD`; whether any state changed."""
         raise NotImplementedError
 
     def dealloc_check(self) -> None:

@@ -72,6 +72,7 @@ from .types import (
     I16,
     I32,
     I64,
+    POINTER_SPELLINGS,
     U8,
     U16,
     U32,
@@ -121,9 +122,7 @@ _TOO_DEEP = f"type nested more than {MAX_TYPE_DEPTH} levels deep"
 _SCALARS: dict[str, TypeDesc] = {str(t): t for t in (I8, I16, I32, I64, U8, U16, U32, U64, UNIT)}
 _SCALARS.update(isize=I64, usize=U64, bool=U8)
 _OPAQUE = PtrType(PtrKind.OPAQUE, None)
-_POINTER_KINDS = {
-    "&": PtrKind.SHARED_REF, "&mut": PtrKind.MUT_REF, "*mut": PtrKind.RAW_MUT, "*const": PtrKind.RAW_CONST,
-}
+_POINTER_KINDS = {spelling: kind for kind, spelling in POINTER_SPELLINGS.items()}
 
 
 def _is_int(tok: str) -> bool:
@@ -150,6 +149,7 @@ class _Parser:
         self.bad_line = self.code.count("\n", 0, bad.start()) + 1 if bad else math.inf
         self.structs: dict[str, StructType] = {}  # in declaration order
         self.struct_levels: dict[str, int] = {}  # name -> levels, see `parse_type`
+        self.reach = 0  # the deepest level a type parsed so far reaches, see `parse_type`
         self.interned: dict[tuple, TypeDesc] = {}  # composite types, see `_intern`
         self.functions: list[FnDef] = []
         self.bindings: list[BindingSignature] = []
@@ -256,14 +256,18 @@ class _Parser:
     def parse_type(self, depth: int = 1) -> TypeDesc:
         """A type `depth` levels deep.
 
-        A reference, raw pointer, array, `cell` or `phantom` adds a level, a
-        struct one more than its deepest field (`_levels`); a level past
-        `MAX_TYPE_DEPTH` is an error at its token.
+        A reference, raw pointer, array, `cell` or `phantom` adds a level; a
+        level past `MAX_TYPE_DEPTH` is an error at its token. A leaf reaches
+        level `depth - 1`, and a struct leaf its own levels more, which are
+        the deepest level its fields reach, parsed from depth 2, and at least
+        1; `reach` keeps the deepest level reached.
         """
         t = self.need("expected a type")
         ty = _SCALARS.get(t)
         if ty is not None:
             self.i += 1
+            if depth - 1 > self.reach:
+                self.reach = depth - 1
             return ty
         start = self.i
         self.i += 1
@@ -291,6 +295,8 @@ class _Parser:
             self.expect("]")
             return self._intern((id(elem), count), ArrayType, elem, count)
         if t == "ptr":
+            if depth - 1 > self.reach:
+                self.reach = depth - 1
             return _OPAQUE
         if t == "cell" or t == "phantom":
             self.expect("(")
@@ -299,8 +305,11 @@ class _Parser:
             return self._intern((t, id(inner)), CellType if t == "cell" else PhantomType, inner)
         ty = self.structs.get(t)
         if ty is not None:
-            if depth + self.struct_levels[t] - 1 > MAX_TYPE_DEPTH:
+            reach = depth - 1 + self.struct_levels[t]
+            if reach > MAX_TYPE_DEPTH:
                 raise self.error(_TOO_DEEP, start)
+            if reach > self.reach:
+                self.reach = reach
             return ty
         if t.isidentifier():
             raise self.error(f"unknown type '{t}'", start)
@@ -323,6 +332,7 @@ class _Parser:
         if name in self.structs or name in _SCALARS:
             raise ParseError(f"type '{name}' already defined", head)
         fields: list[FieldDef] = []
+        self.reach = 1
         for _ in self._block(head, f"type '{name}'"):
             fname = self.ident("field name")
             self.expect(":")
@@ -338,7 +348,7 @@ class _Parser:
         except LayoutError as e:
             raise ParseError(str(e), head) from None
         self.structs[name] = struct
-        self.struct_levels[name] = 1 + max((_levels(f.type, self.struct_levels) for f in fields), default=0)
+        self.struct_levels[name] = self.reach
 
     # ---- places and operands -------------------------------------------------
 
@@ -601,19 +611,6 @@ class _Parser:
         )
         _validate(program)
         return program
-
-
-def _levels(ty: TypeDesc, struct_levels: dict[str, int]) -> int:
-    """How many levels deep `ty` nests, as `_Parser.parse_type` counts them."""
-    if isinstance(ty, StructType):
-        return struct_levels[ty.name]
-    if isinstance(ty, PtrType) and ty.pointee is not None:
-        return 1 + _levels(ty.pointee, struct_levels)
-    if isinstance(ty, ArrayType):
-        return 1 + _levels(ty.elem, struct_levels)
-    if isinstance(ty, (CellType, PhantomType)):
-        return 1 + _levels(ty.inner, struct_levels)
-    return 0
 
 
 def parse_text(text: str, path: str = "<string>") -> ScenarioProgram:

@@ -221,7 +221,7 @@ class StackedBorrowTracker(BorrowTracker):
         stacks.merge(span)
         return tag
 
-    def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
+    def _access(self, prov: Provenance, rng: Range, kind: str, line: int) -> bool:
         """Apply one access to every segment of `rng`, offset-major.
 
         Each segment finds the granting item (the tag's own, or for a
@@ -230,10 +230,6 @@ class StackedBorrowTracker(BorrowTracker):
         the first segment it granted to the end of the last.
         """
         use = (kind, rng, line)
-        if (prov, kind) in self._noops:
-            if rng[0] < rng[1]:
-                self.last_use[prov] = use
-            return
         cause = (line, kind, None if prov is WILDCARD else prov, None)
         last_use, stacks = self.last_use, self._stacks
         span = stacks.span(*rng)
@@ -254,10 +250,6 @@ class StackedBorrowTracker(BorrowTracker):
                 end = rng[1] if i + 1 == span.stop else stacks.starts[i + 1]
                 use = (kind, (granted.setdefault(tag_for_history, off), end), line)
             else:
-                if not isinstance(prov, int):
-                    raise ValueError(
-                        f"access with no provenance reached the tracker in alloc#{self.alloc_id}"
-                    )
                 idx = stack.pos.get(prov)
                 if idx is None:
                     raise self._error(
@@ -278,19 +270,13 @@ class StackedBorrowTracker(BorrowTracker):
                 changed = True
             last_use[tag_for_history] = use
         stacks.merge(span)
-        if not changed and prov is not WILDCARD and rng == (0, stacks.size):
-            self._noops.add((prov, kind))
+        return changed
 
     def dealloc_check(self) -> None:
         for off, stack in zip(self._stacks.starts, self._stacks.values):
             for item in stack.items:
                 if item.tag in self.protected:
-                    raise self._error(
-                        DiagnosticKind.PROTECTED_PERMISSION,
-                        f"deallocation of alloc#{self.alloc_id} while tag#{item.tag} "
-                        f"('{self.labels[item.tag]}') is protected",
-                        off, item.tag,
-                    )
+                    raise self._protected_dealloc(item.tag, off)
 
     # ---- rendering -----------------------------------------------------------
 

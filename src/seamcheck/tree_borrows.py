@@ -170,7 +170,7 @@ class TreeBorrowTracker(BorrowTracker):
             self.access(tag, rng, "read", line)
         return tag
 
-    def access(self, prov: Provenance, rng: Range, kind: str, line: int = 0) -> None:
+    def _access(self, prov: Provenance, rng: Range, kind: str, line: int) -> bool:
         """Apply one access to every segment of `rng`, offset-major.
 
         Every byte of a segment behaves alike, so an error is reported at the
@@ -178,12 +178,7 @@ class TreeBorrowTracker(BorrowTracker):
         every earlier byte has been updated.
         """
         if prov is WILDCARD:
-            return  # exposed-address accesses are unchecked and change nothing
-        if (prov, kind) in self._noops:
-            self.last_use[prov] = (kind, rng, line)
-            return
-        if not isinstance(prov, int):
-            raise ValueError(f"access with no provenance reached the tracker in alloc#{self.alloc_id}")
+            return False  # exposed-address accesses are unchecked and change nothing
         index_of = self._index
         if prov not in index_of:
             raise ValueError(f"access via unknown tag#{prov} in alloc#{self.alloc_id}")
@@ -241,8 +236,7 @@ class TreeBorrowTracker(BorrowTracker):
                 changed = True
         perms.merge(span)
         self.last_use[prov] = (kind, rng, line)
-        if not changed and rng == (0, perms.size):
-            self._noops.add((prov, kind))
+        return changed
 
     def _access_error(self, prov: int, kind: str, off: int, tag: int, perm: Permission, child: bool) -> UbError:
         """The error of a `kind` access through `prov` that fails at node `tag`."""
@@ -271,12 +265,7 @@ class TreeBorrowTracker(BorrowTracker):
         """Deallocation while any used, still-protected borrow exists is an error."""
         for tag, i in self._index.items():
             if tag in self.protected and any(seg.states[i][2] for seg in self._perms.values):
-                raise self._error(
-                    DiagnosticKind.PROTECTED_PERMISSION,
-                    f"deallocation of alloc#{self.alloc_id} while tag#{tag} "
-                    f"('{self.labels[tag]}') is protected",
-                    None, tag,
-                )
+                raise self._protected_dealloc(tag, None)
 
     # ---- rendering -----------------------------------------------------------
 

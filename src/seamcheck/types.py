@@ -14,6 +14,9 @@ alignment as `T` and contributes its whole extent as a cell range; a
 A type's layout is worked out by its first `layout_of` and kept on the type
 object, after rustc's `layout_of` query: a lookup reads one attribute and
 never hashes the type, and a layout lives as long as its type.
+
+`POINTER_SPELLINGS` is how each pointer kind is written: the parser reads a
+pointer type by it, and a type prints by it in every message and trace.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ class PtrKind(enum.Enum):
     RAW_CONST = "raw-const"
     RAW_MUT = "raw-mut"
     OPAQUE = "opaque"
+
+
+# How a pointer type is written before its pointee: `&` right before it, the others with a space between.
+# The untyped `ptr` has no pointee.
+POINTER_SPELLINGS = {
+    PtrKind.SHARED_REF: "&", PtrKind.MUT_REF: "&mut", PtrKind.RAW_CONST: "*const", PtrKind.RAW_MUT: "*mut",
+}
 
 
 @dataclass(frozen=True)
@@ -69,13 +79,8 @@ class PtrType:
     def __str__(self) -> str:
         if self.kind is PtrKind.OPAQUE:
             return "ptr"
-        prefix = {
-            PtrKind.SHARED_REF: "&",
-            PtrKind.MUT_REF: "&mut ",
-            PtrKind.RAW_CONST: "*const ",
-            PtrKind.RAW_MUT: "*mut ",
-        }[self.kind]
-        return f"{prefix}{self.pointee}"
+        spelling = POINTER_SPELLINGS[self.kind]
+        return f"{spelling}{self.pointee}" if self.kind is PtrKind.SHARED_REF else f"{spelling} {self.pointee}"
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from seamcheck import ir
 from seamcheck.cli import main
 from seamcheck.diagnostics import Classification, DiagnosticKind
-from seamcheck.machine import MachineConfig, run_program
+from seamcheck.machine import MachineConfig, _Lowering, run_program
 from seamcheck.parser import parse_text
 
 _PT = """
@@ -453,3 +454,59 @@ def test_equal_callback_lines_share_no_unit_fact(model):
     outcome = run("", "call g(n)", "call f(u)")
     assert (outcome.classification, outcome.note) == (Classification.UNSUPPORTED, _unit_used("u"))
     assert run("return", "call f(u)", "call g(n)").classification is Classification.PASS
+
+
+_UNIT_READ = """
+bind f = c_f(unit) -> u64
+
+foreign fn c_f(u: unit) -> u64
+  let p = malloc 8
+  let n = 8
+  STMT
+  free p
+  return 0
+end
+
+host fn wide(w: u64)
+end
+
+host fn main()
+  let u: unit = zeroed
+  let x: u64 = call f(u)
+end
+"""
+
+# Each foreign statement form and `let` right-hand side, by its lowering table's key, written once per
+# register operand it reads, with the unit `u` in that operand's place.
+_UNIT_READS = {
+    ir.StoreStmt: ["store u64 u 1", "store u64 p u"],
+    ir.FreeStmt: ["free u"],
+    ir.MemsetStmt: ["memset u 0 8", "memset p u 8", "memset p 0 u"],
+    ir.MemcpyStmt: ["memcpy u p 8", "memcpy p u 8", "memcpy p p u"],
+    ir.CallStmt: ["call wide(u)"],
+    ir.ReturnStmt: ["return u"],  # from a foreign fn that returns a `u64`
+    ir.LetStmt: ["let c = u"],
+    ir.LiteralRhs: [],
+    ir.PlaceRhs: ["let c = u"],
+    ir.LoadRhs: ["let c = load u64 u"],
+    ir.MallocRhs: ["let c = malloc u"],
+    ir.AllocaRhs: ["let c = alloca u"],
+    ir.GepRhs: ["let c = gep u 0", "let c = gep p u"],
+}
+
+
+def test_every_foreign_form_has_its_unit_reads_listed():
+    assert set(_UNIT_READS) == set(_Lowering.FOREIGN_STMTS) | set(_Lowering.FOREIGN_RHS)
+
+
+@pytest.mark.parametrize("model", ["tb", "sb"])
+@pytest.mark.parametrize("stmt", [stmt for stmts in _UNIT_READS.values() for stmt in stmts] + [
+    "let u = u",  # the name is a unit's until after its right-hand side
+    "let u = call wide(u)",  # and until after the callback's arguments
+    "call wide(u, n)",  # the unit wins over the parameter count
+    "store [u8; 3] p u",  # and over the store's width
+    "store [u8; 3] u 1",
+])
+def test_a_unit_read_as_a_value_in_any_operand_is_unsupported(model, stmt):
+    outcome = _run(_UNIT_READ.replace("STMT", stmt), model=model)
+    assert (outcome.classification, outcome.note) == (Classification.UNSUPPORTED, _unit_used("u"))

@@ -8,6 +8,7 @@ mutation, and the exception it raised.
 
 import random
 import string
+from typing import Iterator
 
 from seamcheck.machine import MachineConfig, run_program
 from seamcheck.parser import ParseError, parse_text
@@ -34,20 +35,27 @@ def _mutate(rng: random.Random, lines: list[str], vocabulary: list[str]) -> tupl
     return f"line {i + 1}: {old!r} -> {words[k]!r}", lines[:i] + [" ".join(words)] + lines[i + 1:]
 
 
-def test_corpus_mutants_parse_or_run_to_an_outcome():
+def line_mutants() -> Iterator[tuple[str, str, str]]:
+    """The `_MUTANTS` line mutants, in order, as (source scenario, mutation, text)."""
     rng = random.Random(_SEED)
     sources = []
     for path in corpus_files():
         with open(path, encoding="utf-8") as fh:
             sources.append((path.rsplit("/", 1)[-1], fh.read().splitlines()))
     vocabulary = sorted({w for _, lines in sources for line in lines for w in line.split()})
-    failures = []
-    ran = 0
     for _ in range(_MUTANTS):
         name, lines = rng.choice(sources)
         what, mutant = _mutate(rng, lines, vocabulary)
+        yield name, what, "\n".join(mutant) + "\n"
+
+
+def _parse_or_run(mutants: Iterator[tuple[str, str, str]], count: int) -> None:
+    """Each mutant parses with `ParseError` or runs to an `Outcome` under both models."""
+    failures = []
+    ran = 0
+    for name, what, text in mutants:
         try:
-            program = parse_text("\n".join(mutant) + "\n", name)
+            program = parse_text(text, name)
         except ParseError:
             continue
         except Exception as e:  # any other exception is the finding
@@ -61,7 +69,11 @@ def test_corpus_mutants_parse_or_run_to_an_outcome():
                 failures.append(f"{name}, {what}: {model} raised {type(e).__name__}: {e}")
     assert not failures, f"{len(failures)} escaped exceptions:\n" + "\n".join(failures[:20])
     # The mutations must leave enough programs parseable to exercise the machine.
-    assert ran >= _MUTANTS // 10
+    assert ran >= count // 10
+
+
+def test_corpus_mutants_parse_or_run_to_an_outcome():
+    _parse_or_run(line_mutants(), _MUTANTS)
 
 
 _CHAR_SEED = 1
@@ -87,7 +99,8 @@ def _mutate_char(rng: random.Random, lines: list[str], code_lines: list[int]) ->
     return f"line {i + 1}: {line!r} -> {new!r}", lines[:i] + [new] + lines[i + 1:]
 
 
-def test_character_mutants_parse_or_run_to_an_outcome():
+def char_mutants() -> Iterator[tuple[str, str, str]]:
+    """The `_CHAR_MUTANTS` character mutants, in order, as (source scenario, mutation, text)."""
     rng = random.Random(_CHAR_SEED)
     sources = []
     for path in corpus_files():
@@ -95,23 +108,11 @@ def test_character_mutants_parse_or_run_to_an_outcome():
             lines = fh.read().splitlines()
         code_lines = [i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()]
         sources.append((path.rsplit("/", 1)[-1], lines, code_lines))
-    failures = []
-    ran = 0
     for _ in range(_CHAR_MUTANTS):
         name, lines, code_lines = rng.choice(sources)
         what, mutant = _mutate_char(rng, lines, code_lines)
-        try:
-            program = parse_text("\n".join(mutant) + "\n", name)
-        except ParseError:
-            continue
-        except Exception as e:  # any other exception is the finding
-            failures.append(f"{name}, {what}: parse raised {type(e).__name__}: {e}")
-            continue
-        ran += 1
-        for model in ("tb", "sb"):
-            try:
-                run_program(program, MachineConfig(model=model, steps=_STEP_BUDGET))
-            except Exception as e:
-                failures.append(f"{name}, {what}: {model} raised {type(e).__name__}: {e}")
-    assert not failures, f"{len(failures)} escaped exceptions:\n" + "\n".join(failures[:20])
-    assert ran >= _CHAR_MUTANTS // 10
+        yield name, what, "\n".join(mutant) + "\n"
+
+
+def test_character_mutants_parse_or_run_to_an_outcome():
+    _parse_or_run(char_mutants(), _CHAR_MUTANTS)

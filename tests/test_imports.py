@@ -1,6 +1,6 @@
 """Every import in the package and its tests is used, every local the package assigns is read,
 only memory and the two trackers touch an allocation's borrow state, only memory reads a byte
-store's fields, only the borrow tracker base writes a tag event, every detail of a finding is
+store's fields, only the borrow tracker base writes a tag event or tests and adds to the no-op memo, every detail of a finding is
 named as its diagnostic field, no machine or memory method takes a source line, and only the
 machine's lowering looks at which statement or right-hand side form it has."""
 
@@ -144,6 +144,49 @@ def test_only_the_parser_keys_by_identity():
 def test_identity_key_lint_sees_a_planted_use():
     source = "class _Lowering:\n    def layout(self, ty):\n        return self.layouts[id(ty)]\n"
     assert _identity_keys(REPO_ROOT / "src" / "seamcheck" / "machine.py", source) != []
+
+
+# The no-op memo has one protocol: `BorrowTracker.access` alone tests it and adds to it (`__init__` makes it),
+# and a model only clears it where its state changes.
+def _memo_uses(path, source=None):
+    tree = ast.parse(path.read_text() if source is None else source, str(path))
+    home = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "BorrowTracker":
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "access"):
+                    home.update(ast.walk(fn))
+    cleared = {
+        node.func.value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "clear"
+    }
+    return [
+        f"_noops (line {node.lineno})" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_noops" and node not in home | cleared
+    ]
+
+
+def test_only_the_tracker_access_tests_or_adds_to_the_noop_memo():
+    uses = {
+        str(path.relative_to(REPO_ROOT)): found
+        for path in sorted(REPO_ROOT.glob("src/seamcheck/*.py"))
+        if (found := _memo_uses(path))
+    }
+    assert uses == {}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "class TreeBorrowTracker(BorrowTracker):\n    def _access(self, prov, rng, kind, line):\n"
+        "        return (prov, kind) in self._noops\n",
+        "class StackedBorrowTracker(BorrowTracker):\n    def _access(self, prov, rng, kind, line):\n"
+        "        self._noops.add((prov, kind))\n",
+        "class BorrowTracker:\n    def _new_tag(self, tag):\n        self._noops.discard((tag, 'read'))\n",
+    ],
+)
+def test_noop_memo_lint_sees_a_planted_use(source):
+    assert _memo_uses(REPO_ROOT / "src" / "seamcheck" / "tree_borrows.py", source) != []
 
 
 # Trackers keep raw tag events; `BorrowTracker` alone turns them into `TagEvent` and `TagHistory`

@@ -622,6 +622,14 @@ def _struct_chain(n):
     return "\n".join(blocks) + f"\nhost fn main()\n  let y: S{n} = zeroed\nend\n"
 
 
+def _struct_of_structs(outer):
+    """A struct whose deepest field, its middle one, reaches 100 levels; `outer` wraps it in one more."""
+    deep = _struct_chain(98).split("host fn")[0] + "type W\n  a: u8\n  b: [S98; 1]\n  c: &u8\nend\n"
+    if outer:
+        deep += "type O\n  a: u8\n  b: W\n  c: u8\nend\n"
+    return deep + f"host fn main()\n  let y: {'O' if outer else 'W'} = zeroed\nend\n"
+
+
 @pytest.mark.parametrize(
     "text, line, col",
     [
@@ -630,8 +638,9 @@ def _struct_chain(n):
         (_struct_chain(400), 302, 4),  # overflowed hashing the struct for its layout
         # A hundred structs, the innermost field an array: struct fields count.
         (_struct_chain(100).replace("  a: i32", "  a: [i32; 1]"), 299, 4),
+        (_struct_of_structs(outer=True), 302, 4),
     ],
-    ids=["3000-refs", "400-refs", "400-structs", "100-structs-and-array"],
+    ids=["3000-refs", "400-refs", "400-structs", "100-structs-and-array", "101-struct-of-structs"],
 )
 def test_a_type_nested_more_than_100_levels_is_a_parse_error(text, line, col):
     with pytest.raises(ParseError) as e:
@@ -648,8 +657,9 @@ def test_a_type_nested_more_than_100_levels_is_a_parse_error(text, line, col):
         _struct_chain(100),
         # Ninety-nine levels of struct, and one of array around the innermost field.
         _struct_chain(99).replace("  a: i32", "  a: [i32; 1]"),
+        _struct_of_structs(outer=False),
     ],
-    ids=["refs", "arrays", "cells", "structs", "structs-and-array"],
+    ids=["refs", "arrays", "cells", "structs", "structs-and-array", "struct-of-structs"],
 )
 def test_a_type_nested_100_levels_parses_and_runs(text):
     program = parse_text(text)

@@ -83,13 +83,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .diagnostics import DiagnosticKind, TagEvent, TagHistory
+from .rangemap import Range
 from .rng import _splitmix64
 from .types import Layout
 
 GUARD_GAP = 16
 BASE_ADDRESS = 0x10000
-
-Range = tuple[int, int]
 
 
 class _WildcardType:
@@ -549,17 +548,17 @@ class Memory:
     def retag(self, ptr: PointerValue, pointee: Layout, kind: str, label: str, protect: bool = False) -> PointerValue:
         """`ptr` with a fresh `kind` tag over its `pointee`'s bytes, derived from the tag it carries.
 
-        The pointee's cell ranges are its interior-mutable bytes. It must be
-        live and in bounds when the borrow is made, as Miri requires it to be
-        dereferenceable at retag; `check_bounds` also rejects a pointer into
-        no allocation. A borrow through an exposed address hangs off the
-        allocation's root tag.
+        The pointee's cell ranges, its interior-mutable bytes, move to the
+        pointer's offset. It must be live and in bounds when the borrow is
+        made, as Miri requires it to be dereferenceable at retag;
+        `check_bounds` also rejects a pointer into no allocation. A borrow
+        through an exposed address hangs off the allocation's root tag.
         """
         size = pointee.size
         alloc = self.check_bounds(ptr, size, f"{kind} retag")
         parent = alloc.tag if ptr.provenance is WILDCARD else ptr.provenance
         off = ptr.offset
-        cells = tuple((a + off, b + off) for a, b in pointee.cell_ranges)
+        cells = tuple((a + off, b + off) for a, b in pointee.cell_ranges) if pointee.cell_ranges else ()
         tag = self.tracker(alloc).retag(parent, (off, off + size), kind, cells, protect, label, self.line)
         return PointerValue(ptr.address, ptr.alloc_id, ptr.offset, tag)
 

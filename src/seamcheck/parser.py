@@ -122,6 +122,8 @@ _TOO_DEEP = f"type nested more than {MAX_TYPE_DEPTH} levels deep"
 _SCALARS: dict[str, TypeDesc] = {str(t): t for t in (I8, I16, I32, I64, U8, U16, U32, U64, UNIT)}
 _SCALARS.update(isize=I64, usize=U64, bool=U8)
 _OPAQUE = PtrType(PtrKind.OPAQUE, None)
+# The words `parse_type` reads before it looks up a struct, so none can name one.
+_TYPE_WORDS = frozenset((*_SCALARS, "ptr", "cell", "phantom"))
 _POINTER_KINDS = {spelling: kind for kind, spelling in POINTER_SPELLINGS.items()}
 
 
@@ -329,7 +331,7 @@ class _Parser:
         head = self.line
         name = self.ident("type name")
         self.done()
-        if name in self.structs or name in _SCALARS:
+        if name in self.structs or name in _TYPE_WORDS:
             raise ParseError(f"type '{name}' already defined", head)
         fields: list[FieldDef] = []
         self.reach = 1

@@ -12,6 +12,9 @@ tracker splits at the edges of the range it is about to touch, walks the
 segments in offset order, and merges equal neighbours afterwards, so an
 operation costs the segments it covers, not their bytes.
 
+A retag asks `split_cells` which of its bytes are interior-mutable, the one
+answer both trackers use.
+
 Offsets must lie in [0, size]; the memory model checks bounds before any
 tracker call.
 """
@@ -19,12 +22,23 @@ tracker call.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
+
+Range = tuple[int, int]  # half-open [start, end)
 
 
-def in_ranges(off: int, ranges: tuple[tuple[int, int], ...]) -> bool:
-    """Whether byte `off` lies in any of the half-open `ranges`."""
-    return any(a <= off < b for a, b in ranges)
+def merge_ranges(ranges: Iterable[Range]) -> tuple[Range, ...]:
+    """Sort and coalesce adjacent/overlapping half-open ranges, dropping empties."""
+    out: list[Range] = []
+    for start, end in sorted(r for r in ranges if r[0] < r[1]):
+        if out and start <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], end))
+        else:
+            out.append((start, end))
+    return tuple(out)
+
+
+_NO_CELLS = frozenset().__contains__  # the cell test of a retag with no cell ranges: always False
 
 
 class RangeMap:
@@ -48,6 +62,22 @@ class RangeMap:
             starts.insert(i, off)
             self.values.insert(i, self.values[i - 1].copy())
         return i
+
+    def split_cells(self, ranges: tuple[Range, ...]) -> Callable[[int], bool]:
+        """Split at every edge of the cell `ranges`; return whether a byte lies in one of them.
+
+        The ranges may be unsorted, overlapping, empty or reach past the
+        retag's range. Merged, their edges rise strictly, so a byte is in a
+        cell when an odd number of edges lie at or below it: a retag over `s`
+        segments and `k` ranges costs O((s + k) log k), and the test holds
+        after later splits too.
+        """
+        if not ranges:
+            return _NO_CELLS
+        edges = [edge for r in merge_ranges(ranges) for edge in r]
+        for edge in edges:
+            self.split(edge)
+        return lambda off: bisect_right(edges, off) % 2 == 1
 
     def span(self, lo: int, hi: int) -> range:
         """Indices of the segments that exactly cover [lo, hi), splitting as needed."""

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .diagnostics import DiagnosticKind
 from .memory import WILDCARD, Allocation, BorrowTracker, Provenance, Range
-from .rangemap import RangeMap, in_ranges
+from .rangemap import RangeMap
 
 
 class Grant(enum.Enum):
@@ -179,12 +179,11 @@ class StackedBorrowTracker(BorrowTracker):
         label: str,
         line: int = 0,
     ) -> int:
+        """New `kind` tag over `rng` from `parent`; a shared or const one is SharedReadWrite in `cell_ranges`."""
         tag = self._new_tag(parent, rng, kind, label, line, protect)
         cause = (line, kind, tag, "retag")
         stacks = self._stacks
-        for a, b in cell_ranges:
-            stacks.split(a)
-            stacks.split(b)
+        in_cell = stacks.split_cells(cell_ranges)
         span = stacks.span(*rng)
         for i in span:
             off, stack = stacks.starts[i], stacks.values[i]
@@ -209,12 +208,12 @@ class StackedBorrowTracker(BorrowTracker):
                 stack.push(_Item(tag, Grant.UNIQUE))
             elif kind == "shared-ref":
                 self._remove_above(stack, idx, "read", cause, off)
-                grant = Grant.SHARED_RW if in_ranges(off, cell_ranges) else Grant.SHARED_RO
+                grant = Grant.SHARED_RW if in_cell(off) else Grant.SHARED_RO
                 stack.push(_Item(tag, grant))
             elif kind in ("raw-mut", "cell"):
                 stack.insert(idx + 1, _Item(tag, Grant.SHARED_RW))
             elif kind == "raw-const":
-                grant = Grant.SHARED_RW if in_ranges(off, cell_ranges) else Grant.SHARED_RO
+                grant = Grant.SHARED_RW if in_cell(off) else Grant.SHARED_RO
                 stack.push(_Item(tag, grant))
             else:
                 raise ValueError(f"unknown retag kind: {kind}")

@@ -94,8 +94,9 @@ def flatten_fields(t: TypeDesc) -> Optional[tuple[IntType, ...]]:
         elem, count = t.elem, t.count
     else:
         return None
-    layout = layout_of(t)
-    if layout.padding_ranges or layout.cell_ranges:
+    # Each field is aligned to its own size and no two overlap, so they cover
+    # `count * size` bytes, and the layout is padding-free when that is its size.
+    if layout_of(t).size != elem.size * count:
         return None
     return (elem,) * count
 

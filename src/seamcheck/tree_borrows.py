@@ -57,7 +57,7 @@ from typing import Callable, Optional
 
 from .diagnostics import DiagnosticKind
 from .memory import WILDCARD, Allocation, BorrowTracker, Provenance, Range, UbError
-from .rangemap import RangeMap, in_ranges
+from .rangemap import RangeMap
 
 
 class Permission(enum.Enum):
@@ -149,7 +149,7 @@ class TreeBorrowTracker(BorrowTracker):
         label: str,
         line: int = 0,
     ) -> int:
-        """New child tag under `parent`. Raw retags return the parent unchanged."""
+        """New child tag under `parent`, ReservedIM on every byte in `cell_ranges`. Raw retags return the parent."""
         if parent not in self._index:
             raise ValueError(f"retag from unknown tag#{parent} in alloc#{self.alloc_id}")
         if kind in ("raw-mut", "raw-const", "cell"):
@@ -159,11 +159,9 @@ class TreeBorrowTracker(BorrowTracker):
         self._index[tag] = len(self._order)
         self._order.append(tag)
         perms = self._perms
-        for a, b in cell_ranges:
-            perms.split(a)
-            perms.split(b)
+        in_cell = perms.split_cells(cell_ranges)
         for start, segment in zip(perms.starts, perms.values):
-            initial = Permission.RESERVED_IM if in_ranges(start, cell_ranges) else default
+            initial = _RIM if in_cell(start) else default
             segment.append((initial, initial, False))
         if protect:
             # Function-entry protection asserts the borrow right away.

@@ -5,11 +5,12 @@ The target is fixed: 64-bit, little-endian, pointers 8 bytes wide and
 its alignment, struct alignment is the max field alignment, trailing padding
 rounds the size up to the alignment).
 
-Layout also records two derived byte-range sets the trackers and checkers
-need: padding ranges (bytes no declared field occupies) and cell ranges
-(bytes under interior mutability). A `cell(T)` has the same size and
-alignment as `T` and contributes its whole extent as a cell range; a
-`phantom(T)` is a zero-sized marker and contributes nothing.
+A layout also records the type's cell ranges, its bytes under interior
+mutability, which a retag hands to the borrow tracker. A `cell(T)` has the
+same size and alignment as `T` and contributes its whole extent as a cell
+range; a `phantom(T)` is a zero-sized marker and contributes nothing.
+Padding is not recorded: a layout whose size exceeds its fields' bytes has
+some.
 
 A type's layout is worked out by its first `layout_of` and kept on the type
 object, after rustc's `layout_of` query: a lookup reads one attribute and
@@ -24,6 +25,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Optional, Union
+
+from .rangemap import Range, merge_ranges
 
 POINTER_SIZE = 8
 POINTER_ALIGN = 8
@@ -146,15 +149,13 @@ U16 = IntType(16, False)
 U32 = IntType(32, False)
 U64 = IntType(64, False)
 
-Range = tuple[int, int]  # half-open [start, end)
-
-
 @dataclass(frozen=True)
 class Layout:
+    """Size, alignment, each struct field's offset, and the sorted, disjoint cell ranges."""
+
     size: int
     align: int
     field_offsets: tuple[int, ...] = ()
-    padding_ranges: tuple[Range, ...] = ()
     cell_ranges: tuple[Range, ...] = ()
 
 
@@ -164,17 +165,6 @@ class LayoutError(ValueError):
 
 def _round_up(n: int, align: int) -> int:
     return (n + align - 1) // align * align
-
-
-def _merge_ranges(ranges: list[Range]) -> tuple[Range, ...]:
-    """Sort and coalesce adjacent/overlapping half-open ranges, dropping empties."""
-    out: list[Range] = []
-    for start, end in sorted(r for r in ranges if r[0] < r[1]):
-        if out and start <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], end))
-        else:
-            out.append((start, end))
-    return tuple(out)
 
 
 def _shift(ranges: tuple[Range, ...], by: int) -> list[Range]:
@@ -202,29 +192,15 @@ def _layout_of(t: TypeDesc, stack: tuple[str, ...]) -> Layout:
         out = Layout(size=0, align=1)
     elif isinstance(t, CellType):
         inner = _layout_of(t.inner, stack)
-        cells = [(0, inner.size)] if inner.size > 0 else []
-        out = Layout(
-            size=inner.size,
-            align=inner.align,
-            padding_ranges=inner.padding_ranges,
-            cell_ranges=_merge_ranges(cells),
-        )
+        out = Layout(size=inner.size, align=inner.align, cell_ranges=((0, inner.size),) if inner.size else ())
     elif isinstance(t, ArrayType):
         elem = _layout_of(t.elem, stack)
         cells: list[Range] = []
-        padding: list[Range] = []
-        # Elements without cells or padding add no ranges, so a large plain
-        # array, such as an untyped `heap_from_raw`'s whole allocation, lays
-        # out in O(1).
-        for i in range(t.count if elem.cell_ranges or elem.padding_ranges else 0):
+        # Elements without cells add no ranges, so a large array of them, such
+        # as an untyped `heap_from_raw`'s whole allocation, lays out in O(1).
+        for i in range(t.count if elem.cell_ranges else 0):
             cells.extend(_shift(elem.cell_ranges, i * elem.size))
-            padding.extend(_shift(elem.padding_ranges, i * elem.size))
-        out = Layout(
-            size=elem.size * t.count,
-            align=elem.align,
-            padding_ranges=_merge_ranges(padding),
-            cell_ranges=_merge_ranges(cells),
-        )
+        out = Layout(size=elem.size * t.count, align=elem.align, cell_ranges=merge_ranges(cells))
     elif isinstance(t, StructType):
         if t.name in stack:
             raise LayoutError(f"recursive type without indirection: {t.name}")
@@ -262,22 +238,11 @@ def _layout_struct(t: StructType, stack: tuple[str, ...]) -> Layout:
             occupied.append(new_range)
         cells.extend(_shift(fl.cell_ranges, off))
         cursor = max(cursor, off + fl.size)
-    size = _round_up(cursor, align)
-    covered = _merge_ranges(occupied)
-    padding: list[Range] = []
-    prev = 0
-    for a, b in covered:
-        if prev < a:
-            padding.append((prev, a))
-        prev = b
-    if prev < size:
-        padding.append((prev, size))
     return Layout(
-        size=size,
+        size=_round_up(cursor, align),
         align=align,
         field_offsets=tuple(offsets),
-        padding_ranges=tuple(padding),
-        cell_ranges=_merge_ranges(cells),
+        cell_ranges=merge_ranges(cells),
     )
 
 

@@ -72,6 +72,16 @@ _STALE = [
 _FOCUS = (4, [(0, 0, 0, 4, 0, 0, []), (0, 1, 0, 4, 2, 1, []), (3, 2, 0, 4, 1, 1, [])])
 
 
+# Six cell ranges in one retag: unsorted, overlapping, one empty, some partly or wholly outside
+# the retag's [2..8), which the strategy's two ranges a retag seldom reach together. A write
+# through the shared borrow fails at byte 6, its one byte outside every cell.
+_CELLS = [(9, 2), (0, 4), (3, 3), (5, 0), (7, 3), (10, 2)]  # [9..11) [0..4) [3..6) [5..5) [7..10) [10..12)
+_MANY_CELLS = (12, [
+    (0, 0, 2, 6, 1, 1, _CELLS), (3, 1, 2, 6, 1, 1, []), (3, 1, 7, 1, 1, 1, []), (1, 0, 2, 6, 3, 1, _CELLS),
+    (2, 2, 0, 12, 1, 0, _CELLS), (3, 0, 0, 12, 1, 1, []), (3, 0, 0, 12, 0, 0, []),
+])
+
+
 def _range(size, a, b):
     lo = a % (size + 1)
     return lo, lo + b % (size - lo + 1)
@@ -167,6 +177,7 @@ def _stack_view(tracker, tags, off):
 @example(case=_STALE[1])
 @example(case=_STALE[2])
 @example(case=_FOCUS)
+@example(case=_MANY_CELLS)
 def test_tree_tracker_matches_per_byte_oracle(case):
     size, ops = case
     new = make_tracker(TreeBorrowTracker, size)
@@ -183,6 +194,7 @@ def test_tree_tracker_matches_per_byte_oracle(case):
 @example(case=_STALE[1])
 @example(case=_STALE[2])
 @example(case=_FOCUS)
+@example(case=_MANY_CELLS)
 def test_stack_tracker_matches_per_byte_oracle(case):
     size, ops = case
     new = make_tracker(StackedBorrowTracker, size)

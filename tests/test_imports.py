@@ -1,8 +1,9 @@
 """Every import in the package and its tests is used, every local the package assigns is read,
 only memory and the two trackers touch an allocation's borrow state, only memory reads a byte
 store's fields, only the borrow tracker base writes a tag event or tests and adds to the no-op memo, every detail of a finding is
-named as its diagnostic field, no machine or memory method takes a source line, and only the
-machine's lowering looks at which statement or right-hand side form it has."""
+named as its diagnostic field, no machine or memory method takes a source line, only the
+machine's lowering looks at which statement or right-hand side form it has, and the trackers read
+a retag's cell ranges only through the range map."""
 
 import ast
 from dataclasses import fields
@@ -187,6 +188,47 @@ def test_only_the_tracker_access_tests_or_adds_to_the_noop_memo():
 )
 def test_noop_memo_lint_sees_a_planted_use(source):
     assert _memo_uses(REPO_ROOT / "src" / "seamcheck" / "tree_borrows.py", source) != []
+
+
+# A retag asks its range map which bytes are interior-mutable: `RangeMap.split_cells` merges the cell
+# ranges once and bisects them. Each tracker hands `cell_ranges` to it and reads it nowhere else, so
+# no loop that tests every segment against every range grows back.
+def _cell_range_reads(path, source=None):
+    """Reads of `cell_ranges` handed to `split_cells`, and every other read of it."""
+    tree = ast.parse(path.read_text() if source is None else source, str(path))
+    handed = {
+        arg for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "split_cells"
+        for arg in node.args
+    }
+    reads = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "cell_ranges" and isinstance(node.ctx, ast.Load)
+    ]
+    return len([n for n in reads if n in handed]), [f"cell_ranges (line {n.lineno})" for n in reads if n not in handed]
+
+
+def test_the_trackers_read_cell_ranges_only_through_the_range_map():
+    found = {
+        name: _cell_range_reads(REPO_ROOT / "src" / "seamcheck" / name)
+        for name in ("tree_borrows.py", "stacked_borrows.py")
+    }
+    assert found == {"tree_borrows.py": (1, []), "stacked_borrows.py": (1, [])}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "for a, b in cell_ranges:\n        self._stacks.split(a)",
+        "return any(a <= off < b for a, b in cell_ranges)",
+        "return in_ranges(off, cell_ranges)",
+        "cells = cell_ranges\n    return [a for a, _ in cells]",
+        "return self._perms.split(cell_ranges)",
+    ],
+)
+def test_cell_range_lint_sees_a_planted_read(body):
+    source = f"def retag(self, parent, rng, kind, cell_ranges, off):\n    {body}\n"
+    assert _cell_range_reads(REPO_ROOT / "src" / "seamcheck" / "stacked_borrows.py", source)[1] != []
 
 
 # Trackers keep raw tag events; `BorrowTracker` alone turns them into `TagEvent` and `TagHistory`

@@ -1,7 +1,8 @@
-"""Byte-level layout: sizes, alignment, padding ranges, cell ranges."""
+"""Byte-level layout: sizes, alignment, field offsets, cell ranges."""
 
 import pytest
 
+from seamcheck import types
 from seamcheck.types import (
     ArrayType,
     CellType,
@@ -69,7 +70,6 @@ def test_array_layout():
     layout = layout_of(t)
     assert layout.size == 20
     assert layout.align == 4
-    assert layout.padding_ranges == ()
 
 
 def test_zero_length_array():
@@ -84,7 +84,6 @@ def test_struct_c_style_placement():
     assert layout.field_offsets == (0, 4, 8)
     assert layout.size == 12  # trailing padding rounds up to align 4
     assert layout.align == 4
-    assert layout.padding_ranges == ((1, 4), (9, 12))
 
 
 def test_struct_no_padding_when_ordered():
@@ -92,7 +91,6 @@ def test_struct_no_padding_when_ordered():
     layout = layout_of(t)
     assert layout.field_offsets == (0, 8, 12)
     assert layout.size == 16
-    assert layout.padding_ranges == ()
 
 
 def test_struct_explicit_offsets():
@@ -100,7 +98,6 @@ def test_struct_explicit_offsets():
     layout = layout_of(t)
     assert layout.field_offsets == (0, 7)
     assert layout.size == 8
-    assert layout.padding_ranges == ((1, 7),)
 
 
 def test_explicit_offset_must_respect_alignment():
@@ -144,12 +141,25 @@ def test_cell_ranges_propagate_through_structs():
     t = _struct("Mix", ("flag", CellType(U8), None), ("n", I32, None))
     layout = layout_of(t)
     assert layout.cell_ranges == ((0, 1),)
-    assert layout.padding_ranges == ((1, 4),)
 
 
 def test_adjacent_cell_ranges_coalesce_in_arrays():
     t = ArrayType(CellType(U8), 4)
     assert layout_of(t).cell_ranges == ((0, 4),)
+
+
+def test_an_array_of_padded_structs_lays_out_without_visiting_its_elements(monkeypatch):
+    padded = _struct("P", ("a", U8, None), ("b", IntType(32, False), None))
+    layout_of(padded)
+    shift, copies = types._shift, []
+    monkeypatch.setattr(types, "_shift", lambda ranges, by: copies.append(by) or shift(ranges, by))
+    layout = layout_of(ArrayType(padded, 1000))
+    assert (layout.size, layout.align, layout.cell_ranges, copies) == (8000, 4, (), [])
+
+
+def test_an_array_of_cell_bearing_structs_has_a_cell_range_per_element():
+    t = ArrayType(_struct("C", ("a", CellType(U8), None), ("b", U8, None)), 3)
+    assert layout_of(t).cell_ranges == ((0, 1), (2, 3), (4, 5))
 
 
 def test_struct_field_range_uses_layout():

@@ -531,6 +531,11 @@ _ERROR_POSITIONS = {
     ),
     "type_already_defined": ("type T\nend\ntype T\nend\n" + _MAIN, 3, 0, "type 'T' already defined"),
     "type_shadows_scalar": ("type u8\nend\n" + _MAIN, 1, 0, "type 'u8' already defined"),
+    # `parse_type` reads these words before it looks up structs, so such a struct could never be used
+    **{
+        f"type_shadows_{word}": (f"type {word}\n  a: u8\nend\n" + _MAIN, 1, 0, f"type '{word}' already defined")
+        for word in ("ptr", "cell", "phantom")
+    },
     "struct_layout_error": (
         "type Bad\n  a: u32 @ 2\nend\n" + _MAIN, 1, 0, "Bad.a: explicit offset 2 breaks 4-alignment"
     ),

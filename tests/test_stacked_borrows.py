@@ -362,3 +362,11 @@ def test_would_pop_protected_message_names_the_cause(guard_kind, act, message):
         act(t)
     assert e.value.kind is DiagnosticKind.PROTECTED_PERMISSION
     assert str(e.value) == message
+
+
+def test_a_protected_zero_size_retag_records_no_use():
+    # tb records the protector's read over the empty range as a use (`tests/test_tree_borrows.py`);
+    # which rule is right is open with ROADMAP item 8.
+    t = _tracker()
+    r = t.retag(t.root_tag, (0, 0), "shared-ref", (), True, "r", _ctx(line=5))
+    assert r in t.protected and r not in t.last_use

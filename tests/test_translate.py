@@ -142,6 +142,20 @@ def test_padded_aggregate_does_not_flatten():
     assert flatten_fields(padded) is None
 
 
+_FLATTENS = {
+    "explicit_offset_gap": (StructType("G", (FieldDef("a", U32, 0), FieldDef("b", U32, 8))), None),
+    "reversed_offsets_without_gap": (StructType("R", (FieldDef("a", U32, 4), FieldDef("b", U32, 0))), (U32, U32)),
+    "integer_array": (ArrayType(U32, 3), (U32, U32, U32)),
+    "cell_field": (StructType("C", (FieldDef("a", CellType(U32), None), FieldDef("b", U32, None))), None),
+}
+
+
+@pytest.mark.parametrize("name", _FLATTENS)
+def test_flatten_takes_homogeneous_integers_that_fill_their_layout(name):
+    aggregate, fields = _FLATTENS[name]
+    assert flatten_fields(aggregate) == fields
+
+
 def test_cell_wrapped_aggregate_counts_inner_fields():
     pair = StructType("Pair", (FieldDef("a", U32, None), FieldDef("b", U32, None)))
     assert field_count(CellType(pair)) == 2

@@ -326,3 +326,11 @@ def test_error_message_carries_the_invalidation_note():
         "read through tag#2 ('child') at alloc#1+0: permission of tag#2 ('child') is Disabled"
         " (invalidated at line 3: write via tag#1 ('root'): Reserved -> Disabled)"
     )
+
+
+def test_a_protected_zero_size_retag_records_its_empty_read_as_a_use():
+    # The protector's read runs over the empty retag range, as for `host fn f(r: &[u8; 0])`. sb records
+    # no use there (`tests/test_stacked_borrows.py`); which rule is right is open with ROADMAP item 8.
+    t = _tracker()
+    r = t.retag(t.root_tag, (0, 0), "shared-ref", (), True, "r", _ctx(line=5))
+    assert t.last_use[r] == ("read", (0, 0), 5)

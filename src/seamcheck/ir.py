@@ -310,9 +310,6 @@ class ScenarioProgram:
     def function(self, name: str) -> FnDef:
         return self.functions_by_name[name]
 
-    def binding(self, name: str) -> BindingSignature:
-        return self.bindings_by_name[name]
-
     @property
     def entry(self) -> FnDef:
         return self.function("main")

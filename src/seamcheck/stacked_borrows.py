@@ -6,12 +6,12 @@ costs the segments of its range, not its bytes. `Memory` builds the tracker
 the first time it is needed, around the root tag the allocation drew when it
 was made, and it alone retags through it and ends its protectors.
 
-Where the tree model judges accesses lazily, stacks assert at retag time:
-creating a mutable reference performs a write-grade assertion through the
-parent tag (popping everything above the parent's granting item) before
-pushing a Unique item, and a shared reference performs a read-grade
-assertion before pushing SharedReadOnly. Raw-pointer casts assert nothing:
-a mut cast inserts SharedReadWrite just above the item it derives from, a
+Where the tree model judges accesses lazily, stacks assert at retag time,
+by the rule `_RETAGS` gives each retag kind: a mutable reference makes a
+write-grade access through the parent tag (popping everything above the
+parent's granting item) and pushes a Unique item, a shared one makes a
+read-grade access and pushes SharedReadOnly. Raw-pointer casts access
+nothing: a mut cast inserts SharedReadWrite just above its parent's item, a
 const cast pushes SharedReadOnly on top. Interior-mutable locations get
 SharedReadWrite wherever a shared form would get SharedReadOnly.
 
@@ -65,6 +65,17 @@ class _Item(NamedTuple):
     grant: Grant
 
 
+# Retag kind -> the access it makes through the parent ("write", "read" or None), its item's grant
+# outside and inside cell ranges, and whether the item goes just above the parent's item or on top.
+_RETAGS = {
+    "mutable-ref": ("write", Grant.UNIQUE, Grant.UNIQUE, False),
+    "shared-ref": ("read", Grant.SHARED_RO, Grant.SHARED_RW, False),
+    "raw-mut": (None, Grant.SHARED_RW, Grant.SHARED_RW, True),
+    "cell": (None, Grant.SHARED_RW, Grant.SHARED_RW, True),
+    "raw-const": (None, Grant.SHARED_RO, Grant.SHARED_RW, False),
+}
+
+
 class _Stack:
     """One segment's borrow stack, bottom to top, with two indexes over it.
 
@@ -86,9 +97,6 @@ class _Stack:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Stack) and self.items == other.items
-
-    def push(self, item: _Item) -> None:
-        self.insert(len(self.items), item)
 
     def insert(self, i: int, item: _Item) -> None:
         items, pos = self.items, self.pos
@@ -179,7 +187,8 @@ class StackedBorrowTracker(BorrowTracker):
         label: str,
         line: int = 0,
     ) -> int:
-        """New `kind` tag over `rng` from `parent`; a shared or const one is SharedReadWrite in `cell_ranges`."""
+        """New `kind` tag over `rng` from `parent`, by the rule `_RETAGS` gives `kind`."""
+        access, grant, cell_grant, above_parent = _RETAGS[kind]
         tag = self._new_tag(parent, rng, kind, label, line, protect)
         cause = (line, kind, tag, "retag")
         stacks = self._stacks
@@ -196,27 +205,17 @@ class StackedBorrowTracker(BorrowTracker):
                     + self._invalidation_note(parent),
                     off, tag, parent,
                 )
-            if kind == "mutable-ref":
-                if stack.items[idx].grant is Grant.SHARED_RO:
-                    raise self._error(
-                        DiagnosticKind.INSUFFICIENT_PERMISSION,
-                        f"mutable retag at alloc#{self.alloc_id}+{off} through read-only "
-                        f"tag#{parent} ('{self.labels[parent]}')",
-                        off, tag, parent,
-                    )
-                self._remove_above(stack, idx, "write", cause, off)
-                stack.push(_Item(tag, Grant.UNIQUE))
-            elif kind == "shared-ref":
-                self._remove_above(stack, idx, "read", cause, off)
-                grant = Grant.SHARED_RW if in_cell(off) else Grant.SHARED_RO
-                stack.push(_Item(tag, grant))
-            elif kind in ("raw-mut", "cell"):
-                stack.insert(idx + 1, _Item(tag, Grant.SHARED_RW))
-            elif kind == "raw-const":
-                grant = Grant.SHARED_RW if in_cell(off) else Grant.SHARED_RO
-                stack.push(_Item(tag, grant))
-            else:
-                raise ValueError(f"unknown retag kind: {kind}")
+            if access == "write" and stack.items[idx].grant is Grant.SHARED_RO:
+                raise self._error(
+                    DiagnosticKind.INSUFFICIENT_PERMISSION,
+                    f"mutable retag at alloc#{self.alloc_id}+{off} through read-only "
+                    f"tag#{parent} ('{self.labels[parent]}')",
+                    off, tag, parent,
+                )
+            if access is not None:
+                self._remove_above(stack, idx, access, cause, off)
+            item = _Item(tag, cell_grant if in_cell(off) else grant)
+            stack.insert(idx + 1 if above_parent else len(stack.items), item)
         stacks.merge(span)
         return tag
 

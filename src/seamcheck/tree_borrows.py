@@ -5,20 +5,24 @@ time it is needed, around the root tag the allocation drew when it was made,
 and which it alone retags through and ends protectors on. The root tag is
 Active everywhere; retags hang child nodes off the parent tag. The
 permissions live in one `RangeMap` per allocation, whose segments each hold
-every node's state over a run of equal bytes, as Miri's `rperms` does. A fresh node asserts nothing at retag time: it enters every segment at
-its initial permission (ReservedIM inside interior-mutable ranges, otherwise
+every node's state over a run of equal bytes, as Miri's `rperms` does.
+
+A fresh node asserts nothing at retag time: it enters every segment at its
+initial permission (ReservedIM inside interior-mutable ranges, otherwise
 Reserved for mutable borrows and Frozen for shared ones), uninitialized, and
 becomes initialized at a location the first time it is accessed there.
 
 An access through tag `t` is a child access for `t` and its ancestors and a
-foreign access for every other node. Transitions follow one table:
+foreign access for every other node. Transitions follow one table, held by
+`_CHILD`, `_CHILD_ERRORS` and `_FOREIGN`. Each cell names the permission
+the node moves to, "keeps", or the error: "expired" (`expired-permission`)
+or "insufficient" (`insufficient-permission`).
 
-    child read:    Reserved, ReservedIM, Active, Frozen keep; Disabled errors
-    child write:   Reserved/ReservedIM -> Active; Active keeps;
-                   Frozen errors (insufficient); Disabled errors (expired)
-    foreign read:  Active -> Frozen; everything else keeps
-    foreign write: Reserved -> Disabled; ReservedIM keeps; Active -> Frozen;
-                   Frozen -> Disabled; Disabled keeps
+                   Reserved  ReservedIM  Active  Frozen        Disabled
+    child read     keeps     keeps       keeps   keeps         expired
+    child write    Active    Active      keeps   insufficient  expired
+    foreign read   keeps     keeps       Frozen  keeps         keeps
+    foreign write  Disabled  keeps       Frozen  Disabled      keeps
 
 The foreign-write cell for Active deliberately freezes instead of disabling;
 that choice is observable in parent/child write orderings and is frozen by
@@ -32,14 +36,12 @@ retag time and no protector error before the first genuine use.
 
 Transitions only move one way (Reserved -> Active -> Frozen -> Disabled), so
 an access need not visit every node. Each segment indexes its nodes by
-current permission. An access walks the acting node's ancestor path, checks
-and applies the child table there, and visits off the path only the nodes
-whose permission the foreign table changes: Active for a read; Reserved,
-Active and Frozen for a write. Protected nodes are looked up in the
-protected set. So an access costs the path it checks plus the states it
-changes, and the error raised is still the one at the first failing node in
-node order. An access the `BorrowTracker` memo knows to be a no-op costs
-O(1).
+current permission. An access walks the acting node's ancestor path for the
+child table, and visits off the path only the nodes the foreign table moves;
+the protector rule is read off those moves. A segment's moves are collected
+before it is checked, so the first failing node in node order raises before
+any of them is made. So an access costs the path it checks plus the states
+it changes; one the `BorrowTracker` memo knows to be a no-op costs O(1).
 
 Each tag's raw events (creation, last use, first invalidation) and its
 protection live in the `BorrowTracker` base, shared with the sb model. The
@@ -78,8 +80,17 @@ _A = Permission.ACTIVE
 _F = Permission.FROZEN
 _D = Permission.DISABLED
 
-# Access kind -> the foreign transitions that change a permission.
-_FOREIGN = {"read": ((_A, _F),), "write": ((_R, _D), (_A, _F), (_F, _D))}
+# Access kind -> old permission -> new, on the acting node and its ancestors (child) and on
+# every other node (foreign), or -> the error of a child access. Other permissions keep.
+_CHILD = {"read": {}, "write": {_R: _A, _RIM: _A}}
+_CHILD_ERRORS = {
+    "read": {_D: DiagnosticKind.EXPIRED_PERMISSION},
+    "write": {_F: DiagnosticKind.INSUFFICIENT_PERMISSION, _D: DiagnosticKind.EXPIRED_PERMISSION},
+}
+_FOREIGN = {"read": {_A: _F}, "write": {_R: _D, _A: _F, _F: _D}}
+
+# Retag kinds that make no node: a raw retag returns its parent.
+_RAW = ("raw-mut", "raw-const", "cell")
 
 # Retag kind (None for the root) -> a node's permission outside interior-mutable
 # ranges, and the permission shown for a zero-size allocation.
@@ -152,7 +163,7 @@ class TreeBorrowTracker(BorrowTracker):
         """New child tag under `parent`, ReservedIM on every byte in `cell_ranges`. Raw retags return the parent."""
         if parent not in self._index:
             raise ValueError(f"retag from unknown tag#{parent} in alloc#{self.alloc_id}")
-        if kind in ("raw-mut", "raw-const", "cell"):
+        if kind in _RAW:
             return parent
         default = _DEFAULT[kind]
         tag = self._new_tag(parent, rng, kind, label, line, protect)
@@ -181,47 +192,38 @@ class TreeBorrowTracker(BorrowTracker):
         if prov not in index_of:
             raise ValueError(f"access via unknown tag#{prov} in alloc#{self.alloc_id}")
         created, order, invalidated = self.created, self._order, self.invalidated
-        path: list[int] = []  # node indices, from the acting node up to the root
+        path: list[int] = []  # node indices, from the acting node up to the root, so falling
         tag: Optional[int] = prov
         while tag is not None:
             path.append(index_of[tag])
             tag = created[tag][3]
         on_path = set(path)
         acting_index = path[0]
-        write = kind == "write"
-        # Protected nodes that a foreign write may disable, in node order.
-        guarded = sorted(
-            i for i in (index_of[t] for t in self.protected) if i not in on_path
-        ) if write else ()
-        foreign = _FOREIGN[kind]
+        protected = {index_of[t] for t in self.protected} if self.protected else None
+        child, errors, foreign = _CHILD[kind], _CHILD_ERRORS[kind], _FOREIGN[kind]
         perms = self._perms
         span = perms.span(*rng)
         changed = False
         for i in span:
             segment = perms.values[i]
             states, index = segment.states, segment.index
+            # Collect every move before making any, so that a node moves once.
+            moves = [(n, perm, new) for perm, new in foreign.items() for n in index.get(perm, ()) if n not in on_path]
             failing = None
             for n in path:
                 perm = states[n][1]
-                if (perm is _D or (write and perm is _F)) and (failing is None or n < failing):
-                    failing = n
-            for n in guarded:
-                _, perm, initialized = states[n]
-                if initialized and (perm is _R or perm is _F):
-                    if failing is None or n < failing:
+                if perm in errors:
+                    failing = n  # the path falls, so the last found is first in node order
+                elif perm in child:
+                    moves.append((n, perm, child[perm]))
+            if protected:  # a foreign move to Disabled of a protected node, where it is initialized, fails
+                for n, _, new in moves:
+                    if new is _D and n in protected and states[n][2] and (failing is None or n < failing):
                         failing = n
-                    break
             if failing is not None:
                 raise self._access_error(
                     prov, kind, perms.starts[i], order[failing], states[failing][1], failing in on_path
                 )
-            # Collect every move before making any, so that a node moves once.
-            moves = [(n, perm, new) for perm, new in foreign for n in index.get(perm, ()) if n not in on_path]
-            if write:
-                for n in path:
-                    perm = states[n][1]
-                    if perm is _R or perm is _RIM:
-                        moves.append((n, perm, _A))
             for n, perm, new in moves:
                 segment.move(n, perm, new)
                 if new is not _A:
@@ -246,16 +248,11 @@ class TreeBorrowTracker(BorrowTracker):
                 f"{head} would disable protected tag#{tag} ('{label}')",
                 off, prov, tag,
             )
-        if perm is _D:
-            return self._error(
-                DiagnosticKind.EXPIRED_PERMISSION,
-                f"{head}: permission of tag#{tag} ('{label}') is Disabled" + self._invalidation_note(tag),
-                off, prov, tag,
-            )
+        error = _CHILD_ERRORS[kind][perm]
+        why = f", which forbids {kind}s" if error is DiagnosticKind.INSUFFICIENT_PERMISSION else ""
         return self._error(
-            DiagnosticKind.INSUFFICIENT_PERMISSION,
-            f"{head}: permission of tag#{tag} ('{label}') is Frozen, which forbids writes"
-            + self._invalidation_note(tag),
+            error,
+            f"{head}: permission of tag#{tag} ('{label}') is {perm.value}{why}" + self._invalidation_note(tag),
             off, prov, tag,
         )
 

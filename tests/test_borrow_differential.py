@@ -82,6 +82,19 @@ _MANY_CELLS = (12, [
 ])
 
 
+# A protected borrow t1, a sibling t2, then a write through t2, which is a foreign write for t1:
+# 1. t1 Reserved and initialized: the write would disable it, the error;
+# 2. t1 Reserved only over [0..2), so uninitialized where the write over [2..4) disables it: no error;
+# 3. t1 a shared borrow of a cell, ReservedIM, which a foreign write keeps: no error;
+# 4. t1 a shared borrow, Frozen and initialized: the error.
+_PROTECTED = [
+    (4, [(0, 0, 0, 4, 0, 0, []), (0, 1, 0, 4, 0, 1, []), (3, 2, 0, 4, 1, 1, [])]),
+    (4, [(0, 0, 0, 2, 0, 0, []), (0, 1, 0, 4, 0, 1, []), (3, 2, 2, 2, 1, 1, [])]),
+    (4, [(0, 0, 0, 4, 1, 0, [(0, 4)]), (0, 1, 0, 4, 0, 1, []), (3, 2, 0, 4, 1, 1, [])]),
+    (4, [(0, 0, 0, 4, 1, 0, []), (0, 1, 0, 4, 0, 1, []), (3, 2, 0, 4, 1, 1, [])]),
+]
+
+
 def _range(size, a, b):
     lo = a % (size + 1)
     return lo, lo + b % (size - lo + 1)
@@ -178,6 +191,10 @@ def _stack_view(tracker, tags, off):
 @example(case=_STALE[2])
 @example(case=_FOCUS)
 @example(case=_MANY_CELLS)
+@example(case=_PROTECTED[0])
+@example(case=_PROTECTED[1])
+@example(case=_PROTECTED[2])
+@example(case=_PROTECTED[3])
 def test_tree_tracker_matches_per_byte_oracle(case):
     size, ops = case
     new = make_tracker(TreeBorrowTracker, size)

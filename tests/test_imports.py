@@ -2,15 +2,18 @@
 only memory and the two trackers touch an allocation's borrow state, only memory reads a byte
 store's fields, only the borrow tracker base writes a tag event or tests and adds to the no-op memo, every detail of a finding is
 named as its diagnostic field, no machine or memory method takes a source line, only the
-machine's lowering looks at which statement or right-hand side form it has, and the trackers read
-a retag's cell ranges only through the range map."""
+machine's lowering looks at which statement or right-hand side form it has, the trackers read
+a retag's cell ranges only through the range map, the tb docstring draws the transition table its
+tables hold, and both trackers accept the same retag kinds."""
 
 import ast
 from dataclasses import fields
 
 import pytest
 
-from seamcheck.diagnostics import Diagnostic
+from seamcheck import stacked_borrows, tree_borrows
+from seamcheck.diagnostics import Diagnostic, DiagnosticKind
+from seamcheck.tree_borrows import Permission
 
 from conftest import REPO_ROOT
 
@@ -229,6 +232,75 @@ def test_the_trackers_read_cell_ranges_only_through_the_range_map():
 def test_cell_range_lint_sees_a_planted_read(body):
     source = f"def retag(self, parent, rng, kind, cell_ranges, off):\n    {body}\n"
     assert _cell_range_reads(REPO_ROOT / "src" / "seamcheck" / "stacked_borrows.py", source)[1] != []
+
+
+# The tb docstring draws the transition table that `_CHILD`, `_CHILD_ERRORS` and `_FOREIGN` hold:
+# one row per relation and access, one cell per permission. Reading the drawing back and comparing
+# it with the tables keeps the prose from drifting from the code.
+_DRAWN_PERMISSIONS = {
+    "Reserved": Permission.RESERVED, "ReservedIM": Permission.RESERVED_IM, "Active": Permission.ACTIVE,
+    "Frozen": Permission.FROZEN, "Disabled": Permission.DISABLED,
+}
+_DRAWN_ERRORS = {"expired": DiagnosticKind.EXPIRED_PERMISSION, "insufficient": DiagnosticKind.INSUFFICIENT_PERMISSION}
+
+
+def _table_drift(doc, child, errors, foreign):
+    """The cells where the table drawn in `doc` and the three tables disagree, as text."""
+    rows = [line.split() for line in doc.splitlines()]
+    header = next(words for words in rows if words and all(w in _DRAWN_PERMISSIONS for w in words))
+    drawn = {tuple(words[:2]): words[2:] for words in rows if words[:1] in (["child"], ["foreign"])}
+    drift = []
+    for access in ("read", "write"):
+        for relation, table in (("child", {**child[access], **errors[access]}), ("foreign", foreign[access])):
+            cells = drawn.get((relation, access), [])
+            if len(cells) != len(header):
+                drift.append(f"{relation} {access}: {len(cells)} cells for {len(header)} permissions")
+                continue
+            for name, cell in zip(header, cells):
+                want = table.get(_DRAWN_PERMISSIONS[name])
+                got = None if cell == "keeps" else _DRAWN_PERMISSIONS.get(cell, _DRAWN_ERRORS.get(cell, cell))
+                if got != want:
+                    drift.append(f"{relation} {access} at {name}: drawn {cell}, table {want}")
+    return drift
+
+
+def test_the_tb_docstring_draws_the_transition_tables():
+    tb = tree_borrows
+    assert _table_drift(tb.__doc__, tb._CHILD, tb._CHILD_ERRORS, tb._FOREIGN) == []
+
+
+@pytest.mark.parametrize(
+    "doc_edit, table_edit",
+    [
+        (("insufficient  expired", "expired       expired"), {}),
+        (("Frozen  keeps", "Disabled  keeps"), {}),
+        (("foreign write  Disabled  keeps", "foreign write  Disabled"), {}),
+        ((), {"_FOREIGN": {"read": {Permission.ACTIVE: Permission.DISABLED}, "write": tree_borrows._FOREIGN["write"]}}),
+        ((), {"_CHILD": {"read": {}, "write": {Permission.RESERVED: Permission.ACTIVE}}}),
+    ],
+)
+def test_transition_table_lint_sees_a_planted_drift(doc_edit, table_edit):
+    tb = tree_borrows
+    doc = tb.__doc__.replace(*doc_edit) if doc_edit else tb.__doc__
+    tables = {"_CHILD": tb._CHILD, "_CHILD_ERRORS": tb._CHILD_ERRORS, "_FOREIGN": tb._FOREIGN, **table_edit}
+    assert _table_drift(doc, tables["_CHILD"], tables["_CHILD_ERRORS"], tables["_FOREIGN"]) != []
+
+
+# Both models judge the same program, so both accept every retag kind the machine makes: tb's raw
+# kinds, which make no node, and its node kinds together are exactly sb's `_RETAGS`.
+def _retag_kinds_differ(raw, default, retags):
+    """The retag kinds that one tracker accepts and the other does not, sorted."""
+    return sorted((set(raw) | (default.keys() - {None})) ^ retags.keys())
+
+
+def test_both_trackers_accept_the_same_retag_kinds():
+    assert _retag_kinds_differ(tree_borrows._RAW, tree_borrows._DEFAULT, stacked_borrows._RETAGS) == []
+
+
+def test_retag_kind_lint_sees_a_planted_kind():
+    raw, default, retags = tree_borrows._RAW, tree_borrows._DEFAULT, stacked_borrows._RETAGS
+    assert _retag_kinds_differ(raw, {**default, "box": Permission.RESERVED}, retags) == ["box"]
+    assert _retag_kinds_differ(raw, default, {k: v for k, v in retags.items() if k != "cell"}) == ["cell"]
 
 
 # Trackers keep raw tag events; `BorrowTracker` alone turns them into `TagEvent` and `TagHistory`

@@ -320,7 +320,7 @@ host fn main()
 end
 """
     )
-    binding = program.binding("logf")
+    binding = program.bindings_by_name["logf"]
     assert binding.target == "c_logf"
     assert binding.variadic
     assert binding.ret == IntType(64, True)
@@ -339,7 +339,7 @@ host fn main()
 end
 """
     )
-    assert program.binding("c_poke").target == "c_poke"
+    assert program.bindings_by_name["c_poke"].target == "c_poke"
 
 
 def test_parse_error_carries_location():
@@ -686,11 +686,11 @@ def test_name_lookups_return_the_first_definition():
     program = ScenarioProgram(path="many", types=(), functions=functions, bindings=bindings)
     assert program.function("f499").line == 499
     assert program.function("f0") is functions[0]
-    assert program.binding("b").target == "first"
+    assert program.bindings_by_name["b"].target == "first"
     with pytest.raises(KeyError):
         program.function("f500")
     with pytest.raises(KeyError):
-        program.binding("c")
+        program.bindings_by_name["c"]
     # The name maps are neither compared nor shown.
     again = ScenarioProgram(path="other", types=(), functions=functions, bindings=bindings)
     assert again == program
@@ -731,7 +731,8 @@ def test_equal_types_of_one_parse_are_one_object():
     ref, array, raw = pair.fields[0].type, pair.fields[1].type, body[4].type
     assert all(t is ref for t in (body[1].type, body[2].type, program.function("c_g").params[1].type))
     assert body[3].type is array and isinstance(array.elem, CellType)
-    assert program.binding("g").params[0] is raw and program.binding("g").ret is raw and body[7].dest_type is raw
+    g = program.bindings_by_name["g"]
+    assert g.params[0] is raw and g.ret is raw and body[7].dest_type is raw
     assert body[5].type is body[6].type and body[5].type.inner.elem is ref
 
 

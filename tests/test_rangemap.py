@@ -55,3 +55,18 @@ def test_a_shared_retag_reads_its_cell_ranges_a_bounded_number_of_times(cls):
     tag = tracker.retag(tracker.root_tag, (0, 2 * k), "shared-ref", cells, False, "r", 1)
     assert cells.yielded <= 2 * k
     assert _interior_bytes(tracker, tag, 2 * k) == list(range(0, 2 * k, 2))
+
+
+@pytest.mark.parametrize("cls", [TreeBorrowTracker, StackedBorrowTracker])
+def test_byte_by_byte_writes_leave_one_segment_for_later_reborrows(cls):
+    # Each one-byte write through `r: &mut [u8; 512]` splits the map at its edges. Merging equal
+    # neighbours back leaves one segment, so each of the 400 `&mut *r` reborrows that follow
+    # visits one segment, not 512.
+    tracker = make_tracker(cls, 512)
+    r = tracker.retag(tracker.root_tag, (0, 512), "mutable-ref", (), False, "r", 1)
+    for i in range(512):
+        tracker.access(r, (i, i + 1), "write", 2)
+    for _ in range(400):
+        tracker.retag(r, (0, 512), "mutable-ref", (), False, "s", 3)
+    segments = tracker._perms if cls is TreeBorrowTracker else tracker._stacks
+    assert len(segments.values) == 1
